@@ -28,13 +28,7 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
-from .hinf_spectral import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_REFINEMENT_TOL,
-    HinfReport,
-    TransferFunction,
-    hinf_norm,
-)
+from .hinf_spectral import HinfReport, TransferFunction, hinf_norm
 from .koopman_dmd import KoopmanModel
 from .trajectory_data import MeanTrajectory, TrajectoryEnsemble, mean_rewards
 
@@ -528,8 +522,6 @@ def verify_bounds(
     gamma: float,
     gamma_d: float,
     reward: RewardDescriptor | None = None,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refinement_tol: float = DEFAULT_REFINEMENT_TOL,
 ) -> BoundReport:
     """Compare every bound against its measured left-hand side.
 
@@ -544,11 +536,7 @@ def verify_bounds(
         raise ParameterError("gamma must be non-negative")
     flags = []
 
-    hinf = hinf_norm(
-        TransferFunction.resolvent(model.state_operator),
-        grid_points=grid_points,
-        refinement_tol=refinement_tol,
-    )
+    hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
     if not hinf.converged:
         flags.append("unstable-state-operator")
     if hinf.ill_conditioned and hinf.converged:

@@ -59,7 +59,7 @@ config keys (flat `key = value` lines, values parsed as JSON when possible):
   disturbance.kind        impulse | constant_direction |
                           scaled_gaussian_projected | single_tone
   disturbance.gamma, disturbance.seed, disturbance.direction, disturbance.omega
-  analysis.gamma, analysis.gamma_d, analysis.rank_tol, analysis.grid_points,
+  analysis.gamma, analysis.gamma_d, analysis.rank_tol,
   analysis.L              analytic reward Lipschitz constant override
 """
 
@@ -162,16 +162,9 @@ def cmd_analyze(args) -> int:
     gamma_d = (
         args.gamma_d if args.gamma_d is not None else float(cfg.get("analysis.gamma_d", 0.9))
     )
-    grid_points = (
-        args.grid_points
-        if args.grid_points is not None
-        else int(cfg.get("analysis.grid_points", 4096))
-    )
-    hinf = hinf_norm(TransferFunction.resolvent(model.state_operator), grid_points)
+    hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
     kf_hinf = hinf_norm(TransferFunction.constant(model.action_operator)).value
     t_value = hinf.value
-    m_value = 0.0 if gamma == 0.0 else t_value * gamma
-    n_value = 0.0 if gamma == 0.0 else kf_hinf * t_value * gamma
     state_energy, state_max = state_deviation_bounds(t_value, gamma)
     action_energy, action_max = action_deviation_bounds(kf_hinf, t_value, gamma)
 
@@ -184,8 +177,8 @@ def cmd_analyze(args) -> int:
         "Kf_hinf": kf_hinf,
         "gamma": gamma,
         "gamma_d": gamma_d,
-        "M": enc(m_value),
-        "N": enc(n_value),
+        "M": enc(state_max),
+        "N": enc(action_max),
         "state_energy_bound": enc(state_energy),
         "state_max_bound": enc(state_max),
         "action_energy_bound": enc(action_energy),
@@ -240,12 +233,6 @@ def cmd_verify(args) -> int:
     gamma_d = (
         args.gamma_d if args.gamma_d is not None else float(cfg.get("analysis.gamma_d", 0.9))
     )
-    grid_points = (
-        args.grid_points
-        if args.grid_points is not None
-        else int(cfg.get("analysis.grid_points", 4096))
-    )
-
     spec = _disturbance_from_config(cfg, args, model.n, horizon)
     w = generate_disturbance(spec)
     check = disturbance_admissible(w, spec.gamma)
@@ -281,7 +268,6 @@ def cmd_verify(args) -> int:
         spec.gamma,
         gamma_d,
         reward,
-        grid_points=grid_points,
     )
     default_label = f"{env}:{policy}" if env == "uav" else env
     label = args.label or default_label
@@ -398,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model JSON from fit")
     p.add_argument("--gamma", type=float, default=None, help="disturbance level")
     p.add_argument("--gamma-d", type=float, default=None, help="discount factor")
-    p.add_argument("--grid-points", type=int, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="inject admissible disturbances and check every bound")
@@ -410,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--gamma-d", type=float, default=None)
-    p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--disturbance-kind", default=None)
     p.add_argument("--disturbance-seed", type=int, default=None)
     p.add_argument("--label", default=None, help="row label for the report command")

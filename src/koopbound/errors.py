@@ -42,7 +42,8 @@ class ParameterError(KoopboundError):
 
 
 class DivergenceError(KoopboundError):
-    """A geometric series bound diverges for the given discount factor."""
+    """A geometric series bound diverges for the given discount factor, or an
+    iterative search fails to converge."""
 
 
 class SchemaError(KoopboundError):

@@ -5,6 +5,14 @@ The disturbance-to-state map of a fitted one-step model K is the resolvent
 is the quantity the robustness bounds consume.  A constant matrix is handled
 as the degenerate transfer function whose gain is simply its largest singular
 value at every frequency.
+
+The resolvent's gain is 1 / min_w sigma_min(e^{jw} I - K), and the minimum
+is found by the level-set iteration of Boyd & Balakrishnan (Systems & Control
+Letters 15, 1990) and Bruinsma & Steinbuch (Systems & Control Letters 14,
+1990): the frequencies where a level s is a singular value of e^{jw} I - K
+are the unit-modulus eigenvalues of a 2n x 2n pencil, so each level either
+yields the intervals where sigma_min dips below it or proves that it never
+does.
 """
 
 from __future__ import annotations
@@ -13,20 +21,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DataError, ParameterError, PoleProximityError
+from .errors import DataError, DivergenceError, ParameterError, PoleProximityError, SchemaError
 
 RESOLVENT = "resolvent"
 CONSTANT = "constant"
-
-DEFAULT_GRID_POINTS = 4096
-DEFAULT_REFINEMENT_TOL = 1e-10
 
 # Unit-circle clearance below which an evaluation is refused outright.
 _POLE_CLEARANCE = 1e-12
 # Spectral radius this close to 1 still yields a finite norm, but the value
 # is dominated by fit noise in the operator, so the report is flagged.
 _ILL_CONDITIONED_BAND = 1e-6
+# Relative width of the returned bracket: the search stops at the first level
+# sigma_best / (1 + _BRACKET_RTOL) that sigma_min never crosses.
+_BRACKET_RTOL = 1e-13
+# Pencil eigenvalues whose modulus is within this relative distance of 1 are
+# candidate crossings.  QZ leaves a true crossing about eps * cond off the
+# circle, and a near-tangent pair about sqrt(eps); a wider window only adds
+# candidates, and each one is checked by a direct SVD.
+_UNIT_CIRCLE_RTOL = 1e-6
+# The iteration converges quadratically, in 1-5 levels on the fitted
+# operators seen so far; this cap only stops a numerically broken search.
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -72,43 +89,66 @@ class TransferFunction:
         return np.linalg.solve(z * np.eye(n) - self.matrix, np.eye(n, dtype=complex))
 
 
+def _encode(v: float):
+    return "inf" if math.isinf(v) else v
+
+
+def _decode(v) -> float:
+    return float("inf") if v == "inf" else float(v)
+
+
 @dataclass(frozen=True)
 class HinfReport:
-    """Worst-case gain over frequencies in [0, pi] plus search metadata.
+    """Worst-case gain over frequencies in [0, pi] as a bracket [lower, upper].
 
-    ``value`` is flagged infinite (converged=False) when a resolvent's
-    spectral radius reaches the unit circle.  ``ill_conditioned`` marks
-    finite values produced by eigenvalues within 1e-6 of the circle.
+    ``lower`` is the gain evaluated at ``omega_star``; ``upper`` is a level
+    the search proved the gain never exceeds, at most 1e-13 above ``lower``.
+    Both ends carry the rounding of the singular values they come from,
+    about n * eps * ||e^{jw} I - K|| / sigma_min relative.  ``value`` is
+    ``upper``, the end every bound uses.  ``iterations`` counts the levels
+    tested.
+
+    The bracket is infinite (converged=False) when a resolvent's spectral
+    radius reaches the unit circle.  ``ill_conditioned`` marks finite values
+    produced by eigenvalues within 1e-6 of the circle, or by a search in
+    which a candidate crossing from the pencil failed its SVD confirmation.
     """
 
-    value: float
+    lower: float
+    upper: float
     omega_star: float
     spectral_radius: float | None
-    grid_points: int
-    refinement_tol: float
+    iterations: int
     converged: bool
     ill_conditioned: bool = False
 
+    @property
+    def value(self) -> float:
+        return self.upper
+
     def to_dict(self) -> dict:
         return {
-            "value": "inf" if math.isinf(self.value) else self.value,
+            "value": _encode(self.upper),
+            "lower": _encode(self.lower),
+            "upper": _encode(self.upper),
             "omega_star": self.omega_star,
             "spectral_radius": self.spectral_radius,
-            "grid_points": self.grid_points,
-            "refinement_tol": self.refinement_tol,
+            "iterations": self.iterations,
             "converged": self.converged,
             "ill_conditioned": self.ill_conditioned,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HinfReport":
-        value = doc["value"]
+        for key in ("lower", "upper", "omega_star", "iterations", "converged"):
+            if key not in doc:
+                raise SchemaError(f"gain report is missing field {key!r}")
         return cls(
-            value=float("inf") if value == "inf" else float(value),
+            lower=_decode(doc["lower"]),
+            upper=_decode(doc["upper"]),
             omega_star=float(doc["omega_star"]),
             spectral_radius=doc.get("spectral_radius"),
-            grid_points=int(doc["grid_points"]),
-            refinement_tol=float(doc["refinement_tol"]),
+            iterations=int(doc["iterations"]),
             converged=bool(doc["converged"]),
             ill_conditioned=bool(doc.get("ill_conditioned", False)),
         )
@@ -134,77 +174,53 @@ def frequency_response(tf: TransferFunction, omega: float) -> tuple[np.ndarray, 
     return mat, sigma
 
 
-def _resolvent_gains(k: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """sigma_max((zI - K)^-1) for a batch of frequencies.
+def _singular_values(k: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Singular values of e^{jw} I - K, one descending row per frequency."""
+    mats = np.exp(1j * omegas)[:, None, None] * np.eye(k.shape[0]) - k
+    return np.linalg.svd(mats, compute_uv=False)
 
-    Computed as 1 / sigma_min(zI - K), which avoids forming the inverse.
+
+def _level_crossings(k: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate frequencies in [0, pi] where ``level`` is a singular value of
+    e^{jw} I - K, with the distance of each pencil eigenvalue from the circle.
+
+    (e^{jw} I - K) v = s u and (e^{-jw} I - K^T) u = s v hold exactly when
+    z = e^{jw} is an eigenvalue of [[K, sI], [0, I]] - z [[I, 0], [sI, K^T]].
+    The returned distance is max(|r - 1|, |1/r - 1|) for an eigenvalue of
+    modulus r: the size of the perturbation that moves it onto the circle.
     """
     n = k.shape[0]
-    z = np.exp(1j * omegas)
-    mats = z[:, None, None] * np.eye(n) - k[None, :, :]
-    smin = np.linalg.svd(mats, compute_uv=False)[:, -1]
-    return 1.0 / smin
+    eye, zero = np.eye(n), np.zeros((n, n))
+    a = np.block([[k, level * eye], [zero, eye]])
+    b = np.block([[eye, zero], [level * eye, k.T]])
+    alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+    near = np.abs(np.abs(alpha) - np.abs(beta)) <= _UNIT_CIRCLE_RTOL * np.abs(beta)
+    z = alpha[near] / beta[near]
+    r = np.abs(z)
+    return np.abs(np.angle(z)), np.maximum(np.abs(r - 1.0), np.abs(1.0 / r - 1.0))
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [a, b].
-
-    Returns the best (x, f(x)) among every evaluated point, so the result
-    never under-reports what the search has actually seen; the bracket is
-    shrunk until it is narrower than tol.
-    """
-    best = {"x": a, "f": -math.inf}
-
-    def probe(x: float) -> float:
-        value = f(x)
-        if value > best["f"]:
-            best["x"], best["f"] = x, value
-        return value
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    probe(a)
-    probe(b)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = probe(x1), probe(x2)
-    while (b - a) > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = probe(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = probe(x2)
-    return best["x"], best["f"]
-
-
-def hinf_norm(
-    tf: TransferFunction,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refinement_tol: float = DEFAULT_REFINEMENT_TOL,
-) -> HinfReport:
+def hinf_norm(tf: TransferFunction) -> HinfReport:
     """Supremum over omega in [0, pi] of the largest singular value.
 
     For real operators the response at -omega mirrors the one at +omega, so
-    sweeping [0, pi] covers the whole circle.  The sweep is a uniform grid
-    followed by golden-section refinement around the best grid point; the
-    reported value is a certified lower bound of the true supremum within the
-    resolution of that search (grid density limits are the caller's knob).
+    [0, pi] covers the whole circle.  For a resolvent, sigma_min(e^{jw} I - K)
+    is first evaluated at 0, pi and the eigenvalue angles of K.  Each
+    iteration then tests the level just below the smallest value seen: the
+    pencil's unit-modulus eigenvalues are the candidate crossings, each is
+    confirmed by a direct SVD, and sigma_min is evaluated at the midpoints of
+    the intervals they cut [0, pi] into.  A midpoint below the level becomes
+    the new smallest value; when none is, sigma_min never dips below the
+    level, and its inverse is the certified upper end of the bracket.
     """
-    if grid_points < 16:
-        raise ParameterError(f"grid_points must be at least 16, got {grid_points}")
-    if refinement_tol <= 0:
-        raise ParameterError("refinement_tol must be positive")
-
     if tf.kind == CONSTANT:
         sigma = float(np.linalg.svd(tf.matrix, compute_uv=False)[0])
         return HinfReport(
-            value=sigma,
+            lower=sigma,
+            upper=sigma,
             omega_star=0.0,
             spectral_radius=None,
-            grid_points=grid_points,
-            refinement_tol=refinement_tol,
+            iterations=0,
             converged=True,
         )
 
@@ -212,36 +228,52 @@ def hinf_norm(
     if rho >= 1.0:
         dominant = tf.poles[int(np.argmax(np.abs(tf.poles)))]
         return HinfReport(
-            value=float("inf"),
+            lower=float("inf"),
+            upper=float("inf"),
             omega_star=abs(float(np.angle(dominant))),
             spectral_radius=rho,
-            grid_points=grid_points,
-            refinement_tol=refinement_tol,
+            iterations=0,
             converged=False,
             ill_conditioned=True,
         )
 
-    omegas = np.linspace(0.0, np.pi, grid_points)
-    gains = _resolvent_gains(tf.matrix, omegas)
-    i_best = int(np.argmax(gains))
-    lo = omegas[max(i_best - 1, 0)]
-    hi = omegas[min(i_best + 1, grid_points - 1)]
-
-    def gain(omega: float) -> float:
-        return float(_resolvent_gains(tf.matrix, np.array([omega]))[0])
-
-    omega_ref, value_ref = _golden_max(gain, float(lo), float(hi), refinement_tol)
-    if value_ref >= gains[i_best]:
-        omega_star, value = omega_ref, value_ref
+    k = tf.matrix
+    # Backward error of one SVD of e^{jw} I - K, the round-off allowed when a
+    # candidate crossing is checked against the level.
+    slack = k.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(k))
+    ill_conditioned = rho >= 1.0 - _ILL_CONDITIONED_BAND
+    points = np.unique(np.concatenate(([0.0, math.pi], np.abs(np.angle(tf.poles)))))
+    values = _singular_values(k, points)[:, -1]
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        i = int(np.argmin(values))
+        sigma_best, omega_star = float(values[i]), float(points[i])
+        level = sigma_best / (1.0 + _BRACKET_RTOL)
+        crossings, distances = _level_crossings(k, level)
+        if crossings.size == 0:
+            break
+        # A true crossing's SVD has a singular value within the eigenvalue's
+        # distance from the circle of the level (Bauer-Fike on the Hermitian
+        # dilation [[0, A], [A^H, 0]]); one that has none is an eig failure.
+        sigmas = _singular_values(k, crossings)
+        misfit = np.min(np.abs(sigmas - level), axis=1)
+        ill_conditioned |= bool(np.any(misfit > distances + slack))
+        ends = np.unique(np.concatenate(([0.0, math.pi], crossings)))
+        midpoints = 0.5 * (ends[1:] + ends[:-1])
+        points = np.concatenate((crossings, midpoints))
+        values = np.concatenate((sigmas[:, -1], _singular_values(k, midpoints)[:, -1]))
+        if np.min(values) >= level:
+            break
     else:
-        omega_star, value = float(omegas[i_best]), float(gains[i_best])
+        raise DivergenceError(
+            f"level-set search did not converge in {_MAX_ITERATIONS} iterations"
+        )
 
     return HinfReport(
-        value=value,
+        lower=1.0 / sigma_best,
+        upper=1.0 / level,
         omega_star=omega_star,
         spectral_radius=rho,
-        grid_points=grid_points,
-        refinement_tol=refinement_tol,
+        iterations=iterations,
         converged=True,
-        ill_conditioned=rho >= 1.0 - _ILL_CONDITIONED_BAND,
+        ill_conditioned=ill_conditioned,
     )

@@ -148,8 +148,12 @@ def dmd_standard(pair: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> DmdR
     _check_rank_tol(rank_tol)
     if pair.kind != STATE_SHIFTED:
         raise ParameterError(f"dmd_standard expects a {STATE_SHIFTED} pair, got {pair.kind}")
-    x0, x1 = pair.left, pair.right
-    u, s, v = _truncated_svd(x0, rank_tol)
+    return _projected_dmd(pair.left, pair.right, _truncated_svd(pair.left, rank_tol))
+
+
+def _projected_dmd(x0: np.ndarray, x1: np.ndarray, svd) -> DmdResult:
+    """dmd_standard after the truncated SVD (u, s, v) of x0."""
+    u, s, v = svd
     lift = (x1 @ v) / s[np.newaxis, :]
     a_tilde = u.conj().T @ lift
     a_tilde = _require_real(a_tilde, "reduced operator")
@@ -211,8 +215,12 @@ def fit_action_operator(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RAN
     """
     _check_rank_tol(rank_tol)
     pair = build_action_pairs(mean_traj)
-    x, targets = pair.left, pair.right
-    u, s, v = _truncated_svd(x, rank_tol)
+    return _pseudoinverse_fit(pair.right, _truncated_svd(pair.left, rank_tol))
+
+
+def _pseudoinverse_fit(targets: np.ndarray, svd) -> np.ndarray:
+    """targets @ pinv(x) from the truncated SVD (u, s, v) of x."""
+    u, s, v = svd
     pinv = (v / s[np.newaxis, :]) @ u.conj().T
     return _require_real(targets @ pinv, "action operator")
 
@@ -224,9 +232,16 @@ def action_fit_residual(mean_traj: MeanTrajectory, operator: np.ndarray) -> floa
 
 
 def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> KoopmanModel:
-    """Fit both operators from one mean trajectory and collect diagnostics."""
-    state_dmd = fit_state_operator(mean_traj, rank_tol)
-    action_operator = fit_action_operator(mean_traj, rank_tol)
+    """Fit both operators from one mean trajectory and collect diagnostics.
+
+    The state fit and the action fit regress on the same snapshot matrix of
+    mean states 0..K-1, so its truncated SVD is taken once and shared.
+    """
+    states = build_state_snapshots(mean_traj)
+    _check_rank_tol(rank_tol)
+    svd = _truncated_svd(states.left, rank_tol)
+    state_dmd = _projected_dmd(states.left, states.right, svd)
+    action_operator = _pseudoinverse_fit(build_action_pairs(mean_traj).right, svd)
     metadata = {
         "rank_tol": rank_tol,
         "snapshot_columns": mean_traj.horizon,

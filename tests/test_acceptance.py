@@ -159,7 +159,7 @@ def _true_model(a, f):
     return KoopmanModel(state_operator=np.atleast_2d(a), action_operator=np.atleast_2d(f))
 
 
-def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1, grid_points=1024):
+def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1):
     nominal = linear_ensemble(config, runs)
     disturbed = linear_ensemble(config, runs, disturbance=w)
     return verify_bounds(
@@ -171,7 +171,6 @@ def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1, grid_points=1024):
         gamma,
         gamma_d,
         RewardDescriptor(analytic_L=config.reward_lipschitz),
-        grid_points=grid_points,
     )
 
 
@@ -226,7 +225,7 @@ def test_state_action_bound_soundness():
     )
     w = np.zeros((48, 1))
     w[0, 0] = 1.0
-    report = _verify_linear(config, w, gamma=1.0, grid_points=4096)
+    report = _verify_linear(config, w, gamma=1.0)
     assert abs(report.empirical["state_energy"] - 4.0 / 3.0) <= 1e-9
     assert abs(report.state_energy_bound - 4.0) <= 1e-9
     elapsed = time.perf_counter() - start

@@ -117,8 +117,11 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--gamma", "0.5", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert abs(doc["hinf"]["value"] - 10.0) <= 1e-6
+        assert doc["hinf"]["value"] == doc["hinf"]["upper"] >= doc["hinf"]["lower"]
+        assert doc["hinf"]["iterations"] >= 1
         assert abs(doc["M"] - 5.0) <= 1e-5
         assert abs(doc["N"] - 2.5) <= 1e-5
+        assert doc["M"] == doc["state_max_bound"] and doc["N"] == doc["action_max_bound"]
         assert doc["Q"] is None and doc["reward_impact_bound"] is None
 
     def test_zero_action_operator(self, tmp_path):
@@ -127,6 +130,14 @@ class TestAnalyze:
         main(["analyze", str(path), "--gamma", "0.5", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["N"] == 0.0
+
+    def test_zero_gamma_caps_infinite_gain(self, tmp_path):
+        path = self.write_model(tmp_path, [[1.0]], [[0.5]])
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", str(path), "--gamma", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["hinf"]["value"] == "inf"
+        assert doc["M"] == doc["N"] == doc["state_energy_bound"] == 0.0
 
     def test_unstable_model_flagged_exit_zero(self, tmp_path, capsys):
         path = self.write_model(tmp_path, [[1.0]], [[0.5]])

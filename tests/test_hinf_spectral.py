@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import minimize_scalar
 
 from koopbound import (
     DataError,
+    DivergenceError,
     HinfReport,
     ParameterError,
     PoleProximityError,
+    SchemaError,
     TransferFunction,
     frequency_response,
     hinf_norm,
@@ -17,9 +21,83 @@ from koopbound import (
 )
 
 
+EPS = np.finfo(float).eps
+
+
 def random_orthogonal(rng, n):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q
+
+
+def rotation(radius, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return radius * np.array([[c, -s], [s, c]])
+
+
+def lightly_damped(rng, n):
+    """Random real K whose eigenvalues have 1 - |lambda| log-uniform in
+    [1e-4, 1e-1]: rotation blocks and real poles under a random similarity."""
+    d = np.zeros((n, n))
+    i = 0
+    while i < n:
+        margin = 10.0 ** rng.uniform(-4.0, -1.0)
+        if i + 1 < n and rng.random() < 0.7:
+            d[i:i + 2, i:i + 2] = rotation(1.0 - margin, rng.uniform(0.0, math.pi))
+            i += 2
+        else:
+            d[i, i] = (1.0 - margin) * rng.choice([-1.0, 1.0])
+            i += 1
+    t = np.eye(n) + rng.normal(size=(n, n)) / math.sqrt(n)
+    return t @ d @ np.linalg.inv(t)
+
+
+def sigma_min(k, omegas):
+    """sigma_min(e^{jw} I - K) per frequency, in batches of 512 frequencies."""
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    out = []
+    for start in range(0, omegas.size, 512):
+        z = np.exp(1j * omegas[start:start + 512])
+        mats = z[:, None, None] * np.eye(k.shape[0]) - k
+        out.append(np.linalg.svd(mats, compute_uv=False)[:, -1])
+    return np.concatenate(out)
+
+
+def grid_max_gain(k, grid_points):
+    """Largest resolvent gain on a uniform grid over [0, pi]."""
+    return float(np.max(1.0 / sigma_min(k, np.linspace(0.0, math.pi, grid_points))))
+
+
+def reference_sigma(k, grid_points=4096):
+    """Reference oracle for min_w sigma_min(e^{jw} I - K): a dense grid plus
+    a bounded 1-D search around every grid local minimum and every eigenvalue
+    angle.
+
+    Returns the smallest value seen and the SVD's backward error: the true
+    minimum is at most their sum, so 1 / (best + slack) is a lower bound of
+    the true gain that round-off cannot push above it.
+    """
+    grid = np.linspace(0.0, math.pi, grid_points)
+    values = sigma_min(k, grid)
+    best = float(np.min(values))
+    inner = np.flatnonzero((values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])) + 1
+    windows = [(grid[i - 1], grid[i + 1]) for i in inner]
+    for lam in np.linalg.eigvals(k):
+        theta, half = abs(float(np.angle(lam))), max(4.0 * (1.0 - abs(lam)), 1e-9)
+        windows.append((max(theta - half, 0.0), min(theta + half, math.pi)))
+    for lo, hi in windows:
+        res = minimize_scalar(lambda w: float(sigma_min(k, w)[0]), bounds=(lo, hi),
+                              method="bounded", options={"xatol": (hi - lo) * 1e-10})
+        best = min(best, float(res.fun))
+    return best, k.shape[0] * EPS * (1.0 + np.linalg.norm(k, 2))
+
+
+def narrow_peak_operator():
+    """Block-diagonal 4x4 whose second pole sits 1e-5 inside the unit circle,
+    halfway between two points of a 4096-point grid on [0, pi]."""
+    k = np.zeros((4, 4))
+    k[:2, :2] = rotation(0.9997, 0.3)
+    k[2:, 2:] = rotation(1.0 - 1e-5, 2.0 + 0.5 * math.pi / 4095)
+    return k
 
 
 class TestSpectralRadius:
@@ -130,24 +208,67 @@ class TestHinfNorm:
         report = hinf_norm(tf)
         for omega in np.linspace(0.0, math.pi, 113):
             _, sigma = frequency_response(tf, omega)
-            assert report.value >= sigma - report.refinement_tol
+            assert report.value >= sigma
 
     def test_grid_monotonicity(self):
+        # The certified upper end is never below what a 64K-point grid sees.
         rng = np.random.default_rng(4)
         for _ in range(5):
             k = rng.normal(size=(4, 4))
             k *= 0.9 / spectral_radius(k)
-            tf = TransferFunction.resolvent(k)
-            coarse = hinf_norm(tf, grid_points=1024)
-            fine = hinf_norm(tf, grid_points=2048)
-            assert fine.value >= coarse.value - coarse.refinement_tol
+            report = hinf_norm(TransferFunction.resolvent(k))
+            assert report.value >= grid_max_gain(k, 65536)
+
+    def test_narrow_off_grid_peak(self):
+        # The normal operator's gain is 1 / (1 - |lambda|) = 1e5, in a peak of
+        # half-width 1e-5 that a 4096-point grid misses by a factor of 30.
+        k = narrow_peak_operator()
+        assert grid_max_gain(k, 4096) < 1e5 / 20
+        report = hinf_norm(TransferFunction.resolvent(k))
+        assert abs(report.value - 1e5) <= 1e-6 * 1e5
+        assert abs(report.omega_star - (2.0 + 0.5 * math.pi / 4095)) <= 1e-9
+        # sigma_min = 1e-5 is computed from entries of size 1, so both ends of
+        # the bracket carry a relative round-off of about n * eps / 1e-5.
+        rounding = 4 * EPS * (1.0 + np.linalg.norm(k, 2)) / 1e-5
+        assert report.lower <= 1e5 * (1.0 + rounding)
+        assert report.upper >= 1e5 * (1.0 - rounding)
+        assert report.converged and not report.ill_conditioned
+
+    @pytest.mark.parametrize("n", [4, 26, 42])
+    def test_lightly_damped_random_operators(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(4):
+            k = lightly_damped(rng, n)
+            report = hinf_norm(TransferFunction.resolvent(k))
+            best, slack = reference_sigma(k)
+            assert report.upper >= 1.0 / (best + slack)
+            # Not loose either: within 1e-6 of the largest gain the oracle saw.
+            assert report.upper <= (1.0 + 1e-6) / (best - slack)
+            assert report.lower <= report.upper
+            assert (report.upper - report.lower) / report.upper <= 1e-12
+            assert report.converged and not report.ill_conditioned
+            assert report.iterations >= 1
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        from koopbound import hinf_spectral
+
+        rng = np.random.default_rng(4)
+        tf = TransferFunction.resolvent(lightly_damped(rng, 8))
+        needed = hinf_norm(tf).iterations
+        assert needed >= 2
+        monkeypatch.setattr(hinf_spectral, "_MAX_ITERATIONS", needed - 1)
+        with pytest.raises(DivergenceError):
+            hinf_norm(tf)
 
     def test_parameter_validation(self):
-        tf = TransferFunction.resolvent(np.array([[0.5]]))
+        with pytest.raises(DataError):
+            TransferFunction.resolvent(np.array([[0.5, np.nan], [0.0, 0.5]]))
         with pytest.raises(ParameterError):
-            hinf_norm(tf, grid_points=8)
+            TransferFunction.resolvent(np.zeros((2, 2, 2)))
         with pytest.raises(ParameterError):
-            hinf_norm(tf, refinement_tol=0.0)
+            TransferFunction.constant(np.ones(3))
+        with pytest.raises(DataError):
+            TransferFunction.constant(np.array([[np.inf]]))
 
     def test_resolvent_requires_square(self):
         with pytest.raises(ParameterError):
@@ -158,13 +279,44 @@ class TestReportSerialization:
     def test_round_trip_finite(self):
         report = hinf_norm(TransferFunction.resolvent(np.array([[0.9]])))
         doc = report.to_dict()
+        assert doc["value"] == doc["upper"] == report.upper
+        assert doc["lower"] == report.lower <= report.upper
+        assert doc["iterations"] == report.iterations >= 1
+        assert doc["ill_conditioned"] is False
         back = HinfReport.from_dict(doc)
         assert back == report
+        assert back.value == report.value
+
+    def test_round_trip_failed_confirmation(self, monkeypatch):
+        # A spurious unit-modulus pencil eigenvalue at omega = 1, where no
+        # singular value of e^{j} - 0.9 is near the level, fails its SVD
+        # confirmation: the report is flagged, and the gain is still right.
+        real_eigvals = scipy.linalg.eigvals
+
+        def with_spurious(a, b, homogeneous_eigvals=False):
+            alpha, beta = real_eigvals(a, b, homogeneous_eigvals=True)
+            return np.vstack((np.append(alpha, np.exp(1j)), np.append(beta, 1.0)))
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", with_spurious)
+        report = hinf_norm(TransferFunction.resolvent(np.array([[0.9]])))
+        monkeypatch.undo()
+        assert report.converged and report.ill_conditioned
+        assert abs(report.value - 10.0) <= 1e-9
+        doc = report.to_dict()
+        assert doc["ill_conditioned"] is True
+        assert HinfReport.from_dict(doc) == report
+
+    def test_missing_field_rejected(self):
+        doc = hinf_norm(TransferFunction.resolvent(np.array([[0.9]]))).to_dict()
+        del doc["upper"]
+        with pytest.raises(SchemaError):
+            HinfReport.from_dict(doc)
 
     def test_infinite_sentinel(self):
         report = hinf_norm(TransferFunction.resolvent(np.array([[1.0]])))
         doc = report.to_dict()
-        assert doc["value"] == "inf"
+        assert doc["value"] == doc["lower"] == doc["upper"] == "inf"
         assert doc["converged"] is False
         back = HinfReport.from_dict(doc)
         assert math.isinf(back.value)
+        assert back == report
