@@ -15,12 +15,15 @@ import hashlib
 import json
 import math
 import sys
+import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
+    DISTURBANCE_KINDS,
     DisturbanceSpec,
     RewardDescriptor,
     action_deviation_bounds,
@@ -43,6 +46,7 @@ from .koopman_dmd import (
     save_model,
 )
 from .env_sim import (
+    POLICY_KINDS,
     LinearSurrogateConfig,
     UavEnvConfig,
     linear_ensemble,
@@ -50,18 +54,47 @@ from .env_sim import (
 )
 from .trajectory_data import ensemble_mean, load_trajectories, save_trajectories
 
-_CONFIG_KEY_HELP = """\
-config keys (flat `key = value` lines, values parsed as JSON when possible):
-  sim.env                 "linear" or "uav"
-  sim.runs, sim.horizon, sim.seed, sim.policy
-  linear.A, linear.F, linear.x0   nested lists; linear.noise_std
-  env.<field>             UavEnvConfig fields (env.gu_count, env.area_x, ...)
-  disturbance.kind        impulse | constant_direction |
-                          scaled_gaussian_projected | single_tone
-  disturbance.gamma, disturbance.seed, disturbance.direction, disturbance.omega
-  analysis.gamma, analysis.gamma_d, analysis.rank_tol,
-  analysis.L              analytic reward Lipschitz constant override
-"""
+# Every config key a command reads, with its help line.  The env.* keys are
+# the UavEnvConfig field names.
+_CONFIG_KEYS = {
+    "sim.env": '"linear" or "uav"',
+    "sim.runs": "runs per ensemble (default 64)",
+    "sim.horizon": "steps per run (default 100)",
+    "sim.seed": "master seed; run r uses seed + r (default 0)",
+    "sim.policy": "uav policy: " + " | ".join(POLICY_KINDS),
+    "linear.A": "state matrix, nested list",
+    "linear.F": "policy matrix, nested list",
+    "linear.x0": "initial state, list",
+    "linear.noise_std": "process noise standard deviation (default 0)",
+    "disturbance.kind": " | ".join(DISTURBANCE_KINDS),
+    "disturbance.gamma": "disturbance level for verify (default 1.0)",
+    "disturbance.seed": "disturbance RNG seed (default 0)",
+    "disturbance.direction": "spatial direction of the deterministic kinds, list",
+    "disturbance.omega": "tone frequency of single_tone (default pi/4)",
+    "analysis.gamma": "disturbance level for analyze (default 1.0)",
+    "analysis.gamma_d": "reward discount factor (default 0.9)",
+    "analysis.rank_tol": f"DMD rank tolerance (default {DEFAULT_RANK_TOL:g})",
+    "analysis.L": "analytic reward Lipschitz constant override",
+}
+_ENV_FIELDS = tuple(f.name for f in fields(UavEnvConfig))
+_KNOWN_KEYS = frozenset(_CONFIG_KEYS).union("env." + name for name in _ENV_FIELDS)
+
+
+def _config_key_help() -> str:
+    lines = ["config keys (flat `key = value` lines, values parsed as JSON when possible):"]
+    lines += [f"  {key:<24}{text}" for key, text in _CONFIG_KEYS.items()]
+    env = textwrap.wrap(
+        "UavEnvConfig field: " + ", ".join(_ENV_FIELDS), width=54, break_on_hyphens=False
+    )
+    lines.append(f"  {'env.<field>':<24}{env[0]}")
+    lines += [" " * 26 + line for line in env[1:]]
+    return "\n".join(lines) + "\n"
+
+
+def _warn_unknown_keys(cfg: dict) -> None:
+    for key in cfg:
+        if key not in _KNOWN_KEYS:
+            print(f"warning: unknown config key {key!r}", file=sys.stderr)
 
 
 def _sha256(path) -> str:
@@ -96,9 +129,11 @@ def _write_json(doc: dict, path) -> None:
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return load_flat_config(args.config)
-    return {}
+    if not getattr(args, "config", None):
+        return {}
+    cfg = load_flat_config(args.config)
+    _warn_unknown_keys(cfg)
+    return cfg
 
 
 def _sim_params(cfg: dict, args) -> tuple[str, int, int, int]:
@@ -355,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Fit linear operator models to policy rollouts, compute worst-case "
             "frequency-domain gains, and verify deviation/reward bounds."
         ),
-        epilog=_CONFIG_KEY_HELP,
+        epilog=_config_key_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,13 +6,20 @@ operators and bound checks can be validated against ground truth.  The UAV
 coverage environment simulates a single mmWave-serving UAV chasing mobile
 ground users over a bounded service area, with link-budget based service
 decisions and a coverage/fairness reward.
+
+Both simulators step all R runs of an ensemble ("lanes") together as arrays.
+Lane r draws from its own np.random.default_rng(master_seed + r) in a fixed
+order, so its trajectory is the same whatever number of lanes runs beside it.
+Row-wise norms use np.vecdot, which goes through the same BLAS dot as
+np.linalg.norm of one vector, and matrix-vector products are stacked matmuls,
+so every lane is rounded exactly as a run simulated on its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Mapping
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -28,6 +35,26 @@ FAIRNESS_MODES = ("as_written", "standard")
 _LAG_SMOOTHING = 0.5
 # Slack on the per-step UAV displacement check, float round-off only.
 _SPEED_EPS = 1e-9
+# Steps of process noise the linear surrogate draws per lane at a time.
+_NOISE_CHUNK = 256
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, rounded as np.linalg.norm."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _ensemble(states, actions, rewards, base_seed: int) -> TrajectoryEnsemble:
+    """Ensemble from lane-major (R, K+1, n), (R, K, m) and (R, K) buffers."""
+    return TrajectoryEnsemble(
+        trajectories=tuple(
+            Trajectory(
+                run_id=r, states=states[r], actions=actions[r], rewards=rewards[r],
+                seed=base_seed + r,
+            )
+            for r in range(len(states))
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +62,9 @@ _SPEED_EPS = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def norm_penalty_reward(x_next: np.ndarray, u: np.ndarray) -> float:
-    """Default surrogate reward -|x| - 0.1|u|; Lipschitz constant 1."""
-    return -float(np.linalg.norm(x_next)) - 0.1 * float(np.linalg.norm(u))
+def norm_penalty_reward(x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Surrogate reward -|x| - 0.1|u| along the last axis; Lipschitz constant 1."""
+    return -_norms(x_next) - 0.1 * _norms(u)
 
 
 @dataclass(frozen=True)
@@ -46,7 +73,8 @@ class LinearSurrogateConfig:
 
     eta is i.i.d. Gaussian per component with noise_std (zero disables the
     draw entirely, keeping runs bit-deterministic).  The per-step reward is
-    reward_fn(x_{k+1}, u_k) with the stated Lipschitz constant.
+    norm_penalty_reward(x_{k+1}, u_k), whose Lipschitz constant is
+    reward_lipschitz.
     """
 
     A: np.ndarray
@@ -55,7 +83,6 @@ class LinearSurrogateConfig:
     horizon: int
     seed: int = 0
     noise_std: float = 0.0
-    reward_fn: Callable[[np.ndarray, np.ndarray], float] = norm_penalty_reward
     reward_lipschitz: float = 1.0
 
     def __post_init__(self):
@@ -123,51 +150,47 @@ def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None
     return w
 
 
-def linear_rollout(
-    config: LinearSurrogateConfig, disturbance: np.ndarray | None = None
-) -> Trajectory:
-    """One surrogate run; deterministic when noise_std is zero and no
-    disturbance is given."""
-    w = _check_disturbance(disturbance, config.horizon, config.n)
-    rng = np.random.default_rng(config.seed)
-    states = np.empty((config.horizon + 1, config.n))
-    actions = np.empty((config.horizon, config.m))
-    rewards = np.empty(config.horizon)
-    states[0] = config.x0_mean
-    for k in range(config.horizon):
-        u = config.F @ states[k]
-        x_next = config.A @ states[k]
-        if config.noise_std > 0.0:
-            x_next = x_next + rng.normal(0.0, config.noise_std, size=config.n)
-        if w is not None:
-            x_next = x_next + w[k]
-        actions[k] = u
-        states[k + 1] = x_next
-        rewards[k] = config.reward_fn(x_next, u)
-    return Trajectory(
-        run_id=0, states=states, actions=actions, rewards=rewards, seed=config.seed
-    )
-
-
 def linear_ensemble(
     config: LinearSurrogateConfig,
     runs: int,
     master_seed: int | None = None,
     disturbance: np.ndarray | None = None,
 ) -> TrajectoryEnsemble:
-    """Independent runs with per-run seed master_seed + run index.
+    """Independent runs with per-run seed master_seed + run index, stepped
+    together; deterministic when noise_std is zero and no disturbance is given.
 
-    The same disturbance sequence is shared by every run, matching the
-    premise that the domain change itself is common across realizations.
+    A lane draws its process noise as one stream of normal(0, noise_std)
+    values in step order, _NOISE_CHUNK steps at a time.  The same disturbance
+    sequence is shared by every run, matching the premise that the domain
+    change itself is common across realizations.
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
+    w = _check_disturbance(disturbance, config.horizon, config.n)
     base = config.seed if master_seed is None else master_seed
-    trajectories = []
-    for r in range(runs):
-        t = linear_rollout(replace(config, seed=base + r), disturbance)
-        trajectories.append(replace(t, run_id=r))
-    return TrajectoryEnsemble(trajectories=tuple(trajectories))
+    rngs = [np.random.default_rng(base + r) for r in range(runs)]
+    horizon, n = config.horizon, config.n
+    states = np.empty((runs, horizon + 1, n))
+    actions = np.empty((runs, horizon, config.m))
+    states[:, 0] = config.x0_mean
+    for start in range(0, horizon, _NOISE_CHUNK):
+        stop = min(start + _NOISE_CHUNK, horizon)
+        if config.noise_std > 0.0:
+            noise = np.stack(
+                [rng.normal(0.0, config.noise_std, size=(stop - start, n)) for rng in rngs],
+                axis=1,
+            )
+        for k in range(start, stop):
+            x = states[:, k, :, None]
+            actions[:, k] = (config.F @ x)[..., 0]
+            x_next = (config.A @ x)[..., 0]
+            if config.noise_std > 0.0:
+                x_next = x_next + noise[k - start]
+            if w is not None:
+                x_next = x_next + w[k]
+            states[:, k + 1] = x_next
+    rewards = norm_penalty_reward(states[:, 1:], actions)
+    return _ensemble(states, actions, rewards, base)
 
 
 # ---------------------------------------------------------------------------
@@ -249,90 +272,63 @@ class UavEnvConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class GuState:
-    """One ground user: planar position, speed, heading."""
-
-    x: float
-    y: float
-    speed: float
-    heading: float
-
-
-@dataclass(frozen=True)
-class UavState:
-    """UAV planar position (fixed altitude) plus all ground users."""
-
-    uav_xy: np.ndarray
-    gus: tuple[GuState, ...]
-    k: int = 0
-
-    def gu_positions(self) -> np.ndarray:
-        return np.array([[g.x, g.y] for g in self.gus], dtype=float)
-
-    def state_vector(self) -> np.ndarray:
-        return np.concatenate([self.gu_positions().ravel(), np.asarray(self.uav_xy, dtype=float)])
+def _lane_draws(rngs, gu_count: int, config: UavEnvConfig):
+    """Yield, once per step, every lane's standard draws as one reused
+    (R, 3, J) buffer: normal(J) (left zero when gu_speed_std is zero), then
+    random(J) twice, drawn in that order from lane r's generator rngs[r]."""
+    draws = np.zeros((len(rngs), 3, gu_count))
+    calls = []
+    for r, rng in enumerate(rngs):
+        if config.gu_speed_std > 0:
+            calls.append((rng.standard_normal, draws[r, 0]))
+        calls.append((rng.random, draws[r, 1:]))
+    while True:
+        for draw, out in calls:
+            draw(out=out)
+        yield draws
 
 
-def _reflect_scalar(value: float, heading: float, limit: float, axis: str) -> tuple[float, float]:
-    while value < 0.0 or value > limit:
-        if value < 0.0:
-            value = -value
-        else:
-            value = 2.0 * limit - value
-        heading = math.pi - heading if axis == "x" else -heading
-    return value, heading % (2.0 * math.pi)
+def _step_gu_arrays(pos, speeds, headings, config: UavEnvConfig, draws):
+    """Advance every ground user of every lane by one step.
 
+    pos is (R, J, 2), speeds and headings (R, J), and draws the step's
+    (R, 3, J) standard draws from _lane_draws.  Speed follows a
+    mean-reverting update with Gaussian jitter, clamped at zero.  The heading
+    is kept (plus the configured turn bias) with probability
+    gu_keep_direction, otherwise redrawn uniformly.  The position advances
+    along the heading and reflects off the area walls.
 
-def step_gu_motion(gu: GuState, config: UavEnvConfig, rng: np.random.Generator) -> GuState:
-    """Advance one ground user by one step.
-
-    Speed follows a mean-reverting update with Gaussian jitter, clamped at
-    zero.  The heading is kept (plus the configured turn bias) with
-    probability gu_keep_direction, otherwise redrawn uniformly.  The position
-    advances along the heading and reflects off the area walls.
+    The jitter normal(0, s) and the fresh heading uniform(0, 2 pi) are
+    0 + s * z and 0 + 2 pi * u for the standard draws z and u they consume,
+    so scaling the standard draws gives the same numbers.
     """
-    nu = rng.normal(0.0, config.gu_speed_std) if config.gu_speed_std > 0 else 0.0
-    keep = rng.random()
-    fresh = rng.uniform(0.0, 2.0 * math.pi)
     h1 = config.gu_speed_memory
-    speed = max(0.0, h1 * gu.speed + (1.0 - h1) * config.gu_mean_speed + nu)
-    heading = (gu.heading + config.gu_turn_bias) if keep < config.gu_keep_direction else fresh
-    x = gu.x + config.step_seconds * speed * math.cos(heading)
-    y = gu.y + config.step_seconds * speed * math.sin(heading)
-    x, heading = _reflect_scalar(x, heading, config.area_x, "x")
-    y, heading = _reflect_scalar(y, heading, config.area_y, "y")
-    return GuState(x=x, y=y, speed=speed, heading=heading)
-
-
-def _step_gu_arrays(pos, speeds, headings, config, rng):
-    """Vectorized GU update used by rollouts; same physics as step_gu_motion."""
-    j = len(speeds)
-    nu = rng.normal(0.0, config.gu_speed_std, size=j) if config.gu_speed_std > 0 else 0.0
-    keep = rng.random(size=j)
-    fresh = rng.uniform(0.0, 2.0 * math.pi, size=j)
-    h1 = config.gu_speed_memory
+    nu = config.gu_speed_std * draws[:, 0]
     speeds = np.maximum(0.0, h1 * speeds + (1.0 - h1) * config.gu_mean_speed + nu)
     headings = np.where(
-        keep < config.gu_keep_direction, headings + config.gu_turn_bias, fresh
+        draws[:, 1] < config.gu_keep_direction,
+        headings + config.gu_turn_bias,
+        2.0 * math.pi * draws[:, 2],
     )
-    pos = pos + config.step_seconds * speeds[:, None] * np.column_stack(
-        [np.cos(headings), np.sin(headings)]
-    )
-    for axis, limit in ((0, config.area_x), (1, config.area_y)):
+    stride = config.step_seconds * speeds
+    moved = np.empty_like(pos)
+    # Both displacements use the headings drawn above; the reflections below
+    # then turn them.
+    for axis, limit, advance in (
+        (0, config.area_x, np.cos(headings)), (1, config.area_y, np.sin(headings))
+    ):
+        coord = pos[..., axis] + stride * advance
         while True:
-            below = pos[:, axis] < 0.0
-            above = pos[:, axis] > limit
-            if not (below.any() or above.any()):
-                break
-            pos[below, axis] = -pos[below, axis]
-            pos[above, axis] = 2.0 * limit - pos[above, axis]
+            below = coord < 0.0
+            above = coord > limit
             flipped = below | above
-            if axis == 0:
-                headings[flipped] = np.pi - headings[flipped]
-            else:
-                headings[flipped] = -headings[flipped]
-    return pos, speeds, headings % (2.0 * math.pi)
+            if not np.count_nonzero(flipped):
+                break
+            coord = np.where(below, -coord, np.where(above, 2.0 * limit - coord, coord))
+            mirrored = np.pi - headings if axis == 0 else -headings
+            headings = np.where(flipped, mirrored, headings)
+        moved[..., axis] = coord
+    return moved, speeds, headings % (2.0 * math.pi)
 
 
 def path_loss(d: float, config: UavEnvConfig) -> float:
@@ -362,64 +358,59 @@ def downlink_rate(bandwidth_hz: float, h_g, config: UavEnvConfig):
 
 
 def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig) -> np.ndarray:
-    """Equal-split service selection.
+    """Equal-split service selection: (R, J) mask from UAV positions (R, 2)
+    and user positions (R, J, 2).
 
     Users within the coverage radius (3-d distance) split the bandwidth
     equally; users whose resulting rate misses the floor are dropped and the
-    split is recomputed until every survivor meets it.
+    split is recomputed until every survivor meets it.  The drop passes run
+    on all lanes together until no lane drops a user.
     """
-    diff = gu_xy - uav_xy[None, :]
-    d3 = np.sqrt(np.sum(diff * diff, axis=1) + config.altitude**2)
+    diff = gu_xy - uav_xy[:, None, :]
+    d3 = np.sqrt((diff * diff).sum(axis=-1) + config.altitude**2)
+    # Rate per hertz: scaling it by a share rounds as downlink_rate(share, .).
+    efficiency = downlink_rate(1.0, path_loss(d3, config), config)
     active = d3 <= config.coverage_radius
-    for _ in range(config.gu_count):
-        count = int(active.sum())
-        if count == 0:
-            break
-        share = config.bandwidth_hz / count
-        rates = downlink_rate(share, path_loss(d3[active], config), config)
-        ok = rates >= config.min_rate
-        if np.all(ok):
-            break
-        idx = np.flatnonzero(active)
-        active[idx[~ok]] = False
-    return active
+    while True:
+        share = config.bandwidth_hz / np.maximum(active.sum(axis=1), 1)
+        drop = active & ~(share[:, None] * efficiency >= config.min_rate)
+        if not np.count_nonzero(drop):
+            return active
+        active &= ~drop
 
 
-def serve_set(state: UavState, config: UavEnvConfig) -> np.ndarray:
-    """Service indicator per ground user (0/1) at the given state."""
-    return _serve_mask(
-        np.asarray(state.uav_xy, dtype=float), state.gu_positions(), config
-    ).astype(int)
-
-
-def fairness_index(s, mode: str = "as_written") -> float:
-    """Evenness of the service indicators.
+def fairness_index(s, mode: str = "as_written"):
+    """Evenness of the service indicators along the last axis.
 
     as_written uses the (sum s)^2 / (J^2 sum s^2) form; standard uses the
     conventional J denominator so that full service scores 1.  Both return 0
-    when nobody is served.
+    when nobody is served.  One indicator vector gives a float, a stack of
+    them an array.
     """
     if mode not in FAIRNESS_MODES:
         raise ParameterError(f"mode must be one of {FAIRNESS_MODES}, got {mode!r}")
     s = np.asarray(s, dtype=float)
-    j = s.size
-    total = float(s.sum())
-    if total == 0.0:
-        return 0.0
-    square_sum = float(np.sum(s * s))
+    j = s.shape[-1]
+    total = s.sum(axis=-1)
+    square_sum = np.sum(s * s, axis=-1)
     denom = j * j if mode == "as_written" else j
-    return total * total / (denom * square_sum)
+    index = np.divide(
+        total * total, denom * square_sum, out=np.zeros_like(total), where=total != 0.0
+    )
+    return float(index) if index.ndim == 0 else index
 
 
-def uav_reward(s, fairness: float, speed_violation: int, config: UavEnvConfig) -> float:
-    """Weighted served fraction plus fairness, plus the signed speed penalty."""
+def uav_reward(s, fairness, speed_violation, config: UavEnvConfig):
+    """Weighted served fraction plus fairness, plus the signed speed penalty;
+    along the last axis of s, like fairness_index."""
     s = np.asarray(s, dtype=float)
     a = config.coverage_weight
-    return (
-        a * float(s.sum()) / config.gu_count
+    reward = (
+        a * s.sum(axis=-1) / config.gu_count
         + (1.0 - a) * fairness
-        + config.speed_penalty * float(speed_violation)
+        + config.speed_penalty * np.asarray(speed_violation, dtype=float)
     )
+    return float(reward) if reward.ndim == 0 else reward
 
 
 class ScriptedPolicy:
@@ -429,7 +420,8 @@ class ScriptedPolicy:
     unserved users; lagged_centroid chases an exponentially smoothed copy of
     that centroid, which makes its closed loop noticeably more sluggish.
     Both clip the step to step_seconds * uav_max_speed, so compliant motion
-    never violates the speed limit.
+    never violates the speed limit.  One policy object drives all lanes of
+    an ensemble and keeps the smoothing state of each.
     """
 
     def __init__(self, kind: str, config: UavEnvConfig):
@@ -442,10 +434,17 @@ class ScriptedPolicy:
     def reset(self) -> None:
         self._smoothed = None
 
-    def waypoint_arrays(self, uav_xy: np.ndarray, gu_xy: np.ndarray) -> np.ndarray:
-        served = _serve_mask(uav_xy, gu_xy, self.config)
-        unserved = gu_xy[~served]
-        target = unserved.mean(axis=0) if len(unserved) else uav_xy.copy()
+    def waypoint_arrays(
+        self, uav_xy: np.ndarray, gu_xy: np.ndarray, served: np.ndarray
+    ) -> np.ndarray:
+        """Next waypoints (R, 2) from UAV positions (R, 2), user positions
+        (R, J, 2) and their service mask (R, J) from _serve_mask."""
+        unserved = ~served
+        count = unserved.sum(axis=1)[:, None]
+        # The sum runs over users in index order, as a mean over one lane's
+        # unserved users does, so the centroid rounds the same way.
+        total = np.where(unserved[..., None], gu_xy, 0.0).sum(axis=1)
+        target = np.where(count > 0, total / np.maximum(count, 1), uav_xy)
         if self.kind == "lagged_centroid":
             if self._smoothed is None:
                 self._smoothed = target.copy()
@@ -455,79 +454,11 @@ class ScriptedPolicy:
                 )
             target = self._smoothed
         step = target - uav_xy
-        dist = float(np.linalg.norm(step))
+        dist = _norms(step)
         max_step = self.config.step_seconds * self.config.uav_max_speed
-        if dist > max_step:
-            step = step * (max_step / dist)
+        over = dist > max_step
+        step[over] *= (max_step / dist[over])[:, None]
         return uav_xy + step
-
-    def waypoint(self, state: UavState) -> np.ndarray:
-        return self.waypoint_arrays(
-            np.asarray(state.uav_xy, dtype=float), state.gu_positions()
-        )
-
-
-def scripted_policy(state: UavState, config: UavEnvConfig, kind: str) -> np.ndarray:
-    """Next waypoint for a single state (smoothing state starts fresh)."""
-    return ScriptedPolicy(kind, config).waypoint(state)
-
-
-def uav_rollout(
-    config: UavEnvConfig,
-    policy_kind: str,
-    horizon: int,
-    seed: int,
-    disturbance: np.ndarray | None = None,
-) -> Trajectory:
-    """One UAV episode.
-
-    The state vector concatenates all GU planar positions and the UAV planar
-    position (2*gu_count + 2 entries); the action is the commanded next
-    waypoint.  A disturbance row is added to the post-transition state and
-    the result clamped to the service area; the reward sees the clamped
-    state, including any disturbance-induced speed violation.
-    """
-    if horizon < 1:
-        raise ParameterError("horizon must be at least 1")
-    n = config.state_dim
-    w = _check_disturbance(disturbance, horizon, n)
-    rng = np.random.default_rng(seed)
-    area = np.array([config.area_x, config.area_y])
-    uav = rng.uniform(size=2) * area
-    gu_pos = rng.uniform(size=(config.gu_count, 2)) * area
-    gu_speed = np.full(config.gu_count, config.gu_mean_speed)
-    gu_heading = rng.uniform(0.0, 2.0 * math.pi, size=config.gu_count)
-
-    policy = ScriptedPolicy(policy_kind, config)
-    states = np.empty((horizon + 1, n))
-    actions = np.empty((horizon, 2))
-    rewards = np.empty(horizon)
-    states[0] = np.concatenate([gu_pos.ravel(), uav])
-    max_step = config.step_seconds * config.uav_max_speed
-
-    for k in range(horizon):
-        waypoint = policy.waypoint_arrays(uav, gu_pos)
-        actions[k] = waypoint
-        # The speed constraint is a property of the commanded step; state
-        # disturbances displace the craft but are not policy violations.
-        violation = int(np.linalg.norm(waypoint - uav) > max_step + _SPEED_EPS)
-        gu_pos, gu_speed, gu_heading = _step_gu_arrays(
-            gu_pos, gu_speed, gu_heading, config, rng
-        )
-        uav = waypoint.copy()
-        if w is not None:
-            flat = np.concatenate([gu_pos.ravel(), uav]) + w[k]
-            coords = flat.reshape(-1, 2)
-            coords[:, 0] = np.clip(coords[:, 0], 0.0, config.area_x)
-            coords[:, 1] = np.clip(coords[:, 1], 0.0, config.area_y)
-            gu_pos = coords[:-1].copy()
-            uav = coords[-1].copy()
-        s = _serve_mask(uav, gu_pos, config)
-        fairness = fairness_index(s.astype(int), config.fairness_mode)
-        rewards[k] = uav_reward(s.astype(int), fairness, violation, config)
-        states[k + 1] = np.concatenate([gu_pos.ravel(), uav])
-
-    return Trajectory(run_id=0, states=states, actions=actions, rewards=rewards, seed=seed)
 
 
 def uav_ensemble(
@@ -538,12 +469,68 @@ def uav_ensemble(
     master_seed: int,
     disturbance: np.ndarray | None = None,
 ) -> TrajectoryEnsemble:
-    """Independent episodes with per-run seed master_seed + run index; the
-    disturbance sequence, when given, is shared by every run."""
+    """Independent episodes with per-run seed master_seed + run index,
+    stepped together.
+
+    A lane draws its start (UAV position, user positions, user headings,
+    all uniform) and then, per step, the ground-user motion of
+    _step_gu_arrays.  The state vector concatenates all GU planar positions
+    and the UAV planar position (2*gu_count + 2 entries); the action is the
+    commanded next waypoint.  A disturbance row, shared by every run, is
+    added to the post-transition state and the result clamped to the
+    service area; the reward sees the clamped state, including any
+    disturbance-induced speed violation.
+    """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
-    trajectories = []
-    for r in range(runs):
-        t = uav_rollout(config, policy_kind, horizon, master_seed + r, disturbance)
-        trajectories.append(replace(t, run_id=r))
-    return TrajectoryEnsemble(trajectories=tuple(trajectories))
+    if horizon < 1:
+        raise ParameterError("horizon must be at least 1")
+    n, j = config.state_dim, config.gu_count
+    w = _check_disturbance(disturbance, horizon, n)
+    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
+    area = np.array([config.area_x, config.area_y])
+    uav = np.empty((runs, 2))
+    gu_pos = np.empty((runs, j, 2))
+    gu_heading = np.empty((runs, j))
+    for r, rng in enumerate(rngs):
+        uav[r] = rng.uniform(size=2) * area
+        gu_pos[r] = rng.uniform(size=(j, 2)) * area
+        gu_heading[r] = rng.uniform(0.0, 2.0 * math.pi, size=j)
+    gu_speed = np.full((runs, j), config.gu_mean_speed)
+    draws = _lane_draws(rngs, j, config)
+
+    policy = ScriptedPolicy(policy_kind, config)
+    states = np.empty((runs, horizon + 1, n))
+    actions = np.empty((runs, horizon, 2))
+    rewards = np.empty((runs, horizon))
+    states[:, 0, :-2] = gu_pos.reshape(runs, -1)
+    states[:, 0, -2:] = uav
+    max_step = config.step_seconds * config.uav_max_speed
+    # The mask that scores step k's reward is the one the policy sees at k+1.
+    served = _serve_mask(uav, gu_pos, config)
+
+    for k in range(horizon):
+        waypoint = policy.waypoint_arrays(uav, gu_pos, served)
+        actions[:, k] = waypoint
+        # The speed constraint is a property of the commanded step; state
+        # disturbances displace the craft but are not policy violations.
+        violation = _norms(waypoint - uav) > max_step + _SPEED_EPS
+        gu_pos, gu_speed, gu_heading = _step_gu_arrays(
+            gu_pos, gu_speed, gu_heading, config, next(draws)
+        )
+        uav = waypoint
+        row = states[:, k + 1]
+        row[:, :-2] = gu_pos.reshape(runs, -1)
+        row[:, -2:] = uav
+        if w is not None:
+            row += w[k]
+            coords = row.reshape(runs, -1, 2)
+            np.clip(coords, 0.0, area, out=coords)
+            gu_pos = coords[:, :-1].copy()
+            uav = coords[:, -1].copy()
+        served = _serve_mask(uav, gu_pos, config)
+        rewards[:, k] = uav_reward(
+            served, fairness_index(served, config.fairness_mode), violation, config
+        )
+
+    return _ensemble(states, actions, rewards, master_seed)

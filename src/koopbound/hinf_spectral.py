@@ -101,17 +101,20 @@ def _decode(v) -> float:
 class HinfReport:
     """Worst-case gain over frequencies in [0, pi] as a bracket [lower, upper].
 
-    ``lower`` is the gain evaluated at ``omega_star``; ``upper`` is a level
-    the search proved the gain never exceeds, at most 1e-13 above ``lower``.
-    Both ends carry the rounding of the singular values they come from,
-    about n * eps * ||e^{jw} I - K|| / sigma_min relative.  ``value`` is
-    ``upper``, the end every bound uses.  ``iterations`` counts the levels
-    tested.
+    ``lower`` is the gain evaluated at ``omega_star``, which carries the
+    rounding of the singular value it comes from.  ``upper`` is a level the
+    search proved the gain never exceeds, widened by that rounding allowance,
+    n * eps * (1 + ||K||_F) on sigma_min, so that it bounds the exact gain;
+    it lies at most 1e-13 + n * eps * (1 + ||K||_F) * lower relative above
+    ``lower``.  ``value`` is ``upper``, the end every bound uses.
+    ``iterations`` counts the levels tested.
 
     The bracket is infinite (converged=False) when a resolvent's spectral
-    radius reaches the unit circle.  ``ill_conditioned`` marks finite values
+    radius reaches the unit circle.  ``ill_conditioned`` marks values
     produced by eigenvalues within 1e-6 of the circle, or by a search in
-    which a candidate crossing from the pencil failed its SVD confirmation.
+    which a candidate crossing from the pencil failed its SVD confirmation,
+    and an infinite ``upper`` left when the rounding allowance reaches the
+    smallest sigma_min (converged=True, finite ``lower``).
     """
 
     lower: float
@@ -211,7 +214,10 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
     confirmed by a direct SVD, and sigma_min is evaluated at the midpoints of
     the intervals they cut [0, pi] into.  A midpoint below the level becomes
     the new smallest value; when none is, sigma_min never dips below the
-    level, and its inverse is the certified upper end of the bracket.
+    level.  The upper end of the bracket is 1 / (level - slack), where
+    slack = n * eps * (1 + ||K||_F) covers the rounding of each computed
+    sigma_min; it is infinite, and the report ill-conditioned, when the level
+    does not exceed the slack.
     """
     if tf.kind == CONSTANT:
         sigma = float(np.linalg.svd(tf.matrix, compute_uv=False)[0])
@@ -240,7 +246,7 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
     k = tf.matrix
     # Backward error of one SVD of e^{jw} I - K, the round-off allowed when a
     # candidate crossing is checked against the level.
-    slack = k.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(k))
+    slack = float(k.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(k)))
     ill_conditioned = rho >= 1.0 - _ILL_CONDITIONED_BAND
     points = np.unique(np.concatenate(([0.0, math.pi], np.abs(np.angle(tf.poles)))))
     values = _singular_values(k, points)[:, -1]
@@ -268,9 +274,16 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
             f"level-set search did not converge in {_MAX_ITERATIONS} iterations"
         )
 
+    # The computed sigma_min never dips below the level, so the exact one
+    # never dips below level - slack: its inverse bounds the gain in floating
+    # point too.  A level inside the rounding proves no finite bound.
+    if level <= slack:
+        upper, ill_conditioned = float("inf"), True
+    else:
+        upper = 1.0 / (level - slack)
     return HinfReport(
         lower=1.0 / sigma_best,
-        upper=1.0 / level,
+        upper=upper,
         omega_star=omega_star,
         spectral_radius=rho,
         iterations=iterations,

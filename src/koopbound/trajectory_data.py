@@ -9,6 +9,7 @@ owns the on-disk format, validation, averaging, and snapshot assembly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -243,10 +244,6 @@ def build_action_pairs(mean_traj: MeanTrajectory) -> SnapshotPair:
 # ---------------------------------------------------------------------------
 
 
-def _format_float(v: float) -> str:
-    return repr(float(v))
-
-
 def save_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
     """Write an ensemble in the trajectory file format (round-trip exact)."""
     n, m = ensemble.n, ensemble.m
@@ -261,15 +258,17 @@ def save_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
         lines.append(f"# seed {t.run_id} {t.seed}")
     lines.append(",".join(header))
     for t in ensemble:
+        # tolist() yields Python floats, whose repr is the shortest round trip.
+        rewards = t.rewards.tolist()
         k_max = t.horizon
         for k in range(k_max):
             fields = [str(t.run_id), str(k)]
-            fields += [_format_float(v) for v in t.states[k]]
-            fields += [_format_float(v) for v in t.actions[k]]
-            fields.append(_format_float(t.rewards[k]))
+            fields += map(repr, t.states[k].tolist())
+            fields += map(repr, t.actions[k].tolist())
+            fields.append(repr(rewards[k]))
             lines.append(",".join(fields))
         fields = [str(t.run_id), str(k_max)]
-        fields += [_format_float(v) for v in t.states[k_max]]
+        fields += map(repr, t.states[k_max].tolist())
         fields += [""] * (m + 1)
         lines.append(",".join(fields))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -293,7 +292,7 @@ def _parse_value(text: str, line_no: int, col: str) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"line {line_no}: cannot parse {col}={text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"line {line_no}: non-finite value in column {col}")
     return value
 

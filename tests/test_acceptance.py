@@ -27,7 +27,6 @@ from koopbound import (
     linear_ensemble,
     downlink_rate,
     uav_ensemble,
-    uav_rollout,
     verify_bounds,
 )
 
@@ -272,7 +271,7 @@ def test_uav_environment_regression():
     config = UavEnvConfig()
 
     # Speed compliance on every step of a 1000-step rollout at defaults.
-    t = uav_rollout(config, "centroid_greedy", 1000, seed=12345)
+    t = uav_ensemble(config, "centroid_greedy", 1000, runs=1, master_seed=12345).trajectories[0]
     uav = t.states[:, -2:]
     steps = np.linalg.norm(np.diff(uav, axis=0), axis=1)
     limit = config.step_seconds * config.uav_max_speed

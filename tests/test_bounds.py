@@ -27,7 +27,6 @@ from koopbound import (
     generalization_error_bound,
     generate_disturbance,
     linear_ensemble,
-    linear_rollout,
     LinearSurrogateConfig,
     reward_impact_bound,
     state_deviation_bounds,

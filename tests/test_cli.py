@@ -20,6 +20,19 @@ linear.F = [[1.0, -1.0]]
 linear.x0 = [1.0, 1.0]
 """
 
+README_CONFIG = """\
+sim.env = linear
+sim.runs = 8
+sim.horizon = 200
+sim.seed = 7
+linear.A = [[0.9, 0.1], [0.0, 0.5]]
+linear.F = [[1.0, -1.0]]
+linear.x0 = [1.0, 1.0]
+linear.noise_std = 0.02
+disturbance.kind = scaled_gaussian_projected
+disturbance.gamma = 0.5
+"""
+
 UAV_CONFIG = """\
 sim.env = uav
 sim.runs = 2
@@ -218,6 +231,34 @@ class TestVerifyAndReport:
         assert "reward_impact_pct" in doc["empirical"]
 
 
+class TestConfigKeys:
+    def test_unknown_keys_warned(self, tmp_path, capsys):
+        # A removed key and a misspelt one are reported, and the run goes on
+        # with the defaults they failed to override.
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9]]),
+                                action_operator=np.array([[0.5]])), model)
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("analysis.grid_points = 5\nanalysis.gamm = 3\nenv.gu_count = 4\n")
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", str(model), "--config", str(cfg), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: unknown config key 'analysis.grid_points'" in err
+        assert "warning: unknown config key 'analysis.gamm'" in err
+        assert "env.gu_count" not in err
+        assert json.loads(out.read_text())["gamma"] == 1.0
+
+    def test_readme_config_no_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "surrogate.cfg"
+        cfg.write_text(README_CONFIG)
+        traj, model = tmp_path / "traj.csv", tmp_path / "model.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(traj)]) == 0
+        assert main(["fit", str(traj), "--out", str(model)]) == 0
+        assert main(["verify", "--config", str(cfg), str(model), "--gamma", "0.5",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestHelp:
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -227,3 +268,4 @@ class TestHelp:
         for cmd in ("simulate", "fit", "analyze", "verify", "report"):
             assert cmd in text
         assert "disturbance.kind" in text
+        assert "env.<field>" in text and "fairness_mode" in text

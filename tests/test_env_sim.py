@@ -1,5 +1,6 @@
 """Linear surrogate and UAV coverage environment."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,28 +9,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koopbound import (
+    POLICY_KINDS,
     DimensionMismatchError,
-    GuState,
     LinearSurrogateConfig,
     ParameterError,
     ScriptedPolicy,
     UavEnvConfig,
-    UavState,
     downlink_rate,
     ensemble_mean,
     fairness_index,
     fit_action_operator,
     fit_state_operator,
     linear_ensemble,
-    linear_rollout,
     path_loss,
-    scripted_policy,
-    serve_set,
-    step_gu_motion,
     uav_ensemble,
     uav_reward,
-    uav_rollout,
 )
+from koopbound.env_sim import _lane_draws, _serve_mask, _step_gu_arrays
+
+
+def linear_run(config, disturbance=None):
+    """The single run of a one-lane linear ensemble."""
+    return linear_ensemble(config, runs=1, disturbance=disturbance).trajectories[0]
+
+
+def uav_run(config, kind, horizon, seed, disturbance=None):
+    """The single run of a one-lane UAV ensemble with the given seed."""
+    return uav_ensemble(
+        config, kind, horizon, runs=1, master_seed=seed, disturbance=disturbance
+    ).trajectories[0]
+
+
+def step_gu(config, speed, heading, rng, x=50.0, y=50.0):
+    """One step of one ground user in one lane: (x, y, speed, heading)."""
+    draws = next(_lane_draws([rng], 1, config))
+    pos, speeds, headings = _step_gu_arrays(
+        np.array([[[x, y]]]), np.array([[speed]]), np.array([[heading]]), config, draws
+    )
+    return (*pos[0, 0], speeds[0, 0], headings[0, 0])
+
+
+def serve(uav_xy, gu_positions, config):
+    """Service indicators (0/1) of one lane."""
+    mask = _serve_mask(
+        np.asarray(uav_xy, dtype=float)[None], np.asarray(gu_positions, dtype=float)[None],
+        config,
+    )
+    return mask[0].astype(int)
+
+
+def lane_waypoint(policy, uav_xy, gu_positions):
+    """Next waypoint of one lane."""
+    uav = np.asarray(uav_xy, dtype=float)[None]
+    gus = np.asarray(gu_positions, dtype=float)[None]
+    return policy.waypoint_arrays(uav, gus, _serve_mask(uav, gus, policy.config))[0]
+
+
+def waypoint(uav_xy, gu_positions, config, kind):
+    """Next waypoint of one lane from a fresh policy."""
+    return lane_waypoint(ScriptedPolicy(kind, config), uav_xy, gu_positions)
 
 
 class TestLinearRollout:
@@ -38,7 +76,7 @@ class TestLinearRollout:
             A=np.zeros((2, 2)), F=np.zeros((1, 2)),
             x0_mean=np.array([3.0, -1.0]), horizon=3,
         )
-        t = linear_rollout(config)
+        t = linear_run(config)
         assert np.array_equal(t.states[0], [3.0, -1.0])
         assert not np.any(t.states[1:])
 
@@ -47,7 +85,7 @@ class TestLinearRollout:
             A=np.array([[0.5]]), F=np.array([[1.0]]),
             x0_mean=np.array([8.0]), horizon=3,
         )
-        t = linear_rollout(config)
+        t = linear_run(config)
         assert np.allclose(t.states.ravel(), [8.0, 4.0, 2.0, 1.0])
         assert np.allclose(t.actions.ravel(), [8.0, 4.0, 2.0])
 
@@ -58,7 +96,7 @@ class TestLinearRollout:
         )
         w = np.zeros((4, 1))
         w[0, 0] = 1.0
-        t = linear_rollout(config, disturbance=w)
+        t = linear_run(config, disturbance=w)
         assert np.allclose(t.states.ravel(), [0.0, 1.0, 0.5, 0.25, 0.125])
 
     def test_default_reward_formula(self):
@@ -66,7 +104,7 @@ class TestLinearRollout:
             A=np.array([[0.5]]), F=np.array([[2.0]]),
             x0_mean=np.array([4.0]), horizon=1,
         )
-        t = linear_rollout(config)
+        t = linear_run(config)
         # x1 = 2, u0 = 8: reward is -|x1| - 0.1|u0| = -2.8
         assert np.isclose(t.rewards[0], -2.8)
 
@@ -75,7 +113,7 @@ class TestLinearRollout:
             A=np.array([[0.9, 0.1], [0.0, 0.5]]), F=np.array([[1.0, 1.0]]),
             x0_mean=np.array([1.0, 1.0]), horizon=25, noise_std=0.3, seed=42,
         )
-        t1, t2 = linear_rollout(config), linear_rollout(config)
+        t1, t2 = linear_run(config), linear_run(config)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.rewards, t2.rewards)
 
@@ -85,7 +123,7 @@ class TestLinearRollout:
             x0_mean=np.array([1.0]), horizon=4,
         )
         with pytest.raises(DimensionMismatchError):
-            linear_rollout(config, disturbance=np.zeros((3, 1)))
+            linear_run(config, disturbance=np.zeros((3, 1)))
 
     def test_ground_truth_recovery(self):
         # Noiseless rollouts let the fitting stage recover A and F exactly.
@@ -106,40 +144,33 @@ class TestLinearRollout:
 class TestGuMotion:
     def test_full_memory_keeps_speed(self):
         config = UavEnvConfig(gu_speed_memory=1.0, gu_speed_std=0.0)
-        gu = GuState(x=50.0, y=50.0, speed=7.0, heading=0.0)
-        out = step_gu_motion(gu, config, np.random.default_rng(0))
-        assert out.speed == 7.0
+        _, _, speed, _ = step_gu(config, 7.0, 0.0, np.random.default_rng(0))
+        assert speed == 7.0
 
     def test_full_reversion_hits_mean(self):
         config = UavEnvConfig(gu_speed_memory=0.0, gu_speed_std=0.0)
-        gu = GuState(x=50.0, y=50.0, speed=9.0, heading=0.0)
-        out = step_gu_motion(gu, config, np.random.default_rng(0))
-        assert out.speed == config.gu_mean_speed
+        _, _, speed, _ = step_gu(config, 9.0, 0.0, np.random.default_rng(0))
+        assert speed == config.gu_mean_speed
 
     def test_ar_fixed_point(self):
         config = UavEnvConfig(gu_speed_memory=0.5, gu_speed_std=0.0, gu_mean_speed=3.0)
-        gu = GuState(x=50.0, y=50.0, speed=3.0, heading=0.5)
-        out = step_gu_motion(gu, config, np.random.default_rng(0))
-        assert out.speed == 3.0
+        _, _, speed, _ = step_gu(config, 3.0, 0.5, np.random.default_rng(0))
+        assert speed == 3.0
 
     def test_speed_clamped_at_zero(self):
         config = UavEnvConfig(gu_speed_memory=0.0, gu_speed_std=50.0, gu_mean_speed=3.0)
         rng = np.random.default_rng(3)
-        speeds = [
-            step_gu_motion(GuState(50.0, 50.0, 3.0, 0.0), config, rng).speed
-            for _ in range(50)
-        ]
+        speeds = [step_gu(config, 3.0, 0.0, rng)[2] for _ in range(50)]
         assert min(speeds) >= 0.0
 
     def test_reflection_keeps_position_inside(self):
         config = UavEnvConfig(gu_keep_direction=1.0, gu_speed_std=0.0,
                               gu_mean_speed=30.0, step_seconds=1.0)
-        gu = GuState(x=99.0, y=50.0, speed=30.0, heading=0.0)
-        out = step_gu_motion(gu, config, np.random.default_rng(0))
+        x, _, _, heading = step_gu(config, 30.0, 0.0, np.random.default_rng(0), x=99.0)
         # 99 + 30 folds back to 71, heading flips towards -x.
-        assert np.isclose(out.x, 71.0)
-        assert 0.0 <= out.x <= config.area_x
-        assert np.isclose(math.cos(out.heading), -1.0)
+        assert np.isclose(x, 71.0)
+        assert 0.0 <= x <= config.area_x
+        assert np.isclose(math.cos(heading), -1.0)
 
 
 class TestLinkBudget:
@@ -183,32 +214,20 @@ class TestLinkBudget:
         assert np.all(np.diff(rates) < 0)
 
 
-def make_state(uav_xy, gu_positions):
-    gus = tuple(GuState(x=float(p[0]), y=float(p[1]), speed=3.0, heading=0.0)
-                for p in gu_positions)
-    return UavState(uav_xy=np.asarray(uav_xy, dtype=float), gus=gus)
-
-
 class TestServeSet:
     def test_empty_when_out_of_range(self):
-        state = make_state([0.0, 0.0], [[90.0, 90.0]])
-        s = serve_set(state, UavEnvConfig())
+        s = serve([0.0, 0.0], [[90.0, 90.0]], UavEnvConfig())
         assert not np.any(s)
 
     def test_single_gu_below_uav_served(self):
-        state = make_state([50.0, 50.0], [[50.0, 50.0]])
-        s = serve_set(state, UavEnvConfig(gu_count=1))
+        s = serve([50.0, 50.0], [[50.0, 50.0]], UavEnvConfig(gu_count=1))
         assert s.tolist() == [1]
 
     def test_far_gu_does_not_change_others(self):
         config = UavEnvConfig(gu_count=2)
-        near = make_state([50.0, 50.0], [[50.0, 50.0], [55.0, 50.0]])
-        s_near = serve_set(near, config)
-        far = make_state([50.0, 50.0], [[50.0, 50.0], [55.0, 50.0]])
+        s_near = serve([50.0, 50.0], [[50.0, 50.0], [55.0, 50.0]], config)
         config3 = UavEnvConfig(gu_count=3)
-        with_far = make_state([50.0, 50.0],
-                              [[50.0, 50.0], [55.0, 50.0], [0.0, 99.0]])
-        s_with = serve_set(with_far, config3)
+        s_with = serve([50.0, 50.0], [[50.0, 50.0], [55.0, 50.0], [0.0, 99.0]], config3)
         assert s_with[2] == 0
         assert s_with[:2].tolist() == s_near.tolist()
 
@@ -219,7 +238,7 @@ class TestServeSet:
         for _ in range(20):
             uav = rng.uniform(0, 100, size=2)
             gus = rng.uniform(0, 100, size=(config.gu_count, 2))
-            s = serve_set(make_state(uav, gus), config)
+            s = serve(uav, gus, config)
             count = int(s.sum())
             if count == 0:
                 continue
@@ -229,6 +248,18 @@ class TestServeSet:
                 assert d3[j] <= config.coverage_radius
                 rate = downlink_rate(share, path_loss(d3[j], config), config)
                 assert rate >= config.min_rate
+
+    def test_lanes_match_single_lane(self):
+        # Lanes that need different numbers of drop passes, masked together,
+        # give each lane's own mask.
+        rng = np.random.default_rng(10)
+        config = UavEnvConfig(min_rate=400e6)
+        uav = rng.uniform(0, 100, size=(40, 2))
+        gus = rng.uniform(0, 100, size=(40, config.gu_count, 2))
+        batch = _serve_mask(uav, gus, config).astype(int)
+        assert len({int(row.sum()) for row in batch}) > 3
+        for r in range(len(uav)):
+            assert batch[r].tolist() == serve(uav[r], gus[r], config).tolist()
 
 
 class TestFairness:
@@ -281,21 +312,18 @@ class TestReward:
 class TestScriptedPolicy:
     def test_fixed_point_at_centroid(self):
         config = UavEnvConfig(gu_count=1, coverage_radius=1.0)
-        state = make_state([60.0, 50.0], [[60.0, 50.0]])
-        wp = scripted_policy(state, config, "centroid_greedy")
+        wp = waypoint([60.0, 50.0], [[60.0, 50.0]], config, "centroid_greedy")
         assert np.allclose(wp, [60.0, 50.0])
 
     def test_clipping_geometry(self):
         # Unserved centroid 10 m away, speed cap 3 m per step.
         config = UavEnvConfig(gu_count=1, coverage_radius=1.0)
-        state = make_state([50.0, 50.0], [[60.0, 50.0]])
-        wp = scripted_policy(state, config, "centroid_greedy")
+        wp = waypoint([50.0, 50.0], [[60.0, 50.0]], config, "centroid_greedy")
         assert np.allclose(wp, [53.0, 50.0])
 
     def test_all_served_stays_put(self):
         config = UavEnvConfig(gu_count=1)
-        state = make_state([50.0, 50.0], [[50.0, 50.0]])
-        wp = scripted_policy(state, config, "centroid_greedy")
+        wp = waypoint([50.0, 50.0], [[50.0, 50.0]], config, "centroid_greedy")
         assert np.allclose(wp, [50.0, 50.0])
 
     def test_lagged_smoothing_state(self):
@@ -304,9 +332,9 @@ class TestScriptedPolicy:
         uav = np.array([0.0, 0.0])
         gu_a = np.array([[40.0, 0.0]])
         gu_b = np.array([[0.0, 40.0]])
-        first = policy.waypoint_arrays(uav, gu_a)
+        first = lane_waypoint(policy, uav, gu_a)
         # Target jumped: the lagged target is the average of the two centroids.
-        second_direction = policy.waypoint_arrays(uav, gu_b)
+        second_direction = lane_waypoint(policy, uav, gu_b)
         expected_target = 0.5 * gu_a[0] + 0.5 * gu_b[0]
         expected = 3.0 * expected_target / np.linalg.norm(expected_target)
         assert np.allclose(first, [3.0, 0.0])
@@ -320,21 +348,21 @@ class TestScriptedPolicy:
 class TestUavRollout:
     def test_determinism(self):
         config = UavEnvConfig()
-        t1 = uav_rollout(config, "centroid_greedy", 50, seed=7)
-        t2 = uav_rollout(config, "centroid_greedy", 50, seed=7)
+        t1 = uav_run(config, "centroid_greedy", 50, seed=7)
+        t2 = uav_run(config, "centroid_greedy", 50, seed=7)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.actions, t2.actions)
         assert np.array_equal(t1.rewards, t2.rewards)
 
     def test_state_dimension(self):
         config = UavEnvConfig(gu_count=20)
-        t = uav_rollout(config, "centroid_greedy", 5, seed=0)
+        t = uav_run(config, "centroid_greedy", 5, seed=0)
         assert t.states.shape == (6, 42)
         assert t.actions.shape == (5, 2)
 
     def test_speed_compliance(self):
         config = UavEnvConfig()
-        t = uav_rollout(config, "lagged_centroid", 200, seed=3)
+        t = uav_run(config, "lagged_centroid", 200, seed=3)
         uav = t.states[:, -2:]
         steps = np.linalg.norm(np.diff(uav, axis=0), axis=1)
         assert np.all(steps <= config.step_seconds * config.uav_max_speed + 1e-9)
@@ -350,7 +378,7 @@ class TestUavRollout:
             gu_count=1, gu_keep_direction=1.0, gu_speed_std=0.0,
             gu_speed_memory=1.0,
         )
-        t = uav_rollout(config, "centroid_greedy", 400, seed=11)
+        t = uav_run(config, "centroid_greedy", 400, seed=11)
         gu = t.states[:, :2]
         first = gu[1] - gu[0]
         # Seed 11 starts well inside the area, so step 0 does not reflect and
@@ -365,7 +393,7 @@ class TestUavRollout:
 
     def test_positions_stay_in_area(self):
         config = UavEnvConfig()
-        t = uav_rollout(config, "centroid_greedy", 300, seed=1)
+        t = uav_run(config, "centroid_greedy", 300, seed=1)
         coords = t.states.reshape(len(t.states), -1, 2)
         assert np.all(coords[..., 0] >= 0.0) and np.all(coords[..., 0] <= 100.0)
         assert np.all(coords[..., 1] >= 0.0) and np.all(coords[..., 1] <= 100.0)
@@ -375,7 +403,7 @@ class TestUavRollout:
         n = config.state_dim
         w = np.zeros((10, n))
         w[0] = 500.0
-        t = uav_rollout(config, "centroid_greedy", 10, seed=2, disturbance=w)
+        t = uav_run(config, "centroid_greedy", 10, seed=2, disturbance=w)
         assert np.all(t.states <= 100.0) and np.all(t.states >= 0.0)
 
     def test_disturbance_does_not_trigger_speed_penalty(self):
@@ -386,14 +414,14 @@ class TestUavRollout:
         n = config.state_dim
         w = np.zeros((5, n))
         w[0, -2:] = [30.0, 30.0]
-        disturbed = uav_rollout(config, "centroid_greedy", 5, seed=4, disturbance=w)
+        disturbed = uav_run(config, "centroid_greedy", 5, seed=4, disturbance=w)
         assert np.all(disturbed.rewards >= 0.0)
 
     def test_ensemble_seeds_and_sharing(self):
         config = UavEnvConfig(gu_count=3)
         ens = uav_ensemble(config, "centroid_greedy", 10, runs=3, master_seed=100)
         assert [t.seed for t in ens] == [100, 101, 102]
-        single = uav_rollout(config, "centroid_greedy", 10, seed=101)
+        single = uav_run(config, "centroid_greedy", 10, seed=101)
         assert np.array_equal(ens.trajectories[1].states, single.states)
 
 
@@ -420,3 +448,107 @@ class TestUavConfig:
             UavEnvConfig(fairness_mode="jain")
         with pytest.raises(ParameterError):
             UavEnvConfig(power_watt=0.0)
+
+
+# Compact-area UAV environment of the two-policy ordering acceptance test.
+COMPACT_UAV = dict(area_x=50.0, area_y=50.0, gu_count=12, altitude=20.0,
+                   coverage_radius=25.0, gu_mean_speed=10.0)
+
+
+def ensemble_digest(ensemble):
+    h = hashlib.sha256()
+    for name in ("states", "actions", "rewards"):
+        h.update(np.stack([getattr(t, name) for t in ensemble]).tobytes())
+    return h.hexdigest()
+
+
+def assert_same_runs(a, b):
+    for ta, tb in zip(a, b, strict=True):
+        assert ta.seed == tb.seed
+        assert np.array_equal(ta.states, tb.states)
+        assert np.array_equal(ta.actions, tb.actions)
+        assert np.array_equal(ta.rewards, tb.rewards)
+
+
+def small_surrogate(horizon, noise_std=0.05):
+    return LinearSurrogateConfig(
+        A=np.array([[0.9, 0.1, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.3, 0.5]]),
+        F=np.array([[1.0, -1.0, 0.5], [0.2, 0.0, -0.4]]),
+        x0_mean=np.array([1.0, -2.0, 0.5]), horizon=horizon, noise_std=noise_std,
+    )
+
+
+class TestBatchedRollouts:
+    # SHA-256 of the stacked states, actions and rewards bytes, recorded with
+    # the one-run-at-a-time simulators the batched ones replaced, on x86-64
+    # with AVX-512, numpy 2.4 and OpenBLAS 0.3.31.  The bytes depend on the
+    # platform's float kernels (BLAS dot and gemv, SIMD sin/cos/log2); the
+    # lane and step-loop tests below do not.
+    UAV_DIGESTS = {
+        ("centroid_greedy", False):
+            "62301cba73c4aa56a76c3807c1203c14e9003a8be0701d9cbe4742d146591e34",
+        ("centroid_greedy", True):
+            "212cc8199f9431c7e4aaa41081a2c08b2baa3b8fb626c661de6bf313b55b2f13",
+        ("lagged_centroid", False):
+            "ec0fcc94793059cbcc532d4ce0e648a7f05fc4767ac1012833fc2a561a3cb892",
+        ("lagged_centroid", True):
+            "54646d70df40d1b212829201c02d0b1e7d90f6b3da695fec01b89f0de8aacad5",
+    }
+    LINEAR_DIGESTS = {
+        False: "4e84d13a93751fa664a778529c7172b196942eb3c7fbcab7d523b16b3d7564a5",
+        True: "c470838fbde1b4100588d266ff6c9811af558bb0ca5d7de416abdd1d8c96f8e5",
+    }
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("disturbed", [False, True])
+    def test_uav_digest_pinned(self, kind, disturbed):
+        config = UavEnvConfig(**COMPACT_UAV)
+        w = np.random.default_rng(3).normal(scale=2.0, size=(60, config.state_dim))
+        ens = uav_ensemble(config, kind, 60, runs=3, master_seed=1009,
+                           disturbance=w if disturbed else None)
+        assert ensemble_digest(ens) == self.UAV_DIGESTS[kind, disturbed]
+
+    @pytest.mark.parametrize("disturbed", [False, True])
+    def test_linear_digest_pinned(self, disturbed):
+        w = np.random.default_rng(4).normal(scale=0.1, size=(50, 3))
+        ens = linear_ensemble(small_surrogate(50), runs=3, master_seed=7,
+                              disturbance=w if disturbed else None)
+        assert ensemble_digest(ens) == self.LINEAR_DIGESTS[disturbed]
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_uav_lanes_independent(self, kind):
+        # An R-lane ensemble equals R one-lane ensembles seeded master_seed + r,
+        # on a disturbance large enough to hit the clamp.
+        for config in (UavEnvConfig(**COMPACT_UAV), UavEnvConfig(gu_count=5)):
+            w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.state_dim))
+            for disturbance in (None, w):
+                ens = uav_ensemble(config, kind, 40, runs=4, master_seed=500,
+                                   disturbance=disturbance)
+                singles = [uav_run(config, kind, 40, 500 + r, disturbance)
+                           for r in range(4)]
+                assert_same_runs(ens, singles)
+
+    def test_linear_lanes_independent(self):
+        # The horizon spans several noise chunks.
+        config = small_surrogate(600)
+        w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
+        ens = linear_ensemble(config, runs=4, master_seed=30, disturbance=w)
+        singles = [
+            linear_ensemble(config, runs=1, master_seed=30 + r, disturbance=w)
+            for r in range(4)
+        ]
+        assert_same_runs(ens, [s.trajectories[0] for s in singles])
+
+    def test_linear_matches_step_loop(self):
+        # Reference: one run stepped one draw of normal(n) at a time.
+        config = small_surrogate(600)
+        w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
+        t = linear_ensemble(config, runs=2, master_seed=12, disturbance=w).trajectories[1]
+        rng = np.random.default_rng(13)
+        x = config.x0_mean
+        for k in range(config.horizon):
+            u = config.F @ x
+            x = config.A @ x + rng.normal(0.0, config.noise_std, size=config.n) + w[k]
+            assert np.array_equal(t.actions[k], u)
+            assert np.array_equal(t.states[k + 1], x)
+            assert t.rewards[k] == -np.linalg.norm(x) - 0.1 * np.linalg.norm(u)

@@ -245,9 +245,39 @@ class TestHinfNorm:
             # Not loose either: within 1e-6 of the largest gain the oracle saw.
             assert report.upper <= (1.0 + 1e-6) / (best - slack)
             assert report.lower <= report.upper
-            assert (report.upper - report.lower) / report.upper <= 1e-12
+            # The bracket is 1e-13 wide plus the search's rounding allowance
+            # on sigma_min, relative to the level it widens.
+            search_slack = n * EPS * (1.0 + np.linalg.norm(k))
+            sigma_best = 1.0 / report.lower
+            assert ((report.upper - report.lower) / report.upper
+                    <= 1e-12 + search_slack / sigma_best)
             assert report.converged and not report.ill_conditioned
             assert report.iterations >= 1
+
+    def test_upper_end_covers_rounding(self):
+        # Strongly non-normal operator (||K|| = 2.1e3, T = 3e6): SVDs at
+        # frequencies within 1e-6 of omega_star see gains 1.3e-8 above the
+        # level the search proved, which is rounding of sigma_min, not a
+        # missed peak.  The upper end allows for it.
+        rng = np.random.default_rng(542)
+        for _ in range(4):
+            k = lightly_damped(rng, 42)
+        report = hinf_norm(TransferFunction.resolvent(k))
+        for half_width in (1e-6, 1e-7):
+            scan = np.linspace(report.omega_star - half_width,
+                               report.omega_star + half_width, 4001)
+            gains = 1.0 / sigma_min(k, scan)
+            assert np.max(gains) > report.lower
+            assert np.max(gains) <= report.upper
+        assert report.converged and not report.ill_conditioned
+
+    def test_level_within_rounding_unbounded(self):
+        # sigma_min(e^{jw} - a) = 1 - a = 4e-16 sits inside the rounding
+        # allowance 2 * eps of one SVD, so no finite gain is proved.
+        report = hinf_norm(TransferFunction.resolvent(np.array([[1.0 - 4e-16]])))
+        assert report.upper == float("inf") and report.ill_conditioned
+        assert report.lower == pytest.approx(1.0 / 4e-16, rel=0.2)
+        assert report.converged
 
     def test_iteration_cap_raises(self, monkeypatch):
         from koopbound import hinf_spectral
