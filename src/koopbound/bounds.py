@@ -319,10 +319,8 @@ def estimate_lipschitz(samples: Sequence[tuple[tuple, float]]) -> float:
 
 def _per_step_dispersion(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> np.ndarray:
     """Per-step mean over runs of |x_{k+1} - xbar_{k+1}| + |u_k - ubar_k|."""
-    states = np.stack([t.states for t in ensemble])    # (R, K+1, n)
-    actions = np.stack([t.actions for t in ensemble])  # (R, K, m)
-    dx = np.linalg.norm(states[:, 1:, :] - mean.mean_states[None, 1:, :], axis=2)
-    du = np.linalg.norm(actions - mean.mean_actions[None, :, :], axis=2)
+    dx = np.linalg.norm(ensemble.states[:, 1:, :] - mean.mean_states[None, 1:, :], axis=2)
+    du = np.linalg.norm(ensemble.actions - mean.mean_actions[None, :, :], axis=2)
     return (dx + du).mean(axis=0)
 
 
@@ -480,17 +478,13 @@ def load_report(path) -> tuple[BoundReport, str | None]:
 
 
 def _sample_reward_triples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
-    """Deterministic subsample of ((x_{k+1}, u_k), r_k) triples for L estimation."""
-    triples = []
-    total = ensemble.r_count * ensemble.horizon
-    stride = max(1, total // max_samples)
-    index = 0
-    for t in ensemble:
-        for k in range(t.horizon):
-            if index % stride == 0:
-                triples.append(((t.states[k + 1], t.actions[k]), float(t.rewards[k])))
-            index += 1
-    return triples
+    """Deterministic subsample of ((x_{k+1}, u_k), r_k) triples for L estimation:
+    every stride-th (run, step) pair in run-major order."""
+    horizon = ensemble.horizon
+    total = ensemble.r_count * horizon
+    runs, steps = np.divmod(np.arange(0, total, max(1, total // max_samples)), horizon)
+    inputs = zip(ensemble.states[runs, steps + 1], ensemble.actions[runs, steps])
+    return list(zip(inputs, ensemble.rewards[runs, steps].tolist()))
 
 
 def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model):

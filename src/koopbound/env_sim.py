@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError, DimensionMismatchError, ParameterError
-from .trajectory_data import Trajectory, TrajectoryEnsemble
+from .trajectory_data import TrajectoryEnsemble
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -46,14 +46,9 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def _ensemble(states, actions, rewards, base_seed: int) -> TrajectoryEnsemble:
     """Ensemble from lane-major (R, K+1, n), (R, K, m) and (R, K) buffers."""
+    lanes = np.arange(len(states))
     return TrajectoryEnsemble(
-        trajectories=tuple(
-            Trajectory(
-                run_id=r, states=states[r], actions=actions[r], rewards=rewards[r],
-                seed=base_seed + r,
-            )
-            for r in range(len(states))
-        )
+        states=states, actions=actions, rewards=rewards, run_ids=lanes, seeds=base_seed + lanes
     )
 
 

@@ -8,10 +8,8 @@ owns the on-disk format, validation, averaging, and snapshot assembly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,90 +33,78 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One rollout: K+1 states, K actions, K rewards, plus its RNG seed."""
+class TrajectoryEnsemble:
+    """R independent runs sharing state dimension n, action dimension m and
+    horizon K, held as whole arrays: run r has K+1 states states[r], K actions
+    actions[r] and K rewards rewards[r], its id run_ids[r] and its RNG seed
+    seeds[r] (-1 when unknown).
 
-    run_id: int
-    states: np.ndarray   # (K+1, n)
-    actions: np.ndarray  # (K, m)
-    rewards: np.ndarray  # (K,)
-    seed: int = -1
+    The arrays are validated once and stored as read-only copies.  run_ids
+    default to 0..R-1 and seeds to -1.
+    """
+
+    states: np.ndarray   # (R, K+1, n)
+    actions: np.ndarray  # (R, K, m)
+    rewards: np.ndarray  # (R, K)
+    run_ids: np.ndarray | None = None  # (R,)
+    seeds: np.ndarray | None = None    # (R,)
 
     def __post_init__(self):
         states = _frozen_array(self.states)
         actions = _frozen_array(self.actions)
         rewards = _frozen_array(self.rewards)
-        if states.ndim != 2 or actions.ndim != 2 or rewards.ndim != 1:
+        if states.ndim != 3 or actions.ndim != 3 or rewards.ndim != 2:
             raise DimensionMismatchError(
-                "states/actions must be 2-d (steps x dim) and rewards 1-d"
+                "states/actions must be 3-d (runs x steps x dim) and rewards 2-d"
             )
-        if len(states) != len(actions) + 1 or len(actions) != len(rewards):
+        r_count = len(states)
+        if r_count == 0:
+            raise EmptyInputError("ensemble needs at least one run")
+        run_ids = np.arange(r_count) if self.run_ids is None else self.run_ids
+        seeds = np.full(r_count, -1) if self.seeds is None else self.seeds
+        run_ids = _frozen_array(run_ids, dtype=np.int64)
+        seeds = _frozen_array(seeds, dtype=np.int64)
+        k = actions.shape[1]
+        if (
+            actions.shape[0] != r_count
+            or rewards.shape != (r_count, k)
+            or states.shape[1] != k + 1
+            or run_ids.shape != (r_count,)
+            or seeds.shape != (r_count,)
+        ):
             raise DimensionMismatchError(
-                f"run {self.run_id}: need |states| = |actions|+1 = |rewards|+1, "
-                f"got {len(states)}, {len(actions)}, {len(rewards)}"
+                f"need states (R, K+1, n), actions (R, K, m), rewards (R, K), "
+                f"run_ids and seeds (R,); got {states.shape}, {actions.shape}, "
+                f"{rewards.shape}, {run_ids.shape}, {seeds.shape}"
             )
-        if len(actions) < 1:
-            raise InsufficientDataError(f"run {self.run_id}: empty rollout")
+        if k < 1:
+            raise InsufficientDataError("empty rollouts: horizon is 0")
         for name, arr in (("states", states), ("actions", actions), ("rewards", rewards)):
-            if not np.all(np.isfinite(arr)):
-                raise DataError(f"run {self.run_id}: non-finite value in {name}")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "rewards", rewards)
-
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.actions.shape[1]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(frozen=True)
-class TrajectoryEnsemble:
-    """R independent runs sharing state dimension n, action dimension m, horizon K."""
-
-    trajectories: tuple[Trajectory, ...]
-
-    def __post_init__(self):
-        trajs = tuple(self.trajectories)
-        if not trajs:
-            raise EmptyInputError("ensemble needs at least one trajectory")
-        first = trajs[0]
-        for t in trajs[1:]:
-            if (t.n, t.m, t.horizon) != (first.n, first.m, first.horizon):
-                raise DimensionMismatchError(
-                    f"run {t.run_id}: (n, m, K)=({t.n}, {t.m}, {t.horizon}) does not "
-                    f"match run {first.run_id} ({first.n}, {first.m}, {first.horizon})"
-                )
-        ids = [t.run_id for t in trajs]
-        if len(set(ids)) != len(ids):
+            finite = np.isfinite(arr).reshape(r_count, -1).all(axis=1)
+            if not finite.all():
+                run = run_ids[np.argmin(finite)]
+                raise DataError(f"run {run}: non-finite value in {name}")
+        if len(np.unique(run_ids)) != r_count:
             raise DataError("duplicate run_id in ensemble")
-        object.__setattr__(self, "trajectories", trajs)
+        for name, arr in (("states", states), ("actions", actions), ("rewards", rewards),
+                          ("run_ids", run_ids), ("seeds", seeds)):
+            object.__setattr__(self, name, arr)
 
     @property
     def r_count(self) -> int:
-        return len(self.trajectories)
+        return len(self.states)
 
     @property
     def n(self) -> int:
-        return self.trajectories[0].n
+        return self.states.shape[2]
 
     @property
     def m(self) -> int:
-        return self.trajectories[0].m
+        return self.actions.shape[2]
 
     @property
     def horizon(self) -> int:
-        return self.trajectories[0].horizon
-
-    def __iter__(self):
-        return iter(self.trajectories)
+        return self.actions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -193,20 +179,16 @@ def ensemble_mean(ensemble: TrajectoryEnsemble) -> MeanTrajectory:
     The reduction is a deterministic pairwise sum over the run index, so the
     result does not depend on traversal order.
     """
-    if ensemble.r_count < 1:
-        raise EmptyInputError("cannot average an empty ensemble")
-    states = np.stack([t.states for t in ensemble])
-    actions = np.stack([t.actions for t in ensemble])
     return MeanTrajectory(
-        mean_states=_pairwise_mean(states),
-        mean_actions=_pairwise_mean(actions),
+        mean_states=_pairwise_mean(ensemble.states),
+        mean_actions=_pairwise_mean(ensemble.actions),
         r_count=ensemble.r_count,
     )
 
 
 def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
     """Per-step ensemble mean of rewards, shape (K,)."""
-    return _pairwise_mean(np.stack([t.rewards for t in ensemble]))
+    return _pairwise_mean(ensemble.rewards)
 
 
 def build_state_snapshots(mean_traj: MeanTrajectory) -> SnapshotPair:
@@ -239,50 +221,58 @@ def build_action_pairs(mean_traj: MeanTrajectory) -> SnapshotPair:
 # UTF-8 comma-separated text, one row per (run, step):
 #   run,k,x0..x{n-1},u0..u{m-1},r
 # The final step of each run carries the terminal state with empty action and
-# reward fields.  Optional leading comment lines "# seed <run_id> <seed>"
-# record RNG provenance.  Floats are written with shortest round-trip repr.
+# reward fields.  Comment lines start with "#"; a comment "# seed <run_id>
+# <seed>" records RNG provenance.  Floats are written with shortest
+# round-trip repr.  The writer emits LF line ends, all seed comments, the
+# header, then each run's rows in step order; the reader also accepts CRLF
+# and CR line ends, blank and comment lines anywhere, and data rows in any
+# order.  Fields are never quoted, and a double quote on a data line is an
+# error.
 # ---------------------------------------------------------------------------
+
+# Data rows are converted in blocks of this many rows: one numpy conversion
+# per block for the floats and one for the (run, k) integers keeps the
+# per-value work in C while only one block's fields are held as Python strings.
+_BLOCK_ROWS = 2048
 
 
 def save_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
     """Write an ensemble in the trajectory file format (round-trip exact)."""
-    n, m = ensemble.n, ensemble.m
+    n, m, k_max = ensemble.n, ensemble.m, ensemble.horizon
     header = (
         ["run", "k"]
         + [f"x{i}" for i in range(n)]
         + [f"u{i}" for i in range(m)]
         + ["r"]
     )
-    lines = []
-    for t in ensemble:
-        lines.append(f"# seed {t.run_id} {t.seed}")
-    lines.append(",".join(header))
-    for t in ensemble:
-        # tolist() yields Python floats, whose repr is the shortest round trip.
-        rewards = t.rewards.tolist()
-        k_max = t.horizon
-        for k in range(k_max):
-            fields = [str(t.run_id), str(k)]
-            fields += map(repr, t.states[k].tolist())
-            fields += map(repr, t.actions[k].tolist())
-            fields.append(repr(rewards[k]))
-            lines.append(",".join(fields))
-        fields = [str(t.run_id), str(k_max)]
-        fields += map(repr, t.states[k_max].tolist())
-        fields += [""] * (m + 1)
-        lines.append(",".join(fields))
+    run_ids = ensemble.run_ids.tolist()
+    terminal_tail = "," * (m + 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(
+            f"# seed {run} {seed}\n" for run, seed in zip(run_ids, ensemble.seeds.tolist())
+        )
+        fh.write(",".join(header) + "\n")
+        for r, run in enumerate(run_ids):
+            # tolist() yields Python floats, whose repr is the shortest round trip.
+            steps = np.concatenate(
+                (ensemble.states[r, :k_max], ensemble.actions[r], ensemble.rewards[r, :, None]),
+                axis=1,
+            ).tolist()
+            lines = [f"{run},{k}," + ",".join(map(repr, row)) for k, row in enumerate(steps)]
+            terminal = ",".join(map(repr, ensemble.states[r, k_max].tolist()))
+            lines.append(f"{run},{k_max},{terminal}{terminal_tail}\n")
+            fh.write("\n".join(lines))
 
 
-def _parse_header(fields: Sequence[str], line_no: int) -> tuple[int, int]:
+def _parse_header(line: str, line_no: int) -> tuple[int, int]:
+    fields = line.split(",")
     if len(fields) < 4 or fields[0] != "run" or fields[1] != "k" or fields[-1] != "r":
         raise ParseError(f"line {line_no}: malformed header {fields!r}")
     xs = [f for f in fields[2:-1] if f.startswith("x")]
     us = [f for f in fields[2:-1] if f.startswith("u")]
     n, m = len(xs), len(us)
     expected = [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-    if n == 0 or m == 0 or list(fields[2:-1]) != expected:
+    if n == 0 or m == 0 or fields[2:-1] != expected:
         raise ParseError(f"line {line_no}: header columns must be x0..x{{n-1}},u0..u{{m-1}}")
     return n, m
 
@@ -297,17 +287,101 @@ def _parse_value(text: str, line_no: int, col: str) -> float:
     return value
 
 
+def _check_row(line: str, line_no: int, n: int, m: int) -> None:
+    """Raise the first fault of one data row, checking fields left to right."""
+    if '"' in line:
+        raise ParseError(f"line {line_no}: quoted fields are not supported")
+    fields = line.split(",")
+    if len(fields) != n + m + 3:
+        raise DimensionMismatchError(
+            f"line {line_no}: expected {n + m + 3} columns, got {len(fields)}"
+        )
+    try:
+        np.array(fields[:2], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ParseError(f"line {line_no}: run/k must be 64-bit integers") from None
+    for i in range(n):
+        _parse_value(fields[2 + i], line_no, f"x{i}")
+    tail = fields[2 + n :]
+    if all(f == "" for f in tail):
+        return
+    if "" in tail:
+        raise ParseError(
+            f"line {line_no}: action/reward fields must be all present or all empty"
+        )
+    for i in range(m):
+        _parse_value(tail[i], line_no, f"u{i}")
+    _parse_value(tail[m], line_no, "r")
+
+
+def _parse_block(lines: list, line_nos: list, n: int, m: int):
+    """Convert a block of data rows to (run, k) pairs (B, 2), values
+    (B, n+m+1) and a terminal-row mask (B,).  A terminal row's action and
+    reward values are zero.  When the block does not convert, its rows are
+    checked one by one to raise the first faulty line's error."""
+    width = n + m + 3
+    empty_tail = [""] * (m + 1)
+    terminal_pad = ["0"] * (m + 1)
+    ids, values, terminal = [], [], []
+    for line in lines:
+        fields = line.split(",")
+        if len(fields) != width or '"' in line:
+            break
+        ids += fields[:2]
+        if fields[-1]:
+            if "" in fields:
+                break
+            values += fields[2:]
+            terminal.append(False)
+        else:
+            if fields[2 + n :] != empty_tail:
+                break
+            values += fields[2 : 2 + n]
+            values += terminal_pad
+            terminal.append(True)
+    else:
+        try:
+            ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+            values = np.array(values, dtype=np.float64).reshape(-1, width - 2)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if np.isfinite(values).all():
+                return ids, values, np.array(terminal), np.array(line_nos)
+    for line, line_no in zip(lines, line_nos):
+        _check_row(line, line_no, n, m)
+    raise AssertionError("a block that failed to convert has no faulty row")
+
+
+def _raise_run_fault(run_id, steps, ends) -> None:
+    """Raise the error of one run's sorted rows: step contiguity first, then
+    the terminal-row markers in step order, then a run without steps."""
+    if not np.array_equal(steps, np.arange(len(steps))):
+        raise ParseError(f"run {run_id}: steps are not contiguous from 0")
+    for step, is_terminal in zip(steps[:-1].tolist(), ends[:-1].tolist()):
+        if is_terminal:
+            raise ParseError(f"run {run_id}: step {step} is missing action/reward fields")
+    if not ends[-1]:
+        raise ParseError(
+            f"run {run_id}: final step {steps[-1]} must have empty action/reward fields"
+        )
+    raise DimensionMismatchError(f"run {run_id}: no steps before the terminal row")
+
+
 def load_trajectories(path, expected_dims: tuple[int, int] | None = None) -> TrajectoryEnsemble:
     """Load and validate a trajectory file.
 
     expected_dims, when given, is (n, m) and is checked against the header.
-    Raises ParseError with a line number for malformed rows,
-    DimensionMismatchError for shape violations and DataError for
-    non-finite values.
+    Raises ParseError with a line number for malformed rows and duplicate
+    steps, and with the run for missing steps and misplaced terminal rows;
+    DimensionMismatchError for shape violations and DataError for non-finite
+    values.  In a file with several faults, the first malformed row in the
+    file is reported before any duplicate step.
     """
     seeds: dict[int, int] = {}
     header: tuple[int, int] | None = None
-    rows: dict[int, dict[int, tuple]] = {}
+    blocks = []
+    lines, line_nos = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -317,103 +391,67 @@ def load_trajectories(path, expected_dims: tuple[int, int] | None = None) -> Tra
                 parts = line[1:].split()
                 if len(parts) == 3 and parts[0] == "seed":
                     try:
-                        seeds[int(parts[1])] = int(parts[2])
-                    except ValueError:
+                        run, seed = np.array(parts[1:], dtype=np.int64).tolist()
+                    except (ValueError, OverflowError):
                         raise ParseError(f"line {line_no}: malformed seed comment") from None
+                    seeds[run] = seed
                 continue
-            fields = next(csv.reader([line]))
             if header is None:
-                header = _parse_header(fields, line_no)
+                header = _parse_header(line, line_no)
                 continue
-            n, m = header
-            if len(fields) != 2 + n + m + 1:
-                raise DimensionMismatchError(
-                    f"line {line_no}: expected {2 + n + m + 1} columns, got {len(fields)}"
-                )
-            try:
-                run = int(fields[0])
-                k = int(fields[1])
-            except ValueError:
-                raise ParseError(f"line {line_no}: run/k must be integers") from None
-            state = [_parse_value(fields[2 + i], line_no, f"x{i}") for i in range(n)]
-            tail = fields[2 + n :]
-            terminal = all(f == "" for f in tail)
-            if terminal:
-                entry = (state, None, None)
-            else:
-                if any(f == "" for f in tail):
-                    raise ParseError(
-                        f"line {line_no}: action/reward fields must be all "
-                        "present or all empty"
-                    )
-                action = [_parse_value(tail[i], line_no, f"u{i}") for i in range(m)]
-                reward = _parse_value(tail[m], line_no, "r")
-                entry = (state, action, reward)
-            per_run = rows.setdefault(run, {})
-            if k in per_run:
-                raise ParseError(f"line {line_no}: duplicate step {k} for run {run}")
-            per_run[k] = entry
-
+            lines.append(line)
+            line_nos.append(line_no)
+            if len(lines) == _BLOCK_ROWS:
+                blocks.append(_parse_block(lines, line_nos, *header))
+                lines, line_nos = [], []
     if header is None:
         raise ParseError("file has no header row")
     n, m = header
+    if lines:
+        blocks.append(_parse_block(lines, line_nos, n, m))
     if expected_dims is not None and (n, m) != tuple(expected_dims):
         raise DimensionMismatchError(
             f"file has (n, m)=({n}, {m}), expected {tuple(expected_dims)}"
         )
-    if not rows:
+    if not blocks:
         raise EmptyInputError("trajectory file has no data rows")
 
-    trajectories = []
-    for run in sorted(rows):
-        per_run = rows[run]
-        steps = sorted(per_run)
-        k_terminal = steps[-1]
-        if steps != list(range(k_terminal + 1)):
-            raise ParseError(f"run {run}: steps are not contiguous from 0")
-        states, actions, rewards = [], [], []
-        for k in steps:
-            state, action, reward = per_run[k]
-            states.append(state)
-            if k < k_terminal:
-                if action is None:
-                    raise ParseError(
-                        f"run {run}: step {k} is missing action/reward fields"
-                    )
-                actions.append(action)
-                rewards.append(reward)
-            elif action is not None:
-                raise ParseError(
-                    f"run {run}: final step {k} must have empty action/reward fields"
-                )
-        trajectories.append(
-            Trajectory(
-                run_id=run,
-                states=np.array(states),
-                actions=np.array(actions),
-                rewards=np.array(rewards),
-                seed=seeds.get(run, -1),
-            )
+    ids, values, terminal, line_nos = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks  # frees the per-block arrays before the sorted copy is made
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
+    run, k, terminal, line_nos = ids[order, 0], ids[order, 1], terminal[order], line_nos[order]
+    same_run = run[1:] == run[:-1]
+    repeat = same_run & (k[1:] == k[:-1])
+    if repeat.any():
+        # The stable sort keeps file order within a (run, k) pair, so the
+        # first repeat in the file is the earliest non-first row of a pair.
+        i = 1 + np.flatnonzero(repeat)[np.argmin(line_nos[1:][repeat])]
+        raise ParseError(f"line {line_nos[i]}: duplicate step {k[i]} for run {run[i]}")
+
+    starts = np.flatnonzero(np.concatenate(([True], ~same_run)))
+    sizes = np.diff(np.append(starts, len(run)))
+    position = np.arange(len(run)) - np.repeat(starts, sizes)
+    is_last = np.append(~same_run, True)
+    faulty = (k != position) | (terminal != is_last) | np.repeat(sizes < 2, sizes)
+    if faulty.any():
+        r = np.searchsorted(starts, np.argmax(faulty), "right") - 1
+        rows = slice(starts[r], starts[r] + sizes[r])
+        _raise_run_fault(run[starts[r]], k[rows], terminal[rows])
+    ragged = np.flatnonzero(sizes != sizes[0])
+    if ragged.size:
+        r = ragged[0]
+        raise DimensionMismatchError(
+            f"run {run[starts[r]]}: (n, m, K)=({n}, {m}, {sizes[r] - 1}) does not "
+            f"match run {run[0]} ({n}, {m}, {sizes[0] - 1})"
         )
-    return TrajectoryEnsemble(trajectories=tuple(trajectories))
 
-
-def concat_ensembles(ensembles: Iterable[TrajectoryEnsemble]) -> TrajectoryEnsemble:
-    """Concatenate ensembles, renumbering run ids to stay unique."""
-    trajs = []
-    next_id = 0
-    for ens in ensembles:
-        for t in ens:
-            trajs.append(
-                Trajectory(
-                    run_id=next_id,
-                    states=t.states,
-                    actions=t.actions,
-                    rewards=t.rewards,
-                    seed=t.seed,
-                )
-            )
-            next_id += 1
-    if not trajs:
-        raise EmptyInputError("no ensembles to concatenate")
-    return TrajectoryEnsemble(trajectories=tuple(trajs))
+    r_count, horizon = len(starts), sizes[0] - 1
+    values = values[order].reshape(r_count, horizon + 1, n + m + 1)
+    run_ids = run[starts]
+    return TrajectoryEnsemble(
+        states=values[:, :, :n],
+        actions=values[:, :horizon, n : n + m],
+        rewards=values[:, :horizon, -1],
+        run_ids=run_ids,
+        seeds=[seeds.get(r, -1) for r in run_ids.tolist()],
+    )

@@ -271,8 +271,8 @@ def test_uav_environment_regression():
     config = UavEnvConfig()
 
     # Speed compliance on every step of a 1000-step rollout at defaults.
-    t = uav_ensemble(config, "centroid_greedy", 1000, runs=1, master_seed=12345).trajectories[0]
-    uav = t.states[:, -2:]
+    ens = uav_ensemble(config, "centroid_greedy", 1000, runs=1, master_seed=12345)
+    uav = ens.states[0, :, -2:]
     steps = np.linalg.norm(np.diff(uav, axis=0), axis=1)
     limit = config.step_seconds * config.uav_max_speed
     assert np.all(steps <= limit + 1e-9)

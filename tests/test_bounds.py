@@ -16,7 +16,6 @@ from koopbound import (
     KoopmanModel,
     ParameterError,
     RewardDescriptor,
-    Trajectory,
     TrajectoryEnsemble,
     action_deviation_bounds,
     disturbance_admissible,
@@ -32,6 +31,7 @@ from koopbound import (
     state_deviation_bounds,
     verify_bounds,
 )
+from koopbound.bounds import _sample_reward_triples
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -265,16 +265,13 @@ class TestEstimators:
     def _pm_one_ensemble(self, scale=1.0):
         k = 4
         ones = np.full((k + 1, 1), scale)
-        actions = np.ones((k, 1))
-        t1 = Trajectory(0, ones, actions, np.zeros(k))
-        t2 = Trajectory(1, -ones, actions, np.zeros(k))
-        return TrajectoryEnsemble((t1, t2))
+        return TrajectoryEnsemble(states=np.stack([ones, -ones]),
+                                  actions=np.ones((2, k, 1)), rewards=np.zeros((2, k)))
 
     def test_q_deterministic_ensemble(self):
         k = 3
-        t1 = Trajectory(0, np.ones((k + 1, 2)), np.ones((k, 1)), np.zeros(k))
-        t2 = Trajectory(1, np.ones((k + 1, 2)), np.ones((k, 1)), np.zeros(k))
-        ens = TrajectoryEnsemble((t1, t2))
+        ens = TrajectoryEnsemble(states=np.ones((2, k + 1, 2)), actions=np.ones((2, k, 1)),
+                                 rewards=np.zeros((2, k)))
         assert estimate_Q(ens, ensemble_mean(ens)) == 0.0
 
     def test_q_plus_minus_one(self):
@@ -289,22 +286,35 @@ class TestEstimators:
         assert np.isclose(q2, 2.0 * q1)
 
     def test_q_requires_two_runs(self):
-        t = Trajectory(0, np.ones((3, 1)), np.ones((2, 1)), np.zeros(2))
-        ens = TrajectoryEnsemble((t,))
+        ens = TrajectoryEnsemble(states=np.ones((1, 3, 1)), actions=np.ones((1, 2, 1)),
+                                 rewards=np.zeros((1, 2)))
         with pytest.raises(InsufficientDataError):
             estimate_Q(ens, ensemble_mean(ens))
 
     def test_c_permutation_invariant(self):
         rng = np.random.default_rng(2)
-        trajs = tuple(
-            Trajectory(r, rng.normal(size=(5, 2)), rng.normal(size=(4, 1)),
-                       np.zeros(4))
-            for r in range(4)
-        )
-        fwd = TrajectoryEnsemble(trajs)
-        rev = TrajectoryEnsemble(trajs[::-1])
+        runs = [(rng.normal(size=(5, 2)), rng.normal(size=(4, 1))) for _ in range(4)]
+        states, actions = (np.stack(arrays) for arrays in zip(*runs))
+        fwd = TrajectoryEnsemble(states=states, actions=actions, rewards=np.zeros((4, 4)))
+        rev = TrajectoryEnsemble(states=states[::-1], actions=actions[::-1],
+                                 rewards=np.zeros((4, 4)), run_ids=np.arange(4)[::-1])
         assert np.isclose(estimate_C(fwd, ensemble_mean(fwd)),
                           estimate_C(rev, ensemble_mean(rev)))
+
+    def test_reward_samples_every_stride_th_step(self):
+        # 3 runs of 7 steps, at most 5 samples: every 4th (run, step) pair in
+        # run-major order, (0,0) (0,4) (1,1) (1,5) (2,2) (2,6).
+        rng = np.random.default_rng(5)
+        ens = TrajectoryEnsemble(states=rng.normal(size=(3, 8, 2)),
+                                 actions=rng.normal(size=(3, 7, 1)),
+                                 rewards=rng.normal(size=(3, 7)))
+        samples = _sample_reward_triples(ens, max_samples=5)
+        picks = [(0, 0), (0, 4), (1, 1), (1, 5), (2, 2), (2, 6)]
+        assert len(samples) == len(picks)
+        for ((x, u), r), (run, k) in zip(samples, picks):
+            assert np.array_equal(x, ens.states[run, k + 1])
+            assert np.array_equal(u, ens.actions[run, k])
+            assert r == ens.rewards[run, k] and type(r) is float
 
 
 def true_model(a, f):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,16 +29,29 @@ from koopbound import (
 from koopbound.env_sim import _lane_draws, _serve_mask, _step_gu_arrays
 
 
+class Run(NamedTuple):
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    seed: int
+
+
+def run_of(ensemble, r=0):
+    """Run r of an ensemble."""
+    return Run(ensemble.states[r], ensemble.actions[r], ensemble.rewards[r],
+               int(ensemble.seeds[r]))
+
+
 def linear_run(config, disturbance=None):
     """The single run of a one-lane linear ensemble."""
-    return linear_ensemble(config, runs=1, disturbance=disturbance).trajectories[0]
+    return run_of(linear_ensemble(config, runs=1, disturbance=disturbance))
 
 
 def uav_run(config, kind, horizon, seed, disturbance=None):
     """The single run of a one-lane UAV ensemble with the given seed."""
-    return uav_ensemble(
+    return run_of(uav_ensemble(
         config, kind, horizon, runs=1, master_seed=seed, disturbance=disturbance
-    ).trajectories[0]
+    ))
 
 
 def step_gu(config, speed, heading, rng, x=50.0, y=50.0):
@@ -420,9 +434,9 @@ class TestUavRollout:
     def test_ensemble_seeds_and_sharing(self):
         config = UavEnvConfig(gu_count=3)
         ens = uav_ensemble(config, "centroid_greedy", 10, runs=3, master_seed=100)
-        assert [t.seed for t in ens] == [100, 101, 102]
+        assert ens.seeds.tolist() == [100, 101, 102]
         single = uav_run(config, "centroid_greedy", 10, seed=101)
-        assert np.array_equal(ens.trajectories[1].states, single.states)
+        assert np.array_equal(ens.states[1], single.states)
 
 
 class TestUavConfig:
@@ -458,12 +472,13 @@ COMPACT_UAV = dict(area_x=50.0, area_y=50.0, gu_count=12, altitude=20.0,
 def ensemble_digest(ensemble):
     h = hashlib.sha256()
     for name in ("states", "actions", "rewards"):
-        h.update(np.stack([getattr(t, name) for t in ensemble]).tobytes())
+        h.update(getattr(ensemble, name).tobytes())
     return h.hexdigest()
 
 
-def assert_same_runs(a, b):
-    for ta, tb in zip(a, b, strict=True):
+def assert_same_runs(ensemble, runs):
+    for ta, tb in zip((run_of(ensemble, r) for r in range(ensemble.r_count)), runs,
+                      strict=True):
         assert ta.seed == tb.seed
         assert np.array_equal(ta.states, tb.states)
         assert np.array_equal(ta.actions, tb.actions)
@@ -537,13 +552,13 @@ class TestBatchedRollouts:
             linear_ensemble(config, runs=1, master_seed=30 + r, disturbance=w)
             for r in range(4)
         ]
-        assert_same_runs(ens, [s.trajectories[0] for s in singles])
+        assert_same_runs(ens, [run_of(s) for s in singles])
 
     def test_linear_matches_step_loop(self):
         # Reference: one run stepped one draw of normal(n) at a time.
         config = small_surrogate(600)
         w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
-        t = linear_ensemble(config, runs=2, master_seed=12, disturbance=w).trajectories[1]
+        t = run_of(linear_ensemble(config, runs=2, master_seed=12, disturbance=w), 1)
         rng = np.random.default_rng(13)
         x = config.x0_mean
         for k in range(config.horizon):

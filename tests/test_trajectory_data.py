@@ -1,78 +1,99 @@
 """Trajectory format, validation, ensemble means, and snapshot assembly."""
 
+import csv
+import math
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopbound import (
     DataError,
     DimensionMismatchError,
+    EmptyInputError,
     InsufficientDataError,
+    KoopboundError,
     MeanTrajectory,
     ParseError,
     SnapshotPair,
-    Trajectory,
     TrajectoryEnsemble,
     build_action_pairs,
     build_state_snapshots,
-    concat_ensembles,
     ensemble_mean,
     load_trajectories,
     save_trajectories,
 )
+from koopbound import trajectory_data
 
 
-def make_traj(run_id, states, actions, rewards=None, seed=-1):
-    states = np.atleast_2d(np.asarray(states, dtype=float).T).T
-    if states.ndim == 1:
-        states = states[:, None]
-    actions = np.asarray(actions, dtype=float)
-    if actions.ndim == 1:
-        actions = actions[:, None]
-    if rewards is None:
-        rewards = np.zeros(len(actions))
-    return Trajectory(run_id=run_id, states=states, actions=actions,
-                      rewards=np.asarray(rewards, dtype=float), seed=seed)
-
-
-def scalar_traj(run_id, state_values, action_values=None, seed=-1):
-    states = np.asarray(state_values, dtype=float)[:, None]
-    k = len(states) - 1
-    if action_values is None:
-        action_values = np.zeros(k)
-    actions = np.asarray(action_values, dtype=float)[:, None]
-    return Trajectory(run_id=run_id, states=states, actions=actions,
-                      rewards=np.zeros(k), seed=seed)
+def scalar_ensemble(*runs, seeds=None):
+    """Ensemble of runs with n = m = 1, given their state values; actions and
+    rewards are zero."""
+    states = np.asarray(runs, dtype=float)[:, :, None]
+    r_count, k = len(states), states.shape[1] - 1
+    return TrajectoryEnsemble(states=states, actions=np.zeros((r_count, k, 1)),
+                              rewards=np.zeros((r_count, k)), seeds=seeds)
 
 
 class TestTrajectoryValidation:
     def test_length_relation_enforced(self):
         with pytest.raises(DimensionMismatchError):
-            Trajectory(run_id=0, states=np.zeros((3, 2)),
-                       actions=np.zeros((3, 1)), rewards=np.zeros(3))
+            TrajectoryEnsemble(states=np.zeros((1, 3, 2)),
+                               actions=np.zeros((1, 3, 1)), rewards=np.zeros((1, 3)))
 
     def test_non_finite_rejected(self):
-        states = np.zeros((3, 2))
-        states[1, 0] = np.nan
+        states = np.zeros((1, 3, 2))
+        states[0, 1, 0] = np.nan
         with pytest.raises(DataError):
-            Trajectory(run_id=0, states=states,
-                       actions=np.zeros((2, 1)), rewards=np.zeros(2))
+            TrajectoryEnsemble(states=states,
+                               actions=np.zeros((1, 2, 1)), rewards=np.zeros((1, 2)))
 
-    def test_ragged_ensemble_rejected(self):
-        t1 = scalar_traj(0, [1.0, 2.0, 3.0])
-        t2 = scalar_traj(1, [1.0, 2.0])
+    def test_ragged_ensemble_rejected(self, tmp_path):
+        # Runs of different horizons cannot share the ensemble's arrays; a
+        # file holding them is rejected.
+        path = tmp_path / "ragged.csv"
+        path.write_text(
+            "run,k,x0,u0,r\n"
+            "0,0,1.0,0.0,0.0\n"
+            "0,1,2.0,0.0,0.0\n"
+            "0,2,3.0,,\n"
+            "1,0,1.0,0.0,0.0\n"
+            "1,1,2.0,,\n"
+        )
         with pytest.raises(DimensionMismatchError):
-            TrajectoryEnsemble(trajectories=(t1, t2))
+            load_trajectories(path)
 
     def test_duplicate_run_ids_rejected(self):
-        t1 = scalar_traj(0, [1.0, 2.0])
-        t2 = scalar_traj(0, [3.0, 4.0])
         with pytest.raises(DataError):
-            TrajectoryEnsemble(trajectories=(t1, t2))
+            TrajectoryEnsemble(states=np.zeros((2, 2, 1)), actions=np.zeros((2, 1, 1)),
+                               rewards=np.zeros((2, 1)), run_ids=[0, 0])
 
     def test_arrays_are_read_only(self):
-        t = scalar_traj(0, [1.0, 2.0])
+        ens = scalar_ensemble([1.0, 2.0])
+        for arr in (ens.states, ens.actions, ens.rewards, ens.run_ids, ens.seeds):
+            assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            t.states[0, 0] = 5.0
+            ens.states[0, 0, 0] = 5.0
+
+    def test_inputs_are_copied(self):
+        states = np.zeros((1, 2, 1))
+        ens = TrajectoryEnsemble(states=states, actions=np.zeros((1, 1, 1)),
+                                 rewards=np.zeros((1, 1)))
+        states[0, 0, 0] = 1.0
+        assert ens.states[0, 0, 0] == 0.0
+
+    def test_defaults_and_empty(self):
+        ens = scalar_ensemble([1.0, 2.0], [3.0, 4.0])
+        assert ens.run_ids.tolist() == [0, 1] and ens.seeds.tolist() == [-1, -1]
+        assert (ens.r_count, ens.horizon, ens.n, ens.m) == (2, 1, 1, 1)
+        with pytest.raises(EmptyInputError):
+            TrajectoryEnsemble(states=np.zeros((0, 2, 1)), actions=np.zeros((0, 1, 1)),
+                               rewards=np.zeros((0, 1)))
+        with pytest.raises(InsufficientDataError):
+            scalar_ensemble([1.0])
 
 
 class TestFileFormat:
@@ -80,20 +101,37 @@ class TestFileFormat:
         states = np.array([[1.0, 2.0], [0.1, -0.2], [np.pi, 1e-17]])
         actions = np.array([[0.5], [-1.5]])
         rewards = np.array([0.25, -0.75])
-        ens = TrajectoryEnsemble((Trajectory(0, states, actions, rewards, seed=7),))
+        ens = TrajectoryEnsemble(states=states[None], actions=actions[None],
+                                 rewards=rewards[None], seeds=[7])
         path = tmp_path / "traj.csv"
         save_trajectories(ens, path)
         loaded = load_trajectories(path)
         assert loaded.r_count == 1 and loaded.horizon == 2
-        t = loaded.trajectories[0]
-        assert np.array_equal(t.states, states)
-        assert np.array_equal(t.actions, actions)
-        assert np.array_equal(t.rewards, rewards)
-        assert t.seed == 7
+        assert np.array_equal(loaded.states[0], states)
+        assert np.array_equal(loaded.actions[0], actions)
+        assert np.array_equal(loaded.rewards[0], rewards)
+        assert loaded.seeds.tolist() == [7]
         # Re-saving reproduces the file byte for byte.
         path2 = tmp_path / "traj2.csv"
         save_trajectories(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_writer_layout(self, tmp_path):
+        ens = TrajectoryEnsemble(
+            states=[[[1.0], [-0.0]], [[0.1], [1e300]]], actions=[[[0.5]], [[2.0]]],
+            rewards=[[-1.0], [5e-324]], run_ids=[4, 2], seeds=[40, -1],
+        )
+        path = tmp_path / "traj.csv"
+        save_trajectories(ens, path)
+        assert path.read_bytes() == (
+            b"# seed 4 40\n# seed 2 -1\nrun,k,x0,u0,r\n"
+            b"4,0,1.0,0.5,-1.0\n4,1,-0.0,,\n"
+            b"2,0,0.1,2.0,5e-324\n2,1,1e+300,,\n"
+        )
+        # The reader sorts runs by id.
+        loaded = load_trajectories(path)
+        assert loaded.run_ids.tolist() == [2, 4] and loaded.seeds.tolist() == [-1, 40]
+        assert np.array_equal(loaded.states, ens.states[::-1])
 
     def test_row_with_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -125,8 +163,20 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="line 2"):
             load_trajectories(path)
 
+    def test_quoted_field_rejected(self, tmp_path):
+        # The writer never quotes; a quoted field is an error rather than
+        # being unquoted, as a general CSV reader would.
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            "run,k,x0,u0,r\n"
+            "0,0,1.0,0.5,1.0\n"
+            '0,1,"1.5",,\n'
+        )
+        with pytest.raises(ParseError, match="line 3: quoted"):
+            load_trajectories(path)
+
     def test_expected_dims_checked(self, tmp_path):
-        ens = TrajectoryEnsemble((scalar_traj(0, [1.0, 2.0, 3.0]),))
+        ens = scalar_ensemble([1.0, 2.0, 3.0])
         path = tmp_path / "traj.csv"
         save_trajectories(ens, path)
         assert load_trajectories(path, expected_dims=(1, 1)).n == 1
@@ -150,37 +200,298 @@ class TestFileFormat:
             load_trajectories(path)
 
 
+# ---------------------------------------------------------------------------
+# Differential tests of the block-wise loader against a row-by-row reference.
+# ---------------------------------------------------------------------------
+
+
+def reference_load(path):
+    """Row-by-row reference parser: csv.reader and one float() per value.
+
+    Returns (run_ids, seeds, states, actions, rewards) as arrays, runs sorted
+    by id, and raises the errors the loader must raise, with the same line
+    numbers.  It unquotes quoted fields, which the loader rejects.
+    """
+    seeds, header, rows = {}, None, {}
+
+    def value(text, line_no, col):
+        try:
+            v = float(text)
+        except ValueError:
+            raise ParseError(f"line {line_no}: cannot parse {col}={text!r}") from None
+        if not math.isfinite(v):
+            raise DataError(f"line {line_no}: non-finite value in column {col}")
+        return v
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 3 and parts[0] == "seed":
+                    try:
+                        seeds[int(parts[1])] = int(parts[2])
+                    except ValueError:
+                        raise ParseError(f"line {line_no}: malformed seed comment") from None
+                continue
+            fields = next(csv.reader([line]))
+            if header is None:
+                names = fields[2:-1]
+                n = sum(name.startswith("x") for name in names)
+                m = len(names) - n
+                if (fields[:2] != ["run", "k"] or fields[-1:] != ["r"] or not n or not m
+                        or names != [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]):
+                    raise ParseError(f"line {line_no}: malformed header")
+                header = n, m
+                continue
+            n, m = header
+            if len(fields) != 2 + n + m + 1:
+                raise DimensionMismatchError(f"line {line_no}: wrong column count")
+            try:
+                run, k = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(f"line {line_no}: run/k must be integers") from None
+            state = [value(fields[2 + i], line_no, f"x{i}") for i in range(n)]
+            tail = fields[2 + n:]
+            if all(f == "" for f in tail):
+                entry = (state, None, None)
+            else:
+                if any(f == "" for f in tail):
+                    raise ParseError(f"line {line_no}: partly empty action/reward fields")
+                entry = (state, [value(tail[i], line_no, f"u{i}") for i in range(m)],
+                         value(tail[m], line_no, "r"))
+            per_run = rows.setdefault(run, {})
+            if k in per_run:
+                raise ParseError(f"line {line_no}: duplicate step {k} for run {run}")
+            per_run[k] = entry
+    if header is None:
+        raise ParseError("file has no header row")
+    if not rows:
+        raise EmptyInputError("trajectory file has no data rows")
+    runs = []
+    for run in sorted(rows):
+        per_run = rows[run]
+        steps = sorted(per_run)
+        if steps != list(range(steps[-1] + 1)):
+            raise ParseError(f"run {run}: steps are not contiguous from 0")
+        states, actions, rewards = [], [], []
+        for k in steps:
+            state, action, reward = per_run[k]
+            states.append(state)
+            if k < steps[-1]:
+                if action is None:
+                    raise ParseError(f"run {run}: step {k} is missing action/reward fields")
+                actions.append(action)
+                rewards.append(reward)
+            elif action is not None:
+                raise ParseError(f"run {run}: final step {k} must have empty fields")
+        if not actions:
+            raise DimensionMismatchError(f"run {run}: empty rollout")
+        runs.append((states, actions, rewards))
+    if len({len(states) for states, _, _ in runs}) > 1:
+        raise DimensionMismatchError("runs differ in horizon")
+    ids = sorted(rows)
+    return (np.array(ids), np.array([seeds.get(r, -1) for r in ids]),
+            *(np.array(arrays, dtype=float) for arrays in zip(*runs)))
+
+
+def outcome(load, path):
+    """What a loader makes of a file: the arrays as bytes, or the error type
+    and the line number its message names (None when it names none)."""
+    try:
+        ens = load(path)
+    except KoopboundError as exc:
+        line = re.search(r"line (\d+)", str(exc))
+        return type(exc), line and int(line.group(1))
+    if isinstance(ens, TrajectoryEnsemble):
+        ens = (ens.run_ids, ens.seeds, ens.states, ens.actions, ens.rewards)
+    return tuple((a.shape, np.asarray(a, dtype=a.dtype.kind + "8").tobytes()) for a in ens)
+
+
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 2.2250738585072014e-308)
+values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_VALUES))
+# Text forms float() and int() accept besides the writer's.
+value_texts = st.one_of(values.map(repr), values.map(lambda v: f" {v:.17e}"),
+                        st.sampled_from(["1_0", "+1", "1E3", ".5", "  -2.5  "]))
+
+
+@st.composite
+def trajectory_files(draw):
+    """A valid file as (header, data rows, seed comments): rows are field
+    lists in shuffled order."""
+    r_count, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    run_ids = draw(st.lists(st.integers(-5, 10**12), min_size=r_count,
+                            max_size=r_count, unique=True))
+    rows = []
+    for run in run_ids:
+        for k in range(horizon + 1):
+            width = n + m + 1 if k < horizon else n
+            fields = draw(st.lists(value_texts, min_size=width, max_size=width))
+            rows.append([str(run), str(k)] + fields + [""] * (n + m + 1 - width))
+    rows = draw(st.permutations(rows))
+    seeded = draw(st.lists(st.sampled_from(run_ids), unique=True))
+    seeds = [f"# seed {run} {draw(st.integers(-2**63, 2**63 - 1))}" for run in seeded]
+    header = ",".join(["run", "k"] + [f"x{i}" for i in range(n)]
+                      + [f"u{i}" for i in range(m)] + ["r"])
+    return header, rows, seeds, n
+
+
+@st.composite
+def render(draw, header, rows, seeds):
+    """File text with seed comments, other comments and blank lines anywhere
+    (the header first among the rest), and LF, CRLF or CR line ends."""
+    extras = [draw(st.sampled_from(["# note", "#", "", "  ", "\t", "# seed x"]))
+              for _ in range(draw(st.integers(0, 4)))]
+    lines = [header] + [",".join(fields) for fields in rows]
+    for extra in seeds + extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return "".join(line + draw(ends) for line in lines)
+
+
+FAULTS = ("oops", "nan", "1e999", "empty field", "partly empty tail", "extra column",
+          "missing column", "duplicate step", "missing step", "missing terminal row")
+
+
+def inject(draw, rows, n, fault):
+    """Apply one fault to a copy of the data rows."""
+    rows = [list(fields) for fields in rows]
+    terminal = [i for i, fields in enumerate(rows) if fields[-1] == ""]
+    inner = [i for i, fields in enumerate(rows) if fields[-1] != ""]
+    if fault in ("oops", "nan", "1e999"):
+        i = draw(st.sampled_from(range(len(rows))))
+        last = 2 + n if rows[i][-1] == "" else len(rows[i])
+        rows[i][draw(st.integers(2, last - 1))] = fault
+    elif fault == "empty field":
+        i = draw(st.sampled_from(inner))
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = ""
+    elif fault == "partly empty tail":
+        i = draw(st.sampled_from(draw(st.sampled_from([terminal, inner]))))
+        tail = range(2 + n, len(rows[i]))
+        picked = draw(st.lists(st.sampled_from(tail), min_size=1, max_size=len(tail) - 1,
+                               unique=True))
+        for j in picked:
+            rows[i][j] = "1.5" if rows[i][-1] == "" else ""
+    elif fault == "extra column":
+        rows[draw(st.sampled_from(range(len(rows))))].append("0.5")
+    elif fault == "missing column":
+        rows[draw(st.sampled_from(range(len(rows))))].pop()
+    elif fault == "duplicate step":
+        copy = list(rows[draw(st.sampled_from(range(len(rows))))])
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    elif fault == "missing step":
+        rows.pop(draw(st.sampled_from(inner)))
+    else:  # missing terminal row
+        rows.pop(draw(st.sampled_from(terminal)))
+    return rows
+
+
+class TestDifferentialLoader:
+    @given(data=st.data(), small_blocks=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_files_match_reference(self, tmp_path_factory, data, small_blocks):
+        header, rows, seeds, _ = data.draw(trajectory_files())
+        path = tmp_path_factory.mktemp("valid") / "traj.csv"
+        path.write_bytes(data.draw(render(header, rows, seeds)).encode())
+        expected = outcome(reference_load, path)
+        assert not isinstance(expected[0], type), expected
+        # Blocks of 3 rows put block edges inside these small files.
+        with mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3 if small_blocks else 2048):
+            assert outcome(load_trajectories, path) == expected
+
+    @given(data=st.data(), fault=st.sampled_from(FAULTS), small_blocks=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_single_fault_matches_reference(self, tmp_path_factory, data, fault,
+                                            small_blocks):
+        header, rows, seeds, n = data.draw(trajectory_files())
+        rows = inject(data.draw, rows, n, fault)
+        path = tmp_path_factory.mktemp("fault") / "traj.csv"
+        path.write_bytes(data.draw(render(header, rows, seeds)).encode())
+        expected = outcome(reference_load, path)
+        assert isinstance(expected[0], type) and issubclass(expected[0], KoopboundError)
+        with mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3 if small_blocks else 2048):
+            assert outcome(load_trajectories, path) == expected
+
+
+class TestBlockEdges:
+    """Files of exactly one block of data rows, and one block plus one row."""
+
+    @staticmethod
+    def write(path, rows):
+        # Header on line 1, so data row i is on line i + 2.
+        lines = ["run,k,x0,u0,r"]
+        lines += [f"0,{k},{0.5 * k},1.0,-1.0" for k in range(rows - 1)]
+        lines.append(f"0,{rows - 1},2.0,,")
+        path.write_text("\n".join(lines) + "\n")
+        return lines
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_valid_file_matches_reference(self, tmp_path, extra):
+        path = tmp_path / "traj.csv"
+        self.write(path, trajectory_data._BLOCK_ROWS + extra)
+        ens = load_trajectories(path)
+        assert ens.horizon == trajectory_data._BLOCK_ROWS + extra - 1
+        assert outcome(load_trajectories, path) == outcome(reference_load, path)
+
+    @pytest.mark.parametrize("extra, row", [
+        (0, "last"),           # last row of the only block
+        (1, "last"),           # first (and only) row of the second block
+        (1, "first block end"),
+    ])
+    @pytest.mark.parametrize("bad, error", [("oops", ParseError), ("inf", DataError)])
+    def test_fault_line_exact(self, tmp_path, extra, row, bad, error):
+        block = trajectory_data._BLOCK_ROWS
+        rows = block + extra
+        index = rows - 1 if row == "last" else block - 1
+        path = tmp_path / "traj.csv"
+        lines = self.write(path, rows)
+        fields = lines[index + 1].split(",")
+        fields[2] = bad
+        lines[index + 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error, match=rf"^line {index + 2}: "):
+            load_trajectories(path)
+        assert outcome(reference_load, path) == (error, index + 2)
+
+
 class TestEnsembleMean:
     def test_single_run_identity(self):
-        t = make_traj(0, np.array([[1.0, 2.0], [3.0, 4.0]]), [[0.5]], [1.0])
-        mean = ensemble_mean(TrajectoryEnsemble((t,)))
-        assert np.array_equal(mean.mean_states, t.states)
-        assert np.array_equal(mean.mean_actions, t.actions)
+        states = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        actions = np.array([[[0.5]]])
+        ens = TrajectoryEnsemble(states=states, actions=actions, rewards=[[1.0]])
+        mean = ensemble_mean(ens)
+        assert np.array_equal(mean.mean_states, states[0])
+        assert np.array_equal(mean.mean_actions, actions[0])
         assert mean.r_count == 1
 
     def test_symmetric_runs_cancel(self):
         v = np.array([[1.0, -2.0], [3.0, 4.0], [0.5, 0.25]])
-        t1 = Trajectory(0, v, np.ones((2, 1)), np.zeros(2))
-        t2 = Trajectory(1, -v, np.ones((2, 1)), np.zeros(2))
-        mean = ensemble_mean(TrajectoryEnsemble((t1, t2)))
+        ens = TrajectoryEnsemble(states=np.stack([v, -v]), actions=np.ones((2, 2, 1)),
+                                 rewards=np.zeros((2, 2)))
+        mean = ensemble_mean(ens)
         assert np.allclose(mean.mean_states, 0.0)
 
     def test_hand_arithmetic(self):
         # Runs (1,2,3) and (3,4,5) average to (2,3,4).
-        t1 = scalar_traj(0, [1.0, 2.0, 3.0])
-        t2 = scalar_traj(1, [3.0, 4.0, 5.0])
-        mean = ensemble_mean(TrajectoryEnsemble((t1, t2)))
+        mean = ensemble_mean(scalar_ensemble([1.0, 2.0, 3.0], [3.0, 4.0, 5.0]))
         assert np.array_equal(mean.mean_states.ravel(), [2.0, 3.0, 4.0])
 
     def test_mean_is_linear_under_duplication(self):
         rng = np.random.default_rng(3)
-        trajs = tuple(
-            Trajectory(r, rng.normal(size=(4, 2)), rng.normal(size=(3, 1)),
-                       rng.normal(size=3))
-            for r in range(3)
+        runs = [(rng.normal(size=(4, 2)), rng.normal(size=(3, 1)), rng.normal(size=3))
+                for _ in range(3)]
+        states, actions, rewards = (np.stack(arrays) for arrays in zip(*runs))
+        ens = TrajectoryEnsemble(states=states, actions=actions, rewards=rewards)
+        doubled = TrajectoryEnsemble(
+            states=np.concatenate([states, states]),
+            actions=np.concatenate([actions, actions]),
+            rewards=np.concatenate([rewards, rewards]),
         )
-        ens = TrajectoryEnsemble(trajs)
-        doubled = concat_ensembles([ens, ens])
         m1 = ensemble_mean(ens)
         m2 = ensemble_mean(doubled)
         assert np.allclose(m1.mean_states, m2.mean_states, atol=1e-14)
