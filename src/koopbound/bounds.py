@@ -11,14 +11,14 @@ expression, and checks them against measured rollout data.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from ._jsonio import read_json, write_json
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -77,7 +77,7 @@ class DisturbanceSpec:
             raise ParameterError(
                 f"unknown disturbance kind {self.kind!r}; choose from {DISTURBANCE_KINDS}"
             )
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ParameterError("gamma must be non-negative")
         if self.horizon < 1:
             raise ParameterError("horizon must be at least 1")
@@ -163,7 +163,7 @@ def disturbance_admissible(
         w = w[:, None]
     if w.size == 0:
         raise EmptyInputError("empty disturbance sequence")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ParameterError("gamma must be non-negative")
     k = w.shape[0]
     if grid_points is None:
@@ -196,7 +196,7 @@ def disturbance_admissible(
 
 def state_deviation_bounds(t_hinf: float, gamma: float) -> tuple[float, float]:
     """Energy and max caps on mean-state deviation: ((T*gamma)^2, T*gamma)."""
-    if t_hinf < 0 or gamma < 0:
+    if not (t_hinf >= 0 and gamma >= 0):
         raise ParameterError("inputs must be non-negative")
     max_bound = _gain_times_gamma(t_hinf, gamma)
     return max_bound * max_bound, max_bound
@@ -206,10 +206,18 @@ def action_deviation_bounds(
     kf_hinf: float, t_hinf: float, gamma: float
 ) -> tuple[float, float]:
     """Energy and max caps on mean-action deviation: ((Kf*T*gamma)^2, Kf*T*gamma)."""
-    if kf_hinf < 0 or t_hinf < 0 or gamma < 0:
+    if not (kf_hinf >= 0 and t_hinf >= 0 and gamma >= 0):
         raise ParameterError("inputs must be non-negative")
-    max_bound = _gain_times_gamma(kf_hinf * t_hinf, gamma)
+    max_bound = _gain_times_gamma(_action_gain(kf_hinf, t_hinf), gamma)
     return max_bound * max_bound, max_bound
+
+
+def _action_gain(kf_hinf: float, t_hinf: float) -> float:
+    # A zero action map moves no action, even when the state gain is flagged
+    # infinite (0 * inf would be NaN).
+    if kf_hinf == 0.0:
+        return 0.0
+    return kf_hinf * t_hinf
 
 
 def _gain_times_gamma(gain: float, gamma: float) -> float:
@@ -242,7 +250,7 @@ class BoundInputs:
 
     def __post_init__(self):
         for name in ("gamma", "T_hinf", "Kf_hinf", "L", "Q", "C", "gamma_d"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be non-negative")
         if math.isinf(self.horizon) and self.gamma_d >= 1.0:
             raise DivergenceError(
@@ -255,7 +263,7 @@ class BoundInputs:
 
     @property
     def N(self) -> float:
-        return _gain_times_gamma(self.Kf_hinf * self.T_hinf, self.gamma)
+        return _gain_times_gamma(_action_gain(self.Kf_hinf, self.T_hinf), self.gamma)
 
 
 def _discount_sum(gamma_d: float, horizon: float) -> float:
@@ -360,58 +368,72 @@ class RewardDescriptor:
     analytic_L: float | None = None
 
 
+# The bound values a report derives from its inputs.
+_DERIVED_BOUNDS = ("M", "N", "state_energy_bound", "state_max_bound", "action_energy_bound",
+                   "action_max_bound", "reward_impact_bound", "generalization_error_bound")
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound values, measured left-hand sides, and any exceedances."""
+    """Bound inputs, measured left-hand sides, and any exceedances.
+
+    Every bound value is a property computed from ``inputs``, so a report
+    cannot hold bounds that disagree with its own inputs.
+    """
 
     inputs: BoundInputs
-    M: float
-    N: float
-    state_energy_bound: float
-    state_max_bound: float
-    action_energy_bound: float
-    action_max_bound: float
-    reward_impact_bound: float
-    generalization_error_bound: float
     hinf: HinfReport | None = None
     empirical: dict | None = None
     violations: tuple = ()
     l_source: str = "analytic"
     flags: tuple = ()
 
-    def to_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
+    @property
+    def M(self) -> float:
+        return self.inputs.M
 
-        doc = {
-            "inputs": {
-                "gamma": self.inputs.gamma,
-                "T_hinf": enc(self.inputs.T_hinf),
-                "Kf_hinf": self.inputs.Kf_hinf,
-                "L": self.inputs.L,
-                "Q": self.inputs.Q,
-                "C": self.inputs.C,
-                "gamma_d": self.inputs.gamma_d,
-                "horizon": enc(self.inputs.horizon),
-            },
-            "M": enc(self.M),
-            "N": enc(self.N),
-            "state_energy_bound": enc(self.state_energy_bound),
-            "state_max_bound": enc(self.state_max_bound),
-            "action_energy_bound": enc(self.action_energy_bound),
-            "action_max_bound": enc(self.action_max_bound),
-            "reward_impact_bound": enc(self.reward_impact_bound),
-            "generalization_error_bound": enc(self.generalization_error_bound),
-            "l_source": self.l_source,
-            "flags": list(self.flags),
-            "violations": [list(v) for v in self.violations],
+    @property
+    def N(self) -> float:
+        return self.inputs.N
+
+    @property
+    def state_energy_bound(self) -> float:
+        return state_deviation_bounds(self.inputs.T_hinf, self.inputs.gamma)[0]
+
+    @property
+    def state_max_bound(self) -> float:
+        return state_deviation_bounds(self.inputs.T_hinf, self.inputs.gamma)[1]
+
+    @property
+    def action_energy_bound(self) -> float:
+        i = self.inputs
+        return action_deviation_bounds(i.Kf_hinf, i.T_hinf, i.gamma)[0]
+
+    @property
+    def action_max_bound(self) -> float:
+        i = self.inputs
+        return action_deviation_bounds(i.Kf_hinf, i.T_hinf, i.gamma)[1]
+
+    @property
+    def reward_impact_bound(self) -> float:
+        return reward_impact_bound(self.inputs)
+
+    @property
+    def generalization_error_bound(self) -> float:
+        return generalization_error_bound(self.inputs)
+
+    def to_dict(self) -> dict:
+        doc = {name: getattr(self, name) for name in _DERIVED_BOUNDS}
+        doc.update(
+            inputs=asdict(self.inputs),
+            l_source=self.l_source,
+            flags=list(self.flags),
+            violations=[list(v) for v in self.violations],
             # Fraction of the six compared bounds that were exceeded; nonzero
             # rates on fitted models are a model-approximation effect, not a
             # process failure.
-            "violation_rate": len(self.violations) / float(_N_BOUND_COMPARISONS),
-        }
+            violation_rate=len(self.violations) / float(_N_BOUND_COMPARISONS),
+        )
         if self.hinf is not None:
             doc["hinf"] = self.hinf.to_dict()
         if self.empirical is not None:
@@ -420,9 +442,6 @@ class BoundReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoundReport":
-        def dec(v):
-            return float("inf") if v == "inf" else v
-
         for key in ("inputs", "M", "N", "state_energy_bound"):
             if key not in doc:
                 raise SchemaError(f"bound report is missing field {key!r}")
@@ -432,28 +451,23 @@ class BoundReport:
                 raise SchemaError(f"bound report inputs are missing field {key!r}")
         inputs = BoundInputs(
             gamma=float(raw["gamma"]),
-            T_hinf=float(dec(raw["T_hinf"])),
+            T_hinf=float(raw["T_hinf"]),
             Kf_hinf=float(raw["Kf_hinf"]),
             L=float(raw.get("L", 0.0)),
             Q=float(raw.get("Q", 0.0)),
             C=float(raw.get("C", 0.0)),
             gamma_d=float(raw["gamma_d"]),
-            horizon=float(dec(raw.get("horizon", INFINITE_HORIZON))),
+            horizon=float(raw.get("horizon", INFINITE_HORIZON)),
         )
-        hinf = HinfReport.from_dict(doc["hinf"]) if "hinf" in doc else None
+        empirical = doc.get("empirical")
         return cls(
             inputs=inputs,
-            M=float(dec(doc["M"])),
-            N=float(dec(doc["N"])),
-            state_energy_bound=float(dec(doc["state_energy_bound"])),
-            state_max_bound=float(dec(doc["state_max_bound"])),
-            action_energy_bound=float(dec(doc["action_energy_bound"])),
-            action_max_bound=float(dec(doc["action_max_bound"])),
-            reward_impact_bound=float(dec(doc["reward_impact_bound"])),
-            generalization_error_bound=float(dec(doc["generalization_error_bound"])),
-            hinf=hinf,
-            empirical=doc.get("empirical"),
-            violations=tuple(tuple(v) for v in doc.get("violations", [])),
+            hinf=HinfReport.from_dict(doc["hinf"]) if "hinf" in doc else None,
+            empirical=None if empirical is None else {k: float(v) for k, v in empirical.items()},
+            violations=tuple(
+                (name, float(measured), float(bound))
+                for name, measured, bound in doc.get("violations", [])
+            ),
             l_source=doc.get("l_source", "analytic"),
             flags=tuple(doc.get("flags", [])),
         )
@@ -463,17 +477,11 @@ def save_report(report: BoundReport, path, label: str | None = None) -> None:
     doc = report.to_dict()
     if label is not None:
         doc["label"] = label
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_report(path) -> tuple[BoundReport, str | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
+    doc = read_json(path)
     return BoundReport.from_dict(doc), doc.get("label")
 
 
@@ -526,7 +534,7 @@ def verify_bounds(
     bound is partially a posteriori; see the q-from-disturbed-rollouts flag).
     """
     _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model)
-    if gamma < 0:
+    if not gamma >= 0:
         raise ParameterError("gamma must be non-negative")
     flags = []
 
@@ -567,13 +575,6 @@ def verify_bounds(
         gamma_d=gamma_d,
         horizon=float(k_steps),
     )
-    state_energy_bound, state_max_bound = state_deviation_bounds(hinf.value, gamma)
-    action_energy_bound, action_max_bound = action_deviation_bounds(
-        kf_hinf, hinf.value, gamma
-    )
-    rw_bound = reward_impact_bound(inputs)
-    ge_bound = generalization_error_bound(inputs)
-
     dx = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
     du = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
     r_nom = mean_rewards(nominal)
@@ -597,36 +598,27 @@ def verify_bounds(
         "reward_impact_pct": impact_pct,
     }
 
+    report = BoundReport(
+        inputs=inputs,
+        hinf=hinf,
+        empirical=empirical,
+        l_source=l_source,
+        flags=tuple(flags),
+    )
     comparisons = (
-        ("state_energy", empirical["state_energy"], state_energy_bound),
-        ("state_max", empirical["state_max"], state_max_bound),
-        ("action_energy", empirical["action_energy"], action_energy_bound),
-        ("action_max", empirical["action_max"], action_max_bound),
-        ("reward_impact", gap_discounted, rw_bound),
-        ("generalization_error", gap_discounted, ge_bound),
+        ("state_energy", empirical["state_energy"], report.state_energy_bound),
+        ("state_max", empirical["state_max"], report.state_max_bound),
+        ("action_energy", empirical["action_energy"], report.action_energy_bound),
+        ("action_max", empirical["action_max"], report.action_max_bound),
+        ("reward_impact", gap_discounted, report.reward_impact_bound),
+        ("generalization_error", gap_discounted, report.generalization_error_bound),
     )
     violations = tuple(
         (name, measured, bound)
         for name, measured, bound in comparisons
         if math.isfinite(bound) and measured > bound * (1.0 + _CHECK_RTOL)
     )
-
-    return BoundReport(
-        inputs=inputs,
-        M=inputs.M,
-        N=inputs.N,
-        state_energy_bound=state_energy_bound,
-        state_max_bound=state_max_bound,
-        action_energy_bound=action_energy_bound,
-        action_max_bound=action_max_bound,
-        reward_impact_bound=rw_bound,
-        generalization_error_bound=ge_bound,
-        hinf=hinf,
-        empirical=empirical,
-        violations=violations,
-        l_source=l_source,
-        flags=tuple(flags),
-    )
+    return replace(report, violations=violations)
 
 
 def per_step_table(

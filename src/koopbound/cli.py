@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import json
 import math
 import sys
 import textwrap
@@ -22,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._jsonio import write_json
 from .bounds import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
@@ -116,16 +116,7 @@ def _write_manifest(command: str, config_path, seed, inputs, outputs) -> None:
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     first_out = Path(outputs[0])
-    path = first_out.with_name(first_out.name + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, first_out.with_name(first_out.name + ".manifest.json"))
 
 
 def _load_config(args) -> dict:
@@ -144,6 +135,19 @@ def _sim_params(cfg: dict, args) -> tuple[str, int, int, int]:
     horizon = args.horizon if args.horizon is not None else int(cfg.get("sim.horizon", 100))
     seed = args.seed if args.seed is not None else int(cfg.get("sim.seed", 0))
     return env, runs, horizon, seed
+
+
+def _level(flag, cfg: dict, key: str, default: float) -> float:
+    """A disturbance level or discount factor: the command-line flag, else
+    the config key, else the default; it must be finite and non-negative."""
+    value = flag if flag is not None else cfg.get(key, default)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{key} must be a number, got {value!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{key} must be finite and non-negative, got {value}")
+    return value
 
 
 def _build_ensemble(cfg, env, runs, horizon, seed, policy, disturbance=None):
@@ -193,31 +197,25 @@ def cmd_fit(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
-    gamma = args.gamma if args.gamma is not None else float(cfg.get("analysis.gamma", 1.0))
-    gamma_d = (
-        args.gamma_d if args.gamma_d is not None else float(cfg.get("analysis.gamma_d", 0.9))
-    )
+    gamma = _level(args.gamma, cfg, "analysis.gamma", 1.0)
+    gamma_d = _level(args.gamma_d, cfg, "analysis.gamma_d", 0.9)
     hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
     kf_hinf = hinf_norm(TransferFunction.constant(model.action_operator)).value
     t_value = hinf.value
     state_energy, state_max = state_deviation_bounds(t_value, gamma)
     action_energy, action_max = action_deviation_bounds(kf_hinf, t_value, gamma)
-
-    def enc(v):
-        return "inf" if isinstance(v, float) and math.isinf(v) else v
-
     doc = {
         "spectral_radius": spectral_radius(model.state_operator),
         "hinf": hinf.to_dict(),
         "Kf_hinf": kf_hinf,
         "gamma": gamma,
         "gamma_d": gamma_d,
-        "M": enc(state_max),
-        "N": enc(action_max),
-        "state_energy_bound": enc(state_energy),
-        "state_max_bound": enc(state_max),
-        "action_energy_bound": enc(action_energy),
-        "action_max_bound": enc(action_max),
+        "M": state_max,
+        "N": action_max,
+        "state_energy_bound": state_energy,
+        "state_max_bound": state_max,
+        "action_energy_bound": action_energy,
+        "action_max_bound": action_max,
         "L": cfg.get("analysis.L"),
         "Q": None,
         "C": None,
@@ -226,7 +224,7 @@ def cmd_analyze(args) -> int:
         "pending": "L/Q/C require verification data; run the verify command",
     }
     out = Path(args.out or "analysis.json")
-    _write_json(doc, out)
+    write_json(doc, out)
     inputs = [args.model] + ([args.config] if args.config else [])
     _write_manifest("analyze", args.config, None, inputs, [out])
     if not hinf.converged:
@@ -235,12 +233,12 @@ def cmd_analyze(args) -> int:
             f"(spectral radius {hinf.spectral_radius:.6f}); worst-case gain is infinite",
             file=sys.stderr,
         )
-    print(f"wrote {out}: T_hinf={enc(t_value)}, Kf_hinf={kf_hinf:.6g}")
+    print(f"wrote {out}: T_hinf={t_value}, Kf_hinf={kf_hinf:.6g}")
     return 0
 
 
 def _disturbance_from_config(cfg, args, dim: int, horizon: int) -> DisturbanceSpec:
-    gamma = args.gamma if args.gamma is not None else float(cfg.get("disturbance.gamma", 1.0))
+    gamma = _level(args.gamma, cfg, "disturbance.gamma", 1.0)
     kind = args.disturbance_kind or cfg.get("disturbance.kind", "scaled_gaussian_projected")
     seed = (
         args.disturbance_seed
@@ -265,9 +263,7 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     env, runs, horizon, seed = _sim_params(cfg, args)
     policy = args.policy or cfg.get("sim.policy", "centroid_greedy")
-    gamma_d = (
-        args.gamma_d if args.gamma_d is not None else float(cfg.get("analysis.gamma_d", 0.9))
-    )
+    gamma_d = _level(args.gamma_d, cfg, "analysis.gamma_d", 0.9)
     spec = _disturbance_from_config(cfg, args, model.n, horizon)
     w = generate_disturbance(spec)
     check = disturbance_admissible(w, spec.gamma)
@@ -349,26 +345,12 @@ def cmd_report(args) -> int:
         )
     rows.sort(key=lambda r: r["T_hinf"])
     out = Path(args.out or "report.json")
-    encoded = [
-        {
-            k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-            for k, v in row.items()
-        }
-        for row in rows
-    ]
-    _write_json({"rows": encoded}, out)
+    write_json({"rows": rows}, out)
     csv_path = out.with_suffix(".csv")
     columns = list(rows[0].keys())
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(
-            ",".join(
-                ""
-                if row[c] is None
-                else ("inf" if isinstance(row[c], float) and math.isinf(row[c]) else str(row[c]))
-                for c in columns
-            )
-        )
+        lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_manifest("report", None, None, list(args.reports), [out, csv_path])

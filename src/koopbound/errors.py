@@ -29,14 +29,6 @@ class DegenerateInputError(KoopboundError):
     """Input is identically zero or otherwise too degenerate to factor."""
 
 
-class PoleProximityError(KoopboundError):
-    """Frequency evaluation requested too close to a system pole."""
-
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
-
 class ParameterError(KoopboundError):
     """A parameter lies outside its documented range."""
 

@@ -23,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DataError, DivergenceError, ParameterError, PoleProximityError, SchemaError
+from .errors import DataError, DivergenceError, ParameterError, SchemaError
 
 RESOLVENT = "resolvent"
 CONSTANT = "constant"
 
-# Unit-circle clearance below which an evaluation is refused outright.
-_POLE_CLEARANCE = 1e-12
 # Spectral radius this close to 1 still yields a finite norm, but the value
 # is dominated by fit noise in the operator, so the report is flagged.
 _ILL_CONDITIONED_BAND = 1e-6
@@ -72,31 +70,6 @@ class TransferFunction:
             raise DataError("non-finite entry in matrix")
         return cls(kind=CONSTANT, matrix=m, poles=None)
 
-    def evaluate(self, omega: float) -> np.ndarray:
-        """Value of the transfer function at z = exp(j omega)."""
-        if self.kind == CONSTANT:
-            return self.matrix.astype(complex)
-        z = np.exp(1j * omega)
-        clearance = float(np.min(np.abs(z - self.poles)))
-        if clearance <= _POLE_CLEARANCE:
-            worst = self.poles[int(np.argmin(np.abs(z - self.poles)))]
-            raise PoleProximityError(
-                f"evaluation at omega={omega} is within {clearance:.3e} of the "
-                f"eigenvalue {worst}",
-                eigenvalue=worst,
-            )
-        n = self.matrix.shape[0]
-        return np.linalg.solve(z * np.eye(n) - self.matrix, np.eye(n, dtype=complex))
-
-
-def _encode(v: float):
-    return "inf" if math.isinf(v) else v
-
-
-def _decode(v) -> float:
-    return float("inf") if v == "inf" else float(v)
-
-
 @dataclass(frozen=True)
 class HinfReport:
     """Worst-case gain over frequencies in [0, pi] as a bracket [lower, upper].
@@ -131,9 +104,9 @@ class HinfReport:
 
     def to_dict(self) -> dict:
         return {
-            "value": _encode(self.upper),
-            "lower": _encode(self.lower),
-            "upper": _encode(self.upper),
+            "value": self.upper,
+            "lower": self.lower,
+            "upper": self.upper,
             "omega_star": self.omega_star,
             "spectral_radius": self.spectral_radius,
             "iterations": self.iterations,
@@ -147,8 +120,8 @@ class HinfReport:
             if key not in doc:
                 raise SchemaError(f"gain report is missing field {key!r}")
         return cls(
-            lower=_decode(doc["lower"]),
-            upper=_decode(doc["upper"]),
+            lower=float(doc["lower"]),
+            upper=float(doc["upper"]),
             omega_star=float(doc["omega_star"]),
             spectral_radius=doc.get("spectral_radius"),
             iterations=int(doc["iterations"]),
@@ -165,16 +138,6 @@ def spectral_radius(k: np.ndarray) -> float:
     if not np.all(np.isfinite(k)):
         raise DataError("non-finite entry in matrix")
     return float(np.max(np.abs(np.linalg.eigvals(k))))
-
-
-def frequency_response(tf: TransferFunction, omega: float) -> tuple[np.ndarray, float]:
-    """Evaluate the transfer function at one frequency.
-
-    Returns the complex matrix and its largest singular value.
-    """
-    mat = tf.evaluate(omega)
-    sigma = float(np.linalg.svd(mat, compute_uv=False)[0])
-    return mat, sigma
 
 
 def _singular_values(k: np.ndarray, omegas: np.ndarray) -> np.ndarray:

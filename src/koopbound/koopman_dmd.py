@@ -11,11 +11,11 @@ eigen-analysis does not apply there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import read_json, write_json
 from .errors import (
     DataError,
     DegenerateInputError,
@@ -342,15 +342,8 @@ def model_from_dict(doc: dict) -> KoopmanModel:
 
 
 def save_model(model: KoopmanModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> KoopmanModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path))

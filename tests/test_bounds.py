@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from koopbound import (
     BoundInputs,
+    DataError,
     DisturbanceSpec,
     DivergenceError,
     EmptyInputError,
@@ -410,19 +411,36 @@ class TestVerifyBounds:
         assert report.inputs.Q == 0.0
 
     def test_report_round_trip(self, tmp_path):
+        # A stable surrogate and an unstable one (A = 1: T and every bound
+        # infinite) both reload as the same report.
         from koopbound import load_report, save_report
 
-        config = LinearSurrogateConfig(
-            A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([1.0]), horizon=12,
-        )
         w = generate_disturbance(
             DisturbanceSpec(kind="impulse", gamma=0.5, horizon=12, seed=0, dim=1)
         )
-        report = run_verify(config, w, gamma=0.5)
-        path = tmp_path / "report.json"
-        save_report(report, path, label="scalar")
-        loaded, label = load_report(path)
-        assert label == "scalar"
-        assert np.isclose(loaded.inputs.T_hinf, report.inputs.T_hinf)
-        assert loaded.empirical["state_energy"] == report.empirical["state_energy"]
+        for a in (0.5, 1.0):
+            config = LinearSurrogateConfig(
+                A=np.array([[a]]), F=np.array([[1.0]]),
+                x0_mean=np.array([1.0]), horizon=12,
+            )
+            report = run_verify(config, w, gamma=0.5)
+            assert math.isinf(report.inputs.T_hinf) == (a == 1.0)
+            path = tmp_path / f"report_{a}.json"
+            save_report(report, path, label="scalar")
+            loaded, label = load_report(path)
+            assert label == "scalar"
+            assert loaded == report
+            if a == 1.0:
+                text = path.read_text()
+                assert '"T_hinf": "inf"' in text and '"reward_impact_bound": "inf"' in text
+
+
+class TestJsonCodec:
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_write_json_refuses_non_finite(self, tmp_path, bad):
+        from koopbound._jsonio import write_json
+
+        path = tmp_path / "doc.json"
+        with pytest.raises(DataError, match=r"rows\[1\]\.M"):
+            write_json({"rows": [{"M": 1.0}, {"M": bad}], "T": float("inf")}, path)
+        assert not path.exists()

@@ -42,6 +42,14 @@ sim.policy = centroid_greedy
 """
 
 
+def strict_json(path):
+    """Parse a JSON file, refusing the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 @pytest.fixture
 def linear_config(tmp_path):
     path = tmp_path / "linear.cfg"
@@ -138,11 +146,14 @@ class TestAnalyze:
         assert doc["Q"] is None and doc["reward_impact_bound"] is None
 
     def test_zero_action_operator(self, tmp_path):
-        path = self.write_model(tmp_path, [[0.9]], [[0.0]])
-        out = tmp_path / "analysis.json"
-        main(["analyze", str(path), "--gamma", "0.5", "--out", str(out)])
-        doc = json.loads(out.read_text())
-        assert doc["N"] == 0.0
+        # A zero action map moves no action, also when the state gain is
+        # infinite (Kh = 1), where Kf * T would be 0 * inf = NaN.
+        for kh in ([[0.9]], [[1.0]]):
+            path = self.write_model(tmp_path, kh, [[0.0]])
+            out = tmp_path / "analysis.json"
+            assert main(["analyze", str(path), "--gamma", "0.5", "--out", str(out)]) == 0
+            doc = strict_json(out)
+            assert doc["N"] == doc["action_energy_bound"] == 0.0
 
     def test_zero_gamma_caps_infinite_gain(self, tmp_path):
         path = self.write_model(tmp_path, [[1.0]], [[0.5]])
@@ -160,6 +171,30 @@ class TestAnalyze:
         assert doc["hinf"]["value"] == "inf"
         assert doc["hinf"]["converged"] is False
         assert "not stable" in capsys.readouterr().err
+
+
+class TestLevels:
+    @pytest.mark.parametrize("command, argv, config_line", [
+        ("analyze", ["--gamma", "nan"], ""),
+        ("analyze", ["--gamma", "inf"], ""),
+        ("analyze", ["--gamma-d", "nan"], ""),
+        ("verify", ["--gamma", "nan"], ""),
+        ("verify", ["--gamma-d", "nan"], ""),
+        ("verify", [], "disturbance.gamma = Infinity\n"),
+        ("analyze", [], "analysis.gamma_d = NaN\n"),
+    ], ids=["analyze-gamma-nan", "analyze-gamma-inf", "analyze-gamma_d-nan", "verify-gamma-nan",
+            "verify-gamma_d-nan", "config-gamma-inf", "config-gamma_d-nan"])
+    def test_non_finite_level_rejected(self, tmp_path, capsys, command, argv, config_line):
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                action_operator=np.array([[1.0, -1.0]])), model)
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(LINEAR_CONFIG + config_line)
+        out = tmp_path / "out.json"
+        code = main([command, "--config", str(cfg), str(model), *argv, "--out", str(out)])
+        assert code == 2
+        assert "must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyAndReport:
