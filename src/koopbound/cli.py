@@ -50,6 +50,7 @@ from .env_sim import (
     LinearSurrogateConfig,
     UavEnvConfig,
     linear_ensemble,
+    split_groups,
     uav_ensemble,
 )
 from .trajectory_data import ensemble_mean, load_trajectories, save_trajectories
@@ -150,6 +151,15 @@ def _level(flag, cfg: dict, key: str, default: float) -> float:
     return value
 
 
+def _discount_factor(flag, cfg: dict) -> float:
+    """The reward discount factor gamma_d: a level below 1."""
+    gamma_d = _level(flag, cfg, "analysis.gamma_d", 0.9)
+    if not gamma_d < 1.0:
+        raise ParameterError(f"analysis.gamma_d is a discount factor and must be below 1, "
+                             f"got {gamma_d}")
+    return gamma_d
+
+
 def _build_ensemble(cfg, env, runs, horizon, seed, policy, disturbance=None):
     if env == "linear":
         lin = LinearSurrogateConfig.from_flat(cfg, horizon=horizon, seed=seed)
@@ -198,7 +208,7 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
     gamma = _level(args.gamma, cfg, "analysis.gamma", 1.0)
-    gamma_d = _level(args.gamma_d, cfg, "analysis.gamma_d", 0.9)
+    gamma_d = _discount_factor(args.gamma_d, cfg)
     hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
     kf_hinf = hinf_norm(TransferFunction.constant(model.action_operator)).value
     t_value = hinf.value
@@ -263,7 +273,7 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     env, runs, horizon, seed = _sim_params(cfg, args)
     policy = args.policy or cfg.get("sim.policy", "centroid_greedy")
-    gamma_d = _level(args.gamma_d, cfg, "analysis.gamma_d", 0.9)
+    gamma_d = _discount_factor(args.gamma_d, cfg)
     spec = _disturbance_from_config(cfg, args, model.n, horizon)
     w = generate_disturbance(spec)
     check = disturbance_admissible(w, spec.gamma)
@@ -275,8 +285,11 @@ def cmd_verify(args) -> int:
         )
         return 3
 
-    nominal = _build_ensemble(cfg, env, runs, horizon, seed, policy)
-    disturbed = _build_ensemble(cfg, env, runs, horizon, seed, policy, disturbance=w)
+    # One rollout steps the nominal and disturbed runs together on common
+    # random numbers; the two ensembles are views of its arrays.
+    nominal, disturbed = split_groups(
+        _build_ensemble(cfg, env, runs, horizon, seed, policy, disturbance=(None, w)), 2
+    )
     nominal_mean = ensemble_mean(nominal)
     disturbed_mean = ensemble_mean(disturbed)
 

@@ -13,6 +13,12 @@ order, so its trajectory is the same whatever number of lanes runs beside it.
 Row-wise norms use np.vecdot, which goes through the same BLAS dot as
 np.linalg.norm of one vector, and matrix-vector products are stacked matmuls,
 so every lane is rounded exactly as a run simulated on its own.
+
+A call may also step G groups of R lanes, one group per disturbance, to roll
+out nominal and disturbed ensembles with common random numbers in one loop.
+Generator r then draws once per step and lane r of every group uses those
+draws.  No draw depends on the state, so each group's lanes equal a separate
+call with that group's disturbance alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,12 +50,37 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _ensemble(states, actions, rewards, base_seed: int) -> TrajectoryEnsemble:
-    """Ensemble from lane-major (R, K+1, n), (R, K, m) and (R, K) buffers."""
+def _ensemble(states, actions, rewards, base_seed: int, runs: int) -> TrajectoryEnsemble:
+    """Ensemble from lane-major (G*R, K+1, n), (G*R, K, m) and (G*R, K)
+    buffers of G groups of R lanes; lane l used seed base_seed + l % R.  The
+    buffers are frozen and handed over, not copied."""
+    for buffer in (states, actions, rewards):
+        buffer.setflags(write=False)
     lanes = np.arange(len(states))
     return TrajectoryEnsemble(
-        states=states, actions=actions, rewards=rewards, run_ids=lanes, seeds=base_seed + lanes
+        states=states, actions=actions, rewards=rewards, run_ids=lanes,
+        seeds=base_seed + lanes % runs,
     )
+
+
+def split_groups(ensemble: TrajectoryEnsemble, groups: int) -> tuple[TrajectoryEnsemble, ...]:
+    """The per-group ensembles of a rollout of `groups` disturbance groups,
+    each equal to the rollout of that group's disturbance alone.  They are
+    read-only views of the ensemble's arrays; nothing is copied."""
+    runs, rest = divmod(ensemble.r_count, groups)
+    if rest:
+        raise DimensionMismatchError(
+            f"{ensemble.r_count} runs do not split into {groups} equal groups"
+        )
+    parts = []
+    for g in range(groups):
+        lanes = slice(g * runs, (g + 1) * runs)
+        parts.append(TrajectoryEnsemble(
+            states=ensemble.states[lanes], actions=ensemble.actions[lanes],
+            rewards=ensemble.rewards[lanes], run_ids=np.arange(runs),
+            seeds=ensemble.seeds[lanes],
+        ))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +176,27 @@ def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None
     return w
 
 
+def _disturbance_groups(disturbance, runs: int, horizon: int, dim: int) -> tuple[list, int]:
+    """(lanes, w) for each disturbed group of a call, and the group count G.
+
+    A tuple gives one group per entry, anything else the single group
+    `disturbance`; group g holds lanes g*runs .. (g+1)*runs - 1."""
+    entries = disturbance if isinstance(disturbance, tuple) else (disturbance,)
+    if not entries:
+        raise ParameterError("a disturbance tuple needs at least one group")
+    disturbed = []
+    for g, entry in enumerate(entries):
+        w = _check_disturbance(entry, horizon, dim)
+        if w is not None:
+            disturbed.append((slice(g * runs, (g + 1) * runs), w))
+    return disturbed, len(entries)
+
+
 def linear_ensemble(
     config: LinearSurrogateConfig,
     runs: int,
     master_seed: int | None = None,
-    disturbance: np.ndarray | None = None,
+    disturbance: np.ndarray | tuple | None = None,
 ) -> TrajectoryEnsemble:
     """Independent runs with per-run seed master_seed + run index, stepped
     together; deterministic when noise_std is zero and no disturbance is given.
@@ -158,34 +205,36 @@ def linear_ensemble(
     values in step order, _NOISE_CHUNK steps at a time.  The same disturbance
     sequence is shared by every run, matching the premise that the domain
     change itself is common across realizations.
+
+    A tuple of G disturbances (each None or a (horizon, n) array) rolls out G
+    groups of runs lanes that share each seed's noise; the ensemble holds
+    the G*runs runs group by group (see split_groups).
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
-    w = _check_disturbance(disturbance, config.horizon, config.n)
+    disturbed, groups = _disturbance_groups(disturbance, runs, config.horizon, config.n)
     base = config.seed if master_seed is None else master_seed
     rngs = [np.random.default_rng(base + r) for r in range(runs)]
     horizon, n = config.horizon, config.n
-    states = np.empty((runs, horizon + 1, n))
-    actions = np.empty((runs, horizon, config.m))
+    states = np.empty((groups * runs, horizon + 1, n))
+    actions = np.empty((groups * runs, horizon, config.m))
     states[:, 0] = config.x0_mean
     for start in range(0, horizon, _NOISE_CHUNK):
         stop = min(start + _NOISE_CHUNK, horizon)
         if config.noise_std > 0.0:
-            noise = np.stack(
-                [rng.normal(0.0, config.noise_std, size=(stop - start, n)) for rng in rngs],
-                axis=1,
-            )
+            draws = [rng.normal(0.0, config.noise_std, size=(stop - start, n)) for rng in rngs]
+            noise = np.stack(draws * groups, axis=1)
         for k in range(start, stop):
             x = states[:, k, :, None]
             actions[:, k] = (config.F @ x)[..., 0]
             x_next = (config.A @ x)[..., 0]
             if config.noise_std > 0.0:
                 x_next = x_next + noise[k - start]
-            if w is not None:
-                x_next = x_next + w[k]
+            for group, w in disturbed:
+                x_next[group] += w[k]
             states[:, k + 1] = x_next
     rewards = norm_penalty_reward(states[:, 1:], actions)
-    return _ensemble(states, actions, rewards, base)
+    return _ensemble(states, actions, rewards, base, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +316,23 @@ class UavEnvConfig:
         return cls(**kwargs)
 
 
-def _lane_draws(rngs, gu_count: int, config: UavEnvConfig):
+def _lane_draws(rngs, gu_count: int, config: UavEnvConfig, groups: int = 1):
     """Yield, once per step, every lane's standard draws as one reused
-    (R, 3, J) buffer: normal(J) (left zero when gu_speed_std is zero), then
-    random(J) twice, drawn in that order from lane r's generator rngs[r]."""
-    draws = np.zeros((len(rngs), 3, gu_count))
+    (G*R, 3, J) buffer: normal(J) (left zero when gu_speed_std is zero), then
+    random(J) twice, drawn in that order from generator rngs[r] and copied to
+    lane r of each of the G groups."""
+    draws = np.zeros((groups, len(rngs), 3, gu_count))
     calls = []
     for r, rng in enumerate(rngs):
         if config.gu_speed_std > 0:
-            calls.append((rng.standard_normal, draws[r, 0]))
-        calls.append((rng.random, draws[r, 1:]))
+            calls.append((rng.standard_normal, draws[0, r, 0]))
+        calls.append((rng.random, draws[0, r, 1:]))
+    lanes = draws.reshape(-1, 3, gu_count)
     while True:
         for draw, out in calls:
             draw(out=out)
-        yield draws
+        draws[1:] = draws[0]
+        yield lanes
 
 
 def _step_gu_arrays(pos, speeds, headings, config: UavEnvConfig, draws):
@@ -462,7 +514,7 @@ def uav_ensemble(
     horizon: int,
     runs: int,
     master_seed: int,
-    disturbance: np.ndarray | None = None,
+    disturbance: np.ndarray | tuple | None = None,
 ) -> TrajectoryEnsemble:
     """Independent episodes with per-run seed master_seed + run index,
     stepped together.
@@ -475,13 +527,19 @@ def uav_ensemble(
     added to the post-transition state and the result clamped to the
     service area; the reward sees the clamped state, including any
     disturbance-induced speed violation.
+
+    A tuple of G disturbances (each None or a (horizon, n) array) rolls out G
+    groups of runs lanes that share each seed's draws; a group's disturbance
+    moves and clamps its own lanes only.  The ensemble holds the G*runs runs
+    group by group (see split_groups).
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
     if horizon < 1:
         raise ParameterError("horizon must be at least 1")
     n, j = config.state_dim, config.gu_count
-    w = _check_disturbance(disturbance, horizon, n)
+    disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
+    lanes = groups * runs
     rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     area = np.array([config.area_x, config.area_y])
     uav = np.empty((runs, 2))
@@ -491,14 +549,15 @@ def uav_ensemble(
         uav[r] = rng.uniform(size=2) * area
         gu_pos[r] = rng.uniform(size=(j, 2)) * area
         gu_heading[r] = rng.uniform(0.0, 2.0 * math.pi, size=j)
-    gu_speed = np.full((runs, j), config.gu_mean_speed)
-    draws = _lane_draws(rngs, j, config)
+    uav, gu_pos, gu_heading = (np.concatenate([a] * groups) for a in (uav, gu_pos, gu_heading))
+    gu_speed = np.full((lanes, j), config.gu_mean_speed)
+    draws = _lane_draws(rngs, j, config, groups)
 
     policy = ScriptedPolicy(policy_kind, config)
-    states = np.empty((runs, horizon + 1, n))
-    actions = np.empty((runs, horizon, 2))
-    rewards = np.empty((runs, horizon))
-    states[:, 0, :-2] = gu_pos.reshape(runs, -1)
+    states = np.empty((lanes, horizon + 1, n))
+    actions = np.empty((lanes, horizon, 2))
+    rewards = np.empty((lanes, horizon))
+    states[:, 0, :-2] = gu_pos.reshape(lanes, -1)
     states[:, 0, -2:] = uav
     max_step = config.step_seconds * config.uav_max_speed
     # The mask that scores step k's reward is the one the policy sees at k+1.
@@ -515,12 +574,14 @@ def uav_ensemble(
         )
         uav = waypoint
         row = states[:, k + 1]
-        row[:, :-2] = gu_pos.reshape(runs, -1)
+        row[:, :-2] = gu_pos.reshape(lanes, -1)
         row[:, -2:] = uav
-        if w is not None:
-            row += w[k]
-            coords = row.reshape(runs, -1, 2)
-            np.clip(coords, 0.0, area, out=coords)
+        if disturbed:
+            for group, w in disturbed:
+                row[group] += w[k]
+                coords = row[group].reshape(runs, -1, 2)
+                np.clip(coords, 0.0, area, out=coords)
+            coords = row.reshape(lanes, -1, 2)
             gu_pos = coords[:, :-1].copy()
             uav = coords[:, -1].copy()
         served = _serve_mask(uav, gu_pos, config)
@@ -528,4 +589,4 @@ def uav_ensemble(
             served, fairness_index(served, config.fairness_mode), violation, config
         )
 
-    return _ensemble(states, actions, rewards, master_seed)
+    return _ensemble(states, actions, rewards, master_seed, runs)

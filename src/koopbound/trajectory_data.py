@@ -26,7 +26,21 @@ STATE_SHIFTED = "state_shifted"
 STATE_ACTION = "state_action"
 
 
+def _read_only(arr: np.ndarray) -> bool:
+    """Whether no array can write arr's memory: arr and every array it views
+    are read-only, and the memory is numpy's own."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """values as a read-only array: kept when it is already a read-only array
+    of that dtype, copied otherwise."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and _read_only(values):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -39,8 +53,9 @@ class TrajectoryEnsemble:
     actions[r] and K rewards rewards[r], its id run_ids[r] and its RNG seed
     seeds[r] (-1 when unknown).
 
-    The arrays are validated once and stored as read-only copies.  run_ids
-    default to 0..R-1 and seeds to -1.
+    The arrays are validated once and stored read-only: an array that is
+    already read-only (a view of another ensemble's runs, say) is shared,
+    anything else copied.  run_ids default to 0..R-1 and seeds to -1.
     """
 
     states: np.ndarray   # (R, K+1, n)

@@ -6,7 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from koopbound import KoopmanModel, load_model, save_model
+from koopbound import (
+    KoopmanModel,
+    LinearSurrogateConfig,
+    RewardDescriptor,
+    UavEnvConfig,
+    ensemble_mean,
+    linear_ensemble,
+    load_model,
+    per_step_table,
+    save_model,
+    save_report,
+    uav_ensemble,
+    verify_bounds,
+    write_per_step_table,
+)
+from koopbound import cli
 from koopbound.cli import main
 
 LINEAR_CONFIG = """\
@@ -185,16 +200,38 @@ class TestLevels:
     ], ids=["analyze-gamma-nan", "analyze-gamma-inf", "analyze-gamma_d-nan", "verify-gamma-nan",
             "verify-gamma_d-nan", "config-gamma-inf", "config-gamma_d-nan"])
     def test_non_finite_level_rejected(self, tmp_path, capsys, command, argv, config_line):
+        assert self.run(tmp_path, command, argv, config_line) == 2
+        assert "must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @staticmethod
+    def run(tmp_path, command, argv, config_line):
+        """Exit code of `command` on a stable two-state model and the linear
+        config plus config_line, writing to out.json."""
         model = tmp_path / "model.json"
         save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
                                 action_operator=np.array([[1.0, -1.0]])), model)
         cfg = tmp_path / "levels.cfg"
         cfg.write_text(LINEAR_CONFIG + config_line)
         out = tmp_path / "out.json"
-        code = main([command, "--config", str(cfg), str(model), *argv, "--out", str(out)])
-        assert code == 2
-        assert "must be finite and non-negative" in capsys.readouterr().err
-        assert not out.exists()
+        return main([command, "--config", str(cfg), str(model), *argv, "--out", str(out)])
+
+    @pytest.mark.parametrize("command, argv, config_line", [
+        ("analyze", ["--gamma-d", "1.5"], ""),
+        ("verify", ["--gamma-d", "1.0"], ""),
+        ("verify", [], "analysis.gamma_d = 1.0\n"),
+    ], ids=["analyze-flag", "verify-flag", "verify-config"])
+    def test_discount_factor_below_one(self, tmp_path, capsys, monkeypatch,
+                                       command, argv, config_line):
+        # Rejected before any rollout: verify simulates nothing.
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rollout started")
+
+        monkeypatch.setattr(cli, "uav_ensemble", no_rollout)
+        monkeypatch.setattr(cli, "linear_ensemble", no_rollout)
+        assert self.run(tmp_path, command, argv, config_line) == 2
+        assert "must be below 1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.cfg", "model.json"]
 
 
 class TestVerifyAndReport:
@@ -264,6 +301,42 @@ class TestVerifyAndReport:
         doc = json.loads(report_path.read_text())
         assert doc["l_source"] == "estimated"
         assert "reward_impact_pct" in doc["empirical"]
+
+    @pytest.mark.parametrize("env", ["uav", "linear"])
+    def test_verify_matches_separate_rollouts(self, tmp_path, monkeypatch, env):
+        # verify rolls out the nominal and disturbed runs in one call; its
+        # report and steps table equal, byte for byte, the ones built from
+        # two separate rollouts.
+        config = tmp_path / f"{env}.cfg"
+        config.write_text(UAV_CONFIG if env == "uav" else README_CONFIG)
+        generated, generate = [], cli.generate_disturbance
+
+        def capture(spec):
+            generated.append((spec, generate(spec)))
+            return generated[-1][1]
+
+        monkeypatch.setattr(cli, "generate_disturbance", capture)
+        report = self.run_pipeline(tmp_path, config, 1.0, env, kind="scaled_gaussian_projected")
+        [(spec, w)] = generated
+        if env == "uav":
+            rollouts = [uav_ensemble(UavEnvConfig(), "centroid_greedy", 8, 2, 5, disturbance=d)
+                        for d in (None, w)]
+            reward = RewardDescriptor(name="uav-reward")
+        else:
+            surrogate = LinearSurrogateConfig(
+                A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]], x0_mean=[1.0, 1.0],
+                horizon=200, noise_std=0.02)
+            rollouts = [linear_ensemble(surrogate, 8, master_seed=7, disturbance=d)
+                        for d in (None, w)]
+            reward = RewardDescriptor(name="linear-reward", analytic_L=1.0)
+        means = [ensemble_mean(e) for e in rollouts]
+        expected = tmp_path / "expected.json"
+        save_report(verify_bounds(*means, *rollouts, load_model(tmp_path / f"{env}_model.json"),
+                                  spec.gamma, 0.9, reward), expected, label=env)
+        write_per_step_table(per_step_table(*means, *rollouts), tmp_path / "expected.steps.csv")
+        assert report.read_bytes() == expected.read_bytes()
+        assert (report.with_suffix(".steps.csv").read_bytes()
+                == (tmp_path / "expected.steps.csv").read_bytes())
 
 
 class TestConfigKeys:

@@ -26,7 +26,7 @@ from koopbound import (
     uav_ensemble,
     uav_reward,
 )
-from koopbound.env_sim import _lane_draws, _serve_mask, _step_gu_arrays
+from koopbound.env_sim import _lane_draws, _serve_mask, _step_gu_arrays, split_groups
 
 
 class Run(NamedTuple):
@@ -138,6 +138,10 @@ class TestLinearRollout:
         )
         with pytest.raises(DimensionMismatchError):
             linear_run(config, disturbance=np.zeros((3, 1)))
+        with pytest.raises(DimensionMismatchError):
+            linear_run(config, disturbance=(None, np.zeros((3, 1))))
+        with pytest.raises(ParameterError):
+            linear_run(config, disturbance=())
 
     def test_ground_truth_recovery(self):
         # Noiseless rollouts let the fitting stage recover A and F exactly.
@@ -485,6 +489,11 @@ def assert_same_runs(ensemble, runs):
         assert np.array_equal(ta.rewards, tb.rewards)
 
 
+def assert_same_ensembles(a, b):
+    for name in ("states", "actions", "rewards", "run_ids", "seeds"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def small_surrogate(horizon, noise_std=0.05):
     return LinearSurrogateConfig(
         A=np.array([[0.9, 0.1, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.3, 0.5]]),
@@ -553,6 +562,41 @@ class TestBatchedRollouts:
             for r in range(4)
         ]
         assert_same_runs(ens, [run_of(s) for s in singles])
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_uav_groups_match_separate_calls(self, kind):
+        # A (None, w) call steps both groups on one set of draws per seed; each
+        # group equals its own call, on a disturbance large enough to hit the
+        # clamp, which must then move the disturbed lanes only.
+        for config in (UavEnvConfig(**COMPACT_UAV), UavEnvConfig(gu_count=5)):
+            w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.state_dim))
+            grouped = uav_ensemble(config, kind, 40, runs=4, master_seed=500,
+                                   disturbance=(None, w))
+            separate = [uav_ensemble(config, kind, 40, runs=4, master_seed=500,
+                                     disturbance=d) for d in (None, w)]
+            assert grouped.r_count == 8
+            assert grouped.seeds.tolist() == [500, 501, 502, 503] * 2
+            for part, single in zip(split_groups(grouped, 2), separate, strict=True):
+                assert_same_ensembles(part, single)
+            coords = grouped.states.reshape(8, 41, -1, 2)
+            clamped = (coords == 0.0) | (coords == (config.area_x, config.area_y))
+            assert clamped[4:].any() and not clamped[:4].any()
+
+    def test_linear_groups_match_separate_calls(self):
+        # The horizon spans several noise chunks; three groups share each
+        # seed's noise.
+        config = small_surrogate(600)
+        w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
+        groups = (None, w, -2.0 * w)
+        grouped = linear_ensemble(config, runs=4, master_seed=30, disturbance=groups)
+        parts = split_groups(grouped, 3)
+        for part, d in zip(parts, groups, strict=True):
+            assert_same_ensembles(part, linear_ensemble(config, runs=4, master_seed=30,
+                                                        disturbance=d))
+        # The parts are views of the grouped ensemble's arrays.
+        assert all(np.shares_memory(part.states, grouped.states) for part in parts)
+        with pytest.raises(DimensionMismatchError):
+            split_groups(grouped, 5)
 
     def test_linear_matches_step_loop(self):
         # Reference: one run stepped one draw of normal(n) at a time.

@@ -79,11 +79,19 @@ class TestTrajectoryValidation:
             ens.states[0, 0, 0] = 5.0
 
     def test_inputs_are_copied(self):
-        states = np.zeros((1, 2, 1))
-        ens = TrajectoryEnsemble(states=states, actions=np.zeros((1, 1, 1)),
-                                 rewards=np.zeros((1, 1)))
-        states[0, 0, 0] = 1.0
-        assert ens.states[0, 0, 0] == 0.0
+        # Writable memory is copied, also behind a read-only view; arrays
+        # that are read-only throughout, such as another ensemble's, are shared.
+        states = np.zeros((2, 2, 1))
+        view = states[:1]
+        view.setflags(write=False)
+        for given in (states[:1], view):
+            ens = TrajectoryEnsemble(states=given, actions=np.zeros((1, 1, 1)),
+                                     rewards=np.zeros((1, 1)))
+            states[0, 0, 0] += 1.0
+            assert ens.states[0, 0, 0] == states[0, 0, 0] - 1.0
+        again = TrajectoryEnsemble(states=ens.states[:1], actions=ens.actions,
+                                   rewards=ens.rewards)
+        assert np.shares_memory(again.states, ens.states)
 
     def test_defaults_and_empty(self):
         ens = scalar_ensemble([1.0, 2.0], [3.0, 4.0])
