@@ -160,11 +160,17 @@ def _discount_factor(flag, cfg: dict) -> float:
     return gamma_d
 
 
-def _build_ensemble(cfg, env, runs, horizon, seed, policy, disturbance=None):
+def _env_config(cfg: dict, env: str, horizon: int, seed: int):
+    """The validated environment parameters; built before any work, so a bad
+    value exits before a rollout starts."""
     if env == "linear":
-        lin = LinearSurrogateConfig.from_flat(cfg, horizon=horizon, seed=seed)
-        return linear_ensemble(lin, runs, master_seed=seed, disturbance=disturbance)
-    env_cfg = UavEnvConfig.from_flat(cfg)
+        return LinearSurrogateConfig.from_flat(cfg, horizon=horizon, seed=seed)
+    return UavEnvConfig.from_flat(cfg)
+
+
+def _rollout(env_cfg, runs, horizon, seed, policy, disturbance=None):
+    if isinstance(env_cfg, LinearSurrogateConfig):
+        return linear_ensemble(env_cfg, runs, master_seed=seed, disturbance=disturbance)
     return uav_ensemble(env_cfg, policy, horizon, runs, seed, disturbance=disturbance)
 
 
@@ -172,7 +178,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     env, runs, horizon, seed = _sim_params(cfg, args)
     policy = args.policy or cfg.get("sim.policy", "centroid_greedy")
-    ensemble = _build_ensemble(cfg, env, runs, horizon, seed, policy)
+    ensemble = _rollout(_env_config(cfg, env, horizon, seed), runs, horizon, seed, policy)
     out = Path(args.out or "trajectories.csv")
     save_trajectories(ensemble, out)
     inputs = [args.config] if args.config else []
@@ -272,6 +278,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
     env, runs, horizon, seed = _sim_params(cfg, args)
+    env_cfg = _env_config(cfg, env, horizon, seed)
     policy = args.policy or cfg.get("sim.policy", "centroid_greedy")
     gamma_d = _discount_factor(args.gamma_d, cfg)
     spec = _disturbance_from_config(cfg, args, model.n, horizon)
@@ -288,16 +295,14 @@ def cmd_verify(args) -> int:
     # One rollout steps the nominal and disturbed runs together on common
     # random numbers; the two ensembles are views of its arrays.
     nominal, disturbed = split_groups(
-        _build_ensemble(cfg, env, runs, horizon, seed, policy, disturbance=(None, w)), 2
+        _rollout(env_cfg, runs, horizon, seed, policy, disturbance=(None, w)), 2
     )
     nominal_mean = ensemble_mean(nominal)
     disturbed_mean = ensemble_mean(disturbed)
 
     analytic_l = cfg.get("analysis.L")
     if analytic_l is None and env == "linear":
-        analytic_l = LinearSurrogateConfig.from_flat(
-            cfg, horizon=horizon, seed=seed
-        ).reward_lipschitz
+        analytic_l = env_cfg.reward_lipschitz
     reward = RewardDescriptor(
         name=f"{env}-reward",
         analytic_L=None if analytic_l is None else float(analytic_l),

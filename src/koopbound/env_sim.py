@@ -19,6 +19,11 @@ out nominal and disturbed ensembles with common random numbers in one loop.
 Generator r then draws once per step and lane r of every group uses those
 draws.  No draw depends on the state, so each group's lanes equal a separate
 call with that group's disturbance alone, bit for bit.
+
+A UAV rollout keeps the service mask of every step and scores the rewards and
+speed flags of all steps once, after the step loop.  The sums count 0/1
+values and every other operation is elementwise, so each reward is the one a
+step-by-step scoring gives.
 """
 
 from __future__ import annotations
@@ -129,8 +134,10 @@ class LinearSurrogateConfig:
             raise DataError("non-finite entry in surrogate configuration")
         if self.horizon < 1:
             raise ParameterError("horizon must be at least 1")
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be non-negative")
+        for name in ("noise_std", "reward_lipschitz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"{name} must be finite and non-negative, got {value}")
         for name, arr in (("A", a), ("F", f), ("x0_mean", x0)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -277,6 +284,12 @@ class UavEnvConfig:
     fairness_mode: str = "as_written"
 
     def __post_init__(self):
+        # Every number must be finite: an infinite altitude, say, passes the
+        # sign checks below and gives a run in which nobody is served.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "fairness_mode" and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         positive = (
             "area_x", "area_y", "gu_count", "altitude", "step_seconds",
             "uav_max_speed", "coverage_radius", "gu_mean_speed",
@@ -284,10 +297,10 @@ class UavEnvConfig:
             "min_rate", "gain_uav", "gain_gu",
         )
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be positive")
         for name in ("gu_speed_std", "absorption"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ParameterError(f"{name} must be non-negative")
         for name in ("gu_keep_direction", "gu_speed_memory", "coverage_weight"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -358,24 +371,68 @@ def _step_gu_arrays(pos, speeds, headings, config: UavEnvConfig, draws):
         2.0 * math.pi * draws[:, 2],
     )
     stride = config.step_seconds * speeds
-    moved = np.empty_like(pos)
     # Both displacements use the headings drawn above; the reflections below
     # then turn them.
-    for axis, limit, advance in (
-        (0, config.area_x, np.cos(headings)), (1, config.area_y, np.sin(headings))
-    ):
-        coord = pos[..., axis] + stride * advance
-        while True:
-            below = coord < 0.0
-            above = coord > limit
-            flipped = below | above
-            if not np.count_nonzero(flipped):
-                break
-            coord = np.where(below, -coord, np.where(above, 2.0 * limit - coord, coord))
-            mirrored = np.pi - headings if axis == 0 else -headings
-            headings = np.where(flipped, mirrored, headings)
-        moved[..., axis] = coord
+    # Every operation below is on whole arrays or (R, J) views: broadcasting
+    # a per-axis (2,) operand would step numpy's loops two elements at a time.
+    moved = np.empty(pos.shape)
+    x, y = moved[..., 0], moved[..., 1]
+    np.multiply(stride, np.cos(headings), out=x)
+    np.multiply(stride, np.sin(headings), out=y)
+    moved += pos
+    outside = moved < 0.0
+    outside[..., 0] |= x > config.area_x
+    outside[..., 1] |= y > config.area_y
+    crossings = outside.reshape(-1).nonzero()[0]
+    if crossings.size:
+        turned = headings.reshape(-1)
+        _fold(moved.reshape(-1, 2), turned, crossings.tolist(), config)
+        headings = turned.reshape(headings.shape)
     return moved, speeds, headings % (2.0 * math.pi)
+
+
+def _fold(points, headings, crossings, config: UavEnvConfig) -> None:
+    """Fold, in place, the points (U, 2) that crossed a wall back into the
+    area and turn their headings (U,) at every wall: first all x
+    reflections, then all y ones.  crossings are flat indices into points:
+    2 u + axis for point u.
+
+    Only the few users that crossed a wall this step come here, one at a
+    time as Python floats.  -c, 2 * limit - c, pi - h and -h are single IEEE
+    operations, which Python floats round as numpy does.  A point listed
+    twice (it crossed on both axes) is already inside the second time.
+    """
+    for u in crossings:
+        u >>= 1
+        x, y, h = points.item(u, 0), points.item(u, 1), headings.item(u)
+        while x < 0.0 or x > config.area_x:
+            x = -x if x < 0.0 else 2.0 * config.area_x - x
+            h = math.pi - h
+        while y < 0.0 or y > config.area_y:
+            y = -y if y < 0.0 else 2.0 * config.area_y - y
+            h = -h
+        points[u, 0] = x
+        points[u, 1] = y
+        headings[u] = h
+
+
+def _channel(d, config: UavEnvConfig):
+    """path_loss without its argument checks."""
+    h = (
+        SPEED_OF_LIGHT
+        * math.sqrt(config.gain_uav * config.gain_gu)
+        / (4.0 * math.pi * config.frequency_hz * d)
+    )
+    # exp(-0 * d) is exactly 1, so without absorption the factor is skipped.
+    if config.absorption:
+        h = h * np.exp(-0.5 * config.absorption * d)
+    return h
+
+
+def _spectral_efficiency(h_g, config: UavEnvConfig):
+    """Rate per hertz log2(1 + P |h|^2 / N0): downlink_rate at 1 Hz."""
+    snr = config.power_watt * h_g * h_g / config.noise_watt
+    return np.log2(1.0 + snr)
 
 
 def path_loss(d: float, config: UavEnvConfig) -> float:
@@ -384,13 +441,7 @@ def path_loss(d: float, config: UavEnvConfig) -> float:
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ParameterError("path loss is singular at zero distance")
-    propagation = (
-        SPEED_OF_LIGHT
-        * math.sqrt(config.gain_uav * config.gain_gu)
-        / (4.0 * math.pi * config.frequency_hz * d)
-    )
-    attenuation = np.exp(-0.5 * config.absorption * d)
-    result = propagation * attenuation
+    result = _channel(d, config)
     return float(result) if result.ndim == 0 else result
 
 
@@ -398,9 +449,7 @@ def downlink_rate(bandwidth_hz: float, h_g, config: UavEnvConfig):
     """Achievable rate bandwidth * log2(1 + P |h|^2 / N0) in bits/s."""
     if bandwidth_hz <= 0:
         raise ParameterError("bandwidth must be positive")
-    h_g = np.asarray(h_g, dtype=float)
-    snr = config.power_watt * h_g * h_g / config.noise_watt
-    result = bandwidth_hz * np.log2(1.0 + snr)
+    result = bandwidth_hz * _spectral_efficiency(np.asarray(h_g, dtype=float), config)
     return float(result) if result.ndim == 0 else result
 
 
@@ -416,7 +465,7 @@ def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig) -> 
     diff = gu_xy - uav_xy[:, None, :]
     d3 = np.sqrt((diff * diff).sum(axis=-1) + config.altitude**2)
     # Rate per hertz: scaling it by a share rounds as downlink_rate(share, .).
-    efficiency = downlink_rate(1.0, path_loss(d3, config), config)
+    efficiency = _spectral_efficiency(_channel(d3, config), config)
     active = d3 <= config.coverage_radius
     while True:
         share = config.bandwidth_hz / np.maximum(active.sum(axis=1), 1)
@@ -436,10 +485,15 @@ def fairness_index(s, mode: str = "as_written"):
     """
     if mode not in FAIRNESS_MODES:
         raise ParameterError(f"mode must be one of {FAIRNESS_MODES}, got {mode!r}")
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s)
     j = s.shape[-1]
-    total = s.sum(axis=-1)
-    square_sum = np.sum(s * s, axis=-1)
+    if s.dtype == bool:
+        # A mask is its own square; summing it as floats needs no float copy.
+        total = square_sum = s.sum(axis=-1, dtype=float)
+    else:
+        s = s.astype(float, copy=False)
+        total = s.sum(axis=-1)
+        square_sum = np.sum(s * s, axis=-1)
     denom = j * j if mode == "as_written" else j
     index = np.divide(
         total * total, denom * square_sum, out=np.zeros_like(total), where=total != 0.0
@@ -450,10 +504,9 @@ def fairness_index(s, mode: str = "as_written"):
 def uav_reward(s, fairness, speed_violation, config: UavEnvConfig):
     """Weighted served fraction plus fairness, plus the signed speed penalty;
     along the last axis of s, like fairness_index."""
-    s = np.asarray(s, dtype=float)
     a = config.coverage_weight
     reward = (
-        a * s.sum(axis=-1) / config.gu_count
+        a * np.asarray(s).sum(axis=-1, dtype=float) / config.gu_count
         + (1.0 - a) * fairness
         + config.speed_penalty * np.asarray(speed_violation, dtype=float)
     )
@@ -556,23 +609,19 @@ def uav_ensemble(
     policy = ScriptedPolicy(policy_kind, config)
     states = np.empty((lanes, horizon + 1, n))
     actions = np.empty((lanes, horizon, 2))
-    rewards = np.empty((lanes, horizon))
     states[:, 0, :-2] = gu_pos.reshape(lanes, -1)
     states[:, 0, -2:] = uav
-    max_step = config.step_seconds * config.uav_max_speed
-    # The mask that scores step k's reward is the one the policy sees at k+1.
-    served = _serve_mask(uav, gu_pos, config)
+    # served[:, k] is the mask after step k: it scores step k's reward, and
+    # the policy sees it at step k+1.
+    served = np.empty((lanes, horizon, j), dtype=bool)
+    mask = _serve_mask(uav, gu_pos, config)
 
     for k in range(horizon):
-        waypoint = policy.waypoint_arrays(uav, gu_pos, served)
-        actions[:, k] = waypoint
-        # The speed constraint is a property of the commanded step; state
-        # disturbances displace the craft but are not policy violations.
-        violation = _norms(waypoint - uav) > max_step + _SPEED_EPS
+        uav = policy.waypoint_arrays(uav, gu_pos, mask)
+        actions[:, k] = uav
         gu_pos, gu_speed, gu_heading = _step_gu_arrays(
             gu_pos, gu_speed, gu_heading, config, next(draws)
         )
-        uav = waypoint
         row = states[:, k + 1]
         row[:, :-2] = gu_pos.reshape(lanes, -1)
         row[:, -2:] = uav
@@ -584,9 +633,14 @@ def uav_ensemble(
             coords = row.reshape(lanes, -1, 2)
             gu_pos = coords[:, :-1].copy()
             uav = coords[:, -1].copy()
-        served = _serve_mask(uav, gu_pos, config)
-        rewards[:, k] = uav_reward(
-            served, fairness_index(served, config.fairness_mode), violation, config
-        )
+        mask = served[:, k] = _serve_mask(uav, gu_pos, config)
 
+    # The speed constraint is a property of the commanded step, from the
+    # position the craft was in; state disturbances displace the craft but
+    # are not policy violations.
+    max_step = config.step_seconds * config.uav_max_speed
+    violation = _norms(actions - states[:, :-1, -2:]) > max_step + _SPEED_EPS
+    rewards = uav_reward(
+        served, fairness_index(served, config.fairness_mode), violation, config
+    )
     return _ensemble(states, actions, rewards, master_seed, runs)

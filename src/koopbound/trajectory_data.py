@@ -461,7 +461,10 @@ def load_trajectories(path, expected_dims: tuple[int, int] | None = None) -> Tra
         )
 
     r_count, horizon = len(starts), sizes[0] - 1
-    values = values[order].reshape(r_count, horizon + 1, n + m + 1)
+    values = values[order]
+    # Read-only, the sorted block is shared by the ensemble's arrays, not copied.
+    values.setflags(write=False)
+    values = values.reshape(r_count, horizon + 1, n + m + 1)
     run_ids = run[starts]
     return TrajectoryEnsemble(
         states=values[:, :, :n],

@@ -234,6 +234,34 @@ class TestLevels:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.cfg", "model.json"]
 
 
+class TestEnvParameters:
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("env, config_line", [
+        ("uav", "env.altitude = NaN\n"),
+        ("uav", "env.coverage_radius = Infinity\n"),
+        ("linear", "linear.noise_std = NaN\n"),
+    ], ids=["altitude-nan", "radius-inf", "noise-nan"])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, monkeypatch,
+                                           command, env, config_line):
+        # Rejected before any work: no rollout starts and nothing is written.
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rollout started")
+
+        monkeypatch.setattr(cli, "uav_ensemble", no_rollout)
+        monkeypatch.setattr(cli, "linear_ensemble", no_rollout)
+        cfg = tmp_path / "env.cfg"
+        cfg.write_text((UAV_CONFIG if env == "uav" else LINEAR_CONFIG) + config_line)
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.eye(6 if env == "uav" else 2) * 0.5,
+                                action_operator=np.ones((2 if env == "uav" else 1,
+                                                         6 if env == "uav" else 2))), model)
+        inputs = [str(model)] if command == "verify" else []
+        argv = [command, "--config", str(cfg), *inputs, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env.cfg", "model.json"]
+
+
 class TestVerifyAndReport:
     def run_pipeline(self, tmp_path, config, gamma, label, kind="impulse"):
         traj = tmp_path / f"{label}.csv"

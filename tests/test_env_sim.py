@@ -6,10 +6,11 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from koopbound import (
+    FAIRNESS_MODES,
     POLICY_KINDS,
     DimensionMismatchError,
     LinearSurrogateConfig,
@@ -191,6 +192,66 @@ class TestGuMotion:
         assert np.isclose(math.cos(heading), -1.0)
 
 
+def gu_step_reference(x, y, speed, heading, z, keep, fresh, config):
+    """One ground user's step in Python floats from its standard draws z
+    (normal), keep and fresh (uniform): the rule _step_gu_arrays follows.
+
+    A wall crossing mirrors the coordinate and turns the heading, repeated
+    until the coordinate is inside; all x reflections come before the y ones.
+    cos and sin are numpy's, whose SIMD kernels round unlike math's.
+    """
+    h1 = config.gu_speed_memory
+    speed = max(0.0, h1 * speed + (1.0 - h1) * config.gu_mean_speed + config.gu_speed_std * z)
+    if keep < config.gu_keep_direction:
+        heading = heading + config.gu_turn_bias
+    else:
+        heading = 2.0 * math.pi * fresh
+    stride = config.step_seconds * speed
+    x += stride * float(np.cos(np.array([heading]))[0])
+    y += stride * float(np.sin(np.array([heading]))[0])
+    while x < 0.0 or x > config.area_x:
+        x = -x if x < 0.0 else 2.0 * config.area_x - x
+        heading = math.pi - heading
+    while y < 0.0 or y > config.area_y:
+        y = -y if y < 0.0 else 2.0 * config.area_y - y
+        heading = -heading
+    return x, y, speed, heading % (2.0 * math.pi)
+
+
+def user_states(size):
+    """(x, y, speed, heading, z, keep, fresh) of `size` users in a unit area."""
+    unit = st.floats(0.0, 1.0)
+    user = st.tuples(unit, unit, st.floats(0.0, 60.0), st.floats(0.0, 2.0 * math.pi),
+                     st.floats(-4.0, 4.0), unit, st.floats(0.0, 1.0, exclude_max=True))
+    return st.lists(user, min_size=size, max_size=size)
+
+
+class TestGuReflection:
+    # A 1 m wide area crossed at up to 60 m/s in 1 s steps: a user's step
+    # folds many times, often through a corner.
+    CONFIG = dict(area_x=1.0, gu_mean_speed=30.0, step_seconds=1.0)
+
+    @given(users=user_states(6), keep_direction=st.floats(0.0, 1.0),
+           turn_bias=st.floats(-math.pi, math.pi), area_y=st.sampled_from([1.0, 0.7, 2.5]))
+    @example(users=[(0.999, 0.998, 30.0, math.pi / 4, 0.0, 0.0, 0.0)] * 6,
+             keep_direction=1.0, turn_bias=0.0, area_y=1.0)
+    # The explain phase would format thousands of failures of a broken rule.
+    @settings(max_examples=300, deadline=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    def test_step_matches_scalar_reference(self, users, keep_direction, turn_bias, area_y):
+        config = UavEnvConfig(**self.CONFIG, area_y=area_y, gu_keep_direction=keep_direction,
+                              gu_turn_bias=turn_bias)
+        x, y, speed, heading, z, keep, fresh = (np.array(v).reshape(2, 3) for v in zip(*users))
+        pos = np.stack((x, np.minimum(y, area_y)), axis=-1)
+        draws = np.stack((z, keep, fresh), axis=1)
+        moved, speeds, headings = _step_gu_arrays(pos, speed, heading, config, draws)
+        got = np.stack((moved[..., 0], moved[..., 1], speeds, headings), axis=-1)
+        for lane, user in np.ndindex(2, 3):
+            expected = gu_step_reference(*pos[lane, user], speed[lane, user],
+                                         heading[lane, user], *draws[lane, :, user], config)
+            assert got[lane, user].tobytes() == np.array(expected).tobytes()
+
+
 class TestLinkBudget:
     def test_no_absorption_factor_is_one(self):
         config = UavEnvConfig(absorption=0.0)
@@ -325,6 +386,41 @@ class TestReward:
         s[:10] = 1
         value = uav_reward(s, 1.0, 1, config)
         assert value == pytest.approx(0.25 + 0.5 - 1.0)
+
+    @pytest.mark.parametrize("mode", FAIRNESS_MODES)
+    def test_stack_scores_as_rows(self, mode):
+        # Scored on an (R, K, J) stack, both functions give the bits of one
+        # indicator vector at a time, for masks and for 0/1 floats alike.
+        config = UavEnvConfig(gu_count=9, speed_penalty=-0.7, coverage_weight=0.3)
+        masks = np.random.default_rng(5).random((3, 40, 9)) < 0.4
+        violation = masks[..., 0] & masks[..., 1]
+        for s in (masks, masks.astype(float)):
+            fairness = fairness_index(s, mode)
+            reward = uav_reward(s, fairness, violation, config)
+            for r, k in np.ndindex(3, 40):
+                row = fairness_index(s[r, k], mode)
+                assert fairness[r, k] == row
+                assert reward[r, k] == uav_reward(s[r, k], row, violation[r, k], config)
+
+    @pytest.mark.parametrize("mode", FAIRNESS_MODES)
+    def test_rollout_rewards_match_per_step_scoring(self, mode):
+        # Rewards scored after the step loop equal a step-by-step scoring of
+        # the stored states and actions, nominal and grouped with a clamping
+        # disturbance.
+        config = UavEnvConfig(**COMPACT_UAV, fairness_mode=mode)
+        w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.state_dim))
+        max_step = config.step_seconds * config.uav_max_speed
+        for disturbance in (None, (None, w)):
+            ens = uav_ensemble(config, "lagged_centroid", 40, runs=3, master_seed=70,
+                               disturbance=disturbance)
+            for k in range(ens.horizon):
+                after = ens.states[:, k + 1]
+                served = _serve_mask(after[:, -2:], after[:, :-2].reshape(len(after), -1, 2),
+                                     config)
+                step = np.linalg.norm(ens.actions[:, k] - ens.states[:, k, -2:], axis=-1)
+                expected = uav_reward(served, fairness_index(served, mode),
+                                      step > max_step + 1e-9, config)
+                assert np.array_equal(ens.rewards[:, k], expected)
 
 
 class TestScriptedPolicy:
@@ -466,6 +562,38 @@ class TestUavConfig:
             UavEnvConfig(fairness_mode="jain")
         with pytest.raises(ParameterError):
             UavEnvConfig(power_watt=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("altitude", math.nan), ("altitude", math.inf), ("coverage_radius", math.nan),
+        ("min_rate", math.nan), ("area_x", math.inf), ("gu_count", math.nan),
+    ])
+    def test_positive_fields_must_be_finite(self, field, value):
+        # NaN and inf passed the sign check and gave a run serving nobody.
+        with pytest.raises(ParameterError, match=field):
+            UavEnvConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("absorption", math.nan), ("absorption", math.inf), ("gu_speed_std", math.nan),
+    ])
+    def test_non_negative_fields_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            UavEnvConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("gu_turn_bias", math.nan), ("speed_penalty", -math.inf), ("coverage_weight", math.nan),
+    ])
+    def test_signed_and_unit_fields_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            UavEnvConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise_std", math.nan), ("noise_std", math.inf), ("reward_lipschitz", math.nan),
+    ])
+    def test_surrogate_levels_must_be_finite(self, field, value):
+        # noise_std = nan ran silently without noise.
+        with pytest.raises(ParameterError, match=field):
+            LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2),
+                                  horizon=5, **{field: value})
 
 
 # Compact-area UAV environment of the two-policy ordering acceptance test.

@@ -124,6 +124,20 @@ class TestFileFormat:
         save_trajectories(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_loaded_arrays_share_one_block(self, tmp_path):
+        # The ensemble keeps the loader's sorted block instead of copying its
+        # states, actions and rewards out of it.
+        states = np.arange(24.0).reshape(2, 4, 3)
+        ens = TrajectoryEnsemble(states=states, actions=-states[:, 1:, :2],
+                                 rewards=states[:, 1:, 0])
+        save_trajectories(ens, tmp_path / "traj.csv")
+        loaded = load_trajectories(tmp_path / "traj.csv")
+        block = loaded.states.base
+        assert block is not None and not block.flags.writeable
+        assert loaded.actions.base is block and loaded.rewards.base is block
+        for name in ("states", "actions", "rewards"):
+            assert np.array_equal(getattr(loaded, name), getattr(ens, name))
+
     def test_writer_layout(self, tmp_path):
         ens = TrajectoryEnsemble(
             states=[[[1.0], [-0.0]], [[0.1], [1e300]]], actions=[[[0.5]], [[2.0]]],
