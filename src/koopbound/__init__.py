@@ -4,13 +4,8 @@ black-box sequential decision policies."""
 __version__ = "0.1.0"
 
 from .trajectory_data import (
-    STATE_ACTION,
-    STATE_SHIFTED,
     MeanTrajectory,
-    SnapshotPair,
     TrajectoryEnsemble,
-    build_action_pairs,
-    build_state_snapshots,
     ensemble_mean,
     load_trajectories,
     mean_rewards,
@@ -20,16 +15,8 @@ from .koopman_dmd import (
     DEFAULT_RANK_TOL,
     DmdResult,
     KoopmanModel,
-    action_fit_residual,
-    dmd_exact,
-    dmd_standard,
-    fit_action_operator,
     fit_koopman_model,
-    fit_state_operator,
     load_model,
-    model_from_dict,
-    model_to_dict,
-    predict,
     save_model,
 )
 from .hinf_spectral import (
@@ -49,7 +36,6 @@ from .bounds import (
     RewardDescriptor,
     action_deviation_bounds,
     disturbance_admissible,
-    estimate_C,
     estimate_lipschitz,
     estimate_Q,
     generalization_error_bound,

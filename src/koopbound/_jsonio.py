@@ -4,7 +4,8 @@ Documents are written with two-space indentation, sorted keys and a trailing
 newline.  An infinite gain or bound (+inf) is written as the string "inf",
 which ``float()`` reads back; NaN and -inf have no encoding, so a document
 holding one is refused before its file is opened, and no output ever
-contains a token that standard JSON parsers reject.
+contains a token that standard JSON parsers reject.  The ``as_*`` readers
+check one field of a parsed document and raise SchemaError naming it.
 """
 
 from __future__ import annotations
@@ -45,3 +46,25 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
+
+
+def as_object(node, where: str) -> dict:
+    if not isinstance(node, dict):
+        raise SchemaError(f"{where} must be a JSON object, got {node!r}")
+    return node
+
+
+def as_number(node, where: str) -> float:
+    """A JSON number, or the string "inf" this codec writes for +inf."""
+    if isinstance(node, bool) or not (isinstance(node, (int, float)) or node == "inf"):
+        raise SchemaError(f"{where} must be a number, got {node!r}")
+    return float(node)
+
+
+def as_integer(node, where: str) -> int:
+    """An integral JSON number (2 or 2.0, not 2.5 or true)."""
+    if isinstance(node, int) and not isinstance(node, bool):
+        return node
+    if isinstance(node, float) and node.is_integer():
+        return int(node)
+    raise SchemaError(f"{where} must be an integer, got {node!r}")

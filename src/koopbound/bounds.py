@@ -12,13 +12,13 @@ expression, and checks them against measured rollout data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._jsonio import read_json, write_json
+from ._jsonio import as_number, as_object, read_json, write_json
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -332,22 +332,16 @@ def _per_step_dispersion(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> 
     return (dx + du).mean(axis=0)
 
 
-def estimate_Q(disturbed: TrajectoryEnsemble, disturbed_mean: MeanTrajectory) -> float:
-    """Worst per-step in-run dispersion of the disturbed ensemble.
+def estimate_Q(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> float:
+    """Worst per-step in-run dispersion of an ensemble about its mean: Q on
+    the disturbed rollouts, C on the nominal ones.
 
     The per-step estimate is scalarized by its maximum over k, the most
     conservative choice that keeps every per-step inequality valid.
     """
-    if disturbed.r_count < 2:
+    if ensemble.r_count < 2:
         raise InsufficientDataError("dispersion needs at least two runs")
-    return float(np.max(_per_step_dispersion(disturbed, disturbed_mean)))
-
-
-def estimate_C(nominal: TrajectoryEnsemble, nominal_mean: MeanTrajectory) -> float:
-    """Same estimator as estimate_Q, applied to the nominal ensemble."""
-    if nominal.r_count < 2:
-        raise InsufficientDataError("dispersion needs at least two runs")
-    return float(np.max(_per_step_dispersion(nominal, nominal_mean)))
+    return float(np.max(_per_step_dispersion(ensemble, mean)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,36 +435,52 @@ class BoundReport:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "BoundReport":
+    def from_dict(cls, doc) -> "BoundReport":
+        """Read a report written by to_dict; a malformed document raises
+        SchemaError naming the field."""
+        doc = as_object(doc, "bound report")
         for key in ("inputs", "M", "N", "state_energy_bound"):
             if key not in doc:
                 raise SchemaError(f"bound report is missing field {key!r}")
-        raw = doc["inputs"]
+        raw = as_object(doc["inputs"], "inputs")
         for key in ("gamma", "T_hinf", "Kf_hinf", "gamma_d"):
             if key not in raw:
                 raise SchemaError(f"bound report inputs are missing field {key!r}")
-        inputs = BoundInputs(
-            gamma=float(raw["gamma"]),
-            T_hinf=float(raw["T_hinf"]),
-            Kf_hinf=float(raw["Kf_hinf"]),
-            L=float(raw.get("L", 0.0)),
-            Q=float(raw.get("Q", 0.0)),
-            C=float(raw.get("C", 0.0)),
-            gamma_d=float(raw["gamma_d"]),
-            horizon=float(raw.get("horizon", INFINITE_HORIZON)),
-        )
+        defaults = {"L": 0.0, "Q": 0.0, "C": 0.0, "horizon": INFINITE_HORIZON}
+        inputs = BoundInputs(**{
+            f.name: as_number(raw.get(f.name, defaults.get(f.name)), f"inputs.{f.name}")
+            for f in fields(BoundInputs)
+        })
+        violations = doc.get("violations", [])
+        if not (isinstance(violations, list) and all(
+                isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) for v in violations)):
+            raise SchemaError(
+                f"violations must be a list of [name, measured, bound], got {violations!r}"
+            )
         empirical = doc.get("empirical")
+        if empirical is not None:
+            empirical = {key: as_number(value, f"empirical.{key}")
+                         for key, value in as_object(empirical, "empirical").items()}
+        l_source = doc.get("l_source", "analytic")
+        if not isinstance(l_source, str):
+            raise SchemaError(f"l_source must be a string, got {l_source!r}")
         return cls(
             inputs=inputs,
-            hinf=HinfReport.from_dict(doc["hinf"]) if "hinf" in doc else None,
-            empirical=None if empirical is None else {k: float(v) for k, v in empirical.items()},
+            hinf=HinfReport.from_dict(as_object(doc["hinf"], "hinf")) if "hinf" in doc else None,
+            empirical=empirical,
             violations=tuple(
-                (name, float(measured), float(bound))
-                for name, measured, bound in doc.get("violations", [])
+                (name, as_number(measured, f"violations[{i}]"), as_number(bound, f"violations[{i}]"))
+                for i, (name, measured, bound) in enumerate(violations)
             ),
-            l_source=doc.get("l_source", "analytic"),
-            flags=tuple(doc.get("flags", [])),
+            l_source=l_source,
+            flags=_strings(doc.get("flags", []), "flags"),
         )
+
+
+def _strings(node, where: str) -> tuple:
+    if not (isinstance(node, list) and all(isinstance(v, str) for v in node)):
+        raise SchemaError(f"{where} must be a list of strings, got {node!r}")
+    return tuple(node)
 
 
 def save_report(report: BoundReport, path, label: str | None = None) -> None:
@@ -481,8 +491,13 @@ def save_report(report: BoundReport, path, label: str | None = None) -> None:
 
 
 def load_report(path) -> tuple[BoundReport, str | None]:
-    doc = read_json(path)
-    return BoundReport.from_dict(doc), doc.get("label")
+    """The report at path and its label (None when it has none); a malformed
+    document raises SchemaError naming the field."""
+    report = BoundReport.from_dict(doc := read_json(path))
+    label = doc.get("label")
+    if not (label is None or isinstance(label, str)):
+        raise SchemaError(f"label must be a string, got {label!r}")
+    return report, label
 
 
 def _sample_reward_triples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
@@ -562,7 +577,7 @@ def verify_bounds(
     else:
         q_value = 0.0
         flags.append("single-run-dispersion-unavailable")
-    c_value = estimate_C(nominal, nominal_mean) if nominal.r_count >= 2 else 0.0
+    c_value = estimate_Q(nominal, nominal_mean) if nominal.r_count >= 2 else 0.0
 
     k_steps = nominal_mean.horizon
     inputs = BoundInputs(

@@ -132,20 +132,45 @@ def _sim_params(cfg: dict, args) -> tuple[str, int, int, int]:
     env = args.env or cfg.get("sim.env")
     if env not in ("linear", "uav"):
         raise ParameterError(f"sim.env must be 'linear' or 'uav', got {env!r}")
-    runs = args.runs if args.runs is not None else int(cfg.get("sim.runs", 64))
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("sim.horizon", 100))
-    seed = args.seed if args.seed is not None else int(cfg.get("sim.seed", 0))
+    runs = _integer(args.runs, cfg, "sim.runs", 64)
+    horizon = _integer(args.horizon, cfg, "sim.horizon", 100)
+    seed = _seed(args.seed, cfg, "sim.seed")
     return env, runs, horizon, seed
 
 
-def _level(flag, cfg: dict, key: str, default: float) -> float:
-    """A disturbance level or discount factor: the command-line flag, else
-    the config key, else the default; it must be finite and non-negative."""
+def _integer(flag, cfg: dict, key: str, default: int) -> int:
+    """The command-line flag, else the config key, else the default; it must
+    be an integral number (1e3 reads as 1000; 2.7, true and "x" exit 2)."""
     value = flag if flag is not None else cfg.get(key, default)
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{key} must be a number, got {value!r}") from None
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _seed(flag, cfg: dict, key: str) -> int:
+    """A master seed: a non-negative integer, default 0, as numpy's
+    generators take."""
+    seed = _integer(flag, cfg, key, 0)
+    if seed < 0:
+        raise ParameterError(f"{key} must be non-negative, got {seed}")
+    return seed
+
+
+def _number(flag, cfg: dict, key: str, default: float) -> float:
+    """The command-line flag, else the config key, else the default; it must
+    be a number (true and "x" exit 2)."""
+    value = flag if flag is not None else cfg.get(key, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _level(flag, cfg: dict, key: str, default: float) -> float:
+    """A disturbance level or discount factor: a number that is finite and
+    non-negative."""
+    value = _number(flag, cfg, key, default)
     if not (math.isfinite(value) and value >= 0.0):
         raise ParameterError(f"{key} must be finite and non-negative, got {value}")
     return value
@@ -190,11 +215,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
-    rank_tol = (
-        args.rank_tol
-        if args.rank_tol is not None
-        else float(cfg.get("analysis.rank_tol", DEFAULT_RANK_TOL))
-    )
+    rank_tol = _number(args.rank_tol, cfg, "analysis.rank_tol", DEFAULT_RANK_TOL)
     ensemble = load_trajectories(args.trajectories)
     model = fit_koopman_model(ensemble_mean(ensemble), rank_tol)
     out = Path(args.out or "model.json")
@@ -256,11 +277,7 @@ def cmd_analyze(args) -> int:
 def _disturbance_from_config(cfg, args, dim: int, horizon: int) -> DisturbanceSpec:
     gamma = _level(args.gamma, cfg, "disturbance.gamma", 1.0)
     kind = args.disturbance_kind or cfg.get("disturbance.kind", "scaled_gaussian_projected")
-    seed = (
-        args.disturbance_seed
-        if args.disturbance_seed is not None
-        else int(cfg.get("disturbance.seed", 0))
-    )
+    seed = _seed(args.disturbance_seed, cfg, "disturbance.seed")
     direction = cfg.get("disturbance.direction")
     omega = cfg.get("disturbance.omega")
     return DisturbanceSpec(

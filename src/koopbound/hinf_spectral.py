@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._jsonio import as_integer, as_number
 from .errors import DataError, DivergenceError, ParameterError, SchemaError
 
 RESOLVENT = "resolvent"
@@ -119,14 +120,18 @@ class HinfReport:
         for key in ("lower", "upper", "omega_star", "iterations", "converged"):
             if key not in doc:
                 raise SchemaError(f"gain report is missing field {key!r}")
+        radius = doc.get("spectral_radius")
+        bools = {key: doc.get(key, False) for key in ("converged", "ill_conditioned")}
+        for key, value in bools.items():
+            if not isinstance(value, bool):
+                raise SchemaError(f"hinf.{key} must be true or false, got {value!r}")
         return cls(
-            lower=float(doc["lower"]),
-            upper=float(doc["upper"]),
-            omega_star=float(doc["omega_star"]),
-            spectral_radius=doc.get("spectral_radius"),
-            iterations=int(doc["iterations"]),
-            converged=bool(doc["converged"]),
-            ill_conditioned=bool(doc.get("ill_conditioned", False)),
+            lower=as_number(doc["lower"], "hinf.lower"),
+            upper=as_number(doc["upper"], "hinf.upper"),
+            omega_star=as_number(doc["omega_star"], "hinf.omega_star"),
+            spectral_radius=None if radius is None else as_number(radius, "hinf.spectral_radius"),
+            iterations=as_integer(doc["iterations"], "hinf.iterations"),
+            **bools,
         )
 
 

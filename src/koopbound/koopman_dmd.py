@@ -1,12 +1,12 @@
-"""Finite-dimensional linear operator fitting from snapshot data.
+"""Koopman operator fitting from ensemble-mean trajectories.
 
-Two eigen-analysis routes are provided: ``dmd_standard`` runs the classic
-six-step projected procedure on a time-shifted snapshot pair, and
-``dmd_exact`` runs the five-step variant that accepts arbitrary (X, Y) data
-pairs and guarantees that every returned (mode, eigenvalue) pair is an
-eigenpair of the least-squares operator.  The non-square state-to-action map
-is fitted separately by a rank-truncated pseudoinverse least squares, since
-eigen-analysis does not apply there.
+The state operator ``Kh`` is fitted by projected DMD: the compact SVD of the
+snapshot matrix X0 of mean states 0..K-1, truncated at ``rank_tol``, projects
+X1 (mean states 1..K) onto its span.  When X1 lies in that span, as for
+noiseless linear data with full-rank excitation, this is also exact DMD's
+least-squares operator X1 X0^+ (Tu et al., J. Comput. Dyn. 1, 2014).  The
+non-square state-to-action map ``Kf`` is fitted by the rank-truncated
+pseudoinverse of the same X0, so both fits share one SVD.
 """
 
 from __future__ import annotations
@@ -15,27 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import read_json, write_json
+from ._jsonio import as_integer, as_object, read_json, write_json
 from .errors import (
     DataError,
     DegenerateInputError,
-    DimensionMismatchError,
+    InsufficientDataError,
     ParameterError,
     SchemaError,
 )
-from .trajectory_data import (
-    STATE_SHIFTED,
-    MeanTrajectory,
-    SnapshotPair,
-    build_action_pairs,
-    build_state_snapshots,
-)
+from .trajectory_data import MeanTrajectory
 
 DEFAULT_RANK_TOL = 1e-10
-
-# Eigenvalues below this (relative to the dominant modulus) count as zero and
-# get no mode: the mode formula divides by the eigenvalue.
-_ZERO_EIG_RTOL = 1e-12
 
 # Assembled operators must be real; larger imaginary residue means the
 # decomposition went numerically wrong rather than just noisy.
@@ -44,18 +34,17 @@ _REAL_HARD_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DmdResult:
-    """Fitted operator with its spectral decomposition and fit diagnostics.
+    """Fitted state operator with its spectrum and fit diagnostics.
 
-    ``eigenvalues`` are sorted by descending modulus, ties broken by
-    descending real part then descending imaginary part (conjugate pairs stay
-    adjacent).  ``modes`` has one column per *nonzero* eigenvalue, aligned
-    with the leading entries of ``eigenvalues`` (zero eigenvalues sort last).
-    ``residual`` is the relative Frobenius misfit of right ~= operator @ left.
+    ``eigenvalues`` are those of the reduced operator, sorted by descending
+    modulus, ties broken by descending real part then descending imaginary
+    part (conjugate pairs stay adjacent).  ``singular_values`` are the
+    ``rank`` kept singular values of X0, and ``residual`` is the relative
+    Frobenius misfit of X1 ~= operator @ X0.
     """
 
     operator: np.ndarray
     eigenvalues: np.ndarray
-    modes: np.ndarray
     rank: int
     singular_values: np.ndarray
     residual: float
@@ -107,11 +96,12 @@ def _require_real(matrix: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(matrix)
 
 
-def _sorted_eig(a: np.ndarray):
-    """Eigendecomposition sorted by (|lambda|, Re, Im) all descending."""
-    eigvals, eigvecs = np.linalg.eig(a)
-    order = np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))
-    return eigvals[order], eigvecs[:, order]
+def _sorted_eig(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues sorted by (|lambda|, Re, Im) all descending."""
+    # eig, not eigvals: LAPACK may round eigenvalues differently when it
+    # computes no eigenvectors, and the eigenvalues are written to model JSON.
+    eigvals, _ = np.linalg.eig(a)
+    return eigvals[np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))]
 
 
 def _relative_residual(right: np.ndarray, operator: np.ndarray, left: np.ndarray) -> float:
@@ -122,100 +112,23 @@ def _relative_residual(right: np.ndarray, operator: np.ndarray, left: np.ndarray
     return float(misfit / denom)
 
 
-def _lifted_modes(b: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """Map reduced eigenvectors to full-space modes, skipping zero eigenvalues.
-
-    b is the lift matrix (right @ V / sigma); the mode for eigenvalue lambda
-    is b @ v / lambda.  The modulus-descending sort puts zero eigenvalues
-    last, so the kept modes align with the leading eigenvalue entries.
-    """
-    scale = max(1.0, float(np.max(np.abs(eigvals))) if eigvals.size else 1.0)
-    count = int(np.count_nonzero(np.abs(eigvals) > _ZERO_EIG_RTOL * scale))
-    vals = eigvals[:count]
-    return (b @ eigvecs[:, :count]) / vals[np.newaxis, :] if count else np.zeros(
-        (b.shape[0], 0), dtype=complex
-    )
-
-
-def dmd_standard(pair: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> DmdResult:
-    """Fit a square operator from a time-shifted snapshot pair.
-
-    Pipeline: compact SVD of the left matrix truncated at rank_tol, reduced
-    operator A~ = U^H X1 V S^-1, eigendecomposition of A~, modes lifted as
-    (1/lambda) X1 V S^-1 v for nonzero eigenvalues, and the full operator
-    assembled as U A~ U^H (real by construction for real data).
-    """
-    _check_rank_tol(rank_tol)
-    if pair.kind != STATE_SHIFTED:
-        raise ParameterError(f"dmd_standard expects a {STATE_SHIFTED} pair, got {pair.kind}")
-    return _projected_dmd(pair.left, pair.right, _truncated_svd(pair.left, rank_tol))
-
-
 def _projected_dmd(x0: np.ndarray, x1: np.ndarray, svd) -> DmdResult:
-    """dmd_standard after the truncated SVD (u, s, v) of x0."""
+    """Projected DMD of x1 ~= K x0, given the truncated SVD (u, s, v) of x0.
+
+    The reduced operator is A~ = U^H x1 V S^-1 and its eigenvalues are the
+    DMD eigenvalues; the full operator U A~ U^H is real for real data.
+    """
     u, s, v = svd
-    lift = (x1 @ v) / s[np.newaxis, :]
-    a_tilde = u.conj().T @ lift
+    a_tilde = u.conj().T @ ((x1 @ v) / s[np.newaxis, :])
     a_tilde = _require_real(a_tilde, "reduced operator")
-    eigvals, eigvecs = _sorted_eig(a_tilde)
-    modes = _lifted_modes(lift, eigvals, eigvecs)
     operator = _require_real(u @ a_tilde @ u.conj().T, "state operator")
     return DmdResult(
         operator=operator,
-        eigenvalues=eigvals,
-        modes=modes,
+        eigenvalues=_sorted_eig(a_tilde),
         rank=len(s),
         singular_values=s.copy(),
         residual=_relative_residual(x1, operator, x0),
     )
-
-
-def dmd_exact(pair: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> DmdResult:
-    """Fit from an arbitrary data pair (X, Y) with guaranteed eigenpairs.
-
-    The operator is the truncated least-squares solution Y X^+; every
-    returned (mode, eigenvalue) pair with nonzero eigenvalue satisfies
-    operator @ mode = eigenvalue * mode up to numerical round-off, and all
-    nonzero eigenvalues of the least-squares operator are recovered.
-    """
-    _check_rank_tol(rank_tol)
-    x, y = pair.left, pair.right
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(
-            "eigen-analysis needs matching row dimensions; fit non-square maps "
-            "with fit_action_operator instead"
-        )
-    u, s, v = _truncated_svd(x, rank_tol)
-    lift = (y @ v) / s[np.newaxis, :]
-    a_tilde = _require_real(u.conj().T @ lift, "reduced operator")
-    eigvals, eigvecs = _sorted_eig(a_tilde)
-    modes = _lifted_modes(lift, eigvals, eigvecs)
-    operator = _require_real(lift @ u.conj().T, "fitted operator")
-    return DmdResult(
-        operator=operator,
-        eigenvalues=eigvals,
-        modes=modes,
-        rank=len(s),
-        singular_values=s.copy(),
-        residual=_relative_residual(y, operator, x),
-    )
-
-
-def fit_state_operator(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> DmdResult:
-    """Fit the one-step mean-state operator from a mean trajectory."""
-    return dmd_standard(build_state_snapshots(mean_traj), rank_tol)
-
-
-def fit_action_operator(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Least-squares m x n map from mean states to mean actions.
-
-    Uses the rank_tol-truncated pseudoinverse of the state snapshot matrix,
-    which minimizes the Frobenius misfit among maps acting on the span of the
-    observed states.  All K column pairs enter the fit.
-    """
-    _check_rank_tol(rank_tol)
-    pair = build_action_pairs(mean_traj)
-    return _pseudoinverse_fit(pair.right, _truncated_svd(pair.left, rank_tol))
 
 
 def _pseudoinverse_fit(targets: np.ndarray, svd) -> np.ndarray:
@@ -225,29 +138,29 @@ def _pseudoinverse_fit(targets: np.ndarray, svd) -> np.ndarray:
     return _require_real(targets @ pinv, "action operator")
 
 
-def action_fit_residual(mean_traj: MeanTrajectory, operator: np.ndarray) -> float:
-    """Relative Frobenius misfit of the fitted action operator on its data."""
-    pair = build_action_pairs(mean_traj)
-    return _relative_residual(pair.right, operator, pair.left)
-
-
 def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> KoopmanModel:
     """Fit both operators from one mean trajectory and collect diagnostics.
 
-    The state fit and the action fit regress on the same snapshot matrix of
-    mean states 0..K-1, so its truncated SVD is taken once and shared.
+    The state fit regresses mean states 1..K on mean states 0..K-1, and the
+    action fit regresses mean actions 0..K-1 on the same states, so the
+    truncated SVD of that snapshot matrix is taken once and shared.  All K
+    columns enter both fits.
     """
-    states = build_state_snapshots(mean_traj)
+    k = mean_traj.horizon
+    if k < 2:
+        raise InsufficientDataError(f"need at least two snapshot columns, horizon is {k}")
     _check_rank_tol(rank_tol)
-    svd = _truncated_svd(states.left, rank_tol)
-    state_dmd = _projected_dmd(states.left, states.right, svd)
-    action_operator = _pseudoinverse_fit(build_action_pairs(mean_traj).right, svd)
+    x0 = mean_traj.mean_states[:k].T
+    actions = mean_traj.mean_actions.T
+    svd = _truncated_svd(x0, rank_tol)
+    state_dmd = _projected_dmd(x0, mean_traj.mean_states[1:].T, svd)
+    action_operator = _pseudoinverse_fit(actions, svd)
     metadata = {
         "rank_tol": rank_tol,
-        "snapshot_columns": mean_traj.horizon,
+        "snapshot_columns": k,
         "r_count": mean_traj.r_count,
         "state_residual": state_dmd.residual,
-        "action_residual": action_fit_residual(mean_traj, action_operator),
+        "action_residual": _relative_residual(actions, action_operator, x0),
     }
     return KoopmanModel(
         state_operator=state_dmd.operator,
@@ -257,35 +170,13 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
     )
 
 
-def predict(model: KoopmanModel, x0: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Roll the fitted linear model forward from x0.
-
-    Returns (states, actions) with steps+1 predicted states and steps
-    predicted actions; steps == 0 yields just the initial state.
-    """
-    if steps < 0:
-        raise ParameterError("steps must be non-negative")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != model.n:
-        raise DimensionMismatchError(
-            f"x0 has dimension {x0.shape[0]}, model expects {model.n}"
-        )
-    states = np.empty((steps + 1, model.n))
-    actions = np.empty((steps, model.m))
-    states[0] = x0
-    for k in range(steps):
-        actions[k] = model.action_operator @ states[k]
-        states[k + 1] = model.state_operator @ states[k]
-    return states, actions
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization: dimensions, row-major operator entries at full
 # precision, eigenvalues as (re, im) pairs, rank, rank_tol, residuals.
 # ---------------------------------------------------------------------------
 
 
-def model_to_dict(model: KoopmanModel) -> dict:
+def _model_to_dict(model: KoopmanModel) -> dict:
     eigvals = (
         model.state_dmd.eigenvalues
         if model.state_dmd is not None
@@ -311,20 +202,25 @@ def model_to_dict(model: KoopmanModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> KoopmanModel:
+def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
+    try:
+        matrix = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaError(f"model field {key!r} must be a matrix of numbers") from None
+    if matrix.shape != shape:
+        raise SchemaError(f"model field {key!r} has shape {matrix.shape}, expected {shape}")
+    if not np.isfinite(matrix).all():
+        raise DataError(f"model field {key!r} holds a non-finite value")
+    return matrix
+
+
+def _model_from_dict(doc) -> KoopmanModel:
+    doc = as_object(doc, "model document")
     for key in ("n", "m", "state_operator", "action_operator"):
         if key not in doc:
             raise SchemaError(f"model document is missing field {key!r}")
-    state_op = np.asarray(doc["state_operator"], dtype=float)
-    action_op = np.asarray(doc["action_operator"], dtype=float)
-    n, m = int(doc["n"]), int(doc["m"])
-    if state_op.shape != (n, n):
-        raise SchemaError(f"state_operator shape {state_op.shape} does not match n={n}")
-    if action_op.shape != (m, n):
-        raise SchemaError(
-            f"action_operator shape {action_op.shape} does not match (m, n)=({m}, {n})"
-        )
-    residuals = doc.get("residuals") or {}
+    n, m = as_integer(doc["n"], "model field 'n'"), as_integer(doc["m"], "model field 'm'")
+    residuals = as_object(doc.get("residuals") or {}, "model field 'residuals'")
     metadata = {
         "rank_tol": doc.get("rank_tol"),
         "snapshot_columns": doc.get("snapshot_columns"),
@@ -334,16 +230,18 @@ def model_from_dict(doc: dict) -> KoopmanModel:
         "rank": doc.get("rank"),
     }
     return KoopmanModel(
-        state_operator=state_op,
-        action_operator=action_op,
+        state_operator=_matrix_field(doc, "state_operator", (n, n)),
+        action_operator=_matrix_field(doc, "action_operator", (m, n)),
         state_dmd=None,
         fit_metadata=metadata,
     )
 
 
 def save_model(model: KoopmanModel, path) -> None:
-    write_json(model_to_dict(model), path)
+    write_json(_model_to_dict(model), path)
 
 
 def load_model(path) -> KoopmanModel:
-    return model_from_dict(read_json(path))
+    """Read a model written by save_model; a malformed document raises
+    SchemaError naming the field."""
+    return _model_from_dict(read_json(path))

@@ -1,9 +1,9 @@
-"""Trajectory ensembles, ensemble-mean observables, and snapshot matrices.
+"""Trajectory ensembles and their ensemble-mean observables.
 
 Rollout data arrives as independent runs of (state, action, reward) steps.
 Operator fitting downstream consumes the per-step ensemble means (the
-randomness-free observables) arranged into snapshot matrices, so this module
-owns the on-disk format, validation, averaging, and snapshot assembly.
+randomness-free observables), so this module owns the on-disk format,
+validation and averaging.
 """
 
 from __future__ import annotations
@@ -18,12 +18,8 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InsufficientDataError,
-    ParameterError,
     ParseError,
 )
-
-STATE_SHIFTED = "state_shifted"
-STATE_ACTION = "state_action"
 
 
 def _read_only(arr: np.ndarray) -> bool:
@@ -124,15 +120,25 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class MeanTrajectory:
-    """Per-step ensemble means of states and actions."""
+    """Per-step ensemble means of states and actions, validated once when
+    built: K+1 finite state rows and K finite action rows."""
 
     mean_states: np.ndarray   # (K+1, n)
     mean_actions: np.ndarray  # (K, m)
     r_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "mean_states", _frozen_array(self.mean_states))
-        object.__setattr__(self, "mean_actions", _frozen_array(self.mean_actions))
+        states = _frozen_array(self.mean_states)
+        actions = _frozen_array(self.mean_actions)
+        if states.ndim != 2 or actions.ndim != 2 or len(states) != len(actions) + 1:
+            raise DimensionMismatchError(
+                f"need mean states (K+1, n) and mean actions (K, m), got "
+                f"{states.shape} and {actions.shape}"
+            )
+        if not (np.isfinite(states).all() and np.isfinite(actions).all()):
+            raise DataError("non-finite ensemble mean")
+        object.__setattr__(self, "mean_states", states)
+        object.__setattr__(self, "mean_actions", actions)
 
     @property
     def n(self) -> int:
@@ -145,40 +151,6 @@ class MeanTrajectory:
     @property
     def horizon(self) -> int:
         return len(self.mean_actions)
-
-
-@dataclass(frozen=True)
-class SnapshotPair:
-    """A pair of data matrices with one column per snapshot."""
-
-    left: np.ndarray
-    right: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        left = _frozen_array(self.left)
-        right = _frozen_array(self.right)
-        if self.kind not in (STATE_SHIFTED, STATE_ACTION):
-            raise ParameterError(f"unknown snapshot kind {self.kind!r}")
-        if left.ndim != 2 or right.ndim != 2:
-            raise DimensionMismatchError("snapshot matrices must be 2-d")
-        if left.shape[1] != right.shape[1]:
-            raise DimensionMismatchError(
-                f"column counts differ: {left.shape[1]} vs {right.shape[1]}"
-            )
-        if self.kind == STATE_SHIFTED and left.shape[0] != right.shape[0]:
-            raise DimensionMismatchError(
-                f"{STATE_SHIFTED} pair needs equal row counts, got "
-                f"{left.shape[0]} and {right.shape[0]}"
-            )
-        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-            raise DataError("non-finite value in snapshot matrix")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def columns(self) -> int:
-        return self.left.shape[1]
 
 
 def _pairwise_mean(stacked: np.ndarray) -> np.ndarray:
@@ -204,30 +176,6 @@ def ensemble_mean(ensemble: TrajectoryEnsemble) -> MeanTrajectory:
 def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
     """Per-step ensemble mean of rewards, shape (K,)."""
     return _pairwise_mean(ensemble.rewards)
-
-
-def build_state_snapshots(mean_traj: MeanTrajectory) -> SnapshotPair:
-    """Arrange mean states as a time-shifted pair: left holds steps 0..K-1,
-    right holds steps 1..K, one column per step."""
-    k = mean_traj.horizon
-    if k < 2:
-        raise InsufficientDataError(
-            f"need at least two snapshot columns, horizon is {k}"
-        )
-    states = mean_traj.mean_states
-    return SnapshotPair(left=states[:k].T, right=states[1 : k + 1].T, kind=STATE_SHIFTED)
-
-
-def build_action_pairs(mean_traj: MeanTrajectory) -> SnapshotPair:
-    """Pair mean states 0..K-1 (left, n x K) with mean actions 0..K-1 (right, m x K)."""
-    k = mean_traj.horizon
-    if k < 1:
-        raise InsufficientDataError("need at least one (state, action) column")
-    return SnapshotPair(
-        left=mean_traj.mean_states[:k].T,
-        right=mean_traj.mean_actions.T,
-        kind=STATE_ACTION,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from koopbound import (
     action_deviation_bounds,
     disturbance_admissible,
     ensemble_mean,
-    estimate_C,
     estimate_lipschitz,
     estimate_Q,
     generalization_error_bound,
@@ -299,8 +298,8 @@ class TestEstimators:
         fwd = TrajectoryEnsemble(states=states, actions=actions, rewards=np.zeros((4, 4)))
         rev = TrajectoryEnsemble(states=states[::-1], actions=actions[::-1],
                                  rewards=np.zeros((4, 4)), run_ids=np.arange(4)[::-1])
-        assert np.isclose(estimate_C(fwd, ensemble_mean(fwd)),
-                          estimate_C(rev, ensemble_mean(rev)))
+        assert np.isclose(estimate_Q(fwd, ensemble_mean(fwd)),
+                          estimate_Q(rev, ensemble_mean(rev)))
 
     def test_reward_samples_every_stride_th_step(self):
         # 3 runs of 7 steps, at most 5 samples: every 4th (run, step) pair in

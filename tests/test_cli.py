@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from koopbound import (
+    BoundInputs,
+    BoundReport,
+    HinfReport,
     KoopmanModel,
     LinearSurrogateConfig,
     RewardDescriptor,
+    TrajectoryEnsemble,
     UavEnvConfig,
     ensemble_mean,
     linear_ensemble,
@@ -17,6 +21,7 @@ from koopbound import (
     per_step_table,
     save_model,
     save_report,
+    save_trajectories,
     uav_ensemble,
     verify_bounds,
     write_per_step_table,
@@ -135,6 +140,18 @@ class TestFit:
         empty.write_text("")
         assert main(["fit", str(empty), "--out", str(tmp_path / "m.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_mean_fails(self, tmp_path, capsys):
+        # Two runs of finite states near the largest double: their sum, and
+        # so the ensemble mean, overflows to inf.
+        ensemble = TrajectoryEnsemble(states=np.full((2, 4, 1), 1.7e308),
+                                      actions=np.zeros((2, 3, 1)), rewards=np.zeros((2, 3)))
+        traj, out = tmp_path / "big.csv", tmp_path / "model.json"
+        save_trajectories(ensemble, traj)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["fit", str(traj), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: non-finite ensemble mean")
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -393,6 +410,119 @@ class TestConfigKeys:
         assert main(["verify", "--config", str(cfg), str(model), "--gamma", "0.5",
                      "--out", str(tmp_path / "report.json")]) == 0
         assert "warning" not in capsys.readouterr().err
+
+
+class TestSettingTypes:
+    """An integer setting takes integral numbers only (a seed non-negative
+    ones), and rank_tol numbers only; anything else exits 2 before any work,
+    naming the key."""
+
+    @staticmethod
+    def config(tmp_path, key, value):
+        cfg = tmp_path / "types.cfg"
+        lines = [line for line in LINEAR_CONFIG.splitlines() if not line.startswith(key)]
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        return cfg
+
+    def run(self, tmp_path, monkeypatch, command, key, value):
+        """Exit code of `command` with `key = value` in the linear config;
+        a rollout it starts fails the test."""
+        def no_rollout(*args, **kwargs):
+            raise AssertionError("rollout started")
+
+        monkeypatch.setattr(cli, "linear_ensemble", no_rollout)
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                action_operator=np.array([[1.0, -1.0]])), model)
+        argv = [command, "--config", str(self.config(tmp_path, key, value)),
+                "--out", str(tmp_path / "out")]
+        return main(argv + ([str(model)] if command == "verify" else []))
+
+    @pytest.mark.parametrize("value", ["2.7", "true", "x"])
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "sim.runs"), ("simulate", "sim.horizon"), ("simulate", "sim.seed"),
+        ("verify", "disturbance.seed"),
+    ])
+    def test_integer_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
+        assert self.run(tmp_path, monkeypatch, command, key, value) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "sim.seed"), ("verify", "sim.seed"), ("verify", "disturbance.seed"),
+    ])
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch, command, key):
+        assert self.run(tmp_path, monkeypatch, command, key, "-1") == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be non-negative")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, "sim.horizon", "1e1")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+        assert "K=10," in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value, message", [
+        ("2.7", "rank_tol must lie in (0, 1), got 2.7"),
+        ("true", "analysis.rank_tol must be a number"),
+        ("x", "analysis.rank_tol must be a number"),
+    ])
+    def test_rank_tol_rejected(self, tmp_path, capsys, linear_config, value, message):
+        traj = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", str(linear_config), "--out", str(traj)]) == 0
+        cfg = self.config(tmp_path, "analysis.rank_tol", value)
+        out = tmp_path / "model.json"
+        assert main(["fit", str(traj), "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestMalformedDocuments:
+    """A malformed model or report file exits 2 with an error naming the
+    field, and writes nothing."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "x"), ("n", 1.7), ("m", True),
+        ("state_operator", [[0.9, 0.1], [0.0]]), ("residuals", 5),
+    ])
+    def test_model(self, tmp_path, capsys, field, value):
+        path = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                action_operator=np.array([[1.0, -1.0]])), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: model field {field!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, value", [
+        ("inputs.T_hinf", "x"), ("flags", 5), ("violations", [{"x": 1}]),
+        ("hinf.lower", None), ("empirical", [1.0]), ("label", 3),
+    ])
+    def test_report(self, tmp_path, capsys, where, value):
+        report = BoundReport(
+            inputs=BoundInputs(gamma=0.5, T_hinf=2.0, Kf_hinf=1.0, L=1.0, Q=0.1, C=0.1,
+                               gamma_d=0.9, horizon=10.0),
+            hinf=HinfReport(lower=2.0, upper=2.0, omega_star=0.0, spectral_radius=0.5,
+                            iterations=1, converged=True),
+            empirical={"reward_impact_pct": 1.0},
+            violations=(("state_max", 2.0, 1.0),),
+            flags=("estimated-L",),
+        )
+        path = tmp_path / "report.json"
+        save_report(report, path, label="ok")
+        doc = json.loads(path.read_text())
+        *parents, leaf = where.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "summary.json"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where} must be")
+        assert not out.exists()
 
 
 class TestHelp:

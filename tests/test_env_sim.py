@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopbound import (
@@ -20,8 +20,7 @@ from koopbound import (
     downlink_rate,
     ensemble_mean,
     fairness_index,
-    fit_action_operator,
-    fit_state_operator,
+    fit_koopman_model,
     linear_ensemble,
     path_loss,
     uav_ensemble,
@@ -154,10 +153,9 @@ class TestLinearRollout:
             A=a, F=f, x0_mean=rng.normal(size=3), horizon=40,
         )
         mean = ensemble_mean(linear_ensemble(config, runs=1))
-        state_fit = fit_state_operator(mean)
-        assert np.linalg.norm(state_fit.operator - a) <= 1e-6 * np.linalg.norm(a)
-        action_fit = fit_action_operator(mean)
-        assert np.linalg.norm(action_fit - f) <= 1e-6 * np.linalg.norm(f)
+        model = fit_koopman_model(mean)
+        assert np.linalg.norm(model.state_operator - a) <= 1e-6 * np.linalg.norm(a)
+        assert np.linalg.norm(model.action_operator - f) <= 1e-6 * np.linalg.norm(f)
 
 
 class TestGuMotion:
@@ -235,9 +233,7 @@ class TestGuReflection:
            turn_bias=st.floats(-math.pi, math.pi), area_y=st.sampled_from([1.0, 0.7, 2.5]))
     @example(users=[(0.999, 0.998, 30.0, math.pi / 4, 0.0, 0.0, 0.0)] * 6,
              keep_direction=1.0, turn_bias=0.0, area_y=1.0)
-    # The explain phase would format thousands of failures of a broken rule.
-    @settings(max_examples=300, deadline=None,
-              phases=[p for p in Phase if p is not Phase.explain])
+    @settings(max_examples=300, deadline=None)
     def test_step_matches_scalar_reference(self, users, keep_direction, turn_bias, area_y):
         config = UavEnvConfig(**self.CONFIG, area_y=area_y, gu_keep_direction=keep_direction,
                               gu_turn_bias=turn_bias)

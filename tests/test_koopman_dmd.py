@@ -1,4 +1,6 @@
-"""Operator fitting: recovery oracles, eigenpair residuals, least squares."""
+"""Operator fitting: recovery oracles, spectra, least squares, model JSON."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,22 +8,15 @@ import pytest
 from koopbound import (
     DataError,
     DegenerateInputError,
-    DimensionMismatchError,
     KoopmanModel,
     MeanTrajectory,
     ParameterError,
-    SnapshotPair,
-    dmd_exact,
-    dmd_standard,
-    fit_action_operator,
+    SchemaError,
     fit_koopman_model,
-    fit_state_operator,
     load_model,
-    model_from_dict,
-    model_to_dict,
-    predict,
     save_model,
 )
+from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
 
 
 def rollout_matrix(a, x0, steps):
@@ -32,9 +27,15 @@ def rollout_matrix(a, x0, steps):
     return np.column_stack(cols)
 
 
-def shifted_pair(a, x0, steps):
-    x = rollout_matrix(a, x0, steps)
-    return SnapshotPair(left=x[:, :-1], right=x[:, 1:], kind="state_shifted")
+def dmd(x0, x1, rank_tol=1e-10):
+    """The fit's DMD core on an arbitrary snapshot pair x1 ~= K x0, such as
+    stacks of several runs, which no single mean trajectory can express."""
+    return _projected_dmd(x0, x1, _truncated_svd(x0, rank_tol))
+
+
+def state_fit(states, rank_tol=1e-10):
+    """The state DMD of fit_koopman_model on one state sequence."""
+    return fit_koopman_model(mean_from_states(states), rank_tol).state_dmd
 
 
 def random_stable(rng, n, radius=0.9):
@@ -61,44 +62,39 @@ class TestDmdStandard:
     def test_identity_snapshots_diag(self):
         x0 = np.eye(2)
         x1 = np.diag([2.0, 3.0]) @ x0
-        result = dmd_standard(SnapshotPair(x0, x1, "state_shifted"))
+        result = dmd(x0, x1)
         assert np.allclose(result.operator, np.diag([2.0, 3.0]))
         assert np.allclose(result.eigenvalues, [3.0, 2.0])
 
     def test_identity_dynamics(self):
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=(3, 8))
-        result = dmd_standard(SnapshotPair(x0, x0, "state_shifted"))
+        result = dmd(x0, x0)
         assert np.allclose(result.eigenvalues, 1.0, atol=1e-10)
         assert result.residual < 1e-12
 
     def test_triangular_system_eigenvalues(self):
         a = np.array([[0.9, 0.1], [0.0, 0.5]])
-        pair = shifted_pair(a, [1.0, 1.0], 50)
-        result = dmd_standard(pair)
+        result = state_fit(rollout_matrix(a, [1.0, 1.0], 50).T)
         assert np.allclose(sorted(np.abs(result.eigenvalues)), [0.5, 0.9], atol=1e-8)
         assert np.allclose(result.operator, a, atol=1e-8)
 
     def test_zero_snapshots_degenerate(self):
+        # Mean states 0..K-1 are zero; only the last one is not.
         with pytest.raises(DegenerateInputError):
-            dmd_standard(SnapshotPair(np.zeros((2, 3)), np.ones((2, 3)), "state_shifted"))
+            state_fit(np.vstack((np.zeros((3, 2)), np.ones((1, 2)))))
 
     def test_rank_tol_validation(self):
-        pair = shifted_pair(np.eye(2) * 0.5, [1.0, 1.0], 4)
+        states = rollout_matrix(np.eye(2) * 0.5, [1.0, 1.0], 4).T
         with pytest.raises(ParameterError):
-            dmd_standard(pair, rank_tol=0.0)
+            state_fit(states, rank_tol=0.0)
         with pytest.raises(ParameterError):
-            dmd_standard(pair, rank_tol=1.5)
-
-    def test_wrong_kind_rejected(self):
-        pair = SnapshotPair(np.ones((2, 3)), np.ones((1, 3)), "state_action")
-        with pytest.raises(ParameterError):
-            dmd_standard(pair)
+            state_fit(states, rank_tol=1.5)
 
     def test_eigenvalue_ordering(self):
         rng = np.random.default_rng(5)
         a = random_stable(rng, 6, radius=0.95)
-        result = dmd_standard(shifted_pair(a, rng.normal(size=6), 80))
+        result = state_fit(rollout_matrix(a, rng.normal(size=6), 80).T)
         mags = np.abs(result.eigenvalues)
         assert np.all(np.diff(mags) <= 1e-12)
         # Conjugate pairs sit adjacent: +Im immediately before -Im.
@@ -109,18 +105,20 @@ class TestDmdStandard:
 
 
 class TestDmdExact:
+    """Arbitrary pairs (X, Y = BX) with X of full row rank, on which the
+    projected operator is exact DMD's least-squares Y X^+."""
+
     def test_uniform_scaling(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 10))
-        result = dmd_exact(SnapshotPair(x, 2.0 * x, "state_shifted"))
+        result = dmd(x, 2.0 * x)
         assert np.allclose(result.eigenvalues, 2.0)
         assert np.allclose(result.operator @ x, 2.0 * x)
 
     def test_zero_right_side(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 6))
-        result = dmd_exact(SnapshotPair(x, np.zeros_like(x), "state_shifted"))
-        assert result.modes.shape[1] == 0
+        result = dmd(x, np.zeros_like(x))
         assert np.allclose(result.eigenvalues, 0.0, atol=1e-12)
         assert result.residual == 0.0
 
@@ -129,55 +127,38 @@ class TestDmdExact:
         b = np.array([[0.0, 1.0], [-0.25, 1.0]])
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 40))
-        result = dmd_exact(SnapshotPair(x, b @ x, "state_shifted"))
+        result = dmd(x, b @ x)
         assert np.allclose(result.eigenvalues, 0.5, atol=1e-6)
 
     def test_eigenpair_residual_property(self):
-        # Every returned pair is an eigenpair of the fitted operator.
+        # Every returned eigenvalue is one of the fitted operator: some unit
+        # vector phi has |operator @ phi - lam * phi| <= 1e-6.
         rng = np.random.default_rng(4)
         for trial in range(20):
             n = rng.integers(2, 6)
             b = rng.normal(size=(n, n))
             x = rng.normal(size=(n, 3 * n))
-            result = dmd_exact(SnapshotPair(x, b @ x, "state_shifted"), rank_tol=1e-10)
-            for i in range(result.modes.shape[1]):
-                phi = result.modes[:, i]
-                lam = result.eigenvalues[i]
-                assert np.linalg.norm(result.operator @ phi - lam * phi) <= (
-                    1e-6 * np.linalg.norm(phi)
-                )
-
-    def test_mismatched_rows_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            dmd_exact(SnapshotPair(np.ones((2, 4)), np.ones((3, 4)), "state_action"))
-
-    def test_agrees_with_standard_on_shifted_pairs(self):
-        rng = np.random.default_rng(6)
-        for trial in range(10):
-            a = random_stable(rng, 4, radius=0.9)
-            pair = shifted_pair(a, rng.normal(size=4), 30)
-            ev_std = np.sort_complex(dmd_standard(pair).eigenvalues)
-            ev_ex = np.sort_complex(dmd_exact(pair).eigenvalues)
-            assert np.allclose(ev_std, ev_ex, atol=1e-8)
+            result = dmd(x, b @ x, rank_tol=1e-10)
+            for lam in result.eigenvalues:
+                shifted = result.operator - lam * np.eye(n)
+                assert np.linalg.svd(shifted, compute_uv=False)[-1] <= 1e-6
 
 
 class TestScaleEquivariance:
     def test_global_scaling_keeps_eigenvalues(self):
         rng = np.random.default_rng(7)
         a = random_stable(rng, 3)
-        pair = shifted_pair(a, rng.normal(size=3), 25)
-        scaled = SnapshotPair(5.0 * pair.left, 5.0 * pair.right, "state_shifted")
-        ev1 = dmd_standard(pair).eigenvalues
-        ev2 = dmd_standard(scaled).eigenvalues
+        states = rollout_matrix(a, rng.normal(size=3), 25).T
+        ev1 = state_fit(states).eigenvalues
+        ev2 = state_fit(5.0 * states).eigenvalues
         assert np.allclose(ev1, ev2, atol=1e-9)
 
     def test_scaling_right_scales_eigenvalues(self):
         rng = np.random.default_rng(8)
         a = random_stable(rng, 3)
-        pair = shifted_pair(a, rng.normal(size=3), 25)
-        scaled = SnapshotPair(pair.left, 3.0 * pair.right, "state_shifted")
-        ev1 = np.sort_complex(dmd_standard(pair).eigenvalues)
-        ev2 = np.sort_complex(dmd_standard(scaled).eigenvalues)
+        x = rollout_matrix(a, rng.normal(size=3), 25)
+        ev1 = np.sort_complex(dmd(x[:, :-1], x[:, 1:]).eigenvalues)
+        ev2 = np.sort_complex(dmd(x[:, :-1], 3.0 * x[:, 1:]).eigenvalues)
         assert np.allclose(3.0 * ev1, ev2, atol=1e-9)
 
 
@@ -185,19 +166,21 @@ class TestFitStateOperator:
     def test_recovers_triangular(self):
         a = np.array([[0.9, 0.1], [0.0, 0.5]])
         states = rollout_matrix(a, [1.0, 1.0], 50).T
-        result = fit_state_operator(mean_from_states(states, np.zeros((50, 1))))
+        result = state_fit(states)
         assert np.linalg.norm(result.operator - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_constant_sequence_fixed_point(self):
-        states = np.tile([2.0, -1.0], (6, 1))
-        result = fit_state_operator(mean_from_states(states, np.zeros((5, 1))))
+        result = state_fit(np.tile([2.0, -1.0], (6, 1)))
         assert result.rank == 1
         assert np.isclose(result.eigenvalues[0].real, 1.0, atol=1e-10)
 
     def test_decaying_scalar(self):
-        states = 0.9 ** np.arange(10.0)
-        result = fit_state_operator(mean_from_states(states))
+        result = state_fit(0.9 ** np.arange(10.0))
         assert np.allclose(result.operator, [[0.9]], atol=1e-12)
+
+
+def action_fit(states, actions):
+    return fit_koopman_model(MeanTrajectory(states, actions, 1)).action_operator
 
 
 class TestFitActionOperator:
@@ -206,31 +189,28 @@ class TestFitActionOperator:
         f = np.array([[1.0, -2.0]])
         states = rng.normal(size=(8, 2))
         actions = states[:-1] @ f.T
-        op = fit_action_operator(MeanTrajectory(states, actions, 1))
+        op = action_fit(states, actions)
         assert np.linalg.norm(op - f) <= 1e-10
 
     def test_zero_actions(self):
         states = np.random.default_rng(10).normal(size=(6, 2))
-        op = fit_action_operator(MeanTrajectory(states, np.zeros((5, 1)), 1))
+        op = action_fit(states, np.zeros((5, 1)))
         assert np.allclose(op, 0.0)
 
     def test_scalar_least_squares(self):
         # States (1, 2), actions (3, 6): exact ratio 3.
-        mean = MeanTrajectory(np.array([[1.0], [2.0], [0.0]]),
-                              np.array([[3.0], [6.0]]), 1)
-        assert np.allclose(fit_action_operator(mean), [[3.0]], atol=1e-12)
+        op = action_fit(np.array([[1.0], [2.0], [0.0]]), np.array([[3.0], [6.0]]))
+        assert np.allclose(op, [[3.0]], atol=1e-12)
 
     def test_zero_states_degenerate(self):
-        mean = MeanTrajectory(np.zeros((3, 2)), np.ones((2, 1)), 1)
         with pytest.raises(DegenerateInputError):
-            fit_action_operator(mean)
+            action_fit(np.zeros((3, 2)), np.ones((2, 1)))
 
     def test_least_squares_optimality_probing(self):
         rng = np.random.default_rng(11)
         states = rng.normal(size=(20, 3))
         actions = rng.normal(size=(19, 2))
-        mean = MeanTrajectory(states, actions, 1)
-        op = fit_action_operator(mean)
+        op = action_fit(states, actions)
         x, targets = states[:19].T, actions.T
         best = np.linalg.norm(targets - op @ x)
         for _ in range(50):
@@ -250,38 +230,8 @@ class TestExactRecoveryProperty:
                 x = rollout_matrix(a, rng.normal(size=n), 4 * n)
                 lefts.append(x[:, :-1])
                 rights.append(x[:, 1:])
-            pair = SnapshotPair(np.hstack(lefts), np.hstack(rights), "state_shifted")
-            result = dmd_standard(pair)
+            result = dmd(np.hstack(lefts), np.hstack(rights))
             assert np.linalg.norm(result.operator - a) <= 1e-6 * np.linalg.norm(a)
-
-
-class TestPredict:
-    def make_model(self, kh, kf):
-        kh = np.atleast_2d(np.asarray(kh, dtype=float))
-        kf = np.atleast_2d(np.asarray(kf, dtype=float))
-        return KoopmanModel(state_operator=kh, action_operator=kf)
-
-    def test_zero_steps(self):
-        model = self.make_model([[0.5]], [[1.0]])
-        states, actions = predict(model, [8.0], 0)
-        assert states.shape == (1, 1) and actions.shape == (0, 1)
-        assert states[0, 0] == 8.0
-
-    def test_identity_operator_constant(self):
-        model = self.make_model(np.eye(2), np.zeros((1, 2)))
-        states, _ = predict(model, [1.0, -2.0], 5)
-        assert np.allclose(states, np.tile([1.0, -2.0], (6, 1)))
-
-    def test_repeated_halving(self):
-        model = self.make_model([[0.5]], [[1.0]])
-        states, actions = predict(model, [8.0], 3)
-        assert np.allclose(states.ravel(), [8.0, 4.0, 2.0, 1.0])
-        assert np.allclose(actions.ravel(), [8.0, 4.0, 2.0])
-
-    def test_dimension_mismatch(self):
-        model = self.make_model(np.eye(2), np.zeros((1, 2)))
-        with pytest.raises(DimensionMismatchError):
-            predict(model, [1.0], 2)
 
 
 class TestModelSerialization:
@@ -299,11 +249,14 @@ class TestModelSerialization:
         assert loaded.fit_metadata["rank_tol"] == model.fit_metadata["rank_tol"]
         assert loaded.fit_metadata["r_count"] == 4
 
-    def test_schema_validation(self):
-        doc = model_to_dict(KoopmanModel(np.eye(2), np.zeros((1, 2))))
+    def test_schema_validation(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(KoopmanModel(np.eye(2), np.zeros((1, 2))), path)
+        doc = json.loads(path.read_text())
         del doc["state_operator"]
-        with pytest.raises(Exception, match="state_operator"):
-            model_from_dict(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="state_operator"):
+            load_model(path)
 
     def test_real_guard(self):
         from koopbound.koopman_dmd import _require_real

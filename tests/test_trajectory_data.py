@@ -1,4 +1,4 @@
-"""Trajectory format, validation, ensemble means, and snapshot assembly."""
+"""Trajectory format, validation, ensemble means, and the snapshots fitted from them."""
 
 import csv
 import math
@@ -18,11 +18,9 @@ from koopbound import (
     KoopboundError,
     MeanTrajectory,
     ParseError,
-    SnapshotPair,
     TrajectoryEnsemble,
-    build_action_pairs,
-    build_state_snapshots,
     ensemble_mean,
+    fit_koopman_model,
     load_trajectories,
     save_trajectories,
 )
@@ -521,52 +519,60 @@ class TestEnsembleMean:
 
 
 class TestSnapshots:
+    """The snapshot matrices fit_koopman_model builds from a mean trajectory:
+    states 0..K-1 against states 1..K and against actions 0..K-1."""
+
     def test_state_shift_definition(self):
         mean = MeanTrajectory(np.array([[1.0], [2.0], [4.0]]),
                               np.zeros((2, 1)), r_count=1)
-        pair = build_state_snapshots(mean)
-        assert np.array_equal(pair.left, [[1.0, 2.0]])
-        assert np.array_equal(pair.right, [[2.0, 4.0]])
-        assert pair.kind == "state_shifted"
+        model = fit_koopman_model(mean)
+        assert np.allclose(model.state_operator, [[2.0]], rtol=1e-14)
+        assert model.fit_metadata["state_residual"] < 1e-15
 
     def test_insufficient_horizon(self):
         mean = MeanTrajectory(np.array([[1.0], [2.0]]), np.zeros((1, 1)), r_count=1)
         with pytest.raises(InsufficientDataError):
-            build_state_snapshots(mean)
+            fit_koopman_model(mean)
 
     def test_shapes_n2_k3(self):
         mean = MeanTrajectory(np.arange(8.0).reshape(4, 2), np.zeros((3, 1)), 1)
-        pair = build_state_snapshots(mean)
-        assert pair.left.shape == (2, 3) and pair.right.shape == (2, 3)
+        model = fit_koopman_model(mean)
+        assert model.state_operator.shape == (2, 2) and model.action_operator.shape == (1, 2)
+        assert model.fit_metadata["snapshot_columns"] == 3
 
     def test_shift_consistency(self):
+        # The state residual pairs step k+1 with step k.
         rng = np.random.default_rng(11)
-        mean = MeanTrajectory(rng.normal(size=(6, 3)), rng.normal(size=(5, 2)), 1)
-        pair = build_state_snapshots(mean)
-        for j in range(pair.columns - 1):
-            assert np.array_equal(pair.left[:, j + 1], pair.right[:, j])
+        states = rng.normal(size=(6, 3))
+        model = fit_koopman_model(MeanTrajectory(states, rng.normal(size=(5, 2)), 1))
+        misfit = states[1:].T - model.state_operator @ states[:-1].T
+        expected = np.linalg.norm(misfit) / np.linalg.norm(states[1:])
+        assert np.isclose(model.fit_metadata["state_residual"], expected, rtol=1e-12)
 
     def test_action_pair_shapes(self):
-        mean = MeanTrajectory(np.zeros((2, 2)), np.zeros((1, 1)), 1)
-        pair = build_action_pairs(mean)
-        assert pair.left.shape == (2, 1) and pair.right.shape == (1, 1)
-        assert pair.kind == "state_action"
+        mean = MeanTrajectory(np.ones((3, 2)), np.zeros((2, 1)), 1)
+        model = fit_koopman_model(mean)
+        assert model.action_operator.shape == (1, 2)
+        assert model.fit_metadata["action_residual"] == 0.0
 
     def test_action_pair_values(self):
+        # Actions 2, 4 on states 1, 2; the terminal state 3 takes no action.
         mean = MeanTrajectory(np.array([[1.0], [2.0], [3.0]]),
                               np.array([[2.0], [4.0]]), 1)
-        pair = build_action_pairs(mean)
-        assert np.array_equal(pair.left, [[1.0, 2.0]])
-        assert np.array_equal(pair.right, [[2.0, 4.0]])
+        model = fit_koopman_model(mean)
+        assert np.allclose(model.action_operator, [[2.0]], rtol=1e-14)
+        assert model.fit_metadata["action_residual"] < 1e-15
 
     def test_zero_actions(self):
         mean = MeanTrajectory(np.ones((3, 2)), np.zeros((2, 2)), 1)
-        assert not np.any(build_action_pairs(mean).right)
+        assert not np.any(fit_koopman_model(mean).action_operator)
 
     def test_snapshot_pair_validation(self):
+        # A mean trajectory needs K+1 state rows for K action rows, and
+        # finite values.
         with pytest.raises(DimensionMismatchError):
-            SnapshotPair(left=np.zeros((2, 3)), right=np.zeros((2, 4)),
-                         kind="state_shifted")
+            MeanTrajectory(np.zeros((3, 2)), np.zeros((3, 1)), 1)
         with pytest.raises(DimensionMismatchError):
-            SnapshotPair(left=np.zeros((2, 3)), right=np.zeros((3, 3)),
-                         kind="state_shifted")
+            MeanTrajectory(np.zeros(3), np.zeros((2, 1)), 1)
+        with pytest.raises(DataError):
+            MeanTrajectory(np.array([[1.0], [np.inf], [2.0]]), np.zeros((2, 1)), 1)
