@@ -25,7 +25,6 @@ from .hinf_spectral import (
     HinfReport,
     TransferFunction,
     hinf_norm,
-    spectral_radius,
 )
 from .bounds import (
     DISTURBANCE_KINDS,

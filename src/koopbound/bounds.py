@@ -61,7 +61,7 @@ class DisturbanceSpec:
 
     direction selects the spatial axis for the deterministic kinds (defaults
     to the first coordinate axis); omega fixes the tone frequency for
-    single_tone (default pi/4).
+    single_tone.
     """
 
     kind: str
@@ -70,7 +70,7 @@ class DisturbanceSpec:
     seed: int
     dim: int
     direction: np.ndarray | None = None
-    omega: float | None = None
+    omega: float = math.pi / 4.0
 
     def __post_init__(self):
         if self.kind not in DISTURBANCE_KINDS:
@@ -83,6 +83,8 @@ class DisturbanceSpec:
             raise ParameterError("horizon must be at least 1")
         if self.dim < 1:
             raise ParameterError("dim must be at least 1")
+        if not math.isfinite(self.omega):
+            raise ParameterError(f"omega must be finite, got {self.omega}")
         if self.direction is not None:
             d = np.asarray(self.direction, dtype=float).reshape(-1)
             if d.shape[0] != self.dim:
@@ -133,8 +135,7 @@ def generate_disturbance(spec: DisturbanceSpec) -> np.ndarray:
         rng = np.random.default_rng(spec.seed)
         w = rng.standard_normal((k, dim))
     else:  # single_tone
-        omega = spec.omega if spec.omega is not None else np.pi / 4.0
-        phases = np.cos(omega * np.arange(k))
+        phases = np.cos(spec.omega * np.arange(k))
         w = spec.gamma * phases[:, None] * direction[None, :]
     peak = float(np.max(_dtft_grid_norms(w, ADMISSIBILITY_OVERSAMPLING * k)))
     if peak > spec.gamma and peak > 0.0:

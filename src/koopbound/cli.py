@@ -17,6 +17,7 @@ import sys
 import textwrap
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .bounds import (
 )
 from .errors import KoopboundError, ParameterError
 from .flatconfig import load_flat_config
-from .hinf_spectral import TransferFunction, hinf_norm, spectral_radius
+from .hinf_spectral import TransferFunction, hinf_norm
 from .koopman_dmd import (
     DEFAULT_RANK_TOL,
     fit_koopman_model,
@@ -55,47 +56,146 @@ from .env_sim import (
 )
 from .trajectory_data import ensemble_mean, load_trajectories, save_trajectories
 
-# Every config key a command reads, with its help line.  The env.* keys are
-# the UavEnvConfig field names.
-_CONFIG_KEYS = {
-    "sim.env": '"linear" or "uav"',
-    "sim.runs": "runs per ensemble (default 64)",
-    "sim.horizon": "steps per run (default 100)",
-    "sim.seed": "master seed; run r uses seed + r (default 0)",
-    "sim.policy": "uav policy: " + " | ".join(POLICY_KINDS),
-    "linear.A": "state matrix, nested list",
-    "linear.F": "policy matrix, nested list",
-    "linear.x0": "initial state, list",
-    "linear.noise_std": "process noise standard deviation (default 0)",
-    "disturbance.kind": " | ".join(DISTURBANCE_KINDS),
-    "disturbance.gamma": "disturbance level for verify (default 1.0)",
-    "disturbance.seed": "disturbance RNG seed (default 0)",
-    "disturbance.direction": "spatial direction of the deterministic kinds, list",
-    "disturbance.omega": "tone frequency of single_tone (default pi/4)",
-    "analysis.gamma": "disturbance level for analyze (default 1.0)",
-    "analysis.gamma_d": "reward discount factor (default 0.9)",
-    "analysis.rank_tol": f"DMD rank tolerance (default {DEFAULT_RANK_TOL:g})",
-    "analysis.L": "analytic reward Lipschitz constant override",
+
+# Readers of config values: each takes the key and its JSON value (or its
+# command-line flag) and returns the typed value or names the key in a
+# ParameterError.  Range checks beyond these stay with the dataclasses.
+def _integer(key: str, value) -> int:
+    """An integral number (1e3 reads as 1000; 2.7, true and "x" exit 2)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _seed(key: str, value) -> int:
+    """A master seed: a non-negative integer, as numpy's generators take."""
+    seed = _integer(key, value)
+    if seed < 0:
+        raise ParameterError(f"{key} must be non-negative, got {seed}")
+    return seed
+
+
+def _numeric(value) -> bool:
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _number(key: str, value) -> float:
+    """A number, as a Python float (true, "x" and integers beyond float range exit 2)."""
+    if not _numeric(value):
+        raise ParameterError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _level(key: str, value) -> float:
+    """A disturbance level or Lipschitz constant: a finite, non-negative number."""
+    value = _number(key, value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{key} must be finite and non-negative, got {value}")
+    return value
+
+
+def _discount_factor(key: str, value) -> float:
+    """The reward discount factor gamma_d: a level below 1."""
+    gamma_d = _level(key, value)
+    if not gamma_d < 1.0:
+        raise ParameterError(f"{key} is a discount factor and must be below 1, got {gamma_d}")
+    return gamma_d
+
+
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(key: str, value) -> np.ndarray:
+    """A list of numbers, or a list of equally long such lists, as a float array."""
+    cells = np.array(value, dtype=object)  # ragged lists stay list cells
+    if not (isinstance(value, list) and all(_numeric(c) for c in cells.flat)):
+        raise ParameterError(f"{key} must be a list of numbers or of equally long lists "
+                             f"of them, got {value!r}")
+    return cells.astype(float)
+
+
+# The value type each reader takes, as --help names it, and the type argparse
+# converts its command-line flag to.
+_READER_TYPES = {
+    _integer: ("integer", int), _seed: ("integer >= 0", int), _number: ("number", float),
+    _level: ("number >= 0", float), _discount_factor: ("number in [0, 1)", float),
+    _string: ("string", str), _numbers: ("list of numbers", None),
 }
-_ENV_FIELDS = tuple(f.name for f in fields(UavEnvConfig))
-_KNOWN_KEYS = frozenset(_CONFIG_KEYS).union("env." + name for name in _ENV_FIELDS)
+
+
+class _Key(NamedTuple):
+    read: Callable
+    default: object  # None: unset unless given
+    help: str
+    flag: str | None = None  # the command-line option that overrides the config line
+
+
+# Every config key a command reads.  The env.* keys are the UavEnvConfig
+# fields, read by their field's type; a default taken from a dataclass is the
+# one its library users get.
+_KEYS = {
+    "sim.env": _Key(_string, None, '"linear" or "uav"', "env"),
+    "sim.runs": _Key(_integer, 64, "runs per ensemble", "runs"),
+    "sim.horizon": _Key(_integer, 100, "steps per run", "horizon"),
+    "sim.seed": _Key(_seed, 0, "master seed; run r uses seed + r", "seed"),
+    "sim.policy": _Key(_string, "centroid_greedy", "uav policy: " + " | ".join(POLICY_KINDS),
+                       "policy"),
+    "linear.A": _Key(_numbers, None, "state matrix"),
+    "linear.F": _Key(_numbers, None, "policy matrix"),
+    "linear.x0": _Key(_numbers, None, "initial state"),
+    "linear.noise_std": _Key(_number, LinearSurrogateConfig.noise_std,
+                             "process noise standard deviation"),
+    "disturbance.kind": _Key(_string, "scaled_gaussian_projected", " | ".join(DISTURBANCE_KINDS),
+                             "disturbance_kind"),
+    "disturbance.gamma": _Key(_level, 1.0, "disturbance level for verify", "gamma"),
+    "disturbance.seed": _Key(_seed, 0, "disturbance RNG seed", "disturbance_seed"),
+    "disturbance.direction": _Key(_numbers, None, "spatial direction of the deterministic kinds"),
+    "disturbance.omega": _Key(_number, DisturbanceSpec.omega, "tone frequency of single_tone"),
+    "analysis.gamma": _Key(_level, 1.0, "disturbance level for analyze", "gamma"),
+    "analysis.gamma_d": _Key(_discount_factor, 0.9, "reward discount factor", "gamma_d"),
+    "analysis.rank_tol": _Key(_number, DEFAULT_RANK_TOL, "DMD rank tolerance", "rank_tol"),
+    "analysis.L": _Key(_level, None, "analytic reward Lipschitz constant override"),
+    **{"env." + f.name: _Key({int: _integer, float: _number, str: _string}[type(f.default)],
+                             f.default, "UavEnvConfig field") for f in fields(UavEnvConfig)},
+}
+
+
+def _setting(key: str, cfg: dict, args=None, required: bool = False):
+    """The key's command-line flag, else its config line, else its default,
+    read by the key's reader.  An unset key without a default is None, or an
+    error when it is required."""
+    entry = _KEYS[key]
+    value = getattr(args, entry.flag, None) if entry.flag else None
+    value = cfg.get(key, entry.default) if value is None else value
+    if value is not None:
+        return entry.read(key, value)
+    if required:
+        raise ParameterError(f"config is missing key {key!r}")
+    return None
 
 
 def _config_key_help() -> str:
+    def wrap(key: str, text: str) -> list:
+        return textwrap.wrap(text, 80, initial_indent=f"  {key:<24}", subsequent_indent=" " * 26,
+                             break_on_hyphens=False)
+
     lines = ["config keys (flat `key = value` lines, values parsed as JSON when possible):"]
-    lines += [f"  {key:<24}{text}" for key, text in _CONFIG_KEYS.items()]
-    env = textwrap.wrap(
-        "UavEnvConfig field: " + ", ".join(_ENV_FIELDS), width=54, break_on_hyphens=False
-    )
-    lines.append(f"  {'env.<field>':<24}{env[0]}")
-    lines += [" " * 26 + line for line in env[1:]]
+    env = []
+    for key, entry in _KEYS.items():
+        kind = _READER_TYPES[entry.read][0]
+        if key.startswith("env."):
+            env.append(key[4:] if entry.read is _number else f"{key[4:]} ({kind})")
+        else:
+            default = "" if entry.default is None else f", default {entry.default}"
+            lines += wrap(key, f"{entry.help} ({kind}{default})")
+    lines += wrap("env.<field>", f"UavEnvConfig field, a number unless marked: {', '.join(env)}; "
+                  "defaults are the baseline simulation values")
     return "\n".join(lines) + "\n"
-
-
-def _warn_unknown_keys(cfg: dict) -> None:
-    for key in cfg:
-        if key not in _KNOWN_KEYS:
-            print(f"warning: unknown config key {key!r}", file=sys.stderr)
 
 
 def _sha256(path) -> str:
@@ -124,90 +224,55 @@ def _load_config(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     cfg = load_flat_config(args.config)
-    _warn_unknown_keys(cfg)
+    for key in cfg:
+        if key not in _KEYS:
+            print(f"warning: unknown config key {key!r}", file=sys.stderr)
     return cfg
 
 
-def _sim_params(cfg: dict, args) -> tuple[str, int, int, int]:
-    env = args.env or cfg.get("sim.env")
+class _Simulation(NamedTuple):
+    """The rollout settings of simulate and verify, read before any work, so
+    a bad value exits before a rollout starts."""
+
+    env: str
+    config: LinearSurrogateConfig | UavEnvConfig
+    policy: str
+    horizon: int
+    runs: int
+    seed: int
+
+    def rollout(self, disturbance=None):
+        run_args = (self.horizon, self.runs, self.seed)
+        if self.env == "linear":
+            return linear_ensemble(self.config, *run_args, disturbance=disturbance)
+        return uav_ensemble(self.config, self.policy, *run_args, disturbance=disturbance)
+
+
+def _simulation(cfg: dict, args) -> _Simulation:
+    env = _setting("sim.env", cfg, args, required=True)
     if env not in ("linear", "uav"):
         raise ParameterError(f"sim.env must be 'linear' or 'uav', got {env!r}")
-    runs = _integer(args.runs, cfg, "sim.runs", 64)
-    horizon = _integer(args.horizon, cfg, "sim.horizon", 100)
-    seed = _seed(args.seed, cfg, "sim.seed")
-    return env, runs, horizon, seed
-
-
-def _integer(flag, cfg: dict, key: str, default: int) -> int:
-    """The command-line flag, else the config key, else the default; it must
-    be an integral number (1e3 reads as 1000; 2.7, true and "x" exit 2)."""
-    value = flag if flag is not None else cfg.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _seed(flag, cfg: dict, key: str) -> int:
-    """A master seed: a non-negative integer, default 0, as numpy's
-    generators take."""
-    seed = _integer(flag, cfg, key, 0)
-    if seed < 0:
-        raise ParameterError(f"{key} must be non-negative, got {seed}")
-    return seed
-
-
-def _number(flag, cfg: dict, key: str, default: float) -> float:
-    """The command-line flag, else the config key, else the default; it must
-    be a number (true and "x" exit 2)."""
-    value = flag if flag is not None else cfg.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParameterError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _level(flag, cfg: dict, key: str, default: float) -> float:
-    """A disturbance level or discount factor: a number that is finite and
-    non-negative."""
-    value = _number(flag, cfg, key, default)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ParameterError(f"{key} must be finite and non-negative, got {value}")
-    return value
-
-
-def _discount_factor(flag, cfg: dict) -> float:
-    """The reward discount factor gamma_d: a level below 1."""
-    gamma_d = _level(flag, cfg, "analysis.gamma_d", 0.9)
-    if not gamma_d < 1.0:
-        raise ParameterError(f"analysis.gamma_d is a discount factor and must be below 1, "
-                             f"got {gamma_d}")
-    return gamma_d
-
-
-def _env_config(cfg: dict, env: str, horizon: int, seed: int):
-    """The validated environment parameters; built before any work, so a bad
-    value exits before a rollout starts."""
     if env == "linear":
-        return LinearSurrogateConfig.from_flat(cfg, horizon=horizon, seed=seed)
-    return UavEnvConfig.from_flat(cfg)
-
-
-def _rollout(env_cfg, runs, horizon, seed, policy, disturbance=None):
-    if isinstance(env_cfg, LinearSurrogateConfig):
-        return linear_ensemble(env_cfg, runs, master_seed=seed, disturbance=disturbance)
-    return uav_ensemble(env_cfg, policy, horizon, runs, seed, disturbance=disturbance)
+        a, f, x0 = (_setting("linear." + name, cfg, required=True) for name in ("A", "F", "x0"))
+        config = LinearSurrogateConfig(A=a, F=f, x0_mean=x0,
+                                       noise_std=_setting("linear.noise_std", cfg))
+    else:
+        config = UavEnvConfig(**{field.name: _setting("env." + field.name, cfg)
+                                 for field in fields(UavEnvConfig)})
+    policy, horizon, runs, seed = (
+        _setting(key, cfg, args) for key in ("sim.policy", "sim.horizon", "sim.runs", "sim.seed")
+    )
+    return _Simulation(env, config, policy, horizon, runs, seed)
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    env, runs, horizon, seed = _sim_params(cfg, args)
-    policy = args.policy or cfg.get("sim.policy", "centroid_greedy")
-    ensemble = _rollout(_env_config(cfg, env, horizon, seed), runs, horizon, seed, policy)
+    sim = _simulation(cfg, args)
+    ensemble = sim.rollout()
     out = Path(args.out or "trajectories.csv")
     save_trajectories(ensemble, out)
     inputs = [args.config] if args.config else []
-    _write_manifest("simulate", args.config, seed, inputs, [out])
+    _write_manifest("simulate", args.config, sim.seed, inputs, [out])
     print(f"wrote {out}: {ensemble.r_count} runs, K={ensemble.horizon}, "
           f"n={ensemble.n}, m={ensemble.m}")
     return 0
@@ -215,7 +280,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args)
-    rank_tol = _number(args.rank_tol, cfg, "analysis.rank_tol", DEFAULT_RANK_TOL)
+    rank_tol = _setting("analysis.rank_tol", cfg, args)
     ensemble = load_trajectories(args.trajectories)
     model = fit_koopman_model(ensemble_mean(ensemble), rank_tol)
     out = Path(args.out or "model.json")
@@ -234,15 +299,16 @@ def cmd_fit(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
-    gamma = _level(args.gamma, cfg, "analysis.gamma", 1.0)
-    gamma_d = _discount_factor(args.gamma_d, cfg)
+    gamma = _setting("analysis.gamma", cfg, args)
+    gamma_d = _setting("analysis.gamma_d", cfg, args)
+    analytic_l = _setting("analysis.L", cfg)
     hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
     kf_hinf = hinf_norm(TransferFunction.constant(model.action_operator)).value
     t_value = hinf.value
     state_energy, state_max = state_deviation_bounds(t_value, gamma)
     action_energy, action_max = action_deviation_bounds(kf_hinf, t_value, gamma)
     doc = {
-        "spectral_radius": spectral_radius(model.state_operator),
+        "spectral_radius": hinf.spectral_radius,
         "hinf": hinf.to_dict(),
         "Kf_hinf": kf_hinf,
         "gamma": gamma,
@@ -253,7 +319,7 @@ def cmd_analyze(args) -> int:
         "state_max_bound": state_max,
         "action_energy_bound": action_energy,
         "action_max_bound": action_max,
-        "L": cfg.get("analysis.L"),
+        "L": analytic_l,
         "Q": None,
         "C": None,
         "reward_impact_bound": None,
@@ -274,31 +340,23 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _disturbance_from_config(cfg, args, dim: int, horizon: int) -> DisturbanceSpec:
-    gamma = _level(args.gamma, cfg, "disturbance.gamma", 1.0)
-    kind = args.disturbance_kind or cfg.get("disturbance.kind", "scaled_gaussian_projected")
-    seed = _seed(args.disturbance_seed, cfg, "disturbance.seed")
-    direction = cfg.get("disturbance.direction")
-    omega = cfg.get("disturbance.omega")
-    return DisturbanceSpec(
-        kind=kind,
-        gamma=gamma,
-        horizon=horizon,
-        seed=seed,
-        dim=dim,
-        direction=None if direction is None else np.asarray(direction, dtype=float),
-        omega=None if omega is None else float(omega),
-    )
-
-
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
-    env, runs, horizon, seed = _sim_params(cfg, args)
-    env_cfg = _env_config(cfg, env, horizon, seed)
-    policy = args.policy or cfg.get("sim.policy", "centroid_greedy")
-    gamma_d = _discount_factor(args.gamma_d, cfg)
-    spec = _disturbance_from_config(cfg, args, model.n, horizon)
+    sim = _simulation(cfg, args)
+    gamma_d = _setting("analysis.gamma_d", cfg, args)
+    analytic_l = _setting("analysis.L", cfg)
+    if analytic_l is None and sim.env == "linear":
+        analytic_l = sim.config.reward_lipschitz
+    spec = DisturbanceSpec(
+        kind=_setting("disturbance.kind", cfg, args),
+        gamma=_setting("disturbance.gamma", cfg, args),
+        horizon=sim.horizon,
+        seed=_setting("disturbance.seed", cfg, args),
+        dim=model.n,
+        direction=_setting("disturbance.direction", cfg),
+        omega=_setting("disturbance.omega", cfg),
+    )
     w = generate_disturbance(spec)
     check = disturbance_admissible(w, spec.gamma)
     if not check.admissible:
@@ -311,19 +369,10 @@ def cmd_verify(args) -> int:
 
     # One rollout steps the nominal and disturbed runs together on common
     # random numbers; the two ensembles are views of its arrays.
-    nominal, disturbed = split_groups(
-        _rollout(env_cfg, runs, horizon, seed, policy, disturbance=(None, w)), 2
-    )
+    nominal, disturbed = split_groups(sim.rollout(disturbance=(None, w)), 2)
     nominal_mean = ensemble_mean(nominal)
     disturbed_mean = ensemble_mean(disturbed)
-
-    analytic_l = cfg.get("analysis.L")
-    if analytic_l is None and env == "linear":
-        analytic_l = env_cfg.reward_lipschitz
-    reward = RewardDescriptor(
-        name=f"{env}-reward",
-        analytic_L=None if analytic_l is None else float(analytic_l),
-    )
+    reward = RewardDescriptor(name=f"{sim.env}-reward", analytic_L=analytic_l)
 
     report = verify_bounds(
         nominal_mean,
@@ -335,8 +384,7 @@ def cmd_verify(args) -> int:
         gamma_d,
         reward,
     )
-    default_label = f"{env}:{policy}" if env == "uav" else env
-    label = args.label or default_label
+    label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
     out = Path(args.out or "verify_report.json")
     save_report(report, out, label=label)
     steps_path = out.with_suffix(".steps.csv")
@@ -344,7 +392,7 @@ def cmd_verify(args) -> int:
         per_step_table(nominal_mean, disturbed_mean, nominal, disturbed), steps_path
     )
     inputs = [args.model] + ([args.config] if args.config else [])
-    _write_manifest("verify", args.config, seed, inputs, [out, steps_path])
+    _write_manifest("verify", args.config, sim.seed, inputs, [out, steps_path])
     if report.violations:
         print(
             f"note: {len(report.violations)} bound violation(s) recorded "
@@ -414,41 +462,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, config_required=False):
         p.add_argument("--config", required=config_required, help="flat dotted-key config file")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
         p.add_argument("--out", default=None, help="output path")
 
+    def flags(p, *keys):
+        for key in keys:
+            entry = _KEYS[key]
+            p.add_argument("--" + entry.flag.replace("_", "-"), type=_READER_TYPES[entry.read][1],
+                           help=f"overrides {key}")
+
+    simulation = ("sim.env", "sim.runs", "sim.horizon", "sim.seed", "sim.policy")
     p = sub.add_parser("simulate", help="roll out an ensemble and write a trajectory file")
     common(p, config_required=True)
-    p.add_argument("--env", choices=["linear", "uav"], default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--policy", default=None, help="uav policy kind")
+    flags(p, *simulation)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit state and action operators from a trajectory file")
     common(p)
     p.add_argument("trajectories", help="trajectory file from simulate")
-    p.add_argument("--rank-tol", type=float, default=None)
+    flags(p, "analysis.rank_tol")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("analyze", help="worst-case gains and deviation bounds of a model")
     common(p)
     p.add_argument("model", help="model JSON from fit")
-    p.add_argument("--gamma", type=float, default=None, help="disturbance level")
-    p.add_argument("--gamma-d", type=float, default=None, help="discount factor")
+    flags(p, "analysis.gamma", "analysis.gamma_d")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="inject admissible disturbances and check every bound")
     common(p, config_required=True)
     p.add_argument("model", help="model JSON from fit")
-    p.add_argument("--env", choices=["linear", "uav"], default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--policy", default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--gamma-d", type=float, default=None)
-    p.add_argument("--disturbance-kind", default=None)
-    p.add_argument("--disturbance-seed", type=int, default=None)
+    flags(p, *simulation, "disturbance.gamma", "analysis.gamma_d", "disturbance.kind",
+          "disturbance.seed")
     p.add_argument("--label", default=None, help="row label for the report command")
     p.set_defaults(func=cmd_verify)
 

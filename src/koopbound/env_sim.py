@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping
 
 import numpy as np
 
@@ -111,8 +110,6 @@ class LinearSurrogateConfig:
     A: np.ndarray
     F: np.ndarray
     x0_mean: np.ndarray
-    horizon: int
-    seed: int = 0
     noise_std: float = 0.0
     reward_lipschitz: float = 1.0
 
@@ -132,8 +129,6 @@ class LinearSurrogateConfig:
             )
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f)) and np.all(np.isfinite(x0))):
             raise DataError("non-finite entry in surrogate configuration")
-        if self.horizon < 1:
-            raise ParameterError("horizon must be at least 1")
         for name in ("noise_std", "reward_lipschitz"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -149,25 +144,6 @@ class LinearSurrogateConfig:
     @property
     def m(self) -> int:
         return self.F.shape[0]
-
-    @classmethod
-    def from_flat(
-        cls, cfg: Mapping, horizon: int, seed: int, prefix: str = "linear."
-    ) -> "LinearSurrogateConfig":
-        try:
-            a = cfg[prefix + "A"]
-            f = cfg[prefix + "F"]
-            x0 = cfg[prefix + "x0"]
-        except KeyError as exc:
-            raise ParameterError(f"config is missing key {exc.args[0]!r}") from None
-        return cls(
-            A=np.array(a, dtype=float),
-            F=np.array(f, dtype=float),
-            x0_mean=np.array(x0, dtype=float),
-            horizon=horizon,
-            seed=seed,
-            noise_std=float(cfg.get(prefix + "noise_std", 0.0)),
-        )
 
 
 def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None:
@@ -201,8 +177,9 @@ def _disturbance_groups(disturbance, runs: int, horizon: int, dim: int) -> tuple
 
 def linear_ensemble(
     config: LinearSurrogateConfig,
+    horizon: int,
     runs: int,
-    master_seed: int | None = None,
+    master_seed: int,
     disturbance: np.ndarray | tuple | None = None,
 ) -> TrajectoryEnsemble:
     """Independent runs with per-run seed master_seed + run index, stepped
@@ -219,10 +196,11 @@ def linear_ensemble(
     """
     if runs < 1:
         raise ParameterError("runs must be at least 1")
-    disturbed, groups = _disturbance_groups(disturbance, runs, config.horizon, config.n)
-    base = config.seed if master_seed is None else master_seed
-    rngs = [np.random.default_rng(base + r) for r in range(runs)]
-    horizon, n = config.horizon, config.n
+    if horizon < 1:
+        raise ParameterError("horizon must be at least 1")
+    n = config.n
+    disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
+    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     states = np.empty((groups * runs, horizon + 1, n))
     actions = np.empty((groups * runs, horizon, config.m))
     states[:, 0] = config.x0_mean
@@ -241,7 +219,7 @@ def linear_ensemble(
                 x_next[group] += w[k]
             states[:, k + 1] = x_next
     rewards = norm_penalty_reward(states[:, 1:], actions)
-    return _ensemble(states, actions, rewards, base, runs)
+    return _ensemble(states, actions, rewards, master_seed, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +291,6 @@ class UavEnvConfig:
     @property
     def state_dim(self) -> int:
         return 2 * self.gu_count + 2
-
-    @classmethod
-    def from_flat(cls, cfg: Mapping, prefix: str = "env.") -> "UavEnvConfig":
-        kwargs = {}
-        for f in fields(cls):
-            key = prefix + f.name
-            if key in cfg:
-                value = cfg[key]
-                if f.name == "gu_count":
-                    value = int(value)
-                elif f.name != "fairness_mode":
-                    value = float(value)
-                kwargs[f.name] = value
-        return cls(**kwargs)
 
 
 def _lane_draws(rngs, gu_count: int, config: UavEnvConfig, groups: int = 1):
@@ -530,9 +494,6 @@ class ScriptedPolicy:
         self.kind = kind
         self.config = config
         self._smoothed: np.ndarray | None = None
-
-    def reset(self) -> None:
-        self._smoothed = None
 
     def waypoint_arrays(
         self, uav_xy: np.ndarray, gu_xy: np.ndarray, served: np.ndarray

@@ -15,7 +15,7 @@ def parse_flat_value(text: str):
     text = text.strip()
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer too long to convert
         return text
 
 

@@ -135,16 +135,6 @@ class HinfReport:
         )
 
 
-def spectral_radius(k: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ParameterError(f"spectral radius needs a square matrix, got shape {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise DataError("non-finite entry in matrix")
-    return float(np.max(np.abs(np.linalg.eigvals(k))))
-
-
 def _singular_values(k: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Singular values of e^{jw} I - K, one descending row per frequency."""
     mats = np.exp(1j * omegas)[:, None, None] * np.eye(k.shape[0]) - k

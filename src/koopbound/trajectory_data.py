@@ -409,7 +409,10 @@ def load_trajectories(path, expected_dims: tuple[int, int] | None = None) -> Tra
         )
 
     r_count, horizon = len(starts), sizes[0] - 1
-    values = values[order]
+    # save_trajectories writes the rows in (run, k) order, so the sort is
+    # usually the identity and the gather copy is skipped.
+    if not np.array_equal(order, np.arange(len(order))):
+        values = values[order]
     # Read-only, the sorted block is shared by the ensemble's arrays, not copied.
     values.setflags(write=False)
     values = values.reshape(r_count, horizon + 1, n + m + 1)

@@ -156,9 +156,9 @@ def _true_model(a, f):
     return KoopmanModel(state_operator=np.atleast_2d(a), action_operator=np.atleast_2d(f))
 
 
-def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1):
-    nominal = linear_ensemble(config, runs)
-    disturbed = linear_ensemble(config, runs, disturbance=w)
+def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1, seed=0):
+    nominal = linear_ensemble(config, len(w), runs, seed)
+    disturbed = linear_ensemble(config, len(w), runs, seed, disturbance=w)
     return verify_bounds(
         ensemble_mean(nominal),
         ensemble_mean(disturbed),
@@ -189,7 +189,6 @@ def test_state_action_bound_soundness():
             A=random_stable(rng, n, radius=rng.uniform(0.4, 0.9)),
             F=rng.normal(size=(m, n)),
             x0_mean=rng.normal(size=n),
-            horizon=horizon,
         )
         for trial in range(100):
             gamma = gammas[trial % 3]
@@ -218,7 +217,7 @@ def test_state_action_bound_soundness():
     # geometric series 4/3 against the bound (1/(1 - 0.5))^2 = 4.
     config = LinearSurrogateConfig(
         A=np.array([[0.5]]), F=np.array([[1.0]]),
-        x0_mean=np.array([0.0]), horizon=48,
+        x0_mean=np.array([0.0]),
     )
     w = np.zeros((48, 1))
     w[0, 0] = 1.0
@@ -244,9 +243,7 @@ def test_reward_bound_soundness():
             A=random_stable(rng, n, radius=rng.uniform(0.3, 0.85)),
             F=rng.normal(size=(m, n)),
             x0_mean=rng.normal(size=n),
-            horizon=horizon,
             noise_std=0.05,
-            seed=41_000 + trial,
         )
         gamma = float(rng.uniform(0.05, 4.0))
         spec = DisturbanceSpec(
@@ -255,7 +252,7 @@ def test_reward_bound_soundness():
             direction=rng.normal(size=n), omega=float(rng.uniform(0.0, np.pi)),
         )
         w = generate_disturbance(spec)
-        report = _verify_linear(config, w, gamma, gamma_d=0.9, runs=2)
+        report = _verify_linear(config, w, gamma, gamma_d=0.9, runs=2, seed=41_000 + trial)
         reward_violations = [
             v for v in report.violations
             if v[0] in ("reward_impact", "generalization_error")

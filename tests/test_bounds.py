@@ -135,6 +135,17 @@ class TestGenerateDisturbance:
         with pytest.raises(ParameterError):
             DisturbanceSpec(kind="comb", gamma=1.0, horizon=4, seed=0, dim=1)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega(self, omega):
+        # A NaN tone frequency gave an all-NaN sequence that the admissibility
+        # check then refused as an internal error.
+        with pytest.raises(ParameterError, match="omega must be finite"):
+            DisturbanceSpec(kind="single_tone", gamma=0.5, horizon=4, seed=0, dim=1, omega=omega)
+
+    def test_default_omega(self):
+        spec = DisturbanceSpec(kind="single_tone", gamma=1.0, horizon=8, seed=0, dim=1)
+        assert spec.omega == math.pi / 4
+
 
 class TestBoundArithmetic:
     def test_state_bounds_examples(self):
@@ -324,8 +335,11 @@ def true_model(a, f):
 
 
 def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, reward=None):
-    nominal = linear_ensemble(config, runs)
-    disturbed = linear_ensemble(config, runs, disturbance=disturbance)
+    """verify_bounds on `runs` runs of the surrogate over the disturbance's
+    horizon, seeded from 0."""
+    horizon = len(disturbance)
+    nominal = linear_ensemble(config, horizon, runs, 0)
+    disturbed = linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
     return verify_bounds(
         ensemble_mean(nominal),
         ensemble_mean(disturbed),
@@ -344,7 +358,6 @@ class TestVerifyBounds:
             A=np.array([[0.5, 0.1], [0.0, 0.3]]),
             F=np.array([[1.0, 0.0]]),
             x0_mean=np.array([1.0, -1.0]),
-            horizon=20,
         )
         report = run_verify(config, np.zeros((20, 2)), gamma=0.0)
         emp = report.empirical
@@ -357,7 +370,7 @@ class TestVerifyBounds:
         # the geometric series 4/3, against the bound (1/(1-0.5))^2 = 4.
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([0.0]), horizon=40,
+            x0_mean=np.array([0.0]),
         )
         w = np.zeros((40, 1))
         w[0, 0] = 1.0
@@ -376,7 +389,7 @@ class TestVerifyBounds:
         a *= 0.8 / np.max(np.abs(np.linalg.eigvals(a)))
         f = rng.normal(size=(2, 3))
         config = LinearSurrogateConfig(
-            A=a, F=f, x0_mean=rng.normal(size=3), horizon=48,
+            A=a, F=f, x0_mean=rng.normal(size=3),
         )
         for trial in range(40):
             gamma = [0.5, 2.0][trial % 2]
@@ -392,7 +405,7 @@ class TestVerifyBounds:
     def test_estimated_l_flagged(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([2.0]), horizon=10, noise_std=0.05,
+            x0_mean=np.array([2.0]), noise_std=0.05,
         )
         report = run_verify(config, np.zeros((10, 1)), gamma=0.0, runs=3,
                             reward=RewardDescriptor())
@@ -403,7 +416,7 @@ class TestVerifyBounds:
     def test_single_run_dispersion_flag(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([2.0]), horizon=10,
+            x0_mean=np.array([2.0]),
         )
         report = run_verify(config, np.zeros((10, 1)), gamma=0.0)
         assert "single-run-dispersion-unavailable" in report.flags
@@ -420,7 +433,7 @@ class TestVerifyBounds:
         for a in (0.5, 1.0):
             config = LinearSurrogateConfig(
                 A=np.array([[a]]), F=np.array([[1.0]]),
-                x0_mean=np.array([1.0]), horizon=12,
+                x0_mean=np.array([1.0]),
             )
             report = run_verify(config, w, gamma=0.5)
             assert math.isinf(report.inputs.T_hinf) == (a == 1.0)

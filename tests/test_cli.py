@@ -369,10 +369,8 @@ class TestVerifyAndReport:
             reward = RewardDescriptor(name="uav-reward")
         else:
             surrogate = LinearSurrogateConfig(
-                A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]], x0_mean=[1.0, 1.0],
-                horizon=200, noise_std=0.02)
-            rollouts = [linear_ensemble(surrogate, 8, master_seed=7, disturbance=d)
-                        for d in (None, w)]
+                A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]], x0_mean=[1.0, 1.0], noise_std=0.02)
+            rollouts = [linear_ensemble(surrogate, 200, 8, 7, disturbance=d) for d in (None, w)]
             reward = RewardDescriptor(name="linear-reward", analytic_L=1.0)
         means = [ensemble_mean(e) for e in rollouts]
         expected = tmp_path / "expected.json"
@@ -401,47 +399,68 @@ class TestConfigKeys:
         assert "env.gu_count" not in err
         assert json.loads(out.read_text())["gamma"] == 1.0
 
-    def test_readme_config_no_warning(self, tmp_path, capsys):
-        cfg = tmp_path / "surrogate.cfg"
-        cfg.write_text(README_CONFIG)
-        traj, model = tmp_path / "traj.csv", tmp_path / "model.json"
-        assert main(["simulate", "--config", str(cfg), "--out", str(traj)]) == 0
-        assert main(["fit", str(traj), "--out", str(model)]) == 0
-        assert main(["verify", "--config", str(cfg), str(model), "--gamma", "0.5",
-                     "--out", str(tmp_path / "report.json")]) == 0
-        assert "warning" not in capsys.readouterr().err
+    def test_env_keys_override_defaults(self, tmp_path, monkeypatch):
+        # env.* keys set the UavEnvConfig fields they name, read by the
+        # field's type; the other fields keep their defaults.
+        built = []
+
+        def capture(config, *args, **kwargs):
+            built.append(config)
+            return uav_ensemble(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "uav_ensemble", capture)
+        cfg = tmp_path / "uav.cfg"
+        cfg.write_text(UAV_CONFIG + "env.gu_count = 5e0\nenv.area_x = 200\n"
+                       "env.fairness_mode = standard\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+        [config] = built
+        assert config == UavEnvConfig(gu_count=5, area_x=200.0, fairness_mode="standard")
+        assert type(config.gu_count) is int and type(config.area_x) is float
+        assert config.altitude == 30.0
 
 
 class TestSettingTypes:
-    """An integer setting takes integral numbers only (a seed non-negative
-    ones), and rank_tol numbers only; anything else exits 2 before any work,
-    naming the key."""
+    """Every config value is read by its key's reader: an integer setting
+    takes integral numbers only (a seed non-negative ones), a number setting
+    numbers, a list setting lists of numbers and a string setting strings.
+    Anything else exits 2 before any work, naming the key."""
 
     @staticmethod
-    def config(tmp_path, key, value):
+    def config(tmp_path, key, value, extra=""):
+        """The linear config, or the UAV one for an env.* key, with `key =
+        value` in place of any line setting key, then the extra lines."""
+        base = UAV_CONFIG if key.startswith("env.") else LINEAR_CONFIG
         cfg = tmp_path / "types.cfg"
-        lines = [line for line in LINEAR_CONFIG.splitlines() if not line.startswith(key)]
-        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        lines = [line for line in base.splitlines() if not line.startswith(key + " ")]
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n" + extra)
         return cfg
 
-    def run(self, tmp_path, monkeypatch, command, key, value):
-        """Exit code of `command` with `key = value` in the linear config;
-        a rollout it starts fails the test."""
+    def run(self, tmp_path, monkeypatch, command, key, value, extra=""):
+        """Exit code of `command` with `key = value` and the extra lines in
+        the config; a rollout it starts fails the test."""
         def no_rollout(*args, **kwargs):
             raise AssertionError("rollout started")
 
         monkeypatch.setattr(cli, "linear_ensemble", no_rollout)
+        monkeypatch.setattr(cli, "uav_ensemble", no_rollout)
         model = tmp_path / "model.json"
         save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
                                 action_operator=np.array([[1.0, -1.0]])), model)
-        argv = [command, "--config", str(self.config(tmp_path, key, value)),
+        argv = [command, "--config", str(self.config(tmp_path, key, value, extra)),
                 "--out", str(tmp_path / "out")]
-        return main(argv + ([str(model)] if command == "verify" else []))
+        return main(argv + ([str(model)] if command in ("analyze", "verify") else []))
 
-    @pytest.mark.parametrize("value", ["2.7", "true", "x"])
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, key, message):
+        assert capsys.readouterr().err.startswith(f"error: {key} {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "types.cfg"]
+
+    # An integer literal too long for Python to convert reads as a string.
+    @pytest.mark.parametrize("value", ["2.7", "true", "x", pytest.param("1" + "0" * 5000,
+                                                                       id="5001-digits")])
     @pytest.mark.parametrize("command, key", [
         ("simulate", "sim.runs"), ("simulate", "sim.horizon"), ("simulate", "sim.seed"),
-        ("verify", "disturbance.seed"),
+        ("verify", "disturbance.seed"), ("simulate", "env.gu_count"),
     ])
     def test_integer_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
         assert self.run(tmp_path, monkeypatch, command, key, value) == 2
@@ -455,6 +474,51 @@ class TestSettingTypes:
         assert self.run(tmp_path, monkeypatch, command, key, "-1") == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be non-negative")
         assert not (tmp_path / "out").exists()
+
+    # An integer beyond float range has no float value.
+    @pytest.mark.parametrize("value", ["true", "x", pytest.param("1" + "0" * 400, id="401-digits")])
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "env.altitude"), ("simulate", "linear.noise_std"),
+        ("analyze", "analysis.L"), ("verify", "analysis.L"), ("verify", "disturbance.omega"),
+    ])
+    def test_number_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
+        assert self.run(tmp_path, monkeypatch, command, key, value) == 2
+        self.assert_rejected(tmp_path, capsys, key, "must be a number")
+
+    @pytest.mark.parametrize("value", ["-1", "NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_lipschitz_constant_rejected(self, tmp_path, capsys, monkeypatch, command, value):
+        assert self.run(tmp_path, monkeypatch, command, "analysis.L", value) == 2
+        self.assert_rejected(tmp_path, capsys, "analysis.L", "must be finite and non-negative")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "linear.A", "[[0.9, true], [0.0, 0.5]]"),
+        ("verify", "linear.A", '[[0.9, "x"], [0.0, 0.5]]'),
+        ("simulate", "linear.A", "[[0.9, 0.1], [0.0]]"),
+        ("simulate", "linear.x0", "x"),
+        ("verify", "disturbance.direction", "[1, true]"),
+        ("verify", "disturbance.direction", "x"),
+        ("simulate", "linear.F", "[[1" + "0" * 400 + "]]"),
+    ], ids=["A-true", "A-string", "A-ragged", "x0-string", "direction-true", "direction-string",
+            "F-401-digits"])
+    def test_list_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
+        assert self.run(tmp_path, monkeypatch, command, key, value) == 2
+        self.assert_rejected(tmp_path, capsys, key, "must be a list of numbers")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "sim.policy", "true"), ("verify", "disturbance.kind", "1"),
+        ("simulate", "env.fairness_mode", "0"),
+    ])
+    def test_string_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
+        assert self.run(tmp_path, monkeypatch, command, key, value) == 2
+        self.assert_rejected(tmp_path, capsys, key, "must be a string")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_omega_rejected(self, tmp_path, capsys, monkeypatch, value):
+        # It exited 3 with an "inadmissible disturbance" internal error.
+        assert self.run(tmp_path, monkeypatch, "verify", "disturbance.omega", value,
+                        extra="disturbance.kind = single_tone\n") == 2
+        self.assert_rejected(tmp_path, capsys, "omega", "must be finite")
 
     def test_integral_float_accepted(self, tmp_path, capsys):
         cfg = self.config(tmp_path, "sim.horizon", "1e1")
@@ -535,3 +599,12 @@ class TestHelp:
             assert cmd in text
         assert "disturbance.kind" in text
         assert "env.<field>" in text and "fairness_mode" in text
+        assert "runs per ensemble (integer, default 64)" in text
+
+    @pytest.mark.parametrize("command", ["fit", "analyze"])
+    def test_seed_only_where_read(self, capsys, command):
+        # fit and analyze draw no random numbers and take no --seed.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "input", "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

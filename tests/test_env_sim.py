@@ -42,9 +42,10 @@ def run_of(ensemble, r=0):
                int(ensemble.seeds[r]))
 
 
-def linear_run(config, disturbance=None):
+def linear_run(config, horizon, disturbance=None, seed=0):
     """The single run of a one-lane linear ensemble."""
-    return run_of(linear_ensemble(config, runs=1, disturbance=disturbance))
+    return run_of(linear_ensemble(config, horizon, runs=1, master_seed=seed,
+                                  disturbance=disturbance))
 
 
 def uav_run(config, kind, horizon, seed, disturbance=None):
@@ -88,60 +89,62 @@ class TestLinearRollout:
     def test_nilpotent(self):
         config = LinearSurrogateConfig(
             A=np.zeros((2, 2)), F=np.zeros((1, 2)),
-            x0_mean=np.array([3.0, -1.0]), horizon=3,
+            x0_mean=np.array([3.0, -1.0]),
         )
-        t = linear_run(config)
+        t = linear_run(config, 3)
         assert np.array_equal(t.states[0], [3.0, -1.0])
         assert not np.any(t.states[1:])
 
     def test_repeated_halving(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([8.0]), horizon=3,
+            x0_mean=np.array([8.0]),
         )
-        t = linear_run(config)
+        t = linear_run(config, 3)
         assert np.allclose(t.states.ravel(), [8.0, 4.0, 2.0, 1.0])
         assert np.allclose(t.actions.ravel(), [8.0, 4.0, 2.0])
 
     def test_impulse_response(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([0.0]), horizon=4,
+            x0_mean=np.array([0.0]),
         )
         w = np.zeros((4, 1))
         w[0, 0] = 1.0
-        t = linear_run(config, disturbance=w)
+        t = linear_run(config, 4, disturbance=w)
         assert np.allclose(t.states.ravel(), [0.0, 1.0, 0.5, 0.25, 0.125])
 
     def test_default_reward_formula(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[2.0]]),
-            x0_mean=np.array([4.0]), horizon=1,
+            x0_mean=np.array([4.0]),
         )
-        t = linear_run(config)
+        t = linear_run(config, 1)
         # x1 = 2, u0 = 8: reward is -|x1| - 0.1|u0| = -2.8
         assert np.isclose(t.rewards[0], -2.8)
 
     def test_determinism_with_noise(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.9, 0.1], [0.0, 0.5]]), F=np.array([[1.0, 1.0]]),
-            x0_mean=np.array([1.0, 1.0]), horizon=25, noise_std=0.3, seed=42,
+            x0_mean=np.array([1.0, 1.0]), noise_std=0.3,
         )
-        t1, t2 = linear_run(config), linear_run(config)
+        t1, t2 = linear_run(config, 25, seed=42), linear_run(config, 25, seed=42)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.rewards, t2.rewards)
 
     def test_disturbance_shape_checked(self):
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
-            x0_mean=np.array([1.0]), horizon=4,
+            x0_mean=np.array([1.0]),
         )
         with pytest.raises(DimensionMismatchError):
-            linear_run(config, disturbance=np.zeros((3, 1)))
+            linear_run(config, 4, disturbance=np.zeros((3, 1)))
         with pytest.raises(DimensionMismatchError):
-            linear_run(config, disturbance=(None, np.zeros((3, 1))))
+            linear_run(config, 4, disturbance=(None, np.zeros((3, 1))))
         with pytest.raises(ParameterError):
-            linear_run(config, disturbance=())
+            linear_run(config, 4, disturbance=())
+        with pytest.raises(ParameterError, match="horizon"):
+            linear_run(config, 0)
 
     def test_ground_truth_recovery(self):
         # Noiseless rollouts let the fitting stage recover A and F exactly.
@@ -150,9 +153,9 @@ class TestLinearRollout:
         a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
         f = rng.normal(size=(2, 3))
         config = LinearSurrogateConfig(
-            A=a, F=f, x0_mean=rng.normal(size=3), horizon=40,
+            A=a, F=f, x0_mean=rng.normal(size=3),
         )
-        mean = ensemble_mean(linear_ensemble(config, runs=1))
+        mean = ensemble_mean(linear_ensemble(config, 40, runs=1, master_seed=0))
         model = fit_koopman_model(mean)
         assert np.linalg.norm(model.state_operator - a) <= 1e-6 * np.linalg.norm(a)
         assert np.linalg.norm(model.action_operator - f) <= 1e-6 * np.linalg.norm(f)
@@ -536,14 +539,6 @@ class TestUavRollout:
 
 
 class TestUavConfig:
-    def test_from_flat_overrides(self):
-        cfg = {"env.gu_count": 5, "env.area_x": 200.0, "env.fairness_mode": "standard"}
-        config = UavEnvConfig.from_flat(cfg)
-        assert config.gu_count == 5
-        assert config.area_x == 200.0
-        assert config.fairness_mode == "standard"
-        assert config.altitude == 30.0
-
     def test_defaults_match_baseline(self):
         config = UavEnvConfig()
         assert config.noise_watt == pytest.approx(3.162e-12, rel=1e-3)
@@ -589,7 +584,7 @@ class TestUavConfig:
         # noise_std = nan ran silently without noise.
         with pytest.raises(ParameterError, match=field):
             LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2),
-                                  horizon=5, **{field: value})
+                                  **{field: value})
 
 
 # Compact-area UAV environment of the two-policy ordering acceptance test.
@@ -618,11 +613,11 @@ def assert_same_ensembles(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def small_surrogate(horizon, noise_std=0.05):
+def small_surrogate():
     return LinearSurrogateConfig(
         A=np.array([[0.9, 0.1, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.3, 0.5]]),
         F=np.array([[1.0, -1.0, 0.5], [0.2, 0.0, -0.4]]),
-        x0_mean=np.array([1.0, -2.0, 0.5]), horizon=horizon, noise_std=noise_std,
+        x0_mean=np.array([1.0, -2.0, 0.5]), noise_std=0.05,
     )
 
 
@@ -659,7 +654,7 @@ class TestBatchedRollouts:
     @pytest.mark.parametrize("disturbed", [False, True])
     def test_linear_digest_pinned(self, disturbed):
         w = np.random.default_rng(4).normal(scale=0.1, size=(50, 3))
-        ens = linear_ensemble(small_surrogate(50), runs=3, master_seed=7,
+        ens = linear_ensemble(small_surrogate(), 50, runs=3, master_seed=7,
                               disturbance=w if disturbed else None)
         assert ensemble_digest(ens) == self.LINEAR_DIGESTS[disturbed]
 
@@ -678,11 +673,11 @@ class TestBatchedRollouts:
 
     def test_linear_lanes_independent(self):
         # The horizon spans several noise chunks.
-        config = small_surrogate(600)
+        config = small_surrogate()
         w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
-        ens = linear_ensemble(config, runs=4, master_seed=30, disturbance=w)
+        ens = linear_ensemble(config, 600, runs=4, master_seed=30, disturbance=w)
         singles = [
-            linear_ensemble(config, runs=1, master_seed=30 + r, disturbance=w)
+            linear_ensemble(config, 600, runs=1, master_seed=30 + r, disturbance=w)
             for r in range(4)
         ]
         assert_same_runs(ens, [run_of(s) for s in singles])
@@ -709,13 +704,13 @@ class TestBatchedRollouts:
     def test_linear_groups_match_separate_calls(self):
         # The horizon spans several noise chunks; three groups share each
         # seed's noise.
-        config = small_surrogate(600)
+        config = small_surrogate()
         w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
         groups = (None, w, -2.0 * w)
-        grouped = linear_ensemble(config, runs=4, master_seed=30, disturbance=groups)
+        grouped = linear_ensemble(config, 600, runs=4, master_seed=30, disturbance=groups)
         parts = split_groups(grouped, 3)
         for part, d in zip(parts, groups, strict=True):
-            assert_same_ensembles(part, linear_ensemble(config, runs=4, master_seed=30,
+            assert_same_ensembles(part, linear_ensemble(config, 600, runs=4, master_seed=30,
                                                         disturbance=d))
         # The parts are views of the grouped ensemble's arrays.
         assert all(np.shares_memory(part.states, grouped.states) for part in parts)
@@ -724,12 +719,12 @@ class TestBatchedRollouts:
 
     def test_linear_matches_step_loop(self):
         # Reference: one run stepped one draw of normal(n) at a time.
-        config = small_surrogate(600)
+        config = small_surrogate()
         w = np.random.default_rng(6).normal(scale=0.1, size=(600, 3))
-        t = run_of(linear_ensemble(config, runs=2, master_seed=12, disturbance=w), 1)
+        t = run_of(linear_ensemble(config, 600, runs=2, master_seed=12, disturbance=w), 1)
         rng = np.random.default_rng(13)
         x = config.x0_mean
-        for k in range(config.horizon):
+        for k in range(600):
             u = config.F @ x
             x = config.A @ x + rng.normal(0.0, config.noise_std, size=config.n) + w[k]
             assert np.array_equal(t.actions[k], u)
