@@ -54,11 +54,16 @@ def as_object(node, where: str) -> dict:
     return node
 
 
-def as_number(node, where: str) -> float:
-    """A JSON number, or the string "inf" this codec writes for +inf."""
+def as_number(node, where: str, finite: bool = False) -> float:
+    """A JSON number, or the string "inf" this codec writes for +inf; with
+    ``finite``, a finite one.  The NaN and -Infinity tokens that json.load
+    accepts are refused, as the writer refuses their values."""
     if isinstance(node, bool) or not (isinstance(node, (int, float)) or node == "inf"):
         raise SchemaError(f"{where} must be a number, got {node!r}")
-    return float(node)
+    value = float(node)
+    if math.isnan(value) or value == -math.inf or finite and math.isinf(value):
+        raise SchemaError(f"{where} must be a {'finite ' if finite else ''}number, got {node!r}")
+    return value
 
 
 def as_integer(node, where: str) -> int:

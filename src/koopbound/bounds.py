@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
 )
 from .hinf_spectral import HinfReport, TransferFunction, hinf_norm
-from .koopman_dmd import KoopmanModel
+from .koopman_dmd import KoopmanModel, ModelGain
 from .trajectory_data import MeanTrajectory, TrajectoryEnsemble, mean_rewards
 
 DISTURBANCE_KINDS = (
@@ -501,6 +501,24 @@ def load_report(path) -> tuple[BoundReport, str | None]:
     return report, label
 
 
+def certified_gain(model: KoopmanModel) -> ModelGain:
+    """The model's certified gains: the H-infinity report of the resolvent of
+    Kh and ||Kf||_2.
+
+    This is the one routine that computes them.  ``fit`` stores its result in
+    model JSON and ``load_model`` hands it back; a model without it (built in
+    code, or read from a file without a gain block) computes it here on first
+    use and keeps it on the instance.
+    """
+    if model.gain is None:
+        gain = ModelGain(
+            hinf=hinf_norm(TransferFunction.resolvent(model.state_operator)),
+            kf_hinf=hinf_norm(TransferFunction.constant(model.action_operator)).value,
+        )
+        object.__setattr__(model, "gain", gain)  # derived from the frozen operators
+    return model.gain
+
+
 def _sample_reward_triples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
     """Deterministic subsample of ((x_{k+1}, u_k), r_k) triples for L estimation:
     every stride-th (run, step) pair in run-major order."""
@@ -554,12 +572,11 @@ def verify_bounds(
         raise ParameterError("gamma must be non-negative")
     flags = []
 
-    hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
+    hinf, kf_hinf = certified_gain(model)
     if not hinf.converged:
         flags.append("unstable-state-operator")
     if hinf.ill_conditioned and hinf.converged:
         flags.append("ill-conditioned-resolvent")
-    kf_hinf = hinf_norm(TransferFunction.constant(model.action_operator)).value
 
     if reward is None:
         reward = RewardDescriptor()

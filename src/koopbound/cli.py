@@ -15,6 +15,7 @@ import hashlib
 import math
 import sys
 import textwrap
+import time
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,6 +29,7 @@ from .bounds import (
     DisturbanceSpec,
     RewardDescriptor,
     action_deviation_bounds,
+    certified_gain,
     disturbance_admissible,
     generate_disturbance,
     load_report,
@@ -39,7 +41,10 @@ from .bounds import (
 )
 from .errors import KoopboundError, ParameterError
 from .flatconfig import load_flat_config
-from .hinf_spectral import TransferFunction, hinf_norm
+# Not called here: the gain is computed by bounds.certified_gain.  The name
+# stays because perfbench/layers.py wraps koopbound.cli.hinf_norm and reports
+# the whole H-infinity layer as missing when it is gone.
+from .hinf_spectral import hinf_norm  # noqa: F401
 from .koopman_dmd import (
     DEFAULT_RANK_TOL,
     fit_koopman_model,
@@ -50,6 +55,7 @@ from .env_sim import (
     POLICY_KINDS,
     LinearSurrogateConfig,
     UavEnvConfig,
+    check_rollout_size,
     linear_ensemble,
     split_groups,
     uav_ensemble,
@@ -206,7 +212,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(command: str, config_path, seed, inputs, outputs) -> None:
+def _write_manifest(command: str, config_path, seed, inputs, outputs, **stats) -> None:
+    """Write the manifest of one command next to its first output; ``stats``
+    are the command's own timings and counts."""
     manifest = {
         "command": command,
         "config": str(config_path) if config_path else None,
@@ -215,6 +223,7 @@ def _write_manifest(command: str, config_path, seed, inputs, outputs) -> None:
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        **stats,
     }
     first_out = Path(outputs[0])
     write_json(manifest, first_out.with_name(first_out.name + ".manifest.json"))
@@ -248,7 +257,9 @@ class _Simulation(NamedTuple):
         return uav_ensemble(self.config, self.policy, *run_args, disturbance=disturbance)
 
 
-def _simulation(cfg: dict, args) -> _Simulation:
+def _simulation(cfg: dict, args, groups: int = 1) -> _Simulation:
+    """The rollout settings, with the size of a rollout of ``groups``
+    ensembles checked before anything is drawn or allocated."""
     env = _setting("sim.env", cfg, args, required=True)
     if env not in ("linear", "uav"):
         raise ParameterError(f"sim.env must be 'linear' or 'uav', got {env!r}")
@@ -262,6 +273,7 @@ def _simulation(cfg: dict, args) -> _Simulation:
     policy, horizon, runs, seed = (
         _setting(key, cfg, args) for key in ("sim.policy", "sim.horizon", "sim.runs", "sim.seed")
     )
+    check_rollout_size(groups, runs, horizon, config.n if env == "linear" else config.state_dim)
     return _Simulation(env, config, policy, horizon, runs, seed)
 
 
@@ -283,15 +295,22 @@ def cmd_fit(args) -> int:
     rank_tol = _setting("analysis.rank_tol", cfg, args)
     ensemble = load_trajectories(args.trajectories)
     model = fit_koopman_model(ensemble_mean(ensemble), rank_tol)
+    # The one gain search of a pipeline: it goes into the model file, and
+    # analyze and verify read it from there.
+    start = time.perf_counter()
+    hinf = certified_gain(model).hinf
+    search_s = time.perf_counter() - start
     out = Path(args.out or "model.json")
     save_model(model, out)
     inputs = [args.trajectories] + ([args.config] if args.config else [])
-    _write_manifest("fit", args.config, None, inputs, [out])
+    _write_manifest("fit", args.config, None, inputs, [out],
+                    gain_search={"seconds": search_s, "iterations": hinf.iterations})
     meta = model.fit_metadata
     print(
         f"wrote {out}: n={model.n}, m={model.m}, rank={model.state_dmd.rank}, "
         f"state_residual={meta['state_residual']:.3e}, "
-        f"action_residual={meta['action_residual']:.3e}"
+        f"action_residual={meta['action_residual']:.3e}, T_hinf={hinf.value:.6g}, "
+        f"omega*={hinf.omega_star:.6g}, 1-rho={1.0 - hinf.spectral_radius:.3e}"
     )
     return 0
 
@@ -302,8 +321,7 @@ def cmd_analyze(args) -> int:
     gamma = _setting("analysis.gamma", cfg, args)
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
-    hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
-    kf_hinf = hinf_norm(TransferFunction.constant(model.action_operator)).value
+    hinf, kf_hinf = certified_gain(model)
     t_value = hinf.value
     state_energy, state_max = state_deviation_bounds(t_value, gamma)
     action_energy, action_max = action_deviation_bounds(kf_hinf, t_value, gamma)
@@ -343,7 +361,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
-    sim = _simulation(cfg, args)
+    sim = _simulation(cfg, args, groups=2)
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
     if analytic_l is None and sim.env == "linear":

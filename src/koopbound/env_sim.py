@@ -47,6 +47,10 @@ _LAG_SMOOTHING = 0.5
 _SPEED_EPS = 1e-9
 # Steps of process noise the linear surrogate draws per lane at a time.
 _NOISE_CHUNK = 256
+# Largest (G*R, K+1, n) state buffer a rollout plans, in values: 2**28
+# float64 values are 2 GiB, before the action, reward and service-mask
+# buffers.  A larger rollout is refused before any generator or array exists.
+_MAX_STATE_VALUES = 2**28
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -159,6 +163,18 @@ def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None
     return w
 
 
+def check_rollout_size(groups: int, runs: int, horizon: int, n: int) -> None:
+    """Refuse a rollout whose (groups*runs, horizon+1, n) state buffer holds
+    more than _MAX_STATE_VALUES values."""
+    values = groups * runs * (horizon + 1) * n
+    if values > _MAX_STATE_VALUES:
+        raise ParameterError(
+            f"sim.runs = {runs} and sim.horizon = {horizon} plan a "
+            f"({groups * runs}, {horizon + 1}, {n}) state buffer of {values} values, "
+            f"above the cap of {_MAX_STATE_VALUES}"
+        )
+
+
 def _disturbance_groups(disturbance, runs: int, horizon: int, dim: int) -> tuple[list, int]:
     """(lanes, w) for each disturbed group of a call, and the group count G.
 
@@ -200,6 +216,7 @@ def linear_ensemble(
         raise ParameterError("horizon must be at least 1")
     n = config.n
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
+    check_rollout_size(groups, runs, horizon, n)
     rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     states = np.empty((groups * runs, horizon + 1, n))
     actions = np.empty((groups * runs, horizon, config.m))
@@ -553,6 +570,7 @@ def uav_ensemble(
         raise ParameterError("horizon must be at least 1")
     n, j = config.state_dim, config.gu_count
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
+    check_rollout_size(groups, runs, horizon, n)
     lanes = groups * runs
     rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     area = np.array([config.area_x, config.area_y])

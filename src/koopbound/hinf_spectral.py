@@ -18,7 +18,7 @@ does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -116,22 +116,26 @@ class HinfReport:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "HinfReport":
-        for key in ("lower", "upper", "omega_star", "iterations", "converged"):
-            if key not in doc:
-                raise SchemaError(f"gain report is missing field {key!r}")
-        radius = doc.get("spectral_radius")
-        bools = {key: doc.get(key, False) for key in ("converged", "ill_conditioned")}
-        for key, value in bools.items():
-            if not isinstance(value, bool):
-                raise SchemaError(f"hinf.{key} must be true or false, got {value!r}")
+    def from_dict(cls, doc: dict, where: str = "hinf") -> "HinfReport":
+        """Read a report written by to_dict; every field must be present, and
+        a mistyped or misplaced non-finite one raises SchemaError naming it
+        under ``where``."""
+        for f in fields(cls):
+            if f.name not in doc:
+                raise SchemaError(f"{where} is missing field {f.name!r}")
+        for key in ("converged", "ill_conditioned"):
+            if not isinstance(doc[key], bool):
+                raise SchemaError(f"{where}.{key} must be true or false, got {doc[key]!r}")
+        radius = doc["spectral_radius"]
         return cls(
-            lower=as_number(doc["lower"], "hinf.lower"),
-            upper=as_number(doc["upper"], "hinf.upper"),
-            omega_star=as_number(doc["omega_star"], "hinf.omega_star"),
-            spectral_radius=None if radius is None else as_number(radius, "hinf.spectral_radius"),
-            iterations=as_integer(doc["iterations"], "hinf.iterations"),
-            **bools,
+            lower=as_number(doc["lower"], f"{where}.lower"),
+            upper=as_number(doc["upper"], f"{where}.upper"),
+            omega_star=as_number(doc["omega_star"], f"{where}.omega_star", finite=True),
+            spectral_radius=(None if radius is None
+                             else as_number(radius, f"{where}.spectral_radius", finite=True)),
+            iterations=as_integer(doc["iterations"], f"{where}.iterations"),
+            converged=doc["converged"],
+            ill_conditioned=doc["ill_conditioned"],
         )
 
 

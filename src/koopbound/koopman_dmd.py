@@ -7,15 +7,23 @@ noiseless linear data with full-rank excitation, this is also exact DMD's
 least-squares operator X1 X0^+ (Tu et al., J. Comput. Dyn. 1, 2014).  The
 non-square state-to-action map ``Kf`` is fitted by the rank-truncated
 pseudoinverse of the same X0, so both fits share one SVD.
+
+A model may carry its certified gains (``ModelGain``), which
+``bounds.certified_gain`` computes.  Model JSON stores them in a ``gain``
+block bound to the operators by the SHA-256 of their float64 bytes, and
+``load_model`` refuses a block that does not belong to the operators beside
+it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import as_integer, as_object, read_json, write_json
+from ._jsonio import as_integer, as_number, as_object, read_json, write_json
 from .errors import (
     DataError,
     DegenerateInputError,
@@ -23,9 +31,15 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
+from .hinf_spectral import HinfReport
 from .trajectory_data import MeanTrajectory
 
 DEFAULT_RANK_TOL = 1e-10
+
+# Version of the model JSON gain block.  It changes whenever the gain routine
+# may return a different report for the same operators, so that a block
+# written by another version is refused instead of trusted.
+_GAIN_VERSION = 1
 
 # Assembled operators must be real; larger imaginary residue means the
 # decomposition went numerically wrong rather than just noisy.
@@ -50,19 +64,31 @@ class DmdResult:
     residual: float
 
 
+class ModelGain(NamedTuple):
+    """Certified gains of a model: the H-infinity report of the resolvent of
+    the state operator and the spectral norm of the action operator."""
+
+    hinf: HinfReport
+    kf_hinf: float
+
+
 @dataclass(frozen=True)
 class KoopmanModel:
     """State operator (n x n) and action operator (m x n) fitted from means.
 
     ``state_dmd`` keeps the full decomposition when the model was fitted in
     process; it is None for models reloaded from JSON, which stores only
-    the operators and summary diagnostics.
+    the operators and summary diagnostics.  ``gain`` is set by
+    ``bounds.certified_gain`` or by ``load_model`` from the file's gain
+    block, never by the constructor, so a model built or replaced in code
+    starts without one.
     """
 
     state_operator: np.ndarray
     action_operator: np.ndarray
     state_dmd: DmdResult | None = None
     fit_metadata: dict = field(default_factory=dict)
+    gain: ModelGain | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -172,8 +198,45 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
 
 # ---------------------------------------------------------------------------
 # JSON serialization: dimensions, row-major operator entries at full
-# precision, eigenvalues as (re, im) pairs, rank, rank_tol, residuals.
+# precision, eigenvalues as (re, im) pairs, rank, rank_tol, residuals, and
+# the gain block when the model carries its gain.  Every float is written as
+# its shortest repr, so a loaded operator equals the saved one bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def _operators_sha256(state_operator: np.ndarray, action_operator: np.ndarray) -> str:
+    """SHA-256 of both operators' row-major little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for operator in (state_operator, action_operator):
+        digest.update(np.ascontiguousarray(operator, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def _gain_to_dict(model: KoopmanModel) -> dict:
+    return {
+        "version": _GAIN_VERSION,
+        "operators_sha256": _operators_sha256(model.state_operator, model.action_operator),
+        "hinf": model.gain.hinf.to_dict(),
+        "Kf_hinf": model.gain.kf_hinf,
+    }
+
+
+def _gain_from_dict(node, state_operator: np.ndarray, action_operator: np.ndarray) -> ModelGain:
+    """The gain block of a model document, checked against its operators."""
+    block = as_object(node, "model field 'gain'")
+    for key in ("version", "operators_sha256", "hinf", "Kf_hinf"):
+        if key not in block:
+            raise SchemaError(f"model field 'gain' is missing field {key!r}")
+    version = as_integer(block["version"], "gain.version")
+    if version != _GAIN_VERSION:
+        raise SchemaError(f"gain.version is {version}, this reader takes {_GAIN_VERSION}")
+    if block["operators_sha256"] != _operators_sha256(state_operator, action_operator):
+        raise SchemaError("gain.operators_sha256 does not match the model's operators: "
+                          "the gain block belongs to other operators")
+    hinf = HinfReport.from_dict(as_object(block["hinf"], "gain.hinf"), "gain.hinf")
+    if hinf.spectral_radius is None:
+        raise SchemaError("gain.hinf.spectral_radius must be a number, got None")
+    return ModelGain(hinf, as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True))
 
 
 def _model_to_dict(model: KoopmanModel) -> dict:
@@ -185,7 +248,7 @@ def _model_to_dict(model: KoopmanModel) -> dict:
     order = np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))
     eigvals = eigvals[order]
     meta = dict(model.fit_metadata)
-    return {
+    doc = {
         "n": model.n,
         "m": model.m,
         "state_operator": model.state_operator.tolist(),
@@ -200,6 +263,9 @@ def _model_to_dict(model: KoopmanModel) -> dict:
         "snapshot_columns": meta.get("snapshot_columns"),
         "r_count": meta.get("r_count"),
     }
+    if model.gain is not None:
+        doc["gain"] = _gain_to_dict(model)
+    return doc
 
 
 def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
@@ -229,19 +295,25 @@ def _model_from_dict(doc) -> KoopmanModel:
         "action_residual": residuals.get("action"),
         "rank": doc.get("rank"),
     }
-    return KoopmanModel(
+    model = KoopmanModel(
         state_operator=_matrix_field(doc, "state_operator", (n, n)),
         action_operator=_matrix_field(doc, "action_operator", (m, n)),
         state_dmd=None,
         fit_metadata=metadata,
     )
+    if "gain" in doc:
+        gain = _gain_from_dict(doc["gain"], model.state_operator, model.action_operator)
+        object.__setattr__(model, "gain", gain)
+    return model
 
 
 def save_model(model: KoopmanModel, path) -> None:
+    """Write the model as JSON, with a gain block when it carries its gain."""
     write_json(_model_to_dict(model), path)
 
 
 def load_model(path) -> KoopmanModel:
-    """Read a model written by save_model; a malformed document raises
-    SchemaError naming the field."""
+    """Read a model written by save_model; a malformed document, or a gain
+    block that is mistyped, of another version or computed for other
+    operators, raises SchemaError naming the field."""
     return _model_from_dict(read_json(path))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from koopbound import (
     verify_bounds,
     write_per_step_table,
 )
-from koopbound import cli
+from koopbound import TransferFunction, cli, env_sim, hinf_norm, hinf_spectral
+from koopbound.bounds import certified_gain
 from koopbound.cli import main
+from koopbound.errors import SchemaError
 
 LINEAR_CONFIG = """\
 # linear surrogate pipeline
@@ -152,6 +155,206 @@ class TestFit:
             assert main(["fit", str(traj), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: non-finite ensemble mean")
         assert not out.exists()
+
+
+# A parametrized value that deletes the field instead of setting it.
+MISSING = object()
+
+
+def count_searches(monkeypatch) -> list:
+    """Record every level tested by any H-infinity level-set search."""
+    calls, real = [], hinf_spectral._level_crossings
+    monkeypatch.setattr(hinf_spectral, "_level_crossings",
+                        lambda k, level: calls.append(level) or real(k, level))
+    return calls
+
+
+class TestGainBlock:
+    """fit writes the certified gain into model JSON, bound to the operators
+    by the SHA-256 of their bytes, and analyze and verify read it there.  A
+    block that does not belong to its operators, is of another version or is
+    mistyped makes load_model raise SchemaError naming the block, and
+    analyze and verify exit 2 and write nothing."""
+
+    @pytest.fixture
+    def fitted(self, tmp_path, linear_config):
+        traj, model = tmp_path / "traj.csv", tmp_path / "model.json"
+        assert main(["simulate", "--config", str(linear_config), "--out", str(traj)]) == 0
+        assert main(["fit", str(traj), "--out", str(model)]) == 0
+        return model
+
+    @staticmethod
+    def downstream(tmp_path, linear_config, model, tag):
+        """Exit codes of analyze and verify on the model; their outputs are
+        written under names ending in tag."""
+        analysis, report = tmp_path / f"analysis{tag}.json", tmp_path / f"report{tag}.json"
+        return (main(["analyze", str(model), "--gamma", "0.5", "--out", str(analysis)]),
+                main(["verify", "--config", str(linear_config), str(model),
+                      "--gamma", "0.5", "--out", str(report)]))
+
+    @staticmethod
+    def other_block(tmp_path):
+        model = KoopmanModel(np.array([[0.5, 0.2], [0.0, 0.3]]), np.array([[1.0, 1.0]]))
+        certified_gain(model)
+        save_model(model, tmp_path / "other.json")
+        return json.loads((tmp_path / "other.json").read_text())["gain"]
+
+    def test_fit_writes_the_gain(self, fitted):
+        model = load_model(fitted)
+        hinf, kf_hinf = model.gain
+        fresh = hinf_norm(TransferFunction.resolvent(model.state_operator))
+        assert hinf == fresh
+        assert kf_hinf == np.linalg.norm(model.action_operator, 2)
+        assert json.loads(fitted.read_text())["gain"]["version"] == 1
+
+    def test_one_search_per_model(self, tmp_path, linear_config, fitted, monkeypatch):
+        calls = count_searches(monkeypatch)
+        assert main(["fit", str(tmp_path / "traj.csv"), "--out", str(fitted)]) == 0
+        assert len(calls) >= 1
+        calls.clear()
+        for gamma in ("0.5", "2"):
+            assert main(["analyze", str(fitted), "--gamma", gamma,
+                         "--out", str(tmp_path / f"analysis{gamma}.json")]) == 0
+        assert self.downstream(tmp_path, linear_config, fitted, "") == (0, 0)
+        assert calls == []
+
+    def test_model_without_gain_computes_it_once(self, monkeypatch):
+        model = KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.5]]), np.array([[1.0, -1.0]]))
+        calls = count_searches(monkeypatch)
+        first = certified_gain(model)
+        searched = len(calls)
+        assert searched >= 1 and model.gain is first
+        assert certified_gain(model) is first and len(calls) == searched
+        assert replace(model, state_operator=np.array([[0.8, 0.1], [0.0, 0.5]])).gain is None
+
+    def test_outputs_do_not_depend_on_the_block(self, tmp_path, linear_config, fitted):
+        """A model file without the gain block (as written before it existed,
+        or by save_model for a model built in code) gives byte-identical
+        analyze and verify outputs."""
+        assert self.downstream(tmp_path, linear_config, fitted, "_stored") == (0, 0)
+        doc = json.loads(fitted.read_text())
+        del doc["gain"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(doc))
+        assert load_model(bare).gain is None
+        assert self.downstream(tmp_path, linear_config, bare, "_searched") == (0, 0)
+        for name in ("analysis{}.json", "report{}.json", "report{}.steps.csv"):
+            stored = (tmp_path / name.format("_stored")).read_bytes()
+            assert stored == (tmp_path / name.format("_searched")).read_bytes()
+
+    def test_hand_built_model(self, tmp_path, linear_config):
+        kh, kf = np.array([[0.9, 0.1], [0.0, 0.5]]), np.array([[1.0, -1.0]])
+        bare, carried = KoopmanModel(kh, kf), KoopmanModel(kh, kf)
+        certified_gain(carried)
+        save_model(bare, tmp_path / "bare.json")
+        save_model(carried, tmp_path / "carried.json")
+        assert "gain" not in json.loads((tmp_path / "bare.json").read_text())
+        for tag in ("bare", "carried"):
+            assert self.downstream(tmp_path, linear_config, tmp_path / f"{tag}.json",
+                                   tag) == (0, 0)
+        for name in ("analysis{}.json", "report{}.json"):
+            assert ((tmp_path / name.format("bare")).read_bytes()
+                    == (tmp_path / name.format("carried")).read_bytes())
+        analysis = json.loads((tmp_path / "analysisbare.json").read_text())
+        assert analysis["hinf"] == hinf_norm(TransferFunction.resolvent(kh)).to_dict()
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, linear_config, model, doc):
+        model.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="gain"):
+            load_model(model)
+        before = sorted(tmp_path.iterdir())
+        assert TestGainBlock.downstream(tmp_path, linear_config, model, "") == (2, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") and "gain" in line
+                                     for line in err)
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("operator, value", [
+        ("state_operator", lambda x: float(np.nextafter(x, 1.0))),
+        ("action_operator", lambda x: 1.5),
+    ], ids=["state-entry-one-ulp", "action-entry"])
+    def test_edited_operator(self, tmp_path, capsys, linear_config, fitted, operator, value):
+        doc = json.loads(fitted.read_text())
+        doc[operator][0][-1] = value(doc[operator][0][-1])
+        self.assert_refused(tmp_path, capsys, linear_config, fitted, doc)
+
+    def test_copied_block(self, tmp_path, capsys, linear_config, fitted):
+        doc = json.loads(fitted.read_text())
+        doc["gain"] = self.other_block(tmp_path)
+        self.assert_refused(tmp_path, capsys, linear_config, fitted, doc)
+
+    @pytest.mark.parametrize("where, value", [
+        ("gain.version", 2), ("gain.version", "1"), ("gain.version", True),
+        ("gain.hinf.upper", "NaN"), ("gain.hinf.lower", float("nan")),
+        ("gain.hinf.omega_star", "inf"), ("gain.hinf.spectral_radius", None),
+        ("gain.hinf.converged", "NaN"), ("gain.hinf.iterations", True),
+        ("gain.Kf_hinf", True), ("gain.Kf_hinf", "inf"),
+        ("gain.hinf.ill_conditioned", MISSING), ("gain.hinf.spectral_radius", MISSING),
+        ("gain.operators_sha256", MISSING), ("gain.Kf_hinf", MISSING), ("gain", []),
+    ])
+    def test_malformed_block(self, tmp_path, capsys, linear_config, fitted, where, value):
+        doc = json.loads(fitted.read_text())
+        *parents, leaf = where.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is MISSING:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        self.assert_refused(tmp_path, capsys, linear_config, fitted, doc)
+
+    def test_fit_reports_the_search(self, tmp_path, capsys, fitted):
+        hinf = load_model(fitted).gain.hinf
+        out = capsys.readouterr().out.splitlines()[-1]
+        assert (f"T_hinf={hinf.value:.6g}, omega*={hinf.omega_star:.6g}, "
+                f"1-rho={1.0 - hinf.spectral_radius:.3e}") in out
+        search = json.loads((tmp_path / "model.json.manifest.json").read_text())["gain_search"]
+        assert search["iterations"] == hinf.iterations >= 1
+        assert 0.0 < search["seconds"] < 60.0
+
+    def test_diverging_search_fails_fit(self, tmp_path, capsys, fitted, monkeypatch):
+        monkeypatch.setattr(hinf_spectral, "_MAX_ITERATIONS", 0)
+        out = tmp_path / "again.json"
+        assert main(["fit", str(tmp_path / "traj.csv"), "--out", str(out)]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "again.json.manifest.json").exists()
+
+
+class TestRolloutSize:
+    """A rollout whose (G*R, K+1, n) state buffer would exceed the cap exits
+    2 naming sim.runs and sim.horizon before any generator is made."""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("key", ["sim.runs", "sim.horizon"])
+    def test_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, command, key):
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or real(*a))
+        save_model(KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.5]]), np.array([[1.0, -1.0]])),
+                   tmp_path / "model.json")
+        cfg = TestSettingTypes.config(tmp_path, key, "1e9")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + ([str(tmp_path / "model.json")] if command == "verify" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim.runs = ") and "sim.horizon = " in err
+        assert made == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "types.cfg"]
+
+    def test_cap_counts_every_group(self, tmp_path, monkeypatch, linear_config):
+        # LINEAR_CONFIG plans (1, 11, 2) states for simulate and (2, 11, 2)
+        # for verify's nominal and disturbed groups.
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 22)
+        save_model(KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.5]]), np.array([[1.0, -1.0]])),
+                   tmp_path / "model.json")
+        assert main(["simulate", "--config", str(linear_config),
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+        assert main(["verify", "--config", str(linear_config), str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 44)
+        assert main(["verify", "--config", str(linear_config), str(tmp_path / "model.json"),
+                     "--out", str(tmp_path / "report.json")]) == 0
 
 
 class TestAnalyze:

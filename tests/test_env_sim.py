@@ -26,6 +26,7 @@ from koopbound import (
     uav_ensemble,
     uav_reward,
 )
+from koopbound import env_sim
 from koopbound.env_sim import _lane_draws, _serve_mask, _step_gu_arrays, split_groups
 
 
@@ -585,6 +586,36 @@ class TestUavConfig:
         with pytest.raises(ParameterError, match=field):
             LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2),
                                   **{field: value})
+
+
+class TestRolloutSize:
+    """A rollout refuses a state buffer above its documented cap before it
+    makes any generator or array; the values tested are never allocated."""
+
+    @pytest.mark.parametrize("runs, horizon, groups", [
+        (10**9, 10, 1), (1, 10**9, 1), (2**26, 1, 2),
+    ])
+    @pytest.mark.parametrize("env", ["linear", "uav"])
+    def test_refused_before_any_generator(self, monkeypatch, env, runs, horizon, groups):
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a))
+        disturbance = (None,) * groups
+        with pytest.raises(ParameterError, match=r"sim\.runs = .* sim\.horizon = .* cap of"):
+            if env == "linear":
+                config = LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)),
+                                               x0_mean=np.ones(2))
+                linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
+            else:
+                uav_ensemble(UavEnvConfig(gu_count=1), "centroid_greedy", horizon, runs, 0,
+                             disturbance=disturbance)
+        assert made == []
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        config = LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2))
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 2 * 3 * 5 * 2)
+        assert linear_ensemble(config, 4, 3, 0, disturbance=(None, None)).r_count == 6
+        with pytest.raises(ParameterError):
+            linear_ensemble(config, 5, 3, 0, disturbance=(None, None))
 
 
 # Compact-area UAV environment of the two-policy ordering acceptance test.
