@@ -40,8 +40,11 @@ DISTURBANCE_KINDS = (
 )
 
 # Oversampling of the frequency grid relative to the sequence length.  A
-# length-K sequence has a trigonometric-polynomial spectrum of degree K-1,
-# which 8x oversampling resolves densely.
+# length-K sequence has a trigonometric-polynomial spectrum of degree K-1
+# whose supremum can lie between the 8K grid points and exceed their peak:
+# by about 0.1% on Gaussian draws, by at most about 4% (Bernstein's
+# inequality).  The admissibility check is a grid check, not a certified
+# bound.
 ADMISSIBILITY_OVERSAMPLING = 8
 
 # Relative slack for admissibility and bound-violation comparisons; float
@@ -104,15 +107,31 @@ def _unit_direction(spec: DisturbanceSpec) -> np.ndarray:
     return e1
 
 
-def _dtft_grid_norms(w: np.ndarray, grid_points: int) -> np.ndarray:
-    """Euclidean norms of the discrete-time spectrum on a uniform grid.
+def _spectral_power(w: np.ndarray, grid_points: int) -> np.ndarray:
+    """||W(omega_j)||^2 at omega_j = 2*pi*j/grid_points, j = 0..grid_points//2.
 
-    The grid frequencies are 2*pi*j/grid_points; for real sequences the
-    norms are symmetric about pi, so the full circle costs nothing extra.
-    Zero-padded FFT evaluates all grid points at once.
+    By Wiener-Khinchin the power is the scalar trigonometric polynomial whose
+    coefficients are the autocorrelation r(tau) of w summed over components,
+    so one real FFT of the lags evaluates it on the whole grid, whatever the
+    dimension.  A real sequence's power is symmetric about pi, so the half
+    grid covers the circle.  Round-off can leave the power slightly negative
+    near a spectral zero; it is clamped at 0.
     """
-    spectrum = np.fft.fft(w, n=grid_points, axis=0)
-    return np.linalg.norm(spectrum, axis=1)
+    k = w.shape[0]
+    # 2K points hold every lag |tau| < K without circular wrap-around.
+    spectra = np.fft.rfft(np.ascontiguousarray(w.T), n=2 * k, axis=1)
+    lags = np.fft.irfft((spectra.real**2 + spectra.imag**2).sum(axis=0), n=2 * k)[:k]
+    # r(-tau) = r(tau), so the power is Re sum_tau c_tau e^{-j omega tau} with
+    # c_0 = r(0) and c_tau = 2 r(tau).
+    lags[1:] *= 2.0
+    return np.maximum(np.fft.rfft(lags, n=grid_points).real, 0.0)
+
+
+def spectral_grid_values(horizon: int) -> int:
+    """Float64 values the admissibility grid of a length-horizon disturbance
+    holds at once: the zero-padded lags and their half spectrum, about 2N for
+    N = ADMISSIBILITY_OVERSAMPLING * horizon."""
+    return 2 * ADMISSIBILITY_OVERSAMPLING * horizon
 
 
 def generate_disturbance(spec: DisturbanceSpec) -> np.ndarray:
@@ -137,7 +156,7 @@ def generate_disturbance(spec: DisturbanceSpec) -> np.ndarray:
     else:  # single_tone
         phases = np.cos(spec.omega * np.arange(k))
         w = spec.gamma * phases[:, None] * direction[None, :]
-    peak = float(np.max(_dtft_grid_norms(w, ADMISSIBILITY_OVERSAMPLING * k)))
+    peak = math.sqrt(float(np.max(_spectral_power(w, ADMISSIBILITY_OVERSAMPLING * k))))
     if peak > spec.gamma and peak > 0.0:
         w = w * (spec.gamma / peak)
     return w
@@ -182,7 +201,7 @@ def disturbance_admissible(
             sup_value=max(math.sqrt(energy), max_step),
             energy=energy,
         )
-    sup_value = float(np.max(_dtft_grid_norms(w, grid_points)))
+    sup_value = math.sqrt(float(np.max(_spectral_power(w, grid_points))))
     return AdmissibilityResult(
         admissible=sup_value <= gamma * slack,
         sup_value=sup_value,
@@ -667,21 +686,18 @@ def per_step_table(
     """
     dx = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
     du = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
-    r_nom = mean_rewards(nominal)
-    r_dis = mean_rewards(disturbed)
-    rows = [
-        (k, float(dx[k]), float(du[k]), float(r_nom[k]), float(r_dis[k]))
-        for k in range(len(du))
-    ]
+    rows = list(zip(range(len(du)), dx.tolist(), du.tolist(),
+                    mean_rewards(nominal).tolist(), mean_rewards(disturbed).tolist()))
     rows.append((len(du), float(dx[-1]), None, None, None))
     return rows
 
 
 def write_per_step_table(rows, path) -> None:
+    """Write per_step_table rows as CSV: floats as repr, None as an empty cell."""
     lines = ["k,state_dev,action_dev,reward_nominal_mean,reward_disturbed_mean"]
-    for row in rows:
-        lines.append(
-            ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    lines += [
+        f"{k},{dx!r},{du!r},{rn!r},{rd!r}" if du is not None else f"{k},{dx!r},,,"
+        for k, dx, du, rn, rd in rows
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

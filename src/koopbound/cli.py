@@ -35,6 +35,7 @@ from .bounds import (
     load_report,
     per_step_table,
     save_report,
+    spectral_grid_values,
     state_deviation_bounds,
     verify_bounds,
     write_per_step_table,
@@ -257,9 +258,10 @@ class _Simulation(NamedTuple):
         return uav_ensemble(self.config, self.policy, *run_args, disturbance=disturbance)
 
 
-def _simulation(cfg: dict, args, groups: int = 1) -> _Simulation:
-    """The rollout settings, with the size of a rollout of ``groups``
-    ensembles checked before anything is drawn or allocated."""
+def _simulation(cfg: dict, args, verify: bool = False) -> _Simulation:
+    """The rollout settings, with the size of the work checked before
+    anything is drawn or allocated: the rollout's state buffer and, for
+    verify, both lane groups and the disturbance's spectral grid."""
     env = _setting("sim.env", cfg, args, required=True)
     if env not in ("linear", "uav"):
         raise ParameterError(f"sim.env must be 'linear' or 'uav', got {env!r}")
@@ -273,7 +275,9 @@ def _simulation(cfg: dict, args, groups: int = 1) -> _Simulation:
     policy, horizon, runs, seed = (
         _setting(key, cfg, args) for key in ("sim.policy", "sim.horizon", "sim.runs", "sim.seed")
     )
-    check_rollout_size(groups, runs, horizon, config.n if env == "linear" else config.state_dim)
+    check_rollout_size(2 if verify else 1, runs, horizon,
+                       config.n if env == "linear" else config.state_dim,
+                       grid_values=spectral_grid_values(horizon) if verify else 0)
     return _Simulation(env, config, policy, horizon, runs, seed)
 
 
@@ -361,7 +365,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
-    sim = _simulation(cfg, args, groups=2)
+    sim = _simulation(cfg, args, verify=True)
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
     if analytic_l is None and sim.env == "linear":

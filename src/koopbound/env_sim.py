@@ -163,15 +163,21 @@ def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None
     return w
 
 
-def check_rollout_size(groups: int, runs: int, horizon: int, n: int) -> None:
+def check_rollout_size(groups: int, runs: int, horizon: int, n: int, grid_values: int = 0) -> None:
     """Refuse a rollout whose (groups*runs, horizon+1, n) state buffer holds
-    more than _MAX_STATE_VALUES values."""
+    more than _MAX_STATE_VALUES values, or whose working set that grows with
+    the horizon alone (grid_values, verify's disturbance spectrum) does."""
     values = groups * runs * (horizon + 1) * n
     if values > _MAX_STATE_VALUES:
         raise ParameterError(
             f"sim.runs = {runs} and sim.horizon = {horizon} plan a "
             f"({groups * runs}, {horizon + 1}, {n}) state buffer of {values} values, "
             f"above the cap of {_MAX_STATE_VALUES}"
+        )
+    if grid_values > _MAX_STATE_VALUES:
+        raise ParameterError(
+            f"sim.horizon = {horizon} plans a disturbance spectral grid of {grid_values} "
+            f"values, above the cap of {_MAX_STATE_VALUES}"
         )
 
 

@@ -1,6 +1,9 @@
 """Disturbance admissibility, bound expressions, estimators, verification."""
 
+import hashlib
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from koopbound import (
     ParameterError,
     RewardDescriptor,
     TrajectoryEnsemble,
+    UavEnvConfig,
     action_deviation_bounds,
     disturbance_admissible,
     ensemble_mean,
@@ -27,11 +31,14 @@ from koopbound import (
     generate_disturbance,
     linear_ensemble,
     LinearSurrogateConfig,
+    per_step_table,
     reward_impact_bound,
     state_deviation_bounds,
+    uav_ensemble,
     verify_bounds,
+    write_per_step_table,
 )
-from koopbound.bounds import _sample_reward_triples
+from koopbound.bounds import _CHECK_RTOL, _sample_reward_triples, _spectral_power
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -91,6 +98,78 @@ class TestAdmissibility:
             disturbance_admissible(np.zeros((0, 2)), 1.0)
 
 
+def direct_norms(w, grid_points):
+    """||W(2 pi j / grid_points)|| for every j, from one complex FFT per
+    dimension: the reference the autocorrelation route is checked against."""
+    return np.linalg.norm(np.fft.fft(w, n=grid_points, axis=0), axis=1)
+
+
+class TestSpectralPower:
+    """The power from the summed autocorrelation equals the squared norm of
+    the direct FFT on the half grid, to 1e-12 of the peak power, and so the
+    peak to 1e-12 relative, with no RuntimeWarning (near a spectral zero
+    round-off can leave the power negative before the clamp)."""
+
+    def assert_matches_direct(self, w, grid_points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            power = _spectral_power(w, grid_points)
+        direct = direct_norms(w, grid_points)
+        assert power.shape == (grid_points // 2 + 1,)
+        assert np.all(power >= 0.0)
+        peak_power = float(np.max(direct[: grid_points // 2 + 1] ** 2))
+        assert np.max(np.abs(power - direct[: grid_points // 2 + 1] ** 2)) <= 1e-12 * peak_power
+        assert abs(math.sqrt(np.max(power)) - np.max(direct)) <= 1e-12 * np.max(direct)
+
+    @pytest.mark.parametrize("k,dim", [(1, 1), (2, 1), (2, 3), (24, 1), (400, 42), (1000, 26)])
+    def test_gaussian_draws(self, k, dim):
+        rng = np.random.default_rng(k * 100 + dim)
+        for _ in range(3):
+            w = rng.standard_normal((k, dim))
+            for grid_points in (4 * k, 8 * k, 8 * k + 1):
+                self.assert_matches_direct(w, grid_points)
+
+    def test_impulse_is_flat(self):
+        w = np.zeros((16, 3))
+        w[0] = [0.3, -0.4, 1.2]
+        power = _spectral_power(w, 8 * 16)
+        assert np.max(np.abs(power - 1.69)) <= 1e-12 * 1.69
+        self.assert_matches_direct(w, 8 * 16)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_constant_direction_zeros(self, k):
+        # A constant sequence's spectrum is a Dirichlet kernel with exact
+        # zeros at every multiple of 2 pi / K, all of them on the grid.
+        w = np.tile(np.array([1.0, -2.0, 0.5]) / k, (k, 1))
+        for grid_points in (4 * k, 8 * k, 8 * k + 3):
+            self.assert_matches_direct(w, grid_points)
+
+    @pytest.mark.parametrize("cycles", [3.0, 3.37])
+    def test_single_tone(self, cycles):
+        # 3 cycles over K puts the tone on the 8K grid; 3.37 puts it between
+        # grid points.
+        k = 50
+        tone = np.cos(2.0 * np.pi * cycles / k * np.arange(k))
+        w = tone[:, None] * np.array([[0.6, 0.8]])
+        for grid_points in (4 * k, 8 * k, 8 * k + 1):
+            self.assert_matches_direct(w, grid_points)
+
+    @pytest.mark.parametrize("k,dim", [(4096, 2), (1024, 42)])
+    def test_peak_memory_linear_in_input_and_grid(self, k, dim):
+        # A direct FFT holds an (N, n) complex array; the autocorrelation
+        # route holds O(n K + N) values, less than that array even at n = 2.
+        grid_points = 8 * k
+        w = np.random.default_rng(1).standard_normal((k, dim))
+        tracemalloc.start()
+        try:
+            _spectral_power(w, grid_points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_points * dim * 16
+        assert peak <= 8 * (6 * dim * k + 3 * grid_points)
+
+
 class TestGenerateDisturbance:
     @pytest.mark.parametrize("kind", [
         "impulse", "constant_direction", "scaled_gaussian_projected", "single_tone",
@@ -103,6 +182,8 @@ class TestGenerateDisturbance:
             assert w.shape == (24, 3)
             result = disturbance_admissible(w, gamma)
             assert result.admissible, (kind, gamma, seed, result)
+            # The direct FFT on the same 8K grid agrees.
+            assert np.max(direct_norms(w, 8 * 24)) <= gamma * (1.0 + _CHECK_RTOL)
 
     def test_zero_gamma_is_zero_sequence(self):
         spec = DisturbanceSpec(kind="scaled_gaussian_projected", gamma=0.0,
@@ -445,6 +526,39 @@ class TestVerifyBounds:
             if a == 1.0:
                 text = path.read_text()
                 assert '"T_hinf": "inf"' in text and '"reward_impact_bound": "inf"' in text
+
+
+class TestPerStepTable:
+    # SHA-256 of the steps file, recorded with the per-value writer the
+    # one-f-string-per-row writer replaced, on x86-64 with AVX-512, numpy 2.4
+    # and OpenBLAS 0.3.31.  The bytes depend on the platform's float kernels
+    # through the rollouts.
+    DIGESTS = {
+        "linear": "c1936011d05b2aa2a2011638ca135086bdbf4c00bf869b1781be9ddde574dcef",
+        "uav": "f3f6319b425cc8f6e4f052ad46f9b1febf31445f7d2c1724e411862ac7114333",
+    }
+
+    @pytest.mark.parametrize("env", ["linear", "uav"])
+    def test_steps_file_pinned(self, tmp_path, env):
+        if env == "linear":
+            config = LinearSurrogateConfig(
+                A=np.array([[0.9, 0.1, 0.0], [-0.2, 0.8, 0.1], [0.0, 0.3, 0.5]]),
+                F=np.array([[1.0, -1.0, 0.5], [0.2, 0.0, -0.4]]),
+                x0_mean=np.array([1.0, -2.0, 0.5]), noise_std=0.05)
+            w = np.random.default_rng(4).normal(scale=0.1, size=(50, 3))
+            rollouts = [linear_ensemble(config, 50, 3, 7, disturbance=d) for d in (None, w)]
+        else:
+            config = UavEnvConfig(area_x=50.0, area_y=50.0, gu_count=12, altitude=20.0,
+                                  coverage_radius=25.0, gu_mean_speed=10.0)
+            w = np.random.default_rng(3).normal(scale=2.0, size=(60, config.state_dim))
+            rollouts = [uav_ensemble(config, "lagged_centroid", 60, 3, 1009, disturbance=d)
+                        for d in (None, w)]
+        path = tmp_path / "steps.csv"
+        write_per_step_table(
+            per_step_table(*(ensemble_mean(e) for e in rollouts), *rollouts), path)
+        lines = path.read_text().splitlines()
+        assert lines[-1].endswith(",,,") and len(lines) == rollouts[0].horizon + 2
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[env]
 
 
 class TestJsonCodec:

@@ -343,18 +343,40 @@ class TestRolloutSize:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "types.cfg"]
 
     def test_cap_counts_every_group(self, tmp_path, monkeypatch, linear_config):
-        # LINEAR_CONFIG plans (1, 11, 2) states for simulate and (2, 11, 2)
-        # for verify's nominal and disturbed groups.
-        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 22)
+        # LINEAR_CONFIG at 8 runs plans (8, 11, 2) states for simulate and
+        # (16, 11, 2) for verify's nominal and disturbed groups, both above
+        # the 160 values of verify's spectral grid.
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 176)
         save_model(KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.5]]), np.array([[1.0, -1.0]])),
                    tmp_path / "model.json")
-        assert main(["simulate", "--config", str(linear_config),
+        assert main(["simulate", "--config", str(linear_config), "--runs", "8",
                      "--out", str(tmp_path / "traj.csv")]) == 0
-        assert main(["verify", "--config", str(linear_config), str(tmp_path / "model.json"),
-                     "--out", str(tmp_path / "report.json")]) == 2
-        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 44)
-        assert main(["verify", "--config", str(linear_config), str(tmp_path / "model.json"),
-                     "--out", str(tmp_path / "report.json")]) == 0
+        verify = ["verify", "--config", str(linear_config), "--runs", "8",
+                  str(tmp_path / "model.json"), "--out", str(tmp_path / "report.json")]
+        assert main(verify) == 2
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 352)
+        assert main(verify) == 0
+
+    def test_cap_counts_the_spectral_grid(self, tmp_path, capsys, monkeypatch, linear_config):
+        # verify's (2, 11, 2) states fit a cap of 44, but the disturbance's
+        # 80-point admissibility grid holds 160 values; a horizon whose grid
+        # exceeds the cap exits 2 naming sim.horizon before any draw.
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or real(*a))
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 159)
+        save_model(KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.5]]), np.array([[1.0, -1.0]])),
+                   tmp_path / "model.json")
+        argv = ["verify", "--config", str(linear_config), str(tmp_path / "model.json"),
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: sim.horizon = 10 plans a disturbance "
+                                                  "spectral grid of 160 values")
+        assert made == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["linear.cfg", "model.json"]
+        monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 160)
+        assert main(argv) == 0
+        assert made
 
 
 class TestAnalyze:
