@@ -8,31 +8,23 @@ from .trajectory_data import (
     TrajectoryEnsemble,
     ensemble_mean,
     load_trajectories,
-    mean_rewards,
     save_trajectories,
 )
 from .koopman_dmd import (
-    DEFAULT_RANK_TOL,
-    DmdResult,
     KoopmanModel,
     fit_koopman_model,
     load_model,
     save_model,
 )
 from .hinf_spectral import (
-    CONSTANT,
-    RESOLVENT,
     HinfReport,
     TransferFunction,
     hinf_norm,
 )
 from .bounds import (
-    DISTURBANCE_KINDS,
-    AdmissibilityResult,
     BoundInputs,
     BoundReport,
     DisturbanceSpec,
-    RewardDescriptor,
     action_deviation_bounds,
     disturbance_admissible,
     estimate_lipschitz,
@@ -56,7 +48,6 @@ from .env_sim import (
     downlink_rate,
     fairness_index,
     linear_ensemble,
-    norm_penalty_reward,
     path_loss,
     uav_ensemble,
     uav_reward,

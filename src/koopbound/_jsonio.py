@@ -48,9 +48,13 @@ def read_json(path):
             raise SchemaError(f"not valid JSON: {exc}") from None
 
 
-def as_object(node, where: str) -> dict:
+def as_object(node, where: str, keys=()) -> dict:
+    """A JSON object holding every one of ``keys``."""
     if not isinstance(node, dict):
         raise SchemaError(f"{where} must be a JSON object, got {node!r}")
+    for key in keys:
+        if key not in node:
+            raise SchemaError(f"{where} is missing field {key!r}")
     return node
 
 

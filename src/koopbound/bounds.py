@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -54,8 +54,6 @@ _CHECK_RTOL = 1e-9
 # Bound comparisons evaluated by verify_bounds: state/action energy and max,
 # discounted reward impact, generalization error.
 _N_BOUND_COMPARISONS = 6
-
-INFINITE_HORIZON = float("inf")
 
 
 @dataclass(frozen=True)
@@ -325,20 +323,22 @@ def generalization_error_bound(inputs: BoundInputs) -> float:
 _DISTINCT_EPS = 1e-12
 
 
-def estimate_lipschitz(samples: Sequence[tuple[tuple, float]]) -> float:
-    """Largest sampled ratio |r1 - r2| / (|x1 - x2| + |u1 - u2|).
+def estimate_lipschitz(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> float:
+    """Largest sampled ratio |r1 - r2| / (|x1 - x2| + |u1 - u2|) over the S
+    samples in the rows of ``states`` (S, n), ``actions`` (S, m) and
+    ``rewards`` (S,).
 
     This is a lower bound on the true Lipschitz constant; supply an analytic
     constant instead whenever one is known.  Pairs closer than 1e-12 in
     combined input distance are excluded.
     """
-    if len(samples) < 2:
+    if not len(states) == len(actions) == len(rewards):
+        raise DimensionMismatchError(f"{len(states)} states, {len(actions)} actions and "
+                                     f"{len(rewards)} rewards do not pair up as samples")
+    if len(rewards) < 2:
         raise InsufficientDataError("need at least two reward samples")
-    states = np.array([np.asarray(x, dtype=float).reshape(-1) for (x, _), _ in samples])
-    actions = np.array([np.asarray(u, dtype=float).reshape(-1) for (_, u), _ in samples])
-    rewards = np.array([float(r) for _, r in samples])
-    denom = pdist(states) + pdist(actions)
-    numer = pdist(rewards[:, None], metric="cityblock")
+    denom = pdist(np.asarray(states, dtype=float)) + pdist(np.asarray(actions, dtype=float))
+    numer = pdist(np.asarray(rewards, dtype=float)[:, None], metric="cityblock")
     valid = denom >= _DISTINCT_EPS
     if not np.any(valid):
         raise InsufficientDataError("fewer than two distinct samples")
@@ -367,19 +367,6 @@ def estimate_Q(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> float:
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RewardDescriptor:
-    """How to obtain the reward Lipschitz constant for the bound expressions.
-
-    analytic_L, when given, is used directly and the report is labeled
-    "analytic"; otherwise L is estimated from sampled (state, action, reward)
-    triples and labeled "estimated" (a lower bound of the true constant).
-    """
-
-    name: str = "reward"
-    analytic_L: float | None = None
 
 
 # The bound values a report derives from its inputs.
@@ -458,20 +445,12 @@ class BoundReport:
     def from_dict(cls, doc) -> "BoundReport":
         """Read a report written by to_dict; a malformed document raises
         SchemaError naming the field."""
-        doc = as_object(doc, "bound report")
-        for key in ("inputs", "M", "N", "state_energy_bound"):
-            if key not in doc:
-                raise SchemaError(f"bound report is missing field {key!r}")
-        raw = as_object(doc["inputs"], "inputs")
-        for key in ("gamma", "T_hinf", "Kf_hinf", "gamma_d"):
-            if key not in raw:
-                raise SchemaError(f"bound report inputs are missing field {key!r}")
-        defaults = {"L": 0.0, "Q": 0.0, "C": 0.0, "horizon": INFINITE_HORIZON}
-        inputs = BoundInputs(**{
-            f.name: as_number(raw.get(f.name, defaults.get(f.name)), f"inputs.{f.name}")
-            for f in fields(BoundInputs)
-        })
-        violations = doc.get("violations", [])
+        doc = as_object(doc, "bound report", (*_DERIVED_BOUNDS, "inputs", "l_source", "flags",
+                                              "violations", "violation_rate"))
+        names = [f.name for f in fields(BoundInputs)]
+        raw = as_object(doc["inputs"], "inputs", names)
+        inputs = BoundInputs(**{name: as_number(raw[name], f"inputs.{name}") for name in names})
+        violations = doc["violations"]
         if not (isinstance(violations, list) and all(
                 isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) for v in violations)):
             raise SchemaError(
@@ -481,19 +460,19 @@ class BoundReport:
         if empirical is not None:
             empirical = {key: as_number(value, f"empirical.{key}")
                          for key, value in as_object(empirical, "empirical").items()}
-        l_source = doc.get("l_source", "analytic")
+        l_source = doc["l_source"]
         if not isinstance(l_source, str):
             raise SchemaError(f"l_source must be a string, got {l_source!r}")
         return cls(
             inputs=inputs,
-            hinf=HinfReport.from_dict(as_object(doc["hinf"], "hinf")) if "hinf" in doc else None,
+            hinf=HinfReport.from_dict(doc["hinf"]) if "hinf" in doc else None,
             empirical=empirical,
             violations=tuple(
                 (name, as_number(measured, f"violations[{i}]"), as_number(bound, f"violations[{i}]"))
                 for i, (name, measured, bound) in enumerate(violations)
             ),
             l_source=l_source,
-            flags=_strings(doc.get("flags", []), "flags"),
+            flags=_strings(doc["flags"], "flags"),
         )
 
 
@@ -538,14 +517,15 @@ def certified_gain(model: KoopmanModel) -> ModelGain:
     return model.gain
 
 
-def _sample_reward_triples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
-    """Deterministic subsample of ((x_{k+1}, u_k), r_k) triples for L estimation:
-    every stride-th (run, step) pair in run-major order."""
+def _reward_samples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
+    """Deterministic subsample (x_{k+1}, u_k, r_k) for L estimation, as
+    arrays of shape (S, n), (S, m) and (S,): every stride-th (run, step) pair
+    in run-major order."""
     horizon = ensemble.horizon
     total = ensemble.r_count * horizon
     runs, steps = np.divmod(np.arange(0, total, max(1, total // max_samples)), horizon)
-    inputs = zip(ensemble.states[runs, steps + 1], ensemble.actions[runs, steps])
-    return list(zip(inputs, ensemble.rewards[runs, steps].tolist()))
+    return (ensemble.states[runs, steps + 1], ensemble.actions[runs, steps],
+            ensemble.rewards[runs, steps])
 
 
 def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model):
@@ -576,9 +556,14 @@ def verify_bounds(
     model: KoopmanModel,
     gamma: float,
     gamma_d: float,
-    reward: RewardDescriptor | None = None,
+    lipschitz: float | None = None,
 ) -> BoundReport:
     """Compare every bound against its measured left-hand side.
+
+    ``lipschitz`` is the reward's Lipschitz constant L, labeled "analytic"
+    in the report; when None, L is estimated from sampled (state, action,
+    reward) triples of both ensembles and labeled "estimated" (a lower bound
+    of the true constant).
 
     Measures state/action deviation energies and maxima between the nominal
     and disturbed mean trajectories, plus the discounted gap of per-step
@@ -597,14 +582,12 @@ def verify_bounds(
     if hinf.ill_conditioned and hinf.converged:
         flags.append("ill-conditioned-resolvent")
 
-    if reward is None:
-        reward = RewardDescriptor()
-    if reward.analytic_L is not None:
-        lipschitz = float(reward.analytic_L)
+    if lipschitz is not None:
+        lipschitz = float(lipschitz)
         l_source = "analytic"
     else:
-        samples = _sample_reward_triples(nominal) + _sample_reward_triples(disturbed)
-        lipschitz = estimate_lipschitz(samples)
+        samples = zip(_reward_samples(nominal), _reward_samples(disturbed))
+        lipschitz = estimate_lipschitz(*(np.concatenate(pair) for pair in samples))
         l_source = "estimated"
         flags.append("estimated-L")
 

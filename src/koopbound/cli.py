@@ -27,7 +27,6 @@ from ._jsonio import write_json
 from .bounds import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
-    RewardDescriptor,
     action_deviation_bounds,
     certified_gain,
     disturbance_admissible,
@@ -309,11 +308,10 @@ def cmd_fit(args) -> int:
     inputs = [args.trajectories] + ([args.config] if args.config else [])
     _write_manifest("fit", args.config, None, inputs, [out],
                     gain_search={"seconds": search_s, "iterations": hinf.iterations})
-    meta = model.fit_metadata
     print(
-        f"wrote {out}: n={model.n}, m={model.m}, rank={model.state_dmd.rank}, "
-        f"state_residual={meta['state_residual']:.3e}, "
-        f"action_residual={meta['action_residual']:.3e}, T_hinf={hinf.value:.6g}, "
+        f"wrote {out}: n={model.n}, m={model.m}, rank={model.rank}, "
+        f"state_residual={model.state_residual:.3e}, "
+        f"action_residual={model.action_residual:.3e}, T_hinf={hinf.value:.6g}, "
         f"omega*={hinf.omega_star:.6g}, 1-rho={1.0 - hinf.spectral_radius:.3e}"
     )
     return 0
@@ -394,7 +392,6 @@ def cmd_verify(args) -> int:
     nominal, disturbed = split_groups(sim.rollout(disturbance=(None, w)), 2)
     nominal_mean = ensemble_mean(nominal)
     disturbed_mean = ensemble_mean(disturbed)
-    reward = RewardDescriptor(name=f"{sim.env}-reward", analytic_L=analytic_l)
 
     report = verify_bounds(
         nominal_mean,
@@ -404,7 +401,7 @@ def cmd_verify(args) -> int:
         model,
         spec.gamma,
         gamma_d,
-        reward,
+        lipschitz=analytic_l,
     )
     label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
     out = Path(args.out or "verify_report.json")

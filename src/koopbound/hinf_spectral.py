@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg
 
-from ._jsonio import as_integer, as_number
+from ._jsonio import as_integer, as_number, as_object
 from .errors import DataError, DivergenceError, ParameterError, SchemaError
 
 RESOLVENT = "resolvent"
@@ -116,13 +116,11 @@ class HinfReport:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, where: str = "hinf") -> "HinfReport":
+    def from_dict(cls, doc, where: str = "hinf") -> "HinfReport":
         """Read a report written by to_dict; every field must be present, and
         a mistyped or misplaced non-finite one raises SchemaError naming it
         under ``where``."""
-        for f in fields(cls):
-            if f.name not in doc:
-                raise SchemaError(f"{where} is missing field {f.name!r}")
+        as_object(doc, where, [f.name for f in fields(cls)])
         for key in ("converged", "ill_conditioned"):
             if not isinstance(doc[key], bool):
                 raise SchemaError(f"{where}.{key} must be true or false, got {doc[key]!r}")

@@ -46,24 +46,6 @@ _GAIN_VERSION = 1
 _REAL_HARD_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DmdResult:
-    """Fitted state operator with its spectrum and fit diagnostics.
-
-    ``eigenvalues`` are those of the reduced operator, sorted by descending
-    modulus, ties broken by descending real part then descending imaginary
-    part (conjugate pairs stay adjacent).  ``singular_values`` are the
-    ``rank`` kept singular values of X0, and ``residual`` is the relative
-    Frobenius misfit of X1 ~= operator @ X0.
-    """
-
-    operator: np.ndarray
-    eigenvalues: np.ndarray
-    rank: int
-    singular_values: np.ndarray
-    residual: float
-
-
 class ModelGain(NamedTuple):
     """Certified gains of a model: the H-infinity report of the resolvent of
     the state operator and the spectral norm of the action operator."""
@@ -74,20 +56,29 @@ class ModelGain(NamedTuple):
 
 @dataclass(frozen=True)
 class KoopmanModel:
-    """State operator (n x n) and action operator (m x n) fitted from means.
+    """State operator (n x n) and action operator (m x n) with their fit
+    diagnostics; the one record of a model, fitted or loaded.
 
-    ``state_dmd`` keeps the full decomposition when the model was fitted in
-    process; it is None for models reloaded from JSON, which stores only
-    the operators and summary diagnostics.  ``gain`` is set by
-    ``bounds.certified_gain`` or by ``load_model`` from the file's gain
-    block, never by the constructor, so a model built or replaced in code
-    starts without one.
+    ``eigenvalues`` are the DMD eigenvalues, those of the reduced operator,
+    sorted by descending modulus, ties broken by descending real part then
+    descending imaginary part (conjugate pairs stay adjacent).  ``rank`` is
+    the number of singular values of the snapshot matrix kept at
+    ``rank_tol``, and the residuals are the relative Frobenius misfits of
+    the state and action fits.  A model built in code leaves them None.
+    ``gain`` is set by ``bounds.certified_gain`` or by ``load_model`` from
+    the file's gain block, never by the constructor, so a model built or
+    replaced in code starts without one.
     """
 
     state_operator: np.ndarray
     action_operator: np.ndarray
-    state_dmd: DmdResult | None = None
-    fit_metadata: dict = field(default_factory=dict)
+    eigenvalues: np.ndarray | None = None
+    rank: int | None = None
+    rank_tol: float | None = None
+    snapshot_columns: int | None = None
+    r_count: int | None = None
+    state_residual: float | None = None
+    action_residual: float | None = None
     gain: ModelGain | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -126,7 +117,7 @@ def _sorted_eig(a: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted by (|lambda|, Re, Im) all descending."""
     # eig, not eigvals: LAPACK may round eigenvalues differently when it
     # computes no eigenvectors, and the eigenvalues are written to model JSON.
-    eigvals, _ = np.linalg.eig(a)
+    eigvals = np.linalg.eig(a)[0].astype(complex)
     return eigvals[np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))]
 
 
@@ -138,8 +129,9 @@ def _relative_residual(right: np.ndarray, operator: np.ndarray, left: np.ndarray
     return float(misfit / denom)
 
 
-def _projected_dmd(x0: np.ndarray, x1: np.ndarray, svd) -> DmdResult:
-    """Projected DMD of x1 ~= K x0, given the truncated SVD (u, s, v) of x0.
+def _projected_dmd(x0: np.ndarray, x1: np.ndarray, svd):
+    """Projected DMD of x1 ~= K x0, given the truncated SVD (u, s, v) of x0:
+    the operator, its sorted DMD eigenvalues and the relative residual.
 
     The reduced operator is A~ = U^H x1 V S^-1 and its eigenvalues are the
     DMD eigenvalues; the full operator U A~ U^H is real for real data.
@@ -148,13 +140,7 @@ def _projected_dmd(x0: np.ndarray, x1: np.ndarray, svd) -> DmdResult:
     a_tilde = u.conj().T @ ((x1 @ v) / s[np.newaxis, :])
     a_tilde = _require_real(a_tilde, "reduced operator")
     operator = _require_real(u @ a_tilde @ u.conj().T, "state operator")
-    return DmdResult(
-        operator=operator,
-        eigenvalues=_sorted_eig(a_tilde),
-        rank=len(s),
-        singular_values=s.copy(),
-        residual=_relative_residual(x1, operator, x0),
-    )
+    return operator, _sorted_eig(a_tilde), _relative_residual(x1, operator, x0)
 
 
 def _pseudoinverse_fit(targets: np.ndarray, svd) -> np.ndarray:
@@ -179,20 +165,19 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
     x0 = mean_traj.mean_states[:k].T
     actions = mean_traj.mean_actions.T
     svd = _truncated_svd(x0, rank_tol)
-    state_dmd = _projected_dmd(x0, mean_traj.mean_states[1:].T, svd)
+    state_operator, eigenvalues, state_residual = _projected_dmd(
+        x0, mean_traj.mean_states[1:].T, svd)
     action_operator = _pseudoinverse_fit(actions, svd)
-    metadata = {
-        "rank_tol": rank_tol,
-        "snapshot_columns": k,
-        "r_count": mean_traj.r_count,
-        "state_residual": state_dmd.residual,
-        "action_residual": _relative_residual(actions, action_operator, x0),
-    }
     return KoopmanModel(
-        state_operator=state_dmd.operator,
+        state_operator=state_operator,
         action_operator=action_operator,
-        state_dmd=state_dmd,
-        fit_metadata=metadata,
+        eigenvalues=eigenvalues,
+        rank=len(svd[1]),
+        rank_tol=rank_tol,
+        snapshot_columns=k,
+        r_count=mean_traj.r_count,
+        state_residual=state_residual,
+        action_residual=_relative_residual(actions, action_operator, x0),
     )
 
 
@@ -200,7 +185,8 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
 # JSON serialization: dimensions, row-major operator entries at full
 # precision, eigenvalues as (re, im) pairs, rank, rank_tol, residuals, and
 # the gain block when the model carries its gain.  Every float is written as
-# its shortest repr, so a loaded operator equals the saved one bit for bit.
+# its shortest repr, so a loaded model equals the saved one field for field
+# and saves to the same bytes.
 # ---------------------------------------------------------------------------
 
 
@@ -223,45 +209,36 @@ def _gain_to_dict(model: KoopmanModel) -> dict:
 
 def _gain_from_dict(node, state_operator: np.ndarray, action_operator: np.ndarray) -> ModelGain:
     """The gain block of a model document, checked against its operators."""
-    block = as_object(node, "model field 'gain'")
-    for key in ("version", "operators_sha256", "hinf", "Kf_hinf"):
-        if key not in block:
-            raise SchemaError(f"model field 'gain' is missing field {key!r}")
+    block = as_object(node, "model field 'gain'",
+                      ("version", "operators_sha256", "hinf", "Kf_hinf"))
     version = as_integer(block["version"], "gain.version")
     if version != _GAIN_VERSION:
         raise SchemaError(f"gain.version is {version}, this reader takes {_GAIN_VERSION}")
     if block["operators_sha256"] != _operators_sha256(state_operator, action_operator):
         raise SchemaError("gain.operators_sha256 does not match the model's operators: "
                           "the gain block belongs to other operators")
-    hinf = HinfReport.from_dict(as_object(block["hinf"], "gain.hinf"), "gain.hinf")
+    hinf = HinfReport.from_dict(block["hinf"], "gain.hinf")
     if hinf.spectral_radius is None:
         raise SchemaError("gain.hinf.spectral_radius must be a number, got None")
     return ModelGain(hinf, as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True))
 
 
 def _model_to_dict(model: KoopmanModel) -> dict:
-    eigvals = (
-        model.state_dmd.eigenvalues
-        if model.state_dmd is not None
-        else np.linalg.eigvals(model.state_operator)
-    )
-    order = np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))
-    eigvals = eigvals[order]
-    meta = dict(model.fit_metadata)
+    eigvals = model.eigenvalues
+    if eigvals is None:
+        eigvals = np.linalg.eigvals(model.state_operator)
+        eigvals = eigvals[np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))]
     doc = {
         "n": model.n,
         "m": model.m,
         "state_operator": model.state_operator.tolist(),
         "action_operator": model.action_operator.tolist(),
         "eigenvalues": [[float(v.real), float(v.imag)] for v in eigvals],
-        "rank": model.state_dmd.rank if model.state_dmd is not None else None,
-        "rank_tol": meta.get("rank_tol"),
-        "residuals": {
-            "state": meta.get("state_residual"),
-            "action": meta.get("action_residual"),
-        },
-        "snapshot_columns": meta.get("snapshot_columns"),
-        "r_count": meta.get("r_count"),
+        "rank": model.rank,
+        "rank_tol": model.rank_tol,
+        "residuals": {"state": model.state_residual, "action": model.action_residual},
+        "snapshot_columns": model.snapshot_columns,
+        "r_count": model.r_count,
     }
     if model.gain is not None:
         doc["gain"] = _gain_to_dict(model)
@@ -280,26 +257,36 @@ def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return matrix
 
 
+def _eigenvalues_field(node, n: int) -> np.ndarray:
+    where = "model field 'eigenvalues'"
+    if not (isinstance(node, list) and len(node) <= n
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in node)):
+        raise SchemaError(f"{where} must be a list of at most n = {n} [re, im] pairs")
+    parts = np.array([as_number(x, where, finite=True) for pair in node for x in pair])
+    # A view, not re + 1j * im, which would lose the sign of a zero imaginary part.
+    return parts.reshape(-1, 2).view(np.complex128)[:, 0]
+
+
+def _nullable(read, node, where: str):
+    return None if node is None else read(node, f"model field {where!r}")
+
+
 def _model_from_dict(doc) -> KoopmanModel:
-    doc = as_object(doc, "model document")
-    for key in ("n", "m", "state_operator", "action_operator"):
-        if key not in doc:
-            raise SchemaError(f"model document is missing field {key!r}")
+    doc = as_object(doc, "model document", (
+        "n", "m", "state_operator", "action_operator", "eigenvalues", "rank", "rank_tol",
+        "residuals", "snapshot_columns", "r_count"))
     n, m = as_integer(doc["n"], "model field 'n'"), as_integer(doc["m"], "model field 'm'")
-    residuals = as_object(doc.get("residuals") or {}, "model field 'residuals'")
-    metadata = {
-        "rank_tol": doc.get("rank_tol"),
-        "snapshot_columns": doc.get("snapshot_columns"),
-        "r_count": doc.get("r_count"),
-        "state_residual": residuals.get("state"),
-        "action_residual": residuals.get("action"),
-        "rank": doc.get("rank"),
-    }
+    residuals = as_object(doc["residuals"], "model field 'residuals'", ("state", "action"))
     model = KoopmanModel(
         state_operator=_matrix_field(doc, "state_operator", (n, n)),
         action_operator=_matrix_field(doc, "action_operator", (m, n)),
-        state_dmd=None,
-        fit_metadata=metadata,
+        eigenvalues=_eigenvalues_field(doc["eigenvalues"], n),
+        rank=_nullable(as_integer, doc["rank"], "rank"),
+        rank_tol=_nullable(as_number, doc["rank_tol"], "rank_tol"),
+        snapshot_columns=_nullable(as_integer, doc["snapshot_columns"], "snapshot_columns"),
+        r_count=_nullable(as_integer, doc["r_count"], "r_count"),
+        state_residual=_nullable(as_number, residuals["state"], "residuals.state"),
+        action_residual=_nullable(as_number, residuals["action"], "residuals.action"),
     )
     if "gain" in doc:
         gain = _gain_from_dict(doc["gain"], model.state_operator, model.action_operator)

@@ -11,7 +11,6 @@ import numpy as np
 from koopbound import (
     DisturbanceSpec,
     KoopmanModel,
-    RewardDescriptor,
     TransferFunction,
     UavEnvConfig,
     LinearSurrogateConfig,
@@ -48,8 +47,10 @@ def criterion(num, name):
 
 def dmd(x0, x1):
     """The fit's DMD core on a snapshot pair x1 ~= K x0 (here stacks of
-    several runs, which no single mean trajectory can express)."""
-    return _projected_dmd(x0, x1, _truncated_svd(x0, 1e-10))
+    several runs, which no single mean trajectory can express), as a model
+    record without an action map."""
+    operator, eigenvalues, _ = _projected_dmd(x0, x1, _truncated_svd(x0, 1e-10))
+    return KoopmanModel(operator, np.zeros((0, len(x0))), eigenvalues=eigenvalues)
 
 
 def random_stable(rng, n, radius):
@@ -77,7 +78,7 @@ def test_dmd_recovery_oracle():
             lefts.append(x[:, :-1])
             rights.append(x[:, 1:])
         result = dmd(np.hstack(lefts), np.hstack(rights))
-        error = np.linalg.norm(result.operator - a) / np.linalg.norm(a)
+        error = np.linalg.norm(result.state_operator - a) / np.linalg.norm(a)
         assert error <= 1e-6, (rep, error)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -167,7 +168,7 @@ def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1, seed=0):
         _true_model(config.A, config.F),
         gamma,
         gamma_d,
-        RewardDescriptor(analytic_L=config.reward_lipschitz),
+        lipschitz=config.reward_lipschitz,
     )
 
 

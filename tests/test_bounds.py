@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from koopbound import (
     BoundInputs,
     DataError,
+    DimensionMismatchError,
     DisturbanceSpec,
     DivergenceError,
     EmptyInputError,
     InsufficientDataError,
     KoopmanModel,
     ParameterError,
-    RewardDescriptor,
     TrajectoryEnsemble,
     UavEnvConfig,
     action_deviation_bounds,
@@ -38,7 +38,7 @@ from koopbound import (
     verify_bounds,
     write_per_step_table,
 )
-from koopbound.bounds import _CHECK_RTOL, _sample_reward_triples, _spectral_power
+from koopbound.bounds import _CHECK_RTOL, _reward_samples, _spectral_power
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -331,28 +331,29 @@ class TestRewardBounds:
 
 class TestEstimators:
     def test_lipschitz_constant_function(self):
-        samples = [(((x,), (0.0,)), 1.0) for x in (0.0, 1.0, 2.0)]
-        assert estimate_lipschitz(samples) == 0.0
+        states = np.array([[0.0], [1.0], [2.0]])
+        assert estimate_lipschitz(states, np.zeros((3, 1)), np.ones(3)) == 0.0
 
     def test_lipschitz_single_pair(self):
-        samples = [(((0.0,), (0.0,)), 0.0), (((1.0,), (0.0,)), 2.0)]
-        assert np.isclose(estimate_lipschitz(samples), 2.0)
+        states = np.array([[0.0], [1.0]])
+        assert np.isclose(estimate_lipschitz(states, np.zeros((2, 1)), np.array([0.0, 2.0])), 2.0)
 
     def test_lipschitz_norm_function_below_one(self):
         rng = np.random.default_rng(1)
-        samples = []
-        for _ in range(60):
-            x = rng.normal(size=3)
-            u = rng.normal(size=2)
-            samples.append(((x, u), float(np.linalg.norm(x))))
-        assert estimate_lipschitz(samples) <= 1.0 + 1e-12
+        draws = [(rng.normal(size=3), rng.normal(size=2)) for _ in range(60)]
+        states, actions = (np.array(column) for column in zip(*draws))
+        rewards = np.linalg.norm(states, axis=1)
+        assert estimate_lipschitz(states, actions, rewards) <= 1.0 + 1e-12
 
     def test_lipschitz_needs_two_distinct(self):
         with pytest.raises(InsufficientDataError):
-            estimate_lipschitz([(((0.0,), (0.0,)), 1.0)])
-        same = [(((1.0,), (2.0,)), 0.5), (((1.0,), (2.0,)), 0.5)]
+            estimate_lipschitz(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1))
         with pytest.raises(InsufficientDataError):
-            estimate_lipschitz(same)
+            estimate_lipschitz(np.ones((2, 1)), np.full((2, 1), 2.0), np.full(2, 0.5))
+
+    def test_lipschitz_rows_must_pair_up(self):
+        with pytest.raises(DimensionMismatchError):
+            estimate_lipschitz(np.zeros((3, 1)), np.zeros((3, 1)), np.arange(4.0))
 
     def _pm_one_ensemble(self, scale=1.0):
         k = 4
@@ -400,13 +401,12 @@ class TestEstimators:
         ens = TrajectoryEnsemble(states=rng.normal(size=(3, 8, 2)),
                                  actions=rng.normal(size=(3, 7, 1)),
                                  rewards=rng.normal(size=(3, 7)))
-        samples = _sample_reward_triples(ens, max_samples=5)
-        picks = [(0, 0), (0, 4), (1, 1), (1, 5), (2, 2), (2, 6)]
-        assert len(samples) == len(picks)
-        for ((x, u), r), (run, k) in zip(samples, picks):
-            assert np.array_equal(x, ens.states[run, k + 1])
-            assert np.array_equal(u, ens.actions[run, k])
-            assert r == ens.rewards[run, k] and type(r) is float
+        states, actions, rewards = _reward_samples(ens, max_samples=5)
+        runs, steps = np.array([(0, 0), (0, 4), (1, 1), (1, 5), (2, 2), (2, 6)]).T
+        assert np.array_equal(states, ens.states[runs, steps + 1])
+        assert np.array_equal(actions, ens.actions[runs, steps])
+        assert np.array_equal(rewards, ens.rewards[runs, steps])
+        assert (states.shape, actions.shape, rewards.shape) == ((6, 2), (6, 1), (6,))
 
 
 def true_model(a, f):
@@ -415,9 +415,10 @@ def true_model(a, f):
     return KoopmanModel(state_operator=a, action_operator=f)
 
 
-def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, reward=None):
+def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False):
     """verify_bounds on `runs` runs of the surrogate over the disturbance's
-    horizon, seeded from 0."""
+    horizon, seeded from 0, with the surrogate's analytic L unless
+    `estimated`."""
     horizon = len(disturbance)
     nominal = linear_ensemble(config, horizon, runs, 0)
     disturbed = linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
@@ -429,7 +430,7 @@ def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, reward=None):
         true_model(config.A, config.F),
         gamma,
         gamma_d,
-        reward or RewardDescriptor(analytic_L=config.reward_lipschitz),
+        lipschitz=None if estimated else config.reward_lipschitz,
     )
 
 
@@ -488,8 +489,7 @@ class TestVerifyBounds:
             A=np.array([[0.5]]), F=np.array([[1.0]]),
             x0_mean=np.array([2.0]), noise_std=0.05,
         )
-        report = run_verify(config, np.zeros((10, 1)), gamma=0.0, runs=3,
-                            reward=RewardDescriptor())
+        report = run_verify(config, np.zeros((10, 1)), gamma=0.0, runs=3, estimated=True)
         assert report.l_source == "estimated"
         assert "estimated-L" in report.flags
         assert "q-from-disturbed-rollouts" in report.flags

@@ -13,7 +13,6 @@ from koopbound import (
     HinfReport,
     KoopmanModel,
     LinearSurrogateConfig,
-    RewardDescriptor,
     TrajectoryEnsemble,
     UavEnvConfig,
     ensemble_mean,
@@ -136,7 +135,7 @@ class TestFit:
         model = load_model(model_path)
         a = np.array([[0.9, 0.1], [0.0, 0.5]])
         assert np.linalg.norm(model.state_operator - a) <= 1e-6 * np.linalg.norm(a)
-        assert model.fit_metadata["state_residual"] <= 1e-8
+        assert model.state_residual <= 1e-8
 
     def test_empty_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -591,16 +590,16 @@ class TestVerifyAndReport:
         if env == "uav":
             rollouts = [uav_ensemble(UavEnvConfig(), "centroid_greedy", 8, 2, 5, disturbance=d)
                         for d in (None, w)]
-            reward = RewardDescriptor(name="uav-reward")
+            lipschitz = None
         else:
             surrogate = LinearSurrogateConfig(
                 A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]], x0_mean=[1.0, 1.0], noise_std=0.02)
             rollouts = [linear_ensemble(surrogate, 200, 8, 7, disturbance=d) for d in (None, w)]
-            reward = RewardDescriptor(name="linear-reward", analytic_L=1.0)
+            lipschitz = 1.0
         means = [ensemble_mean(e) for e in rollouts]
         expected = tmp_path / "expected.json"
         save_report(verify_bounds(*means, *rollouts, load_model(tmp_path / f"{env}_model.json"),
-                                  spec.gamma, 0.9, reward), expected, label=env)
+                                  spec.gamma, 0.9, lipschitz), expected, label=env)
         write_per_step_table(per_step_table(*means, *rollouts), tmp_path / "expected.steps.csv")
         assert report.read_bytes() == expected.read_bytes()
         assert (report.with_suffix(".steps.csv").read_bytes()
@@ -769,27 +768,37 @@ class TestMalformedDocuments:
     """A malformed model or report file exits 2 with an error naming the
     field, and writes nothing."""
 
+    @staticmethod
+    def edit(doc, where, value):
+        """Set the dotted field of doc to value, or delete it for MISSING."""
+        *parents, leaf = where.split(".")
+        for key in parents:
+            doc = doc[key]
+        if value is MISSING:
+            del doc[leaf]
+        else:
+            doc[leaf] = value
+
     @pytest.mark.parametrize("field, value", [
         ("n", "x"), ("n", 1.7), ("m", True),
         ("state_operator", [[0.9, 0.1], [0.0]]), ("residuals", 5),
+        ("eigenvalues", [0.9, 0.5]), ("eigenvalues", [[0.9, 0.0, 1.0]]), ("rank", 2.5),
+        ("rank_tol", "x"), ("residuals.state", True),
     ])
     def test_model(self, tmp_path, capsys, field, value):
         path = tmp_path / "model.json"
         save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
                                 action_operator=np.array([[1.0, -1.0]])), path)
         doc = json.loads(path.read_text())
-        doc[field] = value
+        self.edit(doc, field, value)
         path.write_text(json.dumps(doc))
         out = tmp_path / "analysis.json"
         assert main(["analyze", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: model field {field!r}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("where, value", [
-        ("inputs.T_hinf", "x"), ("flags", 5), ("violations", [{"x": 1}]),
-        ("hinf.lower", None), ("empirical", [1.0]), ("label", 3),
-    ])
-    def test_report(self, tmp_path, capsys, where, value):
+    @staticmethod
+    def report_file(tmp_path):
         report = BoundReport(
             inputs=BoundInputs(gamma=0.5, T_hinf=2.0, Kf_hinf=1.0, L=1.0, Q=0.1, C=0.1,
                                gamma_d=0.9, horizon=10.0),
@@ -801,16 +810,36 @@ class TestMalformedDocuments:
         )
         path = tmp_path / "report.json"
         save_report(report, path, label="ok")
+        return path
+
+    @pytest.mark.parametrize("where, value", [
+        ("inputs.T_hinf", "x"), ("flags", 5), ("violations", [{"x": 1}]),
+        ("hinf.lower", None), ("empirical", [1.0]), ("label", 3),
+    ])
+    def test_report(self, tmp_path, capsys, where, value):
+        path = self.report_file(tmp_path)
         doc = json.loads(path.read_text())
-        *parents, leaf = where.split(".")
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[leaf] = value
+        self.edit(doc, where, value)
         path.write_text(json.dumps(doc))
         out = tmp_path / "summary.json"
         assert main(["report", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {where} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["inputs.L", "inputs.Q", "inputs.C", "inputs.horizon",
+                                       "l_source"])
+    def test_report_missing_field(self, tmp_path, capsys, where):
+        """A missing input is refused, not read as a default such as L = 0,
+        which would report a reward impact bound of 0."""
+        path = self.report_file(tmp_path)
+        doc = json.loads(path.read_text())
+        self.edit(doc, where, MISSING)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "summary.json"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        leaf = where.split(".")[-1]
+        assert len(err) == 1 and err[0].startswith("error: ") and f"field {leaf!r}" in err[0]
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Operator fitting: recovery oracles, spectra, least squares, model JSON."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from koopbound import (
     load_model,
     save_model,
 )
+from koopbound.bounds import certified_gain
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
 
 
@@ -29,13 +31,17 @@ def rollout_matrix(a, x0, steps):
 
 def dmd(x0, x1, rank_tol=1e-10):
     """The fit's DMD core on an arbitrary snapshot pair x1 ~= K x0, such as
-    stacks of several runs, which no single mean trajectory can express."""
-    return _projected_dmd(x0, x1, _truncated_svd(x0, rank_tol))
+    stacks of several runs, which no single mean trajectory can express, as
+    a model record without an action map."""
+    svd = _truncated_svd(x0, rank_tol)
+    operator, eigenvalues, residual = _projected_dmd(x0, x1, svd)
+    return KoopmanModel(operator, np.zeros((0, len(x0))), eigenvalues=eigenvalues,
+                        rank=len(svd[1]), state_residual=residual)
 
 
 def state_fit(states, rank_tol=1e-10):
-    """The state DMD of fit_koopman_model on one state sequence."""
-    return fit_koopman_model(mean_from_states(states), rank_tol).state_dmd
+    """fit_koopman_model on one state sequence."""
+    return fit_koopman_model(mean_from_states(states), rank_tol)
 
 
 def random_stable(rng, n, radius=0.9):
@@ -63,7 +69,7 @@ class TestDmdStandard:
         x0 = np.eye(2)
         x1 = np.diag([2.0, 3.0]) @ x0
         result = dmd(x0, x1)
-        assert np.allclose(result.operator, np.diag([2.0, 3.0]))
+        assert np.allclose(result.state_operator, np.diag([2.0, 3.0]))
         assert np.allclose(result.eigenvalues, [3.0, 2.0])
 
     def test_identity_dynamics(self):
@@ -71,13 +77,13 @@ class TestDmdStandard:
         x0 = rng.normal(size=(3, 8))
         result = dmd(x0, x0)
         assert np.allclose(result.eigenvalues, 1.0, atol=1e-10)
-        assert result.residual < 1e-12
+        assert result.state_residual < 1e-12
 
     def test_triangular_system_eigenvalues(self):
         a = np.array([[0.9, 0.1], [0.0, 0.5]])
         result = state_fit(rollout_matrix(a, [1.0, 1.0], 50).T)
         assert np.allclose(sorted(np.abs(result.eigenvalues)), [0.5, 0.9], atol=1e-8)
-        assert np.allclose(result.operator, a, atol=1e-8)
+        assert np.allclose(result.state_operator, a, atol=1e-8)
 
     def test_zero_snapshots_degenerate(self):
         # Mean states 0..K-1 are zero; only the last one is not.
@@ -113,14 +119,14 @@ class TestDmdExact:
         x = rng.normal(size=(3, 10))
         result = dmd(x, 2.0 * x)
         assert np.allclose(result.eigenvalues, 2.0)
-        assert np.allclose(result.operator @ x, 2.0 * x)
+        assert np.allclose(result.state_operator @ x, 2.0 * x)
 
     def test_zero_right_side(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 6))
         result = dmd(x, np.zeros_like(x))
         assert np.allclose(result.eigenvalues, 0.0, atol=1e-12)
-        assert result.residual == 0.0
+        assert result.state_residual == 0.0
 
     def test_defective_double_eigenvalue(self):
         # B has characteristic polynomial l^2 - l + 1/4, a double root at 0.5.
@@ -140,7 +146,7 @@ class TestDmdExact:
             x = rng.normal(size=(n, 3 * n))
             result = dmd(x, b @ x, rank_tol=1e-10)
             for lam in result.eigenvalues:
-                shifted = result.operator - lam * np.eye(n)
+                shifted = result.state_operator - lam * np.eye(n)
                 assert np.linalg.svd(shifted, compute_uv=False)[-1] <= 1e-6
 
 
@@ -167,7 +173,7 @@ class TestFitStateOperator:
         a = np.array([[0.9, 0.1], [0.0, 0.5]])
         states = rollout_matrix(a, [1.0, 1.0], 50).T
         result = state_fit(states)
-        assert np.linalg.norm(result.operator - a) <= 1e-8 * np.linalg.norm(a)
+        assert np.linalg.norm(result.state_operator - a) <= 1e-8 * np.linalg.norm(a)
 
     def test_constant_sequence_fixed_point(self):
         result = state_fit(np.tile([2.0, -1.0], (6, 1)))
@@ -176,7 +182,7 @@ class TestFitStateOperator:
 
     def test_decaying_scalar(self):
         result = state_fit(0.9 ** np.arange(10.0))
-        assert np.allclose(result.operator, [[0.9]], atol=1e-12)
+        assert np.allclose(result.state_operator, [[0.9]], atol=1e-12)
 
 
 def action_fit(states, actions):
@@ -231,10 +237,60 @@ class TestExactRecoveryProperty:
                 lefts.append(x[:, :-1])
                 rights.append(x[:, 1:])
             result = dmd(np.hstack(lefts), np.hstack(rights))
-            assert np.linalg.norm(result.operator - a) <= 1e-6 * np.linalg.norm(a)
+            assert np.linalg.norm(result.state_operator - a) <= 1e-6 * np.linalg.norm(a)
+
+
+def fitted(rank_deficient=False, gain=True):
+    """A model fitted from n = 3 states and m = 2 actions, with the certified
+    gain fit attaches; rank-deficient ones move in a two-dimensional subspace."""
+    rng = np.random.default_rng(13)
+    if rank_deficient:
+        embed = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        states = rollout_matrix(np.array([[0.9, 0.1], [0.0, 0.5]]), [1.0, 1.0], 30).T @ embed.T
+    else:
+        states = rollout_matrix(random_stable(rng, 3), rng.normal(size=3), 30).T
+    actions = states[:-1] @ rng.normal(size=(3, 2))
+    model = fit_koopman_model(MeanTrajectory(states, actions, r_count=4))
+    if gain:
+        certified_gain(model)
+    return model
+
+
+MODELS = {
+    "fitted": fitted,
+    "fitted-without-gain": lambda: fitted(gain=False),
+    "rank-deficient": lambda: fitted(rank_deficient=True),
+    "hand-built": lambda: KoopmanModel(np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                       np.array([[1.0, -1.0]])),
+}
 
 
 class TestModelSerialization:
+    @pytest.mark.parametrize("name", MODELS)
+    def test_save_load_save_identical_bytes(self, tmp_path, name):
+        model = MODELS[name]()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("name", ["fitted", "fitted-without-gain", "rank-deficient"])
+    def test_loaded_fields_equal_fitted(self, tmp_path, name):
+        model = MODELS[name]()
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        for f in fields(KoopmanModel):
+            saved, back = getattr(model, f.name), getattr(loaded, f.name)
+            if isinstance(saved, np.ndarray):
+                assert back.dtype == saved.dtype and np.array_equal(back, saved), f.name
+            else:
+                assert type(back) is type(saved) and back == saved, f.name
+
+    def test_rank_deficient_fit(self):
+        model = fitted(rank_deficient=True)
+        assert (model.n, model.rank, len(model.eigenvalues)) == (3, 2, 2)
+        assert np.allclose(model.eigenvalues, [0.9, 0.5], atol=1e-12)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         a = random_stable(rng, 3)
@@ -246,8 +302,8 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert np.array_equal(loaded.state_operator, model.state_operator)
         assert np.array_equal(loaded.action_operator, model.action_operator)
-        assert loaded.fit_metadata["rank_tol"] == model.fit_metadata["rank_tol"]
-        assert loaded.fit_metadata["r_count"] == 4
+        assert loaded.rank_tol == model.rank_tol
+        assert loaded.r_count == 4
 
     def test_schema_validation(self, tmp_path):
         path = tmp_path / "model.json"

@@ -527,7 +527,7 @@ class TestSnapshots:
                               np.zeros((2, 1)), r_count=1)
         model = fit_koopman_model(mean)
         assert np.allclose(model.state_operator, [[2.0]], rtol=1e-14)
-        assert model.fit_metadata["state_residual"] < 1e-15
+        assert model.state_residual < 1e-15
 
     def test_insufficient_horizon(self):
         mean = MeanTrajectory(np.array([[1.0], [2.0]]), np.zeros((1, 1)), r_count=1)
@@ -538,7 +538,7 @@ class TestSnapshots:
         mean = MeanTrajectory(np.arange(8.0).reshape(4, 2), np.zeros((3, 1)), 1)
         model = fit_koopman_model(mean)
         assert model.state_operator.shape == (2, 2) and model.action_operator.shape == (1, 2)
-        assert model.fit_metadata["snapshot_columns"] == 3
+        assert model.snapshot_columns == 3
 
     def test_shift_consistency(self):
         # The state residual pairs step k+1 with step k.
@@ -547,13 +547,13 @@ class TestSnapshots:
         model = fit_koopman_model(MeanTrajectory(states, rng.normal(size=(5, 2)), 1))
         misfit = states[1:].T - model.state_operator @ states[:-1].T
         expected = np.linalg.norm(misfit) / np.linalg.norm(states[1:])
-        assert np.isclose(model.fit_metadata["state_residual"], expected, rtol=1e-12)
+        assert np.isclose(model.state_residual, expected, rtol=1e-12)
 
     def test_action_pair_shapes(self):
         mean = MeanTrajectory(np.ones((3, 2)), np.zeros((2, 1)), 1)
         model = fit_koopman_model(mean)
         assert model.action_operator.shape == (1, 2)
-        assert model.fit_metadata["action_residual"] == 0.0
+        assert model.action_residual == 0.0
 
     def test_action_pair_values(self):
         # Actions 2, 4 on states 1, 2; the terminal state 3 takes no action.
@@ -561,7 +561,7 @@ class TestSnapshots:
                               np.array([[2.0], [4.0]]), 1)
         model = fit_koopman_model(mean)
         assert np.allclose(model.action_operator, [[2.0]], rtol=1e-14)
-        assert model.fit_metadata["action_residual"] < 1e-15
+        assert model.action_residual < 1e-15
 
     def test_zero_actions(self):
         mean = MeanTrajectory(np.ones((3, 2)), np.zeros((2, 2)), 1)
