@@ -4,14 +4,21 @@ Documents are written with two-space indentation, sorted keys and a trailing
 newline.  An infinite gain or bound (+inf) is written as the string "inf",
 which ``float()`` reads back; NaN and -inf have no encoding, so a document
 holding one is refused before its file is opened, and no output ever
-contains a token that standard JSON parsers reject.  The ``as_*`` readers
-check one field of a parsed document and raise SchemaError naming it.
+contains a token that standard JSON parsers reject.
+
+The ``as_*`` readers check one parsed JSON value, a field of a document or a
+config value, and raise SchemaError naming it.  They are the one check of each
+value kind: model and report files and config lines all go through them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
+
+import numpy as np
 
 from .errors import DataError, SchemaError
 
@@ -44,7 +51,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal too long to convert
             raise SchemaError(f"not valid JSON: {exc}") from None
 
 
@@ -58,11 +65,19 @@ def as_object(node, where: str, keys=()) -> dict:
     return node
 
 
+def is_number(node) -> bool:
+    """Whether node is a JSON number with a float value: a float (NaN and
+    +-inf included) or an int, not a bool, within float range."""
+    return type(node) is float or type(node) is int and abs(node) <= sys.float_info.max
+
+
 def as_number(node, where: str, finite: bool = False) -> float:
-    """A JSON number, or the string "inf" this codec writes for +inf; with
-    ``finite``, a finite one.  The NaN and -Infinity tokens that json.load
-    accepts are refused, as the writer refuses their values."""
-    if isinstance(node, bool) or not (isinstance(node, (int, float)) or node == "inf"):
+    """A number of a document, or the string "inf" this codec writes for +inf;
+    with ``finite``, a finite one.  The NaN and -Infinity tokens that
+    json.load accepts are refused, as the writer refuses their values.
+    (Config numbers are read by the CLI's own reader, which lets NaN and
+    +-inf through to the range checks of the classes that take them.)"""
+    if not (is_number(node) or node == "inf"):
         raise SchemaError(f"{where} must be a number, got {node!r}")
     value = float(node)
     if math.isnan(value) or value == -math.inf or finite and math.isinf(value):
@@ -77,3 +92,20 @@ def as_integer(node, where: str) -> int:
     if isinstance(node, float) and node.is_integer():
         return int(node)
     raise SchemaError(f"{where} must be an integer, got {node!r}")
+
+
+def as_string(node, where: str) -> str:
+    if not isinstance(node, str):
+        raise SchemaError(f"{where} must be a string, got {node!r}")
+    return node
+
+
+def as_numbers(node, where: str) -> np.ndarray:
+    """A list of numbers, or a list of equally long such lists, as a float
+    array; each cell passes is_number, so NaN and +-inf are left to the
+    caller.  The error shows an abridged repr of the value."""
+    cells = np.array(node, dtype=object)  # ragged lists stay list cells
+    if not (isinstance(node, list) and all(is_number(c) for c in cells.flat)):
+        raise SchemaError(f"{where} must be a list of numbers or of equally long lists "
+                          f"of them, got {reprlib.repr(node)}")
+    return cells.astype(float)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._jsonio import as_number, as_object, read_json, write_json
+from ._jsonio import as_number, as_object, as_string, read_json, write_json
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -166,10 +166,9 @@ class AdmissibilityResult(NamedTuple):
     energy: float
 
 
-def disturbance_admissible(
-    w: np.ndarray, gamma: float, grid_points: int | None = None
-) -> AdmissibilityResult:
-    """Check sup over the frequency grid of the spectrum norm against gamma.
+def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
+    """Check sup over the frequency grid of the spectrum norm against gamma;
+    the grid has ADMISSIBILITY_OVERSAMPLING points per step.
 
     Two necessary conditions are checked first: total energy at most gamma^2
     and every per-step norm at most gamma.  Either failing is definitive
@@ -183,13 +182,6 @@ def disturbance_admissible(
         raise EmptyInputError("empty disturbance sequence")
     if not gamma >= 0:
         raise ParameterError("gamma must be non-negative")
-    k = w.shape[0]
-    if grid_points is None:
-        grid_points = ADMISSIBILITY_OVERSAMPLING * k
-    if grid_points < 4 * k:
-        raise ParameterError(
-            f"grid_points must be at least 4x the sequence length ({4 * k}), got {grid_points}"
-        )
     energy = float(np.sum(w * w))
     max_step = float(np.max(np.linalg.norm(w, axis=1)))
     slack = 1.0 + _CHECK_RTOL
@@ -199,7 +191,8 @@ def disturbance_admissible(
             sup_value=max(math.sqrt(energy), max_step),
             energy=energy,
         )
-    sup_value = math.sqrt(float(np.max(_spectral_power(w, grid_points))))
+    power = _spectral_power(w, ADMISSIBILITY_OVERSAMPLING * len(w))
+    sup_value = math.sqrt(float(np.max(power)))
     return AdmissibilityResult(
         admissible=sup_value <= gamma * slack,
         sup_value=sup_value,
@@ -460,9 +453,6 @@ class BoundReport:
         if empirical is not None:
             empirical = {key: as_number(value, f"empirical.{key}")
                          for key, value in as_object(empirical, "empirical").items()}
-        l_source = doc["l_source"]
-        if not isinstance(l_source, str):
-            raise SchemaError(f"l_source must be a string, got {l_source!r}")
         return cls(
             inputs=inputs,
             hinf=HinfReport.from_dict(doc["hinf"]) if "hinf" in doc else None,
@@ -471,7 +461,7 @@ class BoundReport:
                 (name, as_number(measured, f"violations[{i}]"), as_number(bound, f"violations[{i}]"))
                 for i, (name, measured, bound) in enumerate(violations)
             ),
-            l_source=l_source,
+            l_source=as_string(doc["l_source"], "l_source"),
             flags=_strings(doc["flags"], "flags"),
         )
 
@@ -494,14 +484,13 @@ def load_report(path) -> tuple[BoundReport, str | None]:
     document raises SchemaError naming the field."""
     report = BoundReport.from_dict(doc := read_json(path))
     label = doc.get("label")
-    if not (label is None or isinstance(label, str)):
-        raise SchemaError(f"label must be a string, got {label!r}")
-    return report, label
+    return report, None if label is None else as_string(label, "label")
 
 
 def certified_gain(model: KoopmanModel) -> ModelGain:
     """The model's certified gains: the H-infinity report of the resolvent of
-    Kh and ||Kf||_2.
+    Kh and the spectral norm ||Kf||_2, the gain of the constant action map at
+    every frequency.
 
     This is the one routine that computes them.  ``fit`` stores its result in
     model JSON and ``load_model`` hands it back; a model without it (built in
@@ -509,10 +498,13 @@ def certified_gain(model: KoopmanModel) -> ModelGain:
     use and keeps it on the instance.
     """
     if model.gain is None:
-        gain = ModelGain(
-            hinf=hinf_norm(TransferFunction.resolvent(model.state_operator)),
-            kf_hinf=hinf_norm(TransferFunction.constant(model.action_operator)).value,
-        )
+        hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
+        kf = np.asarray(model.action_operator, dtype=float)
+        if kf.ndim != 2:
+            raise ParameterError(f"action operator must be a 2-d matrix, got shape {kf.shape}")
+        if not np.all(np.isfinite(kf)):
+            raise DataError("non-finite entry in action operator")
+        gain = ModelGain(hinf=hinf, kf_hinf=float(np.linalg.norm(kf, 2)))
         object.__setattr__(model, "gain", gain)  # derived from the frozen operators
     return model.gain
 

@@ -20,10 +20,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from ._jsonio import write_json
+from ._jsonio import as_integer, as_numbers, as_string, is_number, write_json
 from .bounds import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
@@ -39,7 +37,7 @@ from .bounds import (
     verify_bounds,
     write_per_step_table,
 )
-from .errors import KoopboundError, ParameterError
+from .errors import KoopboundError, ParameterError, SchemaError
 from .flatconfig import load_flat_config
 # Not called here: the gain is computed by bounds.certified_gain.  The name
 # stays because perfbench/layers.py wraps koopbound.cli.hinf_norm and reports
@@ -63,74 +61,50 @@ from .env_sim import (
 from .trajectory_data import ensemble_mean, load_trajectories, save_trajectories
 
 
-# Readers of config values: each takes the key and its JSON value (or its
-# command-line flag) and returns the typed value or names the key in a
-# ParameterError.  Range checks beyond these stay with the dataclasses.
-def _integer(key: str, value) -> int:
-    """An integral number (1e3 reads as 1000; 2.7, true and "x" exit 2)."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _seed(key: str, value) -> int:
+# Readers of config values: each takes the JSON value of a key (or its
+# command-line flag) and the key, and returns the typed value or names the key
+# in a SchemaError or ParameterError.  Integers, strings and lists are read by
+# the document readers of _jsonio; the readers below are the config-only ones.
+# Range checks beyond these stay with the dataclasses.
+def _seed(value, key: str) -> int:
     """A master seed: a non-negative integer, as numpy's generators take."""
-    seed = _integer(key, value)
+    seed = as_integer(value, key)
     if seed < 0:
         raise ParameterError(f"{key} must be non-negative, got {seed}")
     return seed
 
 
-def _numeric(value) -> bool:
-    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-
-
-def _number(key: str, value) -> float:
-    """A number, as a Python float (true, "x" and integers beyond float range exit 2)."""
-    if not _numeric(value):
-        raise ParameterError(f"{key} must be a number, got {value!r}")
+def _number(value, key: str) -> float:
+    """A number, as a Python float (true, "x" and integers beyond float range
+    exit 2).  Unlike a document number, NaN and +-inf pass, so that the class
+    taking the value refuses them with its own range message."""
+    if not is_number(value):
+        raise SchemaError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _level(key: str, value) -> float:
+def _level(value, key: str) -> float:
     """A disturbance level or Lipschitz constant: a finite, non-negative number."""
-    value = _number(key, value)
+    value = _number(value, key)
     if not (math.isfinite(value) and value >= 0.0):
         raise ParameterError(f"{key} must be finite and non-negative, got {value}")
     return value
 
 
-def _discount_factor(key: str, value) -> float:
+def _discount_factor(value, key: str) -> float:
     """The reward discount factor gamma_d: a level below 1."""
-    gamma_d = _level(key, value)
+    gamma_d = _level(value, key)
     if not gamma_d < 1.0:
         raise ParameterError(f"{key} is a discount factor and must be below 1, got {gamma_d}")
     return gamma_d
 
 
-def _string(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ParameterError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _numbers(key: str, value) -> np.ndarray:
-    """A list of numbers, or a list of equally long such lists, as a float array."""
-    cells = np.array(value, dtype=object)  # ragged lists stay list cells
-    if not (isinstance(value, list) and all(_numeric(c) for c in cells.flat)):
-        raise ParameterError(f"{key} must be a list of numbers or of equally long lists "
-                             f"of them, got {value!r}")
-    return cells.astype(float)
-
-
 # The value type each reader takes, as --help names it, and the type argparse
 # converts its command-line flag to.
 _READER_TYPES = {
-    _integer: ("integer", int), _seed: ("integer >= 0", int), _number: ("number", float),
+    as_integer: ("integer", int), _seed: ("integer >= 0", int), _number: ("number", float),
     _level: ("number >= 0", float), _discount_factor: ("number in [0, 1)", float),
-    _string: ("string", str), _numbers: ("list of numbers", None),
+    as_string: ("string", str), as_numbers: ("list of numbers", None),
 }
 
 
@@ -145,28 +119,28 @@ class _Key(NamedTuple):
 # fields, read by their field's type; a default taken from a dataclass is the
 # one its library users get.
 _KEYS = {
-    "sim.env": _Key(_string, None, '"linear" or "uav"', "env"),
-    "sim.runs": _Key(_integer, 64, "runs per ensemble", "runs"),
-    "sim.horizon": _Key(_integer, 100, "steps per run", "horizon"),
+    "sim.env": _Key(as_string, None, '"linear" or "uav"', "env"),
+    "sim.runs": _Key(as_integer, 64, "runs per ensemble", "runs"),
+    "sim.horizon": _Key(as_integer, 100, "steps per run", "horizon"),
     "sim.seed": _Key(_seed, 0, "master seed; run r uses seed + r", "seed"),
-    "sim.policy": _Key(_string, "centroid_greedy", "uav policy: " + " | ".join(POLICY_KINDS),
+    "sim.policy": _Key(as_string, "centroid_greedy", "uav policy: " + " | ".join(POLICY_KINDS),
                        "policy"),
-    "linear.A": _Key(_numbers, None, "state matrix"),
-    "linear.F": _Key(_numbers, None, "policy matrix"),
-    "linear.x0": _Key(_numbers, None, "initial state"),
+    "linear.A": _Key(as_numbers, None, "state matrix"),
+    "linear.F": _Key(as_numbers, None, "policy matrix"),
+    "linear.x0": _Key(as_numbers, None, "initial state"),
     "linear.noise_std": _Key(_number, LinearSurrogateConfig.noise_std,
                              "process noise standard deviation"),
-    "disturbance.kind": _Key(_string, "scaled_gaussian_projected", " | ".join(DISTURBANCE_KINDS),
+    "disturbance.kind": _Key(as_string, "scaled_gaussian_projected", " | ".join(DISTURBANCE_KINDS),
                              "disturbance_kind"),
     "disturbance.gamma": _Key(_level, 1.0, "disturbance level for verify", "gamma"),
     "disturbance.seed": _Key(_seed, 0, "disturbance RNG seed", "disturbance_seed"),
-    "disturbance.direction": _Key(_numbers, None, "spatial direction of the deterministic kinds"),
+    "disturbance.direction": _Key(as_numbers, None, "spatial direction of the deterministic kinds"),
     "disturbance.omega": _Key(_number, DisturbanceSpec.omega, "tone frequency of single_tone"),
     "analysis.gamma": _Key(_level, 1.0, "disturbance level for analyze", "gamma"),
     "analysis.gamma_d": _Key(_discount_factor, 0.9, "reward discount factor", "gamma_d"),
     "analysis.rank_tol": _Key(_number, DEFAULT_RANK_TOL, "DMD rank tolerance", "rank_tol"),
     "analysis.L": _Key(_level, None, "analytic reward Lipschitz constant override"),
-    **{"env." + f.name: _Key({int: _integer, float: _number, str: _string}[type(f.default)],
+    **{"env." + f.name: _Key({int: as_integer, float: _number, str: as_string}[type(f.default)],
                              f.default, "UavEnvConfig field") for f in fields(UavEnvConfig)},
 }
 
@@ -179,7 +153,7 @@ def _setting(key: str, cfg: dict, args=None, required: bool = False):
     value = getattr(args, entry.flag, None) if entry.flag else None
     value = cfg.get(key, entry.default) if value is None else value
     if value is not None:
-        return entry.read(key, value)
+        return entry.read(value, key)
     if required:
         raise ParameterError(f"config is missing key {key!r}")
     return None

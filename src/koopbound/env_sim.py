@@ -101,7 +101,7 @@ def norm_penalty_reward(x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -_norms(x_next) - 0.1 * _norms(u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSurrogateConfig:
     """Closed loop x' = A x + eta + w with deterministic policy u = F x.
 

@@ -39,4 +39,5 @@ class DivergenceError(KoopboundError):
 
 
 class SchemaError(KoopboundError):
-    """A JSON document is missing a required field or holds a wrong type."""
+    """A JSON document is missing a required field, or a field of it or a
+    config value holds a wrong type."""

@@ -2,9 +2,9 @@
 
 The disturbance-to-state map of a fitted one-step model K is the resolvent
 (zI - K)^-1 evaluated on the unit circle; its worst-case gain over frequency
-is the quantity the robustness bounds consume.  A constant matrix is handled
-as the degenerate transfer function whose gain is simply its largest singular
-value at every frequency.
+is the quantity the robustness bounds consume.  (The gain of the action map,
+a constant matrix, is its spectral norm, which ``bounds.certified_gain``
+takes from numpy.)
 
 The resolvent's gain is 1 / min_w sigma_min(e^{jw} I - K), and the minimum
 is found by the level-set iteration of Boyd & Balakrishnan (Systems & Control
@@ -27,7 +27,6 @@ from ._jsonio import as_integer, as_number, as_object
 from .errors import DataError, DivergenceError, ParameterError, SchemaError
 
 RESOLVENT = "resolvent"
-CONSTANT = "constant"
 
 # Spectral radius this close to 1 still yields a finite norm, but the value
 # is dominated by fit noise in the operator, so the report is flagged.
@@ -45,13 +44,14 @@ _UNIT_CIRCLE_RTOL = 1e-6
 _MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferFunction:
-    """Either the resolvent (zI - K)^-1 of a square real K, or a constant M."""
+    """The resolvent (zI - K)^-1 of a square real K, with K's eigenvalues as
+    its poles; ``kind`` is always RESOLVENT."""
 
     kind: str
     matrix: np.ndarray
-    poles: np.ndarray | None = None
+    poles: np.ndarray
 
     @classmethod
     def resolvent(cls, k: np.ndarray) -> "TransferFunction":
@@ -62,14 +62,6 @@ class TransferFunction:
             raise DataError("non-finite entry in operator")
         return cls(kind=RESOLVENT, matrix=k, poles=np.linalg.eigvals(k))
 
-    @classmethod
-    def constant(cls, m: np.ndarray) -> "TransferFunction":
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2:
-            raise ParameterError("constant transfer function needs a 2-d matrix")
-        if not np.all(np.isfinite(m)):
-            raise DataError("non-finite entry in matrix")
-        return cls(kind=CONSTANT, matrix=m, poles=None)
 
 @dataclass(frozen=True)
 class HinfReport:
@@ -94,7 +86,7 @@ class HinfReport:
     lower: float
     upper: float
     omega_star: float
-    spectral_radius: float | None
+    spectral_radius: float
     iterations: int
     converged: bool
     ill_conditioned: bool = False
@@ -124,13 +116,12 @@ class HinfReport:
         for key in ("converged", "ill_conditioned"):
             if not isinstance(doc[key], bool):
                 raise SchemaError(f"{where}.{key} must be true or false, got {doc[key]!r}")
-        radius = doc["spectral_radius"]
         return cls(
             lower=as_number(doc["lower"], f"{where}.lower"),
             upper=as_number(doc["upper"], f"{where}.upper"),
             omega_star=as_number(doc["omega_star"], f"{where}.omega_star", finite=True),
-            spectral_radius=(None if radius is None
-                             else as_number(radius, f"{where}.spectral_radius", finite=True)),
+            spectral_radius=as_number(doc["spectral_radius"], f"{where}.spectral_radius",
+                                      finite=True),
             iterations=as_integer(doc["iterations"], f"{where}.iterations"),
             converged=doc["converged"],
             ill_conditioned=doc["ill_conditioned"],
@@ -164,7 +155,8 @@ def _level_crossings(k: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarra
 
 
 def hinf_norm(tf: TransferFunction) -> HinfReport:
-    """Supremum over omega in [0, pi] of the largest singular value.
+    """Supremum over omega in [0, pi] of the largest singular value of the
+    resolvent.
 
     For real operators the response at -omega mirrors the one at +omega, so
     [0, pi] covers the whole circle.  For a resolvent, sigma_min(e^{jw} I - K)
@@ -179,17 +171,6 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
     sigma_min; it is infinite, and the report ill-conditioned, when the level
     does not exceed the slack.
     """
-    if tf.kind == CONSTANT:
-        sigma = float(np.linalg.svd(tf.matrix, compute_uv=False)[0])
-        return HinfReport(
-            lower=sigma,
-            upper=sigma,
-            omega_star=0.0,
-            spectral_radius=None,
-            iterations=0,
-            converged=True,
-        )
-
     rho = float(np.max(np.abs(tf.poles)))
     if rho >= 1.0:
         dominant = tf.poles[int(np.argmax(np.abs(tf.poles)))]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import as_integer, as_number, as_object, read_json, write_json
+from ._jsonio import as_integer, as_number, as_numbers, as_object, read_json, write_json
 from .errors import (
     DataError,
     DegenerateInputError,
@@ -54,7 +54,7 @@ class ModelGain(NamedTuple):
     kf_hinf: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KoopmanModel:
     """State operator (n x n) and action operator (m x n) with their fit
     diagnostics; the one record of a model, fitted or loaded.
@@ -67,7 +67,7 @@ class KoopmanModel:
     the state and action fits.  A model built in code leaves them None.
     ``gain`` is set by ``bounds.certified_gain`` or by ``load_model`` from
     the file's gain block, never by the constructor, so a model built or
-    replaced in code starts without one.
+    replaced in code starts without one.  Models compare by identity.
     """
 
     state_operator: np.ndarray
@@ -79,7 +79,7 @@ class KoopmanModel:
     r_count: int | None = None
     state_residual: float | None = None
     action_residual: float | None = None
-    gain: ModelGain | None = field(default=None, init=False, repr=False, compare=False)
+    gain: ModelGain | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -217,10 +217,8 @@ def _gain_from_dict(node, state_operator: np.ndarray, action_operator: np.ndarra
     if block["operators_sha256"] != _operators_sha256(state_operator, action_operator):
         raise SchemaError("gain.operators_sha256 does not match the model's operators: "
                           "the gain block belongs to other operators")
-    hinf = HinfReport.from_dict(block["hinf"], "gain.hinf")
-    if hinf.spectral_radius is None:
-        raise SchemaError("gain.hinf.spectral_radius must be a number, got None")
-    return ModelGain(hinf, as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True))
+    return ModelGain(HinfReport.from_dict(block["hinf"], "gain.hinf"),
+                     as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True))
 
 
 def _model_to_dict(model: KoopmanModel) -> dict:
@@ -246,10 +244,7 @@ def _model_to_dict(model: KoopmanModel) -> dict:
 
 
 def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
-    try:
-        matrix = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"model field {key!r} must be a matrix of numbers") from None
+    matrix = as_numbers(doc[key], f"model field {key!r}")
     if matrix.shape != shape:
         raise SchemaError(f"model field {key!r} has shape {matrix.shape}, expected {shape}")
     if not np.isfinite(matrix).all():

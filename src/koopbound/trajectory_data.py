@@ -42,7 +42,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
     """R independent runs sharing state dimension n, action dimension m and
     horizon K, held as whole arrays: run r has K+1 states states[r], K actions
@@ -118,7 +118,7 @@ class TrajectoryEnsemble:
         return self.actions.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanTrajectory:
     """Per-step ensemble means of states and actions, validated once when
     built: K+1 finite state rows and K finite action rows."""
@@ -331,10 +331,9 @@ def _raise_run_fault(run_id, steps, ends) -> None:
     raise DimensionMismatchError(f"run {run_id}: no steps before the terminal row")
 
 
-def load_trajectories(path, expected_dims: tuple[int, int] | None = None) -> TrajectoryEnsemble:
+def load_trajectories(path) -> TrajectoryEnsemble:
     """Load and validate a trajectory file.
 
-    expected_dims, when given, is (n, m) and is checked against the header.
     Raises ParseError with a line number for malformed rows and duplicate
     steps, and with the run for missing steps and misplaced terminal rows;
     DimensionMismatchError for shape violations and DataError for non-finite
@@ -372,10 +371,6 @@ def load_trajectories(path, expected_dims: tuple[int, int] | None = None) -> Tra
     n, m = header
     if lines:
         blocks.append(_parse_block(lines, line_nos, n, m))
-    if expected_dims is not None and (n, m) != tuple(expected_dims):
-        raise DimensionMismatchError(
-            f"file has (n, m)=({n}, {m}), expected {tuple(expected_dims)}"
-        )
     if not blocks:
         raise EmptyInputError("trajectory file has no data rows")
 

@@ -38,7 +38,7 @@ from koopbound import (
     verify_bounds,
     write_per_step_table,
 )
-from koopbound.bounds import _CHECK_RTOL, _reward_samples, _spectral_power
+from koopbound.bounds import _CHECK_RTOL, _reward_samples, _spectral_power, certified_gain
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -86,12 +86,8 @@ class TestAdmissibility:
             grid = 8 * k
             spectrum = np.fft.fft(w, n=grid, axis=0)
             freq_energy = float(np.sum(np.abs(spectrum) ** 2)) / grid
-            result = disturbance_admissible(w, gamma=1e9, grid_points=grid)
+            result = disturbance_admissible(w, gamma=1e9)
             assert abs(result.energy - freq_energy) <= 1e-8 * max(result.energy, 1e-30)
-
-    def test_grid_density_validated(self):
-        with pytest.raises(ParameterError):
-            disturbance_admissible(np.ones((10, 1)), 1.0, grid_points=20)
 
     def test_empty_sequence(self):
         with pytest.raises(EmptyInputError):
@@ -432,6 +428,18 @@ def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False)
         gamma_d,
         lipschitz=None if estimated else config.reward_lipschitz,
     )
+
+
+class TestCertifiedGain:
+    def test_action_gain_is_spectral_norm(self):
+        model = KoopmanModel(np.diag([0.5, -0.8]), np.diag([3.0, 4.0]))
+        assert certified_gain(model).kf_hinf == 4.0
+
+    def test_action_operator_validated(self):
+        with pytest.raises(ParameterError):
+            certified_gain(KoopmanModel(np.diag([0.5, 0.5, 0.5]), np.ones(3)))
+        with pytest.raises(DataError):
+            certified_gain(KoopmanModel(np.array([[0.5]]), np.array([[np.inf]])))
 
 
 class TestVerifyBounds:

@@ -158,6 +158,8 @@ class TestFit:
 
 # A parametrized value that deletes the field instead of setting it.
 MISSING = object()
+# A 401-digit integer: a valid JSON number beyond float range.
+HUGE = 10**400
 
 
 def count_searches(monkeypatch) -> list:
@@ -291,6 +293,7 @@ class TestGainBlock:
         ("gain.Kf_hinf", True), ("gain.Kf_hinf", "inf"),
         ("gain.hinf.ill_conditioned", MISSING), ("gain.hinf.spectral_radius", MISSING),
         ("gain.operators_sha256", MISSING), ("gain.Kf_hinf", MISSING), ("gain", []),
+        pytest.param("gain.Kf_hinf", HUGE, id="gain.Kf_hinf-401-digits"),
     ])
     def test_malformed_block(self, tmp_path, capsys, linear_config, fitted, where, value):
         doc = json.loads(fitted.read_text())
@@ -784,6 +787,13 @@ class TestMalformedDocuments:
         ("state_operator", [[0.9, 0.1], [0.0]]), ("residuals", 5),
         ("eigenvalues", [0.9, 0.5]), ("eigenvalues", [[0.9, 0.0, 1.0]]), ("rank", 2.5),
         ("rank_tol", "x"), ("residuals.state", True),
+        # An operator entry must be a JSON number within float range.
+        pytest.param("state_operator", [["0.9", 0.1], [0.0, 0.5]], id="state_operator-string"),
+        pytest.param("state_operator", [[True, 0.1], [0.0, 0.5]], id="state_operator-true"),
+        pytest.param("state_operator", [[HUGE, 0.1], [0.0, 0.5]],
+                     id="state_operator-401-digits"),
+        pytest.param("rank_tol", HUGE, id="rank_tol-401-digits"),
+        pytest.param("residuals.state", HUGE, id="residuals.state-401-digits"),
     ])
     def test_model(self, tmp_path, capsys, field, value):
         path = tmp_path / "model.json"
@@ -794,7 +804,21 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         out = tmp_path / "analysis.json"
         assert main(["analyze", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: model field {field!r}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model field {field!r}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_literal_too_long_to_parse(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9]]),
+                                action_operator=np.array([[1.0]])), path)
+        doc = json.loads(path.read_text())
+        doc["rank_tol"] = 0
+        path.write_text(json.dumps(doc).replace('"rank_tol": 0', '"rank_tol": 1' + "0" * 5000))
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not valid JSON") and err.count("\n") == 1
         assert not out.exists()
 
     @staticmethod
@@ -815,6 +839,9 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("where, value", [
         ("inputs.T_hinf", "x"), ("flags", 5), ("violations", [{"x": 1}]),
         ("hinf.lower", None), ("empirical", [1.0]), ("label", 3),
+        pytest.param("inputs.T_hinf", HUGE, id="inputs.T_hinf-401-digits"),
+        pytest.param("empirical.reward_impact_pct", HUGE,
+                     id="empirical.reward_impact_pct-401-digits"),
     ])
     def test_report(self, tmp_path, capsys, where, value):
         path = self.report_file(tmp_path)
@@ -823,7 +850,8 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         out = tmp_path / "summary.json"
         assert main(["report", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {where} must be")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where} must be") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["inputs.L", "inputs.Q", "inputs.C", "inputs.horizon",

@@ -143,12 +143,6 @@ class TestFrequencyResponse:
 
 
 class TestHinfNorm:
-    def test_constant_kind(self):
-        report = hinf_norm(TransferFunction.constant(np.diag([3.0, 4.0])))
-        assert report.value == 4.0
-        assert report.omega_star == 0.0
-        assert report.converged
-
     def test_scalar_positive_pole(self):
         report = hinf_norm(TransferFunction.resolvent(np.array([[0.9]])))
         assert abs(report.value - 10.0) <= 1e-6
@@ -285,10 +279,6 @@ class TestHinfNorm:
             TransferFunction.resolvent(np.array([[0.5, np.nan], [0.0, 0.5]]))
         with pytest.raises(ParameterError):
             TransferFunction.resolvent(np.zeros((2, 2, 2)))
-        with pytest.raises(ParameterError):
-            TransferFunction.constant(np.ones(3))
-        with pytest.raises(DataError):
-            TransferFunction.constant(np.array([[np.inf]]))
 
     def test_resolvent_requires_square(self):
         with pytest.raises(ParameterError):

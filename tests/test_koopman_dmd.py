@@ -10,9 +10,12 @@ from koopbound import (
     DataError,
     DegenerateInputError,
     KoopmanModel,
+    LinearSurrogateConfig,
     MeanTrajectory,
     ParameterError,
     SchemaError,
+    TrajectoryEnsemble,
+    TransferFunction,
     fit_koopman_model,
     load_model,
     save_model,
@@ -321,3 +324,23 @@ class TestModelSerialization:
             _require_real(np.array([[1.0 + 1e-3j]]), "operator")
         out = _require_real(np.array([[1.0 + 1e-9j]]), "operator")
         assert out.dtype.kind == "f" and out[0, 0] == 1.0
+
+
+# Records that hold arrays compare by identity: a generated __eq__ would
+# compare the arrays inside a tuple and raise, and hash() would raise too.
+ARRAY_RECORDS = {
+    "KoopmanModel": lambda: KoopmanModel(np.eye(2), np.ones((1, 2))),
+    "TrajectoryEnsemble": lambda: TrajectoryEnsemble(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)),
+                                                     np.zeros((2, 2))),
+    "MeanTrajectory": lambda: MeanTrajectory(np.zeros((3, 2)), np.zeros((2, 1)), r_count=2),
+    "LinearSurrogateConfig": lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
+                                                           np.ones(2)),
+    "TransferFunction": lambda: TransferFunction.resolvent(0.5 * np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_compare_by_identity(name):
+    a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+    assert a == a and a != b
+    assert len({a, b}) == 2 and a in {a}

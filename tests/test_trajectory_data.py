@@ -195,14 +195,6 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="line 3: quoted"):
             load_trajectories(path)
 
-    def test_expected_dims_checked(self, tmp_path):
-        ens = scalar_ensemble([1.0, 2.0, 3.0])
-        path = tmp_path / "traj.csv"
-        save_trajectories(ens, path)
-        assert load_trajectories(path, expected_dims=(1, 1)).n == 1
-        with pytest.raises(DimensionMismatchError):
-            load_trajectories(path, expected_dims=(2, 1))
-
     def test_missing_terminal_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
