@@ -25,17 +25,14 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     DisturbanceSpec,
-    action_deviation_bounds,
+    deviation_bounds,
     disturbance_admissible,
     estimate_lipschitz,
     estimate_Q,
-    generalization_error_bound,
     generate_disturbance,
     load_report,
     per_step_table,
-    reward_impact_bound,
     save_report,
-    state_deviation_bounds,
     verify_bounds,
     write_per_step_table,
 )

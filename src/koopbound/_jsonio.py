@@ -71,17 +71,20 @@ def is_number(node) -> bool:
     return type(node) is float or type(node) is int and abs(node) <= sys.float_info.max
 
 
-def as_number(node, where: str, finite: bool = False) -> float:
+def as_number(node, where: str, finite: bool = False, nonnegative: bool = False) -> float:
     """A number of a document, or the string "inf" this codec writes for +inf;
-    with ``finite``, a finite one.  The NaN and -Infinity tokens that
+    with ``finite``, a finite one, and with ``nonnegative``, one of at least
+    0.  The NaN and -Infinity tokens that
     json.load accepts are refused, as the writer refuses their values.
     (Config numbers are read by the CLI's own reader, which lets NaN and
     +-inf through to the range checks of the classes that take them.)"""
     if not (is_number(node) or node == "inf"):
         raise SchemaError(f"{where} must be a number, got {node!r}")
     value = float(node)
-    if math.isnan(value) or value == -math.inf or finite and math.isinf(value):
-        raise SchemaError(f"{where} must be a {'finite ' if finite else ''}number, got {node!r}")
+    if (math.isnan(value) or value == -math.inf or finite and math.isinf(value)
+            or nonnegative and value < 0):
+        kind = ("finite " if finite else "") + ("non-negative " if nonnegative else "")
+        raise SchemaError(f"{where} must be a {kind}number, got {node!r}")
     return value
 
 

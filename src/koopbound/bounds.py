@@ -12,7 +12,7 @@ expression, and checks them against measured rollout data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -51,9 +51,15 @@ ADMISSIBILITY_OVERSAMPLING = 8
 # round-off only, never a loosening of the inequalities themselves.
 _CHECK_RTOL = 1e-9
 
-# Bound comparisons evaluated by verify_bounds: state/action energy and max,
-# discounted reward impact, generalization error.
-_N_BOUND_COMPARISONS = 6
+# The comparisons verify_bounds makes: (name, empirical key, bound key).
+_COMPARISONS = (
+    ("state_energy", "state_energy", "state_energy_bound"),
+    ("state_max", "state_max", "state_max_bound"),
+    ("action_energy", "action_energy", "action_energy_bound"),
+    ("action_max", "action_max", "action_max_bound"),
+    ("reward_impact", "reward_gap_discounted", "reward_impact_bound"),
+    ("generalization_error", "reward_gap_discounted", "generalization_error_bound"),
+)
 
 
 @dataclass(frozen=True)
@@ -205,38 +211,20 @@ def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
 # ---------------------------------------------------------------------------
 
 
-def state_deviation_bounds(t_hinf: float, gamma: float) -> tuple[float, float]:
-    """Energy and max caps on mean-state deviation: ((T*gamma)^2, T*gamma)."""
-    if not (t_hinf >= 0 and gamma >= 0):
-        raise ParameterError("inputs must be non-negative")
-    max_bound = _gain_times_gamma(t_hinf, gamma)
-    return max_bound * max_bound, max_bound
-
-
-def action_deviation_bounds(
-    kf_hinf: float, t_hinf: float, gamma: float
-) -> tuple[float, float]:
-    """Energy and max caps on mean-action deviation: ((Kf*T*gamma)^2, Kf*T*gamma)."""
-    if not (kf_hinf >= 0 and t_hinf >= 0 and gamma >= 0):
-        raise ParameterError("inputs must be non-negative")
-    max_bound = _gain_times_gamma(_action_gain(kf_hinf, t_hinf), gamma)
-    return max_bound * max_bound, max_bound
-
-
-def _action_gain(kf_hinf: float, t_hinf: float) -> float:
-    # A zero action map moves no action, even when the state gain is flagged
-    # infinite (0 * inf would be NaN).
-    if kf_hinf == 0.0:
-        return 0.0
-    return kf_hinf * t_hinf
-
-
-def _gain_times_gamma(gain: float, gamma: float) -> float:
-    # gamma == 0 means no disturbance at all, so the cap is 0 even when the
-    # gain is flagged infinite.
-    if gamma == 0.0:
-        return 0.0
-    return gain * gamma
+def deviation_bounds(gamma: float, T_hinf: float, Kf_hinf: float) -> dict:
+    """The caps on mean deviations under a disturbance of spectral peak gamma:
+    M = T*gamma and N = Kf*T*gamma cap the state and action maxima, M^2 and
+    N^2 their energies."""
+    for name, value in (("gamma", gamma), ("T_hinf", T_hinf), ("Kf_hinf", Kf_hinf)):
+        if not value >= 0:
+            raise ParameterError(f"{name} must be non-negative")
+    # gamma == 0 means no disturbance at all, and a zero action map moves no
+    # action, so the cap is 0 even when the gain is flagged infinite (0 * inf
+    # would be NaN).
+    m = 0.0 if gamma == 0.0 else T_hinf * gamma
+    n = 0.0 if gamma == 0.0 or Kf_hinf == 0.0 else Kf_hinf * T_hinf * gamma
+    return {"M": m, "N": n, "state_energy_bound": m * m, "state_max_bound": m,
+            "action_energy_bound": n * n, "action_max_bound": n}
 
 
 @dataclass(frozen=True)
@@ -268,45 +256,27 @@ class BoundInputs:
                 "infinite horizon requires a discount factor below 1"
             )
 
-    @property
-    def M(self) -> float:
-        return _gain_times_gamma(self.T_hinf, self.gamma)
+    def bounds(self) -> dict:
+        """Every bound value: the deviation_bounds caps, the cap
+        L(Q+M+N) * sum of discounts on the discounted reward gap, and the cap
+        (L(Q+M+N) + L*C)/(1 - gamma_d) on the generalization error.
 
-    @property
-    def N(self) -> float:
-        return _gain_times_gamma(_action_gain(self.Kf_hinf, self.T_hinf), self.gamma)
-
-
-def _discount_sum(gamma_d: float, horizon: float) -> float:
-    if gamma_d >= 1.0:
-        raise DivergenceError(f"discount factor {gamma_d} must be below 1")
-    if math.isinf(horizon):
-        return 1.0 / (1.0 - gamma_d)
-    return (1.0 - gamma_d ** (horizon + 1)) / (1.0 - gamma_d)
-
-
-def reward_impact_bound(inputs: BoundInputs) -> float:
-    """Cap on the discounted reward gap: L(Q+M+N) * sum of discounts.
-
-    Finite horizons use (1 - gamma_d^(K+1))/(1 - gamma_d); an infinite
-    horizon uses 1/(1 - gamma_d).
-    """
-    total = _discount_sum(inputs.gamma_d, inputs.horizon)
-    # A constant reward cannot change, even when the gain is flagged infinite.
-    if inputs.L == 0.0:
-        return 0.0
-    return inputs.L * (inputs.Q + inputs.M + inputs.N) * total
-
-
-def generalization_error_bound(inputs: BoundInputs) -> float:
-    """Cap on the generalization error: (L(Q+M+N) + L*C)/(1 - gamma_d)."""
-    if inputs.gamma_d >= 1.0:
-        raise DivergenceError(f"discount factor {inputs.gamma_d} must be below 1")
-    if inputs.L == 0.0:
-        return 0.0
-    return (inputs.L * (inputs.Q + inputs.M + inputs.N) + inputs.L * inputs.C) / (
-        1.0 - inputs.gamma_d
-    )
+        Finite horizons sum (1 - gamma_d^(K+1))/(1 - gamma_d) discounts; an
+        infinite horizon sums 1/(1 - gamma_d).
+        """
+        values = deviation_bounds(self.gamma, self.T_hinf, self.Kf_hinf)
+        if self.gamma_d >= 1.0:
+            raise DivergenceError(f"discount factor {self.gamma_d} must be below 1")
+        if math.isinf(self.horizon):
+            total = 1.0 / (1.0 - self.gamma_d)
+        else:
+            total = (1.0 - self.gamma_d ** (self.horizon + 1)) / (1.0 - self.gamma_d)
+        # A constant reward cannot change, even when the gain is flagged infinite.
+        if self.L == 0.0:
+            return {**values, "reward_impact_bound": 0.0, "generalization_error_bound": 0.0}
+        lqmn = self.L * (self.Q + values["M"] + values["N"])
+        return {**values, "reward_impact_bound": lqmn * total,
+                "generalization_error_bound": (lqmn + self.L * self.C) / (1.0 - self.gamma_d)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +332,13 @@ def estimate_Q(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-# The bound values a report derives from its inputs.
-_DERIVED_BOUNDS = ("M", "N", "state_energy_bound", "state_max_bound", "action_energy_bound",
-                   "action_max_bound", "reward_impact_bound", "generalization_error_bound")
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Bound inputs, measured left-hand sides, and any exceedances.
 
-    Every bound value is a property computed from ``inputs``, so a report
-    cannot hold bounds that disagree with its own inputs.
+    The bound values are computed from ``inputs`` on each read of
+    ``bounds``, so a report cannot hold bounds that disagree with its own
+    inputs.
     """
 
     inputs: BoundInputs
@@ -383,50 +349,21 @@ class BoundReport:
     flags: tuple = ()
 
     @property
-    def M(self) -> float:
-        return self.inputs.M
-
-    @property
-    def N(self) -> float:
-        return self.inputs.N
-
-    @property
-    def state_energy_bound(self) -> float:
-        return state_deviation_bounds(self.inputs.T_hinf, self.inputs.gamma)[0]
-
-    @property
-    def state_max_bound(self) -> float:
-        return state_deviation_bounds(self.inputs.T_hinf, self.inputs.gamma)[1]
-
-    @property
-    def action_energy_bound(self) -> float:
-        i = self.inputs
-        return action_deviation_bounds(i.Kf_hinf, i.T_hinf, i.gamma)[0]
-
-    @property
-    def action_max_bound(self) -> float:
-        i = self.inputs
-        return action_deviation_bounds(i.Kf_hinf, i.T_hinf, i.gamma)[1]
-
-    @property
-    def reward_impact_bound(self) -> float:
-        return reward_impact_bound(self.inputs)
-
-    @property
-    def generalization_error_bound(self) -> float:
-        return generalization_error_bound(self.inputs)
+    def bounds(self) -> dict:
+        """Every bound value, by name: ``BoundInputs.bounds`` of the inputs."""
+        return self.inputs.bounds()
 
     def to_dict(self) -> dict:
-        doc = {name: getattr(self, name) for name in _DERIVED_BOUNDS}
+        doc = self.bounds
         doc.update(
             inputs=asdict(self.inputs),
             l_source=self.l_source,
             flags=list(self.flags),
             violations=[list(v) for v in self.violations],
-            # Fraction of the six compared bounds that were exceeded; nonzero
+            # Fraction of the compared bounds that were exceeded; nonzero
             # rates on fitted models are a model-approximation effect, not a
             # process failure.
-            violation_rate=len(self.violations) / float(_N_BOUND_COMPARISONS),
+            violation_rate=len(self.violations) / float(len(_COMPARISONS)),
         )
         if self.hinf is not None:
             doc["hinf"] = self.hinf.to_dict()
@@ -436,13 +373,21 @@ class BoundReport:
 
     @classmethod
     def from_dict(cls, doc) -> "BoundReport":
-        """Read a report written by to_dict; a malformed document raises
-        SchemaError naming the field."""
-        doc = as_object(doc, "bound report", (*_DERIVED_BOUNDS, "inputs", "l_source", "flags",
-                                              "violations", "violation_rate"))
+        """Read a report written by to_dict; a malformed document, or a bound
+        value that is not the one its inputs give, raises SchemaError naming
+        the field.  Values written by to_dict compare exactly: the codec
+        writes shortest-repr floats."""
+        doc = as_object(doc, "bound report", ("inputs", "l_source", "flags", "violations",
+                                              "violation_rate"))
         names = [f.name for f in fields(BoundInputs)]
         raw = as_object(doc["inputs"], "inputs", names)
         inputs = BoundInputs(**{name: as_number(raw[name], f"inputs.{name}") for name in names})
+        bounds = inputs.bounds()
+        as_object(doc, "bound report", bounds)
+        for key, value in bounds.items():
+            if as_number(doc[key], key) != value:
+                raise SchemaError(f"{key} must be {value!r}, the value its inputs give, "
+                                  f"got {doc[key]!r}")
         violations = doc["violations"]
         if not (isinstance(violations, list) and all(
                 isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) for v in violations)):
@@ -625,27 +570,21 @@ def verify_bounds(
         "reward_impact_pct": impact_pct,
     }
 
-    report = BoundReport(
+    bounds = inputs.bounds()
+    violations = tuple(
+        (name, empirical[measured], bounds[bound])
+        for name, measured, bound in _COMPARISONS
+        if math.isfinite(bounds[bound])
+        and empirical[measured] > bounds[bound] * (1.0 + _CHECK_RTOL)
+    )
+    return BoundReport(
         inputs=inputs,
         hinf=hinf,
         empirical=empirical,
+        violations=violations,
         l_source=l_source,
         flags=tuple(flags),
     )
-    comparisons = (
-        ("state_energy", empirical["state_energy"], report.state_energy_bound),
-        ("state_max", empirical["state_max"], report.state_max_bound),
-        ("action_energy", empirical["action_energy"], report.action_energy_bound),
-        ("action_max", empirical["action_max"], report.action_max_bound),
-        ("reward_impact", gap_discounted, report.reward_impact_bound),
-        ("generalization_error", gap_discounted, report.generalization_error_bound),
-    )
-    violations = tuple(
-        (name, measured, bound)
-        for name, measured, bound in comparisons
-        if math.isfinite(bound) and measured > bound * (1.0 + _CHECK_RTOL)
-    )
-    return replace(report, violations=violations)
 
 
 def per_step_table(

@@ -25,15 +25,14 @@ from ._jsonio import as_integer, as_numbers, as_string, is_number, write_json
 from .bounds import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
-    action_deviation_bounds,
     certified_gain,
+    deviation_bounds,
     disturbance_admissible,
     generate_disturbance,
     load_report,
     per_step_table,
     save_report,
     spectral_grid_values,
-    state_deviation_bounds,
     verify_bounds,
     write_per_step_table,
 )
@@ -298,21 +297,13 @@ def cmd_analyze(args) -> int:
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
     hinf, kf_hinf = certified_gain(model)
-    t_value = hinf.value
-    state_energy, state_max = state_deviation_bounds(t_value, gamma)
-    action_energy, action_max = action_deviation_bounds(kf_hinf, t_value, gamma)
     doc = {
         "spectral_radius": hinf.spectral_radius,
         "hinf": hinf.to_dict(),
         "Kf_hinf": kf_hinf,
         "gamma": gamma,
         "gamma_d": gamma_d,
-        "M": state_max,
-        "N": action_max,
-        "state_energy_bound": state_energy,
-        "state_max_bound": state_max,
-        "action_energy_bound": action_energy,
-        "action_max_bound": action_max,
+        **deviation_bounds(gamma, hinf.value, kf_hinf),
         "L": analytic_l,
         "Q": None,
         "C": None,
@@ -330,7 +321,7 @@ def cmd_analyze(args) -> int:
             f"(spectral radius {hinf.spectral_radius:.6f}); worst-case gain is infinite",
             file=sys.stderr,
         )
-    print(f"wrote {out}: T_hinf={t_value}, Kf_hinf={kf_hinf:.6g}")
+    print(f"wrote {out}: T_hinf={hinf.value}, Kf_hinf={kf_hinf:.6g}")
     return 0
 
 
@@ -399,22 +390,23 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# The bound values of a report row, in its CSV column order.
+_REPORT_BOUNDS = ("M", "N", "state_energy_bound", "action_energy_bound", "reward_impact_bound",
+                  "generalization_error_bound")
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
         report, label = load_report(path)
         emp = report.empirical or {}
+        bounds = report.bounds
         rows.append(
             {
                 "label": label or Path(path).stem,
                 "T_hinf": report.inputs.T_hinf,
                 "Kf_hinf": report.inputs.Kf_hinf,
-                "M": report.M,
-                "N": report.N,
-                "state_energy_bound": report.state_energy_bound,
-                "action_energy_bound": report.action_energy_bound,
-                "reward_impact_bound": report.reward_impact_bound,
-                "generalization_error_bound": report.generalization_error_bound,
+                **{key: bounds[key] for key in _REPORT_BOUNDS},
                 "reward_impact_pct": emp.get("reward_impact_pct"),
                 "violations": len(report.violations),
             }

@@ -110,18 +110,18 @@ class HinfReport:
     @classmethod
     def from_dict(cls, doc, where: str = "hinf") -> "HinfReport":
         """Read a report written by to_dict; every field must be present, and
-        a mistyped or misplaced non-finite one raises SchemaError naming it
-        under ``where``."""
+        a mistyped, misplaced non-finite or negative one raises SchemaError
+        naming it under ``where``."""
         as_object(doc, where, [f.name for f in fields(cls)])
         for key in ("converged", "ill_conditioned"):
             if not isinstance(doc[key], bool):
                 raise SchemaError(f"{where}.{key} must be true or false, got {doc[key]!r}")
         return cls(
-            lower=as_number(doc["lower"], f"{where}.lower"),
-            upper=as_number(doc["upper"], f"{where}.upper"),
+            lower=as_number(doc["lower"], f"{where}.lower", nonnegative=True),
+            upper=as_number(doc["upper"], f"{where}.upper", nonnegative=True),
             omega_star=as_number(doc["omega_star"], f"{where}.omega_star", finite=True),
             spectral_radius=as_number(doc["spectral_radius"], f"{where}.spectral_radius",
-                                      finite=True),
+                                      finite=True, nonnegative=True),
             iterations=as_integer(doc["iterations"], f"{where}.iterations"),
             converged=doc["converged"],
             ill_conditioned=doc["ill_conditioned"],

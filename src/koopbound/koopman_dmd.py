@@ -218,14 +218,13 @@ def _gain_from_dict(node, state_operator: np.ndarray, action_operator: np.ndarra
         raise SchemaError("gain.operators_sha256 does not match the model's operators: "
                           "the gain block belongs to other operators")
     return ModelGain(HinfReport.from_dict(block["hinf"], "gain.hinf"),
-                     as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True))
+                     as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True, nonnegative=True))
 
 
 def _model_to_dict(model: KoopmanModel) -> dict:
     eigvals = model.eigenvalues
     if eigvals is None:
-        eigvals = np.linalg.eigvals(model.state_operator)
-        eigvals = eigvals[np.lexsort((-eigvals.imag, -eigvals.real, -np.abs(eigvals)))]
+        eigvals = _sorted_eig(model.state_operator)
     doc = {
         "n": model.n,
         "m": model.m,

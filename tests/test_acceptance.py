@@ -225,7 +225,7 @@ def test_state_action_bound_soundness():
     w[0, 0] = 1.0
     report = _verify_linear(config, w, gamma=1.0)
     assert abs(report.empirical["state_energy"] - 4.0 / 3.0) <= 1e-9
-    assert abs(report.state_energy_bound - 4.0) <= 1e-9
+    assert abs(report.bounds["state_energy_bound"] - 4.0) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,18 +23,15 @@ from koopbound import (
     ParameterError,
     TrajectoryEnsemble,
     UavEnvConfig,
-    action_deviation_bounds,
+    deviation_bounds,
     disturbance_admissible,
     ensemble_mean,
     estimate_lipschitz,
     estimate_Q,
-    generalization_error_bound,
     generate_disturbance,
     linear_ensemble,
     LinearSurrogateConfig,
     per_step_table,
-    reward_impact_bound,
-    state_deviation_bounds,
     uav_ensemble,
     verify_bounds,
     write_per_step_table,
@@ -224,26 +222,44 @@ class TestGenerateDisturbance:
         assert spec.omega == math.pi / 4
 
 
+def state_bounds(t_hinf, gamma):
+    bounds = deviation_bounds(gamma, t_hinf, 0.0)
+    return bounds["state_energy_bound"], bounds["state_max_bound"]
+
+
+def action_bounds(kf_hinf, t_hinf, gamma):
+    bounds = deviation_bounds(gamma, t_hinf, kf_hinf)
+    return bounds["action_energy_bound"], bounds["action_max_bound"]
+
+
 class TestBoundArithmetic:
     def test_state_bounds_examples(self):
-        assert state_deviation_bounds(10.0, 0.5) == (25.0, 5.0)
-        assert state_deviation_bounds(10.0, 0.0) == (0.0, 0.0)
-        assert state_deviation_bounds(2.0, 3.0) == (36.0, 6.0)
+        assert state_bounds(10.0, 0.5) == (25.0, 5.0)
+        assert state_bounds(10.0, 0.0) == (0.0, 0.0)
+        assert state_bounds(2.0, 3.0) == (36.0, 6.0)
 
     def test_action_bounds_examples(self):
-        assert action_deviation_bounds(0.5, 10.0, 0.5) == (6.25, 2.5)
-        assert action_deviation_bounds(0.0, 10.0, 0.5) == (0.0, 0.0)
-        assert action_deviation_bounds(1.0, 1.0, 1.0) == (1.0, 1.0)
+        assert action_bounds(0.5, 10.0, 0.5) == (6.25, 2.5)
+        assert action_bounds(0.0, 10.0, 0.5) == (0.0, 0.0)
+        assert action_bounds(1.0, 1.0, 1.0) == (1.0, 1.0)
 
     def test_zero_gamma_with_infinite_gain(self):
-        energy, peak = state_deviation_bounds(float("inf"), 0.0)
+        energy, peak = state_bounds(float("inf"), 0.0)
         assert energy == 0.0 and peak == 0.0
+
+    @pytest.mark.parametrize("name, args", [
+        ("gamma", (-0.5, 1.0, 1.0)), ("T_hinf", (0.5, -1.0, 1.0)),
+        ("Kf_hinf", (0.5, 1.0, -1.0)), ("gamma", (math.nan, 1.0, 1.0)),
+    ])
+    def test_negative_input_refused(self, name, args):
+        with pytest.raises(ParameterError, match=f"^{name} must be non-negative"):
+            deviation_bounds(*args)
 
     @given(t1=nonneg, t2=nonneg, g1=nonneg, g2=nonneg)
     @settings(max_examples=100, deadline=None)
     def test_state_bounds_monotone(self, t1, t2, g1, g2):
-        lo = state_deviation_bounds(min(t1, t2), min(g1, g2))
-        hi = state_deviation_bounds(max(t1, t2), max(g1, g2))
+        lo = state_bounds(min(t1, t2), min(g1, g2))
+        hi = state_bounds(max(t1, t2), max(g1, g2))
         assert lo[0] <= hi[0] and lo[1] <= hi[1]
 
 
@@ -259,46 +275,52 @@ def make_inputs(M, N, L, Q, C, gamma_d, horizon):
                        gamma_d=gamma_d, horizon=horizon)
 
 
+def reward_impact(inputs):
+    return inputs.bounds()["reward_impact_bound"]
+
+
+def generalization_error(inputs):
+    return inputs.bounds()["generalization_error_bound"]
+
+
 class TestRewardBounds:
     def test_infinite_horizon_example(self):
         inputs = make_inputs(M=2.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=0.5,
                              horizon=float("inf"))
-        assert np.isclose(reward_impact_bound(inputs), 6.0)
+        assert np.isclose(reward_impact(inputs), 6.0)
 
     def test_zero_lipschitz(self):
         inputs = make_inputs(M=2.0, N=1.0, L=0.0, Q=5.0, C=1.0, gamma_d=0.5,
                              horizon=float("inf"))
-        assert reward_impact_bound(inputs) == 0.0
+        assert reward_impact(inputs) == 0.0
 
     def test_undiscounted_single_step(self):
         inputs = make_inputs(M=1.0, N=1.0, L=1.0, Q=1.0, C=0.0, gamma_d=0.0,
                              horizon=float("inf"))
-        assert np.isclose(reward_impact_bound(inputs), 3.0)
+        assert np.isclose(reward_impact(inputs), 3.0)
 
     def test_finite_horizon_discount_sum(self):
         inputs = make_inputs(M=1.0, N=0.0, L=1.0, Q=0.0, C=0.0, gamma_d=0.5,
                              horizon=3.0)
         # (1 - 0.5^4) / 0.5 = 1.875
-        assert np.isclose(reward_impact_bound(inputs), 1.875)
+        assert np.isclose(reward_impact(inputs), 1.875)
 
     def test_generalization_error_example(self):
         inputs = make_inputs(M=2.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=0.9,
                              horizon=float("inf"))
-        assert np.isclose(generalization_error_bound(inputs), 30.0)
+        assert np.isclose(generalization_error(inputs), 30.0)
 
     def test_zero_c_reduces_to_reward_impact(self):
         inputs = make_inputs(M=1.5, N=0.5, L=2.0, Q=0.3, C=0.0, gamma_d=0.7,
                              horizon=float("inf"))
-        assert np.isclose(generalization_error_bound(inputs),
-                          reward_impact_bound(inputs))
+        assert np.isclose(generalization_error(inputs), reward_impact(inputs))
 
     def test_lipschitz_homogeneity(self):
         one = make_inputs(M=1.0, N=1.0, L=1.0, Q=0.5, C=0.5, gamma_d=0.9,
                           horizon=float("inf"))
         two = make_inputs(M=1.0, N=1.0, L=2.0, Q=0.5, C=0.5, gamma_d=0.9,
                           horizon=float("inf"))
-        assert np.isclose(generalization_error_bound(two),
-                          2.0 * generalization_error_bound(one))
+        assert np.isclose(generalization_error(two), 2.0 * generalization_error(one))
 
     def test_divergent_discount(self):
         with pytest.raises(DivergenceError):
@@ -307,9 +329,19 @@ class TestRewardBounds:
         inputs = make_inputs(M=1.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=1.0,
                              horizon=10.0)
         with pytest.raises(DivergenceError):
-            reward_impact_bound(inputs)
+            inputs.bounds()
+        # The L = 0 rule does not hide a divergent discount sum.
         with pytest.raises(DivergenceError):
-            generalization_error_bound(inputs)
+            replace(inputs, L=0.0).bounds()
+
+    def test_bounds_include_deviation_bounds(self):
+        inputs = make_inputs(M=2.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=0.5,
+                             horizon=float("inf"))
+        bounds = inputs.bounds()
+        assert list(bounds) == ["M", "N", "state_energy_bound", "state_max_bound",
+                                "action_energy_bound", "action_max_bound",
+                                "reward_impact_bound", "generalization_error_bound"]
+        assert {key: bounds[key] for key in list(bounds)[:6]} == deviation_bounds(1.0, 2.0, 0.5)
 
     @given(
         l=st.floats(0.0, 100.0), q=st.floats(0.0, 100.0),
@@ -321,8 +353,8 @@ class TestRewardBounds:
                            horizon=float("inf"))
         bigger = make_inputs(M=1.0, N=0.5, L=l + 1.0, Q=q + 1.0, C=c + 1.0,
                              gamma_d=gd, horizon=float("inf"))
-        assert generalization_error_bound(bigger) >= generalization_error_bound(base)
-        assert reward_impact_bound(bigger) >= reward_impact_bound(base)
+        assert generalization_error(bigger) >= generalization_error(base)
+        assert reward_impact(bigger) >= reward_impact(base)
 
 
 class TestEstimators:
@@ -466,7 +498,7 @@ class TestVerifyBounds:
         w[0, 0] = 1.0
         report = run_verify(config, w, gamma=1.0)
         assert abs(report.empirical["state_energy"] - 4.0 / 3.0) <= 1e-9
-        assert abs(report.state_energy_bound - 4.0) <= 1e-9
+        assert abs(report.bounds["state_energy_bound"] - 4.0) <= 1e-9
         assert report.violations == ()
 
     def test_soundness_random_disturbances(self):

@@ -294,6 +294,10 @@ class TestGainBlock:
         ("gain.hinf.ill_conditioned", MISSING), ("gain.hinf.spectral_radius", MISSING),
         ("gain.operators_sha256", MISSING), ("gain.Kf_hinf", MISSING), ("gain", []),
         pytest.param("gain.Kf_hinf", HUGE, id="gain.Kf_hinf-401-digits"),
+        # The operators' SHA-256 does not cover the gains, so a negative one
+        # is refused where it is read.
+        ("gain.hinf.upper", -1.0), ("gain.hinf.lower", -1.0),
+        ("gain.hinf.spectral_radius", -0.5), ("gain.Kf_hinf", -2.0),
     ])
     def test_malformed_block(self, tmp_path, capsys, linear_config, fitted, where, value):
         doc = json.loads(fitted.read_text())
@@ -421,6 +425,20 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["hinf"]["value"] == "inf"
         assert doc["M"] == doc["N"] == doc["state_energy_bound"] == 0.0
+
+    def test_same_deviation_bounds_as_verify(self, tmp_path, linear_config):
+        """analyze and verify take the six deviation bounds from one routine,
+        so for one model and gamma they write the same values."""
+        traj, model = tmp_path / "traj.csv", tmp_path / "model.json"
+        assert main(["simulate", "--config", str(linear_config), "--out", str(traj)]) == 0
+        assert main(["fit", str(traj), "--out", str(model)]) == 0
+        assert TestGainBlock.downstream(tmp_path, linear_config, model, "") == (0, 0)
+        analysis = json.loads((tmp_path / "analysis.json").read_text())
+        report = json.loads((tmp_path / "report.json").read_text())
+        keys = ("M", "N", "state_energy_bound", "state_max_bound", "action_energy_bound",
+                "action_max_bound")
+        assert {key: analysis[key] for key in keys} == {key: report[key] for key in keys}
+        assert analysis["M"] > 0.0 and analysis["N"] > 0.0
 
     def test_unstable_model_flagged_exit_zero(self, tmp_path, capsys):
         path = self.write_model(tmp_path, [[1.0]], [[0.5]])
@@ -842,6 +860,10 @@ class TestMalformedDocuments:
         pytest.param("inputs.T_hinf", HUGE, id="inputs.T_hinf-401-digits"),
         pytest.param("empirical.reward_impact_pct", HUGE,
                      id="empirical.reward_impact_pct-401-digits"),
+        ("hinf.upper", -2.0), ("hinf.lower", -2.0), ("hinf.spectral_radius", -0.5),
+        # A stored bound must be the value its inputs give.
+        ("state_max_bound", 7.0), ("M", 1.0000000000000002), ("reward_impact_bound", "inf"),
+        ("generalization_error_bound", "x"),
     ])
     def test_report(self, tmp_path, capsys, where, value):
         path = self.report_file(tmp_path)
@@ -855,7 +877,7 @@ class TestMalformedDocuments:
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["inputs.L", "inputs.Q", "inputs.C", "inputs.horizon",
-                                       "l_source"])
+                                       "l_source", "action_max_bound"])
     def test_report_missing_field(self, tmp_path, capsys, where):
         """A missing input is refused, not read as a default such as L = 0,
         which would report a reward impact bound of 0."""
