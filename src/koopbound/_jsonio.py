@@ -46,6 +46,18 @@ def write_json(doc, path) -> None:
         fh.write("\n")
 
 
+def encodes(node, value) -> bool:
+    """Whether the parsed JSON ``node`` is what this codec writes for
+    ``value``: equal strings, lists item by item, and equal numbers, where an
+    integral literal may stand for an integral float but a boolean never
+    stands for a number."""
+    encoded = _encode(value, "")
+    if isinstance(encoded, list):
+        return (isinstance(node, list) and len(node) == len(encoded)
+                and all(map(encodes, node, encoded)))
+    return node == encoded and (type(node) is bool) == (type(encoded) is bool)
+
+
 def read_json(path):
     """Parse the JSON document at ``path``; malformed text is a SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from ._jsonio import as_number, as_object, as_string, read_json, write_json
+from ._jsonio import as_number, as_object, as_string, encodes, read_json, write_json
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -60,6 +60,10 @@ _COMPARISONS = (
     ("reward_impact", "reward_gap_discounted", "reward_impact_bound"),
     ("generalization_error", "reward_gap_discounted", "generalization_error_bound"),
 )
+# The keys verify_bounds measures, in the report's ``empirical`` object.
+_MEASURED = ("state_energy", "state_max", "action_energy", "action_max", "reward_gap_discounted",
+             "reward_nominal_discounted", "reward_sum_nominal", "reward_sum_disturbed",
+             "reward_impact_pct")
 
 
 @dataclass(frozen=True)
@@ -334,87 +338,89 @@ def estimate_Q(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bound inputs, measured left-hand sides, and any exceedances.
+    """What verify_bounds measured or was given: the bound inputs, the
+    model's gain report, the measured left-hand sides and the flags.
 
-    The bound values are computed from ``inputs`` on each read of
-    ``bounds``, so a report cannot hold bounds that disagree with its own
-    inputs.
+    The bound values, the violations and the L source are derived from these
+    on each read, so a report cannot hold values that disagree with its own
+    fields.
     """
 
     inputs: BoundInputs
-    hinf: HinfReport | None = None
-    empirical: dict | None = None
-    violations: tuple = ()
-    l_source: str = "analytic"
-    flags: tuple = ()
+    hinf: HinfReport
+    empirical: dict
+    flags: tuple
 
     @property
     def bounds(self) -> dict:
         """Every bound value, by name: ``BoundInputs.bounds`` of the inputs."""
         return self.inputs.bounds()
 
-    def to_dict(self) -> dict:
-        doc = self.bounds
-        doc.update(
-            inputs=asdict(self.inputs),
-            l_source=self.l_source,
-            flags=list(self.flags),
-            violations=[list(v) for v in self.violations],
+    @property
+    def violations(self) -> tuple:
+        """(name, measured, bound) of each finite bound that its measured
+        left-hand side exceeds beyond float round-off."""
+        bounds = self.bounds
+        return tuple(
+            (name, self.empirical[measured], bounds[bound])
+            for name, measured, bound in _COMPARISONS
+            if math.isfinite(bounds[bound])
+            and self.empirical[measured] > bounds[bound] * (1.0 + _CHECK_RTOL)
+        )
+
+    @property
+    def l_source(self) -> str:
+        return "estimated" if "estimated-L" in self.flags else "analytic"
+
+    def _derived(self) -> dict:
+        """Every value to_dict writes that the fields determine."""
+        violations = self.violations
+        return {
+            **self.bounds,
+            "violations": [list(v) for v in violations],
             # Fraction of the compared bounds that were exceeded; nonzero
             # rates on fitted models are a model-approximation effect, not a
             # process failure.
-            violation_rate=len(self.violations) / float(len(_COMPARISONS)),
-        )
-        if self.hinf is not None:
-            doc["hinf"] = self.hinf.to_dict()
-        if self.empirical is not None:
-            doc["empirical"] = dict(self.empirical)
-        return doc
+            "violation_rate": len(violations) / float(len(_COMPARISONS)),
+            "l_source": self.l_source,
+        }
+
+    def to_dict(self) -> dict:
+        return {**self._derived(), "inputs": asdict(self.inputs), "hinf": self.hinf.to_dict(),
+                "empirical": dict(self.empirical), "flags": list(self.flags)}
 
     @classmethod
     def from_dict(cls, doc) -> "BoundReport":
-        """Read a report written by to_dict; a malformed document, or a bound
-        value that is not the one its inputs give, raises SchemaError naming
-        the field.  Values written by to_dict compare exactly: the codec
-        writes shortest-repr floats."""
-        doc = as_object(doc, "bound report", ("inputs", "l_source", "flags", "violations",
-                                              "violation_rate"))
+        """Read a report written by to_dict.  A malformed document, an
+        ``inputs.T_hinf`` that is not ``hinf.value``, or a derived value that
+        is not the one the fields give raises SchemaError naming the field.
+        Values written by to_dict compare exactly: the codec writes
+        shortest-repr floats."""
+        doc = as_object(doc, "bound report", ("inputs", "hinf", "empirical", "flags"))
         names = [f.name for f in fields(BoundInputs)]
         raw = as_object(doc["inputs"], "inputs", names)
         inputs = BoundInputs(**{name: as_number(raw[name], f"inputs.{name}") for name in names})
-        bounds = inputs.bounds()
-        as_object(doc, "bound report", bounds)
-        for key, value in bounds.items():
-            if as_number(doc[key], key) != value:
-                raise SchemaError(f"{key} must be {value!r}, the value its inputs give, "
-                                  f"got {doc[key]!r}")
-        violations = doc["violations"]
-        if not (isinstance(violations, list) and all(
-                isinstance(v, list) and len(v) == 3 and isinstance(v[0], str) for v in violations)):
-            raise SchemaError(
-                f"violations must be a list of [name, measured, bound], got {violations!r}"
-            )
-        empirical = doc.get("empirical")
-        if empirical is not None:
-            empirical = {key: as_number(value, f"empirical.{key}")
-                         for key, value in as_object(empirical, "empirical").items()}
-        return cls(
+        hinf = HinfReport.from_dict(doc["hinf"])
+        if inputs.T_hinf != hinf.value:
+            raise SchemaError(f"inputs.T_hinf must be {hinf.value!r}, the value of hinf.value, "
+                              f"got {raw['T_hinf']!r}")
+        empirical = as_object(doc["empirical"], "empirical", _MEASURED)
+        if not (isinstance(doc["flags"], list) and all(isinstance(v, str) for v in doc["flags"])):
+            raise SchemaError(f"flags must be a list of strings, got {doc['flags']!r}")
+        report = cls(
             inputs=inputs,
-            hinf=HinfReport.from_dict(doc["hinf"]) if "hinf" in doc else None,
-            empirical=empirical,
-            violations=tuple(
-                (name, as_number(measured, f"violations[{i}]"), as_number(bound, f"violations[{i}]"))
-                for i, (name, measured, bound) in enumerate(violations)
-            ),
-            l_source=as_string(doc["l_source"], "l_source"),
-            flags=_strings(doc["flags"], "flags"),
+            hinf=hinf,
+            empirical={key: as_number(value, f"empirical.{key}")
+                       for key, value in empirical.items()},
+            flags=tuple(doc["flags"]),
         )
-
-
-def _strings(node, where: str) -> tuple:
-    if not (isinstance(node, list) and all(isinstance(v, str) for v in node)):
-        raise SchemaError(f"{where} must be a list of strings, got {node!r}")
-    return tuple(node)
+        derived = report._derived()
+        as_object(doc, "bound report", derived)
+        for key, value in derived.items():
+            if not encodes(doc[key], value):
+                raise SchemaError(f"{key} must be {value!r}, the value its fields give, "
+                                  f"got {doc[key]!r}")
+        return report
 
 
 def save_report(report: BoundReport, path, label: str | None = None) -> None:
@@ -504,7 +510,7 @@ def verify_bounds(
 
     Measures state/action deviation energies and maxima between the nominal
     and disturbed mean trajectories, plus the discounted gap of per-step
-    ensemble-mean rewards, then records any exceedance beyond float
+    ensemble-mean rewards; the report derives any exceedance beyond float
     round-off.  Q is estimated from the disturbed rollouts themselves (the
     bound is partially a posteriori; see the q-from-disturbed-rollouts flag).
     """
@@ -519,13 +525,9 @@ def verify_bounds(
     if hinf.ill_conditioned and hinf.converged:
         flags.append("ill-conditioned-resolvent")
 
-    if lipschitz is not None:
-        lipschitz = float(lipschitz)
-        l_source = "analytic"
-    else:
+    if lipschitz is None:
         samples = zip(_reward_samples(nominal), _reward_samples(disturbed))
         lipschitz = estimate_lipschitz(*(np.concatenate(pair) for pair in samples))
-        l_source = "estimated"
         flags.append("estimated-L")
 
     if disturbed.r_count >= 2:
@@ -537,16 +539,8 @@ def verify_bounds(
     c_value = estimate_Q(nominal, nominal_mean) if nominal.r_count >= 2 else 0.0
 
     k_steps = nominal_mean.horizon
-    inputs = BoundInputs(
-        gamma=gamma,
-        T_hinf=hinf.value,
-        Kf_hinf=kf_hinf,
-        L=lipschitz,
-        Q=q_value,
-        C=c_value,
-        gamma_d=gamma_d,
-        horizon=float(k_steps),
-    )
+    inputs = BoundInputs(gamma=gamma, T_hinf=hinf.value, Kf_hinf=kf_hinf, L=float(lipschitz),
+                         Q=q_value, C=c_value, gamma_d=gamma_d, horizon=float(k_steps))
     dx = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
     du = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
     r_nom = mean_rewards(nominal)
@@ -570,21 +564,7 @@ def verify_bounds(
         "reward_impact_pct": impact_pct,
     }
 
-    bounds = inputs.bounds()
-    violations = tuple(
-        (name, empirical[measured], bounds[bound])
-        for name, measured, bound in _COMPARISONS
-        if math.isfinite(bounds[bound])
-        and empirical[measured] > bounds[bound] * (1.0 + _CHECK_RTOL)
-    )
-    return BoundReport(
-        inputs=inputs,
-        hinf=hinf,
-        empirical=empirical,
-        violations=violations,
-        l_source=l_source,
-        flags=tuple(flags),
-    )
+    return BoundReport(inputs=inputs, hinf=hinf, empirical=empirical, flags=tuple(flags))
 
 
 def per_step_table(

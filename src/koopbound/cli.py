@@ -399,7 +399,6 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
         report, label = load_report(path)
-        emp = report.empirical or {}
         bounds = report.bounds
         rows.append(
             {
@@ -407,7 +406,7 @@ def cmd_report(args) -> int:
                 "T_hinf": report.inputs.T_hinf,
                 "Kf_hinf": report.inputs.Kf_hinf,
                 **{key: bounds[key] for key in _REPORT_BOUNDS},
-                "reward_impact_pct": emp.get("reward_impact_pct"),
+                "reward_impact_pct": report.empirical["reward_impact_pct"],
                 "violations": len(report.violations),
             }
         )
@@ -418,18 +417,15 @@ def cmd_report(args) -> int:
     columns = list(rows[0].keys())
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join("" if row[c] is None else str(row[c]) for c in columns))
+        lines.append(",".join(str(row[c]) for c in columns))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_manifest("report", None, None, list(args.reports), [out, csv_path])
     header = f"{'label':<24}{'T_hinf':>14}{'Kf_hinf':>12}{'impact_pct':>12}"
     print(header)
     for row in rows:
-        pct = row["reward_impact_pct"]
-        print(
-            f"{row['label']:<24}{row['T_hinf']:>14.4f}{row['Kf_hinf']:>12.4f}"
-            f"{(f'{pct:.4f}' if pct is not None else '-'):>12}"
-        )
+        print(f"{row['label']:<24}{row['T_hinf']:>14.4f}{row['Kf_hinf']:>12.4f}"
+              f"{row['reward_impact_pct']:>12.4f}")
     return 0
 
 

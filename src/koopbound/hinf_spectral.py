@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg
 
-from ._jsonio import as_integer, as_number, as_object
+from ._jsonio import as_integer, as_number, as_object, encodes
 from .errors import DataError, DivergenceError, ParameterError, SchemaError
 
 RESOLVENT = "resolvent"
@@ -110,13 +110,13 @@ class HinfReport:
     @classmethod
     def from_dict(cls, doc, where: str = "hinf") -> "HinfReport":
         """Read a report written by to_dict; every field must be present, and
-        a mistyped, misplaced non-finite or negative one raises SchemaError
-        naming it under ``where``."""
-        as_object(doc, where, [f.name for f in fields(cls)])
+        a mistyped, misplaced non-finite or negative one, or a ``value`` that
+        is not ``upper``, raises SchemaError naming it under ``where``."""
+        as_object(doc, where, ["value", *(f.name for f in fields(cls))])
         for key in ("converged", "ill_conditioned"):
             if not isinstance(doc[key], bool):
                 raise SchemaError(f"{where}.{key} must be true or false, got {doc[key]!r}")
-        return cls(
+        report = cls(
             lower=as_number(doc["lower"], f"{where}.lower", nonnegative=True),
             upper=as_number(doc["upper"], f"{where}.upper", nonnegative=True),
             omega_star=as_number(doc["omega_star"], f"{where}.omega_star", finite=True),
@@ -126,6 +126,10 @@ class HinfReport:
             converged=doc["converged"],
             ill_conditioned=doc["ill_conditioned"],
         )
+        if not encodes(doc["value"], report.value):
+            raise SchemaError(f"{where}.value must be {report.value!r}, the value of "
+                              f"{where}.upper, got {doc['value']!r}")
+        return report
 
 
 def _singular_values(k: np.ndarray, omegas: np.ndarray) -> np.ndarray:

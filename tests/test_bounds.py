@@ -443,10 +443,10 @@ def true_model(a, f):
     return KoopmanModel(state_operator=a, action_operator=f)
 
 
-def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False):
+def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False, model=None):
     """verify_bounds on `runs` runs of the surrogate over the disturbance's
     horizon, seeded from 0, with the surrogate's analytic L unless
-    `estimated`."""
+    `estimated`, against `model` or else the surrogate's own operators."""
     horizon = len(disturbance)
     nominal = linear_ensemble(config, horizon, runs, 0)
     disturbed = linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
@@ -455,7 +455,7 @@ def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False)
         ensemble_mean(disturbed),
         nominal,
         disturbed,
-        true_model(config.A, config.F),
+        model or true_model(config.A, config.F),
         gamma,
         gamma_d,
         lipschitz=None if estimated else config.reward_lipschitz,
@@ -544,25 +544,30 @@ class TestVerifyBounds:
         assert report.inputs.Q == 0.0
 
     def test_report_round_trip(self, tmp_path):
-        # A stable surrogate and an unstable one (A = 1: T and every bound
-        # infinite) both reload as the same report.
+        # A stable surrogate, an unstable one (A = 1: T and every bound
+        # infinite) and one checked against a model that understates its gain
+        # (A = 0.9 against Kh = 0: violations) all reload as the same report,
+        # which saves to the bytes it was read from.
         from koopbound import load_report, save_report
 
         w = generate_disturbance(
             DisturbanceSpec(kind="impulse", gamma=0.5, horizon=12, seed=0, dim=1)
         )
-        for a in (0.5, 1.0):
+        for a, kh in ((0.5, 0.5), (1.0, 1.0), (0.9, 0.0)):
             config = LinearSurrogateConfig(
                 A=np.array([[a]]), F=np.array([[1.0]]),
                 x0_mean=np.array([1.0]),
             )
-            report = run_verify(config, w, gamma=0.5)
+            report = run_verify(config, w, gamma=0.5, model=true_model(kh, 1.0))
             assert math.isinf(report.inputs.T_hinf) == (a == 1.0)
-            path = tmp_path / f"report_{a}.json"
+            assert bool(report.violations) == (a != kh)
+            path, again = tmp_path / f"report_{a}.json", tmp_path / f"again_{a}.json"
             save_report(report, path, label="scalar")
             loaded, label = load_report(path)
             assert label == "scalar"
-            assert loaded == report
+            assert loaded == report and loaded.violations == report.violations
+            save_report(loaded, again, label=label)
+            assert again.read_bytes() == path.read_bytes()
             if a == 1.0:
                 text = path.read_text()
                 assert '"T_hinf": "inf"' in text and '"reward_impact_bound": "inf"' in text

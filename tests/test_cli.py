@@ -298,6 +298,8 @@ class TestGainBlock:
         # is refused where it is read.
         ("gain.hinf.upper", -1.0), ("gain.hinf.lower", -1.0),
         ("gain.hinf.spectral_radius", -0.5), ("gain.Kf_hinf", -2.0),
+        # value is upper, the end every bound uses.
+        ("gain.hinf.value", -5.0),
     ])
     def test_malformed_block(self, tmp_path, capsys, linear_config, fitted, where, value):
         doc = json.loads(fitted.read_text())
@@ -846,10 +848,14 @@ class TestMalformedDocuments:
                                gamma_d=0.9, horizon=10.0),
             hinf=HinfReport(lower=2.0, upper=2.0, omega_star=0.0, spectral_radius=0.5,
                             iterations=1, converged=True),
-            empirical={"reward_impact_pct": 1.0},
-            violations=(("state_max", 2.0, 1.0),),
+            # state_max exceeds its bound of 1.0: one violation.
+            empirical={"state_energy": 0.5, "state_max": 2.0, "action_energy": 0.25,
+                       "action_max": 0.5, "reward_gap_discounted": 0.5,
+                       "reward_nominal_discounted": 4.0, "reward_sum_nominal": 8.0,
+                       "reward_sum_disturbed": 7.92, "reward_impact_pct": 1.0},
             flags=("estimated-L",),
         )
+        assert len(report.violations) == 1
         path = tmp_path / "report.json"
         save_report(report, path, label="ok")
         return path
@@ -864,11 +870,33 @@ class TestMalformedDocuments:
         # A stored bound must be the value its inputs give.
         ("state_max_bound", 7.0), ("M", 1.0000000000000002), ("reward_impact_bound", "inf"),
         ("generalization_error_bound", "x"),
+        # hinf.value is hinf.upper, and the violations, their rate and the L
+        # source are the values the measurements, bounds and flags give.
+        ("hinf.value", -5.0),
+        pytest.param("violations", [["state_max", 1e9, 0.1]], id="violations-edited"),
+        pytest.param("violations", [], id="violations-dropped"),
+        pytest.param("violations", [["state_max", 2.0, True]], id="violations-boolean-bound"),
+        ("violation_rate", 0.9), ("l_source", "analytic"),
+        # M is 1.0 here, and a boolean is not a number.
+        ("M", True),
     ])
     def test_report(self, tmp_path, capsys, where, value):
         path = self.report_file(tmp_path)
         doc = json.loads(path.read_text())
         self.edit(doc, where, value)
+        self.assert_refused(tmp_path, capsys, path, doc, where)
+
+    def test_report_gain_not_from_hinf(self, tmp_path, capsys):
+        """inputs.T_hinf is refused unless it is hinf.value, even when the
+        stored bounds are the ones it gives."""
+        path = self.report_file(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["inputs"]["T_hinf"] = 1.0
+        doc.update(BoundInputs(**doc["inputs"]).bounds())
+        self.assert_refused(tmp_path, capsys, path, doc, "inputs.T_hinf")
+
+    @staticmethod
+    def assert_refused(tmp_path, capsys, path, doc, where):
         path.write_text(json.dumps(doc))
         out = tmp_path / "summary.json"
         assert main(["report", str(path), "--out", str(out)]) == 2
@@ -877,7 +905,9 @@ class TestMalformedDocuments:
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["inputs.L", "inputs.Q", "inputs.C", "inputs.horizon",
-                                       "l_source", "action_max_bound"])
+                                       "l_source", "action_max_bound", "hinf", "hinf.value",
+                                       "empirical", "empirical.state_max", "violations",
+                                       "violation_rate"])
     def test_report_missing_field(self, tmp_path, capsys, where):
         """A missing input is refused, not read as a default such as L = 0,
         which would report a reward impact bound of 0."""
