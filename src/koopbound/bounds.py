@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from ._floattext import write_rows
 from ._jsonio import as_number, as_object, as_string, encodes, read_json, write_json
 from .errors import (
     DataError,
@@ -588,10 +589,10 @@ def per_step_table(
 
 def write_per_step_table(rows, path) -> None:
     """Write per_step_table rows as CSV: floats as repr, None as an empty cell."""
-    lines = ["k,state_dev,action_dev,reward_nominal_mean,reward_disturbed_mean"]
-    lines += [
-        f"{k},{dx!r},{du!r},{rn!r},{rd!r}" if du is not None else f"{k},{dx!r},,,"
-        for k, dx, du, rn, rd in rows
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    table = np.array(rows, dtype=float)  # None reads as NaN
+    empty = np.zeros((len(rows), 4), dtype=bool)
+    for i in np.flatnonzero(np.isnan(table).any(axis=1)).tolist():
+        empty[i] = [value is None for value in rows[i][1:]]
+    with open(path, "wb") as fh:
+        fh.write(b"k,state_dev,action_dev,reward_nominal_mean,reward_disturbed_mean\n")
+        write_rows(fh, table[:, :1], table[:, 1:], empty)

@@ -258,9 +258,14 @@ def cmd_simulate(args) -> int:
     sim = _simulation(cfg, args)
     ensemble = sim.rollout()
     out = Path(args.out or "trajectories.csv")
-    save_trajectories(ensemble, out)
+    start = time.perf_counter()
+    fallback = save_trajectories(ensemble, out)
+    save_s = time.perf_counter() - start
     inputs = [args.config] if args.config else []
-    _write_manifest("simulate", args.config, sim.seed, inputs, [out])
+    values = ensemble.states.size + ensemble.actions.size + ensemble.rewards.size
+    _write_manifest("simulate", args.config, sim.seed, inputs, [out],
+                    trajectory_writer={"seconds": save_s, "values": values,
+                                       "repr_fallback_values": fallback})
     print(f"wrote {out}: {ensemble.r_count} runs, K={ensemble.horizon}, "
           f"n={ensemble.n}, m={ensemble.m}")
     return 0

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._floattext import write_rows
 from .errors import (
     DataError,
     DimensionMismatchError,
@@ -185,12 +186,12 @@ def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
 #   run,k,x0..x{n-1},u0..u{m-1},r
 # The final step of each run carries the terminal state with empty action and
 # reward fields.  Comment lines start with "#"; a comment "# seed <run_id>
-# <seed>" records RNG provenance.  Floats are written with shortest
-# round-trip repr.  The writer emits LF line ends, all seed comments, the
-# header, then each run's rows in step order; the reader also accepts CRLF
-# and CR line ends, blank and comment lines anywhere, and data rows in any
-# order.  Fields are never quoted, and a double quote on a data line is an
-# error.
+# <seed>" records RNG provenance.  Floats are written as their shortest
+# round-trip repr, built a block at a time by ``_floattext``.  The writer
+# emits LF line ends, all seed comments, the header, then each run's rows in
+# step order; the reader also accepts CRLF and CR line ends, blank and
+# comment lines anywhere, and data rows in any order.  Fields are never
+# quoted, and a double quote on a data line is an error.
 # ---------------------------------------------------------------------------
 
 # Data rows are converted in blocks of this many rows: one numpy conversion
@@ -199,8 +200,12 @@ def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
 _BLOCK_ROWS = 2048
 
 
-def save_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
-    """Write an ensemble in the trajectory file format (round-trip exact)."""
+def save_trajectories(ensemble: TrajectoryEnsemble, path) -> int:
+    """Write an ensemble in the trajectory file format (round-trip exact).
+
+    Returns how many values were written by ``repr`` one at a time, those
+    outside the positional range 1e-4 <= |x| < 1e16 (see ``_floattext``).
+    """
     n, m, k_max = ensemble.n, ensemble.m, ensemble.horizon
     header = (
         ["run", "k"]
@@ -208,23 +213,25 @@ def save_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
         + [f"u{i}" for i in range(m)]
         + ["r"]
     )
-    run_ids = ensemble.run_ids.tolist()
-    terminal_tail = "," * (m + 1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(
-            f"# seed {run} {seed}\n" for run, seed in zip(run_ids, ensemble.seeds.tolist())
-        )
-        fh.write(",".join(header) + "\n")
-        for r, run in enumerate(run_ids):
-            # tolist() yields Python floats, whose repr is the shortest round trip.
-            steps = np.concatenate(
-                (ensemble.states[r, :k_max], ensemble.actions[r], ensemble.rewards[r, :, None]),
-                axis=1,
-            ).tolist()
-            lines = [f"{run},{k}," + ",".join(map(repr, row)) for k, row in enumerate(steps)]
-            terminal = ",".join(map(repr, ensemble.states[r, k_max].tolist()))
-            lines.append(f"{run},{k_max},{terminal}{terminal_tail}\n")
-            fh.write("\n".join(lines))
+    seeds = "".join(f"# seed {run} {seed}\n"
+                    for run, seed in zip(ensemble.run_ids.tolist(), ensemble.seeds.tolist()))
+    # One run's rows: (run, k) and its cells; the terminal row's action and
+    # reward cells are empty.
+    ids = np.empty((k_max + 1, 2), dtype=np.int64)
+    ids[:, 1] = np.arange(k_max + 1)
+    cells = np.zeros((k_max + 1, n + m + 1))
+    empty = np.zeros(cells.shape, dtype=bool)
+    empty[k_max, n:] = True
+    fallback = 0
+    with open(path, "wb") as fh:
+        fh.write((seeds + ",".join(header) + "\n").encode("utf-8"))
+        for r, run in enumerate(ensemble.run_ids.tolist()):
+            ids[:, 0] = run
+            cells[:, :n] = ensemble.states[r]
+            cells[:k_max, n : n + m] = ensemble.actions[r]
+            cells[:k_max, -1] = ensemble.rewards[r]
+            fallback += write_rows(fh, ids, cells, empty)
+    return fallback
 
 
 def _parse_header(line: str, line_no: int) -> tuple[int, int]:
@@ -371,6 +378,7 @@ def load_trajectories(path) -> TrajectoryEnsemble:
     n, m = header
     if lines:
         blocks.append(_parse_block(lines, line_nos, n, m))
+    del lines  # the last block's text, before its arrays are concatenated
     if not blocks:
         raise EmptyInputError("trajectory file has no data rows")
 

@@ -113,10 +113,18 @@ class TestSimulate:
 
     def test_manifest_written(self, tmp_path, linear_config):
         out = tmp_path / "traj.csv"
-        main(["simulate", "--config", str(linear_config), "--out", str(out)])
+        # By step 30 the second state decays below 1e-4, whose floats repr
+        # writes with an exponent.
+        main(["simulate", "--config", str(linear_config), "--out", str(out), "--horizon", "30"])
         manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert str(out) in manifest["outputs"]
+        writer = manifest["trajectory_writer"]
+        assert writer["seconds"] >= 0.0
+        assert writer["values"] == 31 * 2 + 30 * 1 + 30
+        fields = [cell for line in out.read_text().splitlines()[2:]
+                  for cell in line.split(",")[2:] if cell]
+        assert writer["repr_fallback_values"] == sum("e" in cell for cell in fields) > 0
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
