@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hinf_spectral import HinfReport, TransferFunction, hinf_norm
 from .koopman_dmd import KoopmanModel, ModelGain
-from .trajectory_data import MeanTrajectory, TrajectoryEnsemble, mean_rewards
+from .trajectory_data import MeanTrajectory, TrajectoryEnsemble, _frozen_array, mean_rewards
 
 DISTURBANCE_KINDS = (
     "impulse",
@@ -98,7 +98,7 @@ class DisturbanceSpec:
         if not math.isfinite(self.omega):
             raise ParameterError(f"omega must be finite, got {self.omega}")
         if self.direction is not None:
-            d = np.asarray(self.direction, dtype=float).reshape(-1)
+            d = _frozen_array(np.reshape(self.direction, -1))
             if d.shape[0] != self.dim:
                 raise DimensionMismatchError(
                     f"direction has dimension {d.shape[0]}, expected {self.dim}"
@@ -451,13 +451,8 @@ def certified_gain(model: KoopmanModel) -> ModelGain:
     """
     if model.gain is None:
         hinf = hinf_norm(TransferFunction.resolvent(model.state_operator))
-        kf = np.asarray(model.action_operator, dtype=float)
-        if kf.ndim != 2:
-            raise ParameterError(f"action operator must be a 2-d matrix, got shape {kf.shape}")
-        if not np.all(np.isfinite(kf)):
-            raise DataError("non-finite entry in action operator")
-        gain = ModelGain(hinf=hinf, kf_hinf=float(np.linalg.norm(kf, 2)))
-        object.__setattr__(model, "gain", gain)  # derived from the frozen operators
+        gain = ModelGain(hinf=hinf, kf_hinf=float(np.linalg.norm(model.action_operator, 2)))
+        object.__setattr__(model, "gain", gain)  # derived from the read-only operators
     return model.gain
 
 
@@ -472,7 +467,7 @@ def _reward_samples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
             ensemble.rewards[runs, steps])
 
 
-def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model):
+def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model=None):
     shapes = {
         "nominal mean": (nominal_mean.n, nominal_mean.m, nominal_mean.horizon),
         "disturbed mean": (disturbed_mean.n, disturbed_mean.m, disturbed_mean.horizon),
@@ -485,7 +480,7 @@ def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model):
             raise DimensionMismatchError(
                 f"{name} has (n, m, K)={shape}, expected {reference}"
             )
-    if (model.n, model.m) != (reference[0], reference[1]):
+    if model is not None and (model.n, model.m) != reference[:2]:
         raise DimensionMismatchError(
             f"model has (n, m)=({model.n}, {model.m}), data has "
             f"({reference[0]}, {reference[1]})"
@@ -542,10 +537,8 @@ def verify_bounds(
     k_steps = nominal_mean.horizon
     inputs = BoundInputs(gamma=gamma, T_hinf=hinf.value, Kf_hinf=kf_hinf, L=float(lipschitz),
                          Q=q_value, C=c_value, gamma_d=gamma_d, horizon=float(k_steps))
-    dx = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
-    du = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
-    r_nom = mean_rewards(nominal)
-    r_dis = mean_rewards(disturbed)
+    table = per_step_table(nominal_mean, disturbed_mean, nominal, disturbed)
+    dx, du, r_nom, r_dis = table[:, 1], table[:-1, 2], table[:-1, 3], table[:-1, 4]
     discounts = gamma_d ** np.arange(k_steps)
     gap_discounted = float(abs(np.sum(discounts * (r_dis - r_nom))))
     sum_nom = float(np.sum(r_nom))
@@ -573,26 +566,28 @@ def per_step_table(
     disturbed_mean: MeanTrajectory,
     nominal: TrajectoryEnsemble,
     disturbed: TrajectoryEnsemble,
-) -> list[tuple]:
-    """Rows (k, state_dev, action_dev, reward_nominal_mean, reward_disturbed_mean).
+) -> np.ndarray:
+    """The (K+1, 5) array of rows (k, state_dev, action_dev,
+    reward_nominal_mean, reward_disturbed_mean); the terminal row k = K
+    carries only the state deviation, its last three cells NaN."""
+    _check_dims(nominal_mean, disturbed_mean, nominal, disturbed)
+    k = nominal_mean.horizon
+    table = np.full((k + 1, 5), np.nan)
+    table[:, 0] = np.arange(k + 1)
+    table[:, 1] = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
+    table[:k, 2] = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
+    table[:k, 3] = mean_rewards(nominal)
+    table[:k, 4] = mean_rewards(disturbed)
+    return table
 
-    The terminal step carries only the state deviation; its action and reward
-    cells are empty, mirroring the trajectory file format.
-    """
-    dx = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
-    du = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
-    rows = list(zip(range(len(du)), dx.tolist(), du.tolist(),
-                    mean_rewards(nominal).tolist(), mean_rewards(disturbed).tolist()))
-    rows.append((len(du), float(dx[-1]), None, None, None))
-    return rows
 
-
-def write_per_step_table(rows, path) -> None:
-    """Write per_step_table rows as CSV: floats as repr, None as an empty cell."""
-    table = np.array(rows, dtype=float)  # None reads as NaN
-    empty = np.zeros((len(rows), 4), dtype=bool)
-    for i in np.flatnonzero(np.isnan(table).any(axis=1)).tolist():
-        empty[i] = [value is None for value in rows[i][1:]]
+def write_per_step_table(table, path) -> None:
+    """Write a per_step_table array as CSV, floats as repr: the last row's
+    last three cells empty, as in the trajectory file format, any other NaN
+    written as nan."""
+    table = np.asarray(table, dtype=float)
+    empty = np.zeros((len(table), 4), dtype=bool)
+    empty[-1, 1:] = True
     with open(path, "wb") as fh:
         fh.write(b"k,state_dev,action_dev,reward_nominal_mean,reward_disturbed_mean\n")
         write_rows(fh, table[:, :1], table[:, 1:], empty)

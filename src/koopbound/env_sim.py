@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError, DimensionMismatchError, ParameterError
-from .trajectory_data import TrajectoryEnsemble
+from .trajectory_data import TrajectoryEnsemble, _frozen_array
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -118,9 +118,9 @@ class LinearSurrogateConfig:
     reward_lipschitz: float = 1.0
 
     def __post_init__(self):
-        a = np.array(self.A, dtype=float)
-        f = np.array(self.F, dtype=float)
-        x0 = np.array(self.x0_mean, dtype=float).reshape(-1)
+        a = _frozen_array(self.A)
+        f = _frozen_array(self.F)
+        x0 = _frozen_array(np.reshape(self.x0_mean, -1))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"A must be square, got shape {a.shape}")
         if f.ndim != 2 or f.shape[1] != a.shape[0]:
@@ -138,7 +138,6 @@ class LinearSurrogateConfig:
             if not (math.isfinite(value) and value >= 0.0):
                 raise ParameterError(f"{name} must be finite and non-negative, got {value}")
         for name, arr in (("A", a), ("F", f), ("x0_mean", x0)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

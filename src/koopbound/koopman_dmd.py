@@ -27,12 +27,13 @@ from ._jsonio import as_integer, as_number, as_numbers, as_object, read_json, wr
 from .errors import (
     DataError,
     DegenerateInputError,
+    DimensionMismatchError,
     InsufficientDataError,
     ParameterError,
     SchemaError,
 )
 from .hinf_spectral import HinfReport
-from .trajectory_data import MeanTrajectory
+from .trajectory_data import MeanTrajectory, _frozen_array
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -40,10 +41,6 @@ DEFAULT_RANK_TOL = 1e-10
 # may return a different report for the same operators, so that a block
 # written by another version is refused instead of trusted.
 _GAIN_VERSION = 1
-
-# Assembled operators must be real; larger imaginary residue means the
-# decomposition went numerically wrong rather than just noisy.
-_REAL_HARD_TOL = 1e-6
 
 
 class ModelGain(NamedTuple):
@@ -68,6 +65,10 @@ class KoopmanModel:
     ``gain`` is set by ``bounds.certified_gain`` or by ``load_model`` from
     the file's gain block, never by the constructor, so a model built or
     replaced in code starts without one.  Models compare by identity.
+
+    The constructor checks the operators (finite float64, Kh square, Kf with
+    n columns) and holds every array read-only, so a gain once set always
+    describes the operators beside it.
     """
 
     state_operator: np.ndarray
@@ -80,6 +81,20 @@ class KoopmanModel:
     state_residual: float | None = None
     action_residual: float | None = None
     gain: ModelGain | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        kh, kf = _frozen_array(self.state_operator), _frozen_array(self.action_operator)
+        if kh.ndim != 2 or kh.shape[0] != kh.shape[1]:
+            raise DimensionMismatchError(f"state_operator must be square, got shape {kh.shape}")
+        if kf.ndim != 2 or kf.shape[1] != len(kh):
+            raise DimensionMismatchError(
+                f"action_operator must be m x {len(kh)}, got shape {kf.shape}")
+        for name, operator in (("state_operator", kh), ("action_operator", kf)):
+            if not np.isfinite(operator).all():
+                raise DataError(f"{name} holds a non-finite value")
+            object.__setattr__(self, name, operator)
+        if self.eigenvalues is not None:
+            object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, np.complex128))
 
     @property
     def n(self) -> int:
@@ -101,16 +116,7 @@ def _truncated_svd(x: np.ndarray, rank_tol: float):
         raise DegenerateInputError("snapshot matrix is identically zero")
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     r = int(np.count_nonzero(s >= rank_tol * s[0]))
-    return u[:, :r], s[:r], vh[:r].conj().T
-
-
-def _require_real(matrix: np.ndarray, what: str) -> np.ndarray:
-    if np.iscomplexobj(matrix):
-        residue = float(np.max(np.abs(matrix.imag))) if matrix.size else 0.0
-        if residue > _REAL_HARD_TOL:
-            raise DataError(f"{what} has imaginary residue {residue:.3e}")
-        matrix = matrix.real
-    return np.ascontiguousarray(matrix)
+    return u[:, :r], s[:r], vh[:r].T
 
 
 def _sorted_eig(a: np.ndarray) -> np.ndarray:
@@ -133,21 +139,19 @@ def _projected_dmd(x0: np.ndarray, x1: np.ndarray, svd):
     """Projected DMD of x1 ~= K x0, given the truncated SVD (u, s, v) of x0:
     the operator, its sorted DMD eigenvalues and the relative residual.
 
-    The reduced operator is A~ = U^H x1 V S^-1 and its eigenvalues are the
-    DMD eigenvalues; the full operator U A~ U^H is real for real data.
+    The reduced operator is A~ = U^T x1 V S^-1, whose eigenvalues are the
+    DMD eigenvalues, and the full operator is U A~ U^T.
     """
     u, s, v = svd
-    a_tilde = u.conj().T @ ((x1 @ v) / s[np.newaxis, :])
-    a_tilde = _require_real(a_tilde, "reduced operator")
-    operator = _require_real(u @ a_tilde @ u.conj().T, "state operator")
+    a_tilde = u.T @ ((x1 @ v) / s[np.newaxis, :])
+    operator = u @ a_tilde @ u.T
     return operator, _sorted_eig(a_tilde), _relative_residual(x1, operator, x0)
 
 
 def _pseudoinverse_fit(targets: np.ndarray, svd) -> np.ndarray:
     """targets @ pinv(x) from the truncated SVD (u, s, v) of x."""
     u, s, v = svd
-    pinv = (v / s[np.newaxis, :]) @ u.conj().T
-    return _require_real(targets @ pinv, "action operator")
+    return targets @ ((v / s[np.newaxis, :]) @ u.T)
 
 
 def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> KoopmanModel:
@@ -246,8 +250,6 @@ def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     matrix = as_numbers(doc[key], f"model field {key!r}")
     if matrix.shape != shape:
         raise SchemaError(f"model field {key!r} has shape {matrix.shape}, expected {shape}")
-    if not np.isfinite(matrix).all():
-        raise DataError(f"model field {key!r} holds a non-finite value")
     return matrix
 
 

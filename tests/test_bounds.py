@@ -468,10 +468,20 @@ class TestCertifiedGain:
         assert certified_gain(model).kf_hinf == 4.0
 
     def test_action_operator_validated(self):
-        with pytest.raises(ParameterError):
-            certified_gain(KoopmanModel(np.diag([0.5, 0.5, 0.5]), np.ones(3)))
-        with pytest.raises(DataError):
-            certified_gain(KoopmanModel(np.array([[0.5]]), np.array([[np.inf]])))
+        # The model's constructor refuses a malformed operator, naming it, so
+        # no gain is ever computed for one.
+        refused = [
+            (DimensionMismatchError, "action_operator", np.diag([0.5, 0.5, 0.5]), np.ones(3)),
+            (DimensionMismatchError, "state_operator", np.ones((2, 3)), np.ones((1, 3))),
+            (DimensionMismatchError, "action_operator", np.eye(2), np.ones((1, 3))),
+            (DataError, "action_operator", np.array([[0.5]]), np.array([[np.inf]])),
+            (DataError, "action_operator", np.array([[0.5]]), np.array([[np.nan]])),
+            (DataError, "state_operator", np.array([[np.nan]]), np.array([[1.0]])),
+            (DataError, "state_operator", np.array([[-np.inf]]), np.array([[1.0]])),
+        ]
+        for error, field, kh, kf in refused:
+            with pytest.raises(error, match=field):
+                certified_gain(KoopmanModel(kh, kf))
 
 
 class TestVerifyBounds:
@@ -574,6 +584,14 @@ class TestVerifyBounds:
 
 
 class TestPerStepTable:
+    def test_dimension_mismatch_refused(self):
+        config = LinearSurrogateConfig(A=0.5 * np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2))
+        narrow = LinearSurrogateConfig(A=np.array([[0.5]]), F=np.ones((1, 1)),
+                                       x0_mean=np.ones(1))
+        wide, thin = linear_ensemble(config, 5, 2, 0), linear_ensemble(narrow, 5, 2, 0)
+        with pytest.raises(DimensionMismatchError, match="disturbed mean"):
+            per_step_table(ensemble_mean(wide), ensemble_mean(thin), wide, thin)
+
     # SHA-256 of the steps file, recorded with the per-value writer the
     # one-f-string-per-row writer replaced, on x86-64 with AVX-512, numpy 2.4
     # and OpenBLAS 0.3.31.  The bytes depend on the platform's float kernels

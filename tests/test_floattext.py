@@ -75,13 +75,13 @@ def reference_save(ensemble, path) -> None:
             fh.write("\n".join(lines))
 
 
-def reference_steps(rows, path) -> None:
-    """The per-row repr writer that write_per_step_table replaced."""
+def reference_steps(table, path) -> None:
+    """The per-row repr writer that write_per_step_table replaced, on a
+    per_step_table array: the last row's last three cells empty."""
+    rows = [(int(k), *cells) for k, *cells in table.tolist()]
     lines = ["k,state_dev,action_dev,reward_nominal_mean,reward_disturbed_mean"]
-    lines += [
-        f"{k},{dx!r},{du!r},{rn!r},{rd!r}" if du is not None else f"{k},{dx!r},,,"
-        for k, dx, du, rn, rd in rows
-    ]
+    lines += [f"{k},{dx!r},{du!r},{rn!r},{rd!r}" for k, dx, du, rn, rd in rows[:-1]]
+    lines.append(f"{rows[-1][0]},{rows[-1][1]!r},,,")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -246,10 +246,11 @@ class TestFiles:
         rng = np.random.default_rng(5)
         cells = rng.standard_normal((400, 4)) * 10.0 ** rng.integers(-8, 20, size=(400, 4))
         cells[::7] = 0.0
-        cells[3] = [np.nan, 1.0, np.nan, -np.inf]  # written, unlike None
-        rows = [(k, *row) for k, row in enumerate(cells.tolist())]
-        rows.append((len(rows), 1e-7, None, None, None))
-        write_per_step_table(rows, tmp_path / "steps.csv")
-        reference_steps(rows, tmp_path / "reference.csv")
+        cells[3] = [np.nan, 1.0, np.nan, -np.inf]  # written, unlike the terminal cells
+        cells = np.vstack((cells, [1e-7, np.nan, np.nan, np.nan]))
+        table = np.column_stack((np.arange(len(cells)), cells))
+        write_per_step_table(table, tmp_path / "steps.csv")
+        reference_steps(table, tmp_path / "reference.csv")
+        assert b"\n3,nan," in (tmp_path / "steps.csv").read_bytes()
         assert_same_text((tmp_path / "steps.csv").read_bytes(),
                          (tmp_path / "reference.csv").read_bytes())

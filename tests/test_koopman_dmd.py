@@ -1,13 +1,14 @@
 """Operator fitting: recovery oracles, spectra, least squares, model JSON."""
 
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from koopbound import (
-    DataError,
     DegenerateInputError,
     KoopmanModel,
     LinearSurrogateConfig,
@@ -22,6 +23,7 @@ from koopbound import (
 )
 from koopbound.bounds import certified_gain
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
+from koopbound.trajectory_data import _read_only
 
 
 def rollout_matrix(a, x0, steps):
@@ -259,6 +261,14 @@ def fitted(rank_deficient=False, gain=True):
     return model
 
 
+def loaded(model):
+    """model after save_model and load_model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        return load_model(path)
+
+
 MODELS = {
     "fitted": fitted,
     "fitted-without-gain": lambda: fitted(gain=False),
@@ -317,19 +327,32 @@ class TestModelSerialization:
         with pytest.raises(SchemaError, match="state_operator"):
             load_model(path)
 
-    def test_real_guard(self):
-        from koopbound.koopman_dmd import _require_real
-
-        with pytest.raises(DataError):
-            _require_real(np.array([[1.0 + 1e-3j]]), "operator")
-        out = _require_real(np.array([[1.0 + 1e-9j]]), "operator")
-        assert out.dtype.kind == "f" and out[0, 0] == 1.0
+    def test_gain_cannot_describe_other_operators(self):
+        # An in-place edit after the gain search would leave the stored gain
+        # describing the old operators; the operators refuse it.
+        model = fitted()
+        with pytest.raises(ValueError, match="read-only"):
+            model.state_operator[0, 0] = 0.999
+        with pytest.raises(ValueError, match="read-only"):
+            model.action_operator[0, 0] = 0.999
+        back = loaded(model)
+        assert back.gain == certified_gain(KoopmanModel(back.state_operator,
+                                                        back.action_operator))
+        # A hand-built model copies a writable operator, so editing the
+        # caller's array leaves the model and its gain alone.
+        kh = np.array([[0.9, 0.1], [0.0, 0.5]])
+        built = KoopmanModel(kh, np.array([[1.0, -1.0]]))
+        gain = certified_gain(built)
+        kh[0, 0] = 0.999
+        assert built.state_operator[0, 0] == 0.9 and certified_gain(built) is gain
 
 
 # Records that hold arrays compare by identity: a generated __eq__ would
 # compare the arrays inside a tuple and raise, and hash() would raise too.
 ARRAY_RECORDS = {
     "KoopmanModel": lambda: KoopmanModel(np.eye(2), np.ones((1, 2))),
+    "fitted KoopmanModel": fitted,
+    "loaded KoopmanModel": lambda: loaded(fitted()),
     "TrajectoryEnsemble": lambda: TrajectoryEnsemble(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)),
                                                      np.zeros((2, 2))),
     "MeanTrajectory": lambda: MeanTrajectory(np.zeros((3, 2)), np.zeros((2, 1)), r_count=2),
@@ -344,3 +367,16 @@ def test_array_records_compare_by_identity(name):
     a, b = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
     assert a == a and a != b
     assert len({a, b}) == 2 and a in {a}
+
+
+# TransferFunction.resolvent still shares the caller's matrix (ROADMAP item 5).
+@pytest.mark.parametrize("name", [name for name in ARRAY_RECORDS if name != "TransferFunction"])
+def test_array_records_are_read_only(name):
+    record = ARRAY_RECORDS[name]()
+    arrays = {f.name: getattr(record, f.name) for f in fields(record)
+              if isinstance(getattr(record, f.name), np.ndarray)}
+    assert arrays
+    for field_name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+        assert _read_only(array), field_name
