@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hinf_spectral import HinfReport, TransferFunction, hinf_norm
 from .koopman_dmd import KoopmanModel, ModelGain
-from .trajectory_data import MeanTrajectory, TrajectoryEnsemble, _frozen_array, mean_rewards
+from .trajectory_data import TrajectoryEnsemble, _frozen_array, ensemble_mean, mean_rewards
 
 DISTURBANCE_KINDS = (
     "impulse",
@@ -98,7 +98,7 @@ class DisturbanceSpec:
         if not math.isfinite(self.omega):
             raise ParameterError(f"omega must be finite, got {self.omega}")
         if self.direction is not None:
-            d = _frozen_array(np.reshape(self.direction, -1))
+            d = _frozen_array(np.reshape(self.direction, -1), "direction")
             if d.shape[0] != self.dim:
                 raise DimensionMismatchError(
                     f"direction has dimension {d.shape[0]}, expected {self.dim}"
@@ -313,14 +313,15 @@ def estimate_lipschitz(states: np.ndarray, actions: np.ndarray, rewards: np.ndar
     return float(np.max(numer[valid] / denom[valid]))
 
 
-def _per_step_dispersion(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> np.ndarray:
+def _per_step_dispersion(ensemble: TrajectoryEnsemble) -> np.ndarray:
     """Per-step mean over runs of |x_{k+1} - xbar_{k+1}| + |u_k - ubar_k|."""
+    mean = ensemble_mean(ensemble)
     dx = np.linalg.norm(ensemble.states[:, 1:, :] - mean.mean_states[None, 1:, :], axis=2)
     du = np.linalg.norm(ensemble.actions - mean.mean_actions[None, :, :], axis=2)
     return (dx + du).mean(axis=0)
 
 
-def estimate_Q(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> float:
+def estimate_Q(ensemble: TrajectoryEnsemble) -> float:
     """Worst per-step in-run dispersion of an ensemble about its mean: Q on
     the disturbed rollouts, C on the nominal ones.
 
@@ -329,7 +330,7 @@ def estimate_Q(ensemble: TrajectoryEnsemble, mean: MeanTrajectory) -> float:
     """
     if ensemble.r_count < 2:
         raise InsufficientDataError("dispersion needs at least two runs")
-    return float(np.max(_per_step_dispersion(ensemble, mean)))
+    return float(np.max(_per_step_dispersion(ensemble)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +468,13 @@ def _reward_samples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
             ensemble.rewards[runs, steps])
 
 
-def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model=None):
-    shapes = {
-        "nominal mean": (nominal_mean.n, nominal_mean.m, nominal_mean.horizon),
-        "disturbed mean": (disturbed_mean.n, disturbed_mean.m, disturbed_mean.horizon),
-        "nominal ensemble": (nominal.n, nominal.m, nominal.horizon),
-        "disturbed ensemble": (disturbed.n, disturbed.m, disturbed.horizon),
-    }
-    reference = shapes["nominal mean"]
-    for name, shape in shapes.items():
-        if shape != reference:
-            raise DimensionMismatchError(
-                f"{name} has (n, m, K)={shape}, expected {reference}"
-            )
+def _check_dims(nominal, disturbed, model=None):
+    reference = (nominal.n, nominal.m, nominal.horizon)
+    shape = (disturbed.n, disturbed.m, disturbed.horizon)
+    if shape != reference:
+        raise DimensionMismatchError(
+            f"disturbed ensemble has (n, m, K)={shape}, nominal ensemble {reference}"
+        )
     if model is not None and (model.n, model.m) != reference[:2]:
         raise DimensionMismatchError(
             f"model has (n, m)=({model.n}, {model.m}), data has "
@@ -488,8 +483,6 @@ def _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model=None):
 
 
 def verify_bounds(
-    nominal_mean: MeanTrajectory,
-    disturbed_mean: MeanTrajectory,
     nominal: TrajectoryEnsemble,
     disturbed: TrajectoryEnsemble,
     model: KoopmanModel,
@@ -504,13 +497,15 @@ def verify_bounds(
     reward) triples of both ensembles and labeled "estimated" (a lower bound
     of the true constant).
 
-    Measures state/action deviation energies and maxima between the nominal
-    and disturbed mean trajectories, plus the discounted gap of per-step
+    Measures state/action deviation energies and maxima between the two
+    ensembles' mean trajectories, plus the discounted gap of per-step
     ensemble-mean rewards; the report derives any exceedance beyond float
     round-off.  Q is estimated from the disturbed rollouts themselves (the
-    bound is partially a posteriori; see the q-from-disturbed-rollouts flag).
+    bound is partially a posteriori; see the q-from-disturbed-rollouts flag),
+    C from the nominal ones; an ensemble of one run has no dispersion, so its
+    value is 0 and the single-run-dispersion-unavailable flag is raised.
     """
-    _check_dims(nominal_mean, disturbed_mean, nominal, disturbed, model)
+    _check_dims(nominal, disturbed, model)
     if not gamma >= 0:
         raise ParameterError("gamma must be non-negative")
     flags = []
@@ -527,17 +522,16 @@ def verify_bounds(
         flags.append("estimated-L")
 
     if disturbed.r_count >= 2:
-        q_value = estimate_Q(disturbed, disturbed_mean)
         flags.append("q-from-disturbed-rollouts")
-    else:
-        q_value = 0.0
+    if min(nominal.r_count, disturbed.r_count) < 2:
         flags.append("single-run-dispersion-unavailable")
-    c_value = estimate_Q(nominal, nominal_mean) if nominal.r_count >= 2 else 0.0
+    q_value = estimate_Q(disturbed) if disturbed.r_count >= 2 else 0.0
+    c_value = estimate_Q(nominal) if nominal.r_count >= 2 else 0.0
 
-    k_steps = nominal_mean.horizon
+    k_steps = nominal.horizon
     inputs = BoundInputs(gamma=gamma, T_hinf=hinf.value, Kf_hinf=kf_hinf, L=float(lipschitz),
                          Q=q_value, C=c_value, gamma_d=gamma_d, horizon=float(k_steps))
-    table = per_step_table(nominal_mean, disturbed_mean, nominal, disturbed)
+    table = per_step_table(nominal, disturbed)
     dx, du, r_nom, r_dis = table[:, 1], table[:-1, 2], table[:-1, 3], table[:-1, 4]
     discounts = gamma_d ** np.arange(k_steps)
     gap_discounted = float(abs(np.sum(discounts * (r_dis - r_nom))))
@@ -561,17 +555,14 @@ def verify_bounds(
     return BoundReport(inputs=inputs, hinf=hinf, empirical=empirical, flags=tuple(flags))
 
 
-def per_step_table(
-    nominal_mean: MeanTrajectory,
-    disturbed_mean: MeanTrajectory,
-    nominal: TrajectoryEnsemble,
-    disturbed: TrajectoryEnsemble,
-) -> np.ndarray:
+def per_step_table(nominal: TrajectoryEnsemble, disturbed: TrajectoryEnsemble) -> np.ndarray:
     """The (K+1, 5) array of rows (k, state_dev, action_dev,
-    reward_nominal_mean, reward_disturbed_mean); the terminal row k = K
-    carries only the state deviation, its last three cells NaN."""
-    _check_dims(nominal_mean, disturbed_mean, nominal, disturbed)
-    k = nominal_mean.horizon
+    reward_nominal_mean, reward_disturbed_mean) of the two ensembles' means;
+    the terminal row k = K carries only the state deviation, its last three
+    cells NaN."""
+    _check_dims(nominal, disturbed)
+    nominal_mean, disturbed_mean = ensemble_mean(nominal), ensemble_mean(disturbed)
+    k = nominal.horizon
     table = np.full((k + 1, 5), np.nan)
     table[:, 0] = np.arange(k + 1)
     table[:, 1] = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)

@@ -10,6 +10,7 @@ validation problems exit nonzero.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import hashlib
 import math
@@ -360,26 +361,12 @@ def cmd_verify(args) -> int:
     # One rollout steps the nominal and disturbed runs together on common
     # random numbers; the two ensembles are views of its arrays.
     nominal, disturbed = split_groups(sim.rollout(disturbance=(None, w)), 2)
-    nominal_mean = ensemble_mean(nominal)
-    disturbed_mean = ensemble_mean(disturbed)
-
-    report = verify_bounds(
-        nominal_mean,
-        disturbed_mean,
-        nominal,
-        disturbed,
-        model,
-        spec.gamma,
-        gamma_d,
-        lipschitz=analytic_l,
-    )
+    report = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d, lipschitz=analytic_l)
     label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
     out = Path(args.out or "verify_report.json")
     save_report(report, out, label=label)
     steps_path = out.with_suffix(".steps.csv")
-    write_per_step_table(
-        per_step_table(nominal_mean, disturbed_mean, nominal, disturbed), steps_path
-    )
+    write_per_step_table(per_step_table(nominal, disturbed), steps_path)
     inputs = [args.model] + ([args.config] if args.config else [])
     _write_manifest("verify", args.config, sim.seed, inputs, [out, steps_path])
     if report.violations:
@@ -420,11 +407,10 @@ def cmd_report(args) -> int:
     write_json({"rows": rows}, out)
     csv_path = out.with_suffix(".csv")
     columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in columns))
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
     _write_manifest("report", None, None, list(args.reports), [out, csv_path])
     header = f"{'label':<24}{'T_hinf':>14}{'Kf_hinf':>12}{'impact_pct':>12}"
     print(header)

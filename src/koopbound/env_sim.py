@@ -118,9 +118,9 @@ class LinearSurrogateConfig:
     reward_lipschitz: float = 1.0
 
     def __post_init__(self):
-        a = _frozen_array(self.A)
-        f = _frozen_array(self.F)
-        x0 = _frozen_array(np.reshape(self.x0_mean, -1))
+        a = _frozen_array(self.A, "A")
+        f = _frozen_array(self.F, "F")
+        x0 = _frozen_array(np.reshape(self.x0_mean, -1), "x0_mean")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"A must be square, got shape {a.shape}")
         if f.ndim != 2 or f.shape[1] != a.shape[0]:

@@ -55,6 +55,8 @@ class TransferFunction:
 
     @classmethod
     def resolvent(cls, k: np.ndarray) -> "TransferFunction":
+        if np.iscomplexobj(k):
+            raise DataError("matrix must be real, got complex values")
         k = np.asarray(k, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ParameterError(f"resolvent needs a square matrix, got shape {k.shape}")

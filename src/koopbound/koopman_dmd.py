@@ -83,7 +83,8 @@ class KoopmanModel:
     gain: ModelGain | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        kh, kf = _frozen_array(self.state_operator), _frozen_array(self.action_operator)
+        kh = _frozen_array(self.state_operator, "state_operator")
+        kf = _frozen_array(self.action_operator, "action_operator")
         if kh.ndim != 2 or kh.shape[0] != kh.shape[1]:
             raise DimensionMismatchError(f"state_operator must be square, got shape {kh.shape}")
         if kf.ndim != 2 or kf.shape[1] != len(kh):
@@ -94,7 +95,8 @@ class KoopmanModel:
                 raise DataError(f"{name} holds a non-finite value")
             object.__setattr__(self, name, operator)
         if self.eigenvalues is not None:
-            object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues, np.complex128))
+            eigenvalues = _frozen_array(self.eigenvalues, "eigenvalues", np.complex128)
+            object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ validation and averaging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,14 @@ def _read_only(arr: np.ndarray) -> bool:
     return arr is None
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
+def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
     """values as a read-only array: kept when it is already a read-only array
-    of that dtype, copied otherwise."""
+    of that dtype, copied otherwise.  Complex values given for a real dtype
+    raise DataError naming the field, instead of losing their imaginary part."""
     if isinstance(values, np.ndarray) and values.dtype == dtype and _read_only(values):
         return values
+    if np.iscomplexobj(values) and not np.issubdtype(dtype, np.complexfloating):
+        raise DataError(f"{name} must be real, got complex values")
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -53,6 +56,8 @@ class TrajectoryEnsemble:
     The arrays are validated once and stored read-only: an array that is
     already read-only (a view of another ensemble's runs, say) is shared,
     anything else copied.  run_ids default to 0..R-1 and seeds to -1.
+    ``mean`` is set by ``ensemble_mean`` on first use, never by the
+    constructor, so the one mean of an ensemble always describes its runs.
     """
 
     states: np.ndarray   # (R, K+1, n)
@@ -60,11 +65,12 @@ class TrajectoryEnsemble:
     rewards: np.ndarray  # (R, K)
     run_ids: np.ndarray | None = None  # (R,)
     seeds: np.ndarray | None = None    # (R,)
+    mean: MeanTrajectory | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        states = _frozen_array(self.states)
-        actions = _frozen_array(self.actions)
-        rewards = _frozen_array(self.rewards)
+        states = _frozen_array(self.states, "states")
+        actions = _frozen_array(self.actions, "actions")
+        rewards = _frozen_array(self.rewards, "rewards")
         if states.ndim != 3 or actions.ndim != 3 or rewards.ndim != 2:
             raise DimensionMismatchError(
                 "states/actions must be 3-d (runs x steps x dim) and rewards 2-d"
@@ -74,8 +80,8 @@ class TrajectoryEnsemble:
             raise EmptyInputError("ensemble needs at least one run")
         run_ids = np.arange(r_count) if self.run_ids is None else self.run_ids
         seeds = np.full(r_count, -1) if self.seeds is None else self.seeds
-        run_ids = _frozen_array(run_ids, dtype=np.int64)
-        seeds = _frozen_array(seeds, dtype=np.int64)
+        run_ids = _frozen_array(run_ids, "run_ids", np.int64)
+        seeds = _frozen_array(seeds, "seeds", np.int64)
         k = actions.shape[1]
         if (
             actions.shape[0] != r_count
@@ -129,8 +135,8 @@ class MeanTrajectory:
     r_count: int
 
     def __post_init__(self):
-        states = _frozen_array(self.mean_states)
-        actions = _frozen_array(self.mean_actions)
+        states = _frozen_array(self.mean_states, "mean_states")
+        actions = _frozen_array(self.mean_actions, "mean_actions")
         if states.ndim != 2 or actions.ndim != 2 or len(states) != len(actions) + 1:
             raise DimensionMismatchError(
                 f"need mean states (K+1, n) and mean actions (K, m), got "
@@ -165,13 +171,17 @@ def ensemble_mean(ensemble: TrajectoryEnsemble) -> MeanTrajectory:
     """Average states and actions elementwise across runs.
 
     The reduction is a deterministic pairwise sum over the run index, so the
-    result does not depend on traversal order.
+    result does not depend on traversal order.  It is computed once per
+    ensemble and kept on it, so every later call returns the same record.
     """
-    return MeanTrajectory(
-        mean_states=_pairwise_mean(ensemble.states),
-        mean_actions=_pairwise_mean(ensemble.actions),
-        r_count=ensemble.r_count,
-    )
+    if ensemble.mean is None:
+        mean = MeanTrajectory(
+            mean_states=_pairwise_mean(ensemble.states),
+            mean_actions=_pairwise_mean(ensemble.actions),
+            r_count=ensemble.r_count,
+        )
+        object.__setattr__(ensemble, "mean", mean)  # derived from the read-only runs
+    return ensemble.mean
 
 
 def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:

@@ -15,7 +15,6 @@ from koopbound import (
     UavEnvConfig,
     LinearSurrogateConfig,
     disturbance_admissible,
-    ensemble_mean,
     fairness_index,
     fit_koopman_model,
     generate_disturbance,
@@ -162,8 +161,6 @@ def _verify_linear(config, w, gamma, gamma_d=0.9, runs=1, seed=0):
     nominal = linear_ensemble(config, len(w), runs, seed)
     disturbed = linear_ensemble(config, len(w), runs, seed, disturbance=w)
     return verify_bounds(
-        ensemble_mean(nominal),
-        ensemble_mean(disturbed),
         nominal,
         disturbed,
         _true_model(config.A, config.F),

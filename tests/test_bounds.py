@@ -25,7 +25,6 @@ from koopbound import (
     UavEnvConfig,
     deviation_bounds,
     disturbance_admissible,
-    ensemble_mean,
     estimate_lipschitz,
     estimate_Q,
     generate_disturbance,
@@ -393,24 +392,22 @@ class TestEstimators:
         k = 3
         ens = TrajectoryEnsemble(states=np.ones((2, k + 1, 2)), actions=np.ones((2, k, 1)),
                                  rewards=np.zeros((2, k)))
-        assert estimate_Q(ens, ensemble_mean(ens)) == 0.0
+        assert estimate_Q(ens) == 0.0
 
     def test_q_plus_minus_one(self):
         ens = self._pm_one_ensemble()
-        assert np.isclose(estimate_Q(ens, ensemble_mean(ens)), 1.0)
+        assert np.isclose(estimate_Q(ens), 1.0)
 
     def test_q_homogeneity(self):
-        q1 = estimate_Q(self._pm_one_ensemble(1.0),
-                        ensemble_mean(self._pm_one_ensemble(1.0)))
-        q2 = estimate_Q(self._pm_one_ensemble(2.0),
-                        ensemble_mean(self._pm_one_ensemble(2.0)))
+        q1 = estimate_Q(self._pm_one_ensemble(1.0))
+        q2 = estimate_Q(self._pm_one_ensemble(2.0))
         assert np.isclose(q2, 2.0 * q1)
 
     def test_q_requires_two_runs(self):
         ens = TrajectoryEnsemble(states=np.ones((1, 3, 1)), actions=np.ones((1, 2, 1)),
                                  rewards=np.zeros((1, 2)))
         with pytest.raises(InsufficientDataError):
-            estimate_Q(ens, ensemble_mean(ens))
+            estimate_Q(ens)
 
     def test_c_permutation_invariant(self):
         rng = np.random.default_rng(2)
@@ -419,8 +416,7 @@ class TestEstimators:
         fwd = TrajectoryEnsemble(states=states, actions=actions, rewards=np.zeros((4, 4)))
         rev = TrajectoryEnsemble(states=states[::-1], actions=actions[::-1],
                                  rewards=np.zeros((4, 4)), run_ids=np.arange(4)[::-1])
-        assert np.isclose(estimate_Q(fwd, ensemble_mean(fwd)),
-                          estimate_Q(rev, ensemble_mean(rev)))
+        assert np.isclose(estimate_Q(fwd), estimate_Q(rev))
 
     def test_reward_samples_every_stride_th_step(self):
         # 3 runs of 7 steps, at most 5 samples: every 4th (run, step) pair in
@@ -451,8 +447,6 @@ def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False,
     nominal = linear_ensemble(config, horizon, runs, 0)
     disturbed = linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
     return verify_bounds(
-        ensemble_mean(nominal),
-        ensemble_mean(disturbed),
         nominal,
         disturbed,
         model or true_model(config.A, config.F),
@@ -553,6 +547,20 @@ class TestVerifyBounds:
         assert "single-run-dispersion-unavailable" in report.flags
         assert report.inputs.Q == 0.0
 
+    @pytest.mark.parametrize("runs", [(1, 4), (4, 1)])
+    def test_single_run_on_either_side_flagged(self, runs):
+        # One run of either ensemble has no dispersion about its mean: its
+        # Q or C reads 0 and the report says why, not a plausible 0.
+        config = LinearSurrogateConfig(A=np.array([[0.5]]), F=np.array([[1.0]]),
+                                       x0_mean=np.array([2.0]), noise_std=0.05)
+        nominal, disturbed = (linear_ensemble(config, 10, r, 0, disturbance=d)
+                              for r, d in zip(runs, (None, np.zeros((10, 1)))))
+        report = verify_bounds(nominal, disturbed, true_model(config.A, config.F), 0.0, 0.9,
+                               lipschitz=config.reward_lipschitz)
+        assert "single-run-dispersion-unavailable" in report.flags
+        assert ("q-from-disturbed-rollouts" in report.flags) == (runs[1] > 1)
+        assert (report.inputs.C > 0.0, report.inputs.Q > 0.0) == (runs[0] > 1, runs[1] > 1)
+
     def test_report_round_trip(self, tmp_path):
         # A stable surrogate, an unstable one (A = 1: T and every bound
         # infinite) and one checked against a model that understates its gain
@@ -589,8 +597,8 @@ class TestPerStepTable:
         narrow = LinearSurrogateConfig(A=np.array([[0.5]]), F=np.ones((1, 1)),
                                        x0_mean=np.ones(1))
         wide, thin = linear_ensemble(config, 5, 2, 0), linear_ensemble(narrow, 5, 2, 0)
-        with pytest.raises(DimensionMismatchError, match="disturbed mean"):
-            per_step_table(ensemble_mean(wide), ensemble_mean(thin), wide, thin)
+        with pytest.raises(DimensionMismatchError, match="disturbed ensemble"):
+            per_step_table(wide, thin)
 
     # SHA-256 of the steps file, recorded with the per-value writer the
     # one-f-string-per-row writer replaced, on x86-64 with AVX-512, numpy 2.4
@@ -617,8 +625,7 @@ class TestPerStepTable:
             rollouts = [uav_ensemble(config, "lagged_centroid", 60, 3, 1009, disturbance=d)
                         for d in (None, w)]
         path = tmp_path / "steps.csv"
-        write_per_step_table(
-            per_step_table(*(ensemble_mean(e) for e in rollouts), *rollouts), path)
+        write_per_step_table(per_step_table(*rollouts), path)
         lines = path.read_text().splitlines()
         assert lines[-1].endswith(",,,") and len(lines) == rollouts[0].horizon + 2
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[env]

@@ -1,5 +1,6 @@
 """End-to-end command pipeline: simulate, fit, analyze, verify, report."""
 
+import csv
 import json
 import math
 from dataclasses import replace
@@ -15,7 +16,6 @@ from koopbound import (
     LinearSurrogateConfig,
     TrajectoryEnsemble,
     UavEnvConfig,
-    ensemble_mean,
     linear_ensemble,
     load_model,
     per_step_table,
@@ -26,8 +26,8 @@ from koopbound import (
     verify_bounds,
     write_per_step_table,
 )
-from koopbound import TransferFunction, cli, env_sim, hinf_norm, hinf_spectral
-from koopbound.bounds import certified_gain
+from koopbound import TransferFunction, cli, env_sim, hinf_norm, hinf_spectral, trajectory_data
+from koopbound.bounds import certified_gain, load_report
 from koopbound.cli import main
 from koopbound.errors import SchemaError
 
@@ -584,6 +584,40 @@ class TestVerifyAndReport:
         assert gains[0] <= gains[1]
         assert (tmp_path / "summary.csv").exists()
 
+    def test_report_csv_quotes_labels(self, tmp_path, linear_config):
+        # A label holding a comma, a quote and a newline stays one cell of
+        # its row; a plain label's row keeps the bytes of a comma join.
+        plain = self.run_pipeline(tmp_path, linear_config, 0.5, "plain")
+        odd, label = tmp_path / "odd_report.json", 'a,b "c"\nd'
+        save_report(load_report(plain)[0], odd, label=label)
+        out = tmp_path / "summary.json"
+        assert main(["report", str(plain), str(odd), "--out", str(out)]) == 0
+        with open(out.with_suffix(".csv"), encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [row[0] for row in rows] == ["plain", label]
+        assert all(len(row) == len(header) for row in rows)
+        first = json.loads(out.read_text())["rows"][0]
+        line = out.with_suffix(".csv").read_text().splitlines()[1]
+        assert line == ",".join(str(first[column]) for column in header)
+
+    def test_verify_averages_each_group_once(self, tmp_path, monkeypatch):
+        # The report's deviations, its Q and C and the steps table all read
+        # one mean per ensemble, so each group's runs are averaged once.
+        config, traj, model = tmp_path / "readme.cfg", tmp_path / "t.csv", tmp_path / "m.json"
+        config.write_text(README_CONFIG)
+        assert main(["simulate", "--config", str(config), "--out", str(traj)]) == 0
+        assert main(["fit", str(traj), "--out", str(model)]) == 0
+        averaged, average = [], trajectory_data._pairwise_mean
+
+        def count(stacked):
+            averaged.append(stacked.shape)
+            return average(stacked)
+
+        monkeypatch.setattr(trajectory_data, "_pairwise_mean", count)
+        assert main(["verify", "--config", str(config), str(model),
+                     "--out", str(tmp_path / "r.json")]) == 0
+        assert averaged.count((8, 201, 2)) == 2 and averaged.count((8, 200, 1)) == 2
+
     def test_end_to_end_determinism(self, tmp_path, linear_config):
         r1 = self.run_pipeline(tmp_path, linear_config, 0.5, "one",
                                kind="scaled_gaussian_projected")
@@ -627,11 +661,10 @@ class TestVerifyAndReport:
                 A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]], x0_mean=[1.0, 1.0], noise_std=0.02)
             rollouts = [linear_ensemble(surrogate, 200, 8, 7, disturbance=d) for d in (None, w)]
             lipschitz = 1.0
-        means = [ensemble_mean(e) for e in rollouts]
         expected = tmp_path / "expected.json"
-        save_report(verify_bounds(*means, *rollouts, load_model(tmp_path / f"{env}_model.json"),
+        save_report(verify_bounds(*rollouts, load_model(tmp_path / f"{env}_model.json"),
                                   spec.gamma, 0.9, lipschitz), expected, label=env)
-        write_per_step_table(per_step_table(*means, *rollouts), tmp_path / "expected.steps.csv")
+        write_per_step_table(per_step_table(*rollouts), tmp_path / "expected.steps.csv")
         assert report.read_bytes() == expected.read_bytes()
         assert (report.with_suffix(".steps.csv").read_bytes()
                 == (tmp_path / "expected.steps.csv").read_bytes())

@@ -2,13 +2,14 @@
 
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from koopbound import (
+    DataError,
     DegenerateInputError,
     KoopmanModel,
     LinearSurrogateConfig,
@@ -380,3 +381,40 @@ def test_array_records_are_read_only(name):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
         assert _read_only(array), field_name
+
+
+def with_imaginary_part(model, name):
+    """model rebuilt with its operator `name` given an imaginary part."""
+    return replace(model, **{name: getattr(model, name) + 1e-3j})
+
+
+# Each record built with a complex array where it holds real ones, and the
+# field the refusal must name.
+COMPLEX_INPUTS = {
+    "KoopmanModel": (lambda: KoopmanModel(np.array([[0.5 + 0.3j]]), np.array([[1.0]])),
+                     "state_operator"),
+    "fitted KoopmanModel": (lambda: with_imaginary_part(fitted(), "action_operator"),
+                            "action_operator"),
+    "loaded KoopmanModel": (lambda: with_imaginary_part(loaded(fitted()), "state_operator"),
+                            "state_operator"),
+    "TrajectoryEnsemble": (lambda: TrajectoryEnsemble(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)),
+                                                      np.zeros((2, 2)) + 1j), "rewards"),
+    "MeanTrajectory": (lambda: MeanTrajectory(np.zeros((3, 2)), [[1j], [0.0]], r_count=2),
+                       "mean_actions"),
+    "LinearSurrogateConfig": (lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
+                                                            [1.0, 1.0 + 2j]), "x0_mean"),
+    "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, 0.5j])), "matrix"),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_refuse_complex_input(name):
+    # A cast to float would keep only the real part: a plausible wrong value.
+    build, field_name = COMPLEX_INPUTS[name]
+    with pytest.raises(DataError, match=f"^{field_name} must be real"):
+        build()
+
+
+def test_complex_eigenvalues_kept():
+    model = KoopmanModel(np.array([[0.5]]), np.array([[1.0]]), eigenvalues=[0.5 + 0.3j])
+    assert model.eigenvalues.dtype == np.complex128 and model.eigenvalues[0] == 0.5 + 0.3j

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -508,6 +509,17 @@ class TestEnsembleMean:
         m2 = ensemble_mean(doubled)
         assert np.allclose(m1.mean_states, m2.mean_states, atol=1e-14)
         assert np.allclose(m1.mean_actions, m2.mean_actions, atol=1e-14)
+
+    def test_computed_once_per_ensemble(self):
+        # The mean is kept on the ensemble whose read-only runs it averages;
+        # an ensemble built from other runs starts without one.
+        ens = scalar_ensemble([1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
+        mean = ensemble_mean(ens)
+        assert ensemble_mean(ens) is mean and ens.mean is mean
+        other = replace(ens, states=-ens.states)
+        assert other.mean is None
+        assert np.array_equal(ensemble_mean(other).mean_states.ravel(), [-2.0, -3.0, -4.0])
+        assert ensemble_mean(ens) is mean
 
 
 class TestSnapshots:
