@@ -103,8 +103,8 @@ class DisturbanceSpec:
                 raise DimensionMismatchError(
                     f"direction has dimension {d.shape[0]}, expected {self.dim}"
                 )
-            if not np.all(np.isfinite(d)) or np.linalg.norm(d) == 0.0:
-                raise DataError("direction must be finite and nonzero")
+            if np.linalg.norm(d) == 0.0:
+                raise DataError("direction must be nonzero")
             object.__setattr__(self, "direction", d)
 
 
@@ -186,7 +186,7 @@ def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
     inadmissibility and skips the grid sweep (sup_value is then the larger of
     the two implied spectral lower bounds).
     """
-    w = np.asarray(w, dtype=float)
+    w = _frozen_array(w, "w")
     if w.ndim == 1:
         w = w[:, None]
     if w.size == 0:
@@ -305,8 +305,8 @@ def estimate_lipschitz(states: np.ndarray, actions: np.ndarray, rewards: np.ndar
                                      f"{len(rewards)} rewards do not pair up as samples")
     if len(rewards) < 2:
         raise InsufficientDataError("need at least two reward samples")
-    denom = pdist(np.asarray(states, dtype=float)) + pdist(np.asarray(actions, dtype=float))
-    numer = pdist(np.asarray(rewards, dtype=float)[:, None], metric="cityblock")
+    denom = pdist(_frozen_array(states, "states")) + pdist(_frozen_array(actions, "actions"))
+    numer = pdist(_frozen_array(rewards, "rewards")[:, None], metric="cityblock")
     valid = denom >= _DISTINCT_EPS
     if not np.any(valid):
         raise InsufficientDataError("fewer than two distinct samples")
@@ -489,8 +489,9 @@ def verify_bounds(
     gamma: float,
     gamma_d: float,
     lipschitz: float | None = None,
-) -> BoundReport:
-    """Compare every bound against its measured left-hand side.
+) -> tuple[BoundReport, np.ndarray]:
+    """Compare every bound against its measured left-hand side; return the
+    report and the per_step_table it measured from.
 
     ``lipschitz`` is the reward's Lipschitz constant L, labeled "analytic"
     in the report; when None, L is estimated from sampled (state, action,
@@ -552,7 +553,7 @@ def verify_bounds(
         "reward_impact_pct": impact_pct,
     }
 
-    return BoundReport(inputs=inputs, hinf=hinf, empirical=empirical, flags=tuple(flags))
+    return BoundReport(inputs=inputs, hinf=hinf, empirical=empirical, flags=tuple(flags)), table
 
 
 def per_step_table(nominal: TrajectoryEnsemble, disturbed: TrajectoryEnsemble) -> np.ndarray:

@@ -17,6 +17,7 @@ import math
 import sys
 import textwrap
 import time
+import unicodedata
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -31,17 +32,17 @@ from .bounds import (
     disturbance_admissible,
     generate_disturbance,
     load_report,
-    per_step_table,
     save_report,
     spectral_grid_values,
     verify_bounds,
     write_per_step_table,
 )
-from .errors import KoopboundError, ParameterError, SchemaError
+# Not called here: verify_bounds builds the per-step table and certified_gain
+# the gain.  perfbench/layers.py wraps both names in koopbound.cli, and reports
+# their layers as missing when they are gone.
+from .bounds import per_step_table  # noqa: F401
+from .errors import DataError, KoopboundError, ParameterError, SchemaError
 from .flatconfig import load_flat_config
-# Not called here: the gain is computed by bounds.certified_gain.  The name
-# stays because perfbench/layers.py wraps koopbound.cli.hinf_norm and reports
-# the whole H-infinity layer as missing when it is gone.
 from .hinf_spectral import hinf_norm  # noqa: F401
 from .koopman_dmd import (
     DEFAULT_RANK_TOL,
@@ -50,6 +51,7 @@ from .koopman_dmd import (
     save_model,
 )
 from .env_sim import (
+    NORM_PENALTY_LIPSCHITZ,
     POLICY_KINDS,
     LinearSurrogateConfig,
     UavEnvConfig,
@@ -338,7 +340,7 @@ def cmd_verify(args) -> int:
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
     if analytic_l is None and sim.env == "linear":
-        analytic_l = sim.config.reward_lipschitz
+        analytic_l = NORM_PENALTY_LIPSCHITZ
     spec = DisturbanceSpec(
         kind=_setting("disturbance.kind", cfg, args),
         gamma=_setting("disturbance.gamma", cfg, args),
@@ -361,12 +363,13 @@ def cmd_verify(args) -> int:
     # One rollout steps the nominal and disturbed runs together on common
     # random numbers; the two ensembles are views of its arrays.
     nominal, disturbed = split_groups(sim.rollout(disturbance=(None, w)), 2)
-    report = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d, lipschitz=analytic_l)
+    report, table = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d,
+                                  lipschitz=analytic_l)
     label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
     out = Path(args.out or "verify_report.json")
     save_report(report, out, label=label)
     steps_path = out.with_suffix(".steps.csv")
-    write_per_step_table(per_step_table(nominal, disturbed), steps_path)
+    write_per_step_table(table, steps_path)
     inputs = [args.model] + ([args.config] if args.config else [])
     _write_manifest("verify", args.config, sim.seed, inputs, [out, steps_path])
     if report.violations:
@@ -391,10 +394,14 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.reports:
         report, label = load_report(path)
+        label = label or Path(path).stem
+        # csv leaves a bare carriage return unquoted, which splits the row.
+        if any(unicodedata.category(ch) == "Cc" for ch in label):
+            raise DataError(f"report label {label!r} holds a control character")
         bounds = report.bounds
         rows.append(
             {
-                "label": label or Path(path).stem,
+                "label": label,
                 "T_hinf": report.inputs.T_hinf,
                 "Kf_hinf": report.inputs.Kf_hinf,
                 **{key: bounds[key] for key in _REPORT_BOUNDS},

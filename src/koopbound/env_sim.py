@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatchError, ParameterError
+from .errors import DimensionMismatchError, ParameterError
 from .trajectory_data import TrajectoryEnsemble, _frozen_array
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -101,6 +101,10 @@ def norm_penalty_reward(x_next: np.ndarray, u: np.ndarray) -> np.ndarray:
     return -_norms(x_next) - 0.1 * _norms(u)
 
 
+# The Lipschitz constant of norm_penalty_reward in (x, u), as verify uses it.
+NORM_PENALTY_LIPSCHITZ = 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSurrogateConfig:
     """Closed loop x' = A x + eta + w with deterministic policy u = F x.
@@ -108,14 +112,13 @@ class LinearSurrogateConfig:
     eta is i.i.d. Gaussian per component with noise_std (zero disables the
     draw entirely, keeping runs bit-deterministic).  The per-step reward is
     norm_penalty_reward(x_{k+1}, u_k), whose Lipschitz constant is
-    reward_lipschitz.
+    NORM_PENALTY_LIPSCHITZ.
     """
 
     A: np.ndarray
     F: np.ndarray
     x0_mean: np.ndarray
     noise_std: float = 0.0
-    reward_lipschitz: float = 1.0
 
     def __post_init__(self):
         a = _frozen_array(self.A, "A")
@@ -131,12 +134,8 @@ class LinearSurrogateConfig:
             raise DimensionMismatchError(
                 f"x0_mean has dimension {x0.shape[0]}, expected {a.shape[0]}"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(f)) and np.all(np.isfinite(x0))):
-            raise DataError("non-finite entry in surrogate configuration")
-        for name in ("noise_std", "reward_lipschitz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ParameterError(f"noise_std must be finite and non-negative, got {self.noise_std}")
         for name, arr in (("A", a), ("F", f), ("x0_mean", x0)):
             object.__setattr__(self, name, arr)
 
@@ -152,13 +151,11 @@ class LinearSurrogateConfig:
 def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None:
     if disturbance is None:
         return None
-    w = np.asarray(disturbance, dtype=float)
+    w = _frozen_array(disturbance, "disturbance")
     if w.shape != (horizon, dim):
         raise DimensionMismatchError(
             f"disturbance has shape {w.shape}, expected ({horizon}, {dim})"
         )
-    if not np.all(np.isfinite(w)):
-        raise DataError("non-finite entry in disturbance")
     return w
 
 

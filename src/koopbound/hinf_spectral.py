@@ -24,7 +24,8 @@ import numpy as np
 import scipy.linalg
 
 from ._jsonio import as_integer, as_number, as_object, encodes
-from .errors import DataError, DivergenceError, ParameterError, SchemaError
+from .errors import DivergenceError, ParameterError, SchemaError
+from .trajectory_data import _frozen_array
 
 RESOLVENT = "resolvent"
 
@@ -46,8 +47,8 @@ _MAX_ITERATIONS = 100
 
 @dataclass(frozen=True, eq=False)
 class TransferFunction:
-    """The resolvent (zI - K)^-1 of a square real K, with K's eigenvalues as
-    its poles; ``kind`` is always RESOLVENT."""
+    """The resolvent (zI - K)^-1 of a square real K, held read-only, with K's
+    eigenvalues as its poles; ``kind`` is always RESOLVENT."""
 
     kind: str
     matrix: np.ndarray
@@ -55,14 +56,11 @@ class TransferFunction:
 
     @classmethod
     def resolvent(cls, k: np.ndarray) -> "TransferFunction":
-        if np.iscomplexobj(k):
-            raise DataError("matrix must be real, got complex values")
-        k = np.asarray(k, dtype=float)
+        k = _frozen_array(k, "matrix")
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ParameterError(f"resolvent needs a square matrix, got shape {k.shape}")
-        if not np.all(np.isfinite(k)):
-            raise DataError("non-finite entry in operator")
-        return cls(kind=RESOLVENT, matrix=k, poles=np.linalg.eigvals(k))
+        poles = np.linalg.eigvals(k)
+        return cls(kind=RESOLVENT, matrix=k, poles=_frozen_array(poles, "poles", poles.dtype))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 
 from ._jsonio import as_integer, as_number, as_numbers, as_object, read_json, write_json
 from .errors import (
-    DataError,
     DegenerateInputError,
     DimensionMismatchError,
     InsufficientDataError,
@@ -61,25 +60,25 @@ class KoopmanModel:
     descending imaginary part (conjugate pairs stay adjacent).  ``rank`` is
     the number of singular values of the snapshot matrix kept at
     ``rank_tol``, and the residuals are the relative Frobenius misfits of
-    the state and action fits.  A model built in code leaves them None.
-    ``gain`` is set by ``bounds.certified_gain`` or by ``load_model`` from
-    the file's gain block, never by the constructor, so a model built or
-    replaced in code starts without one.  Models compare by identity.
+    the state and action fits.  These diagnostics are set by the fit or by
+    ``load_model``, and ``gain`` by ``bounds.certified_gain`` or from the
+    file's gain block, never by the constructor, so a model built or
+    replaced in code starts without them.  Models compare by identity.
 
-    The constructor checks the operators (finite float64, Kh square, Kf with
+    The constructor checks the operators (real and finite, Kh square, Kf with
     n columns) and holds every array read-only, so a gain once set always
     describes the operators beside it.
     """
 
     state_operator: np.ndarray
     action_operator: np.ndarray
-    eigenvalues: np.ndarray | None = None
-    rank: int | None = None
-    rank_tol: float | None = None
-    snapshot_columns: int | None = None
-    r_count: int | None = None
-    state_residual: float | None = None
-    action_residual: float | None = None
+    eigenvalues: np.ndarray | None = field(default=None, init=False)
+    rank: int | None = field(default=None, init=False)
+    rank_tol: float | None = field(default=None, init=False)
+    snapshot_columns: int | None = field(default=None, init=False)
+    r_count: int | None = field(default=None, init=False)
+    state_residual: float | None = field(default=None, init=False)
+    action_residual: float | None = field(default=None, init=False)
     gain: ModelGain | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -90,13 +89,8 @@ class KoopmanModel:
         if kf.ndim != 2 or kf.shape[1] != len(kh):
             raise DimensionMismatchError(
                 f"action_operator must be m x {len(kh)}, got shape {kf.shape}")
-        for name, operator in (("state_operator", kh), ("action_operator", kf)):
-            if not np.isfinite(operator).all():
-                raise DataError(f"{name} holds a non-finite value")
-            object.__setattr__(self, name, operator)
-        if self.eigenvalues is not None:
-            eigenvalues = _frozen_array(self.eigenvalues, "eigenvalues", np.complex128)
-            object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "state_operator", kh)
+        object.__setattr__(self, "action_operator", kf)
 
     @property
     def n(self) -> int:
@@ -156,6 +150,14 @@ def _pseudoinverse_fit(targets: np.ndarray, svd) -> np.ndarray:
     return targets @ ((v / s[np.newaxis, :]) @ u.T)
 
 
+def _with_diagnostics(model: KoopmanModel, eigenvalues, **diagnostics) -> KoopmanModel:
+    """model given the diagnostics of the fit its operators come from."""
+    diagnostics["eigenvalues"] = _frozen_array(eigenvalues, "eigenvalues", np.complex128)
+    for name, value in diagnostics.items():
+        object.__setattr__(model, name, value)
+    return model
+
+
 def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> KoopmanModel:
     """Fit both operators from one mean trajectory and collect diagnostics.
 
@@ -174,9 +176,8 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
     state_operator, eigenvalues, state_residual = _projected_dmd(
         x0, mean_traj.mean_states[1:].T, svd)
     action_operator = _pseudoinverse_fit(actions, svd)
-    return KoopmanModel(
-        state_operator=state_operator,
-        action_operator=action_operator,
+    return _with_diagnostics(
+        KoopmanModel(state_operator, action_operator),
         eigenvalues=eigenvalues,
         rank=len(svd[1]),
         rank_tol=rank_tol,
@@ -275,9 +276,9 @@ def _model_from_dict(doc) -> KoopmanModel:
         "residuals", "snapshot_columns", "r_count"))
     n, m = as_integer(doc["n"], "model field 'n'"), as_integer(doc["m"], "model field 'm'")
     residuals = as_object(doc["residuals"], "model field 'residuals'", ("state", "action"))
-    model = KoopmanModel(
-        state_operator=_matrix_field(doc, "state_operator", (n, n)),
-        action_operator=_matrix_field(doc, "action_operator", (m, n)),
+    model = _with_diagnostics(
+        KoopmanModel(_matrix_field(doc, "state_operator", (n, n)),
+                     _matrix_field(doc, "action_operator", (m, n))),
         eigenvalues=_eigenvalues_field(doc["eigenvalues"], n),
         rank=_nullable(as_integer, doc["rank"], "rank"),
         rank_tol=_nullable(as_number, doc["rank_tol"], "rank_tol"),

@@ -34,16 +34,20 @@ def _read_only(arr: np.ndarray) -> bool:
 
 
 def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
-    """values as a read-only array: kept when it is already a read-only array
-    of that dtype, copied otherwise.  Complex values given for a real dtype
-    raise DataError naming the field, instead of losing their imaginary part."""
-    if isinstance(values, np.ndarray) and values.dtype == dtype and _read_only(values):
-        return values
-    if np.iscomplexobj(values) and not np.issubdtype(dtype, np.complexfloating):
-        raise DataError(f"{name} must be real, got complex values")
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+    """values as a read-only array, the one check of every array koopbound
+    holds or takes in: kept when it is already a read-only array of that
+    dtype, copied otherwise, so a caller's writable array is never frozen.
+    Complex values for a real dtype, and NaN or infinite entries, raise
+    DataError naming the field instead of becoming a plausible wrong number."""
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype and _read_only(values)):
+        if np.iscomplexobj(values) and not np.issubdtype(dtype, np.complexfloating):
+            raise DataError(f"{name} must be real, got complex values")
+        values = np.array(values, dtype=dtype)
+        values.setflags(write=False)
+    if not np.isfinite(values).all():
+        index = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
+        raise DataError(f"{name} holds a non-finite value at index {tuple(map(int, index))}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +101,6 @@ class TrajectoryEnsemble:
             )
         if k < 1:
             raise InsufficientDataError("empty rollouts: horizon is 0")
-        for name, arr in (("states", states), ("actions", actions), ("rewards", rewards)):
-            finite = np.isfinite(arr).reshape(r_count, -1).all(axis=1)
-            if not finite.all():
-                run = run_ids[np.argmin(finite)]
-                raise DataError(f"run {run}: non-finite value in {name}")
         if len(np.unique(run_ids)) != r_count:
             raise DataError("duplicate run_id in ensemble")
         for name, arr in (("states", states), ("actions", actions), ("rewards", rewards),
@@ -128,7 +127,7 @@ class TrajectoryEnsemble:
 @dataclass(frozen=True, eq=False)
 class MeanTrajectory:
     """Per-step ensemble means of states and actions, validated once when
-    built: K+1 finite state rows and K finite action rows."""
+    built: K+1 state rows and K action rows, finite and read-only."""
 
     mean_states: np.ndarray   # (K+1, n)
     mean_actions: np.ndarray  # (K, m)
@@ -142,18 +141,8 @@ class MeanTrajectory:
                 f"need mean states (K+1, n) and mean actions (K, m), got "
                 f"{states.shape} and {actions.shape}"
             )
-        if not (np.isfinite(states).all() and np.isfinite(actions).all()):
-            raise DataError("non-finite ensemble mean")
         object.__setattr__(self, "mean_states", states)
         object.__setattr__(self, "mean_actions", actions)
-
-    @property
-    def n(self) -> int:
-        return self.mean_states.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.mean_actions.shape[1]
 
     @property
     def horizon(self) -> int:

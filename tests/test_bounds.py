@@ -36,6 +36,7 @@ from koopbound import (
     write_per_step_table,
 )
 from koopbound.bounds import _CHECK_RTOL, _reward_samples, _spectral_power, certified_gain
+from koopbound.env_sim import NORM_PENALTY_LIPSCHITZ
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -446,14 +447,15 @@ def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False,
     horizon = len(disturbance)
     nominal = linear_ensemble(config, horizon, runs, 0)
     disturbed = linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
-    return verify_bounds(
+    report, _ = verify_bounds(
         nominal,
         disturbed,
         model or true_model(config.A, config.F),
         gamma,
         gamma_d,
-        lipschitz=None if estimated else config.reward_lipschitz,
+        lipschitz=None if estimated else NORM_PENALTY_LIPSCHITZ,
     )
+    return report
 
 
 class TestCertifiedGain:
@@ -555,8 +557,8 @@ class TestVerifyBounds:
                                        x0_mean=np.array([2.0]), noise_std=0.05)
         nominal, disturbed = (linear_ensemble(config, 10, r, 0, disturbance=d)
                               for r, d in zip(runs, (None, np.zeros((10, 1)))))
-        report = verify_bounds(nominal, disturbed, true_model(config.A, config.F), 0.0, 0.9,
-                               lipschitz=config.reward_lipschitz)
+        report, _ = verify_bounds(nominal, disturbed, true_model(config.A, config.F), 0.0, 0.9,
+                                  lipschitz=NORM_PENALTY_LIPSCHITZ)
         assert "single-run-dispersion-unavailable" in report.flags
         assert ("q-from-disturbed-rollouts" in report.flags) == (runs[1] > 1)
         assert (report.inputs.C > 0.0, report.inputs.Q > 0.0) == (runs[0] > 1, runs[1] > 1)

@@ -160,7 +160,7 @@ class TestFit:
         save_trajectories(ensemble, traj)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(["fit", str(traj), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: non-finite ensemble mean")
+        assert capsys.readouterr().err.startswith("error: mean_states holds a non-finite value")
         assert not out.exists()
 
 
@@ -585,10 +585,11 @@ class TestVerifyAndReport:
         assert (tmp_path / "summary.csv").exists()
 
     def test_report_csv_quotes_labels(self, tmp_path, linear_config):
-        # A label holding a comma, a quote and a newline stays one cell of
-        # its row; a plain label's row keeps the bytes of a comma join.
+        # A label holding a comma, a quote and non-ASCII letters and spaces
+        # stays one cell of its row; a plain label's row keeps the bytes of a
+        # comma join.
         plain = self.run_pipeline(tmp_path, linear_config, 0.5, "plain")
-        odd, label = tmp_path / "odd_report.json", 'a,b "c"\nd'
+        odd, label = tmp_path / "odd_report.json", 'a,b "c" \u00e9\u00a0d'
         save_report(load_report(plain)[0], odd, label=label)
         out = tmp_path / "summary.json"
         assert main(["report", str(plain), str(odd), "--out", str(out)]) == 0
@@ -600,9 +601,29 @@ class TestVerifyAndReport:
         line = out.with_suffix(".csv").read_text().splitlines()[1]
         assert line == ",".join(str(first[column]) for column in header)
 
+    def test_report_refuses_control_characters(self, tmp_path, linear_config, capsys):
+        # csv writes a bare carriage return unquoted and csv.reader splits the
+        # row there, so a label holding a control character, stored by
+        # verify --label or taken from the file name, exits 2 before any
+        # output is written.
+        plain = self.run_pipeline(tmp_path, linear_config, 0.5, "plain")
+        report, _ = load_report(plain)
+        stored = ("c\rr", "a\nb", "tab\tbed", "nul\x00", "del\x7f", "nel\x85")
+        cases = [(label, tmp_path / "labelled.json", label) for label in stored]
+        cases += [(stem, tmp_path / f"{stem}.json", None) for stem in ("c\rr", "a\nb")]
+        out = tmp_path / "summary.json"
+        for label, path, stored_label in cases:
+            save_report(report, path, label=stored_label)
+            capsys.readouterr()
+            assert main(["report", str(plain), str(path), "--out", str(out)]) == 2, label
+            assert capsys.readouterr() == (
+                "", f"error: report label {label!r} holds a control character\n")
+            assert not out.exists() and not out.with_suffix(".csv").exists()
+
     def test_verify_averages_each_group_once(self, tmp_path, monkeypatch):
         # The report's deviations, its Q and C and the steps table all read
-        # one mean per ensemble, so each group's runs are averaged once.
+        # one mean per ensemble and one per-step table, so each group's
+        # states, actions and rewards are averaged once.
         config, traj, model = tmp_path / "readme.cfg", tmp_path / "t.csv", tmp_path / "m.json"
         config.write_text(README_CONFIG)
         assert main(["simulate", "--config", str(config), "--out", str(traj)]) == 0
@@ -617,6 +638,7 @@ class TestVerifyAndReport:
         assert main(["verify", "--config", str(config), str(model),
                      "--out", str(tmp_path / "r.json")]) == 0
         assert averaged.count((8, 201, 2)) == 2 and averaged.count((8, 200, 1)) == 2
+        assert averaged.count((8, 200)) == 2 and len(averaged) == 6
 
     def test_end_to_end_determinism(self, tmp_path, linear_config):
         r1 = self.run_pipeline(tmp_path, linear_config, 0.5, "one",
@@ -662,8 +684,9 @@ class TestVerifyAndReport:
             rollouts = [linear_ensemble(surrogate, 200, 8, 7, disturbance=d) for d in (None, w)]
             lipschitz = 1.0
         expected = tmp_path / "expected.json"
-        save_report(verify_bounds(*rollouts, load_model(tmp_path / f"{env}_model.json"),
-                                  spec.gamma, 0.9, lipschitz), expected, label=env)
+        expected_report, _ = verify_bounds(*rollouts, load_model(tmp_path / f"{env}_model.json"),
+                                           spec.gamma, 0.9, lipschitz)
+        save_report(expected_report, expected, label=env)
         write_per_step_table(per_step_table(*rollouts), tmp_path / "expected.steps.csv")
         assert report.read_bytes() == expected.read_bytes()
         assert (report.with_suffix(".steps.csv").read_bytes()

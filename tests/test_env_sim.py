@@ -579,7 +579,7 @@ class TestUavConfig:
             UavEnvConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("noise_std", math.nan), ("noise_std", math.inf), ("reward_lipschitz", math.nan),
+        ("noise_std", math.nan), ("noise_std", math.inf),
     ])
     def test_surrogate_levels_must_be_finite(self, field, value):
         # noise_std = nan ran silently without noise.

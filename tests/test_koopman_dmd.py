@@ -4,6 +4,7 @@ import json
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +18,16 @@ from koopbound import (
     ParameterError,
     SchemaError,
     TrajectoryEnsemble,
+    DisturbanceSpec,
     TransferFunction,
+    UavEnvConfig,
+    disturbance_admissible,
+    estimate_lipschitz,
     fit_koopman_model,
+    linear_ensemble,
     load_model,
     save_model,
+    uav_ensemble,
 )
 from koopbound.bounds import certified_gain
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
@@ -37,12 +44,12 @@ def rollout_matrix(a, x0, steps):
 
 def dmd(x0, x1, rank_tol=1e-10):
     """The fit's DMD core on an arbitrary snapshot pair x1 ~= K x0, such as
-    stacks of several runs, which no single mean trajectory can express, as
-    a model record without an action map."""
+    stacks of several runs, which no single mean trajectory can express,
+    under the field names of a fitted model."""
     svd = _truncated_svd(x0, rank_tol)
     operator, eigenvalues, residual = _projected_dmd(x0, x1, svd)
-    return KoopmanModel(operator, np.zeros((0, len(x0))), eigenvalues=eigenvalues,
-                        rank=len(svd[1]), state_residual=residual)
+    return SimpleNamespace(state_operator=operator, eigenvalues=eigenvalues,
+                           rank=len(svd[1]), state_residual=residual)
 
 
 def state_fit(states, rank_tol=1e-10):
@@ -370,8 +377,7 @@ def test_array_records_compare_by_identity(name):
     assert len({a, b}) == 2 and a in {a}
 
 
-# TransferFunction.resolvent still shares the caller's matrix (ROADMAP item 5).
-@pytest.mark.parametrize("name", [name for name in ARRAY_RECORDS if name != "TransferFunction"])
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
 def test_array_records_are_read_only(name):
     record = ARRAY_RECORDS[name]()
     arrays = {f.name: getattr(record, f.name) for f in fields(record)
@@ -388,8 +394,41 @@ def with_imaginary_part(model, name):
     return replace(model, **{name: getattr(model, name) + 1e-3j})
 
 
-# Each record built with a complex array where it holds real ones, and the
-# field the refusal must name.
+def with_entry(model, name, value):
+    """model rebuilt with entry [0, 1] of its operator `name` set to value."""
+    operator = getattr(model, name).copy()
+    operator[0, 1] = value
+    return replace(model, **{name: operator})
+
+
+SURROGATE = LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)), np.ones(2))
+UAV = UavEnvConfig(gu_count=2)
+
+
+def disturbance(dim, value):
+    """A 3-step disturbance of dimension dim whose entry [1, 0] is value."""
+    w = np.zeros((3, dim), dtype=np.result_type(value, float))
+    w[1, 0] = value
+    return w
+
+
+def lipschitz_of(**replaced):
+    """estimate_lipschitz on three samples, with the arrays named replaced."""
+    arrays = {"states": np.eye(3), "actions": np.zeros((3, 1)), "rewards": np.arange(3.0)}
+    return estimate_lipschitz(**{**arrays, **replaced})
+
+
+# The entry points that take an array in, beside the records: both rollouts'
+# disturbance, the admissibility check, the three sample arrays of the
+# Lipschitz estimate and a disturbance direction.  Each is built with a
+# complex or a non-finite value, as the records are below.
+ENTRY_POINTS = ("linear_ensemble disturbance", "uav_ensemble disturbance",
+                "disturbance_admissible", "estimate_lipschitz states",
+                "estimate_lipschitz actions", "estimate_lipschitz rewards",
+                "DisturbanceSpec direction")
+
+# Each record or entry point given a complex array where it takes real ones,
+# and the field the refusal must name.
 COMPLEX_INPUTS = {
     "KoopmanModel": (lambda: KoopmanModel(np.array([[0.5 + 0.3j]]), np.array([[1.0]])),
                      "state_operator"),
@@ -404,17 +443,119 @@ COMPLEX_INPUTS = {
     "LinearSurrogateConfig": (lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
                                                             [1.0, 1.0 + 2j]), "x0_mean"),
     "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, 0.5j])), "matrix"),
+    # A purely imaginary w rolled out as w = 0, and was admissible with energy 0.
+    "linear_ensemble disturbance": (
+        lambda: linear_ensemble(SURROGATE, 3, 1, 0, disturbance=disturbance(2, 1j)),
+        "disturbance"),
+    "uav_ensemble disturbance": (
+        lambda: uav_ensemble(UAV, "centroid_greedy", 3, 1, 0,
+                             disturbance=(None, disturbance(UAV.state_dim, 1j))),
+        "disturbance"),
+    "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, 1j), 0.5), "w"),
+    "estimate_lipschitz states": (lambda: lipschitz_of(states=np.eye(3) * 1j), "states"),
+    "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[1j], [0.0], [0.0]]),
+                                   "actions"),
+    "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[0.0, 1.0, 2j]), "rewards"),
+    "DisturbanceSpec direction": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
+                                                          direction=[1.0, 2j]), "direction"),
+}
+
+# Each record or entry point given a NaN or infinite entry, the field the
+# refusal must name and the index of the entry.
+NON_FINITE_INPUTS = {
+    "KoopmanModel": (lambda: KoopmanModel(np.array([[0.5, np.nan], [0.0, 0.5]]),
+                                          np.ones((1, 2))), "state_operator", (0, 1)),
+    "fitted KoopmanModel": (lambda: with_entry(fitted(), "action_operator", np.inf),
+                            "action_operator", (0, 1)),
+    "loaded KoopmanModel": (lambda: with_entry(loaded(fitted()), "state_operator", -np.inf),
+                            "state_operator", (0, 1)),
+    "TrajectoryEnsemble": (lambda: TrajectoryEnsemble(
+        np.where(np.arange(12).reshape(2, 3, 2) == 10, np.nan, 0.0), np.zeros((2, 2, 1)),
+        np.zeros((2, 2))), "states", (1, 2, 0)),
+    "MeanTrajectory": (lambda: MeanTrajectory(np.zeros((3, 2)), [[0.0], [np.inf]], r_count=2),
+                       "mean_actions", (1, 0)),
+    "LinearSurrogateConfig": (lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
+                                                            [1.0, np.nan]), "x0_mean", (1,)),
+    "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, -np.inf])),
+                         "matrix", (1, 1)),
+    "linear_ensemble disturbance": (
+        lambda: linear_ensemble(SURROGATE, 3, 1, 0, disturbance=disturbance(2, np.nan)),
+        "disturbance", (1, 0)),
+    "uav_ensemble disturbance": (
+        lambda: uav_ensemble(UAV, "centroid_greedy", 3, 1, 0,
+                             disturbance=disturbance(UAV.state_dim, np.inf)),
+        "disturbance", (1, 0)),
+    "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, np.nan), 0.5),
+                               "w", (1, 0)),
+    "estimate_lipschitz states": (lambda: lipschitz_of(states=np.diag([1.0, np.inf, 1.0])),
+                                  "states", (1, 1)),
+    "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[0.0], [0.0], [-np.inf]]),
+                                   "actions", (2, 0)),
+    "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[np.nan, 1.0, 2.0]),
+                                   "rewards", (0,)),
+    "DisturbanceSpec direction": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
+                                                          direction=[1.0, np.nan]),
+                                  "direction", (1,)),
 }
 
 
-@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_every_array_input_is_covered():
+    assert list(COMPLEX_INPUTS) == list(NON_FINITE_INPUTS) == [*ARRAY_RECORDS, *ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("name", COMPLEX_INPUTS)
 def test_array_records_refuse_complex_input(name):
     # A cast to float would keep only the real part: a plausible wrong value.
     build, field_name = COMPLEX_INPUTS[name]
-    with pytest.raises(DataError, match=f"^{field_name} must be real"):
+    with pytest.raises(DataError, match=f"^{field_name} must be real, got complex values$"):
         build()
 
 
+@pytest.mark.parametrize("name", NON_FINITE_INPUTS)
+def test_array_inputs_refuse_non_finite_values(name):
+    build, field_name, index = NON_FINITE_INPUTS[name]
+    with pytest.raises(DataError) as refused:
+        build()
+    assert str(refused.value) == f"{field_name} holds a non-finite value at index {index}"
+
+
+@pytest.mark.parametrize("rollout, dim", [
+    (lambda w: linear_ensemble(SURROGATE, 3, 2, 0, disturbance=w), 2),
+    (lambda w: uav_ensemble(UAV, "centroid_greedy", 3, 2, 0, disturbance=(None, w)),
+     UAV.state_dim),
+], ids=["linear", "uav"])
+def test_rollouts_leave_callers_disturbance_writable(rollout, dim):
+    # A rollout checks a read-only copy of w; the caller's array is not frozen.
+    w = disturbance(dim, 0.1)
+    rollout(w)
+    w[1, 0] = 0.2
+    assert w.flags.writeable
+
+
 def test_complex_eigenvalues_kept():
-    model = KoopmanModel(np.array([[0.5]]), np.array([[1.0]]), eigenvalues=[0.5 + 0.3j])
-    assert model.eigenvalues.dtype == np.complex128 and model.eigenvalues[0] == 0.5 + 0.3j
+    # A rotation's DMD eigenvalues are a conjugate pair: the fit keeps them
+    # complex128 and read-only, and a loaded model reads them back.
+    c, s = 0.9 * np.cos(0.3), 0.9 * np.sin(0.3)
+    states = rollout_matrix(np.array([[c, -s], [s, c]]), [1.0, 0.0], 10).T
+    model = fit_koopman_model(mean_from_states(states))
+    for record in (model, loaded(model)):
+        assert record.eigenvalues.dtype == np.complex128 and _read_only(record.eigenvalues)
+        assert np.allclose(record.eigenvalues, 0.9 * np.exp([0.3j, -0.3j]), atol=1e-12)
+
+
+def test_replaced_model_saves_no_old_diagnostics(tmp_path):
+    # The fit diagnostics describe the fitted operators: a copy with other
+    # operators starts without them, and its file holds the new operator's
+    # eigenvalues, no rank, counts or residuals, and no gain.
+    replaced = replace(fitted(), state_operator=np.diag([0.2, 0.3, 0.4]))
+    for name in ("eigenvalues", "rank", "rank_tol", "snapshot_columns", "r_count",
+                 "state_residual", "action_residual", "gain"):
+        assert getattr(replaced, name) is None, name
+    save_model(replaced, tmp_path / "model.json")
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert doc["eigenvalues"] == [[0.4, 0.0], [0.3, 0.0], [0.2, 0.0]]
+    assert [doc[key] for key in ("rank", "rank_tol", "snapshot_columns", "r_count")] == [None] * 4
+    assert doc["residuals"] == {"state": None, "action": None} and "gain" not in doc
+    # Only a fit or a model file sets them.
+    with pytest.raises(TypeError, match="eigenvalues"):
+        KoopmanModel(0.5 * np.eye(2), np.ones((1, 2)), eigenvalues=[np.nan])
