@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import reprlib
 import sys
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, ParameterError, SchemaError
 
 
 def _encode(node, where: str):
@@ -97,6 +98,31 @@ def as_number(node, where: str, finite: bool = False, nonnegative: bool = False)
             or nonnegative and value < 0):
         kind = ("finite " if finite else "") + ("non-negative " if nonnegative else "")
         raise SchemaError(f"{where} must be a {kind}number, got {node!r}")
+    return value
+
+
+# The range test of each kind of scalar parameter, which NaN fails, and the
+# rule it states; +inf is a vacuous cap, an unstable gain or an endless horizon.
+_RANGES = {
+    "level": (lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
+    "bound level": (lambda v: v >= 0, "must be non-negative"),
+    "discount factor": (lambda v: 0 <= v < 1, "must be finite and non-negative, and must be "
+                        "below 1 as a discount factor"),
+    "count": (lambda v: isinstance(v, numbers.Integral) and v >= 1,
+              "must be an integer of at least 1"),
+    "horizon": (lambda v: v == math.inf or v >= 1 and v % 1 == 0,
+                "must be a whole number of at least 1, or inf"),
+}
+
+
+def _in_range(value, name: str, kind: str):
+    """value, unchanged, when it is a number (numpy's too, not a bool, complex or
+    string) in the range of its kind; else a ParameterError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    test, rule = _RANGES[kind]
+    if not test(value):
+        raise ParameterError(f"{name} {rule}, got {value}")
     return value
 
 

@@ -19,11 +19,10 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from ._floattext import write_rows
-from ._jsonio import as_number, as_object, as_string, encodes, read_json, write_json
+from ._jsonio import _in_range, as_number, as_object, as_string, encodes, read_json, write_json
 from .errors import (
     DataError,
     DimensionMismatchError,
-    DivergenceError,
     EmptyInputError,
     InsufficientDataError,
     ParameterError,
@@ -67,7 +66,7 @@ _MEASURED = ("state_energy", "state_max", "action_energy", "action_max", "reward
              "reward_impact_pct")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisturbanceSpec:
     """Recipe for one admissible disturbance sequence.
 
@@ -89,12 +88,9 @@ class DisturbanceSpec:
             raise ParameterError(
                 f"unknown disturbance kind {self.kind!r}; choose from {DISTURBANCE_KINDS}"
             )
-        if not self.gamma >= 0:
-            raise ParameterError("gamma must be non-negative")
-        if self.horizon < 1:
-            raise ParameterError("horizon must be at least 1")
-        if self.dim < 1:
-            raise ParameterError("dim must be at least 1")
+        _in_range(self.gamma, "gamma", "level")
+        _in_range(self.horizon, "horizon", "count")
+        _in_range(self.dim, "dim", "count")
         if not math.isfinite(self.omega):
             raise ParameterError(f"omega must be finite, got {self.omega}")
         if self.direction is not None:
@@ -191,8 +187,7 @@ def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
         w = w[:, None]
     if w.size == 0:
         raise EmptyInputError("empty disturbance sequence")
-    if not gamma >= 0:
-        raise ParameterError("gamma must be non-negative")
+    _in_range(gamma, "gamma", "bound level")
     energy = float(np.sum(w * w))
     max_step = float(np.max(np.linalg.norm(w, axis=1)))
     slack = 1.0 + _CHECK_RTOL
@@ -221,8 +216,7 @@ def deviation_bounds(gamma: float, T_hinf: float, Kf_hinf: float) -> dict:
     M = T*gamma and N = Kf*T*gamma cap the state and action maxima, M^2 and
     N^2 their energies."""
     for name, value in (("gamma", gamma), ("T_hinf", T_hinf), ("Kf_hinf", Kf_hinf)):
-        if not value >= 0:
-            raise ParameterError(f"{name} must be non-negative")
+        _in_range(value, name, "bound level")
     # gamma == 0 means no disturbance at all, and a zero action map moves no
     # action, so the cap is 0 even when the gain is flagged infinite (0 * inf
     # would be NaN).
@@ -240,7 +234,8 @@ class BoundInputs:
     L the reward Lipschitz constant, Q the expected in-run deviation of the
     disturbed rollouts from their mean, C the same for nominal rollouts,
     gamma_d the discount factor and horizon the step count (math.inf for the
-    infinite-horizon forms).
+    infinite-horizon forms).  Each field is checked against the range of its
+    kind when the record is built.
     """
 
     gamma: float
@@ -253,13 +248,11 @@ class BoundInputs:
     horizon: float
 
     def __post_init__(self):
-        for name in ("gamma", "T_hinf", "Kf_hinf", "L", "Q", "C", "gamma_d"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError(f"{name} must be non-negative")
-        if math.isinf(self.horizon) and self.gamma_d >= 1.0:
-            raise DivergenceError(
-                "infinite horizon requires a discount factor below 1"
-            )
+        kinds = {"gamma": "bound level", "T_hinf": "bound level", "Kf_hinf": "bound level",
+                 "L": "bound level", "Q": "level", "C": "level", "gamma_d": "discount factor",
+                 "horizon": "horizon"}
+        for name, kind in kinds.items():
+            _in_range(getattr(self, name), name, kind)
 
     def bounds(self) -> dict:
         """Every bound value: the deviation_bounds caps, the cap
@@ -270,8 +263,6 @@ class BoundInputs:
         infinite horizon sums 1/(1 - gamma_d).
         """
         values = deviation_bounds(self.gamma, self.T_hinf, self.Kf_hinf)
-        if self.gamma_d >= 1.0:
-            raise DivergenceError(f"discount factor {self.gamma_d} must be below 1")
         if math.isinf(self.horizon):
             total = 1.0 / (1.0 - self.gamma_d)
         else:
@@ -507,8 +498,6 @@ def verify_bounds(
     value is 0 and the single-run-dispersion-unavailable flag is raised.
     """
     _check_dims(nominal, disturbed, model)
-    if not gamma >= 0:
-        raise ParameterError("gamma must be non-negative")
     flags = []
 
     hinf, kf_hinf = certified_gain(model)

@@ -13,7 +13,6 @@ import argparse
 import csv
 import datetime
 import hashlib
-import math
 import sys
 import textwrap
 import time
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from ._jsonio import as_integer, as_numbers, as_string, is_number, write_json
+from ._jsonio import _in_range, as_integer, as_numbers, as_string, is_number, write_json
 from .bounds import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
@@ -41,7 +40,8 @@ from .bounds import (
 # the gain.  perfbench/layers.py wraps both names in koopbound.cli, and reports
 # their layers as missing when they are gone.
 from .bounds import per_step_table  # noqa: F401
-from .errors import DataError, KoopboundError, ParameterError, SchemaError
+from .errors import (DataError, DimensionMismatchError, KoopboundError, ParameterError,
+                     SchemaError)
 from .flatconfig import load_flat_config
 from .hinf_spectral import hinf_norm  # noqa: F401
 from .koopman_dmd import (
@@ -87,18 +87,12 @@ def _number(value, key: str) -> float:
 
 def _level(value, key: str) -> float:
     """A disturbance level or Lipschitz constant: a finite, non-negative number."""
-    value = _number(value, key)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ParameterError(f"{key} must be finite and non-negative, got {value}")
-    return value
+    return _in_range(_number(value, key), key, "level")
 
 
 def _discount_factor(value, key: str) -> float:
     """The reward discount factor gamma_d: a level below 1."""
-    gamma_d = _level(value, key)
-    if not gamma_d < 1.0:
-        raise ParameterError(f"{key} is a discount factor and must be below 1, got {gamma_d}")
-    return gamma_d
+    return _in_range(_number(value, key), key, "discount factor")
 
 
 # The value type each reader takes, as --help names it, and the type argparse
@@ -134,11 +128,10 @@ _KEYS = {
                              "process noise standard deviation"),
     "disturbance.kind": _Key(as_string, "scaled_gaussian_projected", " | ".join(DISTURBANCE_KINDS),
                              "disturbance_kind"),
-    "disturbance.gamma": _Key(_level, 1.0, "disturbance level for verify", "gamma"),
+    "disturbance.gamma": _Key(_level, 1.0, "disturbance level of analyze and verify", "gamma"),
     "disturbance.seed": _Key(_seed, 0, "disturbance RNG seed", "disturbance_seed"),
     "disturbance.direction": _Key(as_numbers, None, "spatial direction of the deterministic kinds"),
     "disturbance.omega": _Key(_number, DisturbanceSpec.omega, "tone frequency of single_tone"),
-    "analysis.gamma": _Key(_level, 1.0, "disturbance level for analyze", "gamma"),
     "analysis.gamma_d": _Key(_discount_factor, 0.9, "reward discount factor", "gamma_d"),
     "analysis.rank_tol": _Key(_number, DEFAULT_RANK_TOL, "DMD rank tolerance", "rank_tol"),
     "analysis.L": _Key(_level, None, "analytic reward Lipschitz constant override"),
@@ -250,8 +243,7 @@ def _simulation(cfg: dict, args, verify: bool = False) -> _Simulation:
     policy, horizon, runs, seed = (
         _setting(key, cfg, args) for key in ("sim.policy", "sim.horizon", "sim.runs", "sim.seed")
     )
-    check_rollout_size(2 if verify else 1, runs, horizon,
-                       config.n if env == "linear" else config.state_dim,
+    check_rollout_size(2 if verify else 1, runs, horizon, config.n,
                        grid_values=spectral_grid_values(horizon) if verify else 0)
     return _Simulation(env, config, policy, horizon, runs, seed)
 
@@ -301,7 +293,7 @@ def cmd_fit(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
-    gamma = _setting("analysis.gamma", cfg, args)
+    gamma = _setting("disturbance.gamma", cfg, args)
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
     hinf, kf_hinf = certified_gain(model)
@@ -337,6 +329,10 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
     sim = _simulation(cfg, args, verify=True)
+    if (model.n, model.m) != (sim.config.n, sim.config.m):
+        raise DimensionMismatchError(
+            f"model {args.model} has (n, m) = ({model.n}, {model.m}), but the {sim.env} "
+            f"environment of config {args.config} has ({sim.config.n}, {sim.config.m})")
     gamma_d = _setting("analysis.gamma_d", cfg, args)
     analytic_l = _setting("analysis.L", cfg)
     if analytic_l is None and sim.env == "linear":
@@ -464,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="worst-case gains and deviation bounds of a model")
     common(p)
     p.add_argument("model", help="model JSON from fit")
-    flags(p, "analysis.gamma", "analysis.gamma_d")
+    flags(p, "disturbance.gamma", "analysis.gamma_d")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="inject admissible disturbances and check every bound")

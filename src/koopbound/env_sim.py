@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._jsonio import _in_range
 from .errors import DimensionMismatchError, ParameterError
 from .trajectory_data import TrajectoryEnsemble, _frozen_array
 
@@ -134,8 +135,7 @@ class LinearSurrogateConfig:
             raise DimensionMismatchError(
                 f"x0_mean has dimension {x0.shape[0]}, expected {a.shape[0]}"
             )
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ParameterError(f"noise_std must be finite and non-negative, got {self.noise_std}")
+        _in_range(self.noise_std, "noise_std", "level")
         for name, arr in (("A", a), ("F", f), ("x0_mean", x0)):
             object.__setattr__(self, name, arr)
 
@@ -212,10 +212,8 @@ def linear_ensemble(
     groups of runs lanes that share each seed's noise; the ensemble holds
     the G*runs runs group by group (see split_groups).
     """
-    if runs < 1:
-        raise ParameterError("runs must be at least 1")
-    if horizon < 1:
-        raise ParameterError("horizon must be at least 1")
+    _in_range(runs, "runs", "count")
+    _in_range(horizon, "horizon", "count")
     n = config.n
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
     check_rollout_size(groups, runs, horizon, n)
@@ -308,8 +306,12 @@ class UavEnvConfig:
             )
 
     @property
-    def state_dim(self) -> int:
+    def n(self) -> int:
         return 2 * self.gu_count + 2
+
+    @property
+    def m(self) -> int:
+        return 2
 
 
 def _lane_draws(rngs, gu_count: int, config: UavEnvConfig, groups: int = 1):
@@ -421,7 +423,7 @@ def _spectral_efficiency(h_g, config: UavEnvConfig):
 def path_loss(d: float, config: UavEnvConfig) -> float:
     """Channel coefficient at distance d: free-space propagation times
     molecular absorption exp(-absorption * d / 2)."""
-    d = np.asarray(d, dtype=float)
+    d = _frozen_array(d, "d")
     if np.any(d <= 0):
         raise ParameterError("path loss is singular at zero distance")
     result = _channel(d, config)
@@ -432,7 +434,7 @@ def downlink_rate(bandwidth_hz: float, h_g, config: UavEnvConfig):
     """Achievable rate bandwidth * log2(1 + P |h|^2 / N0) in bits/s."""
     if bandwidth_hz <= 0:
         raise ParameterError("bandwidth must be positive")
-    result = bandwidth_hz * _spectral_efficiency(np.asarray(h_g, dtype=float), config)
+    result = bandwidth_hz * _spectral_efficiency(_frozen_array(h_g, "h_g"), config)
     return float(result) if result.ndim == 0 else result
 
 
@@ -566,11 +568,9 @@ def uav_ensemble(
     moves and clamps its own lanes only.  The ensemble holds the G*runs runs
     group by group (see split_groups).
     """
-    if runs < 1:
-        raise ParameterError("runs must be at least 1")
-    if horizon < 1:
-        raise ParameterError("horizon must be at least 1")
-    n, j = config.state_dim, config.gu_count
+    _in_range(runs, "runs", "count")
+    _in_range(horizon, "horizon", "count")
+    n, j = config.n, config.gu_count
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
     check_rollout_size(groups, runs, horizon, n)
     lanes = groups * runs

@@ -34,8 +34,8 @@ class ParameterError(KoopboundError):
 
 
 class DivergenceError(KoopboundError):
-    """A geometric series bound diverges for the given discount factor, or an
-    iterative search fails to converge."""
+    """An iterative search fails to converge: the H-infinity level search.
+    A discount factor of 1 or more is a ParameterError."""
 
 
 class SchemaError(KoopboundError):

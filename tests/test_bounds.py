@@ -4,7 +4,6 @@ import hashlib
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from koopbound import (
     DataError,
     DimensionMismatchError,
     DisturbanceSpec,
-    DivergenceError,
     EmptyInputError,
     InsufficientDataError,
     KoopmanModel,
@@ -323,16 +321,15 @@ class TestRewardBounds:
         assert np.isclose(generalization_error(two), 2.0 * generalization_error(one))
 
     def test_divergent_discount(self):
-        with pytest.raises(DivergenceError):
-            make_inputs(M=1.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=1.0,
-                        horizon=float("inf"))
-        inputs = make_inputs(M=1.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=1.0,
-                             horizon=10.0)
-        with pytest.raises(DivergenceError):
-            inputs.bounds()
-        # The L = 0 rule does not hide a divergent discount sum.
-        with pytest.raises(DivergenceError):
-            replace(inputs, L=0.0).bounds()
+        # A discount factor of 1 is refused when the record is built, at
+        # either horizon; the L = 0 rule does not hide it.
+        message = ("^gamma_d must be finite and non-negative, and must be below 1 as a "
+                   "discount factor, got 1.0$")
+        for horizon in (float("inf"), 10.0):
+            for lipschitz in (1.0, 0.0):
+                with pytest.raises(ParameterError, match=message):
+                    make_inputs(M=1.0, N=1.0, L=lipschitz, Q=0.0, C=0.0, gamma_d=1.0,
+                                horizon=horizon)
 
     def test_bounds_include_deviation_bounds(self):
         inputs = make_inputs(M=2.0, N=1.0, L=1.0, Q=0.0, C=0.0, gamma_d=0.5,
@@ -623,7 +620,7 @@ class TestPerStepTable:
         else:
             config = UavEnvConfig(area_x=50.0, area_y=50.0, gu_count=12, altitude=20.0,
                                   coverage_radius=25.0, gu_mean_speed=10.0)
-            w = np.random.default_rng(3).normal(scale=2.0, size=(60, config.state_dim))
+            w = np.random.default_rng(3).normal(scale=2.0, size=(60, config.n))
             rollouts = [uav_ensemble(config, "lagged_centroid", 60, 3, 1009, disturbance=d)
                         for d in (None, w)]
         path = tmp_path / "steps.csv"

@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -505,6 +505,33 @@ class TestLevels:
         assert "must be below 1" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.cfg", "model.json"]
 
+    @pytest.mark.parametrize("operators, dims", [
+        ("linear.A = [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]\nlinear.F = [[1, -1, 0]]\n"
+         "linear.x0 = [1, 1, 1]\n", "(3, 1)"),
+        ("linear.A = [[0.9, 0.1], [0.0, 0.5]]\nlinear.F = [[1, -1], [0, 1]]\n"
+         "linear.x0 = [1, 1]\n", "(2, 2)"),
+    ], ids=["n", "m"])
+    def test_verify_checks_model_dimensions_first(self, tmp_path, capsys, monkeypatch,
+                                                  operators, dims):
+        # The model's (n, m) = (2, 1) is compared with the environment's
+        # before w is drawn or any lane is rolled out, in one error naming
+        # both.  A 3-state config failed on the shape of w; an m = 2 one
+        # rolled out both lane groups first.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("uav_ensemble", "linear_ensemble", "generate_disturbance"):
+            monkeypatch.setattr(cli, name, no_work)
+        model, cfg = tmp_path / "model.json", tmp_path / "levels.cfg"
+        save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                action_operator=np.array([[1.0, -1.0]])), model)
+        cfg.write_text("sim.env = linear\nsim.runs = 2\nsim.horizon = 10\n" + operators)
+        argv = ["verify", "--config", str(cfg), str(model), "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: model {model} has (n, m) = (2, 1), but the "
+                                           f"linear environment of config {cfg} has {dims}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["levels.cfg", "model.json"]
+
 
 class TestEnvParameters:
     @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -709,6 +736,21 @@ class TestConfigKeys:
         assert "warning: unknown config key 'analysis.gamm'" in err
         assert "env.gu_count" not in err
         assert json.loads(out.read_text())["gamma"] == 1.0
+
+    def test_one_disturbance_level_key(self, tmp_path, capsys):
+        # analyze reads disturbance.gamma, as verify does; it read
+        # analysis.gamma and wrote 1.0 for the README config.  That key is
+        # gone: it is warned about and changes nothing.
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9]]),
+                                action_operator=np.array([[0.5]])), model)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(README_CONFIG + "analysis.gamma = 2.0\n")
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", "--config", str(cfg), str(model), "--out", str(out)]) == 0
+        assert "warning: unknown config key 'analysis.gamma'" in capsys.readouterr().err
+        assert json.loads(out.read_text())["gamma"] == 0.5
+        assert "analysis.gamma " not in cli._config_key_help()
 
     def test_env_keys_override_defaults(self, tmp_path, monkeypatch):
         # env.* keys set the UavEnvConfig fields they name, read by the
@@ -958,6 +1000,20 @@ class TestMalformedDocuments:
         doc["inputs"]["T_hinf"] = 1.0
         doc.update(BoundInputs(**doc["inputs"]).bounds())
         self.assert_refused(tmp_path, capsys, path, doc, "inputs.T_hinf")
+
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0, 2.5])
+    def test_report_horizon_out_of_range(self, tmp_path, capsys, horizon):
+        """A bound's horizon is a whole number of steps, or inf.  A file with
+        a horizon of -5 and the bounds it gives (a reward impact cap of
+        -11.007, listed as a violation) was tabulated with exit 0."""
+        report, _ = load_report(self.report_file(tmp_path))
+        # The record as a hand-edited file holds it, bounds and violations
+        # recomputed; its constructor would refuse the horizon.
+        edited = object.__new__(BoundInputs)
+        for name, value in asdict(report.inputs).items():
+            object.__setattr__(edited, name, horizon if name == "horizon" else value)
+        doc = replace(report, inputs=edited).to_dict()
+        self.assert_refused(tmp_path, capsys, tmp_path / "report.json", doc, "horizon")
 
     @staticmethod
     def assert_refused(tmp_path, capsys, path, doc, where):

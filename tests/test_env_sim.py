@@ -408,7 +408,7 @@ class TestReward:
         # the stored states and actions, nominal and grouped with a clamping
         # disturbance.
         config = UavEnvConfig(**COMPACT_UAV, fairness_mode=mode)
-        w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.state_dim))
+        w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.n))
         max_step = config.step_seconds * config.uav_max_speed
         for disturbance in (None, (None, w)):
             ens = uav_ensemble(config, "lagged_centroid", 40, runs=3, master_seed=70,
@@ -473,6 +473,7 @@ class TestUavRollout:
         t = uav_run(config, "centroid_greedy", 5, seed=0)
         assert t.states.shape == (6, 42)
         assert t.actions.shape == (5, 2)
+        assert (config.n, config.m) == (42, 2)
 
     def test_speed_compliance(self):
         config = UavEnvConfig()
@@ -514,7 +515,7 @@ class TestUavRollout:
 
     def test_disturbed_states_clamped(self):
         config = UavEnvConfig(gu_count=2)
-        n = config.state_dim
+        n = config.n
         w = np.zeros((10, n))
         w[0] = 500.0
         t = uav_run(config, "centroid_greedy", 10, seed=2, disturbance=w)
@@ -525,7 +526,7 @@ class TestUavRollout:
         # clipped policies always keep within the limit; a disturbance that
         # teleports the craft is a domain change, not a policy violation.
         config = UavEnvConfig(gu_count=2, speed_penalty=-1.0)
-        n = config.state_dim
+        n = config.n
         w = np.zeros((5, n))
         w[0, -2:] = [30.0, 30.0]
         disturbed = uav_run(config, "centroid_greedy", 5, seed=4, disturbance=w)
@@ -677,7 +678,7 @@ class TestBatchedRollouts:
     @pytest.mark.parametrize("disturbed", [False, True])
     def test_uav_digest_pinned(self, kind, disturbed):
         config = UavEnvConfig(**COMPACT_UAV)
-        w = np.random.default_rng(3).normal(scale=2.0, size=(60, config.state_dim))
+        w = np.random.default_rng(3).normal(scale=2.0, size=(60, config.n))
         ens = uav_ensemble(config, kind, 60, runs=3, master_seed=1009,
                            disturbance=w if disturbed else None)
         assert ensemble_digest(ens) == self.UAV_DIGESTS[kind, disturbed]
@@ -694,7 +695,7 @@ class TestBatchedRollouts:
         # An R-lane ensemble equals R one-lane ensembles seeded master_seed + r,
         # on a disturbance large enough to hit the clamp.
         for config in (UavEnvConfig(**COMPACT_UAV), UavEnvConfig(gu_count=5)):
-            w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.state_dim))
+            w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.n))
             for disturbance in (None, w):
                 ens = uav_ensemble(config, kind, 40, runs=4, master_seed=500,
                                    disturbance=disturbance)
@@ -719,7 +720,7 @@ class TestBatchedRollouts:
         # group equals its own call, on a disturbance large enough to hit the
         # clamp, which must then move the disturbed lanes only.
         for config in (UavEnvConfig(**COMPACT_UAV), UavEnvConfig(gu_count=5)):
-            w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.state_dim))
+            w = np.random.default_rng(8).normal(scale=5.0, size=(40, config.n))
             grouped = uav_ensemble(config, kind, 40, runs=4, master_seed=500,
                                    disturbance=(None, w))
             separate = [uav_ensemble(config, kind, 40, runs=4, master_seed=500,

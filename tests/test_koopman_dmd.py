@@ -1,6 +1,7 @@
 """Operator fitting: recovery oracles, spectra, least squares, model JSON."""
 
 import json
+import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from koopbound import (
+    BoundInputs,
     DataError,
     DegenerateInputError,
     KoopmanModel,
@@ -21,14 +23,19 @@ from koopbound import (
     DisturbanceSpec,
     TransferFunction,
     UavEnvConfig,
+    deviation_bounds,
     disturbance_admissible,
+    downlink_rate,
     estimate_lipschitz,
     fit_koopman_model,
     linear_ensemble,
     load_model,
+    path_loss,
     save_model,
     uav_ensemble,
+    verify_bounds,
 )
+from koopbound import cli
 from koopbound.bounds import certified_gain
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
 from koopbound.trajectory_data import _read_only
@@ -367,6 +374,7 @@ ARRAY_RECORDS = {
     "LinearSurrogateConfig": lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
                                                            np.ones(2)),
     "TransferFunction": lambda: TransferFunction.resolvent(0.5 * np.eye(2)),
+    "DisturbanceSpec": lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2, direction=[1.0, 0.0]),
 }
 
 
@@ -420,12 +428,12 @@ def lipschitz_of(**replaced):
 
 # The entry points that take an array in, beside the records: both rollouts'
 # disturbance, the admissibility check, the three sample arrays of the
-# Lipschitz estimate and a disturbance direction.  Each is built with a
+# Lipschitz estimate and the two link-budget helpers.  Each is built with a
 # complex or a non-finite value, as the records are below.
 ENTRY_POINTS = ("linear_ensemble disturbance", "uav_ensemble disturbance",
                 "disturbance_admissible", "estimate_lipschitz states",
-                "estimate_lipschitz actions", "estimate_lipschitz rewards",
-                "DisturbanceSpec direction")
+                "estimate_lipschitz actions", "estimate_lipschitz rewards", "path_loss",
+                "downlink_rate")
 
 # Each record or entry point given a complex array where it takes real ones,
 # and the field the refusal must name.
@@ -443,21 +451,24 @@ COMPLEX_INPUTS = {
     "LinearSurrogateConfig": (lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
                                                             [1.0, 1.0 + 2j]), "x0_mean"),
     "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, 0.5j])), "matrix"),
+    "DisturbanceSpec": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2, direction=[1.0, 2j]),
+                        "direction"),
     # A purely imaginary w rolled out as w = 0, and was admissible with energy 0.
     "linear_ensemble disturbance": (
         lambda: linear_ensemble(SURROGATE, 3, 1, 0, disturbance=disturbance(2, 1j)),
         "disturbance"),
     "uav_ensemble disturbance": (
         lambda: uav_ensemble(UAV, "centroid_greedy", 3, 1, 0,
-                             disturbance=(None, disturbance(UAV.state_dim, 1j))),
+                             disturbance=(None, disturbance(UAV.n, 1j))),
         "disturbance"),
     "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, 1j), 0.5), "w"),
     "estimate_lipschitz states": (lambda: lipschitz_of(states=np.eye(3) * 1j), "states"),
     "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[1j], [0.0], [0.0]]),
                                    "actions"),
     "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[0.0, 1.0, 2j]), "rewards"),
-    "DisturbanceSpec direction": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
-                                                          direction=[1.0, 2j]), "direction"),
+    # A complex distance or channel lost its imaginary part with a warning.
+    "path_loss": (lambda: path_loss(np.array([10.0 + 5j]), UAV), "d"),
+    "downlink_rate": (lambda: downlink_rate(20e6, [1e-5 + 1j], UAV), "h_g"),
 }
 
 # Each record or entry point given a NaN or infinite entry, the field the
@@ -478,12 +489,14 @@ NON_FINITE_INPUTS = {
                                                             [1.0, np.nan]), "x0_mean", (1,)),
     "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, -np.inf])),
                          "matrix", (1, 1)),
+    "DisturbanceSpec": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
+                                                direction=[1.0, np.nan]), "direction", (1,)),
     "linear_ensemble disturbance": (
         lambda: linear_ensemble(SURROGATE, 3, 1, 0, disturbance=disturbance(2, np.nan)),
         "disturbance", (1, 0)),
     "uav_ensemble disturbance": (
         lambda: uav_ensemble(UAV, "centroid_greedy", 3, 1, 0,
-                             disturbance=disturbance(UAV.state_dim, np.inf)),
+                             disturbance=disturbance(UAV.n, np.inf)),
         "disturbance", (1, 0)),
     "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, np.nan), 0.5),
                                "w", (1, 0)),
@@ -493,9 +506,90 @@ NON_FINITE_INPUTS = {
                                    "actions", (2, 0)),
     "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[np.nan, 1.0, 2.0]),
                                    "rewards", (0,)),
-    "DisturbanceSpec direction": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
-                                                          direction=[1.0, np.nan]),
-                                  "direction", (1,)),
+    "path_loss": (lambda: path_loss([10.0, np.inf], UAV), "d", (1,)),
+    "downlink_rate": (lambda: downlink_rate(20e6, [1e-5, np.nan], UAV), "h_g", (1,)),
+}
+
+
+def bound_inputs(**replaced):
+    """BoundInputs of a 10-step verification, with the fields named replaced."""
+    values = dict(gamma=0.5, T_hinf=2.0, Kf_hinf=1.0, L=1.0, Q=0.1, C=0.1, gamma_d=0.9,
+                  horizon=10.0)
+    return BoundInputs(**{**values, **replaced})
+
+
+def verified(gamma):
+    """verify_bounds of two 3-step surrogate ensembles at level gamma."""
+    ensemble = linear_ensemble(SURROGATE, 3, 2, 0)
+    return verify_bounds(ensemble, ensemble, KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))),
+                         gamma, 0.9, lipschitz=1.0)
+
+
+def config_value(key):
+    """The config reader of key, given a config line's value."""
+    return lambda value: cli._setting(key, {key: value})
+
+
+BELOW_ONE = "must be finite and non-negative, and must be below 1 as a discount factor"
+
+# Each scalar a bound takes in, grouped by its range kind in _jsonio._in_range:
+# a function of the value, the field it names, a value out of range and the
+# message that value gets.
+OUT_OF_RANGE_INPUTS = {
+    # A level is finite and non-negative.
+    "config disturbance.gamma": (config_value("disturbance.gamma"), "disturbance.gamma",
+                                 math.inf, "must be finite and non-negative, got inf"),
+    "config analysis.L": (config_value("analysis.L"), "analysis.L", -1.0,
+                          "must be finite and non-negative, got -1.0"),
+    # An infinite level gave a non-finite w, or an unscaled one.
+    "DisturbanceSpec gamma": (lambda v: DisturbanceSpec("impulse", v, 8, 0, 2), "gamma",
+                              math.inf, "must be finite and non-negative, got inf"),
+    "LinearSurrogateConfig noise_std": (
+        lambda v: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)), np.ones(2),
+                                        noise_std=v),
+        "noise_std", math.nan, "must be finite and non-negative, got nan"),
+    "BoundInputs Q": (lambda v: bound_inputs(Q=v), "Q", math.inf,
+                      "must be finite and non-negative, got inf"),
+    "BoundInputs C": (lambda v: bound_inputs(C=v), "C", -0.1,
+                      "must be finite and non-negative, got -0.1"),
+    # A bound level is non-negative, and may be +inf.
+    "disturbance_admissible gamma": (lambda v: disturbance_admissible(np.ones((3, 2)), v),
+                                     "gamma", -1.0, "must be non-negative, got -1.0"),
+    "deviation_bounds gamma": (lambda v: deviation_bounds(v, 1.0, 1.0), "gamma", math.nan,
+                               "must be non-negative, got nan"),
+    "deviation_bounds T_hinf": (lambda v: deviation_bounds(0.5, v, 1.0), "T_hinf", -1.0,
+                                "must be non-negative, got -1.0"),
+    "deviation_bounds Kf_hinf": (lambda v: deviation_bounds(0.5, 1.0, v), "Kf_hinf", -math.inf,
+                                 "must be non-negative, got -inf"),
+    "BoundInputs gamma": (lambda v: bound_inputs(gamma=v), "gamma", -0.5,
+                          "must be non-negative, got -0.5"),
+    "BoundInputs T_hinf": (lambda v: bound_inputs(T_hinf=v), "T_hinf", math.nan,
+                           "must be non-negative, got nan"),
+    "BoundInputs Kf_hinf": (lambda v: bound_inputs(Kf_hinf=v), "Kf_hinf", -1.0,
+                            "must be non-negative, got -1.0"),
+    "BoundInputs L": (lambda v: bound_inputs(L=v), "L", math.nan, "must be non-negative, got nan"),
+    "verify_bounds gamma": (verified, "gamma", -1.0, "must be non-negative, got -1.0"),
+    # A discount factor is a level below 1.
+    "config analysis.gamma_d": (config_value("analysis.gamma_d"), "analysis.gamma_d", 1.0,
+                                f"{BELOW_ONE}, got 1.0"),
+    "BoundInputs gamma_d": (lambda v: bound_inputs(gamma_d=v), "gamma_d", math.nan,
+                            f"{BELOW_ONE}, got nan"),
+    # A count is an integer of at least 1; horizon=3.0 failed inside numpy.
+    "linear_ensemble runs": (lambda v: linear_ensemble(SURROGATE, 3, v, 0), "runs", 0,
+                             "must be an integer of at least 1, got 0"),
+    "linear_ensemble horizon": (lambda v: linear_ensemble(SURROGATE, v, 2, 0), "horizon", 3.0,
+                                "must be an integer of at least 1, got 3.0"),
+    "uav_ensemble runs": (lambda v: uav_ensemble(UAV, "centroid_greedy", 3, v, 0), "runs", -2,
+                          "must be an integer of at least 1, got -2"),
+    "uav_ensemble horizon": (lambda v: uav_ensemble(UAV, "centroid_greedy", v, 2, 0), "horizon",
+                             0, "must be an integer of at least 1, got 0"),
+    "DisturbanceSpec horizon": (lambda v: DisturbanceSpec("impulse", 1.0, v, 0, 2), "horizon", 0,
+                                "must be an integer of at least 1, got 0"),
+    "DisturbanceSpec dim": (lambda v: DisturbanceSpec("impulse", 1.0, 3, 0, v), "dim", 2.5,
+                            "must be an integer of at least 1, got 2.5"),
+    # A bound's horizon is a whole number of steps or +inf; -5 gave a negative cap.
+    "BoundInputs horizon": (lambda v: bound_inputs(horizon=v), "horizon", -5.0,
+                            "must be a whole number of at least 1, or inf, got -5.0"),
 }
 
 
@@ -519,10 +613,41 @@ def test_array_inputs_refuse_non_finite_values(name):
     assert str(refused.value) == f"{field_name} holds a non-finite value at index {index}"
 
 
+@pytest.mark.parametrize("name", OUT_OF_RANGE_INPUTS)
+def test_scalar_inputs_refuse_out_of_range_values(name):
+    build, field_name, value, message = OUT_OF_RANGE_INPUTS[name]
+    with pytest.raises(ParameterError) as refused:
+        build(value)
+    assert type(refused.value) is ParameterError
+    assert str(refused.value) == f"{field_name} {message}"
+
+
+@pytest.mark.parametrize("value", [True, 1 + 0j, "1"], ids=["bool", "complex", "string"])
+@pytest.mark.parametrize("name", OUT_OF_RANGE_INPUTS)
+def test_scalar_inputs_refuse_non_real_values(name, value):
+    # True was read as 1.  A config value is typed by its key's reader first.
+    build, field_name, _, _ = OUT_OF_RANGE_INPUTS[name]
+    with pytest.raises(SchemaError if name.startswith("config ") else ParameterError) as refused:
+        build(value)
+    assert str(refused.value) == f"{field_name} must be a number, got {value!r}"
+
+
+def test_scalar_inputs_keep_numpy_scalars_and_infinite_bound_levels():
+    # A record keeps the value it is given; +inf is a real state of a bound
+    # level (a vacuous cap, an unstable gain) and of a bound's horizon.
+    inputs = bound_inputs(gamma=np.float64(0.5), T_hinf=math.inf, horizon=math.inf)
+    assert type(inputs.gamma) is np.float64 and inputs.bounds()["M"] == math.inf
+    assert deviation_bounds(math.inf, 1.0, 0.0)["N"] == 0.0
+    assert disturbance_admissible(np.ones((3, 2)), math.inf).admissible
+    spec = DisturbanceSpec("impulse", np.float32(0.5), np.int64(3), 0, np.uint8(2))
+    assert type(spec.horizon) is np.int64
+    assert linear_ensemble(SURROGATE, np.int64(3), np.int32(2), 0).r_count == 2
+
+
 @pytest.mark.parametrize("rollout, dim", [
     (lambda w: linear_ensemble(SURROGATE, 3, 2, 0, disturbance=w), 2),
     (lambda w: uav_ensemble(UAV, "centroid_greedy", 3, 2, 0, disturbance=(None, w)),
-     UAV.state_dim),
+     UAV.n),
 ], ids=["linear", "uav"])
 def test_rollouts_leave_callers_disturbance_writable(rollout, dim):
     # A rollout checks a read-only copy of w; the caller's array is not frozen.
