@@ -84,25 +84,29 @@ def is_number(node) -> bool:
     return type(node) is float or type(node) is int and abs(node) <= sys.float_info.max
 
 
-def as_number(node, where: str, finite: bool = False, nonnegative: bool = False) -> float:
-    """A number of a document, or the string "inf" this codec writes for +inf;
-    with ``finite``, a finite one, and with ``nonnegative``, one of at least
-    0.  The NaN and -Infinity tokens that
-    json.load accepts are refused, as the writer refuses their values.
+def as_number(node, where: str, kind: str | None = None) -> float:
+    """A number of a document, or the string "inf" this codec writes for +inf,
+    in the range of ``kind`` when one is given.  The NaN and -Infinity tokens
+    that json.load accepts are refused, as the writer refuses their values.
     (Config numbers are read by the CLI's own reader, which lets NaN and
-    +-inf through to the range checks of the classes that take them.)"""
-    if not (is_number(node) or node == "inf"):
+    +-inf through to the range check of the key's kind.)"""
+    value = float(node) if is_number(node) or node == "inf" else math.nan
+    if math.isnan(value) or value == -math.inf:
         raise SchemaError(f"{where} must be a number, got {node!r}")
-    value = float(node)
-    if (math.isnan(value) or value == -math.inf or finite and math.isinf(value)
-            or nonnegative and value < 0):
-        kind = ("finite " if finite else "") + ("non-negative " if nonnegative else "")
-        raise SchemaError(f"{where} must be a {kind}number, got {node!r}")
-    return value
+    return value if kind is None else _in_range(value, where, kind, SchemaError)
 
 
-# The range test of each kind of scalar parameter, which NaN fails, and the
-# rule it states; +inf is a vacuous cap, an unstable gain or an endless horizon.
+def as_integer(node, where: str, kind: str | None = None) -> int:
+    """An integral JSON number (2 or 2.0, not 2.5 or true), in the range of
+    ``kind`` when one is given."""
+    if not (type(node) is int or type(node) is float and node.is_integer()):
+        raise SchemaError(f"{where} must be an integer, got {node!r}")
+    return int(node) if kind is None else _in_range(int(node), where, kind, SchemaError)
+
+
+# The range test of each kind of scalar, which NaN fails, and the rule it
+# states; +inf is a vacuous cap, an unstable gain or an endless horizon.  A
+# seed is also an int64, the type an ensemble records its runs' seeds in.
 _RANGES = {
     "level": (lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
     "bound level": (lambda v: v >= 0, "must be non-negative"),
@@ -112,27 +116,26 @@ _RANGES = {
               "must be an integer of at least 1"),
     "horizon": (lambda v: v == math.inf or v >= 1 and v % 1 == 0,
                 "must be a whole number of at least 1, or inf"),
+    "seed": (lambda v: isinstance(v, numbers.Integral) and 0 <= v < 2**63,
+             "must be non-negative and an integer below 2**63"),
+    "positive": (lambda v: 0 < v < math.inf, "must be finite and positive"),
+    "fraction": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "finite": (lambda v: -math.inf < v < math.inf, "must be finite"),
+    "rank tolerance": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
 }
 
 
-def _in_range(value, name: str, kind: str):
+def _in_range(value, name: str, kind: str, error=ParameterError):
     """value, unchanged, when it is a number (numpy's too, not a bool, complex or
-    string) in the range of its kind; else a ParameterError naming the field."""
+    string) in the range of its kind; else an ``error`` naming the field: a
+    ParameterError for a library argument or record field, a SchemaError for
+    a document's number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
+        raise error(f"{name} must be a number, got {value!r}")
     test, rule = _RANGES[kind]
     if not test(value):
-        raise ParameterError(f"{name} {rule}, got {value}")
+        raise error(f"{name} {rule}, got {value}")
     return value
-
-
-def as_integer(node, where: str) -> int:
-    """An integral JSON number (2 or 2.0, not 2.5 or true)."""
-    if isinstance(node, int) and not isinstance(node, bool):
-        return node
-    if isinstance(node, float) and node.is_integer():
-        return int(node)
-    raise SchemaError(f"{where} must be an integer, got {node!r}")
 
 
 def as_string(node, where: str) -> str:

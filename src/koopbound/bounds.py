@@ -12,7 +12,7 @@ expression, and checks them against measured rollout data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,9 +90,9 @@ class DisturbanceSpec:
             )
         _in_range(self.gamma, "gamma", "level")
         _in_range(self.horizon, "horizon", "count")
+        _in_range(self.seed, "seed", "seed")
         _in_range(self.dim, "dim", "count")
-        if not math.isfinite(self.omega):
-            raise ParameterError(f"omega must be finite, got {self.omega}")
+        _in_range(self.omega, "omega", "finite")
         if self.direction is not None:
             d = _frozen_array(np.reshape(self.direction, -1), "direction")
             if d.shape[0] != self.dim:
@@ -226,6 +226,13 @@ def deviation_bounds(gamma: float, T_hinf: float, Kf_hinf: float) -> dict:
             "action_energy_bound": n * n, "action_max_bound": n}
 
 
+# The range kind of each BoundInputs field, checked when the record is built
+# and when a report file is read.
+_INPUT_KINDS = {"gamma": "bound level", "T_hinf": "bound level", "Kf_hinf": "bound level",
+                "L": "bound level", "Q": "level", "C": "level", "gamma_d": "discount factor",
+                "horizon": "horizon"}
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Ingredients of the reward-level bounds.
@@ -248,10 +255,7 @@ class BoundInputs:
     horizon: float
 
     def __post_init__(self):
-        kinds = {"gamma": "bound level", "T_hinf": "bound level", "Kf_hinf": "bound level",
-                 "L": "bound level", "Q": "level", "C": "level", "gamma_d": "discount factor",
-                 "horizon": "horizon"}
-        for name, kind in kinds.items():
+        for name, kind in _INPUT_KINDS.items():
             _in_range(getattr(self, name), name, kind)
 
     def bounds(self) -> dict:
@@ -390,9 +394,9 @@ class BoundReport:
         Values written by to_dict compare exactly: the codec writes
         shortest-repr floats."""
         doc = as_object(doc, "bound report", ("inputs", "hinf", "empirical", "flags"))
-        names = [f.name for f in fields(BoundInputs)]
-        raw = as_object(doc["inputs"], "inputs", names)
-        inputs = BoundInputs(**{name: as_number(raw[name], f"inputs.{name}") for name in names})
+        raw = as_object(doc["inputs"], "inputs", _INPUT_KINDS)
+        inputs = BoundInputs(**{name: as_number(raw[name], f"inputs.{name}", kind)
+                                for name, kind in _INPUT_KINDS.items()})
         hinf = HinfReport.from_dict(doc["hinf"])
         if inputs.T_hinf != hinf.value:
             raise SchemaError(f"inputs.T_hinf must be {hinf.value!r}, the value of hinf.value, "
@@ -519,7 +523,7 @@ def verify_bounds(
     c_value = estimate_Q(nominal) if nominal.r_count >= 2 else 0.0
 
     k_steps = nominal.horizon
-    inputs = BoundInputs(gamma=gamma, T_hinf=hinf.value, Kf_hinf=kf_hinf, L=float(lipschitz),
+    inputs = BoundInputs(gamma=gamma, T_hinf=hinf.value, Kf_hinf=kf_hinf, L=lipschitz,
                          Q=q_value, C=c_value, gamma_d=gamma_d, horizon=float(k_steps))
     table = per_step_table(nominal, disturbed)
     dx, du, r_nom, r_dis = table[:, 1], table[:-1, 2], table[:-1, 3], table[:-1, 4]

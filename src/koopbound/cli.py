@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from ._jsonio import _in_range, as_integer, as_numbers, as_string, is_number, write_json
+from ._jsonio import _RANGES, _in_range, as_integer, as_numbers, as_string, is_number, write_json
 from .bounds import (
     DISTURBANCE_KINDS,
     DisturbanceSpec,
@@ -51,6 +51,7 @@ from .koopman_dmd import (
     save_model,
 )
 from .env_sim import (
+    _UAV_KINDS,
     NORM_PENALTY_LIPSCHITZ,
     POLICY_KINDS,
     LinearSurrogateConfig,
@@ -65,42 +66,22 @@ from .trajectory_data import ensemble_mean, load_trajectories, save_trajectories
 
 # Readers of config values: each takes the JSON value of a key (or its
 # command-line flag) and the key, and returns the typed value or names the key
-# in a SchemaError or ParameterError.  Integers, strings and lists are read by
-# the document readers of _jsonio; the readers below are the config-only ones.
-# Range checks beyond these stay with the dataclasses.
-def _seed(value, key: str) -> int:
-    """A master seed: a non-negative integer, as numpy's generators take."""
-    seed = as_integer(value, key)
-    if seed < 0:
-        raise ParameterError(f"{key} must be non-negative, got {seed}")
-    return seed
-
-
+# in a SchemaError.  Integers, strings and lists are read by the document
+# readers of _jsonio; numbers by the config-only reader below.
 def _number(value, key: str) -> float:
     """A number, as a Python float (true, "x" and integers beyond float range
-    exit 2).  Unlike a document number, NaN and +-inf pass, so that the class
-    taking the value refuses them with its own range message."""
+    exit 2).  Unlike a document number, NaN and +-inf pass: the range kind of
+    the key refuses them, naming the key."""
     if not is_number(value):
         raise SchemaError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-def _level(value, key: str) -> float:
-    """A disturbance level or Lipschitz constant: a finite, non-negative number."""
-    return _in_range(_number(value, key), key, "level")
-
-
-def _discount_factor(value, key: str) -> float:
-    """The reward discount factor gamma_d: a level below 1."""
-    return _in_range(_number(value, key), key, "discount factor")
-
-
-# The value type each reader takes, as --help names it, and the type argparse
-# converts its command-line flag to.
+# The value type each reader takes, as --help names it for a key without a
+# range kind, and the type argparse converts its command-line flag to.
 _READER_TYPES = {
-    as_integer: ("integer", int), _seed: ("integer >= 0", int), _number: ("number", float),
-    _level: ("number >= 0", float), _discount_factor: ("number in [0, 1)", float),
-    as_string: ("string", str), as_numbers: ("list of numbers", None),
+    as_integer: ("integer", int), _number: ("number", float), as_string: ("string", str),
+    as_numbers: ("list of numbers", None),
 }
 
 
@@ -109,46 +90,52 @@ class _Key(NamedTuple):
     default: object  # None: unset unless given
     help: str
     flag: str | None = None  # the command-line option that overrides the config line
+    kind: str | None = None  # the range kind of _jsonio._RANGES the value must be in
 
 
 # Every config key a command reads.  The env.* keys are the UavEnvConfig
-# fields, read by their field's type; a default taken from a dataclass is the
-# one its library users get.
+# fields, read by their field's type and checked against its range kind; a
+# default taken from a dataclass is the one its library users get.
 _KEYS = {
     "sim.env": _Key(as_string, None, '"linear" or "uav"', "env"),
-    "sim.runs": _Key(as_integer, 64, "runs per ensemble", "runs"),
-    "sim.horizon": _Key(as_integer, 100, "steps per run", "horizon"),
-    "sim.seed": _Key(_seed, 0, "master seed; run r uses seed + r", "seed"),
+    "sim.runs": _Key(as_integer, 64, "runs per ensemble", "runs", "count"),
+    "sim.horizon": _Key(as_integer, 100, "steps per run", "horizon", "count"),
+    "sim.seed": _Key(as_integer, 0, "master seed; run r uses seed + r", "seed", "seed"),
     "sim.policy": _Key(as_string, "centroid_greedy", "uav policy: " + " | ".join(POLICY_KINDS),
                        "policy"),
     "linear.A": _Key(as_numbers, None, "state matrix"),
     "linear.F": _Key(as_numbers, None, "policy matrix"),
     "linear.x0": _Key(as_numbers, None, "initial state"),
     "linear.noise_std": _Key(_number, LinearSurrogateConfig.noise_std,
-                             "process noise standard deviation"),
+                             "process noise standard deviation", kind="level"),
     "disturbance.kind": _Key(as_string, "scaled_gaussian_projected", " | ".join(DISTURBANCE_KINDS),
                              "disturbance_kind"),
-    "disturbance.gamma": _Key(_level, 1.0, "disturbance level of analyze and verify", "gamma"),
-    "disturbance.seed": _Key(_seed, 0, "disturbance RNG seed", "disturbance_seed"),
+    "disturbance.gamma": _Key(_number, 1.0, "disturbance level of analyze and verify", "gamma",
+                              "level"),
+    "disturbance.seed": _Key(as_integer, 0, "disturbance RNG seed", "disturbance_seed", "seed"),
     "disturbance.direction": _Key(as_numbers, None, "spatial direction of the deterministic kinds"),
-    "disturbance.omega": _Key(_number, DisturbanceSpec.omega, "tone frequency of single_tone"),
-    "analysis.gamma_d": _Key(_discount_factor, 0.9, "reward discount factor", "gamma_d"),
-    "analysis.rank_tol": _Key(_number, DEFAULT_RANK_TOL, "DMD rank tolerance", "rank_tol"),
-    "analysis.L": _Key(_level, None, "analytic reward Lipschitz constant override"),
+    "disturbance.omega": _Key(_number, DisturbanceSpec.omega, "tone frequency of single_tone",
+                              kind="finite"),
+    "analysis.gamma_d": _Key(_number, 0.9, "reward discount factor", "gamma_d", "discount factor"),
+    "analysis.rank_tol": _Key(_number, DEFAULT_RANK_TOL, "DMD rank tolerance", "rank_tol",
+                              "rank tolerance"),
+    "analysis.L": _Key(_number, None, "analytic reward Lipschitz constant override", kind="level"),
     **{"env." + f.name: _Key({int: as_integer, float: _number, str: as_string}[type(f.default)],
-                             f.default, "UavEnvConfig field") for f in fields(UavEnvConfig)},
+                             f.default, "UavEnvConfig field", kind=_UAV_KINDS.get(f.name))
+       for f in fields(UavEnvConfig)},
 }
 
 
 def _setting(key: str, cfg: dict, args=None, required: bool = False):
     """The key's command-line flag, else its config line, else its default,
-    read by the key's reader.  An unset key without a default is None, or an
-    error when it is required."""
+    read by the key's reader and checked against its range kind.  An unset
+    key without a default is None, or an error when it is required."""
     entry = _KEYS[key]
     value = getattr(args, entry.flag, None) if entry.flag else None
     value = cfg.get(key, entry.default) if value is None else value
     if value is not None:
-        return entry.read(value, key)
+        value = entry.read(value, key)
+        return value if entry.kind is None else _in_range(value, key, entry.kind)
     if required:
         raise ParameterError(f"config is missing key {key!r}")
     return None
@@ -162,14 +149,19 @@ def _config_key_help() -> str:
     lines = ["config keys (flat `key = value` lines, values parsed as JSON when possible):"]
     env = []
     for key, entry in _KEYS.items():
-        kind = _READER_TYPES[entry.read][0]
+        kind = entry.kind or _READER_TYPES[entry.read][0]
         if key.startswith("env."):
-            env.append(key[4:] if entry.read is _number else f"{key[4:]} ({kind})")
+            env.append(f"{key[4:]} ({kind})")
         else:
             default = "" if entry.default is None else f", default {entry.default}"
             lines += wrap(key, f"{entry.help} ({kind}{default})")
-    lines += wrap("env.<field>", f"UavEnvConfig field, a number unless marked: {', '.join(env)}; "
-                  "defaults are the baseline simulation values")
+    lines += wrap("env.<field>", f"UavEnvConfig field: {', '.join(env)}; defaults are the "
+                  "baseline simulation values")
+    lines.append("range kinds (a value out of range exits 2, naming its key):")
+    kinds = {entry.kind for entry in _KEYS.values()}
+    for kind, (_, rule) in _RANGES.items():
+        if kind in kinds:
+            lines += wrap(kind, rule)
     return "\n".join(lines) + "\n"
 
 
@@ -243,6 +235,7 @@ def _simulation(cfg: dict, args, verify: bool = False) -> _Simulation:
     policy, horizon, runs, seed = (
         _setting(key, cfg, args) for key in ("sim.policy", "sim.horizon", "sim.runs", "sim.seed")
     )
+    _in_range(seed + runs - 1, "sim.seed + sim.runs - 1", "seed")
     check_rollout_size(2 if verify else 1, runs, horizon, config.n,
                        grid_values=spectral_grid_values(horizon) if verify else 0)
     return _Simulation(env, config, policy, horizon, runs, seed)

@@ -29,7 +29,7 @@ step-by-step scoring gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,16 @@ _MAX_STATE_VALUES = 2**28
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, rounded as np.linalg.norm."""
     return np.sqrt(np.vecdot(v, v))
+
+
+def _check_runs(horizon: int, runs: int, master_seed: int) -> None:
+    """Refuse rollout arguments out of range.  The last run's seed must fit
+    the int64 seeds an ensemble records, as the master seed must; it is
+    summed as Python ints, which a numpy integer would wrap."""
+    _in_range(runs, "runs", "count")
+    _in_range(horizon, "horizon", "count")
+    _in_range(master_seed, "master_seed", "seed")
+    _in_range(int(master_seed) + int(runs) - 1, "master_seed + runs - 1", "seed")
 
 
 def _ensemble(states, actions, rewards, base_seed: int, runs: int) -> TrajectoryEnsemble:
@@ -212,8 +222,7 @@ def linear_ensemble(
     groups of runs lanes that share each seed's noise; the ensemble holds
     the G*runs runs group by group (see split_groups).
     """
-    _in_range(runs, "runs", "count")
-    _in_range(horizon, "horizon", "count")
+    _check_runs(horizon, runs, master_seed)
     n = config.n
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
     check_rollout_size(groups, runs, horizon, n)
@@ -242,6 +251,20 @@ def linear_ensemble(
 # ---------------------------------------------------------------------------
 # UAV coverage environment
 # ---------------------------------------------------------------------------
+
+
+# The range kind of each numeric UavEnvConfig field, which its constructor
+# checks and the CLI's env.* keys are read by.  Every kind is finite: an
+# infinite altitude, say, would give a run in which nobody is served.
+_UAV_KINDS = {
+    **dict.fromkeys(("area_x", "area_y", "altitude", "step_seconds", "uav_max_speed",
+                     "coverage_radius", "gu_mean_speed", "bandwidth_hz", "power_watt",
+                     "frequency_hz", "noise_watt", "min_rate", "gain_uav", "gain_gu"), "positive"),
+    "gu_count": "count",
+    **dict.fromkeys(("gu_speed_std", "absorption"), "level"),
+    **dict.fromkeys(("gu_keep_direction", "gu_speed_memory", "coverage_weight"), "fraction"),
+    **dict.fromkeys(("gu_turn_bias", "speed_penalty"), "finite"),
+}
 
 
 @dataclass(frozen=True)
@@ -279,27 +302,8 @@ class UavEnvConfig:
     fairness_mode: str = "as_written"
 
     def __post_init__(self):
-        # Every number must be finite: an infinite altitude, say, passes the
-        # sign checks below and gives a run in which nobody is served.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "fairness_mode" and not math.isfinite(value):
-                raise ParameterError(f"{f.name} must be finite, got {value}")
-        positive = (
-            "area_x", "area_y", "gu_count", "altitude", "step_seconds",
-            "uav_max_speed", "coverage_radius", "gu_mean_speed",
-            "bandwidth_hz", "power_watt", "frequency_hz", "noise_watt",
-            "min_rate", "gain_uav", "gain_gu",
-        )
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be positive")
-        for name in ("gu_speed_std", "absorption"):
-            if not getattr(self, name) >= 0:
-                raise ParameterError(f"{name} must be non-negative")
-        for name in ("gu_keep_direction", "gu_speed_memory", "coverage_weight"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1]")
+        for name, kind in _UAV_KINDS.items():
+            _in_range(getattr(self, name), name, kind)
         if self.fairness_mode not in FAIRNESS_MODES:
             raise ParameterError(
                 f"fairness_mode must be one of {FAIRNESS_MODES}, got {self.fairness_mode!r}"
@@ -432,8 +436,7 @@ def path_loss(d: float, config: UavEnvConfig) -> float:
 
 def downlink_rate(bandwidth_hz: float, h_g, config: UavEnvConfig):
     """Achievable rate bandwidth * log2(1 + P |h|^2 / N0) in bits/s."""
-    if bandwidth_hz <= 0:
-        raise ParameterError("bandwidth must be positive")
+    _in_range(bandwidth_hz, "bandwidth_hz", "positive")
     result = bandwidth_hz * _spectral_efficiency(_frozen_array(h_g, "h_g"), config)
     return float(result) if result.ndim == 0 else result
 
@@ -568,8 +571,7 @@ def uav_ensemble(
     moves and clamps its own lanes only.  The ensemble holds the G*runs runs
     group by group (see split_groups).
     """
-    _in_range(runs, "runs", "count")
-    _in_range(horizon, "horizon", "count")
+    _check_runs(horizon, runs, master_seed)
     n, j = config.n, config.gu_count
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
     check_rollout_size(groups, runs, horizon, n)

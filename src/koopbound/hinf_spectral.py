@@ -110,19 +110,19 @@ class HinfReport:
     @classmethod
     def from_dict(cls, doc, where: str = "hinf") -> "HinfReport":
         """Read a report written by to_dict; every field must be present, and
-        a mistyped, misplaced non-finite or negative one, or a ``value`` that
+        a mistyped one, one out of the range of its kind, or a ``value`` that
         is not ``upper``, raises SchemaError naming it under ``where``."""
         as_object(doc, where, ["value", *(f.name for f in fields(cls))])
         for key in ("converged", "ill_conditioned"):
             if not isinstance(doc[key], bool):
                 raise SchemaError(f"{where}.{key} must be true or false, got {doc[key]!r}")
         report = cls(
-            lower=as_number(doc["lower"], f"{where}.lower", nonnegative=True),
-            upper=as_number(doc["upper"], f"{where}.upper", nonnegative=True),
-            omega_star=as_number(doc["omega_star"], f"{where}.omega_star", finite=True),
-            spectral_radius=as_number(doc["spectral_radius"], f"{where}.spectral_radius",
-                                      finite=True, nonnegative=True),
-            iterations=as_integer(doc["iterations"], f"{where}.iterations"),
+            lower=as_number(doc["lower"], f"{where}.lower", "bound level"),
+            upper=as_number(doc["upper"], f"{where}.upper", "bound level"),
+            omega_star=as_number(doc["omega_star"], f"{where}.omega_star", "finite"),
+            spectral_radius=as_number(doc["spectral_radius"], f"{where}.spectral_radius", "level"),
+            # Any integer of at least 0, as a seed is.
+            iterations=as_integer(doc["iterations"], f"{where}.iterations", "seed"),
             converged=doc["converged"],
             ill_conditioned=doc["ill_conditioned"],
         )

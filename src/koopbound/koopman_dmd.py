@@ -23,12 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonio import as_integer, as_number, as_numbers, as_object, read_json, write_json
+from ._jsonio import _in_range, as_integer, as_number, as_numbers, as_object, read_json, write_json
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InsufficientDataError,
-    ParameterError,
     SchemaError,
 )
 from .hinf_spectral import HinfReport
@@ -101,11 +100,6 @@ class KoopmanModel:
         return self.action_operator.shape[0]
 
 
-def _check_rank_tol(rank_tol: float) -> None:
-    if not (0.0 < rank_tol < 1.0):
-        raise ParameterError(f"rank_tol must lie in (0, 1), got {rank_tol}")
-
-
 def _truncated_svd(x: np.ndarray, rank_tol: float):
     """Compact SVD keeping singular values >= rank_tol * sigma_1."""
     if not np.any(x):
@@ -169,7 +163,7 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
     k = mean_traj.horizon
     if k < 2:
         raise InsufficientDataError(f"need at least two snapshot columns, horizon is {k}")
-    _check_rank_tol(rank_tol)
+    _in_range(rank_tol, "rank_tol", "rank tolerance")
     x0 = mean_traj.mean_states[:k].T
     actions = mean_traj.mean_actions.T
     svd = _truncated_svd(x0, rank_tol)
@@ -225,7 +219,7 @@ def _gain_from_dict(node, state_operator: np.ndarray, action_operator: np.ndarra
         raise SchemaError("gain.operators_sha256 does not match the model's operators: "
                           "the gain block belongs to other operators")
     return ModelGain(HinfReport.from_dict(block["hinf"], "gain.hinf"),
-                     as_number(block["Kf_hinf"], "gain.Kf_hinf", finite=True, nonnegative=True))
+                     as_number(block["Kf_hinf"], "gain.Kf_hinf", "level"))
 
 
 def _model_to_dict(model: KoopmanModel) -> dict:
@@ -261,13 +255,13 @@ def _eigenvalues_field(node, n: int) -> np.ndarray:
     if not (isinstance(node, list) and len(node) <= n
             and all(isinstance(pair, list) and len(pair) == 2 for pair in node)):
         raise SchemaError(f"{where} must be a list of at most n = {n} [re, im] pairs")
-    parts = np.array([as_number(x, where, finite=True) for pair in node for x in pair])
+    parts = np.array([as_number(x, where, "finite") for pair in node for x in pair])
     # A view, not re + 1j * im, which would lose the sign of a zero imaginary part.
     return parts.reshape(-1, 2).view(np.complex128)[:, 0]
 
 
-def _nullable(read, node, where: str):
-    return None if node is None else read(node, f"model field {where!r}")
+def _nullable(read, node, where: str, kind: str):
+    return None if node is None else read(node, f"model field {where!r}", kind)
 
 
 def _model_from_dict(doc) -> KoopmanModel:
@@ -280,12 +274,15 @@ def _model_from_dict(doc) -> KoopmanModel:
         KoopmanModel(_matrix_field(doc, "state_operator", (n, n)),
                      _matrix_field(doc, "action_operator", (m, n))),
         eigenvalues=_eigenvalues_field(doc["eigenvalues"], n),
-        rank=_nullable(as_integer, doc["rank"], "rank"),
-        rank_tol=_nullable(as_number, doc["rank_tol"], "rank_tol"),
-        snapshot_columns=_nullable(as_integer, doc["snapshot_columns"], "snapshot_columns"),
-        r_count=_nullable(as_integer, doc["r_count"], "r_count"),
-        state_residual=_nullable(as_number, residuals["state"], "residuals.state"),
-        action_residual=_nullable(as_number, residuals["action"], "residuals.action"),
+        rank=_nullable(as_integer, doc["rank"], "rank", "count"),
+        rank_tol=_nullable(as_number, doc["rank_tol"], "rank_tol", "rank tolerance"),
+        snapshot_columns=_nullable(as_integer, doc["snapshot_columns"], "snapshot_columns",
+                                   "count"),
+        r_count=_nullable(as_integer, doc["r_count"], "r_count", "count"),
+        # A residual is +inf when a fit misses a zero target.
+        state_residual=_nullable(as_number, residuals["state"], "residuals.state", "bound level"),
+        action_residual=_nullable(as_number, residuals["action"], "residuals.action",
+                                  "bound level"),
     )
     if "gain" in doc:
         gain = _gain_from_dict(doc["gain"], model.state_operator, model.action_operator)

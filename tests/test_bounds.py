@@ -560,6 +560,19 @@ class TestVerifyBounds:
         assert ("q-from-disturbed-rollouts" in report.flags) == (runs[1] > 1)
         assert (report.inputs.C > 0.0, report.inputs.Q > 0.0) == (runs[0] > 1, runs[1] > 1)
 
+    @pytest.mark.parametrize("kh, flags", [
+        (np.diag([1.0 - 5e-7, 0.5]), ["ill-conditioned-resolvent", "q-from-disturbed-rollouts"]),
+        (1.01 * np.eye(2), ["unstable-state-operator", "q-from-disturbed-rollouts"]),
+    ], ids=["pole-near-circle", "pole-outside-circle"])
+    def test_gain_flags(self, kh, flags):
+        # A gain dominated by a pole 5e-7 inside the unit circle is flagged,
+        # and a model with a pole outside it has no finite gain.
+        config = LinearSurrogateConfig(A=0.5 * np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2),
+                                       noise_std=0.05)
+        report = run_verify(config, np.zeros((10, 2)), gamma=0.0, runs=2,
+                            model=true_model(kh, np.ones((1, 2))))
+        assert list(report.flags) == flags
+
     def test_report_round_trip(self, tmp_path):
         # A stable surrogate, an unstable one (A = 1: T and every bound
         # infinite) and one checked against a model that understates its gain

@@ -306,6 +306,7 @@ class TestGainBlock:
         # is refused where it is read.
         ("gain.hinf.upper", -1.0), ("gain.hinf.lower", -1.0),
         ("gain.hinf.spectral_radius", -0.5), ("gain.Kf_hinf", -2.0),
+        ("gain.hinf.iterations", -3),
         # value is upper, the end every bound uses.
         ("gain.hinf.value", -5.0),
     ])
@@ -581,6 +582,20 @@ class TestVerifyAndReport:
         assert doc["empirical"]["state_energy"] == 0.0
         assert doc["empirical"]["reward_gap_discounted"] == 0.0
         assert doc["violations"] == []
+
+    def test_violations_noted(self, tmp_path, capsys):
+        # A model that understates the gain (Kh = 0 and Kf = 0 against
+        # A = 0.99 I) records violations: a result, noted on stderr, exit 0.
+        cfg = tmp_path / "understated.cfg"
+        a = "[[0.99, 0.0], [0.0, 0.99]]"
+        cfg.write_text(LINEAR_CONFIG.replace("[[0.9, 0.1], [0.0, 0.5]]", a)
+                       + "disturbance.kind = constant_direction\ndisturbance.gamma = 0.5\n")
+        model, out = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(KoopmanModel(np.zeros((2, 2)), np.zeros((1, 2))), model)
+        assert main(["verify", "--config", str(cfg), str(model), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ("note: 3 bound violation(s) recorded "
+                                           "(fitted-model approximation effect)\n")
+        assert len(load_report(out)[0].violations) == 3
 
     def test_steps_table_written(self, tmp_path, linear_config):
         report_path = self.run_pipeline(tmp_path, linear_config, 0.5, "steps")
@@ -871,7 +886,34 @@ class TestSettingTypes:
         # It exited 3 with an "inadmissible disturbance" internal error.
         assert self.run(tmp_path, monkeypatch, "verify", "disturbance.omega", value,
                         extra="disturbance.kind = single_tone\n") == 2
-        self.assert_rejected(tmp_path, capsys, "omega", "must be finite")
+        self.assert_rejected(tmp_path, capsys, "disturbance.omega", "must be finite")
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        # The error named the record field: "altitude must be positive".
+        ("simulate", "env.altitude", "0", "must be finite and positive, got 0.0"),
+        ("verify", "env.coverage_weight", "1.5", "must lie in [0, 1], got 1.5"),
+        ("simulate", "env.gu_count", "0", "must be an integer of at least 1, got 0"),
+        ("simulate", "sim.runs", "0", "must be an integer of at least 1, got 0"),
+        ("verify", "sim.horizon", "-3", "must be an integer of at least 1, got -3"),
+        ("simulate", "linear.noise_std", "-0.5", "must be finite and non-negative, got -0.5"),
+    ])
+    def test_out_of_range_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value,
+                                       message):
+        assert self.run(tmp_path, monkeypatch, command, key, value) == 2
+        self.assert_rejected(tmp_path, capsys, key, message)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--seed", str(10**19)], "sim.seed"),
+        (["--seed", str(2**63 - 1), "--runs", "4"], "sim.seed + sim.runs - 1"),
+    ], ids=["seed", "last-run-seed"])
+    def test_seed_beyond_int64_rejected(self, tmp_path, capsys, linear_config, argv, key):
+        # An ensemble records seeds as int64: the first ended in an
+        # OverflowError traceback, the second recorded run 1's seed as -2**63.
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--config", str(linear_config), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be non-negative and an integer below 2**63")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_integral_float_accepted(self, tmp_path, capsys):
         cfg = self.config(tmp_path, "sim.horizon", "1e1")
@@ -879,7 +921,7 @@ class TestSettingTypes:
         assert "K=10," in capsys.readouterr().out
 
     @pytest.mark.parametrize("value, message", [
-        ("2.7", "rank_tol must lie in (0, 1), got 2.7"),
+        ("2.7", "analysis.rank_tol must lie in (0, 1), got 2.7"),
         ("true", "analysis.rank_tol must be a number"),
         ("x", "analysis.rank_tol must be a number"),
     ])
@@ -913,6 +955,9 @@ class TestMalformedDocuments:
         ("state_operator", [[0.9, 0.1], [0.0]]), ("residuals", 5),
         ("eigenvalues", [0.9, 0.5]), ("eigenvalues", [[0.9, 0.0, 1.0]]), ("rank", 2.5),
         ("rank_tol", "x"), ("residuals.state", True),
+        # Each diagnostic is read through its range kind; these loaded.
+        ("rank", -4), ("snapshot_columns", 0), ("r_count", -1), ("rank_tol", 5.0),
+        ("residuals.state", -1.0),
         # An operator entry must be a JSON number within float range.
         pytest.param("state_operator", [["0.9", 0.1], [0.0, 0.5]], id="state_operator-string"),
         pytest.param("state_operator", [[True, 0.1], [0.0, 0.5]], id="state_operator-true"),
@@ -973,6 +1018,8 @@ class TestMalformedDocuments:
         pytest.param("empirical.reward_impact_pct", HUGE,
                      id="empirical.reward_impact_pct-401-digits"),
         ("hinf.upper", -2.0), ("hinf.lower", -2.0), ("hinf.spectral_radius", -0.5),
+        # Each input is read through its range kind, naming its path.
+        ("inputs.Q", -0.1), ("inputs.gamma_d", 1.0), ("inputs.L", True),
         # A stored bound must be the value its inputs give.
         ("state_max_bound", 7.0), ("M", 1.0000000000000002), ("reward_impact_bound", "inf"),
         ("generalization_error_bound", "x"),
@@ -1013,7 +1060,7 @@ class TestMalformedDocuments:
         for name, value in asdict(report.inputs).items():
             object.__setattr__(edited, name, horizon if name == "horizon" else value)
         doc = replace(report, inputs=edited).to_dict()
-        self.assert_refused(tmp_path, capsys, tmp_path / "report.json", doc, "horizon")
+        self.assert_refused(tmp_path, capsys, tmp_path / "report.json", doc, "inputs.horizon")
 
     @staticmethod
     def assert_refused(tmp_path, capsys, path, doc, where):
@@ -1053,7 +1100,8 @@ class TestHelp:
             assert cmd in text
         assert "disturbance.kind" in text
         assert "env.<field>" in text and "fairness_mode" in text
-        assert "runs per ensemble (integer, default 64)" in text
+        assert "runs per ensemble (count, default 64)" in text
+        assert "  count                   must be an integer of at least 1\n" in text
 
     @pytest.mark.parametrize("command", ["fit", "analyze"])
     def test_seed_only_where_read(self, capsys, command):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -547,6 +548,11 @@ class TestUavConfig:
         assert config.bandwidth_hz == 400e6
         assert config.min_rate == 150e6
         assert config.coverage_radius == 50.0
+
+    def test_every_number_has_a_range_kind(self):
+        # The one table the constructor and the CLI's env.* keys check.
+        numbers = {f.name for f in fields(UavEnvConfig) if f.name != "fairness_mode"}
+        assert set(env_sim._UAV_KINDS) == numbers
 
     def test_validation(self):
         with pytest.raises(ParameterError):

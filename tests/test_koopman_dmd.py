@@ -37,6 +37,7 @@ from koopbound import (
 )
 from koopbound import cli
 from koopbound.bounds import certified_gain
+from koopbound._jsonio import as_integer
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
 from koopbound.trajectory_data import _read_only
 
@@ -518,11 +519,16 @@ def bound_inputs(**replaced):
     return BoundInputs(**{**values, **replaced})
 
 
-def verified(gamma):
+def verified(gamma, lipschitz=1.0):
     """verify_bounds of two 3-step surrogate ensembles at level gamma."""
     ensemble = linear_ensemble(SURROGATE, 3, 2, 0)
     return verify_bounds(ensemble, ensemble, KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))),
-                         gamma, 0.9, lipschitz=1.0)
+                         gamma, 0.9, lipschitz=lipschitz)
+
+
+def surrogate_fit(rank_tol):
+    """fit_koopman_model of a 4-step noiseless surrogate rollout."""
+    return state_fit(rollout_matrix(0.5 * np.eye(2), [1.0, 1.0], 4).T, rank_tol)
 
 
 def config_value(key):
@@ -531,16 +537,21 @@ def config_value(key):
 
 
 BELOW_ONE = "must be finite and non-negative, and must be below 1 as a discount factor"
+SEED_RULE = "must be non-negative and an integer below 2**63"
 
-# Each scalar a bound takes in, grouped by its range kind in _jsonio._in_range:
+# Each scalar koopbound takes in, grouped by its range kind in _jsonio._RANGES:
 # a function of the value, the field it names, a value out of range and the
-# message that value gets.
+# message that value gets.  A config value names its key.
 OUT_OF_RANGE_INPUTS = {
     # A level is finite and non-negative.
     "config disturbance.gamma": (config_value("disturbance.gamma"), "disturbance.gamma",
                                  math.inf, "must be finite and non-negative, got inf"),
     "config analysis.L": (config_value("analysis.L"), "analysis.L", -1.0,
                           "must be finite and non-negative, got -1.0"),
+    "config linear.noise_std": (config_value("linear.noise_std"), "linear.noise_std", -0.5,
+                                "must be finite and non-negative, got -0.5"),
+    "UavEnvConfig gu_speed_std": (lambda v: UavEnvConfig(gu_speed_std=v), "gu_speed_std", -0.5,
+                                  "must be finite and non-negative, got -0.5"),
     # An infinite level gave a non-finite w, or an unscaled one.
     "DisturbanceSpec gamma": (lambda v: DisturbanceSpec("impulse", v, 8, 0, 2), "gamma",
                               math.inf, "must be finite and non-negative, got inf"),
@@ -569,6 +580,9 @@ OUT_OF_RANGE_INPUTS = {
                             "must be non-negative, got -1.0"),
     "BoundInputs L": (lambda v: bound_inputs(L=v), "L", math.nan, "must be non-negative, got nan"),
     "verify_bounds gamma": (verified, "gamma", -1.0, "must be non-negative, got -1.0"),
+    # lipschitz="1" wrote an analytic L of 1.0.
+    "verify_bounds lipschitz": (lambda v: verified(0.5, lipschitz=v), "L", -1.0,
+                                "must be non-negative, got -1.0"),
     # A discount factor is a level below 1.
     "config analysis.gamma_d": (config_value("analysis.gamma_d"), "analysis.gamma_d", 1.0,
                                 f"{BELOW_ONE}, got 1.0"),
@@ -587,6 +601,48 @@ OUT_OF_RANGE_INPUTS = {
                                 "must be an integer of at least 1, got 0"),
     "DisturbanceSpec dim": (lambda v: DisturbanceSpec("impulse", 1.0, 3, 0, v), "dim", 2.5,
                             "must be an integer of at least 1, got 2.5"),
+    # gu_count=2.5 failed with a TypeError inside the rollout.
+    "UavEnvConfig gu_count": (lambda v: UavEnvConfig(gu_count=v), "gu_count", 2.5,
+                              "must be an integer of at least 1, got 2.5"),
+    "config sim.runs": (config_value("sim.runs"), "sim.runs", 0,
+                        "must be an integer of at least 1, got 0"),
+    "config env.gu_count": (config_value("env.gu_count"), "env.gu_count", -1,
+                            "must be an integer of at least 1, got -1"),
+    # A seed is an integer of at least 0 that fits int64; -1 raised numpy's
+    # ValueError and True was read as 1.
+    "linear_ensemble master_seed": (lambda v: linear_ensemble(SURROGATE, 3, 2, v),
+                                    "master_seed", -1, f"{SEED_RULE}, got -1"),
+    "uav_ensemble master_seed": (lambda v: uav_ensemble(UAV, "centroid_greedy", 3, 2, v),
+                                 "master_seed", 2.5, f"{SEED_RULE}, got 2.5"),
+    "DisturbanceSpec seed": (lambda v: DisturbanceSpec("scaled_gaussian_projected", 0.5, 4, v, 2),
+                             "seed", -1, f"{SEED_RULE}, got -1"),
+    "config sim.seed": (config_value("sim.seed"), "sim.seed", -1, f"{SEED_RULE}, got -1"),
+    "config disturbance.seed": (config_value("disturbance.seed"), "disturbance.seed", 2**63,
+                                f"{SEED_RULE}, got {2**63}"),
+    # A positive parameter is finite and above 0; altitude=True rolled out at 1 m.
+    "UavEnvConfig altitude": (lambda v: UavEnvConfig(altitude=v), "altitude", 0.0,
+                              "must be finite and positive, got 0.0"),
+    "downlink_rate bandwidth_hz": (lambda v: downlink_rate(v, [1e-5], UAV), "bandwidth_hz",
+                                   math.inf, "must be finite and positive, got inf"),
+    "config env.altitude": (config_value("env.altitude"), "env.altitude", 0,
+                            "must be finite and positive, got 0.0"),
+    # A fraction lies in [0, 1].
+    "UavEnvConfig coverage_weight": (lambda v: UavEnvConfig(coverage_weight=v),
+                                     "coverage_weight", 1.5, "must lie in [0, 1], got 1.5"),
+    "config env.gu_keep_direction": (config_value("env.gu_keep_direction"),
+                                     "env.gu_keep_direction", -0.1, "must lie in [0, 1], got -0.1"),
+    # A finite parameter is any real number but NaN and +-inf.
+    "DisturbanceSpec omega": (lambda v: DisturbanceSpec("single_tone", 0.5, 4, 0, 2, omega=v),
+                              "omega", math.nan, "must be finite, got nan"),
+    "UavEnvConfig speed_penalty": (lambda v: UavEnvConfig(speed_penalty=v), "speed_penalty",
+                                   -math.inf, "must be finite, got -inf"),
+    "config disturbance.omega": (config_value("disturbance.omega"), "disturbance.omega",
+                                 math.inf, "must be finite, got inf"),
+    # A rank tolerance lies in (0, 1).
+    "fit_koopman_model rank_tol": (surrogate_fit, "rank_tol", 5.0,
+                                   "must lie in (0, 1), got 5.0"),
+    "config analysis.rank_tol": (config_value("analysis.rank_tol"), "analysis.rank_tol", 0.0,
+                                 "must lie in (0, 1), got 0.0"),
     # A bound's horizon is a whole number of steps or +inf; -5 gave a negative cap.
     "BoundInputs horizon": (lambda v: bound_inputs(horizon=v), "horizon", -5.0,
                             "must be a whole number of at least 1, or inf, got -5.0"),
@@ -625,11 +681,14 @@ def test_scalar_inputs_refuse_out_of_range_values(name):
 @pytest.mark.parametrize("value", [True, 1 + 0j, "1"], ids=["bool", "complex", "string"])
 @pytest.mark.parametrize("name", OUT_OF_RANGE_INPUTS)
 def test_scalar_inputs_refuse_non_real_values(name, value):
-    # True was read as 1.  A config value is typed by its key's reader first.
+    # True was read as 1.  A config value is typed by its key's reader first,
+    # which for an integer key asks for an integer.
     build, field_name, _, _ = OUT_OF_RANGE_INPUTS[name]
-    with pytest.raises(SchemaError if name.startswith("config ") else ParameterError) as refused:
+    config = name.startswith("config ")
+    noun = "an integer" if config and cli._KEYS[field_name].read is as_integer else "a number"
+    with pytest.raises(SchemaError if config else ParameterError) as refused:
         build(value)
-    assert str(refused.value) == f"{field_name} must be a number, got {value!r}"
+    assert str(refused.value) == f"{field_name} must be {noun}, got {value!r}"
 
 
 def test_scalar_inputs_keep_numpy_scalars_and_infinite_bound_levels():
@@ -639,9 +698,26 @@ def test_scalar_inputs_keep_numpy_scalars_and_infinite_bound_levels():
     assert type(inputs.gamma) is np.float64 and inputs.bounds()["M"] == math.inf
     assert deviation_bounds(math.inf, 1.0, 0.0)["N"] == 0.0
     assert disturbance_admissible(np.ones((3, 2)), math.inf).admissible
-    spec = DisturbanceSpec("impulse", np.float32(0.5), np.int64(3), 0, np.uint8(2))
-    assert type(spec.horizon) is np.int64
-    assert linear_ensemble(SURROGATE, np.int64(3), np.int32(2), 0).r_count == 2
+    spec = DisturbanceSpec("impulse", np.float32(0.5), np.int64(3), np.uint64(7), np.uint8(2))
+    assert type(spec.horizon) is np.int64 and type(spec.seed) is np.uint64
+    assert linear_ensemble(SURROGATE, np.int64(3), np.int32(2), np.int64(0)).r_count == 2
+    assert type(UavEnvConfig(altitude=np.float32(20.0)).altitude) is np.float32
+
+
+@pytest.mark.parametrize("rollout", [
+    lambda seed: linear_ensemble(SURROGATE, 3, 4, seed),
+    lambda seed: uav_ensemble(UAV, "centroid_greedy", 3, 4, seed),
+], ids=["linear", "uav"])
+def test_rollout_seeds_fit_int64(rollout):
+    # An ensemble records its runs' seeds as int64: R runs from 2**63 - R
+    # record seeds up to 2**63 - 1, and one more wrapped run R - 1's record
+    # to -2**63 while its draws came from default_rng(2**63).
+    top = 2**63 - 1
+    assert rollout(top - 3).seeds.tolist() == [top - 3, top - 2, top - 1, top]
+    for seed in (top - 2, np.int64(top)):
+        with pytest.raises(ParameterError) as refused:
+            rollout(seed)
+        assert str(refused.value) == f"master_seed + runs - 1 {SEED_RULE}, got {int(seed) + 3}"
 
 
 @pytest.mark.parametrize("rollout, dim", [
@@ -684,3 +760,18 @@ def test_replaced_model_saves_no_old_diagnostics(tmp_path):
     # Only a fit or a model file sets them.
     with pytest.raises(TypeError, match="eigenvalues"):
         KoopmanModel(0.5 * np.eye(2), np.ones((1, 2)), eigenvalues=[np.nan])
+
+
+def test_model_file_diagnostics_may_be_null_or_an_infinite_residual(tmp_path):
+    # A model built in code writes null diagnostics, and a fit that misses a
+    # zero target has an infinite residual: both load.
+    path = tmp_path / "model.json"
+    save_model(KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))), path)
+    doc = json.loads(path.read_text())
+    doc["residuals"]["state"] = "inf"
+    path.write_text(json.dumps(doc))
+    model = load_model(path)
+    assert model.state_residual == math.inf
+    nulls = (model.rank, model.rank_tol, model.snapshot_columns, model.r_count,
+             model.action_residual)
+    assert nulls == (None,) * 5
