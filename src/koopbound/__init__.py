@@ -37,24 +37,16 @@ from .bounds import (
     write_per_step_table,
 )
 from .env_sim import (
-    FAIRNESS_MODES,
     POLICY_KINDS,
     LinearSurrogateConfig,
-    ScriptedPolicy,
     UavEnvConfig,
-    downlink_rate,
-    fairness_index,
     linear_ensemble,
-    path_loss,
     uav_ensemble,
-    uav_reward,
 )
 from .errors import (
     DataError,
-    DegenerateInputError,
     DimensionMismatchError,
     DivergenceError,
-    EmptyInputError,
     InsufficientDataError,
     KoopboundError,
     ParameterError,

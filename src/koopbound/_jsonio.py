@@ -3,8 +3,9 @@
 Documents are written with two-space indentation, sorted keys and a trailing
 newline.  An infinite gain or bound (+inf) is written as the string "inf",
 which ``float()`` reads back; NaN and -inf have no encoding, so a document
-holding one is refused before its file is opened, and no output ever
-contains a token that standard JSON parsers reject.
+holding one is refused, and no output ever contains a token that standard
+JSON parsers reject.  A document is encoded whole before its file is opened,
+so one that does not encode writes nothing.
 
 The ``as_*`` readers check one parsed JSON value, a field of a document or a
 config value, and raise SchemaError naming it.  They are the one check of each
@@ -40,11 +41,12 @@ def _encode(node, where: str):
 
 
 def write_json(doc, path) -> None:
-    """Write ``doc`` to ``path``; raises DataError on NaN or -inf anywhere."""
-    encoded = _encode(doc, "")
+    """Write ``doc`` to ``path``; raises DataError on NaN or -inf anywhere,
+    and json's TypeError on a value it has no encoding for, before the file
+    is opened."""
+    text = json.dumps(_encode(doc, ""), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(encoded, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def encodes(node, value) -> bool:

@@ -23,7 +23,6 @@ from ._jsonio import _in_range, as_number, as_object, as_string, encodes, read_j
 from .errors import (
     DataError,
     DimensionMismatchError,
-    EmptyInputError,
     InsufficientDataError,
     ParameterError,
     SchemaError,
@@ -186,7 +185,7 @@ def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
     if w.ndim == 1:
         w = w[:, None]
     if w.size == 0:
-        raise EmptyInputError("empty disturbance sequence")
+        raise InsufficientDataError("empty disturbance sequence")
     _in_range(gamma, "gamma", "bound level")
     energy = float(np.sum(w * w))
     max_step = float(np.max(np.linalg.norm(w, axis=1)))
@@ -242,7 +241,8 @@ class BoundInputs:
     disturbed rollouts from their mean, C the same for nominal rollouts,
     gamma_d the discount factor and horizon the step count (math.inf for the
     infinite-horizon forms).  Each field is checked against the range of its
-    kind when the record is built.
+    kind when the record is built and then held as a Python float, so the
+    bounds derived from it are the ones a report file reloads to.
     """
 
     gamma: float
@@ -256,7 +256,7 @@ class BoundInputs:
 
     def __post_init__(self):
         for name, kind in _INPUT_KINDS.items():
-            _in_range(getattr(self, name), name, kind)
+            object.__setattr__(self, name, float(_in_range(getattr(self, name), name, kind)))
 
     def bounds(self) -> dict:
         """Every bound value: the deviation_bounds caps, the cap

@@ -237,7 +237,7 @@ def _simulation(cfg: dict, args, verify: bool = False) -> _Simulation:
     )
     _in_range(seed + runs - 1, "sim.seed + sim.runs - 1", "seed")
     check_rollout_size(2 if verify else 1, runs, horizon, config.n,
-                       grid_values=spectral_grid_values(horizon) if verify else 0)
+                       grid_values=spectral_grid_values(horizon) if verify else 0, prefix="sim.")
     return _Simulation(env, config, policy, horizon, runs, seed)
 
 

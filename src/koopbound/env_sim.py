@@ -169,20 +169,23 @@ def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None
     return w
 
 
-def check_rollout_size(groups: int, runs: int, horizon: int, n: int, grid_values: int = 0) -> None:
+def check_rollout_size(groups: int, runs: int, horizon: int, n: int, grid_values: int = 0,
+                       prefix: str = "") -> None:
     """Refuse a rollout whose (groups*runs, horizon+1, n) state buffer holds
     more than _MAX_STATE_VALUES values, or whose working set that grows with
-    the horizon alone (grid_values, verify's disturbance spectrum) does."""
+    the horizon alone (grid_values, verify's disturbance spectrum) does.  The
+    message names runs and horizon after ``prefix``: the arguments of a
+    rollout, or with "sim." the config keys."""
     values = groups * runs * (horizon + 1) * n
     if values > _MAX_STATE_VALUES:
         raise ParameterError(
-            f"sim.runs = {runs} and sim.horizon = {horizon} plan a "
+            f"{prefix}runs = {runs} and {prefix}horizon = {horizon} plan a "
             f"({groups * runs}, {horizon + 1}, {n}) state buffer of {values} values, "
             f"above the cap of {_MAX_STATE_VALUES}"
         )
     if grid_values > _MAX_STATE_VALUES:
         raise ParameterError(
-            f"sim.horizon = {horizon} plans a disturbance spectral grid of {grid_values} "
+            f"{prefix}horizon = {horizon} plans a disturbance spectral grid of {grid_values} "
             f"values, above the cap of {_MAX_STATE_VALUES}"
         )
 
@@ -406,7 +409,8 @@ def _fold(points, headings, crossings, config: UavEnvConfig) -> None:
 
 
 def _channel(d, config: UavEnvConfig):
-    """path_loss without its argument checks."""
+    """Channel coefficient at distance d > 0: free-space propagation times
+    molecular absorption exp(-absorption * d / 2)."""
     h = (
         SPEED_OF_LIGHT
         * math.sqrt(config.gain_uav * config.gain_gu)
@@ -419,26 +423,10 @@ def _channel(d, config: UavEnvConfig):
 
 
 def _spectral_efficiency(h_g, config: UavEnvConfig):
-    """Rate per hertz log2(1 + P |h|^2 / N0): downlink_rate at 1 Hz."""
+    """Rate per hertz log2(1 + P |h|^2 / N0) of channel h_g; a bandwidth B
+    times it is the achievable rate in bits/s."""
     snr = config.power_watt * h_g * h_g / config.noise_watt
     return np.log2(1.0 + snr)
-
-
-def path_loss(d: float, config: UavEnvConfig) -> float:
-    """Channel coefficient at distance d: free-space propagation times
-    molecular absorption exp(-absorption * d / 2)."""
-    d = _frozen_array(d, "d")
-    if np.any(d <= 0):
-        raise ParameterError("path loss is singular at zero distance")
-    result = _channel(d, config)
-    return float(result) if result.ndim == 0 else result
-
-
-def downlink_rate(bandwidth_hz: float, h_g, config: UavEnvConfig):
-    """Achievable rate bandwidth * log2(1 + P |h|^2 / N0) in bits/s."""
-    _in_range(bandwidth_hz, "bandwidth_hz", "positive")
-    result = bandwidth_hz * _spectral_efficiency(_frozen_array(h_g, "h_g"), config)
-    return float(result) if result.ndim == 0 else result
 
 
 def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig) -> np.ndarray:
@@ -452,7 +440,7 @@ def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig) -> 
     """
     diff = gu_xy - uav_xy[:, None, :]
     d3 = np.sqrt((diff * diff).sum(axis=-1) + config.altitude**2)
-    # Rate per hertz: scaling it by a share rounds as downlink_rate(share, .).
+    # Rate per hertz, scaled below by each lane's bandwidth share.
     efficiency = _spectral_efficiency(_channel(d3, config), config)
     active = d3 <= config.coverage_radius
     while True:
@@ -463,42 +451,24 @@ def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig) -> 
         active &= ~drop
 
 
-def fairness_index(s, mode: str = "as_written"):
-    """Evenness of the service indicators along the last axis.
+def _rewards(served: np.ndarray, violation: np.ndarray, config: UavEnvConfig) -> np.ndarray:
+    """Rewards of a stack of service masks (..., J) and their speed flags
+    (...,): the weighted served fraction plus fairness, plus the signed speed
+    penalty.
 
-    as_written uses the (sum s)^2 / (J^2 sum s^2) form; standard uses the
-    conventional J denominator so that full service scores 1.  Both return 0
-    when nobody is served.  One indicator vector gives a float, a stack of
-    them an array.
+    Fairness is (sum s)^2 / (J^2 sum s^2) as_written; standard uses the
+    conventional J denominator so that full service scores 1.  Both are 0
+    when nobody is served.  A mask is its own square, so one float sum of it
+    is both sums.
     """
-    if mode not in FAIRNESS_MODES:
-        raise ParameterError(f"mode must be one of {FAIRNESS_MODES}, got {mode!r}")
-    s = np.asarray(s)
-    j = s.shape[-1]
-    if s.dtype == bool:
-        # A mask is its own square; summing it as floats needs no float copy.
-        total = square_sum = s.sum(axis=-1, dtype=float)
-    else:
-        s = s.astype(float, copy=False)
-        total = s.sum(axis=-1)
-        square_sum = np.sum(s * s, axis=-1)
-    denom = j * j if mode == "as_written" else j
-    index = np.divide(
-        total * total, denom * square_sum, out=np.zeros_like(total), where=total != 0.0
+    count = served.sum(axis=-1, dtype=float)
+    j = config.gu_count
+    denom = j * j if config.fairness_mode == "as_written" else j
+    fairness = np.divide(
+        count * count, denom * count, out=np.zeros_like(count), where=count != 0.0
     )
-    return float(index) if index.ndim == 0 else index
-
-
-def uav_reward(s, fairness, speed_violation, config: UavEnvConfig):
-    """Weighted served fraction plus fairness, plus the signed speed penalty;
-    along the last axis of s, like fairness_index."""
     a = config.coverage_weight
-    reward = (
-        a * np.asarray(s).sum(axis=-1, dtype=float) / config.gu_count
-        + (1.0 - a) * fairness
-        + config.speed_penalty * np.asarray(speed_violation, dtype=float)
-    )
-    return float(reward) if reward.ndim == 0 else reward
+    return a * count / j + (1.0 - a) * fairness + config.speed_penalty * violation
 
 
 class ScriptedPolicy:
@@ -623,7 +593,5 @@ def uav_ensemble(
     # are not policy violations.
     max_step = config.step_seconds * config.uav_max_speed
     violation = _norms(actions - states[:, :-1, -2:]) > max_step + _SPEED_EPS
-    rewards = uav_reward(
-        served, fairness_index(served, config.fairness_mode), violation, config
-    )
+    rewards = _rewards(served, violation, config)
     return _ensemble(states, actions, rewards, master_seed, runs)

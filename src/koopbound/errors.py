@@ -17,16 +17,9 @@ class DataError(KoopboundError):
     """Input data violates a value constraint (non-finite entries, duplicate ids)."""
 
 
-class EmptyInputError(KoopboundError):
-    """An operation received an empty collection."""
-
-
 class InsufficientDataError(KoopboundError):
-    """Not enough samples or steps for the requested computation."""
-
-
-class DegenerateInputError(KoopboundError):
-    """Input is identically zero or otherwise too degenerate to factor."""
+    """Too little data for the requested computation: an empty collection,
+    too few samples, runs or steps, or an identically zero snapshot matrix."""
 
 
 class ParameterError(KoopboundError):

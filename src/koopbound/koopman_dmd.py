@@ -25,7 +25,6 @@ import numpy as np
 
 from ._jsonio import _in_range, as_integer, as_number, as_numbers, as_object, read_json, write_json
 from .errors import (
-    DegenerateInputError,
     DimensionMismatchError,
     InsufficientDataError,
     SchemaError,
@@ -103,7 +102,7 @@ class KoopmanModel:
 def _truncated_svd(x: np.ndarray, rank_tol: float):
     """Compact SVD keeping singular values >= rank_tol * sigma_1."""
     if not np.any(x):
-        raise DegenerateInputError("snapshot matrix is identically zero")
+        raise InsufficientDataError("snapshot matrix is identically zero")
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     r = int(np.count_nonzero(s >= rank_tol * s[0]))
     return u[:, :r], s[:r], vh[:r].T

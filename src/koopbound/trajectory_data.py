@@ -17,7 +17,6 @@ from ._floattext import write_rows
 from .errors import (
     DataError,
     DimensionMismatchError,
-    EmptyInputError,
     InsufficientDataError,
     ParseError,
 )
@@ -81,7 +80,7 @@ class TrajectoryEnsemble:
             )
         r_count = len(states)
         if r_count == 0:
-            raise EmptyInputError("ensemble needs at least one run")
+            raise InsufficientDataError("ensemble needs at least one run")
         run_ids = np.arange(r_count) if self.run_ids is None else self.run_ids
         seeds = np.full(r_count, -1) if self.seeds is None else self.seeds
         run_ids = _frozen_array(run_ids, "run_ids", np.int64)
@@ -379,7 +378,7 @@ def load_trajectories(path) -> TrajectoryEnsemble:
         blocks.append(_parse_block(lines, line_nos, n, m))
     del lines  # the last block's text, before its arrays are concatenated
     if not blocks:
-        raise EmptyInputError("trajectory file has no data rows")
+        raise InsufficientDataError("trajectory file has no data rows")
 
     ids, values, terminal, line_nos = (np.concatenate(parts) for parts in zip(*blocks))
     del blocks  # frees the per-block arrays before the sorted copy is made

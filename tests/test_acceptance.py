@@ -16,17 +16,15 @@ from koopbound import (
     UavEnvConfig,
     LinearSurrogateConfig,
     disturbance_admissible,
-    fairness_index,
     fit_koopman_model,
     generate_disturbance,
     hinf_norm,
     linear_ensemble,
-    downlink_rate,
     uav_ensemble,
     verify_bounds,
 )
 from koopbound.bounds import certified_gain
-from koopbound.env_sim import NORM_PENALTY_LIPSCHITZ
+from koopbound.env_sim import NORM_PENALTY_LIPSCHITZ, _rewards, _spectral_efficiency
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
 
 
@@ -274,20 +272,24 @@ def test_uav_environment_regression():
     limit = config.step_seconds * config.uav_max_speed
     assert np.all(steps <= limit + 1e-9)
 
-    # Fairness identity on 1000 random indicator vectors.
+    # Fairness identity on 1000 random indicator vectors, each scored by a
+    # reward that weights fairness alone.
     rng = np.random.default_rng(77)
     for _ in range(1000):
         j = int(rng.integers(1, 41))
-        s = rng.integers(0, 2, size=j)
-        as_written = fairness_index(s, "as_written")
-        standard = fairness_index(s, "standard")
+        s = rng.integers(0, 2, size=j).astype(bool)
+        as_written, standard = (
+            _rewards(s, np.False_, UavEnvConfig(gu_count=j, coverage_weight=0.0,
+                                                speed_penalty=0.0, fairness_mode=mode))
+            for mode in ("as_written", "standard")
+        )
         if s.sum() == 0:
             assert as_written == 0.0 and standard == 0.0
         else:
             assert abs(as_written - standard / j) <= 1e-12
 
     # Rate formula spot value.
-    rate = downlink_rate(20e6, 1e-5, config)
+    rate = 20e6 * _spectral_efficiency(1e-5, config)
     assert abs(rate - 63.2e6) <= 0.1e6
 
 

@@ -15,7 +15,6 @@ from koopbound import (
     DataError,
     DimensionMismatchError,
     DisturbanceSpec,
-    EmptyInputError,
     InsufficientDataError,
     KoopmanModel,
     ParameterError,
@@ -86,8 +85,17 @@ class TestAdmissibility:
             assert abs(result.energy - freq_energy) <= 1e-8 * max(result.energy, 1e-30)
 
     def test_empty_sequence(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError, match="^empty disturbance sequence$"):
             disturbance_admissible(np.zeros((0, 2)), 1.0)
+
+    def test_one_dimensional_sequence_is_a_column(self):
+        # A 1-D w is checked as the (K, 1) column of its values, both where a
+        # necessary condition fails (gamma 0.5: energy 0.3) and on the grid.
+        w = np.array([0.3, -0.2, 0.4, 0.1])
+        for gamma in (0.5, 2.0):
+            assert disturbance_admissible(w, gamma) == disturbance_admissible(w[:, None], gamma)
+        assert not disturbance_admissible(w, 0.5).admissible
+        assert disturbance_admissible(w, 2.0).admissible
 
 
 def direct_norms(w, grid_points):
@@ -602,6 +610,24 @@ class TestVerifyBounds:
                 text = path.read_text()
                 assert '"T_hinf": "inf"' in text and '"reward_impact_bound": "inf"' in text
 
+    @pytest.mark.parametrize("gamma", [np.float32(0.5), np.int64(1)], ids=["float32", "int64"])
+    def test_numpy_scalar_gamma_round_trip(self, tmp_path, gamma):
+        # A numpy gamma was kept as given: the report file stopped after
+        # '"M": ' with a TypeError, or held bounds of float32 arithmetic.
+        from koopbound import load_report, save_report
+
+        config = LinearSurrogateConfig(A=0.5 * np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2))
+        ensemble = linear_ensemble(config, 3, 2, 0)
+        report, _ = verify_bounds(ensemble, ensemble, true_model(config.A, config.F), gamma,
+                                  0.9, lipschitz=1.0)
+        inputs = report.inputs
+        assert all(type(getattr(inputs, name)) is float for name in BoundInputs.__annotations__)
+        assert inputs.gamma == gamma and report.bounds["M"] == inputs.T_hinf * float(gamma)
+        path = tmp_path / "report.json"
+        save_report(report, path)
+        loaded, _ = load_report(path)
+        assert loaded == report and loaded.bounds == report.bounds
+
 
 class TestPerStepTable:
     def test_dimension_mismatch_refused(self):
@@ -651,4 +677,14 @@ class TestJsonCodec:
         path = tmp_path / "doc.json"
         with pytest.raises(DataError, match=r"rows\[1\]\.M"):
             write_json({"rows": [{"M": 1.0}, {"M": bad}], "T": float("inf")}, path)
+        assert not path.exists()
+
+    def test_write_json_unencodable_writes_nothing(self, tmp_path):
+        # json.dump stopped at the value after opening the file, leaving
+        # '{\n  "M": ' behind.
+        from koopbound._jsonio import write_json
+
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json({"M": 1j, "N": 1.0}, path)
         assert not path.exists()

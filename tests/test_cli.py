@@ -835,6 +835,10 @@ class TestSettingTypes:
         assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_env_rejected(self, tmp_path, capsys, monkeypatch):
+        assert self.run(tmp_path, monkeypatch, "simulate", "sim.env", "foo") == 2
+        self.assert_rejected(tmp_path, capsys, "sim.env", "must be 'linear' or 'uav', got 'foo'")
+
     @pytest.mark.parametrize("command, key", [
         ("simulate", "sim.seed"), ("verify", "sim.seed"), ("verify", "disturbance.seed"),
     ])

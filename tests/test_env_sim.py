@@ -11,24 +11,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopbound import (
-    FAIRNESS_MODES,
     POLICY_KINDS,
     DimensionMismatchError,
     LinearSurrogateConfig,
     ParameterError,
-    ScriptedPolicy,
     UavEnvConfig,
-    downlink_rate,
     ensemble_mean,
-    fairness_index,
     fit_koopman_model,
     linear_ensemble,
-    path_loss,
     uav_ensemble,
-    uav_reward,
 )
 from koopbound import env_sim
-from koopbound.env_sim import _lane_draws, _serve_mask, _step_gu_arrays, split_groups
+from koopbound.env_sim import (
+    FAIRNESS_MODES,
+    ScriptedPolicy,
+    _channel,
+    _lane_draws,
+    _rewards,
+    _serve_mask,
+    _spectral_efficiency,
+    _step_gu_arrays,
+    split_groups,
+)
 
 
 class Run(NamedTuple):
@@ -85,6 +89,20 @@ def lane_waypoint(policy, uav_xy, gu_positions):
 def waypoint(uav_xy, gu_positions, config, kind):
     """Next waypoint of one lane from a fresh policy."""
     return lane_waypoint(ScriptedPolicy(kind, config), uav_xy, gu_positions)
+
+
+def rate(bandwidth_hz, h_g, config):
+    """Achievable rate in bits/s of channel h_g over bandwidth_hz."""
+    return bandwidth_hz * _spectral_efficiency(h_g, config)
+
+
+def fairness(s, mode):
+    """Fairness of the 0/1 service indicators s: the reward of a config that
+    weights fairness alone."""
+    s = np.asarray(s, dtype=bool)
+    config = UavEnvConfig(gu_count=s.shape[-1], coverage_weight=0.0, speed_penalty=0.0,
+                          fairness_mode=mode)
+    return _rewards(s, np.zeros(s.shape[:-1], dtype=bool), config)
 
 
 class TestLinearRollout:
@@ -256,41 +274,36 @@ class TestGuReflection:
 class TestLinkBudget:
     def test_no_absorption_factor_is_one(self):
         config = UavEnvConfig(absorption=0.0)
-        loss_a = path_loss(50.0, config)
+        loss_a = _channel(50.0, config)
         config_abs = UavEnvConfig(absorption=0.01)
-        loss_b = path_loss(50.0, config_abs)
+        loss_b = _channel(50.0, config_abs)
         assert loss_b == pytest.approx(loss_a * math.exp(-0.25))
 
     def test_inverse_distance_law(self):
         config = UavEnvConfig(absorption=0.0)
-        assert path_loss(100.0, config) == pytest.approx(path_loss(50.0, config) / 2.0)
+        assert _channel(100.0, config) == pytest.approx(_channel(50.0, config) / 2.0)
 
     def test_spot_value_30ghz_50m(self):
         config = UavEnvConfig(absorption=0.0, gain_uav=1.0, gain_gu=1.0,
                               frequency_hz=30e9)
-        assert path_loss(50.0, config) == pytest.approx(1.59e-5, rel=1e-3)
-
-    def test_zero_distance_singular(self):
-        with pytest.raises(ParameterError):
-            path_loss(0.0, UavEnvConfig())
+        assert _channel(50.0, config) == pytest.approx(1.59e-5, rel=1e-3)
 
     def test_zero_channel_zero_rate(self):
-        assert downlink_rate(20e6, 0.0, UavEnvConfig()) == 0.0
+        assert rate(20e6, 0.0, UavEnvConfig()) == 0.0
 
     def test_unit_snr_gives_bandwidth(self):
         config = UavEnvConfig()
         h = math.sqrt(config.noise_watt / config.power_watt)
-        assert downlink_rate(20e6, h, config) == pytest.approx(20e6)
+        assert rate(20e6, h, config) == pytest.approx(20e6)
 
     def test_spot_value_63_mbps(self):
         config = UavEnvConfig()  # P = 0.2512 W, N0 = -85 dBm
-        rate = downlink_rate(20e6, 1e-5, config)
-        assert abs(rate - 63.2e6) <= 0.1e6
+        assert abs(rate(20e6, 1e-5, config) - 63.2e6) <= 0.1e6
 
     def test_rate_decreasing_in_distance(self):
         config = UavEnvConfig()
         distances = np.linspace(10.0, 120.0, 40)
-        rates = downlink_rate(config.bandwidth_hz, path_loss(distances, config), config)
+        rates = rate(config.bandwidth_hz, _channel(distances, config), config)
         assert np.all(np.diff(rates) < 0)
 
 
@@ -326,8 +339,7 @@ class TestServeSet:
             share = config.bandwidth_hz / count
             for j in np.flatnonzero(s):
                 assert d3[j] <= config.coverage_radius
-                rate = downlink_rate(share, path_loss(d3[j], config), config)
-                assert rate >= config.min_rate
+                assert rate(share, _channel(d3[j], config), config) >= config.min_rate
 
     def test_lanes_match_single_lane(self):
         # Lanes that need different numbers of drop passes, masked together,
@@ -344,64 +356,59 @@ class TestServeSet:
 
 class TestFairness:
     def test_all_served_as_written(self):
-        s = np.ones(20, dtype=int)
-        assert fairness_index(s, "as_written") == pytest.approx(0.05)
+        assert fairness(np.ones(20), "as_written") == pytest.approx(0.05)
 
     def test_all_served_standard(self):
-        s = np.ones(20, dtype=int)
-        assert fairness_index(s, "standard") == pytest.approx(1.0)
+        assert fairness(np.ones(20), "standard") == pytest.approx(1.0)
 
     def test_single_served_as_written(self):
-        s = np.zeros(20, dtype=int)
+        s = np.zeros(20)
         s[3] = 1
-        assert fairness_index(s, "as_written") == pytest.approx(0.0025)
+        assert fairness(s, "as_written") == pytest.approx(0.0025)
 
     def test_none_served_is_zero(self):
-        assert fairness_index(np.zeros(20, dtype=int), "as_written") == 0.0
-        assert fairness_index(np.zeros(20, dtype=int), "standard") == 0.0
+        assert fairness(np.zeros(20), "as_written") == 0.0
+        assert fairness(np.zeros(20), "standard") == 0.0
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_mode_relation(self, bits):
-        s = np.array(bits, dtype=int)
-        if s.sum() == 0:
-            assert fairness_index(s, "as_written") == 0.0
+        if sum(bits) == 0:
+            assert fairness(bits, "as_written") == 0.0
         else:
-            assert fairness_index(s, "as_written") == pytest.approx(
-                fairness_index(s, "standard") / len(s)
+            assert fairness(bits, "as_written") == pytest.approx(
+                fairness(bits, "standard") / len(bits)
             )
 
 
 class TestReward:
     def test_zero_case(self):
         config = UavEnvConfig()
-        assert uav_reward(np.zeros(20, dtype=int), 0.0, 0, config) == 0.0
+        assert _rewards(np.zeros(20, dtype=bool), np.False_, config) == 0.0
 
     def test_coverage_only_weighting(self):
         config = UavEnvConfig(coverage_weight=1.0)
-        assert uav_reward(np.ones(20, dtype=int), 0.3, 0, config) == pytest.approx(1.0)
+        assert _rewards(np.ones(20, dtype=bool), np.False_, config) == pytest.approx(1.0)
 
     def test_hand_arithmetic_with_penalty(self):
+        # 10 of 20 served: fairness 10^2 / (20^2 * 10) = 0.025, weighted 0.0125.
         config = UavEnvConfig(coverage_weight=0.5, speed_penalty=-1.0)
-        s = np.zeros(20, dtype=int)
-        s[:10] = 1
-        value = uav_reward(s, 1.0, 1, config)
-        assert value == pytest.approx(0.25 + 0.5 - 1.0)
+        s = np.zeros(20, dtype=bool)
+        s[:10] = True
+        value = _rewards(s, np.True_, config)
+        assert value == pytest.approx(0.25 + 0.0125 - 1.0)
 
     @pytest.mark.parametrize("mode", FAIRNESS_MODES)
     def test_stack_scores_as_rows(self, mode):
-        # Scored on an (R, K, J) stack, both functions give the bits of one
-        # indicator vector at a time, for masks and for 0/1 floats alike.
-        config = UavEnvConfig(gu_count=9, speed_penalty=-0.7, coverage_weight=0.3)
+        # Scored on an (R, K, J) stack of masks, each reward has the bits of
+        # its mask scored alone.
+        config = UavEnvConfig(gu_count=9, speed_penalty=-0.7, coverage_weight=0.3,
+                              fairness_mode=mode)
         masks = np.random.default_rng(5).random((3, 40, 9)) < 0.4
         violation = masks[..., 0] & masks[..., 1]
-        for s in (masks, masks.astype(float)):
-            fairness = fairness_index(s, mode)
-            reward = uav_reward(s, fairness, violation, config)
-            for r, k in np.ndindex(3, 40):
-                row = fairness_index(s[r, k], mode)
-                assert fairness[r, k] == row
-                assert reward[r, k] == uav_reward(s[r, k], row, violation[r, k], config)
+        reward = _rewards(masks, violation, config)
+        for r, k in np.ndindex(3, 40):
+            assert reward[r, k] == _rewards(masks[r, k], violation[r, k], config)
 
     @pytest.mark.parametrize("mode", FAIRNESS_MODES)
     def test_rollout_rewards_match_per_step_scoring(self, mode):
@@ -419,8 +426,7 @@ class TestReward:
                 served = _serve_mask(after[:, -2:], after[:, :-2].reshape(len(after), -1, 2),
                                      config)
                 step = np.linalg.norm(ens.actions[:, k] - ens.states[:, k, -2:], axis=-1)
-                expected = uav_reward(served, fairness_index(served, mode),
-                                      step > max_step + 1e-9, config)
+                expected = _rewards(served, step > max_step + 1e-9, config)
                 assert np.array_equal(ens.rewards[:, k], expected)
 
 
@@ -607,7 +613,7 @@ class TestRolloutSize:
         made = []
         monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a))
         disturbance = (None,) * groups
-        with pytest.raises(ParameterError, match=r"sim\.runs = .* sim\.horizon = .* cap of"):
+        with pytest.raises(ParameterError, match=r"^runs = \d+ and horizon = \d+ plan a .* cap of"):
             if env == "linear":
                 config = LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)),
                                                x0_mean=np.ones(2))
@@ -616,6 +622,15 @@ class TestRolloutSize:
                 uav_ensemble(UavEnvConfig(gu_count=1), "centroid_greedy", horizon, runs, 0,
                              disturbance=disturbance)
         assert made == []
+
+    def test_message_names_the_arguments(self):
+        # A library call named the CLI's config keys sim.runs and sim.horizon.
+        config = LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2))
+        with pytest.raises(ParameterError) as refused:
+            linear_ensemble(config, 10**9, 1, 0)
+        assert str(refused.value) == (
+            "runs = 1 and horizon = 1000000000 plan a (1, 1000000001, 2) state buffer of "
+            f"2000000002 values, above the cap of {2**28}")
 
     def test_cap_is_inclusive(self, monkeypatch):
         config = LinearSurrogateConfig(A=np.eye(2), F=np.ones((1, 2)), x0_mean=np.ones(2))

@@ -13,11 +13,14 @@ import pytest
 from koopbound import (
     BoundInputs,
     DataError,
-    DegenerateInputError,
+    DimensionMismatchError,
+    InsufficientDataError,
+    KoopboundError,
     KoopmanModel,
     LinearSurrogateConfig,
     MeanTrajectory,
     ParameterError,
+    ParseError,
     SchemaError,
     TrajectoryEnsemble,
     DisturbanceSpec,
@@ -25,12 +28,11 @@ from koopbound import (
     UavEnvConfig,
     deviation_bounds,
     disturbance_admissible,
-    downlink_rate,
     estimate_lipschitz,
     fit_koopman_model,
     linear_ensemble,
     load_model,
-    path_loss,
+    load_trajectories,
     save_model,
     uav_ensemble,
     verify_bounds,
@@ -38,6 +40,7 @@ from koopbound import (
 from koopbound import cli
 from koopbound.bounds import certified_gain
 from koopbound._jsonio import as_integer
+from koopbound.flatconfig import load_flat_config
 from koopbound.koopman_dmd import _projected_dmd, _truncated_svd
 from koopbound.trajectory_data import _read_only
 
@@ -108,7 +111,7 @@ class TestDmdStandard:
 
     def test_zero_snapshots_degenerate(self):
         # Mean states 0..K-1 are zero; only the last one is not.
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InsufficientDataError, match="^snapshot matrix is identically zero$"):
             state_fit(np.vstack((np.zeros((3, 2)), np.ones((1, 2)))))
 
     def test_rank_tol_validation(self):
@@ -230,7 +233,7 @@ class TestFitActionOperator:
         assert np.allclose(op, [[3.0]], atol=1e-12)
 
     def test_zero_states_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(InsufficientDataError, match="^snapshot matrix is identically zero$"):
             action_fit(np.zeros((3, 2)), np.ones((2, 1)))
 
     def test_least_squares_optimality_probing(self):
@@ -428,13 +431,12 @@ def lipschitz_of(**replaced):
 
 
 # The entry points that take an array in, beside the records: both rollouts'
-# disturbance, the admissibility check, the three sample arrays of the
-# Lipschitz estimate and the two link-budget helpers.  Each is built with a
-# complex or a non-finite value, as the records are below.
+# disturbance, the admissibility check and the three sample arrays of the
+# Lipschitz estimate.  Each is built with a complex or a non-finite value, as
+# the records are below.
 ENTRY_POINTS = ("linear_ensemble disturbance", "uav_ensemble disturbance",
                 "disturbance_admissible", "estimate_lipschitz states",
-                "estimate_lipschitz actions", "estimate_lipschitz rewards", "path_loss",
-                "downlink_rate")
+                "estimate_lipschitz actions", "estimate_lipschitz rewards")
 
 # Each record or entry point given a complex array where it takes real ones,
 # and the field the refusal must name.
@@ -467,9 +469,6 @@ COMPLEX_INPUTS = {
     "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[1j], [0.0], [0.0]]),
                                    "actions"),
     "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[0.0, 1.0, 2j]), "rewards"),
-    # A complex distance or channel lost its imaginary part with a warning.
-    "path_loss": (lambda: path_loss(np.array([10.0 + 5j]), UAV), "d"),
-    "downlink_rate": (lambda: downlink_rate(20e6, [1e-5 + 1j], UAV), "h_g"),
 }
 
 # Each record or entry point given a NaN or infinite entry, the field the
@@ -507,8 +506,6 @@ NON_FINITE_INPUTS = {
                                    "actions", (2, 0)),
     "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[np.nan, 1.0, 2.0]),
                                    "rewards", (0,)),
-    "path_loss": (lambda: path_loss([10.0, np.inf], UAV), "d", (1,)),
-    "downlink_rate": (lambda: downlink_rate(20e6, [1e-5, np.nan], UAV), "h_g", (1,)),
 }
 
 
@@ -622,8 +619,6 @@ OUT_OF_RANGE_INPUTS = {
     # A positive parameter is finite and above 0; altitude=True rolled out at 1 m.
     "UavEnvConfig altitude": (lambda v: UavEnvConfig(altitude=v), "altitude", 0.0,
                               "must be finite and positive, got 0.0"),
-    "downlink_rate bandwidth_hz": (lambda v: downlink_rate(v, [1e-5], UAV), "bandwidth_hz",
-                                   math.inf, "must be finite and positive, got inf"),
     "config env.altitude": (config_value("env.altitude"), "env.altitude", 0,
                             "must be finite and positive, got 0.0"),
     # A fraction lies in [0, 1].
@@ -692,10 +687,11 @@ def test_scalar_inputs_refuse_non_real_values(name, value):
 
 
 def test_scalar_inputs_keep_numpy_scalars_and_infinite_bound_levels():
-    # A record keeps the value it is given; +inf is a real state of a bound
+    # A record keeps the value it is given, save BoundInputs, which holds the
+    # floats a report file is written from; +inf is a real state of a bound
     # level (a vacuous cap, an unstable gain) and of a bound's horizon.
-    inputs = bound_inputs(gamma=np.float64(0.5), T_hinf=math.inf, horizon=math.inf)
-    assert type(inputs.gamma) is np.float64 and inputs.bounds()["M"] == math.inf
+    inputs = bound_inputs(gamma=np.float32(0.5), T_hinf=math.inf, horizon=math.inf)
+    assert type(inputs.gamma) is float and inputs.bounds()["M"] == math.inf
     assert deviation_bounds(math.inf, 1.0, 0.0)["N"] == 0.0
     assert disturbance_admissible(np.ones((3, 2)), math.inf).admissible
     spec = DisturbanceSpec("impulse", np.float32(0.5), np.int64(3), np.uint64(7), np.uint8(2))
@@ -775,3 +771,86 @@ def test_model_file_diagnostics_may_be_null_or_an_infinite_residual(tmp_path):
     nulls = (model.rank, model.rank_tol, model.snapshot_columns, model.r_count,
              model.action_residual)
     assert nulls == (None,) * 5
+
+
+def read_file(load, name, text):
+    """A reader of the file `name` holding `text`, given its directory."""
+    def read(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return load(path)
+    return read
+
+
+def model_file_with_n(tmp_path):
+    """load_model of a 2-state model's file whose n field says 3."""
+    path = tmp_path / "model.json"
+    save_model(KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))), path)
+    doc = json.loads(path.read_text())
+    doc["n"] = 3
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+TRAJECTORY_HEADER = "run,k,x0,u0,r\n"
+
+# Each shape and format check of a config file, a trajectory file or array,
+# a surrogate, a disturbance direction, verify's model and a model file: a
+# function of a scratch directory that trips it, the error and its message.
+INPUT_FAULTS = {
+    "config line without =": (read_file(load_flat_config, "run.cfg", "sim.env linear\n"),
+                              ParseError, "line 1: expected 'key = value', got 'sim.env linear'"),
+    "config empty key": (read_file(load_flat_config, "run.cfg", "# runs\n = 3\n"), ParseError,
+                         "line 2: empty key"),
+    "config duplicate key": (read_file(load_flat_config, "run.cfg", "sim.runs = 2\nsim.runs = 3\n"),
+                             ParseError, "line 2: duplicate key 'sim.runs'"),
+    "ensemble 2-d states": (lambda _: TrajectoryEnsemble(np.zeros((3, 2)), np.zeros((1, 2, 1)),
+                                                         np.zeros((1, 2))),
+                            DimensionMismatchError,
+                            "states/actions must be 3-d (runs x steps x dim) and rewards 2-d"),
+    "trajectory header malformed": (read_file(load_trajectories, "traj.csv", "run,k,x0\n"),
+                                    ParseError, "line 1: malformed header ['run', 'k', 'x0']"),
+    "trajectory header out of order": (
+        read_file(load_trajectories, "traj.csv", "run,k,u0,x0,r\n0,0,1.0,1.0,1.0\n"),
+        ParseError, "line 1: header columns must be x0..x{n-1},u0..u{m-1}"),
+    "trajectory step without action": (
+        read_file(load_trajectories, "traj.csv",
+                  TRAJECTORY_HEADER + "0,0,1.0,,\n0,1,2.0,0.5,1.0\n0,2,3.0,,\n"),
+        ParseError, "run 0: step 0 is missing action/reward fields"),
+    "trajectory terminal row only": (
+        read_file(load_trajectories, "traj.csv", TRAJECTORY_HEADER + "0,0,1.0,,\n"),
+        DimensionMismatchError, "run 0: no steps before the terminal row"),
+    "trajectory seed comment malformed": (
+        read_file(load_trajectories, "traj.csv", "# seed 0 x\n" + TRAJECTORY_HEADER),
+        ParseError, "line 1: malformed seed comment"),
+    "trajectory without data rows": (read_file(load_trajectories, "traj.csv", TRAJECTORY_HEADER),
+                                     InsufficientDataError, "trajectory file has no data rows"),
+    "surrogate A not square": (lambda _: LinearSurrogateConfig(np.ones((2, 3)), np.ones((1, 3)),
+                                                               np.ones(2)),
+                               DimensionMismatchError, "A must be square, got shape (2, 3)"),
+    "surrogate F not m x n": (lambda _: LinearSurrogateConfig(np.eye(2), np.ones((1, 3)),
+                                                              np.ones(2)),
+                              DimensionMismatchError, "F must be m x n with n=2, got shape (1, 3)"),
+    "surrogate x0 length": (lambda _: LinearSurrogateConfig(np.eye(2), np.ones((1, 2)),
+                                                            np.ones(3)),
+                            DimensionMismatchError, "x0_mean has dimension 3, expected 2"),
+    "direction length": (lambda _: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
+                                                   direction=[1.0, 0.0, 0.0]),
+                         DimensionMismatchError, "direction has dimension 3, expected 2"),
+    "direction zero": (lambda _: DisturbanceSpec("impulse", 1.0, 3, 0, 2, direction=[0.0, 0.0]),
+                       DataError, "direction must be nonzero"),
+    "verify model dimensions": (
+        lambda _: verify_bounds(*[linear_ensemble(SURROGATE, 3, 2, 0)] * 2,
+                                KoopmanModel(0.5 * np.eye(3), np.ones((1, 3))), 0.5, 0.9),
+        DimensionMismatchError, "model has (n, m)=(3, 1), data has (2, 1)"),
+    "model file n": (model_file_with_n, SchemaError,
+                     "model field 'state_operator' has shape (2, 2), expected (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_FAULTS)
+def test_input_faults_refused(tmp_path, name):
+    read, error, message = INPUT_FAULTS[name]
+    with pytest.raises(KoopboundError) as refused:
+        read(tmp_path)
+    assert type(refused.value) is error and str(refused.value) == message

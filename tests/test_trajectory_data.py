@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from koopbound import (
     DataError,
     DimensionMismatchError,
-    EmptyInputError,
     InsufficientDataError,
     KoopboundError,
     MeanTrajectory,
@@ -96,7 +95,7 @@ class TestTrajectoryValidation:
         ens = scalar_ensemble([1.0, 2.0], [3.0, 4.0])
         assert ens.run_ids.tolist() == [0, 1] and ens.seeds.tolist() == [-1, -1]
         assert (ens.r_count, ens.horizon, ens.n, ens.m) == (2, 1, 1, 1)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError, match="^ensemble needs at least one run$"):
             TrajectoryEnsemble(states=np.zeros((0, 2, 1)), actions=np.zeros((0, 1, 1)),
                                rewards=np.zeros((0, 1)))
         with pytest.raises(InsufficientDataError):
@@ -282,7 +281,7 @@ def reference_load(path):
     if header is None:
         raise ParseError("file has no header row")
     if not rows:
-        raise EmptyInputError("trajectory file has no data rows")
+        raise InsufficientDataError("trajectory file has no data rows")
     runs = []
     for run in sorted(rows):
         per_run = rows[run]
