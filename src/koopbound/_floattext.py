@@ -25,6 +25,24 @@ numpy does that arithmetic for a whole block of values:
 
 Any other value, zero aside (written as '0.0' or '-0.0'), goes through
 ``repr`` one value at a time and is spliced into its cell.
+
+Reading runs the same arithmetic backwards, for a block of lines at a time:
+
+* Fields.  One scan finds the commas, points and line ends; each field of
+  at most 24 bytes is gathered right-aligned as three 8-byte words, with the
+  bytes before it, a leading '-' and its one point set to '0'.  Eight ASCII
+  digits to a word become an integer by the SWAR multiply-shift (Lemire,
+  2018), which gives the field's digits as an integer M and its fraction
+  digits f.
+* Scaling.  For M <= 2**53, M and 10**f (f <= 22) are exact doubles, so one
+  IEEE division rounds M / 10**f correctly (Clinger, 1990).  Up to 10**18 the
+  quotient of float(M) is within two ulps; it is settled against the
+  midpoints of its rounding interval, each times 10**f held exactly by
+  Dekker's TwoProduct plus the scaled half-ulp, ties going to even.
+* Anything else (exponents, 'inf', spaces, '+', '_', non-ASCII digits, over
+  18 significant digits, longer fields) goes through ``float()`` or, for the
+  integers, numpy's int64 conversion, one value at a time, and is spliced
+  into its cell, so every field reads as those read it.
 """
 
 from __future__ import annotations
@@ -255,3 +273,164 @@ def write_rows(fh, ints, floats, empty) -> int:
                 out=mask[:, 4 * split :].reshape(size, n_floats, 4 * _FLOAT_WORDS))
         fh.write(words.view(np.uint8).ravel()[mask.ravel()])
     return fallback
+
+
+# Reading: a field of up to _CELL bytes is decoded in bulk from its cell,
+# three little-endian words whose low byte holds its leftmost character.
+_CELL = 24
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
+_HIGH_BITS = np.uint64(0x8080808080808080)
+# _PREFIX[:, c]: the words of a cell with its first c bytes set, c = 0.._CELL.
+_PREFIX = np.array([[(1 << 8 * min(max(c - 8 * k, 0), 8)) - 1 for c in range(_CELL + 1)]
+                    for k in range(_CELL // 8)], dtype=np.uint64)
+_SIGNIFICAND = (1 << 52) - 1
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The values of words of eight digits 0..9, the first in the low byte
+    (the SWAR multiply-shift: pairs, then quads, then the eight)."""
+    v = (v * np.uint64(10 * 2**8 + 1)) >> np.uint64(8)
+    v = ((v & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 * 2**16 + 1)) >> np.uint64(16)
+    return ((v & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
+
+
+def _cell_values(b: np.ndarray, points: np.ndarray, ends: np.ndarray, cut: np.ndarray):
+    """The cells of the fields of the text b that end at ends: the _CELL
+    bytes before each end, read from b behind _CELL '0' bytes, with the
+    points at points and the cell's first cut bytes made '0'.  Returns the
+    value of each cell's 24 digits, and whether every byte of it is an ASCII
+    digit and the value below 10**19 (so that it fits a uint64)."""
+    padded = np.empty(b.size + _CELL, dtype=np.uint8)
+    padded[:_CELL] = 48
+    padded[_CELL:] = b
+    padded[_CELL + points] = 48
+    # Every cell of padded as one item, so that a gather copies 24 bytes at once.
+    cells = np.ndarray((padded.size - _CELL + 1,), dtype=f"V{_CELL}", buffer=padded,
+                       strides=(1,))
+    words = np.ascontiguousarray(cells[ends].view(np.uint64).reshape(-1, _CELL // 8).T)
+    del padded, cells
+    clear = np.take(_PREFIX, cut, axis=1)
+    words ^= (words ^ _ASCII_ZEROS) & clear
+    v = words - _ASCII_ZEROS
+    # The lowest byte that is no digit sets its high bit in v, or in v plus
+    # 0x76 (a byte of v above 9), and no byte below it borrows or carries.
+    faults = (v | (v + np.uint64(0x7676767676767676))) & _HIGH_BITS
+    parts = _eight_digits(v)
+    # Wraps (silently, as arrays do) only where parts[0] is 1000 or more.
+    value = parts[0] * _POW10_UINT[16] + parts[1] * _POW10_UINT[8] + parts[2]
+    return value, ((faults[0] | faults[1] | faults[2]) == 0) & (parts[0] < 1000)
+
+
+def _power_of_two(k: np.ndarray) -> np.ndarray:
+    """2.0**k for int64 k in [-1022, 1023], from its exponent bits (an exact
+    factor, several times faster than ldexp)."""
+    return ((k + 1023) << 52).view(np.float64)
+
+
+def _settle(q: np.ndarray, mantissa: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Round mantissa / 10**f (2**53 < mantissa < 10**18, f <= 22) correctly,
+    from q within two ulps of it: q moves an ulp at a time until the quotient
+    lies in its rounding interval.
+
+    q = s * 2**e with s in [0.5, 1) has ulp 2**(e-53).  The residual
+    d = mantissa - q * 10**f, against the half-ulp h = 10**f * 2**(e-54),
+    places the quotient: above q + ulp/2 when d > h, below q - ulp/2 when
+    d < -h (-h/2 when s == 0.5, where the ulp below is half), ties going to
+    the even significand.  Every term is a multiple of 2**(e-54+f): h is 5**f
+    times it, q * 10**f = high + low is q's 53-bit significand times 5**f
+    times 2**(e-53+f), and high and the mantissa are integers (high is near
+    the mantissa, above 2**52).  In that unit, or in 1 when it is larger, the
+    terms are int64 integers: |d| is at most 4h, h is at most 5**22 < 2**52
+    there, and |mantissa - high| at most 8h.
+    """
+    bits = q.view(np.int64)
+    exponent = (bits >> 52) - 1022
+    k = np.maximum(54 - exponent - f, 0)
+    high, low = _two_product(q, f)
+    d = ((mantissa - high.astype(np.int64)) << k) - (low * _power_of_two(k)).astype(np.int64)
+    half = (np.take(_POW10, f) * _power_of_two(exponent - 54 + k)).astype(np.int64)
+    odd = bits & 1
+    up = d + odd > half
+    down = d - odd < -(half >> (bits & _SIGNIFICAND == 0))
+    moved = np.flatnonzero(up | down)
+    if moved.size:
+        step = np.nextafter(q[moved], np.where(up[moved], np.inf, 0.0))
+        q[moved] = _settle(step, mantissa[moved], f[moved])
+    return q
+
+
+def read_rows(text, ints: np.ndarray, floats: np.ndarray):
+    """Read the CSV lines of the bytes-like text, each ending in LF, into
+    ints (rows, i) and floats (rows, j): each line holds i integers, then j
+    floats, comma-separated, as ``write_rows`` writes them.
+
+    Integers read as numpy's int64 conversion reads them and floats as
+    ``float()`` does; an empty float field reads as 0.0.  Returns the mask of
+    empty float fields, or None when a line does not hold i + j fields, an
+    integer field does not convert (an empty one neither), or a float field
+    does not convert or is not finite.
+    """
+    rows, n_ints = ints.shape
+    width = n_ints + floats.shape[1]
+    b = np.frombuffer(text, dtype=np.uint8)
+    marks = np.flatnonzero(((b | 2) == 46) | (b == 10))  # ',', '.' and LF
+    is_point = b[marks] == 46
+    ends = np.compress(~is_point, marks)
+    if ends.size != rows * width or (b[ends[width - 1 :: width]] != 10).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    length = ends - starts
+    negative = b[starts] == 45
+    points = np.compress(is_point, marks)
+    pointed = np.flatnonzero(is_point) - np.arange(points.size)  # the field of each point
+    has_point = np.zeros(ends.size, dtype=bool)
+    has_point[pointed] = True
+    f = np.zeros(ends.size, dtype=np.int64)
+    f[pointed] = ends[pointed] - points - 1
+
+    # A field's cell holds its last _CELL bytes with its point made '0', and
+    # the bytes before the field and its sign cleared to '0'.  With its point
+    # a '0', the integer part I of a field reads ten times too large: its
+    # digits M are V - 9 * I * 10**f.
+    value, ok = _cell_values(b, points, ends, np.clip(_CELL - length + negative, 0, _CELL))
+    integer = value // np.take(_POW10_UINT, np.minimum(f + 1, 19)) * has_point
+    mantissa = value - np.uint64(9) * integer * np.take(_POW10_UINT, np.minimum(f, 18))
+    ok &= ((mantissa < _POW10_UINT[18]) & (length <= _CELL)
+           & (length - negative - has_point >= 1) & (f <= 22))
+    mantissa = mantissa.view(np.int64)
+    ok[pointed[1:][pointed[1:] == pointed[:-1]]] = False  # a second point
+    ok.reshape(rows, width)[:, :n_ints] &= ~has_point.reshape(rows, width)[:, :n_ints]
+    mantissa *= ok
+
+    # The quotient is correctly rounded where float(M) is exact, as it is up
+    # to 2**53; elsewhere it is settled.
+    f = np.minimum(f, 22)
+    m = mantissa.astype(np.float64)
+    q = m / np.take(_POW10, f)
+    hard = np.flatnonzero(m.astype(np.int64) != mantissa)
+    if hard.size:
+        q[hard] = _settle(q[hard], mantissa[hard], f[hard])
+    mantissa, negative = mantissa.reshape(rows, width), negative.reshape(rows, width)
+    ints[...] = np.where(negative[:, :n_ints], -mantissa[:, :n_ints], mantissa[:, :n_ints])
+    floats[...] = np.where(negative, -q.reshape(rows, width), q.reshape(rows, width))[:, n_ints:]
+
+    empty = (length == 0).reshape(rows, width)
+    empty[:, :n_ints] = False
+    slow = np.flatnonzero(~(ok | empty.ravel()))
+    if slow.size:
+        row, column = np.divmod(slow, width)
+        is_int = column < n_ints
+        try:
+            texts = [str(text[start:end], "utf-8")
+                     for start, end in zip(starts[slow].tolist(), ends[slow].tolist())]
+            ints[row[is_int], column[is_int]] = np.array(
+                [t for t, i in zip(texts, is_int.tolist()) if i], dtype=np.int64)
+            values = [float(t) for t, i in zip(texts, is_int.tolist()) if not i]
+        except (ValueError, OverflowError):  # UnicodeDecodeError is a ValueError
+            return None
+        if not np.isfinite(values).all():
+            return None
+        floats[row[~is_int], column[~is_int] - n_ints] = values
+    return empty[:, n_ints:]

@@ -131,12 +131,15 @@ def _in_range(value, name: str, kind: str, error=ParameterError):
     """value, unchanged, when it is a number (numpy's too, not a bool, complex or
     string) in the range of its kind; else an ``error`` naming the field: a
     ParameterError for a library argument or record field, a SchemaError for
-    a document's number."""
+    a document's number.  Every kind but a count and a seed holds a float, so
+    an integer beyond float range is out of its range (it passes the range
+    test, since 10**400 < inf, and float() of it overflows)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a number, got {value!r}")
     test, rule = _RANGES[kind]
-    if not test(value):
-        raise error(f"{name} {rule}, got {value}")
+    huge = isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max
+    if huge and kind not in ("count", "seed") or not test(value):
+        raise error(f"{name} {rule}, got {'an integer beyond float range' if huge else value}")
     return value
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the decoding of an input
+line that raises one."""
 
 
 class KoopboundError(Exception):
@@ -34,3 +35,13 @@ class DivergenceError(KoopboundError):
 class SchemaError(KoopboundError):
     """A JSON document is missing a required field, or a field of it or a
     config value holds a wrong type."""
+
+
+def decode_line(line: bytes, line_no: int) -> str:
+    """A line of an input file as UTF-8 text; bytes that are not UTF-8 are a
+    ParseError naming the line."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"line {line_no}: not UTF-8 text at byte {exc.start + 1} "
+                         f"({exc.reason})") from None

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._floattext import write_rows
+from ._floattext import _BLOCK_CELLS, read_rows, write_rows
 from .errors import (
     DataError,
     DimensionMismatchError,
     InsufficientDataError,
     ParseError,
+    decode_line,
 )
 
 
@@ -189,13 +190,27 @@ def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
 # emits LF line ends, all seed comments, the header, then each run's rows in
 # step order; the reader also accepts CRLF and CR line ends, blank and
 # comment lines anywhere, and data rows in any order.  Fields are never
-# quoted, and a double quote on a data line is an error.
+# quoted, and a double quote on a data line is an error.  The reader decodes
+# a block of data lines at a time with ``_floattext.read_rows``: fields in
+# the writer's form with exact integer arithmetic, any other through
+# float() (run and k through numpy's int64 conversion), so each value is
+# the one float() gives.  Bytes that are not UTF-8 are a ParseError naming
+# the line.
 # ---------------------------------------------------------------------------
 
-# Data rows are converted in blocks of this many rows: one numpy conversion
-# per block for the floats and one for the (run, k) integers keeps the
-# per-value work in C while only one block's fields are held as Python strings.
+# Runs of data lines are decoded in blocks of about _BLOCK_CELLS fields, the
+# writer's block size, and at most _BLOCK_ROWS lines, which bounds the
+# working memory (a few hundred bytes a field) whatever the file size.  The
+# file is read in chunks of about _CHUNK_BYTES.
 _BLOCK_ROWS = 2048
+_CHUNK_BYTES = 1 << 20
+# The ASCII characters str.strip() removes.  A line is looked at on its own
+# when it starts with one of them, '#' or a non-ASCII byte, or is in a chunk
+# that starts before the header; any other line is a data line.
+_WHITESPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_INSPECT = np.zeros(256, dtype=bool)
+_INSPECT[list(_WHITESPACE + b"#")] = True
+_INSPECT[128:] = True
 
 
 def save_trajectories(ensemble: TrajectoryEnsemble, path) -> int:
@@ -230,6 +245,36 @@ def save_trajectories(ensemble: TrajectoryEnsemble, path) -> int:
             cells[:k_max, -1] = ensemble.rewards[r]
             fallback += write_rows(fh, ids, cells, empty)
     return fallback
+
+
+def _chunks(fh):
+    """The text of the binary file fh as memoryviews, a run of whole lines at
+    a time, each ending in LF: CRLF and CR line ends become LF, as text mode
+    reads them."""
+    rest = b""
+    while chunk := fh.read(_CHUNK_BYTES):
+        text = rest + chunk
+        del chunk
+        # A last line that may go on, or a CR that may begin a CRLF, waits
+        # for the next chunk.
+        end = max(text.rfind(b"\n"), text.rfind(b"\r", 0, -1)) + 1
+        rest = text[end:]
+        if text.find(b"\r", 0, end) < 0:
+            yield memoryview(text)[:end]
+        else:
+            yield memoryview(text[:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+    if rest:
+        yield memoryview(rest.rstrip(b"\r") + b"\n")
+
+
+def _blank(line: bytes) -> bool:
+    """Whether str.strip() leaves nothing of the line's text."""
+    if line.isascii():
+        return not line.strip(_WHITESPACE)
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
 
 
 def _parse_header(line: str, line_no: int) -> tuple[int, int]:
@@ -282,42 +327,24 @@ def _check_row(line: str, line_no: int, n: int, m: int) -> None:
     _parse_value(tail[m], line_no, "r")
 
 
-def _parse_block(lines: list, line_nos: list, n: int, m: int):
-    """Convert a block of data rows to (run, k) pairs (B, 2), values
-    (B, n+m+1) and a terminal-row mask (B,).  A terminal row's action and
-    reward values are zero.  When the block does not convert, its rows are
-    checked one by one to raise the first faulty line's error."""
-    width = n + m + 3
-    empty_tail = [""] * (m + 1)
-    terminal_pad = ["0"] * (m + 1)
-    ids, values, terminal = [], [], []
-    for line in lines:
-        fields = line.split(",")
-        if len(fields) != width or '"' in line:
-            break
-        ids += fields[:2]
-        if fields[-1]:
-            if "" in fields:
-                break
-            values += fields[2:]
-            terminal.append(False)
-        else:
-            if fields[2 + n :] != empty_tail:
-                break
-            values += fields[2 : 2 + n]
-            values += terminal_pad
-            terminal.append(True)
-    else:
-        try:
-            ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
-            values = np.array(values, dtype=np.float64).reshape(-1, width - 2)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if np.isfinite(values).all():
-                return ids, values, np.array(terminal), np.array(line_nos)
-    for line, line_no in zip(lines, line_nos):
-        _check_row(line, line_no, n, m)
+def _parse_block(text, lines: int, line_no: int, n: int, m: int, arrays, start: int) -> int:
+    """Decode a block of data lines, each ending in LF, the first on line
+    line_no, into the rows from start on of arrays: (run, k) pairs (R, 2),
+    values (R, n+m+1), the terminal-row mask (R,) and line numbers (R,); a
+    terminal row's action and reward values are zero.  When the block does
+    not decode, its lines are checked one by one to raise the first faulty
+    line's error.  Returns the row after the block."""
+    stop = start + lines
+    ids, values, terminal, numbers = (a[start:stop] for a in arrays)
+    empty = read_rows(text, ids, values)
+    if empty is not None:
+        tail = empty[:, n:]
+        if not empty[:, :n].any() and (tail == tail[:, :1]).all():
+            terminal[:] = tail[:, 0]
+            numbers[:] = np.arange(line_no, line_no + lines)
+            return stop
+    for i, line in enumerate(bytes(text).split(b"\n")[:-1]):
+        _check_row(decode_line(line, line_no + i), line_no + i, n, m)
     raise AssertionError("a block that failed to convert has no faulty row")
 
 
@@ -347,41 +374,58 @@ def load_trajectories(path) -> TrajectoryEnsemble:
     """
     seeds: dict[int, int] = {}
     header: tuple[int, int] | None = None
-    blocks = []
-    lines, line_nos = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 3 and parts[0] == "seed":
-                    try:
-                        run, seed = np.array(parts[1:], dtype=np.int64).tolist()
-                    except (ValueError, OverflowError):
-                        raise ParseError(f"line {line_no}: malformed seed comment") from None
-                    seeds[run] = seed
-                continue
-            if header is None:
-                header = _parse_header(line, line_no)
-                continue
-            lines.append(line)
-            line_nos.append(line_no)
-            if len(lines) == _BLOCK_ROWS:
-                blocks.append(_parse_block(lines, line_nos, *header))
-                lines, line_nos = [], []
+    rows = line_no = 0
+    with open(path, "rb") as fh:
+        # The arrays are allocated once, with a row for each line after the
+        # header, and each block is decoded into its rows.
+        line_count = sum(np.count_nonzero(np.frombuffer(text, dtype=np.uint8) == 10)
+                         for text in _chunks(fh))
+        fh.seek(0)
+        for text in _chunks(fh):
+            b = np.frombuffer(text, dtype=np.uint8)
+            line_ends = np.flatnonzero(b == 10)
+            line_starts = np.concatenate(([0], line_ends[:-1] + 1))[: line_ends.size]
+            inspect = _INSPECT[b[line_starts]] if header else np.ones(line_ends.size, dtype=bool)
+            data = ~inspect
+            for i in np.flatnonzero(inspect).tolist():
+                number = line_no + i + 1
+                line = bytes(text[line_starts[i] : line_ends[i]])
+                if _blank(line):
+                    continue
+                if line.startswith(b"#"):
+                    parts = decode_line(line, number)[1:].split()
+                    if len(parts) == 3 and parts[0] == "seed":
+                        try:
+                            run, seed = np.array(parts[1:], dtype=np.int64).tolist()
+                        except (ValueError, OverflowError):
+                            raise ParseError(f"line {number}: malformed seed comment") from None
+                        seeds[run] = seed
+                elif header:
+                    data[i] = True
+                else:
+                    header = n, m = _parse_header(decode_line(line, number), number)
+                    block = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // (n + m + 3)))
+                    capacity = line_count - number
+                    arrays = (np.empty((capacity, 2), dtype=np.int64),
+                              np.empty((capacity, n + m + 1)),
+                              np.empty(capacity, dtype=bool),
+                              np.empty(capacity, dtype=np.int64))
+            # Each run of data lines, in blocks.
+            edges = np.flatnonzero(np.diff(data, prepend=False, append=False)).tolist()
+            for first, stop in zip(edges[::2], edges[1::2]):
+                for i in range(first, stop, block):
+                    last = min(i + block, stop)
+                    rows = _parse_block(text[line_starts[i] : line_ends[last - 1] + 1],
+                                        last - i, line_no + i + 1, n, m, arrays, rows)
+            line_no += line_ends.size
     if header is None:
         raise ParseError("file has no header row")
-    n, m = header
-    if lines:
-        blocks.append(_parse_block(lines, line_nos, n, m))
-    del lines  # the last block's text, before its arrays are concatenated
-    if not blocks:
+    if not rows:
         raise InsufficientDataError("trajectory file has no data rows")
 
-    ids, values, terminal, line_nos = (np.concatenate(parts) for parts in zip(*blocks))
-    del blocks  # frees the per-block arrays before the sorted copy is made
+    ids, values, terminal, line_nos = arrays
+    del arrays  # values is resized in place below
+    ids, terminal, line_nos = ids[:rows], terminal[:rows], line_nos[:rows]
     order = np.lexsort((ids[:, 1], ids[:, 0]))
     run, k, terminal, line_nos = ids[order, 0], ids[order, 1], terminal[order], line_nos[order]
     same_run = run[1:] == run[:-1]
@@ -399,8 +443,8 @@ def load_trajectories(path) -> TrajectoryEnsemble:
     faulty = (k != position) | (terminal != is_last) | np.repeat(sizes < 2, sizes)
     if faulty.any():
         r = np.searchsorted(starts, np.argmax(faulty), "right") - 1
-        rows = slice(starts[r], starts[r] + sizes[r])
-        _raise_run_fault(run[starts[r]], k[rows], terminal[rows])
+        span = slice(starts[r], starts[r] + sizes[r])
+        _raise_run_fault(run[starts[r]], k[span], terminal[span])
     ragged = np.flatnonzero(sizes != sizes[0])
     if ragged.size:
         r = ragged[0]
@@ -411,8 +455,11 @@ def load_trajectories(path) -> TrajectoryEnsemble:
 
     r_count, horizon = len(starts), sizes[0] - 1
     # save_trajectories writes the rows in (run, k) order, so the sort is
-    # usually the identity and the gather copy is skipped.
-    if not np.array_equal(order, np.arange(len(order))):
+    # usually the identity: the gather copy is skipped, and the rows past the
+    # data are given back in place.
+    if np.array_equal(order, np.arange(rows)):
+        values.resize((rows, n + m + 1))
+    else:
         values = values[order]
     # Read-only, the sorted block is shared by the ensemble's arrays, not copied.
     values.setflags(write=False)

@@ -133,6 +133,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_fails(self, tmp_path, capsys):
+        # The byte 0xff raised an uncaught UnicodeDecodeError: exit 1 with a
+        # traceback.
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
+        cfg.write_bytes(LINEAR_CONFIG.encode() + b"# runs \xff\n")
+        line = len(LINEAR_CONFIG.splitlines()) + 1
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: not UTF-8 text at byte 8 (invalid start byte)\n")
+        assert not out.exists()
+
 
 class TestFit:
     def test_recovers_surrogate_operator(self, tmp_path, linear_config):
@@ -150,6 +161,16 @@ class TestFit:
         empty.write_text("")
         assert main(["fit", str(empty), "--out", str(tmp_path / "m.json")]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_file_that_is_not_utf8_fails(self, tmp_path, capsys):
+        # A data row holding the byte 0xff raised an uncaught
+        # UnicodeDecodeError: exit 1 with a traceback.
+        traj, out = tmp_path / "bad.csv", tmp_path / "m.json"
+        traj.write_bytes(b"run,k,x0,u0,r\n0,0,1.0,0.5,1.0\n0,1,2\xff.0,,\n")
+        assert main(["fit", str(traj), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: not UTF-8 text at byte 6 (invalid start byte)\n")
+        assert not out.exists()
 
     def test_overflowing_mean_fails(self, tmp_path, capsys):
         # Two runs of finite states near the largest double: their sum, and

@@ -673,6 +673,21 @@ def test_scalar_inputs_refuse_out_of_range_values(name):
     assert str(refused.value) == f"{field_name} {message}"
 
 
+@pytest.mark.parametrize("build, field_name, value, rule", [
+    (lambda v: bound_inputs(horizon=v), "horizon", 10**400,
+     "must be a whole number of at least 1, or inf"),
+    (lambda v: bound_inputs(Q=v), "Q", 10**400, "must be finite and non-negative"),
+    (lambda v: DisturbanceSpec("single_tone", 0.5, 4, 0, 2, omega=v), "omega", -10**400,
+     "must be finite"),
+], ids=["horizon", "Q", "omega"])
+def test_scalar_inputs_refuse_integers_beyond_float_range(build, field_name, value, rule):
+    # 10**400 < math.inf holds for a Python int, so the range test passed and
+    # float() raised a bare OverflowError.
+    with pytest.raises(ParameterError) as refused:
+        build(value)
+    assert str(refused.value) == f"{field_name} {rule}, got an integer beyond float range"
+
+
 @pytest.mark.parametrize("value", [True, 1 + 0j, "1"], ids=["bool", "complex", "string"])
 @pytest.mark.parametrize("name", OUT_OF_RANGE_INPUTS)
 def test_scalar_inputs_refuse_non_real_values(name, value):

@@ -1,8 +1,10 @@
 """Trajectory format, validation, ensemble means, and the snapshots fitted from them."""
 
 import csv
+import decimal
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -326,9 +328,47 @@ EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 2.2250738585072014e-308)
 values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(EDGE_VALUES))
-# Text forms float() and int() accept besides the writer's.
+
+
+def midpoint_text(v, offset):
+    """The decimal midpoint between the double v > 0 and the next one up,
+    rounded to 18 significant digits and moved by offset units of its last
+    digit, written positionally: an exact binary midpoint when it has at most
+    18 digits, else one near it."""
+    context = decimal.Context(prec=60)
+    mid = context.divide(context.add(decimal.Decimal(v),
+                                     decimal.Decimal(math.nextafter(v, math.inf))), 2)
+    unit = decimal.Decimal(1).scaleb(mid.adjusted() - 17)
+    return format(mid.quantize(unit) + offset * unit, "f")
+
+
+def digits_with_point(digits, point):
+    text = str(digits)
+    point = min(point, len(text))
+    return f"{text[:point]}.{text[point:]}"
+
+
+# Decimal digits that the block decoder converts exactly, or must leave to
+# float(): binary midpoints and the decimals next to them, also just below a
+# power of two; 16 to 18 digits, and more than 18; long runs of leading
+# zeros; signed zero and digits without a point.
+DECODER_TEXTS = st.one_of(
+    st.builds(midpoint_text, st.floats(1e-4, 1e15), st.integers(-1, 1)),
+    # Below a power of two the ulp halves.
+    st.builds(midpoint_text, st.integers(-13, 49).map(lambda e: math.nextafter(2.0**e, 0)),
+              st.integers(-1, 1)),
+    st.builds(digits_with_point, st.integers(10**15, 10**20), st.integers(0, 21)),
+    st.builds(lambda digits, zeros: "0." + "0" * zeros + str(digits),
+              st.integers(1, 10**18), st.integers(0, 21)),
+    st.sampled_from(["9007199254740993.0", "9007199254740993", "9007199254740992.9",
+                     "9007199254740993.1", "18014398509481986.0", "0.00012345678901234567",
+                     "-0.0", "5", "-5", "5.", "-.5"]),
+)
+# Text forms float() and int() accept besides the writer's: spaces, '+', '_',
+# exponents and a non-ASCII digit.
 value_texts = st.one_of(values.map(repr), values.map(lambda v: f" {v:.17e}"),
-                        st.sampled_from(["1_0", "+1", "1E3", ".5", "  -2.5  "]))
+                        st.sampled_from(["1_0", "+1", "1E3", ".5", "  -2.5  ", "\u0661.5"]),
+                        DECODER_TEXTS, DECODER_TEXTS.map(lambda text: "-" + text.lstrip("-")))
 
 
 @st.composite
@@ -337,8 +377,9 @@ def trajectory_files(draw):
     lists in shuffled order."""
     r_count, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    run_ids = draw(st.lists(st.integers(-5, 10**12), min_size=r_count,
-                            max_size=r_count, unique=True))
+    # Run ids of 19 digits are above the decoder's 18.
+    run_ids = draw(st.lists(st.integers(-5, 10**12) | st.integers(10**18, 2**63 - 1),
+                            min_size=r_count, max_size=r_count, unique=True))
     rows = []
     for run in run_ids:
         for k in range(horizon + 1):
@@ -430,6 +471,25 @@ class TestDifferentialLoader:
             assert outcome(load_trajectories, path) == expected
 
 
+class TestChunkEdges:
+    """Files read a few bytes at a time, so that chunk edges fall inside
+    lines and fields, between the CR and LF of a CRLF, and inside a
+    multi-byte character."""
+
+    @given(data=st.data(), chunk=st.integers(1, 16), fault=st.sampled_from((None,) + FAULTS))
+    @settings(max_examples=100, deadline=None)
+    def test_files_match_reference(self, tmp_path_factory, data, chunk, fault):
+        header, rows, seeds, n = data.draw(trajectory_files())
+        if fault:
+            rows = inject(data.draw, rows, n, fault)
+        path = tmp_path_factory.mktemp("chunks") / "traj.csv"
+        path.write_bytes(data.draw(render(header, rows, seeds)).encode())
+        expected = outcome(reference_load, path)
+        with mock.patch.object(trajectory_data, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3):
+            assert outcome(load_trajectories, path) == expected
+
+
 class TestBlockEdges:
     """Files of exactly one block of data rows, and one block plus one row."""
 
@@ -469,6 +529,55 @@ class TestBlockEdges:
         with pytest.raises(error, match=rf"^line {index + 2}: "):
             load_trajectories(path)
         assert outcome(reference_load, path) == (error, index + 2)
+
+
+class TestWideFile:
+    """A file the size of the benchmark's wide-io workload: R=24, K=1000,
+    n=42, m=4, about 1.18M fields and 22 MB."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        # Magnitudes from 1e-5 to 1e15 give positional text of 1 to 17
+        # digits, and exponent forms below 1e-4.
+        rng = np.random.default_rng(201)
+        r_count, horizon, n, m = 24, 1000, 42, 4
+
+        def draw(*shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 16, shape)
+
+        ensemble = TrajectoryEnsemble(states=draw(r_count, horizon + 1, n),
+                                      actions=draw(r_count, horizon, m),
+                                      rewards=draw(r_count, horizon),
+                                      run_ids=np.sort(rng.permutation(10**6)[:r_count]),
+                                      seeds=rng.integers(0, 2**63, r_count))
+        path = tmp_path_factory.mktemp("wide") / "traj.csv"
+        save_trajectories(ensemble, path)
+        return ensemble, path
+
+    def test_loads_bit_for_bit(self, saved):
+        ensemble, path = saved
+        loaded = load_trajectories(path)
+        for name in ("run_ids", "seeds", "states", "actions", "rewards"):
+            got, want = getattr(loaded, name), getattr(ensemble, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_peak_memory(self, saved):
+        # The arrays are allocated once from a line count and each block is
+        # decoded into them.  Over the returned arrays the load holds one
+        # block's working set (about 16k fields at a few hundred bytes), one
+        # chunk of text and 25 bytes a row of (run, k) pairs, flags and line
+        # numbers: 5.0 MiB here.  Concatenating per-block arrays peaked
+        # 9.8 MiB over them.  (Rows out of (run, k) order add a sorted copy.)
+        _, path = saved
+        load_trajectories(path)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            loaded = load_trajectories(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = loaded.states.base.nbytes + loaded.run_ids.nbytes + loaded.seeds.nbytes
+        assert peak <= returned + 8 * 2**20, (peak, returned)
 
 
 class TestEnsembleMean:
