@@ -20,6 +20,22 @@ Generator r then draws once per step and lane r of every group uses those
 draws.  No draw depends on the state, so each group's lanes equal a separate
 call with that group's disturbance alone, bit for bit.
 
+The ground users never see the UAV: their motion depends on their draws and,
+in a disturbed group, on the disturbance alone.  So a UAV rollout advances
+the crowd first, a chunk of steps at a time: every lane's draws for the chunk
+(in the per-lane, per-step order above), then the positions of all its steps
+into one (chunk+1, G*R, J, 2) buffer; the closed loop of waypoint, UAV
+disturbance and service mask then runs over the chunk.  Each value goes
+through the same operations as in a step-by-step loop, so the bytes are the
+same.
+
+The service mask skips the link budget when no lane covers more than
+_sure_count users: their equal share at the spectral efficiency of the
+coverage edge clears the rate floor by the relative margin _RATE_SLACK, and
+every step from distance to rate is monotone in the distance.  numpy's log2
+and exp are not correctly rounded, and a scalar may round a few ulps apart
+from an array; the 1e-9 margin covers that many times over.
+
 A UAV rollout keeps the service mask of every step and scores the rewards and
 speed flags of all steps once, after the step loop.  The sums count 0/1
 values and every other operation is elementwise, so each reward is the one a
@@ -46,8 +62,16 @@ FAIRNESS_MODES = ("as_written", "standard")
 _LAG_SMOOTHING = 0.5
 # Slack on the per-step UAV displacement check, float round-off only.
 _SPEED_EPS = 1e-9
-# Steps of process noise the linear surrogate draws per lane at a time.
+# Steps of process noise the linear surrogate draws per lane at a time, and
+# of ground-user motion the UAV environment advances ahead of its closed loop.
 _NOISE_CHUNK = 256
+# User positions (lanes x users x steps) a UAV chunk holds at most, unless
+# that is under 8 steps: many lanes take fewer steps at a time, so the
+# chunk's buffers stay small next to the state buffer.
+_CROWD_CHUNK_VALUES = 2**12
+# Relative margin by which a lane's bandwidth share at the coverage edge must
+# clear the rate floor before the drop passes are skipped; see _serve_mask.
+_RATE_SLACK = 1e-9
 # Largest (G*R, K+1, n) state buffer a rollout plans, in values: 2**28
 # float64 values are 2 GiB, before the action, reward and service-mask
 # buffers.  A larger rollout is refused before any generator or array exists.
@@ -321,66 +345,101 @@ class UavEnvConfig:
         return 2
 
 
-def _lane_draws(rngs, gu_count: int, config: UavEnvConfig, groups: int = 1):
-    """Yield, once per step, every lane's standard draws as one reused
-    (G*R, 3, J) buffer: normal(J) (left zero when gu_speed_std is zero), then
-    random(J) twice, drawn in that order from generator rngs[r] and copied to
-    lane r of each of the G groups."""
-    draws = np.zeros((groups, len(rngs), 3, gu_count))
+def _lane_draws(rngs, chunk: int, gu_count: int, config: UavEnvConfig):
+    """A function that draws the next `steps` <= chunk steps of every lane
+    into one reused (chunk, R, 3, J) buffer and returns its first `steps`
+    entries.  Lane r draws per step normal(J) (left zero when gu_speed_std
+    is zero), then random(J) twice, in that order from generator rngs[r]."""
+    draws = np.zeros((chunk, len(rngs), 3, gu_count))
     calls = []
-    for r, rng in enumerate(rngs):
-        if config.gu_speed_std > 0:
-            calls.append((rng.standard_normal, draws[0, r, 0]))
-        calls.append((rng.random, draws[0, r, 1:]))
-    lanes = draws.reshape(-1, 3, gu_count)
-    while True:
-        for draw, out in calls:
-            draw(out=out)
-        draws[1:] = draws[0]
-        yield lanes
+    for step in draws:
+        for rng, lane in zip(rngs, step):
+            if config.gu_speed_std > 0:
+                calls.append((rng.standard_normal, lane[0]))
+            calls.append((rng.random, lane[1:]))
+    per_step = len(calls) // chunk
+
+    def draw(steps: int) -> np.ndarray:
+        for fill, out in calls[:steps * per_step]:
+            fill(out=out)
+        return draws[:steps]
+
+    return draw
 
 
-def _step_gu_arrays(pos, speeds, headings, config: UavEnvConfig, draws):
-    """Advance every ground user of every lane by one step.
+def _step_gu_arrays(crowd, speeds, headings, config: UavEnvConfig, draws, disturbed=()) -> None:
+    """Advance every ground user of every lane over C steps, in place.
 
-    pos is (R, J, 2), speeds and headings (R, J), and draws the step's
-    (R, 3, J) standard draws from _lane_draws.  Speed follows a
-    mean-reverting update with Gaussian jitter, clamped at zero.  The heading
-    is kept (plus the configured turn bias) with probability
+    crowd is a (C+1, G*R, J, 2) buffer: entry 0 holds the positions the
+    steps start from and entry k+1 receives those after step k.  speeds
+    (R, J), which the G groups share, and headings (G*R, J) are updated in
+    place; draws are the C steps' (C, R, 3, J) standard draws from
+    _lane_draws.  disturbed lists (lanes, w) with w a group's (C, J, 2) user
+    rows of the disturbance, added to its lanes' positions after each step
+    and clamped to the area.
+
+    Speed follows a mean-reverting update with Gaussian jitter, clamped at
+    zero; it does not depend on position, so all C speeds come first.  The
+    heading is kept (plus the configured turn bias) with probability
     gu_keep_direction, otherwise redrawn uniformly.  The position advances
     along the heading and reflects off the area walls.
 
     The jitter normal(0, s) and the fresh heading uniform(0, 2 pi) are
     0 + s * z and 0 + 2 pi * u for the standard draws z and u they consume,
-    so scaling the standard draws gives the same numbers.
+    so scaling the standard draws gives the same numbers.  The clamp is
+    np.maximum(0.0, x) then np.minimum, which is np.clip down to the sign of
+    zero: both map -0.0 to +0.0.
     """
+    steps, runs = draws.shape[:2]
+    j = headings.shape[1]
     h1 = config.gu_speed_memory
-    nu = config.gu_speed_std * draws[:, 0]
-    speeds = np.maximum(0.0, h1 * speeds + (1.0 - h1) * config.gu_mean_speed + nu)
-    headings = np.where(
-        draws[:, 1] < config.gu_keep_direction,
-        headings + config.gu_turn_bias,
-        2.0 * math.pi * draws[:, 2],
-    )
-    stride = config.step_seconds * speeds
-    # Both displacements use the headings drawn above; the reflections below
-    # then turn them.
-    # Every operation below is on whole arrays or (R, J) views: broadcasting
-    # a per-axis (2,) operand would step numpy's loops two elements at a time.
-    moved = np.empty(pos.shape)
-    x, y = moved[..., 0], moved[..., 1]
-    np.multiply(stride, np.cos(headings), out=x)
-    np.multiply(stride, np.sin(headings), out=y)
-    moved += pos
-    outside = moved < 0.0
-    outside[..., 0] |= x > config.area_x
-    outside[..., 1] |= y > config.area_y
-    crossings = outside.reshape(-1).nonzero()[0]
-    if crossings.size:
-        turned = headings.reshape(-1)
-        _fold(moved.reshape(-1, 2), turned, crossings.tolist(), config)
-        headings = turned.reshape(headings.shape)
-    return moved, speeds, headings % (2.0 * math.pi)
+    nu = config.gu_speed_std * draws[:, :, 0]
+    redraw = draws[:, :, 1] >= config.gu_keep_direction
+    fresh = 2.0 * math.pi * draws[:, :, 2]
+    stride = np.empty((steps, runs, j))
+    speed = speeds
+    for row, jitter in zip(stride, nu):
+        np.multiply(h1, speed, out=row)
+        row += (1.0 - h1) * config.gu_mean_speed
+        row += jitter
+        np.maximum(0.0, row, out=row)
+        speed = row
+    speeds[...] = speed
+    stride *= config.step_seconds
+
+    # Every operation below is on whole arrays, (R, J) views or contiguous
+    # (J, 2) operands: broadcasting a per-axis (2,) operand would step
+    # numpy's loops two elements at a time.
+    turns = headings.reshape(-1, runs, j)
+    grouped = crowd.reshape(steps + 1, *turns.shape, 2)
+    upper = np.tile([config.area_x, config.area_y], (j, 1))
+    cosines, sines = np.empty(turns.shape), np.empty(turns.shape)
+    moves = np.empty(grouped.shape[1:])
+    outside = np.empty(grouped.shape[1:], dtype=bool)
+    over = np.empty(outside.shape, dtype=bool)
+    for k in range(steps):
+        turns += config.gu_turn_bias
+        drawn = np.where(redraw[k], fresh[k], turns)
+        # Both displacements use the headings drawn above; the reflections
+        # below then turn them.
+        np.cos(drawn, out=cosines)
+        np.sin(drawn, out=sines)
+        np.multiply(stride[k], cosines, out=moves[..., 0])
+        np.multiply(stride[k], sines, out=moves[..., 1])
+        moved = grouped[k + 1]
+        np.add(moves, grouped[k], out=moved)
+        np.less(moved, 0.0, out=outside)
+        np.greater(moved, upper, out=over)
+        outside |= over
+        crossings = np.flatnonzero(outside)
+        if crossings.size:
+            _fold(moved.reshape(-1, 2), drawn.reshape(-1), crossings.tolist(), config)
+        np.remainder(drawn, 2.0 * math.pi, out=turns)
+        for group, w in disturbed:
+            block = crowd[k + 1, group]
+            block += w[k]
+            np.maximum(0.0, block, out=block)
+            np.minimum(block, upper, out=block)
 
 
 def _fold(points, headings, crossings, config: UavEnvConfig) -> None:
@@ -429,26 +488,59 @@ def _spectral_efficiency(h_g, config: UavEnvConfig):
     return np.log2(1.0 + snr)
 
 
-def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig) -> np.ndarray:
+def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig,
+                sure: int) -> np.ndarray:
     """Equal-split service selection: (R, J) mask from UAV positions (R, 2)
-    and user positions (R, J, 2).
+    and user positions (R, J, 2); sure is _sure_count(config).
 
     Users within the coverage radius (3-d distance) split the bandwidth
     equally; users whose resulting rate misses the floor are dropped and the
     split is recomputed until every survivor meets it.  The drop passes run
-    on all lanes together until no lane drops a user.
+    on all lanes together until no lane drops a user.  They are skipped,
+    and so is the link budget, when no lane covers more than `sure` users:
+    none of them can then miss the floor.
     """
-    diff = gu_xy - uav_xy[:, None, :]
-    d3 = np.sqrt((diff * diff).sum(axis=-1) + config.altitude**2)
+    # dx^2 + dy^2 is the sum over the last axis of length two, without
+    # stepping numpy's loops two elements at a time.
+    d3 = gu_xy[..., 0] - uav_xy[:, :1]
+    dy = gu_xy[..., 1] - uav_xy[:, 1:]
+    d3 *= d3
+    dy *= dy
+    d3 += dy
+    d3 += config.altitude**2
+    np.sqrt(d3, out=d3)
+    active = d3 <= config.coverage_radius
+    if config.gu_count <= sure or active.sum(axis=1).max() <= sure:
+        return active
     # Rate per hertz, scaled below by each lane's bandwidth share.
     efficiency = _spectral_efficiency(_channel(d3, config), config)
-    active = d3 <= config.coverage_radius
     while True:
         share = config.bandwidth_hz / np.maximum(active.sum(axis=1), 1)
         drop = active & ~(share[:, None] * efficiency >= config.min_rate)
         if not np.count_nonzero(drop):
             return active
         active &= ~drop
+
+
+def _sure_count(config: UavEnvConfig) -> int:
+    """The most covered users a lane can hold with each of them sure to
+    clear the rate floor: their equal share at the spectral efficiency of
+    the coverage edge clears it by the _RATE_SLACK margin.
+
+    Each step from distance to rate (square root, channel, log2, the share's
+    product) is monotone in the distance, so no covered user's efficiency is
+    below the edge one, up to the few ulps by which numpy's log2 and exp,
+    which are not correctly rounded, may differ between a scalar and an
+    array.  The margin is far above that.
+    """
+    edge = float(_spectral_efficiency(_channel(config.coverage_radius, config), config))
+    floor = config.min_rate * (1.0 + _RATE_SLACK)
+    # In Python floats a huge bandwidth makes the quotient +inf, not a warning.
+    quotient = config.bandwidth_hz * edge / floor
+    count = config.gu_count if quotient >= config.gu_count else math.floor(quotient)
+    while count and config.bandwidth_hz / count * edge < floor:
+        count -= 1
+    return count
 
 
 def _rewards(served: np.ndarray, violation: np.ndarray, config: UavEnvConfig) -> np.ndarray:
@@ -511,8 +603,9 @@ class ScriptedPolicy:
         step = target - uav_xy
         dist = _norms(step)
         max_step = self.config.step_seconds * self.config.uav_max_speed
-        over = dist > max_step
-        step[over] *= (max_step / dist[over])[:, None]
+        # A lane within reach keeps its step: times 1.0 is exact.
+        scale = np.divide(max_step, dist, out=np.ones_like(dist), where=dist > max_step)
+        step *= scale[:, None]
         return uav_xy + step
 
 
@@ -546,6 +639,7 @@ def uav_ensemble(
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
     check_rollout_size(groups, runs, horizon, n)
     lanes = groups * runs
+    chunk = min(_NOISE_CHUNK, horizon, max(8, _CROWD_CHUNK_VALUES // (lanes * j)))
     rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     area = np.array([config.area_x, config.area_y])
     uav = np.empty((runs, 2))
@@ -555,38 +649,45 @@ def uav_ensemble(
         uav[r] = rng.uniform(size=2) * area
         gu_pos[r] = rng.uniform(size=(j, 2)) * area
         gu_heading[r] = rng.uniform(0.0, 2.0 * math.pi, size=j)
-    uav, gu_pos, gu_heading = (np.concatenate([a] * groups) for a in (uav, gu_pos, gu_heading))
-    gu_speed = np.full((lanes, j), config.gu_mean_speed)
-    draws = _lane_draws(rngs, j, config, groups)
+    # crowd[0] holds the users' positions at the start of a chunk.
+    crowd = np.empty((chunk + 1, lanes, j, 2))
+    uav, crowd[0], heading = (np.concatenate([a] * groups) for a in (uav, gu_pos, gu_heading))
+    speed = np.full((runs, j), config.gu_mean_speed)
+    draw = _lane_draws(rngs, chunk, j, config)
+    gu_disturbed = [(group, w[:, :-2].reshape(horizon, j, 2)) for group, w in disturbed]
 
     policy = ScriptedPolicy(policy_kind, config)
     states = np.empty((lanes, horizon + 1, n))
     actions = np.empty((lanes, horizon, 2))
-    states[:, 0, :-2] = gu_pos.reshape(lanes, -1)
+    states[:, 0, :-2] = crowd[0].reshape(lanes, -1)
     states[:, 0, -2:] = uav
     # served[:, k] is the mask after step k: it scores step k's reward, and
     # the policy sees it at step k+1.
     served = np.empty((lanes, horizon, j), dtype=bool)
-    mask = _serve_mask(uav, gu_pos, config)
+    sure = _sure_count(config)
+    mask = _serve_mask(uav, crowd[0], config, sure)
 
-    for k in range(horizon):
-        uav = policy.waypoint_arrays(uav, gu_pos, mask)
-        actions[:, k] = uav
-        gu_pos, gu_speed, gu_heading = _step_gu_arrays(
-            gu_pos, gu_speed, gu_heading, config, next(draws)
-        )
-        row = states[:, k + 1]
-        row[:, :-2] = gu_pos.reshape(lanes, -1)
-        row[:, -2:] = uav
-        if disturbed:
+    for start in range(0, horizon, chunk):
+        stop = min(start + chunk, horizon)
+        steps = stop - start
+        if start:
+            crowd[0] = crowd[chunk]
+        # The users never see the UAV: their positions come first, then the
+        # closed loop of the chunk reads them.
+        _step_gu_arrays(crowd[:steps + 1], speed, heading, config, draw(steps),
+                        [(group, w[start:stop]) for group, w in gu_disturbed])
+        for k in range(start, stop):
+            uav = policy.waypoint_arrays(uav, crowd[k - start], mask)
+            actions[:, k] = uav
             for group, w in disturbed:
-                row[group] += w[k]
-                coords = row[group].reshape(runs, -1, 2)
-                np.clip(coords, 0.0, area, out=coords)
-            coords = row.reshape(lanes, -1, 2)
-            gu_pos = coords[:, :-1].copy()
-            uav = coords[:, -1].copy()
-        mask = served[:, k] = _serve_mask(uav, gu_pos, config)
+                craft = uav[group]
+                craft += w[k, -2:]
+                np.maximum(0.0, craft, out=craft)
+                np.minimum(craft, area, out=craft)
+            states[:, k + 1, -2:] = uav
+            mask = served[:, k] = _serve_mask(uav, crowd[k + 1 - start], config, sure)
+        states[:, start + 1:stop + 1, :-2] = (
+            crowd[1:steps + 1].swapaxes(0, 1).reshape(lanes, steps, -1))
 
     # The speed constraint is a property of the commanded step, from the
     # position the craft was in; state disturbances displace the craft but

@@ -363,6 +363,39 @@ def _raise_run_fault(run_id, steps, ends) -> None:
     raise DimensionMismatchError(f"run {run_id}: no steps before the terminal row")
 
 
+def _sort_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """values[order], where order holds, for each run in sorted order, the
+    file rows of its K+1 steps: an (R, K+1) array.
+
+    When each run's rows are one block of K+1 rows in the file, as in a file
+    written from an ensemble whose run ids are not sorted, the blocks are
+    moved in place along the cycles of their permutation, with one block
+    held aside per cycle.  Rows of runs that interleave are gathered into a
+    copy.
+    """
+    size = order.shape[1]
+    source = order // size
+    if not (source == source[:, :1]).all():
+        return values[order.reshape(-1)]
+    source = source[:, 0]
+    within = order - size * source[:, None]
+    runs = values.reshape(len(order), size, -1)
+    placed = np.zeros(len(order), dtype=bool)
+    for first in range(len(order)):
+        if placed[first]:
+            continue
+        held = runs[first].copy()
+        run = first
+        while not placed[run]:
+            placed[run] = True
+            block = held if source[run] == first else runs[source[run]]
+            # mode="clip" writes straight into the run's block, which no
+            # source overlaps; every index is in range.
+            np.take(block, within[run], axis=0, out=runs[run], mode="clip")
+            run = source[run]
+    return values
+
+
 def load_trajectories(path) -> TrajectoryEnsemble:
     """Load and validate a trajectory file.
 
@@ -455,12 +488,11 @@ def load_trajectories(path) -> TrajectoryEnsemble:
 
     r_count, horizon = len(starts), sizes[0] - 1
     # save_trajectories writes the rows in (run, k) order, so the sort is
-    # usually the identity: the gather copy is skipped, and the rows past the
-    # data are given back in place.
-    if np.array_equal(order, np.arange(rows)):
-        values.resize((rows, n + m + 1))
-    else:
-        values = values[order]
+    # usually the identity.  Either way the rows past the data are given back
+    # in place.
+    values.resize((rows, n + m + 1))
+    if not np.array_equal(order, np.arange(rows)):
+        values = _sort_rows(values, order.reshape(r_count, horizon + 1))
     # Read-only, the sorted block is shared by the ensemble's arrays, not copied.
     values.setflags(write=False)
     values = values.reshape(r_count, horizon + 1, n + m + 1)

@@ -841,8 +841,12 @@ class TestSettingTypes:
 
     @staticmethod
     def assert_rejected(tmp_path, capsys, key, message):
-        assert capsys.readouterr().err.startswith(f"error: {key} {message}")
+        """Check the error names the key and nothing was written; return the
+        error text."""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "types.cfg"]
+        return err
 
     # An integer literal too long for Python to convert reads as a string.
     @pytest.mark.parametrize("value", ["2.7", "true", "x", pytest.param("1" + "0" * 5000,
@@ -925,7 +929,9 @@ class TestSettingTypes:
     def test_out_of_range_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value,
                                        message):
         assert self.run(tmp_path, monkeypatch, command, key, value) == 2
-        self.assert_rejected(tmp_path, capsys, key, message)
+        err = self.assert_rejected(tmp_path, capsys, key, message)
+        # One error line and no traceback.
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, key", [
         (["--seed", str(10**19)], "sim.seed"),

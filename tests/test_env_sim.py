@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import fields
 from typing import NamedTuple
 
@@ -31,8 +32,14 @@ from koopbound.env_sim import (
     _serve_mask,
     _spectral_efficiency,
     _step_gu_arrays,
+    _sure_count,
     split_groups,
 )
+
+
+# Compact-area UAV environment of the two-policy ordering acceptance test.
+COMPACT_UAV = dict(area_x=50.0, area_y=50.0, gu_count=12, altitude=20.0,
+                   coverage_radius=25.0, gu_mean_speed=10.0)
 
 
 class Run(NamedTuple):
@@ -63,16 +70,20 @@ def uav_run(config, kind, horizon, seed, disturbance=None):
 
 def step_gu(config, speed, heading, rng, x=50.0, y=50.0):
     """One step of one ground user in one lane: (x, y, speed, heading)."""
-    draws = next(_lane_draws([rng], 1, config))
-    pos, speeds, headings = _step_gu_arrays(
-        np.array([[[x, y]]]), np.array([[speed]]), np.array([[heading]]), config, draws
-    )
-    return (*pos[0, 0], speeds[0, 0], headings[0, 0])
+    crowd = np.array([[[[x, y]]], [[[np.nan, np.nan]]]])
+    speeds, headings = np.array([[speed]]), np.array([[heading]])
+    _step_gu_arrays(crowd, speeds, headings, config, _lane_draws([rng], 1, 1, config)(1))
+    return (*crowd[1, 0, 0], speeds[0, 0], headings[0, 0])
+
+
+def serve_mask(uav_xy, gu_xy, config):
+    """_serve_mask of (R, 2) UAV and (R, J, 2) user positions."""
+    return _serve_mask(uav_xy, gu_xy, config, _sure_count(config))
 
 
 def serve(uav_xy, gu_positions, config):
     """Service indicators (0/1) of one lane."""
-    mask = _serve_mask(
+    mask = serve_mask(
         np.asarray(uav_xy, dtype=float)[None], np.asarray(gu_positions, dtype=float)[None],
         config,
     )
@@ -83,7 +94,7 @@ def lane_waypoint(policy, uav_xy, gu_positions):
     """Next waypoint of one lane."""
     uav = np.asarray(uav_xy, dtype=float)[None]
     gus = np.asarray(gu_positions, dtype=float)[None]
-    return policy.waypoint_arrays(uav, gus, _serve_mask(uav, gus, policy.config))[0]
+    return policy.waypoint_arrays(uav, gus, serve_mask(uav, gus, policy.config))[0]
 
 
 def waypoint(uav_xy, gu_positions, config, kind):
@@ -263,12 +274,47 @@ class TestGuReflection:
         x, y, speed, heading, z, keep, fresh = (np.array(v).reshape(2, 3) for v in zip(*users))
         pos = np.stack((x, np.minimum(y, area_y)), axis=-1)
         draws = np.stack((z, keep, fresh), axis=1)
-        moved, speeds, headings = _step_gu_arrays(pos, speed, heading, config, draws)
-        got = np.stack((moved[..., 0], moved[..., 1], speeds, headings), axis=-1)
+        crowd = np.stack((pos, np.full(pos.shape, np.nan)))
+        speeds, headings = speed.copy(), heading.copy()
+        _step_gu_arrays(crowd, speeds, headings, config, draws[None])
+        got = np.stack((crowd[1, ..., 0], crowd[1, ..., 1], speeds, headings), axis=-1)
         for lane, user in np.ndindex(2, 3):
             expected = gu_step_reference(*pos[lane, user], speed[lane, user],
                                          heading[lane, user], *draws[lane, :, user], config)
             assert got[lane, user].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("turn_bias", [0.0, 0.4])
+    def test_chunk_matches_scalar_reference(self, turn_bias):
+        # Six steps at once of two groups of two lanes, which share each
+        # lane's draws and speeds; the second group's users are moved by a
+        # disturbance, clamped to the area, after every step.
+        config = UavEnvConfig(**self.CONFIG, area_y=2.5, gu_turn_bias=turn_bias)
+        rng = np.random.default_rng(12)
+        steps, runs, users = 6, 2, 3
+        draws = np.stack((rng.standard_normal((steps, runs, users)),
+                          rng.random((steps, runs, users)), rng.random((steps, runs, users))),
+                         axis=2)
+        w = rng.normal(scale=0.8, size=(steps, users, 2))
+        crowd = np.full((steps + 1, 2 * runs, users, 2), np.nan)
+        crowd[0] = rng.random((2 * runs, users, 2)) * (1.0, 2.5)
+        speeds = rng.random((runs, users)) * 60.0
+        headings = rng.random((2 * runs, users)) * 2.0 * math.pi
+        expected = [[(*crowd[0, lane, user], speeds[lane % runs, user], headings[lane, user])
+                     for user in range(users)] for lane in range(2 * runs)]
+        _step_gu_arrays(crowd, speeds, headings, config, draws, [(slice(runs, None), w)])
+        for k, lane, user in np.ndindex(steps, 2 * runs, users):
+            x, y, speed, heading = gu_step_reference(*expected[lane][user],
+                                                     *draws[k, lane % runs, :, user], config)
+            if lane >= runs:
+                x = min(max(0.0, x + w[k, user, 0]), config.area_x)
+                y = min(max(0.0, y + w[k, user, 1]), config.area_y)
+            expected[lane][user] = x, y, speed, heading
+            assert crowd[k + 1, lane, user].tolist() == [x, y]
+        for lane, user in np.ndindex(2 * runs, users):
+            _, _, speed, heading = expected[lane][user]
+            assert speeds[lane % runs, user] == speed and headings[lane, user] == heading
+        clamped = (crowd[1:, runs:] == 0.0) | (crowd[1:, runs:] == (1.0, 2.5))
+        assert clamped.any()
 
 
 class TestLinkBudget:
@@ -348,10 +394,85 @@ class TestServeSet:
         config = UavEnvConfig(min_rate=400e6)
         uav = rng.uniform(0, 100, size=(40, 2))
         gus = rng.uniform(0, 100, size=(40, config.gu_count, 2))
-        batch = _serve_mask(uav, gus, config).astype(int)
+        batch = serve_mask(uav, gus, config).astype(int)
         assert len({int(row.sum()) for row in batch}) > 3
         for r in range(len(uav)):
             assert batch[r].tolist() == serve(uav[r], gus[r], config).tolist()
+
+
+def drop_loop_mask(uav_xy, gu_xy, config):
+    """The service mask by the full link budget and drop passes, with no
+    shortcut: the rule _serve_mask follows."""
+    diff = gu_xy - uav_xy[:, None, :]
+    d3 = np.sqrt((diff * diff).sum(axis=-1) + config.altitude**2)
+    efficiency = _spectral_efficiency(_channel(d3, config), config)
+    active = d3 <= config.coverage_radius
+    while True:
+        share = config.bandwidth_hz / np.maximum(active.sum(axis=1), 1)
+        drop = active & ~(share[:, None] * efficiency >= config.min_rate)
+        if not drop.any():
+            return active
+        active &= ~drop
+
+
+# Configs where covered users are dropped, and the compact one, where the
+# link budget never drops one.
+SHORTCUT_CONFIGS = (dict(gu_count=40, min_rate=400e6), dict(), dict(absorption=0.01),
+                    COMPACT_UAV)
+
+
+class TestServeShortcut:
+    @pytest.mark.parametrize("absorption", [0.0, 0.01, 0.2])
+    @pytest.mark.parametrize("area", [dict(), dict(altitude=20.0, coverage_radius=25.0)])
+    def test_edge_efficiency_is_the_least(self, absorption, area):
+        # Every distance a covered user can have, from straight below the UAV
+        # out to the coverage radius, gets at least the edge efficiency up to
+        # half the slack: with a share that clears the floor by (1 + slack),
+        # (1 + slack)(1 - slack / 2) > 1 leaves room for the product's
+        # rounding.  Array and scalar paths of log2 and exp both count.
+        config = UavEnvConfig(**area, absorption=absorption)
+        edge = _spectral_efficiency(_channel(config.coverage_radius, config), config)
+        least = edge * (1.0 - env_sim._RATE_SLACK / 2)
+        d = np.linspace(config.altitude, config.coverage_radius, 200_001)
+        assert _spectral_efficiency(_channel(d, config), config).min() >= least
+        for x in d[::100].tolist():
+            assert _spectral_efficiency(_channel(x, config), config) >= least
+
+    # Beside the shortcut configs: a bandwidth whose product with the edge
+    # efficiency overflows, a floor nobody clears, a channel that underflows.
+    @pytest.mark.parametrize("config", SHORTCUT_CONFIGS + (
+        dict(bandwidth_hz=1e308), dict(min_rate=1e300), dict(absorption=50.0)))
+    def test_sure_count_is_the_largest_sure_share(self, config):
+        config = UavEnvConfig(**config)
+        sure = _sure_count(config)
+        edge = _spectral_efficiency(_channel(config.coverage_radius, config), config)
+        floor = config.min_rate * (1.0 + env_sim._RATE_SLACK)
+        assert 0 <= sure <= config.gu_count
+        assert sure == 0 or config.bandwidth_hz / sure * edge >= floor
+        assert sure == config.gu_count or config.bandwidth_hz / (sure + 1) * edge < floor
+
+    @pytest.mark.parametrize("config", SHORTCUT_CONFIGS)
+    def test_matches_drop_loop(self, config):
+        # Random positions in batches of 1 and 8 lanes, where the shortcut
+        # fires and where it cannot, give the full drop loop's mask.
+        config = UavEnvConfig(**config)
+        rng = np.random.default_rng(44)
+        area = np.array([config.area_x, config.area_y])
+        fired = dropped = 0
+        for lanes in [1] * 150 + [8] * 50:
+            uav = rng.random((lanes, 2)) * area
+            gus = rng.random((lanes, config.gu_count, 2)) * area
+            got = serve_mask(uav, gus, config)
+            want = drop_loop_mask(uav, gus, config)
+            assert got.tobytes() == want.tobytes()
+            diff = gus - uav[:, None, :]
+            covered = np.sqrt((diff * diff).sum(axis=-1) + config.altitude**2)
+            covered = covered <= config.coverage_radius
+            fired += covered.sum(axis=1).max() <= _sure_count(config)
+            dropped += (covered & ~want).any()
+        assert fired
+        if config.gu_count > _sure_count(config):
+            assert dropped and fired < 200
 
 
 class TestFairness:
@@ -423,8 +544,8 @@ class TestReward:
                                disturbance=disturbance)
             for k in range(ens.horizon):
                 after = ens.states[:, k + 1]
-                served = _serve_mask(after[:, -2:], after[:, :-2].reshape(len(after), -1, 2),
-                                     config)
+                served = serve_mask(after[:, -2:], after[:, :-2].reshape(len(after), -1, 2),
+                                    config)
                 step = np.linalg.norm(ens.actions[:, k] - ens.states[:, k, -2:], axis=-1)
                 expected = _rewards(served, step > max_step + 1e-9, config)
                 assert np.array_equal(ens.rewards[:, k], expected)
@@ -547,6 +668,25 @@ class TestUavRollout:
         assert np.array_equal(ens.states[1], single.states)
 
 
+class TestUavMemory:
+    def test_peak_within_outputs_and_a_chunk(self):
+        # The crowd is stepped a chunk at a time, so over its output buffers
+        # (5.8 MiB here) a rollout holds a fixed allowance: the chunk's
+        # buffers and the reward scoring's (lanes, K) temporaries, 0.9 MiB
+        # here.  A (K+1)-long crowd array would add 4.9 MiB.
+        config = UavEnvConfig()
+        uav_ensemble(config, "centroid_greedy", 5, 8, 0)  # caches outside the measurement
+        tracemalloc.start()
+        try:
+            ens = uav_ensemble(config, "centroid_greedy", 2000, 8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        served = ens.rewards.size * config.gu_count
+        outputs = ens.states.nbytes + ens.actions.nbytes + ens.rewards.nbytes + served
+        assert peak <= outputs + 2 * 2**20, (peak, outputs)
+
+
 class TestUavConfig:
     def test_defaults_match_baseline(self):
         config = UavEnvConfig()
@@ -640,11 +780,6 @@ class TestRolloutSize:
             linear_ensemble(config, 5, 3, 0, disturbance=(None, None))
 
 
-# Compact-area UAV environment of the two-policy ordering acceptance test.
-COMPACT_UAV = dict(area_x=50.0, area_y=50.0, gu_count=12, altitude=20.0,
-                   coverage_radius=25.0, gu_mean_speed=10.0)
-
-
 def ensemble_digest(ensemble):
     h = hashlib.sha256()
     for name in ("states", "actions", "rewards"):
@@ -694,6 +829,56 @@ class TestBatchedRollouts:
         False: "4e84d13a93751fa664a778529c7172b196942eb3c7fbcab7d523b16b3d7564a5",
         True: "c470838fbde1b4100588d266ff6c9811af558bb0ca5d7de416abdd1d8c96f8e5",
     }
+
+    # Rollouts of K=600 steps, several crowd chunks, pinned before the crowd
+    # was stepped ahead of the closed loop: in "dropping" and "default"
+    # covered users are dropped; w hits the clamp.
+    UAV_LONG_DIGESTS = {
+        ("dropping", "centroid_greedy", "none"):
+            "b939230705cf0bfb03012a8ac14ad2f9b600c4b6a089f55acfab122acd50b65a",
+        ("dropping", "centroid_greedy", "w"):
+            "cb3b3fc318d1c47642752d5a7ad47b32fd335b24e3664fda136fde5d6e7e558d",
+        ("dropping", "centroid_greedy", "none_w"):
+            "8744195a8791bbeef252da2f4a614dd8a68f024cc4a130a3e2fb97ef8354f902",
+        ("dropping", "centroid_greedy", "w_none_2w"):
+            "daa88db01c6b06b1d33f6cb22cf04e76be3dac45dda33582dc7b6dbed412a85e",
+        ("dropping", "lagged_centroid", "none"):
+            "be583c2eaf854030d26296b9106f7dbc5611e5e927ce8b51afba38c7e3e98d8e",
+        ("dropping", "lagged_centroid", "w"):
+            "24e0981f3b5d79fb6cd8a6b4a12475c6da6bd035baa08695c6389342445eef13",
+        ("dropping", "lagged_centroid", "none_w"):
+            "4a8133209f5b6b27d70288b6cf8c0785a069dc9dba09046ba0f2c36f816cdd5f",
+        ("dropping", "lagged_centroid", "w_none_2w"):
+            "756c50d365d6c21d77bf0496c144e7cffd67eee5c39c028bcb54625e3dad8817",
+        ("default", "centroid_greedy", "none"):
+            "84da4d65393d91ef78d56a239eb786f1a76b85d7a8a5193645a0e7046dbcb803",
+        ("default", "centroid_greedy", "w"):
+            "2db10042115cab5397878c3861bd0bd27ce36cdf15a44ed0acad7c68a53ee798",
+        ("default", "centroid_greedy", "none_w"):
+            "c7cfd1dd6d67562ae42f96f384b623d7a6264838d75a45598d94ef61a4f526ba",
+        ("default", "centroid_greedy", "w_none_2w"):
+            "398eb9cd067904361bd424db562892480f723cb5f60dfb5373b964c814e9b061",
+        ("default", "lagged_centroid", "none"):
+            "72c42c3f67fb18ebd07488b3f6c5abe01dbd2a0f95f0cd0a565c116749b670d0",
+        ("default", "lagged_centroid", "w"):
+            "0d7be3912c460c2bd50b6d66ca4334c0536b393e5ded8f816a987e468d3ea605",
+        ("default", "lagged_centroid", "none_w"):
+            "236aa02ac2d38711516d0f6c8a29f9d1e00e8cbb1b51c6c93ead354f083be0da",
+        ("default", "lagged_centroid", "w_none_2w"):
+            "4b0943aa36139cddeef1ea634babc4c615f2bd398cf645cdd9cececa01196efe",
+    }
+    LONG_CONFIGS = {"dropping": dict(gu_count=40, min_rate=400e6), "default": {}}
+
+    @pytest.mark.parametrize("name", LONG_CONFIGS)
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("form", ["none", "w", "none_w", "w_none_2w"])
+    def test_uav_long_digest_pinned(self, name, kind, form):
+        config = UavEnvConfig(**self.LONG_CONFIGS[name])
+        w = np.random.default_rng(21).normal(scale=5.0, size=(600, config.n))
+        disturbance = {"none": None, "w": w, "none_w": (None, w),
+                       "w_none_2w": (w, None, 2.0 * w)}[form]
+        ens = uav_ensemble(config, kind, 600, runs=3, master_seed=4100, disturbance=disturbance)
+        assert ensemble_digest(ens) == self.UAV_LONG_DIGESTS[name, kind, form]
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     @pytest.mark.parametrize("disturbed", [False, True])

@@ -66,6 +66,28 @@ class TestTrajectoryValidation:
         with pytest.raises(DimensionMismatchError):
             load_trajectories(path)
 
+    def test_rows_out_of_order_load_sorted(self, tmp_path):
+        # Runs as blocks in the order 7, 3, 5, with rows reversed in two of
+        # them, and runs interleaved step by step, load as the sorted file.
+        header = "run,k,x0,u0,r\n"
+        rows = {run: [f"{run},{k},{run + k / 8},{-k},{k * run}\n" for k in range(3)]
+                for run in (3, 5, 7)}
+        for run in rows:
+            rows[run][-1] = rows[run][-1].rsplit(",", 2)[0] + ",,\n"
+        layouts = {
+            "sorted": rows[3] + rows[5] + rows[7],
+            "blocks": rows[7][::-1] + rows[3] + rows[5][::-1],
+            "interleaved": [rows[run][k] for k in range(3) for run in (5, 7, 3)],
+        }
+        loaded = {}
+        for name, lines in layouts.items():
+            (tmp_path / name).write_text(header + "".join(lines))
+            loaded[name] = load_trajectories(tmp_path / name)
+        for name in ("blocks", "interleaved"):
+            for field in ("run_ids", "states", "actions", "rewards"):
+                assert np.array_equal(getattr(loaded[name], field),
+                                      getattr(loaded["sorted"], field)), (name, field)
+
     def test_duplicate_run_ids_rejected(self):
         with pytest.raises(DataError):
             TrajectoryEnsemble(states=np.zeros((2, 2, 1)), actions=np.zeros((2, 1, 1)),
@@ -561,23 +583,56 @@ class TestWideFile:
             got, want = getattr(loaded, name), getattr(ensemble, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
-    def test_peak_memory(self, saved):
+    @staticmethod
+    def traced_load(path):
+        """The loaded ensemble and the traced peak of the load."""
+        tracemalloc.start()
+        try:
+            loaded = load_trajectories(path)
+            return loaded, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def sorted_load(self, saved):
+        _, path = saved
+        load_trajectories(path)  # imports and caches outside the measurement
+        return self.traced_load(path)
+
+    def test_peak_memory(self, sorted_load):
         # The arrays are allocated once from a line count and each block is
         # decoded into them.  Over the returned arrays the load holds one
         # block's working set (about 16k fields at a few hundred bytes), one
         # chunk of text and 25 bytes a row of (run, k) pairs, flags and line
         # numbers: 5.0 MiB here.  Concatenating per-block arrays peaked
-        # 9.8 MiB over them.  (Rows out of (run, k) order add a sorted copy.)
-        _, path = saved
-        load_trajectories(path)  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            loaded = load_trajectories(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # 9.8 MiB over them.
+        loaded, peak = sorted_load
         returned = loaded.states.base.nbytes + loaded.run_ids.nbytes + loaded.seeds.nbytes
         assert peak <= returned + 8 * 2**20, (peak, returned)
+
+    @pytest.fixture(scope="class")
+    def unsorted(self, saved, tmp_path_factory):
+        # The same runs under permuted ids, so the file's run blocks are out
+        # of (run, k) order.
+        ensemble, _ = saved
+        run_ids = np.random.default_rng(202).permutation(ensemble.run_ids)
+        path = tmp_path_factory.mktemp("wide") / "unsorted.csv"
+        save_trajectories(replace(ensemble, run_ids=run_ids), path)
+        return run_ids, path
+
+    def test_unsorted_runs_load_bit_for_bit_in_place(self, saved, sorted_load, unsorted):
+        # Run blocks out of order are moved in place, one block held aside:
+        # the peak stays within the sorted file's plus one run's block, where
+        # a sorted copy of the values added 5.7 MB.
+        ensemble, _ = saved
+        run_ids, path = unsorted
+        loaded, peak = self.traced_load(path)
+        order = np.argsort(run_ids)
+        assert loaded.run_ids.tobytes() == run_ids[order].tobytes()
+        for name in ("seeds", "states", "actions", "rewards"):
+            assert getattr(loaded, name).tobytes() == getattr(ensemble, name)[order].tobytes()
+        block = (ensemble.horizon + 1) * (ensemble.n + ensemble.m + 1) * 8
+        assert peak <= sorted_load[1] + block, (peak, sorted_load[1])
 
 
 class TestEnsembleMean:
