@@ -36,6 +36,12 @@ def _encode(node, where: str):
         return {key: _encode(value, f"{where}.{key}" if where else str(key))
                 for key, value in node.items()}
     if isinstance(node, (list, tuple)):
+        # A list that encodes as itself, such as an operator row, is not
+        # walked; any other is, and names the first bad value's path.
+        kinds = set(map(type, node))
+        if type(node) is list and (kinds <= {int, str, bool}
+                                   or kinds == {float} and all(map(math.isfinite, node))):
+            return node
         return [_encode(value, f"{where}[{i}]") for i, value in enumerate(node)]
     return node
 
@@ -154,7 +160,9 @@ def as_numbers(node, where: str) -> np.ndarray:
     array; each cell passes is_number, so NaN and +-inf are left to the
     caller.  The error shows an abridged repr of the value."""
     cells = np.array(node, dtype=object)  # ragged lists stay list cells
-    if not (isinstance(node, list) and all(is_number(c) for c in cells.flat)):
+    # Only an int cell (range-checked) or a bad one makes the check walk.
+    if not (isinstance(node, list)
+            and (set(map(type, cells.flat)) <= {float} or all(map(is_number, cells.flat)))):
         raise SchemaError(f"{where} must be a list of numbers or of equally long lists "
                           f"of them, got {reprlib.repr(node)}")
     return cells.astype(float)

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from ._floattext import write_rows
 from ._jsonio import _in_range, as_number, as_object, as_string, encodes, read_json, write_json
@@ -300,6 +299,8 @@ def estimate_lipschitz(states: np.ndarray, actions: np.ndarray, rewards: np.ndar
                                      f"{len(rewards)} rewards do not pair up as samples")
     if len(rewards) < 2:
         raise InsufficientDataError("need at least two reward samples")
+    from scipy.spatial.distance import pdist  # here: only an estimated L loads scipy
+
     denom = pdist(_frozen_array(states, "states")) + pdist(_frozen_array(actions, "actions"))
     numer = pdist(_frozen_array(rewards, "rewards")[:, None], metric="cityblock")
     valid = denom >= _DISTINCT_EPS

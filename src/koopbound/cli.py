@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import sys
 import textwrap
@@ -416,7 +417,11 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and building it (the help text of every config key
+    included) costs more than most of an analyze call."""
     parser = argparse.ArgumentParser(
         prog="koopbound",
         description=(

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from ._jsonio import as_integer, as_number, as_object, encodes
 from .errors import DivergenceError, ParameterError, SchemaError
@@ -147,6 +146,8 @@ def _level_crossings(k: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarra
     The returned distance is max(|r - 1|, |1/r - 1|) for an eigenvalue of
     modulus r: the size of the perturbation that moves it onto the circle.
     """
+    import scipy.linalg  # here: only a gain search loads scipy
+
     n = k.shape[0]
     eye, zero = np.eye(n), np.zeros((n, n))
     a = np.block([[k, level * eye], [zero, eye]])

@@ -205,8 +205,8 @@ def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
 _BLOCK_ROWS = 2048
 _CHUNK_BYTES = 1 << 20
 # The ASCII characters str.strip() removes.  A line is looked at on its own
-# when it starts with one of them, '#' or a non-ASCII byte, or is in a chunk
-# that starts before the header; any other line is a data line.
+# when it starts with one of them, '#' or a non-ASCII byte, or comes no later
+# than the header; any other line is a data line.
 _WHITESPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _INSPECT = np.zeros(256, dtype=bool)
 _INSPECT[list(_WHITESPACE + b"#")] = True
@@ -275,6 +275,23 @@ def _blank(line: bytes) -> bool:
         return not line.decode("utf-8").strip()
     except UnicodeDecodeError:
         return False
+
+
+def _skip(line: bytes, line_no: int, seeds: dict) -> bool:
+    """Whether the line is blank or a comment, recording the run's seed of a
+    seed comment in seeds."""
+    if _blank(line):
+        return True
+    if not line.startswith(b"#"):
+        return False
+    parts = decode_line(line, line_no)[1:].split()
+    if len(parts) == 3 and parts[0] == "seed":
+        try:
+            run, seed = np.array(parts[1:], dtype=np.int64).tolist()
+        except (ValueError, OverflowError):
+            raise ParseError(f"line {line_no}: malformed seed comment") from None
+        seeds[run] = seed
+    return True
 
 
 def _parse_header(line: str, line_no: int) -> tuple[int, int]:
@@ -365,18 +382,20 @@ def _raise_run_fault(run_id, steps, ends) -> None:
 
 def _sort_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     """values[order], where order holds, for each run in sorted order, the
-    file rows of its K+1 steps: an (R, K+1) array.
+    file rows of its K+1 steps: an (R, K+1) array.  The rows are moved in
+    place along the cycles of the permutation.
 
     When each run's rows are one block of K+1 rows in the file, as in a file
-    written from an ensemble whose run ids are not sorted, the blocks are
-    moved in place along the cycles of their permutation, with one block
-    held aside per cycle.  Rows of runs that interleave are gathered into a
-    copy.
+    written from an ensemble whose run ids are not sorted, whole blocks are
+    moved one cycle at a time, with one block held aside.  Rows of runs that
+    interleave, as in a step-major file, are moved row by row with all cycles
+    in lockstep (see _permute_rows).
     """
     size = order.shape[1]
     source = order // size
     if not (source == source[:, :1]).all():
-        return values[order.reshape(-1)]
+        _permute_rows(values, order.reshape(-1))
+        return values
     source = source[:, 0]
     within = order - size * source[:, None]
     runs = values.reshape(len(order), size, -1)
@@ -394,6 +413,40 @@ def _sort_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
             np.take(block, within[run], axis=0, out=runs[run], mode="clip")
             run = source[run]
     return values
+
+
+def _permute_rows(values: np.ndarray, order: np.ndarray) -> None:
+    """Set values to values[order] in place, holding aside one row per cycle
+    of the permutation and _BLOCK_ROWS rows in flight.
+
+    Along a cycle c0 -> c1 -> ... -> c(L-1) -> c0 of order (row c0 takes
+    row c1, and so on), where c0 is the cycle's smallest row, rows are
+    written in the order c1, c2, ..., c(L-1): each reads a row not yet
+    written, the last one c0.  c0 then takes the row of c1, held aside
+    before the writes.  Rows are ranked by their hops to c0 (L-1 for c1,
+    down to 1), found for all rows at once by pointer doubling, and written
+    in blocks of that rank from the highest down, so all cycles advance in
+    lockstep and a block's reads come before its writes.
+    """
+    rows = np.arange(len(order))
+    smallest, hop = rows, order
+    for _ in range(len(order).bit_length()):
+        smallest, hop = np.minimum(smallest, smallest[hop]), hop[hop]
+    starts = np.flatnonzero((smallest == rows) & (order != rows))
+    # Hops to the cycle's smallest row, which points to itself in hop.
+    hops = (smallest != rows).astype(np.int64)
+    hop = np.where(smallest == rows, rows, order)
+    del smallest, rows
+    for _ in range(len(order).bit_length()):
+        hops, hop = hops + hops[hop], hop[hop]
+    del hop
+    moving = np.argsort(-hops, kind="stable")[: np.count_nonzero(hops)]
+    del hops
+    held = values[order[starts]]
+    for i in range(0, len(moving), _BLOCK_ROWS):
+        block = moving[i : i + _BLOCK_ROWS]
+        values[block] = values[order[block]]
+    values[starts] = held
 
 
 def load_trajectories(path) -> TrajectoryEnsemble:
@@ -418,24 +471,12 @@ def load_trajectories(path) -> TrajectoryEnsemble:
             b = np.frombuffer(text, dtype=np.uint8)
             line_ends = np.flatnonzero(b == 10)
             line_starts = np.concatenate(([0], line_ends[:-1] + 1))[: line_ends.size]
-            inspect = _INSPECT[b[line_starts]] if header else np.ones(line_ends.size, dtype=bool)
-            data = ~inspect
-            for i in np.flatnonzero(inspect).tolist():
-                number = line_no + i + 1
-                line = bytes(text[line_starts[i] : line_ends[i]])
-                if _blank(line):
-                    continue
-                if line.startswith(b"#"):
-                    parts = decode_line(line, number)[1:].split()
-                    if len(parts) == 3 and parts[0] == "seed":
-                        try:
-                            run, seed = np.array(parts[1:], dtype=np.int64).tolist()
-                        except (ValueError, OverflowError):
-                            raise ParseError(f"line {number}: malformed seed comment") from None
-                        seeds[run] = seed
-                elif header:
-                    data[i] = True
-                else:
+            after = 0
+            while header is None and after < line_ends.size:
+                number = line_no + after + 1
+                line = bytes(text[line_starts[after] : line_ends[after]])
+                after += 1
+                if not _skip(line, number, seeds):
                     header = n, m = _parse_header(decode_line(line, number), number)
                     block = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // (n + m + 3)))
                     capacity = line_count - number
@@ -443,6 +484,11 @@ def load_trajectories(path) -> TrajectoryEnsemble:
                               np.empty((capacity, n + m + 1)),
                               np.empty(capacity, dtype=bool),
                               np.empty(capacity, dtype=np.int64))
+            inspect = _INSPECT[b[line_starts[after:]]]
+            data = np.concatenate((np.zeros(after, dtype=bool), ~inspect))
+            for i in (after + np.flatnonzero(inspect)).tolist():
+                line = bytes(text[line_starts[i] : line_ends[i]])
+                data[i] = not _skip(line, line_no + i + 1, seeds)
             # Each run of data lines, in blocks.
             edges = np.flatnonzero(np.diff(data, prepend=False, append=False)).tolist()
             for first, stop in zip(edges[::2], edges[1::2]):

@@ -18,6 +18,7 @@ from koopbound import (
     InsufficientDataError,
     KoopmanModel,
     ParameterError,
+    SchemaError,
     TrajectoryEnsemble,
     UavEnvConfig,
     deviation_bounds,
@@ -688,3 +689,47 @@ class TestJsonCodec:
         with pytest.raises(TypeError, match="not JSON serializable"):
             write_json({"M": 1j, "N": 1.0}, path)
         assert not path.exists()
+
+    # One bad cell inside a nested list.  Lists that cannot hold one are not
+    # walked, so these pin the walk's results: as_numbers refuses a cell that
+    # is no number, showing the value abridged, and leaves NaN and -inf to
+    # its caller; write_json writes true, a string and a huge int as they
+    # are, and refuses NaN and -inf naming the cell.
+    BAD_CELLS = [
+        (True, "[[1.0, 2.0], [3.0, True]]", "true"),
+        ("1.0", "[[1.0, 2.0], [3.0, '1.0']]", '"1.0"'),
+        (10**400, "[[1.0, 2.0], [3.0, 100000000000000000...0000000000000000000]]", "1" + "0" * 400),
+        (float("nan"), None, "rows[1][1] is nan, which has no JSON encoding"),
+        (float("-inf"), None, "rows[1][1] is -inf, which has no JSON encoding"),
+    ]
+
+    @pytest.mark.parametrize("bad, shown, _", BAD_CELLS)
+    def test_as_numbers_bad_cell(self, bad, shown, _):
+        from koopbound._jsonio import as_numbers
+
+        node = [[1.0, 2.0], [3.0, bad]]
+        if shown is None:
+            cells = as_numbers(node, "linear.A")
+            assert cells.dtype == float and cells.tobytes() == np.array(node).tobytes()
+        else:
+            with pytest.raises(SchemaError) as excinfo:
+                as_numbers(node, "linear.A")
+            assert str(excinfo.value) == ("linear.A must be a list of numbers or of equally "
+                                          f"long lists of them, got {shown}")
+
+    @pytest.mark.parametrize("bad, _, written", BAD_CELLS)
+    def test_write_json_bad_cell(self, tmp_path, bad, _, written):
+        from koopbound._jsonio import write_json
+
+        path = tmp_path / "doc.json"
+        doc = {"rows": [[1.0, 2], [3.0, bad]], "x": [[0.5, float("inf")]]}
+        if written.startswith("rows"):
+            with pytest.raises(DataError) as excinfo:
+                write_json(doc, path)
+            assert str(excinfo.value) == written and not path.exists()
+        else:
+            write_json(doc, path)
+            assert path.read_text() == (
+                '{\n  "rows": [\n    [\n      1.0,\n      2\n    ],\n    [\n      3.0,\n'
+                f'      {written}\n    ]\n  ],\n  "x": [\n    [\n      0.5,\n      "inf"\n'
+                '    ]\n  ]\n}\n')

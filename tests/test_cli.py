@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -1141,3 +1143,50 @@ class TestHelp:
             main([command, "input", "--seed", "1"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [None, "simulate", "fit", "analyze", "verify", "report"])
+    def test_help_of_a_fresh_parser(self, capsys, monkeypatch, command):
+        # The parser is built once per process; after a call has used it, it
+        # prints the help a newly built parser prints.
+        monkeypatch.setenv("COLUMNS", "100")
+        argv = ([command] if command else []) + ["--help"]
+        with pytest.raises(SystemExit):
+            main(["report"])
+        capsys.readouterr()
+        texts = []
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as excinfo:
+                parse(argv)
+            assert excinfo.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: koopbound")
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_bad_call_leaves_no_state(self, tmp_path, capsys):
+        # A flag of one call, and a call that exits 2, leave nothing behind
+        # in the one parser: the next analyze without --gamma reads the
+        # default level.
+        model = TestAnalyze().write_model(tmp_path, [[0.9]], [[0.5]])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["analyze", str(model), "--gamma", "0.25", "--out", str(first)]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(model), "--gamma", "x", "--out", str(second)])
+        assert excinfo.value.code == 2
+        assert "argument --gamma: invalid float value: 'x'" in capsys.readouterr().err
+        assert main(["analyze", str(model), "--out", str(second)]) == 0
+        assert json.loads(first.read_text())["gamma"] == 0.25
+        assert json.loads(second.read_text())["gamma"] == 1.0
+
+    def test_import_loads_no_scipy(self):
+        # Only fit's gain search and a UAV verify's estimated L use scipy, and
+        # they import it when they run, so the other commands start without
+        # it.  A fresh interpreter sees the import as a console script does.
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, koopbound.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n", run.stdout

@@ -177,6 +177,32 @@ class TestFileFormat:
         assert loaded.run_ids.tolist() == [2, 4] and loaded.seeds.tolist() == [-1, 40]
         assert np.array_equal(loaded.states, ens.states[::-1])
 
+    def test_lines_right_after_header(self, tmp_path):
+        # The lines after the header in its chunk are told by first byte:
+        # a seed comment, a blank and a whitespace-only line are skipped, and
+        # a whitespace-led row is read as data, as in any later chunk.
+        path = tmp_path / "traj.csv"
+        path.write_text("# seed 1 11\nrun,k,x0,u0,r\n# seed 0 5\n\n \t\n"
+                        " 0,0,1.5,0.5,-1.0\n0,1,2.0,,\n1,0,3.0,0.25,1.0\n1,1,4.0,,\n")
+        loaded = load_trajectories(path)
+        assert loaded.seeds.tolist() == [5, 11]
+        assert loaded.states.ravel().tolist() == [1.5, 2.0, 3.0, 4.0]
+        assert outcome(load_trajectories, path) == outcome(reference_load, path)
+
+    def test_rows_permuted_in_place_as_gathered(self):
+        # Rows moved along the cycles of a permutation, blocks of 3 at a
+        # time, are the rows a gather gives: random permutations, one cycle
+        # through every row, swaps and the identity.
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 10, 1000):
+            for order in (rng.permutation(size), np.roll(np.arange(size), 1),
+                          np.arange(size)[::-1], np.arange(size)):
+                values = rng.standard_normal((size, 3))
+                want = values[order]
+                with mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3):
+                    trajectory_data._permute_rows(values, order)
+                assert values.tobytes() == want.tobytes(), (size, order)
+
     def test_row_with_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -631,6 +657,30 @@ class TestWideFile:
         assert loaded.run_ids.tobytes() == run_ids[order].tobytes()
         for name in ("seeds", "states", "actions", "rewards"):
             assert getattr(loaded, name).tobytes() == getattr(ensemble, name)[order].tobytes()
+        block = (ensemble.horizon + 1) * (ensemble.n + ensemble.m + 1) * 8
+        assert peak <= sorted_load[1] + block, (peak, sorted_load[1])
+
+    @pytest.fixture(scope="class")
+    def step_major(self, saved, tmp_path_factory):
+        # The same rows with the runs interleaved step by step, as another
+        # simulator may write them.
+        ensemble, path = saved
+        lines = path.read_bytes().splitlines(keepends=True)
+        head = len(lines) - ensemble.r_count * (ensemble.horizon + 1)
+        rows = np.array(lines[head:], dtype=object).reshape(ensemble.r_count, -1)
+        path = tmp_path_factory.mktemp("wide") / "step_major.csv"
+        path.write_bytes(b"".join(lines[:head] + rows.T.ravel().tolist()))
+        return path
+
+    def test_step_major_rows_load_bit_for_bit_in_place(self, saved, sorted_load, step_major):
+        # Rows of interleaved runs are moved in place along the cycles of
+        # their permutation: the peak stays within the sorted file's plus one
+        # run's block, where a sorted copy of the values peaked at 20.0 MB
+        # against 14.3 MB.
+        ensemble, _ = saved
+        loaded, peak = self.traced_load(step_major)
+        for name in ("run_ids", "seeds", "states", "actions", "rewards"):
+            assert getattr(loaded, name).tobytes() == getattr(ensemble, name).tobytes(), name
         block = (ensemble.horizon + 1) * (ensemble.n + ensemble.m + 1) * 8
         assert peak <= sorted_load[1] + block, (peak, sorted_load[1])
 
