@@ -201,6 +201,12 @@ def _shortest(a: np.ndarray):
     return (quotient + take_up) * p, s, t
 
 
+# What _shortest sees in place of a zero, an empty cell or a value for repr:
+# its shortest digits end in a nonzero 17th, so the search for t drops it at
+# the first power of ten (1.0, a multiple of 10**16, kept it through all 17).
+_STAND_IN = 0.30000000000000004
+
+
 def _float_cells(x: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, int]:
     """Fill the float cells (shape (rows, columns, _FLOAT_WORDS)) of the
     values x (rows * columns, flat), separators aside; return their mask keys
@@ -208,7 +214,7 @@ def _float_cells(x: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, int]:
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
     zero = a == 0
-    z, s, t = _shortest(np.where(fast, a, 1.0))
+    z, s, t = _shortest(np.where(fast, a, _STAND_IN))
     z[zero], s[zero], t[zero] = 0, 17, 17
     _digit_words(z.view(np.uint64), cells, (1, 7))
     cells[..., 0] = _SIGN_ZERO

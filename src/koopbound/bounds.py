@@ -28,7 +28,13 @@ from .errors import (
 )
 from .hinf_spectral import HinfReport, TransferFunction, hinf_norm
 from .koopman_dmd import KoopmanModel, ModelGain
-from .trajectory_data import TrajectoryEnsemble, _frozen_array, ensemble_mean, mean_rewards
+from .trajectory_data import (
+    _BLOCK_VALUES,
+    TrajectoryEnsemble,
+    _frozen_array,
+    ensemble_mean,
+    mean_rewards,
+)
 
 DISTURBANCE_KINDS = (
     "impulse",
@@ -301,20 +307,35 @@ def estimate_lipschitz(states: np.ndarray, actions: np.ndarray, rewards: np.ndar
         raise InsufficientDataError("need at least two reward samples")
     from scipy.spatial.distance import pdist  # here: only an estimated L loads scipy
 
-    denom = pdist(_frozen_array(states, "states")) + pdist(_frozen_array(actions, "actions"))
+    denom = pdist(_frozen_array(states, "states"))
+    denom += pdist(_frozen_array(actions, "actions"))
     numer = pdist(_frozen_array(rewards, "rewards")[:, None], metric="cityblock")
-    valid = denom >= _DISTINCT_EPS
-    if not np.any(valid):
+    close = denom < _DISTINCT_EPS
+    if close.all():
         raise InsufficientDataError("fewer than two distinct samples")
-    return float(np.max(numer[valid] / denom[valid]))
+    # An excluded pair's ratio is 0 / 1, at most every kept one (each is
+    # >= 0); a +inf denominator would turn an overflowed reward gap into NaN.
+    numer[close] = 0.0
+    denom[close] = 1.0
+    numer /= denom
+    return float(np.max(numer))
 
 
 def _per_step_dispersion(ensemble: TrajectoryEnsemble) -> np.ndarray:
-    """Per-step mean over runs of |x_{k+1} - xbar_{k+1}| + |u_k - ubar_k|."""
+    """Per-step mean over runs of |x_{k+1} - xbar_{k+1}| + |u_k - ubar_k|.
+
+    The deviations are differenced a run at a time (several small runs at
+    once, up to _BLOCK_VALUES states), so no copy of the whole ensemble is
+    made; each run's norms are the ones the whole-array expression gives,
+    and the (R, K) array of their sums is averaged over runs as before."""
     mean = ensemble_mean(ensemble)
-    dx = np.linalg.norm(ensemble.states[:, 1:, :] - mean.mean_states[None, 1:, :], axis=2)
-    du = np.linalg.norm(ensemble.actions - mean.mean_actions[None, :, :], axis=2)
-    return (dx + du).mean(axis=0)
+    spread = np.empty(ensemble.rewards.shape)
+    step = max(1, _BLOCK_VALUES // max(1, ensemble.states[0].size))
+    for start in range(0, ensemble.r_count, step):
+        runs = slice(start, start + step)
+        spread[runs] = np.linalg.norm(ensemble.states[runs, 1:] - mean.mean_states[1:], axis=2)
+        spread[runs] += np.linalg.norm(ensemble.actions[runs] - mean.mean_actions, axis=2)
+    return spread.mean(axis=0)
 
 
 def estimate_Q(ensemble: TrajectoryEnsemble) -> float:

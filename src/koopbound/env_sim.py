@@ -257,17 +257,22 @@ def linear_ensemble(
     states = np.empty((groups * runs, horizon + 1, n))
     actions = np.empty((groups * runs, horizon, config.m))
     states[:, 0] = config.x0_mean
+    # One chunk of every lane's draws, reused chunk after chunk and added to
+    # the G groups' lanes alike.
+    noise = np.empty((min(_NOISE_CHUNK, horizon), runs, n)) if config.noise_std > 0.0 else None
     for start in range(0, horizon, _NOISE_CHUNK):
         stop = min(start + _NOISE_CHUNK, horizon)
-        if config.noise_std > 0.0:
-            draws = [rng.normal(0.0, config.noise_std, size=(stop - start, n)) for rng in rngs]
-            noise = np.stack(draws * groups, axis=1)
+        if noise is not None:
+            for r, rng in enumerate(rngs):
+                noise[: stop - start, r] = rng.normal(0.0, config.noise_std,
+                                                      size=(stop - start, n))
         for k in range(start, stop):
             x = states[:, k, :, None]
             actions[:, k] = (config.F @ x)[..., 0]
             x_next = (config.A @ x)[..., 0]
-            if config.noise_std > 0.0:
-                x_next = x_next + noise[k - start]
+            if noise is not None:
+                lanes = x_next.reshape(groups, runs, n)  # splitting an axis is a view
+                lanes += noise[k - start]
             for group, w in disturbed:
                 x_next[group] += w[k]
             states[:, k + 1] = x_next

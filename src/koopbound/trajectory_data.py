@@ -149,11 +149,23 @@ class MeanTrajectory:
         return len(self.mean_actions)
 
 
+# A reduction over runs copies or differences at most about this many values
+# of an ensemble at a time (one run, or one step, when that is more), so its
+# working memory stays small next to the ensemble's own arrays.
+_BLOCK_VALUES = 1 << 16
+
+
 def _pairwise_mean(stacked: np.ndarray) -> np.ndarray:
     # Reduce over the run axis; moving it to the contiguous last axis makes
     # numpy apply pairwise summation, bounding accumulation error for large R.
-    moved = np.ascontiguousarray(np.moveaxis(stacked, 0, -1))
-    return moved.mean(axis=-1)
+    # Each value's sum runs over its own contiguous row of R, so taking the
+    # transposed copy a block of steps at a time gives the same bits.
+    mean = np.empty(stacked.shape[1:])
+    step = max(1, _BLOCK_VALUES // max(1, stacked.size // len(mean)))
+    for start in range(0, len(mean), step):
+        block = np.ascontiguousarray(np.moveaxis(stacked[:, start : start + step], 0, -1))
+        block.mean(axis=-1, out=mean[start : start + step])
+    return mean
 
 
 def ensemble_mean(ensemble: TrajectoryEnsemble) -> MeanTrajectory:

@@ -23,6 +23,7 @@ from koopbound import (
     UavEnvConfig,
     deviation_bounds,
     disturbance_admissible,
+    ensemble_mean,
     estimate_lipschitz,
     estimate_Q,
     generate_disturbance,
@@ -33,8 +34,10 @@ from koopbound import (
     verify_bounds,
     write_per_step_table,
 )
+from koopbound import bounds, trajectory_data
 from koopbound.bounds import _CHECK_RTOL, _reward_samples, _spectral_power, certified_gain
-from koopbound.env_sim import NORM_PENALTY_LIPSCHITZ
+from koopbound.env_sim import NORM_PENALTY_LIPSCHITZ, split_groups
+from koopbound.trajectory_data import mean_rewards
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -438,6 +441,196 @@ class TestEstimators:
         assert np.array_equal(actions, ens.actions[runs, steps])
         assert np.array_equal(rewards, ens.rewards[runs, steps])
         assert (states.shape, actions.shape, rewards.shape) == ((6, 2), (6, 1), (6,))
+
+
+# The whole-array formulas that the per-run and per-block reductions
+# replaced; each reduction must give their bits.
+def whole_mean(stacked):
+    return np.ascontiguousarray(np.moveaxis(stacked, 0, -1)).mean(axis=-1)
+
+
+def whole_dispersion(ens):
+    mean_states, mean_actions = whole_mean(ens.states), whole_mean(ens.actions)
+    dx = np.linalg.norm(ens.states[:, 1:, :] - mean_states[None, 1:, :], axis=2)
+    du = np.linalg.norm(ens.actions - mean_actions[None, :, :], axis=2)
+    return (dx + du).mean(axis=0)
+
+
+def whole_table(nominal, disturbed):
+    k = nominal.horizon
+    table = np.full((k + 1, 5), np.nan)
+    table[:, 0] = np.arange(k + 1)
+    table[:, 1] = np.linalg.norm(whole_mean(nominal.states) - whole_mean(disturbed.states),
+                                 axis=1)
+    table[:k, 2] = np.linalg.norm(whole_mean(nominal.actions) - whole_mean(disturbed.actions),
+                                  axis=1)
+    table[:k, 3] = whole_mean(nominal.rewards)
+    table[:k, 4] = whole_mean(disturbed.rewards)
+    return table
+
+
+def whole_lipschitz(states, actions, rewards):
+    from scipy.spatial.distance import pdist
+
+    denom = pdist(states) + pdist(actions)
+    numer = pdist(rewards[:, None], metric="cityblock")
+    valid = denom >= 1e-12
+    return float(np.max(numer[valid] / denom[valid]))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def random_ensemble(rng, runs, horizon, n, m):
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+    return TrajectoryEnsemble(states=draw(runs, horizon + 1, n), actions=draw(runs, horizon, m),
+                              rewards=draw(runs, horizon))
+
+
+def assert_whole_array_bits(nominal, disturbed):
+    for ens in (nominal, disturbed):
+        mean = ensemble_mean(ens)
+        assert same_bits(mean.mean_states, whole_mean(ens.states))
+        assert same_bits(mean.mean_actions, whole_mean(ens.actions))
+        assert same_bits(mean_rewards(ens), whole_mean(ens.rewards))
+        assert same_bits(estimate_Q(ens), np.max(whole_dispersion(ens)))
+    assert same_bits(per_step_table(nominal, disturbed), whole_table(nominal, disturbed))
+
+
+class TestWholeArrayFormulas:
+    """The reductions over runs, taken a run or a block of steps at a time,
+    against the whole-array formulas bit for bit."""
+
+    @pytest.fixture
+    def block(self, monkeypatch):
+        """Set the block size, in values, of both modules' reductions."""
+        def set_block(values):
+            monkeypatch.setattr(trajectory_data, "_BLOCK_VALUES", values)
+            monkeypatch.setattr(bounds, "_BLOCK_VALUES", values)
+        return set_block
+
+    @pytest.mark.parametrize("runs, horizon, n, m", [
+        # One step: numpy's axis-0 mean of the dispersions is pairwise there.
+        (9, 1, 3, 2), (17, 1, 2, 1), (40, 1, 5, 3),
+        # Two runs of one state component.
+        (2, 6, 1, 1), (2, 1, 1, 1),
+    ])
+    def test_small_shapes(self, runs, horizon, n, m):
+        rng = np.random.default_rng(runs * 100 + horizon)
+        assert_whole_array_bits(random_ensemble(rng, runs, horizon, n, m),
+                                random_ensemble(rng, runs, horizon, n, m))
+
+    @pytest.mark.parametrize("runs, n, m, values", [(5, 3, 2, 60), (3, 4, 1, 37),
+                                                   (8, 8, 1, None)])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_horizon_next_to_a_step_block(self, block, runs, n, m, values, offset):
+        # values None keeps the module's block size: 1024 steps of 8 runs
+        # of 8 states.
+        if values is not None:
+            block(values)
+        step = trajectory_data._BLOCK_VALUES // (runs * n)
+        assert step > 1
+        rng = np.random.default_rng(step + offset)
+        assert_whole_array_bits(random_ensemble(rng, runs, step + offset, n, m),
+                                random_ensemble(rng, runs, step + offset, n, m))
+
+    def test_random_shapes_and_blocks(self, block):
+        rng = np.random.default_rng(28)
+        for _ in range(150):
+            runs, horizon = int(rng.integers(2, 41)), int(rng.integers(1, 9))
+            n, m = (int(v) for v in rng.integers(1, 6, size=2))
+            block(int(rng.integers(1, 400)))
+            assert_whole_array_bits(random_ensemble(rng, runs, horizon, n, m),
+                                    random_ensemble(rng, runs, horizon, n, m))
+
+    def test_grouped_views(self, block):
+        # The per-group ensembles of one rollout are views of its arrays.
+        config = LinearSurrogateConfig(A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]],
+                                       x0_mean=[1.0, 1.0], noise_std=0.02)
+        w = generate_disturbance(DisturbanceSpec("scaled_gaussian_projected", 0.5, 300, 3, 2))
+        for values in (None, 50):
+            if values is not None:
+                block(values)
+            rollout = linear_ensemble(config, 300, 12, 7, disturbance=(None, w, 2 * w))
+            nominal, disturbed, doubled = split_groups(rollout, 3)
+            assert nominal.states.base is not None
+            assert_whole_array_bits(nominal, disturbed)
+            assert_whole_array_bits(doubled, nominal)
+
+    def test_lipschitz_with_close_pairs(self):
+        rng = np.random.default_rng(4)
+        states, actions = rng.standard_normal((40, 3)), rng.standard_normal((40, 2))
+        rewards = rng.standard_normal(40)
+        # Repeated samples, a near repeat, and a repeat whose reward gap
+        # overflows to inf: each pair is excluded.  The first 30 samples
+        # leave the overflowing pair out.
+        states[5], actions[5] = states[2], actions[2]
+        states[9], actions[9] = states[2] + 1e-14, actions[2]
+        states[30], actions[30] = states[31], actions[31]
+        rewards[30], rewards[31] = 1e308, -1e308
+        for samples in ((states, actions, rewards), (states[:30], actions[:30], rewards[:30])):
+            assert same_bits(estimate_lipschitz(*samples), whole_lipschitz(*samples))
+
+    def test_lipschitz_with_one_distinct_pair(self):
+        # Of the 10 pairs of points 0.25e-12 apart on a line only the
+        # outermost one is at least 1e-12 apart.
+        states = np.arange(5.0)[:, None] * 0.25e-12
+        actions = np.zeros((5, 1))
+        rewards = np.array([0.3, -1.0, 2.0, 0.5, 0.1])
+        from scipy.spatial.distance import pdist
+        assert np.count_nonzero(pdist(states) >= 1e-12) == 1
+        value = estimate_lipschitz(states, actions, rewards)
+        assert same_bits(value, whole_lipschitz(states, actions, rewards))
+        assert value == 0.2 / 1e-12
+
+
+class TestVerifyMemory:
+    """Verify's reductions hold a run or a block of steps, not a copy of a
+    group: traced peaks on two groups of a wide rollout, R=24, K=1000,
+    n=42, whose states take 7.7 MiB each."""
+
+    @pytest.fixture(scope="class")
+    def rollout(self):
+        rng = np.random.default_rng(9)
+        n, m = 42, 4
+        config = LinearSurrogateConfig(A=0.5 * np.eye(n), F=rng.uniform(-0.5, 0.5, (m, n)),
+                                       x0_mean=rng.standard_normal(n), noise_std=1e-3)
+        w = 1e-3 * rng.standard_normal((1000, n))
+        model = true_model(config.A, config.F)
+        certified_gain(model)
+        rollout = linear_ensemble(config, 1000, 24, 0, disturbance=(None, w))
+        verify_bounds(*split_groups(rollout, 2), model, 1.0, 0.9, 1.0)  # caches
+        return rollout, model
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ensemble_mean(self, rollout):
+        # A transposed copy of the group took 8.0 MiB.
+        group = split_groups(rollout[0], 2)[1]
+        assert self.traced_peak(ensemble_mean, group) <= 2 * 2**20
+
+    def test_dispersion(self, rollout):
+        # The differences, their conjugate copy and their squares took
+        # 16.1 MiB with the mean.
+        group = split_groups(rollout[0], 2)[1]
+        assert self.traced_peak(estimate_Q, group) <= 2 * 2**20
+
+    def test_verify_bounds(self, rollout):
+        # 16.45 MiB when each reduction held a copy of a group.
+        nominal, disturbed = split_groups(rollout[0], 2)
+        peak = self.traced_peak(verify_bounds, nominal, disturbed, rollout[1], 1.0, 0.9, 1.0)
+        assert peak <= 4 * 2**20
 
 
 def true_model(a, f):

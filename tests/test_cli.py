@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -396,6 +397,36 @@ class TestRolloutSize:
         assert main(verify) == 2
         monkeypatch.setattr(env_sim, "_MAX_STATE_VALUES", 352)
         assert main(verify) == 0
+
+    def test_cap_bounds_verify_memory(self, tmp_path):
+        # Beyond its two groups' state, action and reward buffers (17.2 MiB
+        # here) verify holds one chunk of noise (2.1 MiB) and temporaries of
+        # one run or one block of steps: 4.7 MiB over the buffers, where the
+        # copies of whole groups held 16.9 MiB.
+        runs, horizon, n, m = 24, 1000, 42, 4
+        rng = np.random.default_rng(3)
+        config = tmp_path / "wide.cfg"
+        config.write_text("\n".join([
+            "sim.env = linear", f"sim.runs = {runs}", f"sim.horizon = {horizon}",
+            f"linear.A = {json.dumps((0.5 * np.eye(n)).tolist())}",
+            f"linear.F = {json.dumps(rng.uniform(-0.5, 0.5, (m, n)).tolist())}",
+            f"linear.x0 = {json.dumps(rng.standard_normal(n).tolist())}",
+            "linear.noise_std = 0.001", "disturbance.kind = scaled_gaussian_projected",
+            "disturbance.gamma = 1.0"]) + "\n")
+        traj, model = tmp_path / "traj.csv", tmp_path / "model.json"
+        small = ["--runs", "2", "--horizon", "400"]
+        assert main(["simulate", "--config", str(config), *small, "--out", str(traj)]) == 0
+        assert main(["fit", str(traj), "--out", str(model)]) == 0
+        verify = ["verify", "--config", str(config), str(model)]
+        assert main(verify + small + ["--out", str(tmp_path / "warm.json")]) == 0  # caches
+        tracemalloc.start()
+        try:
+            assert main(verify + ["--out", str(tmp_path / "report.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 2 * runs * ((horizon + 1) * n + horizon * m + horizon) * 8
+        assert peak <= buffers + 6 * 2**20, (peak, buffers)
 
     def test_cap_counts_the_spectral_grid(self, tmp_path, capsys, monkeypatch, linear_config):
         # verify's (2, 11, 2) states fit a cap of 44, but the disturbance's

@@ -687,6 +687,31 @@ class TestUavMemory:
         assert peak <= outputs + 2 * 2**20, (peak, outputs)
 
 
+class TestLinearMemory:
+    def test_peak_within_outputs_and_a_noise_chunk(self):
+        # Every lane's process noise goes into one reused (chunk, R, n)
+        # buffer, 2.1 MiB here, that the G groups share; over it and the
+        # output buffers (17.2 MiB) the rollout holds the reward scoring's
+        # (G*R, K) temporaries and one lane's draws.  Stacking each chunk's
+        # draws once per group held 9.8 MiB over the outputs.
+        runs, groups, horizon, n, m = 24, 2, 1000, 42, 4
+        rng = np.random.default_rng(9)
+        config = LinearSurrogateConfig(A=0.5 * np.eye(n), F=rng.uniform(-0.5, 0.5, (m, n)),
+                                       x0_mean=rng.standard_normal(n), noise_std=1e-3)
+        w = 1e-3 * rng.standard_normal((horizon, n))
+        linear_ensemble(config, 5, 2, 0, (None, w[:5]))  # caches outside the measurement
+        tracemalloc.start()
+        try:
+            ens = linear_ensemble(config, horizon, runs, 0, (None, w))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.r_count == groups * runs
+        outputs = ens.states.nbytes + ens.actions.nbytes + ens.rewards.nbytes
+        noise = env_sim._NOISE_CHUNK * runs * n * 8
+        assert peak <= outputs + noise + 3 * 2**20, (peak, outputs)
+
+
 class TestUavConfig:
     def test_defaults_match_baseline(self):
         config = UavEnvConfig()

@@ -177,6 +177,40 @@ class TestEncoder:
         assert whole.getvalue().decode() == "".join(
             f"{a},{b},{reference(row)}\n" for (a, b), row in zip(ints.tolist(), floats))
 
+    def test_cells_without_digits_add_no_search_steps(self, monkeypatch):
+        # A zero, an empty cell or a value written by repr adds no power of
+        # ten to its block's search for the shortest digits: a terminal row,
+        # or a per-step table's, costs its block no more steps.
+        calls = []
+        multiples = _floattext._multiples
+
+        def counted(*args):
+            calls.append(args[-1])
+            return multiples(*args)
+
+        monkeypatch.setattr(_floattext, "_multiples", counted)
+
+        def write(floats, empty):
+            calls.clear()
+            buffer = io.BytesIO()
+            _floattext.write_rows(buffer, np.zeros((len(floats), 0), dtype=np.int64), floats,
+                                  empty)
+            return len(calls), buffer.getvalue().decode()
+
+        rng = np.random.default_rng(5)
+        floats = rng.uniform(0.1, 10.0, size=(100, 5)) * rng.choice([-1.0, 1.0], size=(100, 5))
+        none = np.zeros(floats.shape, dtype=bool)
+        steps, text = write(floats, none)
+        assert text == "".join(reference(row) + "\n" for row in floats)
+        # Random digits end the search within a few powers of ten, of 17.
+        assert steps <= 8
+        for value, blank in ((0.0, False), (-0.0, False), (1e300, False), (2.5, True)):
+            values, empty = floats.copy(), none.copy()
+            values[37, 2], empty[37, 2] = value, blank
+            assert write(values, empty) == (steps, "".join(
+                ",".join("" if e else repr(v) for v, e in zip(row.tolist(), mask.tolist())) + "\n"
+                for row, mask in zip(values, empty)))
+
 
 # The file tests write blocks of this many rows.
 BLOCK_ROWS = 64

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -101,6 +102,70 @@ def test_trajectory_file_loads_float_reader_bits(walkthrough):
     for name, array in want.items():
         got = getattr(ens, name)
         assert got.shape == array.shape and got.tobytes() == array.tobytes(), name
+
+
+def test_steps_file_terminal_row_holds_only_the_state_deviation(walkthrough):
+    last = (walkthrough[0] / "report.steps.csv").read_text().splitlines()[-1]
+    assert last.endswith(",,,"), last
+
+
+# The deviation caps that analyze and verify both write, from one routine.
+CAPS = ("M", "N", "state_energy_bound", "state_max_bound", "action_energy_bound",
+        "action_max_bound")
+
+
+def test_analysis_and_report_carry_the_same_caps(walkthrough):
+    # At the same model and gamma, analyze and verify write the same six
+    # values.
+    root = walkthrough[0]
+    analysis = json.loads((root / "analysis.json").read_text())
+    report = json.loads((root / "report.json").read_text())
+    assert analysis["gamma"] == report["inputs"]["gamma"] == 0.5
+    for key in CAPS:
+        assert analysis[key] == report[key], (key, analysis[key], report[key])
+
+
+def test_analyze_reads_gamma_from_the_config(walkthrough, tmp_path):
+    # analyze reads the disturbance level from disturbance.gamma, the key
+    # verify reads: with the walkthrough config and no --gamma it writes
+    # gamma 0.5 and the six caps of report.json.
+    root = walkthrough[0]
+    out = tmp_path / "analysis.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--config", str(root / "surrogate.cfg"), str(root / "model.json"),
+                     "--out", str(out)]) == 0
+    analysis = json.loads(out.read_text())
+    report = json.loads((root / "report.json").read_text())
+    assert analysis["gamma"] == 0.5, analysis["gamma"]
+    for key in CAPS:
+        assert analysis[key] == report[key], (key, analysis[key], report[key])
+
+
+def test_report_refuses_an_edited_violations_list(walkthrough, tmp_path, capsys):
+    # A report's violations are derived from its measurements and bounds:
+    # report exits 2 on a copy whose violations list was edited, with one
+    # error line naming the field and no output.
+    doc = json.loads((walkthrough[0] / "report.json").read_text())
+    doc["violations"] = [["state_max", 1e9, 0.1]]
+    edited, out = tmp_path / "report.json", tmp_path / "summary.json"
+    edited.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", str(edited), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: violations"), err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_every_json_file_is_standard_json(walkthrough):
+    # The four outputs and the five manifests hold no NaN or Infinity token.
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    paths = sorted(walkthrough[0].glob("*.json"))
+    assert len(paths) == 9, paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_library_use_block_runs():
