@@ -29,6 +29,42 @@ disturbance and service mask then runs over the chunk.  Each value goes
 through the same operations as in a step-by-step loop, so the bytes are the
 same.
 
+Once per chunk a UAV rollout makes every lane's draws, the users' speeds,
+the crowd's buffers and the views its steps read (one zip over the chunk),
+and copies the chunk's waypoints, UAV positions and service masks into the
+output buffers.  Per step run the users' headings, moves, wall reflections
+and disturbance, the policy's waypoint, the UAV's disturbance and the
+service mask.  Those per-step expressions are chosen for few numpy calls,
+each exact by construction:
+
+- x / x is 1.0 for a finite, nonzero x, so the step scale
+  max_step / max(dist, max_step) is exactly 1.0 within reach, and x * 1.0
+  is x.
+- x + 0.0 is x for every x but -0.0, and headings are never -0.0, so a turn
+  bias of 0.0 is not added.
+- A complex sum is the sums of the real and of the imaginary parts, and an
+  accumulation adds in index order whatever the memory layout.  So the
+  centroid sums each lane's (x, y) pairs, read as complex numbers, in one
+  accumulation: the masked sum over the users in the same order, with one
+  numpy inner loop per lane where a reduction over the middle axis of an
+  (R, J, 2) array runs one per user.
+- An IEEE sum and the correctly rounded square root are monotone.  So a user
+  is covered, sqrt(d + altitude^2) <= radius for the planar squared distance
+  d, exactly when d is at most the largest double that is, which
+  _planar_reach finds once per radius and altitude.  No square root runs
+  unless the link budget does.
+- The bits of a nonnegative double, read as an unsigned integer, are ordered
+  as the doubles are, and a negative double reads above them all.  So one
+  integer comparison flags the coordinates below 0 or past a wall, and
+  another the headings that np.remainder(h, 2 pi) would change (those below
+  0 or at least 2 pi); only those are wrapped, with Python's float %, the
+  same fmod-based remainder.
+
+A linear rollout writes A x straight into the state buffer and computes the
+actions u = F x of every lane and step in one product after the step loop.
+numpy's matmul makes the same BLAS matrix-vector call per (lane, step), with
+the same strides, as a product per step does, so the bits are the same.
+
 The service mask skips the link budget when no lane covers more than
 _sure_count users: their equal share at the spectral efficiency of the
 coverage edge clears the rate floor by the relative margin _RATE_SLACK, and
@@ -44,7 +80,9 @@ step-by-step scoring gives.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,15 +305,17 @@ def linear_ensemble(
                 noise[: stop - start, r] = rng.normal(0.0, config.noise_std,
                                                       size=(stop - start, n))
         for k in range(start, stop):
-            x = states[:, k, :, None]
-            actions[:, k] = (config.F @ x)[..., 0]
-            x_next = (config.A @ x)[..., 0]
+            x_next = states[:, k + 1]
+            np.matmul(config.A, states[:, k, :, None], out=x_next[..., None])
             if noise is not None:
                 lanes = x_next.reshape(groups, runs, n)  # splitting an axis is a view
                 lanes += noise[k - start]
             for group, w in disturbed:
                 x_next[group] += w[k]
-            states[:, k + 1] = x_next
+    # u_k = F x_k for every lane and step at once: numpy's matmul makes the
+    # same BLAS matrix-vector call per (lane, step), with the same strides,
+    # as a product per step would.
+    np.matmul(config.F, states[:, :-1, :, None], out=actions[..., None])
     rewards = norm_penalty_reward(states[:, 1:], actions)
     return _ensemble(states, actions, rewards, master_seed, runs)
 
@@ -412,39 +452,67 @@ def _step_gu_arrays(crowd, speeds, headings, config: UavEnvConfig, draws, distur
     speeds[...] = speed
     stride *= config.step_seconds
 
-    # Every operation below is on whole arrays, (R, J) views or contiguous
-    # (J, 2) operands: broadcasting a per-axis (2,) operand would step
-    # numpy's loops two elements at a time.
+    # Every operation below is on whole arrays or (R, J) views, and the
+    # walls and disturbance rows are repeated to the shape they meet:
+    # broadcasting a per-axis (2,) operand would step numpy's loops two
+    # elements at a time, and a (J, 2) one once per lane.  The buffers and
+    # views are made once for the C steps; the step loop takes its views
+    # from one zip.
     turns = headings.reshape(-1, runs, j)
+    flat_turns = turns.reshape(-1)
     grouped = crowd.reshape(steps + 1, *turns.shape, 2)
-    upper = np.tile([config.area_x, config.area_y], (j, 1))
+    upper = np.empty(grouped.shape[1:])
+    upper[...] = (config.area_x, config.area_y)
+    # For x >= +0.0 the bits of a double, read as an unsigned integer, grow
+    # with x, and a negative double reads above every positive one.  So one
+    # comparison with the walls' bits flags every coordinate below 0 or past
+    # its wall.  It would also flag -0.0, which _fold leaves as it is.
+    upper_bits = upper.view(np.uint64)
     cosines, sines = np.empty(turns.shape), np.empty(turns.shape)
     moves = np.empty(grouped.shape[1:])
+    moves_x, moves_y = moves[..., 0], moves[..., 1]
     outside = np.empty(grouped.shape[1:], dtype=bool)
-    over = np.empty(outside.shape, dtype=bool)
-    for k in range(steps):
-        turns += config.gu_turn_bias
-        drawn = np.where(redraw[k], fresh[k], turns)
-        # Both displacements use the headings drawn above; the reflections
-        # below then turn them.
-        np.cos(drawn, out=cosines)
-        np.sin(drawn, out=sines)
-        np.multiply(stride[k], cosines, out=moves[..., 0])
-        np.multiply(stride[k], sines, out=moves[..., 1])
-        moved = grouped[k + 1]
-        np.add(moves, grouped[k], out=moved)
-        np.less(moved, 0.0, out=outside)
-        np.greater(moved, upper, out=over)
-        outside |= over
-        crossings = np.flatnonzero(outside)
+    flags = outside.reshape(-1)
+    # Headings are never -0.0 (draws and the wrap below give +0.0), so adding
+    # a turn bias of 0.0 leaves them as they are and is skipped.
+    bias = config.gu_turn_bias
+    # np.remainder(h, 2 pi) is h itself, bit for bit, for +0.0 <= h < 2 pi:
+    # fmod is exact there.  Those are the headings whose bits read below the
+    # bits of 2 pi (a negative double, -0.0 too, reads above), so only the
+    # others are wrapped, one at a time with Python's float %, which is the
+    # same fmod-based remainder as numpy's.
+    two_pi = 2.0 * math.pi
+    turn_bits, two_pi_bits = turns.view(np.uint64), np.float64(two_pi).view(np.uint64)
+    wrap = np.empty(turns.shape, dtype=bool)
+    wraps = wrap.reshape(-1)
+    # Each disturbed group's positions after every step, its rows of the
+    # disturbance repeated over its R lanes, and the walls of R lanes.
+    blocks = [(crowd[1:, group], np.repeat(w[:, None], runs, axis=1)) for group, w in disturbed]
+    group_walls = upper[0]
+    for k, (redrawn, fresh_k, length, start, moved, moved_bits) in enumerate(zip(
+            redraw, fresh, stride, grouped, grouped[1:], grouped[1:].view(np.uint64))):
+        if bias:
+            turns += bias
+        # The drawn headings replace the kept ones in place.  Both
+        # displacements use them; the reflections below then turn them.
+        np.copyto(turns, fresh_k, where=redrawn)
+        np.cos(turns, out=cosines)
+        np.sin(turns, out=sines)
+        np.multiply(length, cosines, out=moves_x)
+        np.multiply(length, sines, out=moves_y)
+        np.add(moves, start, out=moved)
+        np.greater(moved_bits, upper_bits, out=outside)
+        crossings = flags.nonzero()[0]
         if crossings.size:
-            _fold(moved.reshape(-1, 2), drawn.reshape(-1), crossings.tolist(), config)
-        np.remainder(drawn, 2.0 * math.pi, out=turns)
-        for group, w in disturbed:
-            block = crowd[k + 1, group]
+            _fold(moved.reshape(-1, 2), flat_turns, crossings.tolist(), config)
+        np.greater_equal(turn_bits, two_pi_bits, out=wrap)
+        for u in wraps.nonzero()[0].tolist():
+            flat_turns[u] = flat_turns.item(u) % two_pi
+        for block, w in blocks:
+            block = block[k]
             block += w[k]
             np.maximum(0.0, block, out=block)
-            np.minimum(block, upper, out=block)
+            np.minimum(block, group_walls, out=block)
 
 
 def _fold(points, headings, crossings, config: UavEnvConfig) -> None:
@@ -505,18 +573,15 @@ def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig,
     and so is the link budget, when no lane covers more than `sure` users:
     none of them can then miss the floor.
     """
-    # dx^2 + dy^2 is the sum over the last axis of length two, without
-    # stepping numpy's loops two elements at a time.
-    d3 = gu_xy[..., 0] - uav_xy[:, :1]
-    dy = gu_xy[..., 1] - uav_xy[:, 1:]
-    d3 *= d3
-    dy *= dy
-    d3 += dy
-    d3 += config.altitude**2
-    np.sqrt(d3, out=d3)
-    active = d3 <= config.coverage_radius
-    if config.gu_count <= sure or active.sum(axis=1).max() <= sure:
+    # dx^2 + dy^2, the planar squared distance, from one (R, J, 2) difference.
+    squares = gu_xy - uav_xy[:, None]
+    squares *= squares
+    planar = squares[..., 0] + squares[..., 1]
+    active = planar <= _planar_reach(config.coverage_radius, config.altitude)
+    if config.gu_count <= sure or np.maximum.reduce(np.add.reduce(active, 1)) <= sure:
         return active
+    planar += config.altitude**2
+    d3 = np.sqrt(planar, out=planar)
     # Rate per hertz, scaled below by each lane's bandwidth share.
     efficiency = _spectral_efficiency(_channel(d3, config), config)
     while True:
@@ -525,6 +590,38 @@ def _serve_mask(uav_xy: np.ndarray, gu_xy: np.ndarray, config: UavEnvConfig,
         if not np.count_nonzero(drop):
             return active
         active &= ~drop
+
+
+@functools.lru_cache(maxsize=64)
+def _planar_reach(radius: float, altitude: float) -> float:
+    """The largest double d with sqrt(d + altitude**2) <= radius, each
+    operation rounded as numpy rounds the 3-d distance (an IEEE sum, a
+    correctly rounded root, the operands as float64); -1.0 when not even
+    d = 0 qualifies.
+
+    Rounded addition and the rounded square root are both monotone, so the
+    planar squared distances d >= 0 whose 3-d distance is within the radius
+    are exactly those up to this one: comparing d with it decides coverage
+    as the square root of d + altitude**2 compared with the radius does,
+    with no square root.  The bits of nonnegative doubles, read as integers,
+    are ordered as the doubles are, so it is found by bisection over them.
+    """
+    radius, altitude_sq = float(radius), float(altitude**2)
+
+    def covered(bits: int) -> bool:
+        d = struct.unpack("<d", struct.pack("<q", bits))[0]
+        return math.sqrt(d + altitude_sq) <= radius
+
+    low, high = 0, 0x7FF0000000000000  # the bits of +0.0 and of +inf
+    if not covered(low):
+        return -1.0
+    while high - low > 1:
+        middle = (low + high) // 2
+        if covered(middle):
+            low = middle
+        else:
+            high = middle
+    return struct.unpack("<d", struct.pack("<q", low))[0]
 
 
 def _sure_count(config: UavEnvConfig) -> int:
@@ -591,26 +688,31 @@ class ScriptedPolicy:
     ) -> np.ndarray:
         """Next waypoints (R, 2) from UAV positions (R, 2), user positions
         (R, J, 2) and their service mask (R, J) from _serve_mask."""
-        unserved = ~served
-        count = unserved.sum(axis=1)[:, None]
+        count = served.shape[1] - np.add.reduce(served, 1, keepdims=True)
         # The sum runs over users in index order, as a mean over one lane's
-        # unserved users does, so the centroid rounds the same way.
-        total = np.where(unserved[..., None], gu_xy, 0.0).sum(axis=1)
-        target = np.where(count > 0, total / np.maximum(count, 1), uav_xy)
+        # unserved users does, so the centroid rounds the same way; a served
+        # user adds 0.0.  It accumulates each (x, y) pair as one complex
+        # number: see the module docstring.
+        points = np.ascontiguousarray(gu_xy, dtype=float).view(np.complex128)
+        running = np.add.accumulate(np.where(served[..., None], 0j, points), axis=1)
+        total = running[:, -1].view(np.float64)
+        target = np.divide(total, count, out=uav_xy.copy(), where=count > 0)
         if self.kind == "lagged_centroid":
             if self._smoothed is None:
-                self._smoothed = target.copy()
+                self._smoothed = target
             else:
-                self._smoothed = (
-                    _LAG_SMOOTHING * self._smoothed + (1.0 - _LAG_SMOOTHING) * target
-                )
+                self._smoothed *= _LAG_SMOOTHING
+                target *= 1.0 - _LAG_SMOOTHING
+                self._smoothed += target
             target = self._smoothed
         step = target - uav_xy
         dist = _norms(step)
         max_step = self.config.step_seconds * self.config.uav_max_speed
-        # A lane within reach keeps its step: times 1.0 is exact.
-        scale = np.divide(max_step, dist, out=np.ones_like(dist), where=dist > max_step)
-        step *= scale[:, None]
+        # A lane within reach keeps its step: max_step / max_step is exactly
+        # 1.0 for a finite, nonzero max_step, and times 1.0 is exact.
+        np.maximum(dist, max_step, out=dist)
+        np.divide(max_step, dist, out=dist)
+        step *= dist[:, None]
         return uav_xy + step
 
 
@@ -660,6 +762,7 @@ def uav_ensemble(
     speed = np.full((runs, j), config.gu_mean_speed)
     draw = _lane_draws(rngs, chunk, j, config)
     gu_disturbed = [(group, w[:, :-2].reshape(horizon, j, 2)) for group, w in disturbed]
+    uav_disturbed = [(group, w[:, -2:]) for group, w in disturbed]
 
     policy = ScriptedPolicy(policy_kind, config)
     states = np.empty((lanes, horizon + 1, n))
@@ -669,6 +772,8 @@ def uav_ensemble(
     # served[:, k] is the mask after step k: it scores step k's reward, and
     # the policy sees it at step k+1.
     served = np.empty((lanes, horizon, j), dtype=bool)
+    # Each lane's actions and masks as one row: views, as both are contiguous.
+    action_rows, mask_rows = actions.reshape(lanes, -1), served.reshape(lanes, -1)
     sure = _sure_count(config)
     mask = _serve_mask(uav, crowd[0], config, sure)
 
@@ -681,16 +786,28 @@ def uav_ensemble(
         # closed loop of the chunk reads them.
         _step_gu_arrays(crowd[:steps + 1], speed, heading, config, draw(steps),
                         [(group, w[start:stop]) for group, w in gu_disturbed])
-        for k in range(start, stop):
-            uav = policy.waypoint_arrays(uav, crowd[k - start], mask)
-            actions[:, k] = uav
-            for group, w in disturbed:
-                craft = uav[group]
-                craft += w[k, -2:]
-                np.maximum(0.0, craft, out=craft)
-                np.minimum(craft, area, out=craft)
-            states[:, k + 1, -2:] = uav
-            mask = served[:, k] = _serve_mask(uav, crowd[k + 1 - start], config, sure)
+        # Each step's waypoints, UAV positions and masks are fresh arrays,
+        # copied into the outputs once per chunk: concatenated along their
+        # last axis, the (R, 2) and (R, J) arrays of the chunk's steps are
+        # its (R, C, 2) and (R, C, J) blocks, read lane by lane.
+        waypoints, crafts, masks = [], [], []
+        for k, users, next_users in zip(range(start, stop), crowd, crowd[1:]):
+            uav = waypoint = policy.waypoint_arrays(uav, users, mask)
+            if uav_disturbed:
+                uav = waypoint.copy()
+                for group, w in uav_disturbed:
+                    craft = uav[group]
+                    craft += w[k]
+                    np.maximum(0.0, craft, out=craft)
+                    np.minimum(craft, area, out=craft)
+            mask = _serve_mask(uav, next_users, config, sure)
+            waypoints.append(waypoint)
+            crafts.append(uav)
+            masks.append(mask)
+        np.concatenate(waypoints, axis=1, out=action_rows[:, 2 * start:2 * stop])
+        states[:, start + 1:stop + 1, -2:] = (
+            np.concatenate(crafts, axis=1).reshape(lanes, steps, 2))
+        np.concatenate(masks, axis=1, out=mask_rows[:, j * start:j * stop])
         states[:, start + 1:stop + 1, :-2] = (
             crowd[1:steps + 1].swapaxes(0, 1).reshape(lanes, steps, -1))
 

@@ -316,6 +316,22 @@ class TestGuReflection:
         clamped = (crowd[1:, runs:] == 0.0) | (crowd[1:, runs:] == (1.0, 2.5))
         assert clamped.any()
 
+    @pytest.mark.parametrize("heading", [
+        2.0 * math.pi, math.nextafter(2.0 * math.pi, 0.0), 0.0, -0.0, -1e-300, -5e-324,
+        -2.0 * math.pi, 4.0 * math.pi, 7.0, -3.0])
+    def test_kept_heading_at_the_wrap_edges(self, heading):
+        # A kept heading at or past the edges of [0, 2 pi) is wrapped as
+        # np.remainder wraps it; one inside is kept as it is.
+        config = UavEnvConfig(gu_keep_direction=1.0)
+        draws = np.array([[[[0.3], [0.5], [0.2]]]])
+        crowd = np.array([[[[50.0, 50.0]]], [[[np.nan, np.nan]]]])
+        speeds, headings = np.array([[3.0]]), np.array([[heading]])
+        _step_gu_arrays(crowd, speeds, headings, config, draws)
+        got = np.array([*crowd[1, 0, 0], speeds[0, 0], headings[0, 0]])
+        expected = gu_step_reference(50.0, 50.0, 3.0, heading, 0.3, 0.5, 0.2, config)
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert headings[0, 0] == np.remainder(heading, 2.0 * math.pi)
+
 
 class TestLinkBudget:
     def test_no_absorption_factor_is_one(self):
@@ -993,3 +1009,299 @@ class TestBatchedRollouts:
             assert np.array_equal(t.actions[k], u)
             assert np.array_equal(t.states[k + 1], x)
             assert t.rewards[k] == -np.linalg.norm(x) - 0.1 * np.linalg.norm(u)
+
+
+# ---------------------------------------------------------------------------
+# Reference step loops: the plain expressions that the rollouts' fewer numpy
+# calls replace, which the rollouts must equal bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_step_gu_arrays(crowd, speeds, headings, config, draws, disturbed=()):
+    """The crowd step by plain expressions: np.where for the drawn headings,
+    two comparisons for the walls and np.remainder of every heading."""
+    steps, runs = draws.shape[:2]
+    j = headings.shape[1]
+    h1 = config.gu_speed_memory
+    nu = config.gu_speed_std * draws[:, :, 0]
+    redraw = draws[:, :, 1] >= config.gu_keep_direction
+    fresh = 2.0 * math.pi * draws[:, :, 2]
+    stride = np.empty((steps, runs, j))
+    speed = speeds
+    for row, jitter in zip(stride, nu):
+        np.multiply(h1, speed, out=row)
+        row += (1.0 - h1) * config.gu_mean_speed
+        row += jitter
+        np.maximum(0.0, row, out=row)
+        speed = row
+    speeds[...] = speed
+    stride *= config.step_seconds
+    turns = headings.reshape(-1, runs, j)
+    grouped = crowd.reshape(steps + 1, *turns.shape, 2)
+    upper = np.tile([config.area_x, config.area_y], (j, 1))
+    cosines, sines = np.empty(turns.shape), np.empty(turns.shape)
+    moves = np.empty(grouped.shape[1:])
+    outside = np.empty(grouped.shape[1:], dtype=bool)
+    over = np.empty(outside.shape, dtype=bool)
+    for k in range(steps):
+        turns += config.gu_turn_bias
+        drawn = np.where(redraw[k], fresh[k], turns)
+        np.cos(drawn, out=cosines)
+        np.sin(drawn, out=sines)
+        np.multiply(stride[k], cosines, out=moves[..., 0])
+        np.multiply(stride[k], sines, out=moves[..., 1])
+        moved = grouped[k + 1]
+        np.add(moves, grouped[k], out=moved)
+        np.less(moved, 0.0, out=outside)
+        np.greater(moved, upper, out=over)
+        outside |= over
+        crossings = np.flatnonzero(outside)
+        if crossings.size:
+            env_sim._fold(moved.reshape(-1, 2), drawn.reshape(-1), crossings.tolist(), config)
+        np.remainder(drawn, 2.0 * math.pi, out=turns)
+        for group, w in disturbed:
+            block = crowd[k + 1, group]
+            block += w[k]
+            np.maximum(0.0, block, out=block)
+            np.minimum(block, upper, out=block)
+
+
+def reference_serve_mask(uav_xy, gu_xy, config, sure):
+    """The service mask by plain expressions: the 3-d distance's square root
+    against the coverage radius, and the sums as ndarray methods."""
+    d3 = gu_xy[..., 0] - uav_xy[:, :1]
+    dy = gu_xy[..., 1] - uav_xy[:, 1:]
+    d3 *= d3
+    dy *= dy
+    d3 += dy
+    d3 += config.altitude**2
+    np.sqrt(d3, out=d3)
+    active = d3 <= config.coverage_radius
+    if config.gu_count <= sure or active.sum(axis=1).max() <= sure:
+        return active
+    efficiency = _spectral_efficiency(_channel(d3, config), config)
+    while True:
+        share = config.bandwidth_hz / np.maximum(active.sum(axis=1), 1)
+        drop = active & ~(share[:, None] * efficiency >= config.min_rate)
+        if not np.count_nonzero(drop):
+            return active
+        active &= ~drop
+
+
+class ReferencePolicy:
+    """ScriptedPolicy by plain expressions: the unserved users by ~, a
+    masked sum over the middle axis for the centroid, np.where for the step
+    scale."""
+
+    def __init__(self, kind, config):
+        self.kind, self.config, self.smoothed = kind, config, None
+
+    def waypoint_arrays(self, uav_xy, gu_xy, served):
+        unserved = ~served
+        count = unserved.sum(axis=1)[:, None]
+        total = np.where(unserved[..., None], gu_xy, 0.0).sum(axis=1)
+        target = np.where(count > 0, total / np.maximum(count, 1), uav_xy)
+        if self.kind == "lagged_centroid":
+            if self.smoothed is None:
+                self.smoothed = target.copy()
+            else:
+                self.smoothed = (env_sim._LAG_SMOOTHING * self.smoothed
+                                 + (1.0 - env_sim._LAG_SMOOTHING) * target)
+            target = self.smoothed
+        step = target - uav_xy
+        dist = np.sqrt(np.vecdot(step, step))
+        max_step = self.config.step_seconds * self.config.uav_max_speed
+        scale = np.divide(max_step, dist, out=np.ones_like(dist), where=dist > max_step)
+        step *= scale[:, None]
+        return uav_xy + step
+
+
+def reference_uav_ensemble(config, kind, horizon, runs, master_seed, disturbance=None):
+    """uav_ensemble's (states, actions, rewards) from the references above,
+    every step writing its waypoints, UAV positions and mask into the output
+    buffers."""
+    n, j = config.n, config.gu_count
+    disturbed, groups = env_sim._disturbance_groups(disturbance, runs, horizon, n)
+    lanes = groups * runs
+    chunk = min(env_sim._NOISE_CHUNK, horizon,
+                max(8, env_sim._CROWD_CHUNK_VALUES // (lanes * j)))
+    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
+    area = np.array([config.area_x, config.area_y])
+    uav, gu_pos, gu_heading = np.empty((runs, 2)), np.empty((runs, j, 2)), np.empty((runs, j))
+    for r, rng in enumerate(rngs):
+        uav[r] = rng.uniform(size=2) * area
+        gu_pos[r] = rng.uniform(size=(j, 2)) * area
+        gu_heading[r] = rng.uniform(0.0, 2.0 * math.pi, size=j)
+    crowd = np.empty((chunk + 1, lanes, j, 2))
+    uav, crowd[0], heading = (np.concatenate([a] * groups) for a in (uav, gu_pos, gu_heading))
+    speed = np.full((runs, j), config.gu_mean_speed)
+    draw = _lane_draws(rngs, chunk, j, config)
+    gu_disturbed = [(group, w[:, :-2].reshape(horizon, j, 2)) for group, w in disturbed]
+    policy = ReferencePolicy(kind, config)
+    states = np.empty((lanes, horizon + 1, n))
+    actions = np.empty((lanes, horizon, 2))
+    states[:, 0, :-2] = crowd[0].reshape(lanes, -1)
+    states[:, 0, -2:] = uav
+    served = np.empty((lanes, horizon, j), dtype=bool)
+    sure = _sure_count(config)
+    mask = reference_serve_mask(uav, crowd[0], config, sure)
+    for start in range(0, horizon, chunk):
+        stop = min(start + chunk, horizon)
+        steps = stop - start
+        if start:
+            crowd[0] = crowd[chunk]
+        reference_step_gu_arrays(crowd[:steps + 1], speed, heading, config, draw(steps),
+                                 [(group, w[start:stop]) for group, w in gu_disturbed])
+        for k in range(start, stop):
+            uav = policy.waypoint_arrays(uav, crowd[k - start], mask)
+            actions[:, k] = uav
+            for group, w in disturbed:
+                craft = uav[group]
+                craft += w[k, -2:]
+                np.maximum(0.0, craft, out=craft)
+                np.minimum(craft, area, out=craft)
+            states[:, k + 1, -2:] = uav
+            mask = served[:, k] = reference_serve_mask(uav, crowd[k + 1 - start], config, sure)
+        states[:, start + 1:stop + 1, :-2] = (
+            crowd[1:steps + 1].swapaxes(0, 1).reshape(lanes, steps, -1))
+    max_step = config.step_seconds * config.uav_max_speed
+    violation = np.sqrt(np.vecdot(*[actions - states[:, :-1, -2:]] * 2)) > (
+        max_step + env_sim._SPEED_EPS)
+    return states, actions, _rewards(served, violation, config)
+
+
+def reference_linear_ensemble(config, horizon, runs, master_seed, disturbance=None):
+    """linear_ensemble's (states, actions, rewards) with A x and F x
+    computed into fresh arrays every step and copied into the buffers."""
+    n = config.n
+    disturbed, groups = env_sim._disturbance_groups(disturbance, runs, horizon, n)
+    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
+    states = np.empty((groups * runs, horizon + 1, n))
+    actions = np.empty((groups * runs, horizon, config.m))
+    states[:, 0] = config.x0_mean
+    noise = np.empty((min(env_sim._NOISE_CHUNK, horizon), runs, n))
+    for start in range(0, horizon, env_sim._NOISE_CHUNK):
+        stop = min(start + env_sim._NOISE_CHUNK, horizon)
+        for r, rng in enumerate(rngs):
+            noise[: stop - start, r] = rng.normal(0.0, config.noise_std, size=(stop - start, n))
+        for k in range(start, stop):
+            x = states[:, k, :, None]
+            actions[:, k] = (config.F @ x)[..., 0]
+            x_next = (config.A @ x)[..., 0]
+            lanes = x_next.reshape(groups, runs, n)
+            lanes += noise[k - start]
+            for group, w in disturbed:
+                x_next[group] += w[k]
+            states[:, k + 1] = x_next
+    return states, actions, env_sim.norm_penalty_reward(states[:, 1:], actions)
+
+
+def assert_same_bits(ensemble, reference):
+    for name, want in zip(("states", "actions", "rewards"), reference, strict=True):
+        got = getattr(ensemble, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+# The compact config covers no more users than it is sure of, so the link
+# budget is skipped; the default one covers up to 20 users and is sure of
+# 11, and with absorption of 9, so there the link budget runs.
+REFERENCE_CONFIGS = {"compact": COMPACT_UAV, "default": {}, "absorbing": dict(absorption=0.01)}
+
+
+class TestStepLoopReference:
+    @pytest.mark.parametrize("config_name", REFERENCE_CONFIGS)
+    @pytest.mark.parametrize("turn_bias", [0.0, 0.1])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    @pytest.mark.parametrize("runs, horizon", [(1, 300), (4, 150), (32, 60)])
+    def test_uav_matches_reference_loop(self, runs, horizon, kind, groups, turn_bias,
+                                        config_name):
+        # Several crowd chunks each; the disturbed group's w is large enough
+        # to hit the clamp.
+        config = UavEnvConfig(**REFERENCE_CONFIGS[config_name], gu_turn_bias=turn_bias)
+        assert (_sure_count(config) < config.gu_count) == (config_name != "compact")
+        w = np.random.default_rng(runs).normal(scale=5.0, size=(horizon, config.n))
+        disturbance = None if groups == 1 else (None, w)
+        ensemble = uav_ensemble(config, kind, horizon, runs, 700, disturbance)
+        assert_same_bits(ensemble, reference_uav_ensemble(config, kind, horizon, runs, 700,
+                                                          disturbance))
+
+    @pytest.mark.parametrize("disturbance", ["none", "w", "none_w", "w_none_2w"])
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1), (2, 5), (42, 4)])
+    @pytest.mark.parametrize("runs", [1, 4, 24])
+    def test_linear_matches_reference_loop(self, runs, shape, disturbance):
+        # Two noise chunks; the actions come from one product after the loop.
+        n, m = shape
+        rng = np.random.default_rng(n * 100 + m)
+        config = LinearSurrogateConfig(A=rng.uniform(-0.3, 0.3, (n, n)),
+                                       F=rng.uniform(-1.0, 1.0, (m, n)),
+                                       x0_mean=rng.standard_normal(n), noise_std=0.05)
+        w = rng.normal(scale=0.1, size=(300, n))
+        disturbance = {"none": None, "w": w, "none_w": (None, w),
+                       "w_none_2w": (w, None, 2.0 * w)}[disturbance]
+        ensemble = linear_ensemble(config, 300, runs, 31, disturbance)
+        assert_same_bits(ensemble, reference_linear_ensemble(config, 300, runs, 31,
+                                                             disturbance))
+
+
+def ulps_around(x, count=64):
+    """The nonnegative doubles within `count` ulps of x >= 0."""
+    bits = np.float64(x).view(np.int64) + np.arange(-count, count + 1)
+    values = bits[bits >= 0].view(np.float64)
+    return values[np.isfinite(values)]
+
+
+class TestExactShortcuts:
+    @pytest.mark.parametrize("radius, altitude", [
+        (50.0, 30.0), (25.0, 20.0), (1.0, 1e-9), (7.3, 7.3), (1e6, 0.5), (1e-3, 1e-4),
+        (0.1, 0.09999999999999999), (30, 7)])
+    def test_planar_reach_decides_as_the_square_root(self, radius, altitude):
+        # d <= _planar_reach(r, h) exactly where sqrt(d + h^2) <= r, for
+        # every d within 64 ulps of r^2 - h^2 and of the threshold, and with
+        # no altitude, within 64 ulps of r^2: d <= reach(r, 0) is sqrt(d) <= r.
+        for altitude in (altitude, 0.0):
+            altitude_sq = altitude**2
+            reach = env_sim._planar_reach(radius, altitude)
+            near = [ulps_around(max(radius * radius - altitude_sq, 0.0)), ulps_around(0.0)]
+            if reach >= 0.0:
+                near.append(ulps_around(reach))
+            d = np.concatenate(near)
+            assert np.array_equal(d <= reach, np.sqrt(d + altitude_sq) <= radius)
+
+    @pytest.mark.parametrize("radius, altitude", [(3.0, 4.0), (1.0, 1.0 + 2**-52)])
+    def test_planar_reach_when_nobody_is_covered(self, radius, altitude):
+        assert env_sim._planar_reach(radius, altitude) == -1.0
+        assert not np.sqrt(0.0 + altitude**2) <= radius
+
+    def test_serve_mask_matches_square_root_at_the_edge(self):
+        # Users within ulps of the coverage edge, one of them at a planar
+        # squared distance of exactly the threshold: the mask by the
+        # threshold is the one by the 3-d distance's square root.
+        config = UavEnvConfig(**COMPACT_UAV)
+        reach = env_sim._planar_reach(config.coverage_radius, config.altitude)
+        offsets = ulps_around(math.sqrt(reach), 40)
+        assert (offsets * offsets == reach).any()
+        gus = np.zeros((1, len(offsets), 2))
+        gus[0, :, 0] = offsets
+        uav = np.zeros((1, 2))
+        sure = _sure_count(config)
+        mask = serve_mask(uav, gus, config)
+        assert mask.tobytes() == reference_serve_mask(uav, gus.copy(), config, sure).tobytes()
+        assert 0 < mask.sum() < len(offsets)
+
+    def test_heading_wrap_is_numpys_remainder(self):
+        # A heading is wrapped exactly where np.remainder would change its
+        # bits, the ones whose bits read at or above 2 pi's, and Python's
+        # float % gives the same bits as np.remainder there.
+        two_pi = 2.0 * math.pi
+        tiny = np.finfo(float).tiny
+        h = np.concatenate([
+            [0.0, -0.0, two_pi, -two_pi, 4 * math.pi, -tiny, tiny, -1e-300, 5e-324, -5e-324],
+            ulps_around(two_pi, 8), -ulps_around(two_pi, 8), -ulps_around(math.pi, 8),
+            np.random.default_rng(3).uniform(-3 * two_pi, 3 * two_pi, 2000)])
+        wrapped = np.remainder(h, two_pi)
+        changed = h.view(np.uint64) != wrapped.view(np.uint64)
+        assert np.array_equal(changed, h.view(np.uint64) >= np.float64(two_pi).view(np.uint64))
+        for x, y in zip(h.tolist(), wrapped.tolist()):
+            assert math.copysign(1.0, x % two_pi) == math.copysign(1.0, y) and x % two_pi == y

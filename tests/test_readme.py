@@ -157,6 +157,22 @@ def test_report_refuses_an_edited_violations_list(walkthrough, tmp_path, capsys)
     assert "Traceback" not in err and not out.exists()
 
 
+def test_analyze_refuses_a_string_operator_entry(walkthrough, tmp_path, capsys):
+    # An operator entry written as a string is refused, not converted:
+    # analyze exits 2 with an error line naming the field, no traceback and
+    # no output.  The edited copy and its output stay in tmp_path.
+    doc = json.loads((walkthrough[0] / "model.json").read_text())
+    doc["state_operator"][0][0] = repr(doc["state_operator"][0][0])
+    edited, out = tmp_path / "model.json", tmp_path / "analysis.json"
+    edited.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["analyze", str(edited), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: model field 'state_operator'")
+               for line in err.splitlines()), err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_every_json_file_is_standard_json(walkthrough):
     # The four outputs and the five manifests hold no NaN or Infinity token.
     def refuse(token):
