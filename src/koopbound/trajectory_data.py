@@ -176,11 +176,12 @@ def ensemble_mean(ensemble: TrajectoryEnsemble) -> MeanTrajectory:
     ensemble and kept on it, so every later call returns the same record.
     """
     if ensemble.mean is None:
-        mean = MeanTrajectory(
-            mean_states=_pairwise_mean(ensemble.states),
-            mean_actions=_pairwise_mean(ensemble.actions),
-            r_count=ensemble.r_count,
-        )
+        states, actions = _pairwise_mean(ensemble.states), _pairwise_mean(ensemble.actions)
+        # Fresh and read-only, the means are kept by the record, not copied.
+        states.setflags(write=False)
+        actions.setflags(write=False)
+        mean = MeanTrajectory(mean_states=states, mean_actions=actions,
+                              r_count=ensemble.r_count)
         object.__setattr__(ensemble, "mean", mean)  # derived from the read-only runs
     return ensemble.mean
 
@@ -206,8 +207,10 @@ def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
 # a block of data lines at a time with ``_floattext.read_rows``: fields in
 # the writer's form with exact integer arithmetic, any other through
 # float() (run and k through numpy's int64 conversion), so each value is
-# the one float() gives.  Bytes that are not UTF-8 are a ParseError naming
-# the line.
+# the one float() gives.  Each data row becomes one record of its run, k,
+# line number (with the terminal flag) and values; rows out of (run, k)
+# order are sorted in place by numpy.  Bytes that are not UTF-8 are a
+# ParseError naming the line.
 # ---------------------------------------------------------------------------
 
 # Runs of data lines are decoded in blocks of about _BLOCK_CELLS fields, the
@@ -356,21 +359,21 @@ def _check_row(line: str, line_no: int, n: int, m: int) -> None:
     _parse_value(tail[m], line_no, "r")
 
 
-def _parse_block(text, lines: int, line_no: int, n: int, m: int, arrays, start: int) -> int:
+def _parse_block(text, lines: int, line_no: int, n: int, m: int, records, start: int) -> int:
     """Decode a block of data lines, each ending in LF, the first on line
-    line_no, into the rows from start on of arrays: (run, k) pairs (R, 2),
-    values (R, n+m+1), the terminal-row mask (R,) and line numbers (R,); a
-    terminal row's action and reward values are zero.  When the block does
-    not decode, its lines are checked one by one to raise the first faulty
-    line's error.  Returns the row after the block."""
+    line_no, into the records from start on: each gets its run and k, its
+    line number L as 2 L + 1 for a terminal row and 2 L for any other, and
+    its n+m+1 values, a terminal row's action and reward values zero.  When
+    the block does not decode, its lines are checked one by one to raise the
+    first faulty line's error.  Returns the record after the block."""
     stop = start + lines
-    ids, values, terminal, numbers = (a[start:stop] for a in arrays)
-    empty = read_rows(text, ids, values)
+    rows = records[start:stop]
+    # The (run, k) pairs are the first two int64 words of each record.
+    empty = read_rows(text, rows.view(np.int64).reshape(lines, -1)[:, :2], rows["values"])
     if empty is not None:
         tail = empty[:, n:]
         if not empty[:, :n].any() and (tail == tail[:, :1]).all():
-            terminal[:] = tail[:, 0]
-            numbers[:] = np.arange(line_no, line_no + lines)
+            rows["line"] = 2 * np.arange(line_no, line_no + lines) + tail[:, 0]
             return stop
     for i, line in enumerate(bytes(text).split(b"\n")[:-1]):
         _check_row(decode_line(line, line_no + i), line_no + i, n, m)
@@ -392,75 +395,6 @@ def _raise_run_fault(run_id, steps, ends) -> None:
     raise DimensionMismatchError(f"run {run_id}: no steps before the terminal row")
 
 
-def _sort_rows(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """values[order], where order holds, for each run in sorted order, the
-    file rows of its K+1 steps: an (R, K+1) array.  The rows are moved in
-    place along the cycles of the permutation.
-
-    When each run's rows are one block of K+1 rows in the file, as in a file
-    written from an ensemble whose run ids are not sorted, whole blocks are
-    moved one cycle at a time, with one block held aside.  Rows of runs that
-    interleave, as in a step-major file, are moved row by row with all cycles
-    in lockstep (see _permute_rows).
-    """
-    size = order.shape[1]
-    source = order // size
-    if not (source == source[:, :1]).all():
-        _permute_rows(values, order.reshape(-1))
-        return values
-    source = source[:, 0]
-    within = order - size * source[:, None]
-    runs = values.reshape(len(order), size, -1)
-    placed = np.zeros(len(order), dtype=bool)
-    for first in range(len(order)):
-        if placed[first]:
-            continue
-        held = runs[first].copy()
-        run = first
-        while not placed[run]:
-            placed[run] = True
-            block = held if source[run] == first else runs[source[run]]
-            # mode="clip" writes straight into the run's block, which no
-            # source overlaps; every index is in range.
-            np.take(block, within[run], axis=0, out=runs[run], mode="clip")
-            run = source[run]
-    return values
-
-
-def _permute_rows(values: np.ndarray, order: np.ndarray) -> None:
-    """Set values to values[order] in place, holding aside one row per cycle
-    of the permutation and _BLOCK_ROWS rows in flight.
-
-    Along a cycle c0 -> c1 -> ... -> c(L-1) -> c0 of order (row c0 takes
-    row c1, and so on), where c0 is the cycle's smallest row, rows are
-    written in the order c1, c2, ..., c(L-1): each reads a row not yet
-    written, the last one c0.  c0 then takes the row of c1, held aside
-    before the writes.  Rows are ranked by their hops to c0 (L-1 for c1,
-    down to 1), found for all rows at once by pointer doubling, and written
-    in blocks of that rank from the highest down, so all cycles advance in
-    lockstep and a block's reads come before its writes.
-    """
-    rows = np.arange(len(order))
-    smallest, hop = rows, order
-    for _ in range(len(order).bit_length()):
-        smallest, hop = np.minimum(smallest, smallest[hop]), hop[hop]
-    starts = np.flatnonzero((smallest == rows) & (order != rows))
-    # Hops to the cycle's smallest row, which points to itself in hop.
-    hops = (smallest != rows).astype(np.int64)
-    hop = np.where(smallest == rows, rows, order)
-    del smallest, rows
-    for _ in range(len(order).bit_length()):
-        hops, hop = hops + hops[hop], hop[hop]
-    del hop
-    moving = np.argsort(-hops, kind="stable")[: np.count_nonzero(hops)]
-    del hops
-    held = values[order[starts]]
-    for i in range(0, len(moving), _BLOCK_ROWS):
-        block = moving[i : i + _BLOCK_ROWS]
-        values[block] = values[order[block]]
-    values[starts] = held
-
-
 def load_trajectories(path) -> TrajectoryEnsemble:
     """Load and validate a trajectory file.
 
@@ -468,14 +402,20 @@ def load_trajectories(path) -> TrajectoryEnsemble:
     steps, and with the run for missing steps and misplaced terminal rows;
     DimensionMismatchError for shape violations and DataError for non-finite
     values.  In a file with several faults, the first malformed row in the
-    file is reported before any duplicate step.
+    file is reported before any duplicate step, and of a step given twice the
+    later line is named.
+
+    Each data row is decoded into one record of its run, k, line number and
+    values, and the records are sorted in place by (run, k, line) when the
+    file's rows are not in that order already.  The ensemble's arrays are
+    read-only views of the records' values, never copied.
     """
     seeds: dict[int, int] = {}
     header: tuple[int, int] | None = None
     rows = line_no = 0
     with open(path, "rb") as fh:
-        # The arrays are allocated once, with a row for each line after the
-        # header, and each block is decoded into its rows.
+        # The records are allocated once, one for each line after the header,
+        # and each block is decoded into its records.
         line_count = sum(np.count_nonzero(np.frombuffer(text, dtype=np.uint8) == 10)
                          for text in _chunks(fh))
         fh.seek(0)
@@ -492,10 +432,9 @@ def load_trajectories(path) -> TrajectoryEnsemble:
                     header = n, m = _parse_header(decode_line(line, number), number)
                     block = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // (n + m + 3)))
                     capacity = line_count - number
-                    arrays = (np.empty((capacity, 2), dtype=np.int64),
-                              np.empty((capacity, n + m + 1)),
-                              np.empty(capacity, dtype=bool),
-                              np.empty(capacity, dtype=np.int64))
+                    records = np.empty(capacity, dtype=[
+                        ("run", np.int64), ("k", np.int64), ("line", np.int64),
+                        ("values", np.float64, (n + m + 1,))])
             inspect = _INSPECT[b[line_starts[after:]]]
             data = np.concatenate((np.zeros(after, dtype=bool), ~inspect))
             for i in (after + np.flatnonzero(inspect)).tolist():
@@ -507,23 +446,26 @@ def load_trajectories(path) -> TrajectoryEnsemble:
                 for i in range(first, stop, block):
                     last = min(i + block, stop)
                     rows = _parse_block(text[line_starts[i] : line_ends[last - 1] + 1],
-                                        last - i, line_no + i + 1, n, m, arrays, rows)
+                                        last - i, line_no + i + 1, n, m, records, rows)
             line_no += line_ends.size
     if header is None:
         raise ParseError("file has no header row")
     if not rows:
         raise InsufficientDataError("trajectory file has no data rows")
 
-    ids, values, terminal, line_nos = arrays
-    del arrays  # values is resized in place below
-    ids, terminal, line_nos = ids[:rows], terminal[:rows], line_nos[:rows]
-    order = np.lexsort((ids[:, 1], ids[:, 0]))
-    run, k, terminal, line_nos = ids[order, 0], ids[order, 1], terminal[order], line_nos[order]
+    # The records past the data are given back in place.  save_trajectories
+    # writes the rows in (run, k) order, so they are usually sorted already;
+    # otherwise numpy sorts them in place, the line breaking ties, so the
+    # rows of a (run, k) pair keep their file order.
+    records.resize(rows)
+    run, k, line = records["run"], records["k"], records["line"]
+    if not ((run[1:] > run[:-1]) | (run[1:] == run[:-1]) & (k[1:] >= k[:-1])).all():
+        records.sort(order=("run", "k", "line"))
+    line_nos, terminal = line >> 1, (line & 1).astype(bool)
     same_run = run[1:] == run[:-1]
     repeat = same_run & (k[1:] == k[:-1])
     if repeat.any():
-        # The stable sort keeps file order within a (run, k) pair, so the
-        # first repeat in the file is the earliest non-first row of a pair.
+        # The first repeat in the file is the earliest non-first row of a pair.
         i = 1 + np.flatnonzero(repeat)[np.argmin(line_nos[1:][repeat])]
         raise ParseError(f"line {line_nos[i]}: duplicate step {k[i]} for run {run[i]}")
 
@@ -545,15 +487,9 @@ def load_trajectories(path) -> TrajectoryEnsemble:
         )
 
     r_count, horizon = len(starts), sizes[0] - 1
-    # save_trajectories writes the rows in (run, k) order, so the sort is
-    # usually the identity.  Either way the rows past the data are given back
-    # in place.
-    values.resize((rows, n + m + 1))
-    if not np.array_equal(order, np.arange(rows)):
-        values = _sort_rows(values, order.reshape(r_count, horizon + 1))
-    # Read-only, the sorted block is shared by the ensemble's arrays, not copied.
-    values.setflags(write=False)
-    values = values.reshape(r_count, horizon + 1, n + m + 1)
+    # Read-only, the records are shared by the ensemble's arrays, not copied.
+    records.setflags(write=False)
+    values = records["values"].reshape(r_count, horizon + 1, n + m + 1)
     run_ids = run[starts]
     return TrajectoryEnsemble(
         states=values[:, :, :n],

@@ -173,6 +173,24 @@ def test_analyze_refuses_a_string_operator_entry(walkthrough, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("order", ["step-major", "reversed runs"])
+def test_fit_takes_rows_in_any_order(walkthrough, tmp_path, order):
+    # fit on traj.csv with its rows rewritten step by step across runs, or
+    # with its runs in reverse order, writes the model.json bytes of the
+    # file as simulate wrote it.
+    root = walkthrough[0]
+    lines = (root / "traj.csv").read_bytes().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line.startswith(b"run,k,")) + 1
+    r_count = len({line.split(b",", 1)[0] for line in lines[head:]})
+    rows = np.array(lines[head:], dtype=object).reshape(r_count, -1)
+    rows = rows.T if order == "step-major" else rows[::-1]
+    traj, model = tmp_path / "traj.csv", tmp_path / "model.json"
+    traj.write_bytes(b"".join(lines[:head] + rows.ravel().tolist()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", str(traj), "--out", str(model)]) == 0
+    assert model.read_bytes() == (root / "model.json").read_bytes()
+
+
 def test_every_json_file_is_standard_json(walkthrough):
     # The four outputs and the five manifests hold no NaN or Infinity token.
     def refuse(token):

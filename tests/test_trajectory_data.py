@@ -189,19 +189,51 @@ class TestFileFormat:
         assert loaded.states.ravel().tolist() == [1.5, 2.0, 3.0, 4.0]
         assert outcome(load_trajectories, path) == outcome(reference_load, path)
 
-    def test_rows_permuted_in_place_as_gathered(self):
-        # Rows moved along the cycles of a permutation, blocks of 3 at a
-        # time, are the rows a gather gives: random permutations, one cycle
-        # through every row, swaps and the identity.
+    @pytest.mark.parametrize("size, runs", [(1, 1), (2, 1), (3, 1), (10, 5), (1000, 8)])
+    def test_rows_in_any_order_load_as_sorted(self, tmp_path, size, runs):
+        # A file of size rows with its rows in another order loads bit for
+        # bit as the sorted file does: random permutations, one cycle
+        # through every row, reversed rows, the identity and each run's
+        # even steps swapped with the next.  A one-row file is refused the
+        # same way in every order.
         rng = np.random.default_rng(5)
-        for size in (1, 2, 3, 10, 1000):
-            for order in (rng.permutation(size), np.roll(np.arange(size), 1),
-                          np.arange(size)[::-1], np.arange(size)):
-                values = rng.standard_normal((size, 3))
-                want = values[order]
-                with mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3):
-                    trajectory_data._permute_rows(values, order)
-                assert values.tobytes() == want.tobytes(), (size, order)
+        length = size // runs
+        shape = (runs, length, 2)
+        states = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 16, shape)
+        lines = [f"# seed {run} {run + 7}\n" for run in range(runs)] + ["run,k,x0,x1,u0,r\n"]
+        rows = [f"{run},{k},{x0!r},{x1!r}," + ("," if k == length - 1 else f"{x1 / 3!r},{-x0!r}")
+                + "\n" for run in range(runs) for k, (x0, x1) in enumerate(states[run].tolist())]
+        sorted_path = tmp_path / "sorted.csv"
+        sorted_path.write_text("".join(lines + rows))
+        want = outcome(load_trajectories, sorted_path)
+        assert want == outcome(reference_load, sorted_path)
+        assert (want[0] is DimensionMismatchError) == (size == 1), want
+        steps = np.arange(length)
+        steps[: length // 2 * 2] ^= 1
+        pair_swapped = (length * np.arange(runs)[:, None] + steps).ravel()
+        path = tmp_path / "traj.csv"
+        for order in (rng.permutation(size), rng.permutation(size), np.roll(np.arange(size), 1),
+                      np.arange(size)[::-1], np.arange(size), pair_swapped):
+            path.write_text("".join(lines + [rows[i] for i in order]))
+            assert outcome(load_trajectories, path) == want, order
+
+    def test_duplicate_step_in_unsorted_file_names_later_line(self, tmp_path):
+        # Of a step given twice, the later line is named, and of two such
+        # steps the one whose later line comes first in the file, whatever
+        # the sorted order of their runs.
+        path = tmp_path / "traj.csv"
+        path.write_text(
+            "run,k,x0,u0,r\n"
+            "1,1,2.0,,\n"
+            "0,0,1.0,0.5,1.0\n"
+            "1,0,1.0,0.5,1.0\n"
+            "0,1,2.0,,\n"
+            "1,0,3.0,0.5,1.0\n"
+            "0,1,4.0,,\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 6: duplicate step 0 for run 1$"):
+            load_trajectories(path)
+        assert outcome(reference_load, path) == (ParseError, 6)
 
     def test_row_with_wrong_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -626,12 +658,12 @@ class TestWideFile:
         return self.traced_load(path)
 
     def test_peak_memory(self, sorted_load):
-        # The arrays are allocated once from a line count and each block is
-        # decoded into them.  Over the returned arrays the load holds one
-        # block's working set (about 16k fields at a few hundred bytes), one
-        # chunk of text and 25 bytes a row of (run, k) pairs, flags and line
-        # numbers: 5.0 MiB here.  Concatenating per-block arrays peaked
-        # 9.8 MiB over them.
+        # The records are allocated once from a line count and each block is
+        # decoded into them.  Over the returned arrays, whose base is the
+        # records with their 24 bytes a row of run, k and line, the load
+        # holds one block's working set (about 16k fields at a few hundred
+        # bytes) and one chunk of text: 4.5 MiB here.  Concatenating
+        # per-block arrays peaked 9.8 MiB over them.
         loaded, peak = sorted_load
         returned = loaded.states.base.nbytes + loaded.run_ids.nbytes + loaded.seeds.nbytes
         assert peak <= returned + 8 * 2**20, (peak, returned)
@@ -647,9 +679,9 @@ class TestWideFile:
         return run_ids, path
 
     def test_unsorted_runs_load_bit_for_bit_in_place(self, saved, sorted_load, unsorted):
-        # Run blocks out of order are moved in place, one block held aside:
-        # the peak stays within the sorted file's plus one run's block, where
-        # a sorted copy of the values added 5.7 MB.
+        # Run blocks out of order are sorted in place: the peak stays within
+        # the sorted file's plus one run's block, where a sorted copy of the
+        # values added 5.7 MB.
         ensemble, _ = saved
         run_ids, path = unsorted
         loaded, peak = self.traced_load(path)
@@ -673,12 +705,35 @@ class TestWideFile:
         return path
 
     def test_step_major_rows_load_bit_for_bit_in_place(self, saved, sorted_load, step_major):
-        # Rows of interleaved runs are moved in place along the cycles of
-        # their permutation: the peak stays within the sorted file's plus one
-        # run's block, where a sorted copy of the values peaked at 20.0 MB
-        # against 14.3 MB.
+        # Rows of interleaved runs are sorted in place: the peak stays within
+        # the sorted file's plus one run's block, where a sorted copy of the
+        # values peaked at 20.0 MB against 14.3 MB.
         ensemble, _ = saved
         loaded, peak = self.traced_load(step_major)
+        for name in ("run_ids", "seeds", "states", "actions", "rewards"):
+            assert getattr(loaded, name).tobytes() == getattr(ensemble, name).tobytes(), name
+        block = (ensemble.horizon + 1) * (ensemble.n + ensemble.m + 1) * 8
+        assert peak <= sorted_load[1] + block, (peak, sorted_load[1])
+
+    @pytest.fixture(scope="class")
+    def pair_swapped(self, saved, tmp_path_factory):
+        # The same rows with each run's even steps swapped with the next, so
+        # the file is out of order at every other row of every run.
+        ensemble, path = saved
+        lines = path.read_bytes().splitlines(keepends=True)
+        head = len(lines) - ensemble.r_count * (ensemble.horizon + 1)
+        rows = np.array(lines[head:], dtype=object).reshape(ensemble.r_count, -1)
+        steps = np.arange(ensemble.horizon + 1)
+        steps[: ensemble.horizon // 2 * 2] ^= 1
+        path = tmp_path_factory.mktemp("wide") / "pair_swapped.csv"
+        path.write_bytes(b"".join(lines[:head] + rows[:, steps].ravel().tolist()))
+        return path
+
+    def test_pair_swapped_rows_load_bit_for_bit_in_place(self, saved, sorted_load, pair_swapped):
+        # Each run's swapped step pairs are sorted in place: the peak stays
+        # within the sorted file's plus one run's block.
+        ensemble, _ = saved
+        loaded, peak = self.traced_load(pair_swapped)
         for name in ("run_ids", "seeds", "states", "actions", "rewards"):
             assert getattr(loaded, name).tobytes() == getattr(ensemble, name).tobytes(), name
         block = (ensemble.horizon + 1) * (ensemble.n + ensemble.m + 1) * 8
@@ -733,6 +788,30 @@ class TestEnsembleMean:
         assert other.mean is None
         assert np.array_equal(ensemble_mean(other).mean_states.ravel(), [-2.0, -3.0, -4.0])
         assert ensemble_mean(ens) is mean
+
+    def test_record_keeps_the_fresh_means(self):
+        # The means ensemble_mean computes are handed to the record
+        # read-only, so it keeps those very arrays instead of copying them.
+        ens = scalar_ensemble([1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
+        returned = []
+        pairwise_mean = trajectory_data._pairwise_mean
+
+        def spy(stacked):
+            returned.append(pairwise_mean(stacked))
+            return returned[-1]
+
+        with mock.patch.object(trajectory_data, "_pairwise_mean", spy):
+            mean = ensemble_mean(ens)
+        assert mean.mean_states is returned[0] and mean.mean_actions is returned[1]
+        assert not mean.mean_states.flags.writeable and not mean.mean_actions.flags.writeable
+
+    def test_overflowing_mean_raises(self):
+        # A mean that overflows is still refused by the record's finiteness
+        # check, and the ensemble keeps no mean.
+        ens = scalar_ensemble([1.5e308, 1.0], [1.5e308, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="mean_states"):
+            ensemble_mean(ens)
+        assert ens.mean is None
 
 
 class TestSnapshots:
