@@ -4,7 +4,6 @@ black-box sequential decision policies."""
 __version__ = "0.1.0"
 
 from .trajectory_data import (
-    MeanTrajectory,
     TrajectoryEnsemble,
     ensemble_mean,
     load_trajectories,

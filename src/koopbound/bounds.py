@@ -33,7 +33,6 @@ from .trajectory_data import (
     TrajectoryEnsemble,
     _frozen_array,
     ensemble_mean,
-    mean_rewards,
 )
 
 DISTURBANCE_KINDS = (
@@ -328,13 +327,13 @@ def _per_step_dispersion(ensemble: TrajectoryEnsemble) -> np.ndarray:
     once, up to _BLOCK_VALUES states), so no copy of the whole ensemble is
     made; each run's norms are the ones the whole-array expression gives,
     and the (R, K) array of their sums is averaged over runs as before."""
-    mean = ensemble_mean(ensemble)
+    mean_states, mean_actions, _ = ensemble_mean(ensemble)
     spread = np.empty(ensemble.rewards.shape)
     step = max(1, _BLOCK_VALUES // max(1, ensemble.states[0].size))
     for start in range(0, ensemble.r_count, step):
         runs = slice(start, start + step)
-        spread[runs] = np.linalg.norm(ensemble.states[runs, 1:] - mean.mean_states[1:], axis=2)
-        spread[runs] += np.linalg.norm(ensemble.actions[runs] - mean.mean_actions, axis=2)
+        spread[runs] = np.linalg.norm(ensemble.states[runs, 1:] - mean_states[1:], axis=2)
+        spread[runs] += np.linalg.norm(ensemble.actions[runs] - mean_actions, axis=2)
     return spread.mean(axis=0)
 
 
@@ -577,14 +576,15 @@ def per_step_table(nominal: TrajectoryEnsemble, disturbed: TrajectoryEnsemble) -
     the terminal row k = K carries only the state deviation, its last three
     cells NaN."""
     _check_dims(nominal, disturbed)
-    nominal_mean, disturbed_mean = ensemble_mean(nominal), ensemble_mean(disturbed)
+    states, actions, rewards = ensemble_mean(nominal)
+    disturbed_states, disturbed_actions, disturbed_rewards = ensemble_mean(disturbed)
     k = nominal.horizon
     table = np.full((k + 1, 5), np.nan)
     table[:, 0] = np.arange(k + 1)
-    table[:, 1] = np.linalg.norm(nominal_mean.mean_states - disturbed_mean.mean_states, axis=1)
-    table[:k, 2] = np.linalg.norm(nominal_mean.mean_actions - disturbed_mean.mean_actions, axis=1)
-    table[:k, 3] = mean_rewards(nominal)
-    table[:k, 4] = mean_rewards(disturbed)
+    table[:, 1] = np.linalg.norm(states - disturbed_states, axis=1)
+    table[:k, 2] = np.linalg.norm(actions - disturbed_actions, axis=1)
+    table[:k, 3] = rewards
+    table[:k, 4] = disturbed_rewards
     return table
 
 

@@ -37,14 +37,9 @@ from .bounds import (
     verify_bounds,
     write_per_step_table,
 )
-# Not called here: verify_bounds builds the per-step table and certified_gain
-# the gain.  perfbench/layers.py wraps both names in koopbound.cli, and reports
-# their layers as missing when they are gone.
-from .bounds import per_step_table  # noqa: F401
 from .errors import (DataError, DimensionMismatchError, KoopboundError, ParameterError,
                      SchemaError)
 from .flatconfig import load_flat_config
-from .hinf_spectral import hinf_norm  # noqa: F401
 from .koopman_dmd import (
     DEFAULT_RANK_TOL,
     fit_koopman_model,
@@ -62,7 +57,15 @@ from .env_sim import (
     split_groups,
     uav_ensemble,
 )
-from .trajectory_data import ensemble_mean, load_trajectories, save_trajectories
+from .trajectory_data import load_trajectories, save_trajectories
+
+# Not called here: fit_koopman_model takes the ensemble mean, verify_bounds
+# builds the per-step table and certified_gain the gain.  perfbench/layers.py
+# wraps these names in koopbound.cli, and reports their layers as missing
+# when they are gone.
+from .bounds import per_step_table  # noqa: F401
+from .hinf_spectral import hinf_norm  # noqa: F401
+from .trajectory_data import ensemble_mean  # noqa: F401
 
 
 # Readers of config values: each takes the JSON value of a key (or its
@@ -264,7 +267,7 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args)
     rank_tol = _setting("analysis.rank_tol", cfg, args)
     ensemble = load_trajectories(args.trajectories)
-    model = fit_koopman_model(ensemble_mean(ensemble), rank_tol)
+    model = fit_koopman_model(ensemble, rank_tol)
     # The one gain search of a pipeline: it goes into the model file, and
     # analyze and verify read it from there.
     start = time.perf_counter()

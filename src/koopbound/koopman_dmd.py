@@ -1,4 +1,4 @@
-"""Koopman operator fitting from ensemble-mean trajectories.
+"""Koopman operator fitting from a trajectory ensemble's per-step means.
 
 The state operator ``Kh`` is fitted by projected DMD: the compact SVD of the
 snapshot matrix X0 of mean states 0..K-1, truncated at ``rank_tol``, projects
@@ -30,7 +30,7 @@ from .errors import (
     SchemaError,
 )
 from .hinf_spectral import HinfReport
-from .trajectory_data import MeanTrajectory, _frozen_array
+from .trajectory_data import TrajectoryEnsemble, _frozen_array, ensemble_mean
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -151,23 +151,25 @@ def _with_diagnostics(model: KoopmanModel, eigenvalues, **diagnostics) -> Koopma
     return model
 
 
-def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_TOL) -> KoopmanModel:
-    """Fit both operators from one mean trajectory and collect diagnostics.
+def fit_koopman_model(ensemble: TrajectoryEnsemble,
+                      rank_tol: float = DEFAULT_RANK_TOL) -> KoopmanModel:
+    """Fit both operators from the ensemble's mean and collect diagnostics.
 
     The state fit regresses mean states 1..K on mean states 0..K-1, and the
     action fit regresses mean actions 0..K-1 on the same states, so the
     truncated SVD of that snapshot matrix is taken once and shared.  All K
-    columns enter both fits.
+    columns enter both fits.  The means are ``ensemble_mean``'s, kept on the
+    ensemble for every later reader.
     """
-    k = mean_traj.horizon
+    k = ensemble.horizon
     if k < 2:
         raise InsufficientDataError(f"need at least two snapshot columns, horizon is {k}")
     _in_range(rank_tol, "rank_tol", "rank tolerance")
-    x0 = mean_traj.mean_states[:k].T
-    actions = mean_traj.mean_actions.T
+    mean_states, mean_actions, _ = ensemble_mean(ensemble)
+    x0 = mean_states[:k].T
+    actions = mean_actions.T
     svd = _truncated_svd(x0, rank_tol)
-    state_operator, eigenvalues, state_residual = _projected_dmd(
-        x0, mean_traj.mean_states[1:].T, svd)
+    state_operator, eigenvalues, state_residual = _projected_dmd(x0, mean_states[1:].T, svd)
     action_operator = _pseudoinverse_fit(actions, svd)
     return _with_diagnostics(
         KoopmanModel(state_operator, action_operator),
@@ -175,7 +177,7 @@ def fit_koopman_model(mean_traj: MeanTrajectory, rank_tol: float = DEFAULT_RANK_
         rank=len(svd[1]),
         rank_tol=rank_tol,
         snapshot_columns=k,
-        r_count=mean_traj.r_count,
+        r_count=ensemble.r_count,
         state_residual=state_residual,
         action_residual=_relative_residual(actions, action_operator, x0),
     )

@@ -33,20 +33,41 @@ def _read_only(arr: np.ndarray) -> bool:
     return arr is None
 
 
+def _first_false(ok: np.ndarray) -> tuple[int, ...]:
+    """The index of the first False entry of ok."""
+    return tuple(map(int, np.unravel_index(np.argmin(ok), ok.shape)))
+
+
 def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
     """values as a read-only array, the one check of every array koopbound
     holds or takes in: kept when it is already a read-only array of that
     dtype, copied otherwise, so a caller's writable array is never frozen.
-    Complex values for a real dtype, and NaN or infinite entries, raise
-    DataError naming the field instead of becoming a plausible wrong number."""
+    Anything but numbers (bools, strings, objects), complex values for a
+    real dtype, values an integer dtype cannot hold exactly, and NaN or
+    infinite entries raise DataError naming the field instead of becoming a
+    plausible wrong number."""
     if not (isinstance(values, np.ndarray) and values.dtype == dtype and _read_only(values)):
-        if np.iscomplexobj(values) and not np.issubdtype(dtype, np.complexfloating):
+        given = np.asarray(values)
+        kind = given.dtype.kind
+        if kind == "c" and not np.issubdtype(dtype, np.complexfloating):
             raise DataError(f"{name} must be real, got complex values")
-        values = np.array(values, dtype=dtype)
+        if kind not in "iufc":
+            raise DataError(f"{name} must hold numbers, got {given.dtype} values")
+        if np.issubdtype(dtype, np.integer) and kind != "i":
+            top = np.iinfo(dtype).max
+            # An unsigned value fits up to top; a float must be whole and in
+            # [-(top + 1), top + 1), which also refuses NaN and infinities.
+            fits = (given <= top if kind == "u" else
+                    (given >= -top - 1) & (given < top + 1.0) & (np.trunc(given) == given))
+            if not fits.all():
+                index = _first_false(fits)
+                raise DataError(f"{name} must hold {np.dtype(dtype)} integers, got "
+                                f"{given[index].item()!r} at index {index}")
+        values = np.array(given, dtype=dtype)
         values.setflags(write=False)
     if not np.isfinite(values).all():
-        index = np.unravel_index(np.argmin(np.isfinite(values)), values.shape)
-        raise DataError(f"{name} holds a non-finite value at index {tuple(map(int, index))}")
+        index = _first_false(np.isfinite(values))
+        raise DataError(f"{name} holds a non-finite value at index {index}")
     return values
 
 
@@ -60,8 +81,9 @@ class TrajectoryEnsemble:
     The arrays are validated once and stored read-only: an array that is
     already read-only (a view of another ensemble's runs, say) is shared,
     anything else copied.  run_ids default to 0..R-1 and seeds to -1.
-    ``mean`` is set by ``ensemble_mean`` on first use, never by the
-    constructor, so the one mean of an ensemble always describes its runs.
+    ``mean``, the per-step means of states, actions and rewards, is set by
+    ``ensemble_mean`` on first use, never by the constructor, so the one
+    mean of an ensemble always describes its runs.
     """
 
     states: np.ndarray   # (R, K+1, n)
@@ -69,7 +91,8 @@ class TrajectoryEnsemble:
     rewards: np.ndarray  # (R, K)
     run_ids: np.ndarray | None = None  # (R,)
     seeds: np.ndarray | None = None    # (R,)
-    mean: MeanTrajectory | None = field(default=None, init=False, repr=False)
+    mean: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         states = _frozen_array(self.states, "states")
@@ -124,31 +147,6 @@ class TrajectoryEnsemble:
         return self.actions.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class MeanTrajectory:
-    """Per-step ensemble means of states and actions, validated once when
-    built: K+1 state rows and K action rows, finite and read-only."""
-
-    mean_states: np.ndarray   # (K+1, n)
-    mean_actions: np.ndarray  # (K, m)
-    r_count: int
-
-    def __post_init__(self):
-        states = _frozen_array(self.mean_states, "mean_states")
-        actions = _frozen_array(self.mean_actions, "mean_actions")
-        if states.ndim != 2 or actions.ndim != 2 or len(states) != len(actions) + 1:
-            raise DimensionMismatchError(
-                f"need mean states (K+1, n) and mean actions (K, m), got "
-                f"{states.shape} and {actions.shape}"
-            )
-        object.__setattr__(self, "mean_states", states)
-        object.__setattr__(self, "mean_actions", actions)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.mean_actions)
-
-
 # A reduction over runs copies or differences at most about this many values
 # of an ensemble at a time (one run, or one step, when that is more), so its
 # working memory stays small next to the ensemble's own arrays.
@@ -168,27 +166,24 @@ def _pairwise_mean(stacked: np.ndarray) -> np.ndarray:
     return mean
 
 
-def ensemble_mean(ensemble: TrajectoryEnsemble) -> MeanTrajectory:
-    """Average states and actions elementwise across runs.
+def ensemble_mean(ensemble: TrajectoryEnsemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-step means over runs of states (K+1, n), actions (K, m) and
+    rewards (K,), read-only and finite.
 
     The reduction is a deterministic pairwise sum over the run index, so the
-    result does not depend on traversal order.  It is computed once per
-    ensemble and kept on it, so every later call returns the same record.
+    result does not depend on traversal order.  The means are computed once
+    per ensemble and kept on it, so every later call returns the same arrays.
+    A mean that overflows raises DataError naming it (``mean_states``, ...).
     """
     if ensemble.mean is None:
-        states, actions = _pairwise_mean(ensemble.states), _pairwise_mean(ensemble.actions)
-        # Fresh and read-only, the means are kept by the record, not copied.
-        states.setflags(write=False)
-        actions.setflags(write=False)
-        mean = MeanTrajectory(mean_states=states, mean_actions=actions,
-                              r_count=ensemble.r_count)
-        object.__setattr__(ensemble, "mean", mean)  # derived from the read-only runs
+        means = []
+        for name in ("states", "actions", "rewards"):
+            mean = _pairwise_mean(getattr(ensemble, name))
+            # Fresh and read-only, the mean is kept, not copied.
+            mean.setflags(write=False)
+            means.append(_frozen_array(mean, f"mean_{name}"))
+        object.__setattr__(ensemble, "mean", tuple(means))  # derived from the read-only runs
     return ensemble.mean
-
-
-def mean_rewards(ensemble: TrajectoryEnsemble) -> np.ndarray:
-    """Per-step ensemble mean of rewards, shape (K,)."""
-    return _pairwise_mean(ensemble.rewards)
 
 
 # ---------------------------------------------------------------------------

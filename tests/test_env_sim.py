@@ -17,7 +17,6 @@ from koopbound import (
     LinearSurrogateConfig,
     ParameterError,
     UavEnvConfig,
-    ensemble_mean,
     fit_koopman_model,
     linear_ensemble,
     uav_ensemble,
@@ -186,8 +185,7 @@ class TestLinearRollout:
         config = LinearSurrogateConfig(
             A=a, F=f, x0_mean=rng.normal(size=3),
         )
-        mean = ensemble_mean(linear_ensemble(config, 40, runs=1, master_seed=0))
-        model = fit_koopman_model(mean)
+        model = fit_koopman_model(linear_ensemble(config, 40, runs=1, master_seed=0))
         assert np.linalg.norm(model.state_operator - a) <= 1e-6 * np.linalg.norm(a)
         assert np.linalg.norm(model.action_operator - f) <= 1e-6 * np.linalg.norm(f)
 

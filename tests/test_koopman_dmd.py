@@ -18,7 +18,6 @@ from koopbound import (
     KoopboundError,
     KoopmanModel,
     LinearSurrogateConfig,
-    MeanTrajectory,
     ParameterError,
     ParseError,
     SchemaError,
@@ -65,7 +64,7 @@ def dmd(x0, x1, rank_tol=1e-10):
 
 def state_fit(states, rank_tol=1e-10):
     """fit_koopman_model on one state sequence."""
-    return fit_koopman_model(mean_from_states(states), rank_tol)
+    return fit_koopman_model(curve_ensemble(states), rank_tol)
 
 
 def random_stable(rng, n, radius=0.9):
@@ -74,18 +73,19 @@ def random_stable(rng, n, radius=0.9):
     return a * (radius / rho)
 
 
-def mean_from_states(states, actions=None):
+def curve_ensemble(states, actions=None, runs=1):
+    """An ensemble of `runs` copies of one run with these states and actions
+    (zero actions when none are given).  For 1, 2 or 4 runs its mean is that
+    run bit for bit."""
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     k = len(states) - 1
-    if actions is None:
-        actions = np.zeros((k, 1))
-    else:
-        actions = np.asarray(actions, dtype=float)
-        if actions.ndim == 1:
-            actions = actions[:, None]
-    return MeanTrajectory(mean_states=states, mean_actions=actions, r_count=1)
+    actions = np.zeros((k, 1)) if actions is None else np.asarray(actions, dtype=float)
+    if actions.ndim == 1:
+        actions = actions[:, None]
+    return TrajectoryEnsemble(np.repeat(states[None], runs, axis=0),
+                              np.repeat(actions[None], runs, axis=0), np.zeros((runs, k)))
 
 
 class TestDmdStandard:
@@ -210,7 +210,7 @@ class TestFitStateOperator:
 
 
 def action_fit(states, actions):
-    return fit_koopman_model(MeanTrajectory(states, actions, 1)).action_operator
+    return fit_koopman_model(curve_ensemble(states, actions)).action_operator
 
 
 class TestFitActionOperator:
@@ -274,7 +274,7 @@ def fitted(rank_deficient=False, gain=True):
     else:
         states = rollout_matrix(random_stable(rng, 3), rng.normal(size=3), 30).T
     actions = states[:-1] @ rng.normal(size=(3, 2))
-    model = fit_koopman_model(MeanTrajectory(states, actions, r_count=4))
+    model = fit_koopman_model(curve_ensemble(states, actions, runs=4))
     if gain:
         certified_gain(model)
     return model
@@ -328,7 +328,7 @@ class TestModelSerialization:
         a = random_stable(rng, 3)
         states = rollout_matrix(a, rng.normal(size=3), 30).T
         actions = states[:-1] @ rng.normal(size=(3, 2))
-        model = fit_koopman_model(MeanTrajectory(states, actions, r_count=4))
+        model = fit_koopman_model(curve_ensemble(states, actions, runs=4))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -374,7 +374,6 @@ ARRAY_RECORDS = {
     "loaded KoopmanModel": lambda: loaded(fitted()),
     "TrajectoryEnsemble": lambda: TrajectoryEnsemble(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)),
                                                      np.zeros((2, 2))),
-    "MeanTrajectory": lambda: MeanTrajectory(np.zeros((3, 2)), np.zeros((2, 1)), r_count=2),
     "LinearSurrogateConfig": lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
                                                            np.ones(2)),
     "TransferFunction": lambda: TransferFunction.resolvent(0.5 * np.eye(2)),
@@ -449,8 +448,6 @@ COMPLEX_INPUTS = {
                             "state_operator"),
     "TrajectoryEnsemble": (lambda: TrajectoryEnsemble(np.zeros((2, 3, 2)), np.zeros((2, 2, 1)),
                                                       np.zeros((2, 2)) + 1j), "rewards"),
-    "MeanTrajectory": (lambda: MeanTrajectory(np.zeros((3, 2)), [[1j], [0.0]], r_count=2),
-                       "mean_actions"),
     "LinearSurrogateConfig": (lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
                                                             [1.0, 1.0 + 2j]), "x0_mean"),
     "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, 0.5j])), "matrix"),
@@ -483,8 +480,6 @@ NON_FINITE_INPUTS = {
     "TrajectoryEnsemble": (lambda: TrajectoryEnsemble(
         np.where(np.arange(12).reshape(2, 3, 2) == 10, np.nan, 0.0), np.zeros((2, 2, 1)),
         np.zeros((2, 2))), "states", (1, 2, 0)),
-    "MeanTrajectory": (lambda: MeanTrajectory(np.zeros((3, 2)), [[0.0], [np.inf]], r_count=2),
-                       "mean_actions", (1, 0)),
     "LinearSurrogateConfig": (lambda: LinearSurrogateConfig(0.5 * np.eye(2), np.ones((1, 2)),
                                                             [1.0, np.nan]), "x0_mean", (1,)),
     "TransferFunction": (lambda: TransferFunction.resolvent(np.diag([0.5, -np.inf])),
@@ -664,6 +659,57 @@ def test_array_inputs_refuse_non_finite_values(name):
     assert str(refused.value) == f"{field_name} holds a non-finite value at index {index}"
 
 
+def two_runs(**ids):
+    """A two-run ensemble of zeros with the run_ids or seeds given."""
+    return TrajectoryEnsemble(np.zeros((2, 3, 1)), np.zeros((2, 2, 1)), np.zeros((2, 2)), **ids)
+
+
+# Each array input given values that are not the numbers it holds, and the
+# refusal: a cast would truncate a fraction, wrap a seed past 2**63, or read a
+# string or a bool as a number.
+NON_NUMBER_INPUTS = {
+    "fractional run_ids": (lambda: two_runs(run_ids=[0.5, 1.7]),
+                           "run_ids must hold int64 integers, got 0.5 at index (0,)"),
+    "uint64 seeds past 2**63": (
+        lambda: two_runs(seeds=np.array([2**63, 1], dtype=np.uint64)),
+        "seeds must hold int64 integers, got 9223372036854775808 at index (0,)"),
+    "float seeds at 2**63": (
+        lambda: two_runs(seeds=np.array([1.0, 2.0**63])),
+        "seeds must hold int64 integers, got 9.223372036854776e+18 at index (1,)"),
+    "float seeds past int64": (lambda: two_runs(seeds=[1e30, 2.0]),
+                               "seeds must hold int64 integers, got 1e+30 at index (0,)"),
+    "NaN seeds": (lambda: two_runs(seeds=[np.nan, 1.0]),
+                  "seeds must hold int64 integers, got nan at index (0,)"),
+    "string run_ids": (lambda: two_runs(run_ids=["1", "2"]),
+                       "run_ids must hold numbers, got <U1 values"),
+    "bool run_ids": (lambda: two_runs(run_ids=[True, False]),
+                     "run_ids must hold numbers, got bool values"),
+    "string A": (lambda: LinearSurrogateConfig(A=[["0.9"]], F=[[1.0]], x0_mean=[1.0]),
+                 "A must hold numbers, got <U3 values"),
+    "bool F": (lambda: LinearSurrogateConfig(A=[[0.9]], F=[[True]], x0_mean=[1.0]),
+               "F must hold numbers, got bool values"),
+    "string w": (lambda: disturbance_admissible(["0.1"], 1.0),
+                 "w must hold numbers, got <U3 values"),
+}
+
+
+@pytest.mark.parametrize("name", NON_NUMBER_INPUTS)
+def test_array_inputs_refuse_what_they_cannot_hold(name):
+    build, message = NON_NUMBER_INPUTS[name]
+    with pytest.raises(DataError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_integral_values_load_as_integers():
+    # Whole floats, Python ints up to 2**63 - 1, an unsigned int64 below
+    # 2**63 and the unknown seed -1 are the integers they write.
+    ensemble = two_runs(run_ids=[0.0, 1.0], seeds=[2**63 - 1, -1])
+    assert ensemble.run_ids.tolist() == [0, 1] and ensemble.seeds.tolist() == [2**63 - 1, -1]
+    seeds = np.array([2**63 - 1, 0], dtype=np.uint64)
+    assert replace(ensemble, seeds=seeds).seeds.tolist() == [2**63 - 1, 0]
+
+
 @pytest.mark.parametrize("name", OUT_OF_RANGE_INPUTS)
 def test_scalar_inputs_refuse_out_of_range_values(name):
     build, field_name, value, message = OUT_OF_RANGE_INPUTS[name]
@@ -749,7 +795,7 @@ def test_complex_eigenvalues_kept():
     # complex128 and read-only, and a loaded model reads them back.
     c, s = 0.9 * np.cos(0.3), 0.9 * np.sin(0.3)
     states = rollout_matrix(np.array([[c, -s], [s, c]]), [1.0, 0.0], 10).T
-    model = fit_koopman_model(mean_from_states(states))
+    model = fit_koopman_model(curve_ensemble(states))
     for record in (model, loaded(model)):
         assert record.eigenvalues.dtype == np.complex128 and _read_only(record.eigenvalues)
         assert np.allclose(record.eigenvalues, 0.9 * np.exp([0.3j, -0.3j]), atol=1e-12)

@@ -18,15 +18,15 @@ from koopbound import (
     DimensionMismatchError,
     InsufficientDataError,
     KoopboundError,
-    MeanTrajectory,
     ParseError,
     TrajectoryEnsemble,
     ensemble_mean,
     fit_koopman_model,
     load_trajectories,
+    per_step_table,
     save_trajectories,
 )
-from koopbound import trajectory_data
+from koopbound import bounds, koopman_dmd, trajectory_data
 
 
 def scalar_ensemble(*runs, seeds=None):
@@ -745,22 +745,21 @@ class TestEnsembleMean:
         states = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         actions = np.array([[[0.5]]])
         ens = TrajectoryEnsemble(states=states, actions=actions, rewards=[[1.0]])
-        mean = ensemble_mean(ens)
-        assert np.array_equal(mean.mean_states, states[0])
-        assert np.array_equal(mean.mean_actions, actions[0])
-        assert mean.r_count == 1
+        mean_states, mean_actions, mean_rewards = ensemble_mean(ens)
+        assert np.array_equal(mean_states, states[0])
+        assert np.array_equal(mean_actions, actions[0])
+        assert np.array_equal(mean_rewards, [1.0])
 
     def test_symmetric_runs_cancel(self):
         v = np.array([[1.0, -2.0], [3.0, 4.0], [0.5, 0.25]])
         ens = TrajectoryEnsemble(states=np.stack([v, -v]), actions=np.ones((2, 2, 1)),
                                  rewards=np.zeros((2, 2)))
-        mean = ensemble_mean(ens)
-        assert np.allclose(mean.mean_states, 0.0)
+        assert np.allclose(ensemble_mean(ens)[0], 0.0)
 
     def test_hand_arithmetic(self):
         # Runs (1,2,3) and (3,4,5) average to (2,3,4).
-        mean = ensemble_mean(scalar_ensemble([1.0, 2.0, 3.0], [3.0, 4.0, 5.0]))
-        assert np.array_equal(mean.mean_states.ravel(), [2.0, 3.0, 4.0])
+        mean_states = ensemble_mean(scalar_ensemble([1.0, 2.0, 3.0], [3.0, 4.0, 5.0]))[0]
+        assert np.array_equal(mean_states.ravel(), [2.0, 3.0, 4.0])
 
     def test_mean_is_linear_under_duplication(self):
         rng = np.random.default_rng(3)
@@ -773,10 +772,8 @@ class TestEnsembleMean:
             actions=np.concatenate([actions, actions]),
             rewards=np.concatenate([rewards, rewards]),
         )
-        m1 = ensemble_mean(ens)
-        m2 = ensemble_mean(doubled)
-        assert np.allclose(m1.mean_states, m2.mean_states, atol=1e-14)
-        assert np.allclose(m1.mean_actions, m2.mean_actions, atol=1e-14)
+        for single, twice in zip(ensemble_mean(ens), ensemble_mean(doubled)):
+            assert np.allclose(single, twice, atol=1e-14)
 
     def test_computed_once_per_ensemble(self):
         # The mean is kept on the ensemble whose read-only runs it averages;
@@ -786,12 +783,12 @@ class TestEnsembleMean:
         assert ensemble_mean(ens) is mean and ens.mean is mean
         other = replace(ens, states=-ens.states)
         assert other.mean is None
-        assert np.array_equal(ensemble_mean(other).mean_states.ravel(), [-2.0, -3.0, -4.0])
+        assert np.array_equal(ensemble_mean(other)[0].ravel(), [-2.0, -3.0, -4.0])
         assert ensemble_mean(ens) is mean
 
     def test_record_keeps_the_fresh_means(self):
-        # The means ensemble_mean computes are handed to the record
-        # read-only, so it keeps those very arrays instead of copying them.
+        # The ensemble keeps the means ensemble_mean computes read-only,
+        # those very arrays instead of copies.
         ens = scalar_ensemble([1.0, 2.0, 3.0], [3.0, 4.0, 5.0])
         returned = []
         pairwise_mean = trajectory_data._pairwise_mean
@@ -802,37 +799,67 @@ class TestEnsembleMean:
 
         with mock.patch.object(trajectory_data, "_pairwise_mean", spy):
             mean = ensemble_mean(ens)
-        assert mean.mean_states is returned[0] and mean.mean_actions is returned[1]
-        assert not mean.mean_states.flags.writeable and not mean.mean_actions.flags.writeable
+        assert len(mean) == len(returned) == 3
+        for kept, computed in zip(mean, returned):
+            assert kept is computed and not kept.flags.writeable
+
+    def test_fit_and_table_share_one_mean(self):
+        # The fit and per_step_table read the same three arrays of an
+        # ensemble, computed once: three pairwise means of each ensemble.
+        nominal = scalar_ensemble([1.0, 2.0, 4.0], [3.0, 4.0, 5.0])
+        disturbed = scalar_ensemble([1.0, 2.5, 4.0], [3.0, 4.5, 5.0])
+        read, computed = [], []
+        pairwise_mean = trajectory_data._pairwise_mean
+
+        def reader(ensemble):
+            read.append(ensemble_mean(ensemble))
+            return read[-1]
+
+        def counted(stacked):
+            computed.append(stacked)
+            return pairwise_mean(stacked)
+
+        with mock.patch.object(koopman_dmd, "ensemble_mean", reader), \
+                mock.patch.object(bounds, "ensemble_mean", reader), \
+                mock.patch.object(trajectory_data, "_pairwise_mean", counted):
+            fit_koopman_model(nominal)
+            per_step_table(nominal, disturbed)
+        assert len(read) == 3 and read[0] is read[1] is nominal.mean
+        assert read[2] is disturbed.mean
+        assert len(computed) == 6
 
     def test_overflowing_mean_raises(self):
-        # A mean that overflows is still refused by the record's finiteness
-        # check, and the ensemble keeps no mean.
+        # A mean that overflows is refused by the finiteness check, and the
+        # ensemble keeps no mean.
         ens = scalar_ensemble([1.5e308, 1.0], [1.5e308, 1.0])
         with np.errstate(over="ignore"), pytest.raises(DataError, match="mean_states"):
             ensemble_mean(ens)
         assert ens.mean is None
 
 
+def curve(states, actions):
+    """A one-run ensemble of these states and actions, whose mean is that
+    run bit for bit."""
+    states, actions = np.asarray(states, dtype=float), np.asarray(actions, dtype=float)
+    return TrajectoryEnsemble(states=states[None], actions=actions[None],
+                              rewards=np.zeros((1, len(actions))))
+
+
 class TestSnapshots:
-    """The snapshot matrices fit_koopman_model builds from a mean trajectory:
-    states 0..K-1 against states 1..K and against actions 0..K-1."""
+    """The snapshot matrices fit_koopman_model builds from an ensemble's
+    mean: states 0..K-1 against states 1..K and against actions 0..K-1."""
 
     def test_state_shift_definition(self):
-        mean = MeanTrajectory(np.array([[1.0], [2.0], [4.0]]),
-                              np.zeros((2, 1)), r_count=1)
-        model = fit_koopman_model(mean)
+        model = fit_koopman_model(curve([[1.0], [2.0], [4.0]], np.zeros((2, 1))))
         assert np.allclose(model.state_operator, [[2.0]], rtol=1e-14)
         assert model.state_residual < 1e-15
 
     def test_insufficient_horizon(self):
-        mean = MeanTrajectory(np.array([[1.0], [2.0]]), np.zeros((1, 1)), r_count=1)
         with pytest.raises(InsufficientDataError):
-            fit_koopman_model(mean)
+            fit_koopman_model(curve([[1.0], [2.0]], np.zeros((1, 1))))
 
     def test_shapes_n2_k3(self):
-        mean = MeanTrajectory(np.arange(8.0).reshape(4, 2), np.zeros((3, 1)), 1)
-        model = fit_koopman_model(mean)
+        model = fit_koopman_model(curve(np.arange(8.0).reshape(4, 2), np.zeros((3, 1))))
         assert model.state_operator.shape == (2, 2) and model.action_operator.shape == (1, 2)
         assert model.snapshot_columns == 3
 
@@ -840,35 +867,22 @@ class TestSnapshots:
         # The state residual pairs step k+1 with step k.
         rng = np.random.default_rng(11)
         states = rng.normal(size=(6, 3))
-        model = fit_koopman_model(MeanTrajectory(states, rng.normal(size=(5, 2)), 1))
+        model = fit_koopman_model(curve(states, rng.normal(size=(5, 2))))
         misfit = states[1:].T - model.state_operator @ states[:-1].T
         expected = np.linalg.norm(misfit) / np.linalg.norm(states[1:])
         assert np.isclose(model.state_residual, expected, rtol=1e-12)
 
     def test_action_pair_shapes(self):
-        mean = MeanTrajectory(np.ones((3, 2)), np.zeros((2, 1)), 1)
-        model = fit_koopman_model(mean)
+        model = fit_koopman_model(curve(np.ones((3, 2)), np.zeros((2, 1))))
         assert model.action_operator.shape == (1, 2)
         assert model.action_residual == 0.0
 
     def test_action_pair_values(self):
         # Actions 2, 4 on states 1, 2; the terminal state 3 takes no action.
-        mean = MeanTrajectory(np.array([[1.0], [2.0], [3.0]]),
-                              np.array([[2.0], [4.0]]), 1)
-        model = fit_koopman_model(mean)
+        model = fit_koopman_model(curve([[1.0], [2.0], [3.0]], [[2.0], [4.0]]))
         assert np.allclose(model.action_operator, [[2.0]], rtol=1e-14)
         assert model.action_residual < 1e-15
 
     def test_zero_actions(self):
-        mean = MeanTrajectory(np.ones((3, 2)), np.zeros((2, 2)), 1)
-        assert not np.any(fit_koopman_model(mean).action_operator)
-
-    def test_snapshot_pair_validation(self):
-        # A mean trajectory needs K+1 state rows for K action rows, and
-        # finite values.
-        with pytest.raises(DimensionMismatchError):
-            MeanTrajectory(np.zeros((3, 2)), np.zeros((3, 1)), 1)
-        with pytest.raises(DimensionMismatchError):
-            MeanTrajectory(np.zeros(3), np.zeros((2, 1)), 1)
-        with pytest.raises(DataError):
-            MeanTrajectory(np.array([[1.0], [np.inf], [2.0]]), np.zeros((2, 1)), 1)
+        model = fit_koopman_model(curve(np.ones((3, 2)), np.zeros((2, 2))))
+        assert not np.any(model.action_operator)
