@@ -97,7 +97,8 @@ class DisturbanceSpec:
         _in_range(self.dim, "dim", "count")
         _in_range(self.omega, "omega", "finite")
         if self.direction is not None:
-            d = _frozen_array(np.reshape(self.direction, -1), "direction")
+            d = _frozen_array(self.direction, "direction").ravel()
+            d.setflags(write=False)  # a copy when the flattening made one
             if d.shape[0] != self.dim:
                 raise DimensionMismatchError(
                     f"direction has dimension {d.shape[0]}, expected {self.dim}"

@@ -196,7 +196,8 @@ class LinearSurrogateConfig:
     def __post_init__(self):
         a = _frozen_array(self.A, "A")
         f = _frozen_array(self.F, "F")
-        x0 = _frozen_array(np.reshape(self.x0_mean, -1), "x0_mean")
+        x0 = _frozen_array(self.x0_mean, "x0_mean").ravel()
+        x0.setflags(write=False)  # a copy when the flattening made one
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"A must be square, got shape {a.shape}")
         if f.ndim != 2 or f.shape[1] != a.shape[0]:

@@ -53,6 +53,10 @@ def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
             raise DataError(f"{name} must be real, got complex values")
         if kind not in "iufc":
             raise DataError(f"{name} must hold numbers, got {given.dtype} values")
+        # numpy reads a bool in a list of numbers as 0 or 1.
+        if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+                map(type, np.asarray(values, dtype=object).flat)):
+            raise DataError(f"{name} must hold numbers, got bool values")
         if np.issubdtype(dtype, np.integer) and kind != "i":
             top = np.iinfo(dtype).max
             # An unsigned value fits up to top; a float must be whole and in
@@ -448,14 +452,14 @@ def load_trajectories(path) -> TrajectoryEnsemble:
     if not rows:
         raise InsufficientDataError("trajectory file has no data rows")
 
-    # The records past the data are given back in place.  save_trajectories
-    # writes the rows in (run, k) order, so they are usually sorted already;
-    # otherwise numpy sorts them in place, the line breaking ties, so the
-    # rows of a (run, k) pair keep their file order.
-    records.resize(rows)
-    run, k, line = records["run"], records["k"], records["line"]
+    # The records past the data stay unused (a resize fails under a tracer).
+    # save_trajectories writes the rows in (run, k) order, so they are
+    # usually sorted already; otherwise numpy sorts them in place, the line
+    # breaking ties, so the rows of a (run, k) pair keep their file order.
+    data = records[:rows]
+    run, k, line = data["run"], data["k"], data["line"]
     if not ((run[1:] > run[:-1]) | (run[1:] == run[:-1]) & (k[1:] >= k[:-1])).all():
-        records.sort(order=("run", "k", "line"))
+        data.sort(order=("run", "k", "line"))
     line_nos, terminal = line >> 1, (line & 1).astype(bool)
     same_run = run[1:] == run[:-1]
     repeat = same_run & (k[1:] == k[:-1])
@@ -484,7 +488,7 @@ def load_trajectories(path) -> TrajectoryEnsemble:
     r_count, horizon = len(starts), sizes[0] - 1
     # Read-only, the records are shared by the ensemble's arrays, not copied.
     records.setflags(write=False)
-    values = records["values"].reshape(r_count, horizon + 1, n + m + 1)
+    values = records["values"][:rows].reshape(r_count, horizon + 1, n + m + 1)
     run_ids = run[starts]
     return TrajectoryEnsemble(
         states=values[:, :, :n],

@@ -201,7 +201,7 @@ def count_searches(monkeypatch) -> list:
     """Record every level tested by any H-infinity level-set search."""
     calls, real = [], hinf_spectral._level_crossings
     monkeypatch.setattr(hinf_spectral, "_level_crossings",
-                        lambda k, level: calls.append(level) or real(k, level))
+                        lambda k, level, *rest: calls.append(level) or real(k, level, *rest))
     return calls
 
 
@@ -241,7 +241,7 @@ class TestGainBlock:
         fresh = hinf_norm(TransferFunction.resolvent(model.state_operator))
         assert hinf == fresh
         assert kf_hinf == np.linalg.norm(model.action_operator, 2)
-        assert json.loads(fitted.read_text())["gain"]["version"] == 1
+        assert json.loads(fitted.read_text())["gain"]["version"] == 2
 
     def test_one_search_per_model(self, tmp_path, linear_config, fitted, monkeypatch):
         calls = count_searches(monkeypatch)
@@ -321,7 +321,8 @@ class TestGainBlock:
         self.assert_refused(tmp_path, capsys, linear_config, fitted, doc)
 
     @pytest.mark.parametrize("where, value", [
-        ("gain.version", 2), ("gain.version", "1"), ("gain.version", True),
+        # Version 1 blocks hold gains of the unshifted QZ search.
+        ("gain.version", 1), ("gain.version", "2"), ("gain.version", True),
         ("gain.hinf.upper", "NaN"), ("gain.hinf.lower", float("nan")),
         ("gain.hinf.omega_star", "inf"), ("gain.hinf.spectral_radius", None),
         ("gain.hinf.converged", "NaN"), ("gain.hinf.iterations", True),
@@ -1215,15 +1216,39 @@ class TestParserReuse:
         assert json.loads(first.read_text())["gamma"] == 0.25
         assert json.loads(second.read_text())["gamma"] == 1.0
 
-    def test_import_loads_no_scipy(self):
-        # Only fit's gain search and a UAV verify's estimated L use scipy, and
-        # they import it when they run, so the other commands start without
-        # it.  A fresh interpreter sees the import as a console script does.
-        run = subprocess.run(
-            [sys.executable, "-c", "import sys, koopbound.cli; "
-             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, check=True)
-        assert run.stdout == "[]\n", run.stdout
+    def test_commands_that_load_scipy(self, tmp_path, uav_config):
+        # Only a UAV verify's estimated L uses scipy, and it imports it when
+        # it runs, so every README walkthrough command, fit's gain search
+        # included, starts and ends without it.  Each command runs in a fresh
+        # interpreter, as a console script does.
+        def loaded(*argv):
+            """The exit code, and whether scipy and scipy.spatial were loaded,
+            as the last line the command prints."""
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from koopbound.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 "print(code, 'scipy' in sys.modules, 'scipy.spatial' in sys.modules)", *argv],
+                capture_output=True, text=True, check=True)
+            return run.stdout.splitlines()[-1]
+
+        config = tmp_path / "surrogate.cfg"
+        config.write_text(README_CONFIG)
+        traj, model, report = (str(tmp_path / name) for name in ("traj.csv", "model.json",
+                                                                 "report.json"))
+        walkthrough = [
+            ["simulate", "--config", str(config), "--out", traj],
+            ["fit", traj, "--out", model],
+            ["analyze", model, "--gamma", "0.5", "--out", str(tmp_path / "analysis.json")],
+            ["verify", "--config", str(config), model, "--gamma", "0.5", "--out", report],
+            ["report", report, "--out", str(tmp_path / "summary.json")],
+        ]
+        for argv in walkthrough:
+            assert loaded(*argv) == "0 False False", argv
+        uav_traj, uav_model = str(tmp_path / "uav.csv"), str(tmp_path / "uav.json")
+        assert loaded("simulate", "--config", str(uav_config), "--out", uav_traj) == "0 False False"
+        assert loaded("fit", uav_traj, "--out", uav_model) == "0 False False"
+        assert loaded("verify", "--config", str(uav_config), uav_model, "--gamma", "0.5",
+                      "--out", str(tmp_path / "uav_report.json")) == "0 True True"
 
 
 def test_names_perfbench_traces_exist(monkeypatch):

@@ -16,6 +16,7 @@ from koopbound import (
     TransferFunction,
     hinf_norm,
 )
+from koopbound import hinf_spectral
 from koopbound._jsonio import read_json, write_json
 
 
@@ -32,6 +33,12 @@ def rotation(radius, angle):
     return radius * np.array([[c, -s], [s, c]])
 
 
+def similar(rng, d):
+    """d under the random similarity I + G / sqrt(n), G standard normal."""
+    t = np.eye(len(d)) + rng.normal(size=d.shape) / math.sqrt(len(d))
+    return t @ d @ np.linalg.inv(t)
+
+
 def lightly_damped(rng, n):
     """Random real K whose eigenvalues have 1 - |lambda| log-uniform in
     [1e-4, 1e-1]: rotation blocks and real poles under a random similarity."""
@@ -45,8 +52,7 @@ def lightly_damped(rng, n):
         else:
             d[i, i] = (1.0 - margin) * rng.choice([-1.0, 1.0])
             i += 1
-    t = np.eye(n) + rng.normal(size=(n, n)) / math.sqrt(n)
-    return t @ d @ np.linalg.inv(t)
+    return similar(rng, d)
 
 
 def sigma_min(k, omegas):
@@ -264,8 +270,6 @@ class TestHinfNorm:
         assert report.converged
 
     def test_iteration_cap_raises(self, monkeypatch):
-        from koopbound import hinf_spectral
-
         rng = np.random.default_rng(4)
         tf = TransferFunction.resolvent(lightly_damped(rng, 8))
         needed = hinf_norm(tf).iterations
@@ -285,6 +289,113 @@ class TestHinfNorm:
             TransferFunction.resolvent(np.ones((2, 3)))
 
 
+def qz_level_crossings(k, level, z0):
+    """The candidate crossings of the level-set pencil from scipy's QZ,
+    unshifted (z0 is not used): the solver the search ran before numpy's
+    shifted eigensolve, kept as its reference."""
+    n = k.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    a = np.block([[k, level * eye], [zero, eye]])
+    b = np.block([[eye, zero], [level * eye, k.T]])
+    alpha, beta = scipy.linalg.eigvals(a, b, homogeneous_eigvals=True)
+    near = np.abs(np.abs(alpha) - np.abs(beta)) <= hinf_spectral._UNIT_CIRCLE_RTOL * np.abs(beta)
+    z = alpha[near] / beta[near]
+    r = np.abs(z)
+    return np.abs(np.angle(z)), np.maximum(np.abs(r - 1.0), np.abs(1.0 / r - 1.0))
+
+
+def qz_hinf_norm(k):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hinf_spectral, "_level_crossings", qz_level_crossings)
+        return hinf_norm(TransferFunction.resolvent(k))
+
+
+def shift_reference_operators():
+    """(name, K) for 202 operators: the lightly damped family at n = 2-60,
+    operators of rank n - 2, nilpotent and zero matrices, Jordan blocks at
+    spectral radius 0.999 and 0.999999 (as they are and under a similarity),
+    and pairs of peaks of equal height, whose level-set crossings at the
+    second peak are near-tangent."""
+    rng = np.random.default_rng(32)
+    sizes = [*range(2, 18)] * 9 + [20, 26, 34, 42] * 2 + [50, 60]
+    for n in sizes:
+        yield f"lightly damped n={n}", lightly_damped(rng, n)
+    for n in (4, 6, 8, 12) * 4:
+        d = np.zeros((n, n))
+        d[2:, 2:] = lightly_damped(rng, n - 2)
+        yield f"rank {n - 2} of {n}", similar(rng, d)
+    for n in (2, 3, 5, 8):
+        yield f"nilpotent n={n}", np.eye(n, k=1)
+        yield f"zero n={n}", np.zeros((n, n))
+        for rho in (0.999, 0.999999):
+            jordan = rho * np.eye(n) + np.eye(n, k=1)
+            yield f"Jordan n={n} rho={rho}", jordan
+            yield f"similar Jordan n={n} rho={rho}", similar(rng, jordan)
+    for i in range(8):
+        k = np.zeros((4, 4))
+        k[:2, :2] = rotation(0.99, 0.5)
+        k[2:, 2:] = rotation(0.99 * (1.0 + 1e-12 * i), 2.0)
+        yield f"equal peaks {i}", k
+
+
+class TestShiftedPencil:
+    """The search solves its pencil after a Moebius shift, with numpy; QZ
+    on the unshifted pencil is the reference."""
+
+    def test_brackets_match_qz(self):
+        # The two searches may test different numbers of levels, since a
+        # near-tangent crossing may show in one eigensolver's rounding and
+        # not the other's.  Every upper end still bounds the gain QZ's search
+        # saw and the one the oracle finds, and the flags agree.
+        operators, faults = 0, []
+        for name, k in shift_reference_operators():
+            operators += 1
+            shifted, qz = hinf_norm(TransferFunction.resolvent(k)), qz_hinf_norm(k)
+            if shifted.converged:
+                best, slack = reference_sigma(k, 64)
+                oracle = 1.0 / (best + slack)
+            else:
+                oracle = math.inf
+            if not (shifted.upper >= max(qz.lower, oracle)
+                    and shifted.ill_conditioned == qz.ill_conditioned):
+                faults.append((name, shifted, qz, oracle))
+        assert operators >= 200 and not faults
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_crossing_next_to_the_shift_point(self, delta):
+        # |e^{jw} - 0.5| = 1 at cos w = 1/4; sigma_min rises from 0.5 at
+        # w = 0 to 1.5 at pi, so the shift point may sit just above the
+        # crossing, where A - z0 B is nearly singular.
+        k, crossing = np.array([[0.5]]), math.acos(0.25)
+        found, distances = hinf_spectral._level_crossings(k, 1.0, np.exp(1j * (crossing + delta)))
+        assert found.size == 2 and np.all(np.abs(found - crossing) <= 1e-9)
+        assert np.all(distances <= 1e-9)
+        # On the flanks of two narrow peaks, every crossing QZ finds, to
+        # within 1e-8, from a shift point just outside each of them.
+        k = narrow_peak_operator()
+        level = float(sigma_min(k, [0.25])[0])
+        reference = np.sort(qz_level_crossings(k, level, None)[0])
+        assert reference.size == 8
+        for theta0 in np.concatenate((reference - delta, reference + delta)):
+            if sigma_min(k, [theta0])[0] > level:
+                found = hinf_spectral._level_crossings(k, level, np.exp(1j * theta0))[0]
+                assert np.allclose(np.sort(found), reference, rtol=0.0, atol=1e-8)
+
+    def test_near_tangent_crossing(self):
+        # A level 1e-10 below the local minimum at the narrow peak: the two
+        # crossings there are 5e-11 apart, and both methods see the same
+        # ones, each as z and its conjugate.
+        k = narrow_peak_operator()
+        peak = 2.0 + 0.5 * math.pi / 4095
+        level = float(sigma_min(k, [peak])[0]) * (1.0 - 1e-10)
+        z0 = np.exp(1j * math.pi)
+        found = np.sort(hinf_spectral._level_crossings(k, level, z0)[0])
+        reference = np.sort(qz_level_crossings(k, level, None)[0])
+        assert found.size == reference.size >= 2
+        assert np.allclose(found, reference, rtol=0.0, atol=1e-8)
+        assert np.sum(np.abs(found - peak) <= 1e-9) == 4
+
+
 class TestReportSerialization:
     def test_round_trip_finite(self):
         report = hinf_norm(TransferFunction.resolvent(np.array([[0.9]])))
@@ -301,13 +412,13 @@ class TestReportSerialization:
         # A spurious unit-modulus pencil eigenvalue at omega = 1, where no
         # singular value of e^{j} - 0.9 is near the level, fails its SVD
         # confirmation: the report is flagged, and the gain is still right.
-        real_eigvals = scipy.linalg.eigvals
+        real = hinf_spectral._level_crossings
 
-        def with_spurious(a, b, homogeneous_eigvals=False):
-            alpha, beta = real_eigvals(a, b, homogeneous_eigvals=True)
-            return np.vstack((np.append(alpha, np.exp(1j)), np.append(beta, 1.0)))
+        def with_spurious(k, level, z0):
+            crossings, distances = real(k, level, z0)
+            return np.append(crossings, 1.0), np.append(distances, 0.0)
 
-        monkeypatch.setattr(scipy.linalg, "eigvals", with_spurious)
+        monkeypatch.setattr(hinf_spectral, "_level_crossings", with_spurious)
         report = hinf_norm(TransferFunction.resolvent(np.array([[0.9]])))
         monkeypatch.undo()
         assert report.converged and report.ill_conditioned

@@ -400,6 +400,19 @@ def test_array_records_are_read_only(name):
         assert _read_only(array), field_name
 
 
+@pytest.mark.parametrize("flattened", [
+    lambda v: LinearSurrogateConfig(0.5 * np.eye(4), np.ones((1, 4)), v).x0_mean,
+    lambda v: DisturbanceSpec("impulse", 1.0, 3, 0, 4, direction=v).direction,
+], ids=["x0_mean", "direction"])
+def test_vectors_flattened_to_a_copy_are_read_only(flattened):
+    # The check keeps a read-only view of read-only memory as it is, and
+    # flattening this one, the left half of a block, makes a copy.
+    block = np.arange(1.0, 9.0).reshape(2, 4).copy()
+    block.setflags(write=False)
+    vector = flattened(block[:, :2])
+    assert vector.tolist() == [1.0, 2.0, 5.0, 6.0] and _read_only(vector)
+
+
 def with_imaginary_part(model, name):
     """model rebuilt with its operator `name` given an imaginary part."""
     return replace(model, **{name: getattr(model, name) + 1e-3j})
@@ -690,6 +703,22 @@ NON_NUMBER_INPUTS = {
                "F must hold numbers, got bool values"),
     "string w": (lambda: disturbance_admissible(["0.1"], 1.0),
                  "w must hold numbers, got <U3 values"),
+    # numpy reads a bool in a list of numbers as 0 or 1; x0_mean and
+    # direction are flattened only after the check.
+    "bool among run_ids": (lambda: two_runs(run_ids=[0, True]),
+                           "run_ids must hold numbers, got bool values"),
+    "numpy bool among seeds": (lambda: two_runs(seeds=(np.True_, 2)),
+                               "seeds must hold numbers, got bool values"),
+    "bool in A": (lambda: LinearSurrogateConfig(A=[[True, 0.5], [0.0, 0.5]], F=[[1.0, 1.0]],
+                                                x0_mean=[1.0, 1.0]),
+                  "A must hold numbers, got bool values"),
+    "bool in x0_mean": (lambda: LinearSurrogateConfig(A=[[0.9, 0.0], [0.0, 0.5]],
+                                                      F=[[1.0, 1.0]], x0_mean=[[1.0], [True]]),
+                        "x0_mean must hold numbers, got bool values"),
+    "bool in direction": (lambda: DisturbanceSpec("impulse", 1.0, 3, 0, 2, direction=[1.0, True]),
+                          "direction must hold numbers, got bool values"),
+    "bool in w": (lambda: disturbance_admissible([[True, 0.0]], 2.0),
+                  "w must hold numbers, got bool values"),
 }
 
 

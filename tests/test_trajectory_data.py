@@ -1,9 +1,11 @@
 """Trajectory format, validation, ensemble means, and the snapshots fitted from them."""
 
+import cProfile
 import csv
 import decimal
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -188,6 +190,40 @@ class TestFileFormat:
         assert loaded.seeds.tolist() == [5, 11]
         assert loaded.states.ravel().tolist() == [1.5, 2.0, 3.0, 4.0]
         assert outcome(load_trajectories, path) == outcome(reference_load, path)
+        # A line led by a non-ASCII byte is looked at on its own too: one of
+        # only non-ASCII spaces is blank, and one that is not UTF-8 is an
+        # error naming it.
+        for space in ("\u00a0", "\u3000"):
+            path.write_text(f"run,k,x0,u0,r\n0,0,1.5,0.5,-1.0\n{space}\n0,1,2.0,,\n",
+                            encoding="utf-8")
+            assert load_trajectories(path).states.ravel().tolist() == [1.5, 2.0]
+        path.write_bytes(b"run,k,x0,u0,r\n0,0,1.5,0.5,-1.0\n\xff\n0,1,2.0,,\n")
+        with pytest.raises(ParseError) as refused:
+            load_trajectories(path)
+        assert str(refused.value) == "line 3: not UTF-8 text at byte 1 (invalid start byte)"
+
+    def test_loads_under_a_profiler_and_a_tracer(self, tmp_path):
+        # A blank or comment line after the header leaves records past the
+        # data.  Giving them back with an in-place resize raised numpy's
+        # "cannot resize an array that references or is referenced" whenever
+        # a profiler or tracer held one more reference to the buffer.
+        path = tmp_path / "traj.csv"
+        path.write_text("run,k,x0,u0,r\n# note\n0,0,1.5,0.5,-1.0\n\n0,1,2.0,,\n")
+        profiled = cProfile.Profile().runcall(load_trajectories, path)
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            traced = load_trajectories(path)
+        finally:
+            sys.settrace(previous)
+        for loaded in (profiled, traced):
+            assert loaded.states.ravel().tolist() == [1.5, 2.0]
+            assert loaded.rewards.tolist() == [[-1.0]]
+            assert trajectory_data._read_only(loaded.states)
 
     @pytest.mark.parametrize("size, runs", [(1, 1), (2, 1), (3, 1), (10, 5), (1000, 8)])
     def test_rows_in_any_order_load_as_sorted(self, tmp_path, size, runs):
