@@ -133,8 +133,9 @@ def _check_runs(horizon: int, runs: int, master_seed: int) -> None:
 
 def _ensemble(states, actions, rewards, base_seed: int, runs: int) -> TrajectoryEnsemble:
     """Ensemble from lane-major (G*R, K+1, n), (G*R, K, m) and (G*R, K)
-    buffers of G groups of R lanes; lane l used seed base_seed + l % R.  The
-    buffers are frozen and handed over, not copied."""
+    arrays of G groups of R lanes; lane l used seed base_seed + l % R.  The
+    arrays, or the buffers they view, are frozen and handed over, not
+    copied."""
     for buffer in (states, actions, rewards):
         buffer.setflags(write=False)
     lanes = np.arange(len(states))
@@ -293,9 +294,11 @@ def linear_ensemble(
     disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
     check_rollout_size(groups, runs, horizon, n)
     rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
-    states = np.empty((groups * runs, horizon + 1, n))
-    actions = np.empty((groups * runs, horizon, config.m))
-    states[:, 0] = config.x0_mean
+    # Step-major, so that each step's product and adds run on one contiguous
+    # (G*R, n) block; the ensemble holds lane-major views of the buffers.
+    steps = np.empty((horizon + 1, groups * runs, n))
+    actions = np.empty((horizon, groups * runs, config.m))
+    steps[0] = config.x0_mean
     # One chunk of every lane's draws, reused chunk after chunk and added to
     # the G groups' lanes alike.
     noise = np.empty((min(_NOISE_CHUNK, horizon), runs, n)) if config.noise_std > 0.0 else None
@@ -306,19 +309,21 @@ def linear_ensemble(
                 noise[: stop - start, r] = rng.normal(0.0, config.noise_std,
                                                       size=(stop - start, n))
         for k in range(start, stop):
-            x_next = states[:, k + 1]
-            np.matmul(config.A, states[:, k, :, None], out=x_next[..., None])
+            x_next = steps[k + 1]
+            np.matmul(config.A, steps[k, :, :, None], out=x_next[..., None])
             if noise is not None:
                 lanes = x_next.reshape(groups, runs, n)  # splitting an axis is a view
                 lanes += noise[k - start]
             for group, w in disturbed:
                 x_next[group] += w[k]
-    # u_k = F x_k for every lane and step at once: numpy's matmul makes the
-    # same BLAS matrix-vector call per (lane, step), with the same strides,
-    # as a product per step would.
-    np.matmul(config.F, states[:, :-1, :, None], out=actions[..., None])
-    rewards = norm_penalty_reward(states[:, 1:], actions)
-    return _ensemble(states, actions, rewards, master_seed, runs)
+    # u_k = F x_k for every step and lane at once: numpy's matmul makes the
+    # same BLAS matrix-vector call per (step, lane), each on one contiguous
+    # state, as a product per step would.
+    np.matmul(config.F, steps[:-1, :, :, None], out=actions[..., None])
+    rewards = norm_penalty_reward(steps[1:], actions)
+    for buffer in (steps, actions, rewards):
+        buffer.setflags(write=False)
+    return _ensemble(steps.swapaxes(0, 1), actions.swapaxes(0, 1), rewards.T, master_seed, runs)
 
 
 # ---------------------------------------------------------------------------

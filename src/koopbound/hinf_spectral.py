@@ -12,7 +12,10 @@ Letters 15, 1990) and Bruinsma & Steinbuch (Systems & Control Letters 14,
 1990): the frequencies where a level s is a singular value of e^{jw} I - K
 are the unit-modulus eigenvalues of a 2n x 2n pencil, so each level either
 yields the intervals where sigma_min dips below it or proves that it never
-does.  numpy solves the pencil after a Moebius shift to a point of the circle.
+does.  numpy solves the pencil after a Moebius shift to a point z0 of the
+circle: to +1 or -1, in real arithmetic, when the one with the larger
+sigma_min clears the level by at least half as much as the evaluated point of
+largest sigma_min, and to that point otherwise.
 """
 
 from __future__ import annotations
@@ -77,9 +80,10 @@ class HinfReport:
     The bracket is infinite (converged=False) when a resolvent's spectral
     radius reaches the unit circle.  ``ill_conditioned`` marks values
     produced by eigenvalues within 1e-6 of the circle, or by a search in
-    which a candidate crossing from the pencil failed its SVD confirmation,
-    and an infinite ``upper`` left when the rounding allowance reaches the
-    smallest sigma_min (converged=True, finite ``lower``).
+    which a candidate crossing from the pencil failed its SVD confirmation
+    or a shift point's sigma_min cleared the level by no more than its
+    rounding allowance, and an infinite ``upper`` left when that allowance
+    reaches the smallest sigma_min (converged=True, finite ``lower``).
     """
 
     lower: float
@@ -134,8 +138,12 @@ def _level_crossings(k: np.ndarray, level: float, z0: complex) -> tuple[np.ndarr
 
     (e^{jw} I - K) v = s u and (e^{-jw} I - K^T) u = s v hold exactly when
     z = e^{jw} is an eigenvalue of A - zB = [[K, sI], [0, I]] - z [[I, 0], [sI, K^T]],
-    that is z = z0 + 1/mu for an eigenvalue mu != 0 of (A - z0 B)^-1 B.  The search
-    takes z0 where it saw sigma_min farthest above s, so A - z0 B is invertible.
+    that is z = z0 + 1/mu for an eigenvalue mu != 0 of (A - z0 B)^-1 B, for a
+    point z0 of the unit circle where A - z0 B is invertible.  The search
+    shifts to z0 = +1 or -1 when _shift_point finds that safe: the solve and
+    the eigensolve then run in real arithmetic, and the eigenvalues come in
+    exact conjugate pairs, so a crossing and its mirror give the same
+    frequency.  Otherwise z0 is the evaluated point of largest sigma_min.
     The distance is max(|r - 1|, |1/r - 1|) for an eigenvalue of modulus r.
     """
     n = k.shape[0]
@@ -150,13 +158,33 @@ def _level_crossings(k: np.ndarray, level: float, z0: complex) -> tuple[np.ndarr
     return np.abs(np.angle(z)), np.maximum(np.abs(r - 1.0), np.abs(1.0 / r - 1.0))
 
 
+def _shift_point(points: np.ndarray, values: np.ndarray, level: float,
+                 real: tuple[float, float]) -> tuple[complex, float]:
+    """The shift point z0 for _level_crossings at ``level``, and its margin
+    sigma_min(z0 I - K) - level.
+
+    ``real`` is (z0, sigma_min) for whichever of +1 and -1 has the larger
+    sigma_min.  It is taken when its margin is at least half that of the
+    evaluated point of largest sigma_min, and that point otherwise.  The
+    solve's rounding grows as 1 / margin, so the real point costs at most a
+    factor of 2 there, and saves complex arithmetic and the spurious levels
+    that complex rounding of conjugate pairs adds.
+    """
+    best = int(np.argmax(values))
+    margin = float(values[best]) - level
+    if real[1] - level >= 0.5 * margin:
+        return real[0], real[1] - level
+    return complex(np.exp(1j * points[best])), margin
+
+
 def hinf_norm(tf: TransferFunction) -> HinfReport:
     """Supremum over omega in [0, pi] of the largest singular value of the
     resolvent.
 
     For real operators the response at -omega mirrors the one at +omega, so
     [0, pi] covers the whole circle.  For a resolvent, sigma_min(e^{jw} I - K)
-    is first evaluated at 0, pi and the eigenvalue angles of K.  Each
+    is first evaluated at 0, pi and the eigenvalue angles of K, and at the
+    midpoints between them when every value is the smallest.  Each
     iteration then tests the level just below the smallest value seen: the
     pencil's unit-modulus eigenvalues are the candidate crossings, each is
     confirmed by a direct SVD, and sigma_min is evaluated at the midpoints of
@@ -165,7 +193,8 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
     level.  The upper end of the bracket is 1 / (level - slack), where
     slack = n * eps * (1 + ||K||_F) covers the rounding of each computed
     sigma_min; it is infinite, and the report ill-conditioned, when the level
-    does not exceed the slack.
+    does not exceed the slack.  The report is ill-conditioned too when a
+    level's shift point clears it by no more than the slack.
     """
     rho = float(np.max(np.abs(tf.poles)))
     if rho >= 1.0:
@@ -187,11 +216,28 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
     ill_conditioned = rho >= 1.0 - _ILL_CONDITIONED_BAND
     points = np.unique(np.concatenate(([0.0, math.pi], np.abs(np.angle(tf.poles)))))
     values = _singular_values(k, points)[:, -1]
+    # sigma_min at z = +1 and -1, the first and last of the sorted points.
+    real = (1.0, float(values[0])) if values[0] >= values[-1] else (-1.0, float(values[-1]))
+    if np.max(values) <= np.min(values) * (1.0 + 2.0 * _BRACKET_RTOL):
+        # Every point is a minimum to within the bracket (K = diag(r, -r) has
+        # only 0 and pi), so none would clear the first level by more than
+        # the bracket does: the midpoints give the shift a point off them.
+        midpoints = 0.5 * (points[1:] + points[:-1])
+        points = np.concatenate((points, midpoints))
+        values = np.concatenate((values, _singular_values(k, midpoints)[:, -1]))
     for iterations in range(1, _MAX_ITERATIONS + 1):
         i = int(np.argmin(values))
         sigma_best, omega_star = float(values[i]), float(points[i])
         level = sigma_best / (1.0 + _BRACKET_RTOL)
-        crossings, distances = _level_crossings(k, level, np.exp(1j * points[np.argmax(values)]))
+        z0, margin = _shift_point(points, values, level, real)
+        # With |z0| = 1, A - z0 B is diag(I, z0 I) times a unitary transform of
+        # the Hermitian dilation [[0, M], [M^H, 0]] - sI of M = z0 I - K, so
+        # its singular values are |sigma_i(M) -+ s| and the smallest is the
+        # margin.  The computed sigma_min(M) carries up to ``slack`` of
+        # rounding, so a margin within it does not prove A - z0 B invertible,
+        # and the solve may then lose any candidate crossing.
+        ill_conditioned |= margin <= slack
+        crossings, distances = _level_crossings(k, level, z0)
         if crossings.size == 0:
             break
         # A true crossing's SVD has a singular value within the eigenvalue's

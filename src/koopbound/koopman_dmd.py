@@ -37,7 +37,7 @@ DEFAULT_RANK_TOL = 1e-10
 # Version of the model JSON gain block.  It changes whenever the gain routine
 # may return a different report for the same operators, so that a block
 # written by another version is refused instead of trusted.
-_GAIN_VERSION = 2
+_GAIN_VERSION = 3
 
 
 class ModelGain(NamedTuple):

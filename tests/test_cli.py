@@ -241,7 +241,7 @@ class TestGainBlock:
         fresh = hinf_norm(TransferFunction.resolvent(model.state_operator))
         assert hinf == fresh
         assert kf_hinf == np.linalg.norm(model.action_operator, 2)
-        assert json.loads(fitted.read_text())["gain"]["version"] == 2
+        assert json.loads(fitted.read_text())["gain"]["version"] == 3
 
     def test_one_search_per_model(self, tmp_path, linear_config, fitted, monkeypatch):
         calls = count_searches(monkeypatch)
@@ -321,8 +321,9 @@ class TestGainBlock:
         self.assert_refused(tmp_path, capsys, linear_config, fitted, doc)
 
     @pytest.mark.parametrize("where, value", [
-        # Version 1 blocks hold gains of the unshifted QZ search.
-        ("gain.version", 1), ("gain.version", "2"), ("gain.version", True),
+        # Version 2 blocks hold gains of the search that always shifted to a
+        # complex point of the circle.
+        ("gain.version", 2), ("gain.version", "3"), ("gain.version", True),
         ("gain.hinf.upper", "NaN"), ("gain.hinf.lower", float("nan")),
         ("gain.hinf.omega_star", "inf"), ("gain.hinf.spectral_radius", None),
         ("gain.hinf.converged", "NaN"), ("gain.hinf.iterations", True),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopbound import load_trajectories
+from koopbound import koopman_dmd, load_trajectories
 from koopbound.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -200,6 +200,13 @@ def test_every_json_file_is_standard_json(walkthrough):
     assert len(paths) == 9, paths
     for path in paths:
         json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_gain_block_version_is_the_readers():
+    # The gain block the README shows carries the version load_model takes.
+    block = section_block("Worst-case gain", "json")
+    versions = re.findall(r'"version": (\d+)', block)
+    assert versions == [str(koopman_dmd._GAIN_VERSION)], versions
 
 
 def test_library_use_block_runs():
