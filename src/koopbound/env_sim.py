@@ -18,7 +18,9 @@ A call may also step G groups of R lanes, one group per disturbance, to roll
 out nominal and disturbed ensembles with common random numbers in one loop.
 Generator r then draws once per step and lane r of every group uses those
 draws.  No draw depends on the state, so each group's lanes equal a separate
-call with that group's disturbance alone, bit for bit.
+call with that group's disturbance alone, bit for bit.  _plan is both
+rollouts' one front end: it checks their arguments, reads the disturbance
+into groups and seeds the generators.
 
 The ground users never see the UAV: their motion depends on their draws and,
 in a disturbed group, on the disturbance alone.  So a UAV rollout advances
@@ -121,23 +123,15 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _check_runs(horizon: int, runs: int, master_seed: int) -> None:
-    """Refuse rollout arguments out of range.  The last run's seed must fit
-    the int64 seeds an ensemble records, as the master seed must; it is
-    summed as Python ints, which a numpy integer would wrap."""
-    _in_range(runs, "runs", "count")
-    _in_range(horizon, "horizon", "count")
-    _in_range(master_seed, "master_seed", "seed")
-    _in_range(int(master_seed) + int(runs) - 1, "master_seed + runs - 1", "seed")
-
-
 def _ensemble(states, actions, rewards, base_seed: int, runs: int) -> TrajectoryEnsemble:
     """Ensemble from lane-major (G*R, K+1, n), (G*R, K, m) and (G*R, K)
     arrays of G groups of R lanes; lane l used seed base_seed + l % R.  The
-    arrays, or the buffers they view, are frozen and handed over, not
+    arrays and the buffers they view are frozen and handed over, not
     copied."""
-    for buffer in (states, actions, rewards):
-        buffer.setflags(write=False)
+    for array in (states, actions, rewards):
+        if array.base is not None:
+            array.base.setflags(write=False)
+        array.setflags(write=False)
     lanes = np.arange(len(states))
     return TrajectoryEnsemble(
         states=states, actions=actions, rewards=rewards, run_ids=lanes,
@@ -149,6 +143,7 @@ def split_groups(ensemble: TrajectoryEnsemble, groups: int) -> tuple[TrajectoryE
     """The per-group ensembles of a rollout of `groups` disturbance groups,
     each equal to the rollout of that group's disturbance alone.  They are
     read-only views of the ensemble's arrays; nothing is copied."""
+    _in_range(groups, "groups", "count")
     runs, rest = divmod(ensemble.r_count, groups)
     if rest:
         raise DimensionMismatchError(
@@ -222,17 +217,6 @@ class LinearSurrogateConfig:
         return self.F.shape[0]
 
 
-def _check_disturbance(disturbance, horizon: int, dim: int) -> np.ndarray | None:
-    if disturbance is None:
-        return None
-    w = _frozen_array(disturbance, "disturbance")
-    if w.shape != (horizon, dim):
-        raise DimensionMismatchError(
-            f"disturbance has shape {w.shape}, expected ({horizon}, {dim})"
-        )
-    return w
-
-
 def check_rollout_size(groups: int, runs: int, horizon: int, n: int, grid_values: int = 0,
                        prefix: str = "") -> None:
     """Refuse a rollout whose (groups*runs, horizon+1, n) state buffer holds
@@ -254,20 +238,36 @@ def check_rollout_size(groups: int, runs: int, horizon: int, n: int, grid_values
         )
 
 
-def _disturbance_groups(disturbance, runs: int, horizon: int, dim: int) -> tuple[list, int]:
-    """(lanes, w) for each disturbed group of a call, and the group count G.
+def _plan(disturbance, horizon: int, runs: int, master_seed: int,
+          n: int) -> tuple[list, int, list]:
+    """Check a rollout's arguments and lay out its lanes: the (lanes, w) of
+    each group with a disturbance, the group count G, and the generator
+    default_rng(master_seed + r) of each run r.
 
-    A tuple gives one group per entry, anything else the single group
-    `disturbance`; group g holds lanes g*runs .. (g+1)*runs - 1."""
+    A tuple gives one group per entry, None or a (horizon, n) array, anything
+    else the single group `disturbance`; group g holds lanes g*runs ..
+    (g+1)*runs - 1.  The last run's seed must fit the int64 seeds an
+    ensemble records, as the master seed must; it is summed as Python ints,
+    which a numpy integer would wrap.  Every check runs before any generator
+    or buffer exists."""
+    _in_range(runs, "runs", "count")
+    _in_range(horizon, "horizon", "count")
+    _in_range(master_seed, "master_seed", "seed")
+    _in_range(int(master_seed) + int(runs) - 1, "master_seed + runs - 1", "seed")
     entries = disturbance if isinstance(disturbance, tuple) else (disturbance,)
     if not entries:
         raise ParameterError("a disturbance tuple needs at least one group")
     disturbed = []
     for g, entry in enumerate(entries):
-        w = _check_disturbance(entry, horizon, dim)
-        if w is not None:
+        if entry is not None:
+            w = _frozen_array(entry, "disturbance")
+            if w.shape != (horizon, n):
+                raise DimensionMismatchError(
+                    f"disturbance has shape {w.shape}, expected ({horizon}, {n})"
+                )
             disturbed.append((slice(g * runs, (g + 1) * runs), w))
-    return disturbed, len(entries)
+    check_rollout_size(len(entries), runs, horizon, n)
+    return disturbed, len(entries), [np.random.default_rng(master_seed + r) for r in range(runs)]
 
 
 def linear_ensemble(
@@ -285,15 +285,12 @@ def linear_ensemble(
     sequence is shared by every run, matching the premise that the domain
     change itself is common across realizations.
 
-    A tuple of G disturbances (each None or a (horizon, n) array) rolls out G
-    groups of runs lanes that share each seed's noise; the ensemble holds
-    the G*runs runs group by group (see split_groups).
+    A tuple of disturbances rolls out one group of runs lanes per entry (see
+    _plan), which share each seed's noise; the ensemble holds them group by
+    group (see split_groups).
     """
-    _check_runs(horizon, runs, master_seed)
     n = config.n
-    disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
-    check_rollout_size(groups, runs, horizon, n)
-    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
+    disturbed, groups, rngs = _plan(disturbance, horizon, runs, master_seed, n)
     # Step-major, so that each step's product and adds run on one contiguous
     # (G*R, n) block; the ensemble holds lane-major views of the buffers.
     steps = np.empty((horizon + 1, groups * runs, n))
@@ -321,8 +318,6 @@ def linear_ensemble(
     # state, as a product per step would.
     np.matmul(config.F, steps[:-1, :, :, None], out=actions[..., None])
     rewards = norm_penalty_reward(steps[1:], actions)
-    for buffer in (steps, actions, rewards):
-        buffer.setflags(write=False)
     return _ensemble(steps.swapaxes(0, 1), actions.swapaxes(0, 1), rewards.T, master_seed, runs)
 
 
@@ -742,18 +737,15 @@ def uav_ensemble(
     service area; the reward sees the clamped state, including any
     disturbance-induced speed violation.
 
-    A tuple of G disturbances (each None or a (horizon, n) array) rolls out G
-    groups of runs lanes that share each seed's draws; a group's disturbance
-    moves and clamps its own lanes only.  The ensemble holds the G*runs runs
-    group by group (see split_groups).
+    A tuple of disturbances rolls out one group of runs lanes per entry (see
+    _plan), which share each seed's draws; a group's disturbance moves and
+    clamps its own lanes only.  The ensemble holds them group by group (see
+    split_groups).
     """
-    _check_runs(horizon, runs, master_seed)
     n, j = config.n, config.gu_count
-    disturbed, groups = _disturbance_groups(disturbance, runs, horizon, n)
-    check_rollout_size(groups, runs, horizon, n)
+    disturbed, groups, rngs = _plan(disturbance, horizon, runs, master_seed, n)
     lanes = groups * runs
     chunk = min(_NOISE_CHUNK, horizon, max(8, _CROWD_CHUNK_VALUES // (lanes * j)))
-    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     area = np.array([config.area_x, config.area_y])
     uav = np.empty((runs, 2))
     gu_pos = np.empty((runs, j, 2))

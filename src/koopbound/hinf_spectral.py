@@ -42,8 +42,8 @@ _BRACKET_RTOL = 1e-13
 # eps * cond off the circle, and a near-tangent pair about sqrt(eps); a wider
 # window only adds candidates, and each one is checked by a direct SVD.
 _UNIT_CIRCLE_RTOL = 1e-6
-# The iteration converges quadratically, in 1-5 levels on the fitted
-# operators seen so far; this cap only stops a numerically broken search.
+# The iteration converges quadratically, in at most 6 levels on the test
+# suite's reference operators; this cap only stops a numerically broken search.
 _MAX_ITERATIONS = 100
 
 

@@ -993,6 +993,14 @@ class TestBatchedRollouts:
         assert all(np.shares_memory(part.states, grouped.states) for part in parts)
         with pytest.raises(DimensionMismatchError):
             split_groups(grouped, 5)
+        # A group count of 0 divided by zero, -2 split the 12 runs into no
+        # groups, and True into one.
+        for groups, shown in ((0, "an integer of at least 1, got 0"),
+                              (-2, "an integer of at least 1, got -2"),
+                              (True, "a number, got True")):
+            with pytest.raises(ParameterError) as refused:
+                split_groups(grouped, groups)
+            assert str(refused.value) == f"groups must be {shown}"
 
     def test_linear_matches_step_loop(self):
         # Reference: one run stepped one draw of normal(n) at a time.
@@ -1119,11 +1127,10 @@ def reference_uav_ensemble(config, kind, horizon, runs, master_seed, disturbance
     every step writing its waypoints, UAV positions and mask into the output
     buffers."""
     n, j = config.n, config.gu_count
-    disturbed, groups = env_sim._disturbance_groups(disturbance, runs, horizon, n)
+    disturbed, groups, rngs = env_sim._plan(disturbance, horizon, runs, master_seed, n)
     lanes = groups * runs
     chunk = min(env_sim._NOISE_CHUNK, horizon,
                 max(8, env_sim._CROWD_CHUNK_VALUES // (lanes * j)))
-    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
     area = np.array([config.area_x, config.area_y])
     uav, gu_pos, gu_heading = np.empty((runs, 2)), np.empty((runs, j, 2)), np.empty((runs, j))
     for r, rng in enumerate(rngs):
@@ -1172,8 +1179,7 @@ def reference_linear_ensemble(config, horizon, runs, master_seed, disturbance=No
     """linear_ensemble's (states, actions, rewards) with A x and F x
     computed into fresh arrays every step and copied into the buffers."""
     n = config.n
-    disturbed, groups = env_sim._disturbance_groups(disturbance, runs, horizon, n)
-    rngs = [np.random.default_rng(master_seed + r) for r in range(runs)]
+    disturbed, groups, rngs = env_sim._plan(disturbance, horizon, runs, master_seed, n)
     states = np.empty((groups * runs, horizon + 1, n))
     actions = np.empty((groups * runs, horizon, config.m))
     states[:, 0] = config.x0_mean

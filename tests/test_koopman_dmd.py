@@ -602,6 +602,13 @@ OUT_OF_RANGE_INPUTS = {
                           "must be an integer of at least 1, got -2"),
     "uav_ensemble horizon": (lambda v: uav_ensemble(UAV, "centroid_greedy", v, 2, 0), "horizon",
                              0, "must be an integer of at least 1, got 0"),
+    # A rollout checks runs, horizon and its seeds before its disturbance.
+    "linear_ensemble runs before disturbance": (
+        lambda v: linear_ensemble(SURROGATE, 3, v, 0, disturbance=np.ones((2, 2))), "runs", 0,
+        "must be an integer of at least 1, got 0"),
+    "uav_ensemble runs before disturbance": (
+        lambda v: uav_ensemble(UAV, "centroid_greedy", 3, v, 0, disturbance=(None, [1.0])),
+        "runs", -2, "must be an integer of at least 1, got -2"),
     "DisturbanceSpec horizon": (lambda v: DisturbanceSpec("impulse", 1.0, v, 0, 2), "horizon", 0,
                                 "must be an integer of at least 1, got 0"),
     "DisturbanceSpec dim": (lambda v: DisturbanceSpec("impulse", 1.0, 3, 0, v), "dim", 2.5,
@@ -619,6 +626,13 @@ OUT_OF_RANGE_INPUTS = {
                                     "master_seed", -1, f"{SEED_RULE}, got -1"),
     "uav_ensemble master_seed": (lambda v: uav_ensemble(UAV, "centroid_greedy", 3, 2, v),
                                  "master_seed", 2.5, f"{SEED_RULE}, got 2.5"),
+    # ... and its seeds before the size of its state buffer.
+    "linear_ensemble master_seed before size": (
+        lambda v: linear_ensemble(SURROGATE, 2**28, 2, v), "master_seed", -1,
+        f"{SEED_RULE}, got -1"),
+    "uav_ensemble master_seed before size": (
+        lambda v: uav_ensemble(UAV, "centroid_greedy", 3, 2**28, v, disturbance=(None, None)),
+        "master_seed", 2.5, f"{SEED_RULE}, got 2.5"),
     "DisturbanceSpec seed": (lambda v: DisturbanceSpec("scaled_gaussian_projected", 0.5, 4, v, 2),
                              "seed", -1, f"{SEED_RULE}, got -1"),
     "config sim.seed": (config_value("sim.seed"), "sim.seed", -1, f"{SEED_RULE}, got -1"),
@@ -650,6 +664,42 @@ OUT_OF_RANGE_INPUTS = {
     "BoundInputs horizon": (lambda v: bound_inputs(horizon=v), "horizon", -5.0,
                             "must be a whole number of at least 1, or inf, got -5.0"),
 }
+
+
+# Each rollout given a disturbance that is not one group or more of (horizon,
+# n) arrays, alone or with an oversized state buffer, and its refusal: the
+# disturbance is read before the size is checked.
+ROLLOUT_DISTURBANCE_FAULTS = {
+    "linear_ensemble empty tuple": (
+        lambda: linear_ensemble(SURROGATE, 3, 2, 0, disturbance=()), ParameterError,
+        "a disturbance tuple needs at least one group"),
+    "uav_ensemble empty tuple": (
+        lambda: uav_ensemble(UAV, "centroid_greedy", 3, 2, 0, disturbance=()), ParameterError,
+        "a disturbance tuple needs at least one group"),
+    "linear_ensemble wrong shape in a tuple": (
+        lambda: linear_ensemble(SURROGATE, 3, 2, 0, disturbance=(None, np.ones((3, 3)))),
+        DimensionMismatchError, "disturbance has shape (3, 3), expected (3, 2)"),
+    "uav_ensemble wrong shape in a tuple": (
+        lambda: uav_ensemble(UAV, "centroid_greedy", 3, 2, 0,
+                             disturbance=(np.zeros((3, 6)), np.ones(6), None)),
+        DimensionMismatchError, "disturbance has shape (6,), expected (3, 6)"),
+    "linear_ensemble empty tuple over the size cap": (
+        lambda: linear_ensemble(SURROGATE, 2**28, 2, 0, disturbance=()), ParameterError,
+        "a disturbance tuple needs at least one group"),
+    "uav_ensemble wrong shape over the size cap": (
+        lambda: uav_ensemble(UAV, "centroid_greedy", 2**28, 2, 0,
+                             disturbance=(None, np.ones((3, 6)))),
+        DimensionMismatchError, f"disturbance has shape (3, 6), expected ({2**28}, 6)"),
+}
+
+
+@pytest.mark.parametrize("name", ROLLOUT_DISTURBANCE_FAULTS)
+def test_rollouts_refuse_malformed_disturbances(name):
+    build, error, message = ROLLOUT_DISTURBANCE_FAULTS[name]
+    with pytest.raises(error) as refused:
+        build()
+    assert type(refused.value) is error
+    assert str(refused.value) == message
 
 
 def test_every_array_input_is_covered():

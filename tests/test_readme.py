@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from koopbound import koopman_dmd, load_trajectories
+from koopbound import TransferFunction, hinf_norm, koopman_dmd, load_trajectories
 from koopbound.cli import main
+
+from test_hinf_spectral import shift_reference_operators
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -207,6 +209,17 @@ def test_gain_block_version_is_the_readers():
     block = section_block("Worst-case gain", "json")
     versions = re.findall(r'"version": (\d+)', block)
     assert versions == [str(koopman_dmd._GAIN_VERSION)], versions
+
+
+def test_stated_level_count_covers_the_reference_operators():
+    # The README said 1-5 levels; the 202 reference operators take 0 (the
+    # unstable ones) to 6.
+    text = README.read_text(encoding="utf-8")
+    stated = re.search(r"number of levels\s+tested:\s+0-(\d+)\s+on", text)
+    counts = [hinf_norm(TransferFunction.resolvent(k)).iterations
+              for _, k in shift_reference_operators()]
+    assert len(counts) == 202 and min(counts) == 0
+    assert stated and int(stated.group(1)) >= max(counts), max(counts)
 
 
 def test_library_use_block_runs():
