@@ -244,12 +244,12 @@ def _plan(disturbance, horizon: int, runs: int, master_seed: int,
     each group with a disturbance, the group count G, and the generator
     default_rng(master_seed + r) of each run r.
 
-    A tuple gives one group per entry, None or a (horizon, n) array, anything
-    else the single group `disturbance`; group g holds lanes g*runs ..
-    (g+1)*runs - 1.  The last run's seed must fit the int64 seeds an
-    ensemble records, as the master seed must; it is summed as Python ints,
-    which a numpy integer would wrap.  Every check runs before any generator
-    or buffer exists."""
+    A tuple gives one group per entry g, None or a (horizon, n) array named
+    `disturbance[g]`, anything else the single group `disturbance`; group g
+    holds lanes g*runs .. (g+1)*runs - 1.  The last run's seed must fit the
+    int64 seeds an ensemble records, as the master seed must; it is summed as
+    Python ints, which a numpy integer would wrap.  Every check runs before
+    any generator or buffer exists."""
     _in_range(runs, "runs", "count")
     _in_range(horizon, "horizon", "count")
     _in_range(master_seed, "master_seed", "seed")
@@ -260,11 +260,11 @@ def _plan(disturbance, horizon: int, runs: int, master_seed: int,
     disturbed = []
     for g, entry in enumerate(entries):
         if entry is not None:
-            w = _frozen_array(entry, "disturbance")
+            name = f"disturbance[{g}]" if isinstance(disturbance, tuple) else "disturbance"
+            w = _frozen_array(entry, name)
             if w.shape != (horizon, n):
                 raise DimensionMismatchError(
-                    f"disturbance has shape {w.shape}, expected ({horizon}, {n})"
-                )
+                    f"{name} has shape {w.shape}, expected ({horizon}, {n})")
             disturbed.append((slice(g * runs, (g + 1) * runs), w))
     check_rollout_size(len(entries), runs, horizon, n)
     return disturbed, len(entries), [np.random.default_rng(master_seed + r) for r in range(runs)]

@@ -232,7 +232,7 @@ def _model_to_dict(model: KoopmanModel) -> dict:
         "m": model.m,
         "state_operator": model.state_operator.tolist(),
         "action_operator": model.action_operator.tolist(),
-        "eigenvalues": [[float(v.real), float(v.imag)] for v in eigvals],
+        "eigenvalues": eigvals.view(np.float64).reshape(-1, 2).tolist(),
         "rank": model.rank,
         "rank_tol": model.rank_tol,
         "residuals": {"state": model.state_residual, "action": model.action_residual},
@@ -252,13 +252,14 @@ def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _eigenvalues_field(node, n: int) -> np.ndarray:
+    """The [re, im] pairs as complex values; _with_diagnostics checks that
+    they are finite, as KoopmanModel checks the operators."""
     where = "model field 'eigenvalues'"
-    if not (isinstance(node, list) and len(node) <= n
-            and all(isinstance(pair, list) and len(pair) == 2 for pair in node)):
+    pairs = as_numbers(node, where)
+    if pairs.shape not in ((0,), (len(pairs), 2)) or len(pairs) > n:
         raise SchemaError(f"{where} must be a list of at most n = {n} [re, im] pairs")
-    parts = np.array([as_number(x, where, "finite") for pair in node for x in pair])
     # A view, not re + 1j * im, which would lose the sign of a zero imaginary part.
-    return parts.reshape(-1, 2).view(np.complex128)[:, 0]
+    return pairs.reshape(-1, 2).view(np.complex128)[:, 0]
 
 
 def _nullable(read, node, where: str, kind: str):

@@ -212,11 +212,10 @@ def ensemble_mean(ensemble: TrajectoryEnsemble) -> tuple[np.ndarray, np.ndarray,
 # ParseError naming the line.
 # ---------------------------------------------------------------------------
 
-# Runs of data lines are decoded in blocks of about _BLOCK_CELLS fields, the
-# writer's block size, and at most _BLOCK_ROWS lines, which bounds the
-# working memory (a few hundred bytes a field) whatever the file size.  The
-# file is read in chunks of about _CHUNK_BYTES.
-_BLOCK_ROWS = 2048
+# Runs of data lines are decoded in blocks of max(1, _BLOCK_CELLS // (n + m + 3))
+# lines, the writer's rule, which bounds the working memory (a few hundred
+# bytes a field) whatever the file size.  The file is read in chunks of about
+# _CHUNK_BYTES.
 _CHUNK_BYTES = 1 << 20
 # The ASCII characters str.strip() removes.  A line is looked at on its own
 # when it starts with one of them, '#' or a non-ASCII byte, or comes no later
@@ -429,7 +428,7 @@ def load_trajectories(path) -> TrajectoryEnsemble:
                 after += 1
                 if not _skip(line, number, seeds):
                     header = n, m = _parse_header(decode_line(line, number), number)
-                    block = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // (n + m + 3)))
+                    block = max(1, _BLOCK_CELLS // (n + m + 3))
                     capacity = line_count - number
                     records = np.empty(capacity, dtype=[
                         ("run", np.int64), ("k", np.int64), ("line", np.int64),

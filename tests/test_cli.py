@@ -1034,6 +1034,12 @@ class TestMalformedDocuments:
                      id="state_operator-401-digits"),
         pytest.param("rank_tol", HUGE, id="rank_tol-401-digits"),
         pytest.param("residuals.state", HUGE, id="residuals.state-401-digits"),
+        # Eigenvalue pairs are read as a number list, as the operators are.
+        pytest.param("eigenvalues", [[0.9, 0.0], [0.5]], id="eigenvalues-ragged"),
+        pytest.param("eigenvalues", [["inf", 0.0]], id="eigenvalues-inf-string"),
+        pytest.param("eigenvalues", [[0.9, 0.0], [0.5, 0.0], [0.1, 0.0]],
+                     id="eigenvalues-more-than-n"),
+        pytest.param("eigenvalues", [[True, 0.0]], id="eigenvalues-true"),
     ])
     def test_model(self, tmp_path, capsys, field, value):
         path = tmp_path / "model.json"
@@ -1046,6 +1052,22 @@ class TestMalformedDocuments:
         assert main(["analyze", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: model field {field!r}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_model_non_finite_eigenvalue(self, tmp_path, capsys, value):
+        # json.load reads the NaN and Infinity tokens; the model's array
+        # check refuses them, as it refuses a non-finite operator entry.
+        path = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                action_operator=np.array([[1.0, -1.0]])), path)
+        doc = json.loads(path.read_text())
+        doc["eigenvalues"] = [[0.9, 0.0], [0.5, value]]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "analysis.json"
+        assert main(["analyze", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: eigenvalues holds a non-finite value at index (1,)\n"
         assert not out.exists()
 
     def test_integer_literal_too_long_to_parse(self, tmp_path, capsys):

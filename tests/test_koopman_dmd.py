@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -318,6 +319,29 @@ class TestModelSerialization:
             else:
                 assert type(back) is type(saved) and back == saved, f.name
 
+    @staticmethod
+    def with_eigenvalues(path, pairs):
+        """A hand-built model's file at path whose eigenvalues field is pairs."""
+        save_model(MODELS["hand-built"](), path)
+        doc = json.loads(path.read_text())
+        doc["eigenvalues"] = pairs
+        path.write_text(json.dumps(doc))
+
+    def test_complex_pairs_and_negative_zero_keep_their_bytes(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        self.with_eigenvalues(first, [[0.5, 0.25], [0.1, -0.0]])
+        save_model(load_model(first), first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        pairs = json.loads(first.read_text())["eigenvalues"]
+        assert pairs == [[0.5, 0.25], [0.1, 0.0]]
+        assert math.copysign(1.0, pairs[1][1]) == -1.0
+
+    def test_empty_eigenvalue_list_loads(self, tmp_path):
+        self.with_eigenvalues(tmp_path / "model.json", [])
+        eigenvalues = load_model(tmp_path / "model.json").eigenvalues
+        assert eigenvalues.shape == (0,) and eigenvalues.dtype == np.complex128
+
     def test_rank_deficient_fit(self):
         model = fitted(rank_deficient=True)
         assert (model.n, model.rank, len(model.eigenvalues)) == (3, 2, 2)
@@ -473,7 +497,7 @@ COMPLEX_INPUTS = {
     "uav_ensemble disturbance": (
         lambda: uav_ensemble(UAV, "centroid_greedy", 3, 1, 0,
                              disturbance=(None, disturbance(UAV.n, 1j))),
-        "disturbance"),
+        "disturbance[1]"),
     "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, 1j), 0.5), "w"),
     "estimate_lipschitz states": (lambda: lipschitz_of(states=np.eye(3) * 1j), "states"),
     "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[1j], [0.0], [0.0]]),
@@ -678,18 +702,22 @@ ROLLOUT_DISTURBANCE_FAULTS = {
         "a disturbance tuple needs at least one group"),
     "linear_ensemble wrong shape in a tuple": (
         lambda: linear_ensemble(SURROGATE, 3, 2, 0, disturbance=(None, np.ones((3, 3)))),
-        DimensionMismatchError, "disturbance has shape (3, 3), expected (3, 2)"),
+        DimensionMismatchError, "disturbance[1] has shape (3, 3), expected (3, 2)"),
     "uav_ensemble wrong shape in a tuple": (
         lambda: uav_ensemble(UAV, "centroid_greedy", 3, 2, 0,
                              disturbance=(np.zeros((3, 6)), np.ones(6), None)),
-        DimensionMismatchError, "disturbance has shape (6,), expected (3, 6)"),
+        DimensionMismatchError, "disturbance[1] has shape (6,), expected (3, 6)"),
+    "linear_ensemble non-finite entry in a tuple": (
+        lambda: linear_ensemble(SURROGATE, 3, 2, 0,
+                                disturbance=(None, disturbance(2, 0.0), disturbance(2, np.nan))),
+        DataError, "disturbance[2] holds a non-finite value at index (1, 0)"),
     "linear_ensemble empty tuple over the size cap": (
         lambda: linear_ensemble(SURROGATE, 2**28, 2, 0, disturbance=()), ParameterError,
         "a disturbance tuple needs at least one group"),
     "uav_ensemble wrong shape over the size cap": (
         lambda: uav_ensemble(UAV, "centroid_greedy", 2**28, 2, 0,
                              disturbance=(None, np.ones((3, 6)))),
-        DimensionMismatchError, f"disturbance has shape (3, 6), expected ({2**28}, 6)"),
+        DimensionMismatchError, f"disturbance[1] has shape (3, 6), expected ({2**28}, 6)"),
 }
 
 
@@ -710,7 +738,8 @@ def test_every_array_input_is_covered():
 def test_array_records_refuse_complex_input(name):
     # A cast to float would keep only the real part: a plausible wrong value.
     build, field_name = COMPLEX_INPUTS[name]
-    with pytest.raises(DataError, match=f"^{field_name} must be real, got complex values$"):
+    rule = f"^{re.escape(field_name)} must be real, got complex values$"
+    with pytest.raises(DataError, match=rule):
         build()
 
 

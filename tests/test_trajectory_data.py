@@ -1,5 +1,6 @@
 """Trajectory format, validation, ensemble means, and the snapshots fitted from them."""
 
+import contextlib
 import cProfile
 import csv
 import decimal
@@ -560,6 +561,11 @@ def inject(draw, rows, n, fault):
     return rows
 
 
+def three_row_blocks(header):
+    """Patch the reader to decode blocks of 3 data rows of header's width."""
+    return mock.patch.object(trajectory_data, "_BLOCK_CELLS", 3 * len(header.split(",")))
+
+
 class TestDifferentialLoader:
     @given(data=st.data(), small_blocks=st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -570,7 +576,7 @@ class TestDifferentialLoader:
         expected = outcome(reference_load, path)
         assert not isinstance(expected[0], type), expected
         # Blocks of 3 rows put block edges inside these small files.
-        with mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3 if small_blocks else 2048):
+        with three_row_blocks(header) if small_blocks else contextlib.nullcontext():
             assert outcome(load_trajectories, path) == expected
 
     @given(data=st.data(), fault=st.sampled_from(FAULTS), small_blocks=st.booleans())
@@ -583,7 +589,7 @@ class TestDifferentialLoader:
         path.write_bytes(data.draw(render(header, rows, seeds)).encode())
         expected = outcome(reference_load, path)
         assert isinstance(expected[0], type) and issubclass(expected[0], KoopboundError)
-        with mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3 if small_blocks else 2048):
+        with three_row_blocks(header) if small_blocks else contextlib.nullcontext():
             assert outcome(load_trajectories, path) == expected
 
 
@@ -601,13 +607,15 @@ class TestChunkEdges:
         path = tmp_path_factory.mktemp("chunks") / "traj.csv"
         path.write_bytes(data.draw(render(header, rows, seeds)).encode())
         expected = outcome(reference_load, path)
-        with mock.patch.object(trajectory_data, "_CHUNK_BYTES", chunk), \
-                mock.patch.object(trajectory_data, "_BLOCK_ROWS", 3):
+        with mock.patch.object(trajectory_data, "_CHUNK_BYTES", chunk), three_row_blocks(header):
             assert outcome(load_trajectories, path) == expected
 
 
 class TestBlockEdges:
-    """Files of exactly one block of data rows, and one block plus one row."""
+    """Files of exactly one block of data rows, and one block plus one row:
+    n = m = 1, so a block is _BLOCK_CELLS // 5 rows."""
+
+    BLOCK = trajectory_data._BLOCK_CELLS // 5
 
     @staticmethod
     def write(path, rows):
@@ -621,9 +629,16 @@ class TestBlockEdges:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_valid_file_matches_reference(self, tmp_path, extra):
         path = tmp_path / "traj.csv"
-        self.write(path, trajectory_data._BLOCK_ROWS + extra)
+        self.write(path, self.BLOCK + extra)
         ens = load_trajectories(path)
-        assert ens.horizon == trajectory_data._BLOCK_ROWS + extra - 1
+        assert ens.horizon == self.BLOCK + extra - 1
+        assert outcome(load_trajectories, path) == outcome(reference_load, path)
+
+    def test_narrow_file_past_2048_rows_matches_reference(self, tmp_path):
+        # 4097 rows of width 5 make one whole block and one partial block.
+        path = tmp_path / "traj.csv"
+        self.write(path, 2 * 2048 + 1)
+        assert load_trajectories(path).horizon == 2 * 2048
         assert outcome(load_trajectories, path) == outcome(reference_load, path)
 
     @pytest.mark.parametrize("extra, row", [
@@ -633,7 +648,7 @@ class TestBlockEdges:
     ])
     @pytest.mark.parametrize("bad, error", [("oops", ParseError), ("inf", DataError)])
     def test_fault_line_exact(self, tmp_path, extra, row, bad, error):
-        block = trajectory_data._BLOCK_ROWS
+        block = self.BLOCK
         rows = block + extra
         index = rows - 1 if row == "last" else block - 1
         path = tmp_path / "traj.csv"
