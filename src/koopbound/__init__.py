@@ -26,7 +26,6 @@ from .bounds import (
     DisturbanceSpec,
     deviation_bounds,
     disturbance_admissible,
-    estimate_lipschitz,
     estimate_Q,
     generate_disturbance,
     load_report,

@@ -103,14 +103,23 @@ class DisturbanceSpec:
                 raise DimensionMismatchError(
                     f"direction has dimension {d.shape[0]}, expected {self.dim}"
                 )
-            if np.linalg.norm(d) == 0.0:
+            if not d.any():
                 raise DataError("direction must be nonzero")
             object.__setattr__(self, "direction", d)
 
 
 def _unit_direction(spec: DisturbanceSpec) -> np.ndarray:
     if spec.direction is not None:
-        return spec.direction / np.linalg.norm(spec.direction)
+        d = spec.direction
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(d)
+        # The squares of a finite, nonzero direction can overflow to an
+        # infinite norm or underflow to 0; its largest entry scales them
+        # into range.
+        if norm == 0.0 or math.isinf(norm):
+            d = d / np.max(np.abs(d))
+            norm = np.linalg.norm(d)
+        return d / norm
     e1 = np.zeros(spec.dim)
     e1[0] = 1.0
     return e1
@@ -215,17 +224,22 @@ def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
 # ---------------------------------------------------------------------------
 
 
+def _times(a: float, b: float) -> float:
+    """The product of two bound factors, with 0 * inf = 0: no disturbance,
+    a zero action map, a constant reward or no dispersion caps its product
+    at 0 even when the other factor is infinite (the float product would be
+    NaN)."""
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
 def deviation_bounds(gamma: float, T_hinf: float, Kf_hinf: float) -> dict:
     """The caps on mean deviations under a disturbance of spectral peak gamma:
     M = T*gamma and N = Kf*T*gamma cap the state and action maxima, M^2 and
     N^2 their energies."""
     for name, value in (("gamma", gamma), ("T_hinf", T_hinf), ("Kf_hinf", Kf_hinf)):
         _in_range(value, name, "bound level")
-    # gamma == 0 means no disturbance at all, and a zero action map moves no
-    # action, so the cap is 0 even when the gain is flagged infinite (0 * inf
-    # would be NaN).
-    m = 0.0 if gamma == 0.0 else T_hinf * gamma
-    n = 0.0 if gamma == 0.0 or Kf_hinf == 0.0 else Kf_hinf * T_hinf * gamma
+    m = _times(T_hinf, gamma)
+    n = _times(_times(Kf_hinf, T_hinf), gamma)
     return {"M": m, "N": n, "state_energy_bound": m * m, "state_max_bound": m,
             "action_energy_bound": n * n, "action_max_bound": n}
 
@@ -269,56 +283,23 @@ class BoundInputs:
         (L(Q+M+N) + L*C)/(1 - gamma_d) on the generalization error.
 
         Finite horizons sum (1 - gamma_d^(K+1))/(1 - gamma_d) discounts; an
-        infinite horizon sums 1/(1 - gamma_d).
+        infinite horizon sums 1/(1 - gamma_d).  L(Q+M+N) and L*C are 0 when
+        either factor is, even when the other is infinite.
         """
         values = deviation_bounds(self.gamma, self.T_hinf, self.Kf_hinf)
         if math.isinf(self.horizon):
             total = 1.0 / (1.0 - self.gamma_d)
         else:
             total = (1.0 - self.gamma_d ** (self.horizon + 1)) / (1.0 - self.gamma_d)
-        # A constant reward cannot change, even when the gain is flagged infinite.
-        if self.L == 0.0:
-            return {**values, "reward_impact_bound": 0.0, "generalization_error_bound": 0.0}
-        lqmn = self.L * (self.Q + values["M"] + values["N"])
+        lqmn = _times(self.L, self.Q + values["M"] + values["N"])
+        lc = _times(self.L, self.C)
         return {**values, "reward_impact_bound": lqmn * total,
-                "generalization_error_bound": (lqmn + self.L * self.C) / (1.0 - self.gamma_d)}
+                "generalization_error_bound": (lqmn + lc) / (1.0 - self.gamma_d)}
 
 
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
-
-_DISTINCT_EPS = 1e-12
-
-
-def estimate_lipschitz(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> float:
-    """Largest sampled ratio |r1 - r2| / (|x1 - x2| + |u1 - u2|) over the S
-    samples in the rows of ``states`` (S, n), ``actions`` (S, m) and
-    ``rewards`` (S,).
-
-    This is a lower bound on the true Lipschitz constant; supply an analytic
-    constant instead whenever one is known.  Pairs closer than 1e-12 in
-    combined input distance are excluded.
-    """
-    if not len(states) == len(actions) == len(rewards):
-        raise DimensionMismatchError(f"{len(states)} states, {len(actions)} actions and "
-                                     f"{len(rewards)} rewards do not pair up as samples")
-    if len(rewards) < 2:
-        raise InsufficientDataError("need at least two reward samples")
-    from scipy.spatial.distance import pdist  # here: only an estimated L loads scipy
-
-    denom = pdist(_frozen_array(states, "states"))
-    denom += pdist(_frozen_array(actions, "actions"))
-    numer = pdist(_frozen_array(rewards, "rewards")[:, None], metric="cityblock")
-    close = denom < _DISTINCT_EPS
-    if close.all():
-        raise InsufficientDataError("fewer than two distinct samples")
-    # An excluded pair's ratio is 0 / 1, at most every kept one (each is
-    # >= 0); a +inf denominator would turn an overflowed reward gap into NaN.
-    numer[close] = 0.0
-    denom[close] = 1.0
-    numer /= denom
-    return float(np.max(numer))
 
 
 def _per_step_dispersion(ensemble: TrajectoryEnsemble) -> np.ndarray:
@@ -360,9 +341,8 @@ class BoundReport:
     """What verify_bounds measured or was given: the bound inputs, the
     model's gain report, the measured left-hand sides and the flags.
 
-    The bound values, the violations and the L source are derived from these
-    on each read, so a report cannot hold values that disagree with its own
-    fields.
+    The bound values and the violations are derived from these on each
+    read, so a report cannot hold values that disagree with its own fields.
     """
 
     inputs: BoundInputs
@@ -387,10 +367,6 @@ class BoundReport:
             and self.empirical[measured] > bounds[bound] * (1.0 + _CHECK_RTOL)
         )
 
-    @property
-    def l_source(self) -> str:
-        return "estimated" if "estimated-L" in self.flags else "analytic"
-
     def _derived(self) -> dict:
         """Every value to_dict writes that the fields determine."""
         violations = self.violations
@@ -401,7 +377,9 @@ class BoundReport:
             # rates on fitted models are a model-approximation effect, not a
             # process failure.
             "violation_rate": len(violations) / float(len(_COMPARISONS)),
-            "l_source": self.l_source,
+            # L is a declared constant, never a sampled estimate, so a file
+            # that says "estimated" is refused.
+            "l_source": "analytic",
         }
 
     def to_dict(self) -> dict:
@@ -474,17 +452,6 @@ def certified_gain(model: KoopmanModel) -> ModelGain:
     return model.gain
 
 
-def _reward_samples(ensemble: TrajectoryEnsemble, max_samples: int = 400):
-    """Deterministic subsample (x_{k+1}, u_k, r_k) for L estimation, as
-    arrays of shape (S, n), (S, m) and (S,): every stride-th (run, step) pair
-    in run-major order."""
-    horizon = ensemble.horizon
-    total = ensemble.r_count * horizon
-    runs, steps = np.divmod(np.arange(0, total, max(1, total // max_samples)), horizon)
-    return (ensemble.states[runs, steps + 1], ensemble.actions[runs, steps],
-            ensemble.rewards[runs, steps])
-
-
 def _check_dims(nominal, disturbed, model=None):
     reference = (nominal.n, nominal.m, nominal.horizon)
     shape = (disturbed.n, disturbed.m, disturbed.horizon)
@@ -505,15 +472,14 @@ def verify_bounds(
     model: KoopmanModel,
     gamma: float,
     gamma_d: float,
-    lipschitz: float | None = None,
+    lipschitz: float,
 ) -> tuple[BoundReport, np.ndarray]:
     """Compare every bound against its measured left-hand side; return the
     report and the per_step_table it measured from.
 
-    ``lipschitz`` is the reward's Lipschitz constant L, labeled "analytic"
-    in the report; when None, L is estimated from sampled (state, action,
-    reward) triples of both ensembles and labeled "estimated" (a lower bound
-    of the true constant).
+    ``lipschitz`` is the reward's Lipschitz constant L, a bound level.  For
+    a reward with no finite constant, L = +inf makes both reward caps +inf
+    (0 when Q + M + N, or C, is 0) and raises the reward-not-lipschitz flag.
 
     Measures state/action deviation energies and maxima between the two
     ensembles' mean trajectories, plus the discounted gap of per-step
@@ -532,11 +498,6 @@ def verify_bounds(
     if hinf.ill_conditioned and hinf.converged:
         flags.append("ill-conditioned-resolvent")
 
-    if lipschitz is None:
-        samples = zip(_reward_samples(nominal), _reward_samples(disturbed))
-        lipschitz = estimate_lipschitz(*(np.concatenate(pair) for pair in samples))
-        flags.append("estimated-L")
-
     if disturbed.r_count >= 2:
         flags.append("q-from-disturbed-rollouts")
     if min(nominal.r_count, disturbed.r_count) < 2:
@@ -547,6 +508,8 @@ def verify_bounds(
     k_steps = nominal.horizon
     inputs = BoundInputs(gamma=gamma, T_hinf=hinf.value, Kf_hinf=kf_hinf, L=lipschitz,
                          Q=q_value, C=c_value, gamma_d=gamma_d, horizon=float(k_steps))
+    if math.isinf(inputs.L):
+        flags.append("reward-not-lipschitz")
     table = per_step_table(nominal, disturbed)
     dx, du, r_nom, r_dis = table[:, 1], table[:-1, 2], table[:-1, 3], table[:-1, 4]
     discounts = gamma_d ** np.arange(k_steps)

@@ -48,7 +48,6 @@ from .koopman_dmd import (
 )
 from .env_sim import (
     _UAV_KINDS,
-    NORM_PENALTY_LIPSCHITZ,
     POLICY_KINDS,
     LinearSurrogateConfig,
     UavEnvConfig,
@@ -331,9 +330,9 @@ def cmd_verify(args) -> int:
             f"model {args.model} has (n, m) = ({model.n}, {model.m}), but the {sim.env} "
             f"environment of config {args.config} has ({sim.config.n}, {sim.config.m})")
     gamma_d = _setting("analysis.gamma_d", cfg, args)
-    analytic_l = _setting("analysis.L", cfg)
-    if analytic_l is None and sim.env == "linear":
-        analytic_l = NORM_PENALTY_LIPSCHITZ
+    lipschitz = _setting("analysis.L", cfg)
+    if lipschitz is None:
+        lipschitz = sim.config.reward_lipschitz
     spec = DisturbanceSpec(
         kind=_setting("disturbance.kind", cfg, args),
         gamma=_setting("disturbance.gamma", cfg, args),
@@ -356,8 +355,7 @@ def cmd_verify(args) -> int:
     # One rollout steps the nominal and disturbed runs together on common
     # random numbers; the two ensembles are views of its arrays.
     nominal, disturbed = split_groups(sim.rollout(disturbance=(None, w)), 2)
-    report, table = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d,
-                                  lipschitz=analytic_l)
+    report, table = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d, lipschitz)
     label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
     out = Path(args.out or "verify_report.json")
     save_report(report, out, label=label)

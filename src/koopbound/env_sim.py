@@ -216,6 +216,11 @@ class LinearSurrogateConfig:
     def m(self) -> int:
         return self.F.shape[0]
 
+    @property
+    def reward_lipschitz(self) -> float:
+        """The reward's Lipschitz constant in (x, u), the L verify uses."""
+        return NORM_PENALTY_LIPSCHITZ
+
 
 def check_rollout_size(groups: int, runs: int, horizon: int, n: int, grid_values: int = 0,
                        prefix: str = "") -> None:
@@ -389,6 +394,14 @@ class UavEnvConfig:
     @property
     def m(self) -> int:
         return 2
+
+    @property
+    def reward_lipschitz(self) -> float:
+        """The reward's Lipschitz constant in (x, u), the L verify uses: +inf.
+        The reward counts served users, and a user's service switches on or
+        off as the UAV or the user crosses the coverage radius or the rate
+        floor, so the reward jumps and no finite constant holds."""
+        return math.inf
 
 
 def _lane_draws(rngs, chunk: int, gu_count: int, config: UavEnvConfig):

@@ -1,6 +1,7 @@
 """Disturbance admissibility, bound expressions, estimators, verification."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -24,7 +25,6 @@ from koopbound import (
     deviation_bounds,
     disturbance_admissible,
     ensemble_mean,
-    estimate_lipschitz,
     estimate_Q,
     generate_disturbance,
     linear_ensemble,
@@ -35,7 +35,7 @@ from koopbound import (
     write_per_step_table,
 )
 from koopbound import bounds, trajectory_data
-from koopbound.bounds import _CHECK_RTOL, _reward_samples, _spectral_power, certified_gain
+from koopbound.bounds import _CHECK_RTOL, _spectral_power, certified_gain
 from koopbound.env_sim import NORM_PENALTY_LIPSCHITZ, split_groups
 
 nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -215,6 +215,20 @@ class TestGenerateDisturbance:
         w = generate_disturbance(spec)
         assert np.allclose(w[0], [0.0, 0.6, 0.8])
 
+    @pytest.mark.parametrize("direction, scaled", [
+        ([1e200, 1e200], [1.0, 1.0]), ([1e-200, 0.0], [1.0, 0.0]),
+        ([-1e-300, 1e-300], [-1.0, 1.0]),
+    ], ids=["overflow", "underflow", "underflow-both"])
+    def test_direction_of_extreme_magnitude(self, direction, scaled):
+        # The norm of [1e200, 1e200] overflowed to inf, so the impulse was
+        # w = 0; that of [1e-200, 0] underflowed to 0, so it was refused as
+        # zero.  Each gives the sequence of its direction scaled to 1.
+        spec, same = (DisturbanceSpec("impulse", 0.5, 4, 0, 2, direction=d)
+                      for d in (direction, scaled))
+        w = generate_disturbance(spec)
+        assert w.tobytes() == generate_disturbance(same).tobytes()
+        assert math.isclose(np.linalg.norm(w[0]), 0.5)
+
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             DisturbanceSpec(kind="comb", gamma=1.0, horizon=4, seed=0, dim=1)
@@ -331,6 +345,24 @@ class TestRewardBounds:
                           horizon=float("inf"))
         assert np.isclose(generalization_error(two), 2.0 * generalization_error(one))
 
+    @pytest.mark.parametrize("horizon", [10.0, math.inf])
+    def test_no_nan_when_a_factor_is_zero(self, horizon):
+        # L(Q+M+N) and L*C are 0 when a factor is 0: L = inf with Q+M+N = 0,
+        # or with C = 0, gave NaN, which no report file can hold.
+        grid = itertools.product((0.0, 0.5, math.inf), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0),
+                                 (2.0, math.inf), (0.0, 1.0))
+        for lip, q, c, gamma, t_hinf, kf in grid:
+            inputs = BoundInputs(gamma=gamma, T_hinf=t_hinf, Kf_hinf=kf, L=lip, Q=q, C=c,
+                                 gamma_d=0.5, horizon=horizon)
+            caps = inputs.bounds()
+            assert not any(math.isnan(value) for value in caps.values()), inputs
+            qmn = q + caps["M"] + caps["N"]
+            impact, error = caps["reward_impact_bound"], caps["generalization_error_bound"]
+            assert (impact == 0.0) == (lip == 0.0 or qmn == 0.0), inputs
+            assert (error == 0.0) == (lip == 0.0 or qmn + c == 0.0), inputs
+            assert math.isinf(impact) == (impact > 0.0 and math.isinf(lip * qmn)), inputs
+            assert math.isinf(error) == (error > 0.0 and math.isinf(lip * (qmn + c))), inputs
+
     def test_divergent_discount(self):
         # A discount factor of 1 is refused when the record is built, at
         # either horizon; the L = 0 rule does not hide it.
@@ -366,31 +398,6 @@ class TestRewardBounds:
 
 
 class TestEstimators:
-    def test_lipschitz_constant_function(self):
-        states = np.array([[0.0], [1.0], [2.0]])
-        assert estimate_lipschitz(states, np.zeros((3, 1)), np.ones(3)) == 0.0
-
-    def test_lipschitz_single_pair(self):
-        states = np.array([[0.0], [1.0]])
-        assert np.isclose(estimate_lipschitz(states, np.zeros((2, 1)), np.array([0.0, 2.0])), 2.0)
-
-    def test_lipschitz_norm_function_below_one(self):
-        rng = np.random.default_rng(1)
-        draws = [(rng.normal(size=3), rng.normal(size=2)) for _ in range(60)]
-        states, actions = (np.array(column) for column in zip(*draws))
-        rewards = np.linalg.norm(states, axis=1)
-        assert estimate_lipschitz(states, actions, rewards) <= 1.0 + 1e-12
-
-    def test_lipschitz_needs_two_distinct(self):
-        with pytest.raises(InsufficientDataError):
-            estimate_lipschitz(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1))
-        with pytest.raises(InsufficientDataError):
-            estimate_lipschitz(np.ones((2, 1)), np.full((2, 1), 2.0), np.full(2, 0.5))
-
-    def test_lipschitz_rows_must_pair_up(self):
-        with pytest.raises(DimensionMismatchError):
-            estimate_lipschitz(np.zeros((3, 1)), np.zeros((3, 1)), np.arange(4.0))
-
     def _pm_one_ensemble(self, scale=1.0):
         k = 4
         ones = np.full((k + 1, 1), scale)
@@ -427,20 +434,6 @@ class TestEstimators:
                                  rewards=np.zeros((4, 4)), run_ids=np.arange(4)[::-1])
         assert np.isclose(estimate_Q(fwd), estimate_Q(rev))
 
-    def test_reward_samples_every_stride_th_step(self):
-        # 3 runs of 7 steps, at most 5 samples: every 4th (run, step) pair in
-        # run-major order, (0,0) (0,4) (1,1) (1,5) (2,2) (2,6).
-        rng = np.random.default_rng(5)
-        ens = TrajectoryEnsemble(states=rng.normal(size=(3, 8, 2)),
-                                 actions=rng.normal(size=(3, 7, 1)),
-                                 rewards=rng.normal(size=(3, 7)))
-        states, actions, rewards = _reward_samples(ens, max_samples=5)
-        runs, steps = np.array([(0, 0), (0, 4), (1, 1), (1, 5), (2, 2), (2, 6)]).T
-        assert np.array_equal(states, ens.states[runs, steps + 1])
-        assert np.array_equal(actions, ens.actions[runs, steps])
-        assert np.array_equal(rewards, ens.rewards[runs, steps])
-        assert (states.shape, actions.shape, rewards.shape) == ((6, 2), (6, 1), (6,))
-
 
 # The whole-array formulas that the per-run and per-block reductions
 # replaced; each reduction must give their bits.
@@ -466,15 +459,6 @@ def whole_table(nominal, disturbed):
     table[:k, 3] = whole_mean(nominal.rewards)
     table[:k, 4] = whole_mean(disturbed.rewards)
     return table
-
-
-def whole_lipschitz(states, actions, rewards):
-    from scipy.spatial.distance import pdist
-
-    denom = pdist(states) + pdist(actions)
-    numer = pdist(rewards[:, None], metric="cityblock")
-    valid = denom >= 1e-12
-    return float(np.max(numer[valid] / denom[valid]))
 
 
 def same_bits(got, want):
@@ -560,32 +544,6 @@ class TestWholeArrayFormulas:
             assert_whole_array_bits(nominal, disturbed)
             assert_whole_array_bits(doubled, nominal)
 
-    def test_lipschitz_with_close_pairs(self):
-        rng = np.random.default_rng(4)
-        states, actions = rng.standard_normal((40, 3)), rng.standard_normal((40, 2))
-        rewards = rng.standard_normal(40)
-        # Repeated samples, a near repeat, and a repeat whose reward gap
-        # overflows to inf: each pair is excluded.  The first 30 samples
-        # leave the overflowing pair out.
-        states[5], actions[5] = states[2], actions[2]
-        states[9], actions[9] = states[2] + 1e-14, actions[2]
-        states[30], actions[30] = states[31], actions[31]
-        rewards[30], rewards[31] = 1e308, -1e308
-        for samples in ((states, actions, rewards), (states[:30], actions[:30], rewards[:30])):
-            assert same_bits(estimate_lipschitz(*samples), whole_lipschitz(*samples))
-
-    def test_lipschitz_with_one_distinct_pair(self):
-        # Of the 10 pairs of points 0.25e-12 apart on a line only the
-        # outermost one is at least 1e-12 apart.
-        states = np.arange(5.0)[:, None] * 0.25e-12
-        actions = np.zeros((5, 1))
-        rewards = np.array([0.3, -1.0, 2.0, 0.5, 0.1])
-        from scipy.spatial.distance import pdist
-        assert np.count_nonzero(pdist(states) >= 1e-12) == 1
-        value = estimate_lipschitz(states, actions, rewards)
-        assert same_bits(value, whole_lipschitz(states, actions, rewards))
-        assert value == 0.2 / 1e-12
-
 
 class TestVerifyMemory:
     """Verify's reductions hold a run or a block of steps, not a copy of a
@@ -638,10 +596,11 @@ def true_model(a, f):
     return KoopmanModel(state_operator=a, action_operator=f)
 
 
-def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False, model=None):
+def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, lipschitz=NORM_PENALTY_LIPSCHITZ,
+               model=None):
     """verify_bounds on `runs` runs of the surrogate over the disturbance's
-    horizon, seeded from 0, with the surrogate's analytic L unless
-    `estimated`, against `model` or else the surrogate's own operators."""
+    horizon, seeded from 0, with the surrogate's analytic L unless another
+    is given, against `model` or else the surrogate's own operators."""
     horizon = len(disturbance)
     nominal = linear_ensemble(config, horizon, runs, 0)
     disturbed = linear_ensemble(config, horizon, runs, 0, disturbance=disturbance)
@@ -651,7 +610,7 @@ def run_verify(config, disturbance, gamma, gamma_d=0.9, runs=1, estimated=False,
         model or true_model(config.A, config.F),
         gamma,
         gamma_d,
-        lipschitz=None if estimated else NORM_PENALTY_LIPSCHITZ,
+        lipschitz,
     )
     return report
 
@@ -728,15 +687,22 @@ class TestVerifyBounds:
             report = run_verify(config, w, gamma=gamma)
             assert report.violations == (), (trial, report.violations)
 
-    def test_estimated_l_flagged(self):
+    @pytest.mark.parametrize("lipschitz", [math.inf, 0.5])
+    def test_infinite_l_flagged(self, lipschitz):
+        # A reward with no finite Lipschitz constant caps no reward bound,
+        # and the report says why; a finite L leaves both caps finite.
         config = LinearSurrogateConfig(
             A=np.array([[0.5]]), F=np.array([[1.0]]),
             x0_mean=np.array([2.0]), noise_std=0.05,
         )
-        report = run_verify(config, np.zeros((10, 1)), gamma=0.0, runs=3, estimated=True)
-        assert report.l_source == "estimated"
-        assert "estimated-L" in report.flags
+        report = run_verify(config, np.zeros((10, 1)), gamma=0.0, runs=3, lipschitz=lipschitz)
+        bounds = report.bounds
+        caps = (bounds["reward_impact_bound"], bounds["generalization_error_bound"])
+        assert report.inputs.L == lipschitz and report.inputs.Q > 0.0
+        assert all(math.isinf(cap) == math.isinf(lipschitz) for cap in caps)
+        assert ("reward-not-lipschitz" in report.flags) == math.isinf(lipschitz)
         assert "q-from-disturbed-rollouts" in report.flags
+        assert report.to_dict()["l_source"] == "analytic"
 
     def test_single_run_dispersion_flag(self):
         config = LinearSurrogateConfig(

@@ -752,12 +752,64 @@ class TestVerifyAndReport:
         d2.pop("label")
         assert d1 == d2
 
-    def test_uav_verify_smoke(self, tmp_path, uav_config):
-        report_path = self.run_pipeline(tmp_path, uav_config, 1.0, "uav",
-                                        kind="scaled_gaussian_projected")
+    @pytest.mark.parametrize("analytic_l", [None, 0.5])
+    def test_uav_verify_smoke(self, tmp_path, uav_config, analytic_l):
+        # The UAV reward jumps as a user's service switches, so it has no
+        # finite Lipschitz constant: unless analysis.L gives one, L is inf,
+        # both reward caps are inf and the report says why.  The model is
+        # stable, so a finite L gives finite caps.
+        if analytic_l is not None:
+            uav_config.write_text(UAV_CONFIG + f"analysis.L = {analytic_l}\n")
+        n = UavEnvConfig().n
+        model, report_path = tmp_path / "model.json", tmp_path / "report.json"
+        save_model(KoopmanModel(0.5 * np.eye(n), np.full((2, n), 0.01)), model)
+        assert main(["verify", "--config", str(uav_config), str(model), "--gamma", "1.0",
+                     "--out", str(report_path)]) == 0
         doc = json.loads(report_path.read_text())
-        assert doc["l_source"] == "estimated"
+        caps = [doc["reward_impact_bound"], doc["generalization_error_bound"]]
+        if analytic_l is None:
+            assert doc["inputs"]["L"] == "inf" and caps == ["inf", "inf"]
+        else:
+            assert doc["inputs"]["L"] == analytic_l
+            assert all(isinstance(cap, float) and 0.0 < cap < math.inf for cap in caps)
+        assert ("reward-not-lipschitz" in doc["flags"]) == (analytic_l is None)
+        assert "estimated-L" not in doc["flags"] and doc["l_source"] == "analytic"
         assert "reward_impact_pct" in doc["empirical"]
+
+    def test_inadmissible_disturbance_is_an_internal_error(self, tmp_path, capsys,
+                                                           linear_config, monkeypatch):
+        # A generated disturbance above gamma exits 3 before any rollout and
+        # writes no report, steps table or manifest.
+        monkeypatch.setattr(cli, "generate_disturbance",
+                            lambda spec: bounds.generate_disturbance(spec) * 1.01)
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))), model)
+        argv = ["verify", "--config", str(linear_config), str(model), "--gamma", "0.5",
+                "--disturbance-kind", "impulse", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ("internal error: generated disturbance is "
+                                           "inadmissible (sup 0.505 > gamma 0.5)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["linear.cfg", "model.json"]
+
+    @pytest.mark.parametrize("direction, same", [
+        ("[1e200, 1e200]", "[1.0, 1.0]"), ("[1e-200, 0.0]", None),
+    ], ids=["overflow", "underflow"])
+    def test_direction_of_extreme_magnitude(self, tmp_path, direction, same):
+        # A direction whose norm overflowed injected w = 0, and one whose
+        # norm underflowed was refused as zero.  Each verifies as its
+        # direction scaled to 1 (None: the default first axis).
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))), model)
+        written = []
+        for name, value in (("extreme", direction), ("same", same)):
+            config = tmp_path / f"{name}.cfg"
+            line = "" if value is None else f"disturbance.direction = {value}\n"
+            config.write_text(LINEAR_CONFIG + "disturbance.kind = impulse\n" + line)
+            out = tmp_path / f"{name}.json"
+            assert main(["verify", "--config", str(config), str(model), "--out", str(out)]) == 0
+            written.append((out.read_bytes(), out.with_suffix(".steps.csv").read_bytes()))
+        assert written[0] == written[1]
+        assert json.loads(written[0][0])["empirical"]["state_max"] > 0.0
 
     @pytest.mark.parametrize("env", ["uav", "linear"])
     def test_verify_matches_separate_rollouts(self, tmp_path, monkeypatch, env):
@@ -778,7 +830,7 @@ class TestVerifyAndReport:
         if env == "uav":
             rollouts = [uav_ensemble(UavEnvConfig(), "centroid_greedy", 8, 2, 5, disturbance=d)
                         for d in (None, w)]
-            lipschitz = None
+            lipschitz = math.inf
         else:
             surrogate = LinearSurrogateConfig(
                 A=[[0.9, 0.1], [0.0, 0.5]], F=[[1.0, -1.0]], x0_mean=[1.0, 1.0], noise_std=0.02)
@@ -1095,7 +1147,7 @@ class TestMalformedDocuments:
                        "action_max": 0.5, "reward_gap_discounted": 0.5,
                        "reward_nominal_discounted": 4.0, "reward_sum_nominal": 8.0,
                        "reward_sum_disturbed": 7.92, "reward_impact_pct": 1.0},
-            flags=("estimated-L",),
+            flags=("q-from-disturbed-rollouts",),
         )
         assert len(report.violations) == 1
         path = tmp_path / "report.json"
@@ -1114,13 +1166,14 @@ class TestMalformedDocuments:
         # A stored bound must be the value its inputs give.
         ("state_max_bound", 7.0), ("M", 1.0000000000000002), ("reward_impact_bound", "inf"),
         ("generalization_error_bound", "x"),
-        # hinf.value is hinf.upper, and the violations, their rate and the L
-        # source are the values the measurements, bounds and flags give.
+        # hinf.value is hinf.upper, the violations and their rate are the
+        # values the measurements and bounds give, and the L source is
+        # "analytic": a report of a sampled L is refused.
         ("hinf.value", -5.0),
         pytest.param("violations", [["state_max", 1e9, 0.1]], id="violations-edited"),
         pytest.param("violations", [], id="violations-dropped"),
         pytest.param("violations", [["state_max", 2.0, True]], id="violations-boolean-bound"),
-        ("violation_rate", 0.9), ("l_source", "analytic"),
+        ("violation_rate", 0.9), ("l_source", "estimated"),
         # M is 1.0 here, and a boolean is not a number.
         ("M", True),
     ])
@@ -1240,38 +1293,31 @@ class TestParserReuse:
         assert json.loads(second.read_text())["gamma"] == 1.0
 
     def test_commands_that_load_scipy(self, tmp_path, uav_config):
-        # Only a UAV verify's estimated L uses scipy, and it imports it when
-        # it runs, so every README walkthrough command, fit's gain search
-        # included, starts and ends without it.  Each command runs in a fresh
-        # interpreter, as a console script does.
-        def loaded(*argv):
-            """The exit code, and whether scipy and scipy.spatial were loaded,
-            as the last line the command prints."""
-            run = subprocess.run(
-                [sys.executable, "-c", "import sys; from koopbound.cli import main; "
-                 "code = main(sys.argv[1:]); "
-                 "print(code, 'scipy' in sys.modules, 'scipy.spatial' in sys.modules)", *argv],
+        # None does: the library needs numpy alone.  Each command, a UAV
+        # verify and fit's gain search included, runs in a fresh interpreter,
+        # as a console script does, where importing scipy fails.
+        def run(*argv):
+            """The exit code, as the last line the command prints."""
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; sys.modules['scipy'] = None; "
+                 "from koopbound.cli import main; print(main(sys.argv[1:]))", *argv],
                 capture_output=True, text=True, check=True)
-            return run.stdout.splitlines()[-1]
+            return done.stdout.splitlines()[-1]
 
-        config = tmp_path / "surrogate.cfg"
-        config.write_text(README_CONFIG)
-        traj, model, report = (str(tmp_path / name) for name in ("traj.csv", "model.json",
-                                                                 "report.json"))
-        walkthrough = [
-            ["simulate", "--config", str(config), "--out", traj],
-            ["fit", traj, "--out", model],
-            ["analyze", model, "--gamma", "0.5", "--out", str(tmp_path / "analysis.json")],
-            ["verify", "--config", str(config), model, "--gamma", "0.5", "--out", report],
-            ["report", report, "--out", str(tmp_path / "summary.json")],
-        ]
-        for argv in walkthrough:
-            assert loaded(*argv) == "0 False False", argv
-        uav_traj, uav_model = str(tmp_path / "uav.csv"), str(tmp_path / "uav.json")
-        assert loaded("simulate", "--config", str(uav_config), "--out", uav_traj) == "0 False False"
-        assert loaded("fit", uav_traj, "--out", uav_model) == "0 False False"
-        assert loaded("verify", "--config", str(uav_config), uav_model, "--gamma", "0.5",
-                      "--out", str(tmp_path / "uav_report.json")) == "0 True True"
+        linear_config = tmp_path / "surrogate.cfg"
+        linear_config.write_text(README_CONFIG)
+        for env, config in (("linear", linear_config), ("uav", uav_config)):
+            traj, model, report = (str(tmp_path / f"{env}_{name}") for name in
+                                   ("traj.csv", "model.json", "report.json"))
+            commands = [
+                ["simulate", "--config", str(config), "--out", traj],
+                ["fit", traj, "--out", model],
+                ["analyze", model, "--gamma", "0.5", "--out", str(tmp_path / f"{env}_a.json")],
+                ["verify", "--config", str(config), model, "--gamma", "0.5", "--out", report],
+                ["report", report, "--out", str(tmp_path / f"{env}_summary.json")],
+            ]
+            for argv in commands:
+                assert run(*argv) == "0", argv
 
 
 def test_names_perfbench_traces_exist(monkeypatch):

@@ -28,7 +28,6 @@ from koopbound import (
     UavEnvConfig,
     deviation_bounds,
     disturbance_admissible,
-    estimate_lipschitz,
     fit_koopman_model,
     linear_ensemble,
     load_model,
@@ -460,19 +459,11 @@ def disturbance(dim, value):
     return w
 
 
-def lipschitz_of(**replaced):
-    """estimate_lipschitz on three samples, with the arrays named replaced."""
-    arrays = {"states": np.eye(3), "actions": np.zeros((3, 1)), "rewards": np.arange(3.0)}
-    return estimate_lipschitz(**{**arrays, **replaced})
-
-
 # The entry points that take an array in, beside the records: both rollouts'
-# disturbance, the admissibility check and the three sample arrays of the
-# Lipschitz estimate.  Each is built with a complex or a non-finite value, as
-# the records are below.
+# disturbance and the admissibility check.  Each is built with a complex or a
+# non-finite value, as the records are below.
 ENTRY_POINTS = ("linear_ensemble disturbance", "uav_ensemble disturbance",
-                "disturbance_admissible", "estimate_lipschitz states",
-                "estimate_lipschitz actions", "estimate_lipschitz rewards")
+                "disturbance_admissible")
 
 # Each record or entry point given a complex array where it takes real ones,
 # and the field the refusal must name.
@@ -499,10 +490,6 @@ COMPLEX_INPUTS = {
                              disturbance=(None, disturbance(UAV.n, 1j))),
         "disturbance[1]"),
     "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, 1j), 0.5), "w"),
-    "estimate_lipschitz states": (lambda: lipschitz_of(states=np.eye(3) * 1j), "states"),
-    "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[1j], [0.0], [0.0]]),
-                                   "actions"),
-    "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[0.0, 1.0, 2j]), "rewards"),
 }
 
 # Each record or entry point given a NaN or infinite entry, the field the
@@ -532,12 +519,6 @@ NON_FINITE_INPUTS = {
         "disturbance", (1, 0)),
     "disturbance_admissible": (lambda: disturbance_admissible(disturbance(2, np.nan), 0.5),
                                "w", (1, 0)),
-    "estimate_lipschitz states": (lambda: lipschitz_of(states=np.diag([1.0, np.inf, 1.0])),
-                                  "states", (1, 1)),
-    "estimate_lipschitz actions": (lambda: lipschitz_of(actions=[[0.0], [0.0], [-np.inf]]),
-                                   "actions", (2, 0)),
-    "estimate_lipschitz rewards": (lambda: lipschitz_of(rewards=[np.nan, 1.0, 2.0]),
-                                   "rewards", (0,)),
 }
 
 
@@ -1010,7 +991,7 @@ INPUT_FAULTS = {
                        DataError, "direction must be nonzero"),
     "verify model dimensions": (
         lambda _: verify_bounds(*[linear_ensemble(SURROGATE, 3, 2, 0)] * 2,
-                                KoopmanModel(0.5 * np.eye(3), np.ones((1, 3))), 0.5, 0.9),
+                                KoopmanModel(0.5 * np.eye(3), np.ones((1, 3))), 0.5, 0.9, 1.0),
         DimensionMismatchError, "model has (n, m)=(3, 1), data has (2, 1)"),
     "model file n": (model_file_with_n, SchemaError,
                      "model field 'state_operator' has shape (2, 2), expected (3, 3)"),
