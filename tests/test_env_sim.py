@@ -21,9 +21,10 @@ from koopbound import (
     linear_ensemble,
     uav_ensemble,
 )
-from koopbound import env_sim
+from koopbound import cli, env_sim
 from koopbound.env_sim import (
     FAIRNESS_MODES,
+    NORM_PENALTY_LIPSCHITZ,
     ScriptedPolicy,
     _channel,
     _lane_draws,
@@ -32,6 +33,7 @@ from koopbound.env_sim import (
     _spectral_efficiency,
     _step_gu_arrays,
     _sure_count,
+    norm_penalty_reward,
     split_groups,
 )
 
@@ -563,6 +565,62 @@ class TestReward:
                 step = np.linalg.norm(ens.actions[:, k] - ens.states[:, k, -2:], axis=-1)
                 expected = _rewards(served, step > max_step + 1e-9, config)
                 assert np.array_equal(ens.rewards[:, k], expected)
+
+
+class TestRewardLipschitz:
+    @pytest.mark.parametrize("config, constant", [
+        (LinearSurrogateConfig(np.eye(2), np.ones((1, 2)), np.ones(2)), NORM_PENALTY_LIPSCHITZ),
+        (UavEnvConfig(), math.inf),
+    ], ids=["linear", "uav"])
+    def test_declared_constant(self, config, constant):
+        # Each environment declares its reward's L; it is not a field, so no
+        # config key can set it apart from analysis.L.
+        assert config.reward_lipschitz == constant
+        assert "reward_lipschitz" not in {f.name for f in fields(config)}
+        assert not any(key.endswith(".reward_lipschitz") for key in cli._KEYS)
+
+    def test_norm_penalty_slope_within_constant(self):
+        # |r - r'| <= L (|x - x'| + |u - u'|) over random pairs; pairs along
+        # one axis of x meet it, so no smaller constant holds.
+        rng = np.random.default_rng(1)
+        x, u = rng.normal(size=(2, 400, 3)), rng.normal(size=(2, 400, 2))
+        gap = np.abs(norm_penalty_reward(x[0], u[0]) - norm_penalty_reward(x[1], u[1]))
+        distance = np.linalg.norm(x[0] - x[1], axis=1) + np.linalg.norm(u[0] - u[1], axis=1)
+        assert np.all(gap <= NORM_PENALTY_LIPSCHITZ * distance * (1.0 + 1e-12))
+        along = x[0] * np.array([1.0, 0.0, 0.0]), x[0] * np.array([2.0, 0.0, 0.0])
+        gap = np.abs(norm_penalty_reward(along[0], u[0]) - norm_penalty_reward(along[1], u[0]))
+        assert np.allclose(gap, np.abs(x[0, :, 0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("area", [dict(), COMPACT_UAV], ids=["default", "compact"])
+    @pytest.mark.parametrize("moved", ["user", "uav"])
+    def test_uav_reward_jumps_at_the_coverage_edge(self, area, moved):
+        # User 0 at the last covered distance from the UAV, the others far
+        # out of reach; then the user or the UAV a few ulps further apart.
+        # The states differ by under 1e-13 and the rewards by the user's
+        # whole share, so no finite L bounds the reward's slope.
+        config = UavEnvConfig(**area, speed_penalty=0.0)
+        reach = env_sim._planar_reach(config.coverage_radius, config.altitude)
+        state = np.full(config.n, 1e3)
+        state[1], state[-2:] = 30.0, 30.0
+        user = 30.0 + math.sqrt(reach)
+        while (user - 30.0) ** 2 > reach:
+            user = math.nextafter(user, 0.0)
+        while (math.nextafter(user, math.inf) - 30.0) ** 2 <= reach:
+            user = math.nextafter(user, math.inf)
+        state[0] = user
+        further = state.copy()
+        # The user steps right, away from the UAV; the UAV steps left.
+        coordinate, away = (0, math.inf) if moved == "user" else (-2, -math.inf)
+        while (further[0] - further[-2]) ** 2 <= reach:
+            further[coordinate] = math.nextafter(further[coordinate], away)
+
+        pair = np.stack([state, further])
+        served = serve_mask(pair[:, -2:], pair[:, :-2].reshape(2, -1, 2), config)
+        assert served.sum(axis=1).tolist() == [1, 0] and served[0, 0]
+        rewards = _rewards(served, np.zeros(2, dtype=bool), config)
+        distance = np.linalg.norm(state - further)
+        assert 0.0 < distance < 1e-13 and rewards[0] - rewards[1] > 1e-3
+        assert (rewards[0] - rewards[1]) / distance > 1e10
 
 
 class TestScriptedPolicy:
