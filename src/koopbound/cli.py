@@ -119,10 +119,10 @@ _KEYS = {
     "disturbance.direction": _Key(as_numbers, None, "spatial direction of the deterministic kinds"),
     "disturbance.omega": _Key(_number, DisturbanceSpec.omega, "tone frequency of single_tone",
                               kind="finite"),
-    "analysis.gamma_d": _Key(_number, 0.9, "reward discount factor", "gamma_d", "discount factor"),
+    "analysis.gamma_d": _Key(_number, 0.9, "reward discount factor of verify", "gamma_d",
+                             "discount factor"),
     "analysis.rank_tol": _Key(_number, DEFAULT_RANK_TOL, "DMD rank tolerance", "rank_tol",
                               "rank tolerance"),
-    "analysis.L": _Key(_number, None, "analytic reward Lipschitz constant override", kind="level"),
     **{"env." + f.name: _Key({int: as_integer, float: _number, str: as_string}[type(f.default)],
                              f.default, "UavEnvConfig field", kind=_UAV_KINDS.get(f.name))
        for f in fields(UavEnvConfig)},
@@ -290,23 +290,9 @@ def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     model = load_model(args.model)
     gamma = _setting("disturbance.gamma", cfg, args)
-    gamma_d = _setting("analysis.gamma_d", cfg, args)
-    analytic_l = _setting("analysis.L", cfg)
     hinf, kf_hinf = certified_gain(model)
-    doc = {
-        "spectral_radius": hinf.spectral_radius,
-        "hinf": hinf.to_dict(),
-        "Kf_hinf": kf_hinf,
-        "gamma": gamma,
-        "gamma_d": gamma_d,
-        **deviation_bounds(gamma, hinf.value, kf_hinf),
-        "L": analytic_l,
-        "Q": None,
-        "C": None,
-        "reward_impact_bound": None,
-        "generalization_error_bound": None,
-        "pending": "L/Q/C require verification data; run the verify command",
-    }
+    doc = {"gamma": gamma, "hinf": hinf.to_dict(), "Kf_hinf": kf_hinf,
+           **deviation_bounds(gamma, hinf.value, kf_hinf)}
     out = Path(args.out or "analysis.json")
     write_json(doc, out)
     inputs = [args.model] + ([args.config] if args.config else [])
@@ -330,9 +316,6 @@ def cmd_verify(args) -> int:
             f"model {args.model} has (n, m) = ({model.n}, {model.m}), but the {sim.env} "
             f"environment of config {args.config} has ({sim.config.n}, {sim.config.m})")
     gamma_d = _setting("analysis.gamma_d", cfg, args)
-    lipschitz = _setting("analysis.L", cfg)
-    if lipschitz is None:
-        lipschitz = sim.config.reward_lipschitz
     spec = DisturbanceSpec(
         kind=_setting("disturbance.kind", cfg, args),
         gamma=_setting("disturbance.gamma", cfg, args),
@@ -355,7 +338,8 @@ def cmd_verify(args) -> int:
     # One rollout steps the nominal and disturbed runs together on common
     # random numbers; the two ensembles are views of its arrays.
     nominal, disturbed = split_groups(sim.rollout(disturbance=(None, w)), 2)
-    report, table = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d, lipschitz)
+    report, table = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d,
+                                  sim.config.reward_lipschitz)
     label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
     out = Path(args.out or "verify_report.json")
     save_report(report, out, label=label)
@@ -382,6 +366,11 @@ _REPORT_BOUNDS = ("M", "N", "state_energy_bound", "action_energy_bound", "reward
 
 
 def cmd_report(args) -> int:
+    out = Path(args.out or "report.json")
+    csv_path = out.with_suffix(".csv")
+    if csv_path == out:
+        raise ParameterError(f"report --out {out} is also the path of its CSV table; "
+                             "give it a suffix other than .csv")
     rows = []
     for path in args.reports:
         report, label = load_report(path)
@@ -401,9 +390,7 @@ def cmd_report(args) -> int:
             }
         )
     rows.sort(key=lambda r: r["T_hinf"])
-    out = Path(args.out or "report.json")
     write_json({"rows": rows}, out)
-    csv_path = out.with_suffix(".csv")
     columns = list(rows[0].keys())
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -459,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="worst-case gains and deviation bounds of a model")
     common(p)
     p.add_argument("model", help="model JSON from fit")
-    flags(p, "disturbance.gamma", "analysis.gamma_d")
+    flags(p, "disturbance.gamma")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="inject admissible disturbances and check every bound")

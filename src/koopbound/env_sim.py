@@ -200,6 +200,9 @@ class LinearSurrogateConfig:
             raise DimensionMismatchError(
                 f"F must be m x n with n={a.shape[0]}, got shape {f.shape}"
             )
+        for name, arr in (("A", a), ("F", f)):
+            if not arr.size:
+                raise DimensionMismatchError(f"{name} is empty, got shape {arr.shape}")
         if x0.shape[0] != a.shape[0]:
             raise DimensionMismatchError(
                 f"x0_mean has dimension {x0.shape[0]}, expected {a.shape[0]}"

@@ -87,6 +87,10 @@ class KoopmanModel:
         if kf.ndim != 2 or kf.shape[1] != len(kh):
             raise DimensionMismatchError(
                 f"action_operator must be m x {len(kh)}, got shape {kf.shape}")
+        # A model with no state or no action saves a file load_model refuses.
+        for name, arr in (("state_operator", kh), ("action_operator", kf)):
+            if not arr.size:
+                raise DimensionMismatchError(f"{name} is empty, got shape {arr.shape}")
         object.__setattr__(self, "state_operator", kh)
         object.__setattr__(self, "action_operator", kf)
 

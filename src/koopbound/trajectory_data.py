@@ -128,6 +128,11 @@ class TrajectoryEnsemble:
             )
         if k < 1:
             raise InsufficientDataError("empty rollouts: horizon is 0")
+        # With R and K at least 1, an empty array has no components, and a
+        # file saved from it would have a header that load_trajectories refuses.
+        for name, arr in (("states", states), ("actions", actions)):
+            if not arr.size:
+                raise DimensionMismatchError(f"{name} is empty, got shape {arr.shape}")
         if len(np.unique(run_ids)) != r_count:
             raise DataError("duplicate run_id in ensemble")
         for name, arr in (("states", states), ("actions", actions), ("rewards", rewards),

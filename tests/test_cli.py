@@ -476,7 +476,22 @@ class TestAnalyze:
         assert abs(doc["M"] - 5.0) <= 1e-5
         assert abs(doc["N"] - 2.5) <= 1e-5
         assert doc["M"] == doc["state_max_bound"] and doc["N"] == doc["action_max_bound"]
-        assert doc["Q"] is None and doc["reward_impact_bound"] is None
+        # Only its input gamma and what it computes: it wrote gamma_d and L
+        # from the config, null Q, C and reward caps, a copy of the spectral
+        # radius and a "pending" note besides.
+        assert sorted(doc) == ["Kf_hinf", "M", "N", "action_energy_bound", "action_max_bound",
+                               "gamma", "hinf", "state_energy_bound", "state_max_bound"]
+        assert doc["gamma"] == 0.5
+
+    def test_no_discount_factor_flag(self, tmp_path, capsys):
+        # analyze reads no discount factor, so it takes no --gamma-d.
+        path = self.write_model(tmp_path, [[0.9]], [[0.5]])
+        out = tmp_path / "analysis.json"
+        with pytest.raises(SystemExit) as exited:
+            main(["analyze", str(path), "--gamma-d", "0.5", "--out", str(out)])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --gamma-d 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_action_operator(self, tmp_path):
         # A zero action map moves no action, also when the state gain is
@@ -524,13 +539,12 @@ class TestLevels:
     @pytest.mark.parametrize("command, argv, config_line", [
         ("analyze", ["--gamma", "nan"], ""),
         ("analyze", ["--gamma", "inf"], ""),
-        ("analyze", ["--gamma-d", "nan"], ""),
         ("verify", ["--gamma", "nan"], ""),
         ("verify", ["--gamma-d", "nan"], ""),
         ("verify", [], "disturbance.gamma = Infinity\n"),
-        ("analyze", [], "analysis.gamma_d = NaN\n"),
-    ], ids=["analyze-gamma-nan", "analyze-gamma-inf", "analyze-gamma_d-nan", "verify-gamma-nan",
-            "verify-gamma_d-nan", "config-gamma-inf", "config-gamma_d-nan"])
+        ("verify", [], "analysis.gamma_d = NaN\n"),
+    ], ids=["analyze-gamma-nan", "analyze-gamma-inf", "verify-gamma-nan", "verify-gamma_d-nan",
+            "config-gamma-inf", "config-gamma_d-nan"])
     def test_non_finite_level_rejected(self, tmp_path, capsys, command, argv, config_line):
         assert self.run(tmp_path, command, argv, config_line) == 2
         assert "must be finite and non-negative" in capsys.readouterr().err
@@ -549,10 +563,9 @@ class TestLevels:
         return main([command, "--config", str(cfg), str(model), *argv, "--out", str(out)])
 
     @pytest.mark.parametrize("command, argv, config_line", [
-        ("analyze", ["--gamma-d", "1.5"], ""),
         ("verify", ["--gamma-d", "1.0"], ""),
         ("verify", [], "analysis.gamma_d = 1.0\n"),
-    ], ids=["analyze-flag", "verify-flag", "verify-config"])
+    ], ids=["verify-flag", "verify-config"])
     def test_discount_factor_below_one(self, tmp_path, capsys, monkeypatch,
                                        command, argv, config_line):
         # Rejected before any rollout: verify simulates nothing.
@@ -721,6 +734,20 @@ class TestVerifyAndReport:
                 "", f"error: report label {label!r} holds a control character\n")
             assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    def test_report_refuses_a_csv_out(self, tmp_path, linear_config, capsys):
+        # The table goes to <out> with its suffix replaced by .csv, so an
+        # --out ending in .csv wrote the table over the JSON, exited 0 and
+        # listed one output in the manifest.
+        plain = self.run_pipeline(tmp_path, linear_config, 0.5, "plain")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        out = tmp_path / "summary.csv"
+        assert main(["report", str(plain), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: report --out {out} is also the path of its CSV table; give it a "
+                "suffix other than .csv\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_verify_averages_each_group_once(self, tmp_path, monkeypatch):
         # The report's deviations, its Q and C and the steps table all read
         # one mean per ensemble and one per-step table, so each group's
@@ -753,11 +780,12 @@ class TestVerifyAndReport:
         assert d1 == d2
 
     @pytest.mark.parametrize("analytic_l", [None, 0.5])
-    def test_uav_verify_smoke(self, tmp_path, uav_config, analytic_l):
+    def test_uav_verify_smoke(self, tmp_path, capsys, uav_config, analytic_l):
         # The UAV reward jumps as a user's service switches, so it has no
-        # finite Lipschitz constant: unless analysis.L gives one, L is inf,
-        # both reward caps are inf and the report says why.  The model is
-        # stable, so a finite L gives finite caps.
+        # finite Lipschitz constant: L is inf, both reward caps are inf and
+        # the report says why.  A leftover analysis.L line, which once
+        # replaced the declared constant and gave finite caps, is warned
+        # about and changes nothing.
         if analytic_l is not None:
             uav_config.write_text(UAV_CONFIG + f"analysis.L = {analytic_l}\n")
         n = UavEnvConfig().n
@@ -765,14 +793,12 @@ class TestVerifyAndReport:
         save_model(KoopmanModel(0.5 * np.eye(n), np.full((2, n), 0.01)), model)
         assert main(["verify", "--config", str(uav_config), str(model), "--gamma", "1.0",
                      "--out", str(report_path)]) == 0
+        warned = "warning: unknown config key 'analysis.L'" in capsys.readouterr().err
+        assert warned == (analytic_l is not None)
         doc = json.loads(report_path.read_text())
         caps = [doc["reward_impact_bound"], doc["generalization_error_bound"]]
-        if analytic_l is None:
-            assert doc["inputs"]["L"] == "inf" and caps == ["inf", "inf"]
-        else:
-            assert doc["inputs"]["L"] == analytic_l
-            assert all(isinstance(cap, float) and 0.0 < cap < math.inf for cap in caps)
-        assert ("reward-not-lipschitz" in doc["flags"]) == (analytic_l is None)
+        assert doc["inputs"]["L"] == "inf" and caps == ["inf", "inf"]
+        assert "reward-not-lipschitz" in doc["flags"]
         assert "estimated-L" not in doc["flags"] and doc["l_source"] == "analytic"
         assert "reward_impact_pct" in doc["empirical"]
 
@@ -966,17 +992,11 @@ class TestSettingTypes:
     @pytest.mark.parametrize("value", ["true", "x", pytest.param("1" + "0" * 400, id="401-digits")])
     @pytest.mark.parametrize("command, key", [
         ("simulate", "env.altitude"), ("simulate", "linear.noise_std"),
-        ("analyze", "analysis.L"), ("verify", "analysis.L"), ("verify", "disturbance.omega"),
+        ("verify", "disturbance.omega"),
     ])
     def test_number_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
         assert self.run(tmp_path, monkeypatch, command, key, value) == 2
         self.assert_rejected(tmp_path, capsys, key, "must be a number")
-
-    @pytest.mark.parametrize("value", ["-1", "NaN", "Infinity"])
-    @pytest.mark.parametrize("command", ["analyze", "verify"])
-    def test_lipschitz_constant_rejected(self, tmp_path, capsys, monkeypatch, command, value):
-        assert self.run(tmp_path, monkeypatch, command, "analysis.L", value) == 2
-        self.assert_rejected(tmp_path, capsys, "analysis.L", "must be finite and non-negative")
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "linear.A", "[[0.9, true], [0.0, 0.5]]"),

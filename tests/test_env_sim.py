@@ -573,11 +573,12 @@ class TestRewardLipschitz:
         (UavEnvConfig(), math.inf),
     ], ids=["linear", "uav"])
     def test_declared_constant(self, config, constant):
-        # Each environment declares its reward's L; it is not a field, so no
-        # config key can set it apart from analysis.L.
+        # Each environment declares its reward's L, and verify takes it from
+        # there alone: it is not a field, and no config key sets it.
         assert config.reward_lipschitz == constant
         assert "reward_lipschitz" not in {f.name for f in fields(config)}
         assert not any(key.endswith(".reward_lipschitz") for key in cli._KEYS)
+        assert "analysis.L" not in cli._KEYS
 
     def test_norm_penalty_slope_within_constant(self):
         # |r - r'| <= L (|x - x'| + |u - u'|) over random pairs; pairs along

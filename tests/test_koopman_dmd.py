@@ -556,8 +556,6 @@ OUT_OF_RANGE_INPUTS = {
     # A level is finite and non-negative.
     "config disturbance.gamma": (config_value("disturbance.gamma"), "disturbance.gamma",
                                  math.inf, "must be finite and non-negative, got inf"),
-    "config analysis.L": (config_value("analysis.L"), "analysis.L", -1.0,
-                          "must be finite and non-negative, got -1.0"),
     "config linear.noise_std": (config_value("linear.noise_std"), "linear.noise_std", -0.5,
                                 "must be finite and non-negative, got -0.5"),
     "UavEnvConfig gu_speed_std": (lambda v: UavEnvConfig(gu_speed_std=v), "gu_speed_std", -0.5,
@@ -958,6 +956,24 @@ INPUT_FAULTS = {
                                                          np.zeros((1, 2))),
                             DimensionMismatchError,
                             "states/actions must be 3-d (runs x steps x dim) and rewards 2-d"),
+    # A record with no state or no action component saved a file that its
+    # own loader refused.
+    "ensemble without states": (lambda _: TrajectoryEnsemble(np.zeros((2, 4, 0)),
+                                                             np.zeros((2, 3, 1)), np.zeros((2, 3))),
+                                DimensionMismatchError, "states is empty, got shape (2, 4, 0)"),
+    "ensemble without actions": (lambda _: TrajectoryEnsemble(np.zeros((2, 4, 1)),
+                                                              np.zeros((2, 3, 0)),
+                                                              np.zeros((2, 3))),
+                                 DimensionMismatchError, "actions is empty, got shape (2, 3, 0)"),
+    "ensemble without runs or components": (
+        lambda _: TrajectoryEnsemble(np.zeros((0, 4, 0)), np.zeros((0, 3, 0)), np.zeros((0, 3))),
+        InsufficientDataError, "ensemble needs at least one run"),
+    "model 0 x 0 state operator": (lambda _: KoopmanModel(np.zeros((0, 0)), np.zeros((1, 0))),
+                                   DimensionMismatchError,
+                                   "state_operator is empty, got shape (0, 0)"),
+    "model without action rows": (lambda _: KoopmanModel(np.eye(2), np.zeros((0, 2))),
+                                  DimensionMismatchError,
+                                  "action_operator is empty, got shape (0, 2)"),
     "trajectory header malformed": (read_file(load_trajectories, "traj.csv", "run,k,x0\n"),
                                     ParseError, "line 1: malformed header ['run', 'k', 'x0']"),
     "trajectory header out of order": (
@@ -984,6 +1000,12 @@ INPUT_FAULTS = {
     "surrogate x0 length": (lambda _: LinearSurrogateConfig(np.eye(2), np.ones((1, 2)),
                                                             np.ones(3)),
                             DimensionMismatchError, "x0_mean has dimension 3, expected 2"),
+    "surrogate A empty": (lambda _: LinearSurrogateConfig(np.zeros((0, 0)), np.zeros((1, 0)),
+                                                          np.zeros(0)),
+                          DimensionMismatchError, "A is empty, got shape (0, 0)"),
+    "surrogate F empty": (lambda _: LinearSurrogateConfig(np.eye(2), np.zeros((0, 2)),
+                                                          np.ones(2)),
+                          DimensionMismatchError, "F is empty, got shape (0, 2)"),
     "direction length": (lambda _: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
                                                    direction=[1.0, 0.0, 0.0]),
                          DimensionMismatchError, "direction has dimension 3, expected 2"),
