@@ -992,11 +992,37 @@ class TestSettingTypes:
     @pytest.mark.parametrize("value", ["true", "x", pytest.param("1" + "0" * 400, id="401-digits")])
     @pytest.mark.parametrize("command, key", [
         ("simulate", "env.altitude"), ("simulate", "linear.noise_std"),
+        ("analyze", "disturbance.gamma"), ("verify", "analysis.gamma_d"),
         ("verify", "disturbance.omega"),
     ])
     def test_number_key_rejected(self, tmp_path, capsys, monkeypatch, command, key, value):
         assert self.run(tmp_path, monkeypatch, command, key, value) == 2
         self.assert_rejected(tmp_path, capsys, key, "must be a number")
+
+    @pytest.mark.parametrize("value", ["-1", "NaN", "Infinity"])
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_leftover_lipschitz_key_ignored(self, tmp_path, capsys, command, value):
+        # analysis.L once replaced the environment's declared constant, and
+        # these values exited 2.  It is no longer a key: a line setting it is
+        # warned about and changes no byte of the outputs.
+        model = tmp_path / "model.json"
+        save_model(KoopmanModel(state_operator=np.array([[0.9, 0.1], [0.0, 0.5]]),
+                                action_operator=np.array([[1.0, -1.0]])), model)
+        written = {}
+        for name, extra in [("plain", ""), ("leftover", f"analysis.L = {value}\n")]:
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            cfg = run_dir / "run.cfg"
+            cfg.write_text(LINEAR_CONFIG + extra)
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg), str(model),
+                         "--out", str(run_dir / "out.json")]) == 0
+            warned = "warning: unknown config key 'analysis.L'" in capsys.readouterr().err
+            assert warned == (name == "leftover")
+            written[name] = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
+                             if p.name not in ("run.cfg", "out.json.manifest.json")}
+        assert written["plain"] == written["leftover"]
+        assert len(written["plain"]) == (2 if command == "verify" else 1)
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "linear.A", "[[0.9, true], [0.0, 0.5]]"),
