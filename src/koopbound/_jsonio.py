@@ -112,9 +112,10 @@ def as_integer(node, where: str, kind: str | None = None) -> int:
     return int(node) if kind is None else _in_range(int(node), where, kind, SchemaError)
 
 
-# The range test of each kind of scalar, which NaN fails, and the rule it
+# The range test of each kind of number, which NaN fails, and the rule it
 # states; +inf is a vacuous cap, an unstable gain or an endless horizon.  A
-# seed is also an int64, the type an ensemble records its runs' seeds in.
+# seed is also an int64, the type an ensemble records its runs' seeds in.  The
+# kind of a string is the tuple of its allowed names.
 _RANGES = {
     "level": (lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
     "bound level": (lambda v: v >= 0, "must be non-negative"),
@@ -133,13 +134,18 @@ _RANGES = {
 }
 
 
-def _in_range(value, name: str, kind: str, error=ParameterError):
+def _in_range(value, name: str, kind: str | tuple, error=ParameterError):
     """value, unchanged, when it is a number (numpy's too, not a bool, complex or
-    string) in the range of its kind; else an ``error`` naming the field: a
-    ParameterError for a library argument or record field, a SchemaError for
-    a document's number.  Every kind but a count and a seed holds a float, so
-    an integer beyond float range is out of its range (it passes the range
-    test, since 10**400 < inf, and float() of it overflows)."""
+    string) in the range of its kind, or for a tuple kind one of its names;
+    else an ``error`` naming the field: a ParameterError for a library
+    argument or record field, a SchemaError for a document's number.  Every
+    kind but a count and a seed holds a float, so an integer beyond float
+    range is out of its range (it passes the range test, since 10**400 < inf,
+    and float() of it overflows)."""
+    if isinstance(kind, tuple):
+        if not (isinstance(value, str) and value in kind):
+            raise error(f"{name} must be one of {kind}, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a number, got {value!r}")
     test, rule = _RANGES[kind]

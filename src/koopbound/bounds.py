@@ -23,7 +23,6 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     InsufficientDataError,
-    ParameterError,
     SchemaError,
 )
 from .hinf_spectral import HinfReport, TransferFunction, hinf_norm
@@ -87,10 +86,7 @@ class DisturbanceSpec:
     omega: float = math.pi / 4.0
 
     def __post_init__(self):
-        if self.kind not in DISTURBANCE_KINDS:
-            raise ParameterError(
-                f"unknown disturbance kind {self.kind!r}; choose from {DISTURBANCE_KINDS}"
-            )
+        _in_range(self.kind, "kind", DISTURBANCE_KINDS)
         _in_range(self.gamma, "gamma", "level")
         _in_range(self.horizon, "horizon", "count")
         _in_range(self.seed, "seed", "seed")
@@ -198,8 +194,6 @@ def disturbance_admissible(w: np.ndarray, gamma: float) -> AdmissibilityResult:
     w = _frozen_array(w, "w")
     if w.ndim == 1:
         w = w[:, None]
-    if w.size == 0:
-        raise InsufficientDataError("empty disturbance sequence")
     _in_range(gamma, "gamma", "bound level")
     energy = float(np.sum(w * w))
     max_step = float(np.max(np.linalg.norm(w, axis=1)))

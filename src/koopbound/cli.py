@@ -1,10 +1,10 @@
 """Command-line pipeline: simulate, fit, analyze, verify, report.
 
-Every command reads a flat dotted-key config, writes machine-readable output
-(JSON or CSV), and drops a manifest with input/output digests next to each
-output file.  Analysis findings such as an unstable fitted operator or bound
-violations are reported in the output with exit code 0; only I/O and
-validation problems exit nonzero.
+Every command but report reads a flat dotted-key config.  Each writes
+machine-readable output (JSON or CSV) and one manifest with input/output
+digests, beside its first output file.  Analysis findings such as an unstable
+fitted operator or bound violations are reported in the output with exit
+code 0; only I/O and validation problems exit nonzero.
 """
 
 from __future__ import annotations
@@ -93,26 +93,25 @@ class _Key(NamedTuple):
     default: object  # None: unset unless given
     help: str
     flag: str | None = None  # the command-line option that overrides the config line
-    kind: str | None = None  # the range kind of _jsonio._RANGES the value must be in
+    kind: str | tuple | None = None  # the range kind of _jsonio._RANGES, or the allowed names
 
 
 # Every config key a command reads.  The env.* keys are the UavEnvConfig
 # fields, read by their field's type and checked against its range kind; a
 # default taken from a dataclass is the one its library users get.
 _KEYS = {
-    "sim.env": _Key(as_string, None, '"linear" or "uav"', "env"),
+    "sim.env": _Key(as_string, None, "environment", "env", ("linear", "uav")),
     "sim.runs": _Key(as_integer, 64, "runs per ensemble", "runs", "count"),
     "sim.horizon": _Key(as_integer, 100, "steps per run", "horizon", "count"),
     "sim.seed": _Key(as_integer, 0, "master seed; run r uses seed + r", "seed", "seed"),
-    "sim.policy": _Key(as_string, "centroid_greedy", "uav policy: " + " | ".join(POLICY_KINDS),
-                       "policy"),
+    "sim.policy": _Key(as_string, "centroid_greedy", "uav policy", "policy", POLICY_KINDS),
     "linear.A": _Key(as_numbers, None, "state matrix"),
     "linear.F": _Key(as_numbers, None, "policy matrix"),
     "linear.x0": _Key(as_numbers, None, "initial state"),
     "linear.noise_std": _Key(_number, LinearSurrogateConfig.noise_std,
                              "process noise standard deviation", kind="level"),
-    "disturbance.kind": _Key(as_string, "scaled_gaussian_projected", " | ".join(DISTURBANCE_KINDS),
-                             "disturbance_kind"),
+    "disturbance.kind": _Key(as_string, "scaled_gaussian_projected", "disturbance kind",
+                             "disturbance_kind", DISTURBANCE_KINDS),
     "disturbance.gamma": _Key(_number, 1.0, "disturbance level of analyze and verify", "gamma",
                               "level"),
     "disturbance.seed": _Key(as_integer, 0, "disturbance RNG seed", "disturbance_seed", "seed"),
@@ -153,6 +152,8 @@ def _config_key_help() -> str:
     env = []
     for key, entry in _KEYS.items():
         kind = entry.kind or _READER_TYPES[entry.read][0]
+        if isinstance(kind, tuple):
+            kind = "one of " + " | ".join(kind)
         if key.startswith("env."):
             env.append(f"{key[4:]} ({kind})")
         else:
@@ -226,8 +227,6 @@ def _simulation(cfg: dict, args, verify: bool = False) -> _Simulation:
     anything is drawn or allocated: the rollout's state buffer and, for
     verify, both lane groups and the disturbance's spectral grid."""
     env = _setting("sim.env", cfg, args, required=True)
-    if env not in ("linear", "uav"):
-        raise ParameterError(f"sim.env must be 'linear' or 'uav', got {env!r}")
     if env == "linear":
         a, f, x0 = (_setting("linear." + name, cfg, required=True) for name in ("A", "F", "x0"))
         config = LinearSurrogateConfig(A=a, F=f, x0_mean=x0,

@@ -200,9 +200,6 @@ class LinearSurrogateConfig:
             raise DimensionMismatchError(
                 f"F must be m x n with n={a.shape[0]}, got shape {f.shape}"
             )
-        for name, arr in (("A", a), ("F", f)):
-            if not arr.size:
-                raise DimensionMismatchError(f"{name} is empty, got shape {arr.shape}")
         if x0.shape[0] != a.shape[0]:
             raise DimensionMismatchError(
                 f"x0_mean has dimension {x0.shape[0]}, expected {a.shape[0]}"
@@ -334,9 +331,10 @@ def linear_ensemble(
 # ---------------------------------------------------------------------------
 
 
-# The range kind of each numeric UavEnvConfig field, which its constructor
-# checks and the CLI's env.* keys are read by.  Every kind is finite: an
-# infinite altitude, say, would give a run in which nobody is served.
+# The range kind of each UavEnvConfig field, which its constructor checks
+# and the CLI's env.* keys are read by: fairness_mode's is its choices.  Every
+# numeric kind is finite: an infinite altitude, say, would give a run in which
+# nobody is served.
 _UAV_KINDS = {
     **dict.fromkeys(("area_x", "area_y", "altitude", "step_seconds", "uav_max_speed",
                      "coverage_radius", "gu_mean_speed", "bandwidth_hz", "power_watt",
@@ -345,6 +343,7 @@ _UAV_KINDS = {
     **dict.fromkeys(("gu_speed_std", "absorption"), "level"),
     **dict.fromkeys(("gu_keep_direction", "gu_speed_memory", "coverage_weight"), "fraction"),
     **dict.fromkeys(("gu_turn_bias", "speed_penalty"), "finite"),
+    "fairness_mode": FAIRNESS_MODES,
 }
 
 
@@ -385,10 +384,6 @@ class UavEnvConfig:
     def __post_init__(self):
         for name, kind in _UAV_KINDS.items():
             _in_range(getattr(self, name), name, kind)
-        if self.fairness_mode not in FAIRNESS_MODES:
-            raise ParameterError(
-                f"fairness_mode must be one of {FAIRNESS_MODES}, got {self.fairness_mode!r}"
-            )
 
     @property
     def n(self) -> int:
@@ -668,16 +663,14 @@ def _rewards(served: np.ndarray, violation: np.ndarray, config: UavEnvConfig) ->
     penalty.
 
     Fairness is (sum s)^2 / (J^2 sum s^2) as_written; standard uses the
-    conventional J denominator so that full service scores 1.  Both are 0
-    when nobody is served.  A mask is its own square, so one float sum of it
-    is both sums.
+    conventional J denominator so that full service scores 1.  A mask is its
+    own square, so both sums are its served count c, and the fairness is
+    c / J^2 or c / J, rounded once, and 0 when nobody is served.
     """
     count = served.sum(axis=-1, dtype=float)
     j = config.gu_count
     denom = j * j if config.fairness_mode == "as_written" else j
-    fairness = np.divide(
-        count * count, denom * count, out=np.zeros_like(count), where=count != 0.0
-    )
+    fairness = count / denom
     a = config.coverage_weight
     return a * count / j + (1.0 - a) * fairness + config.speed_penalty * violation
 
@@ -694,9 +687,7 @@ class ScriptedPolicy:
     """
 
     def __init__(self, kind: str, config: UavEnvConfig):
-        if kind not in POLICY_KINDS:
-            raise ParameterError(f"policy kind must be one of {POLICY_KINDS}, got {kind!r}")
-        self.kind = kind
+        self.kind = _in_range(kind, "policy kind", POLICY_KINDS)
         self.config = config
         self._smoothed: np.ndarray | None = None
 
@@ -759,6 +750,7 @@ def uav_ensemble(
     split_groups).
     """
     n, j = config.n, config.gu_count
+    policy = ScriptedPolicy(policy_kind, config)
     disturbed, groups, rngs = _plan(disturbance, horizon, runs, master_seed, n)
     lanes = groups * runs
     chunk = min(_NOISE_CHUNK, horizon, max(8, _CROWD_CHUNK_VALUES // (lanes * j)))
@@ -778,7 +770,6 @@ def uav_ensemble(
     gu_disturbed = [(group, w[:, :-2].reshape(horizon, j, 2)) for group, w in disturbed]
     uav_disturbed = [(group, w[:, -2:]) for group, w in disturbed]
 
-    policy = ScriptedPolicy(policy_kind, config)
     states = np.empty((lanes, horizon + 1, n))
     actions = np.empty((lanes, horizon, 2))
     states[:, 0, :-2] = crowd[0].reshape(lanes, -1)

@@ -19,8 +19,10 @@ class DataError(KoopboundError):
 
 
 class InsufficientDataError(KoopboundError):
-    """Too little data for the requested computation: an empty collection,
-    too few samples, runs or steps, or an identically zero snapshot matrix."""
+    """Too little data for the requested computation: an array with no
+    entries (each array check names the field and its shape), a trajectory
+    file with no data rows, too few runs or snapshot columns, or an
+    identically zero snapshot matrix."""
 
 
 class ParameterError(KoopboundError):

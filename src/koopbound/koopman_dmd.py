@@ -63,9 +63,9 @@ class KoopmanModel:
     file's gain block, never by the constructor, so a model built or
     replaced in code starts without them.  Models compare by identity.
 
-    The constructor checks the operators (real and finite, Kh square, Kf with
-    n columns) and holds every array read-only, so a gain once set always
-    describes the operators beside it.
+    The constructor checks the operators (real, finite and non-empty, Kh
+    square, Kf with n columns) and holds every array read-only, so a gain
+    once set always describes the operators beside it.
     """
 
     state_operator: np.ndarray
@@ -87,10 +87,6 @@ class KoopmanModel:
         if kf.ndim != 2 or kf.shape[1] != len(kh):
             raise DimensionMismatchError(
                 f"action_operator must be m x {len(kh)}, got shape {kf.shape}")
-        # A model with no state or no action saves a file load_model refuses.
-        for name, arr in (("state_operator", kh), ("action_operator", kf)):
-            if not arr.size:
-                raise DimensionMismatchError(f"{name} is empty, got shape {arr.shape}")
         object.__setattr__(self, "state_operator", kh)
         object.__setattr__(self, "action_operator", kf)
 
@@ -260,10 +256,10 @@ def _eigenvalues_field(node, n: int) -> np.ndarray:
     they are finite, as KoopmanModel checks the operators."""
     where = "model field 'eigenvalues'"
     pairs = as_numbers(node, where)
-    if pairs.shape not in ((0,), (len(pairs), 2)) or len(pairs) > n:
-        raise SchemaError(f"{where} must be a list of at most n = {n} [re, im] pairs")
+    if pairs.shape != (len(pairs), 2) or len(pairs) > n:
+        raise SchemaError(f"{where} must be a list of 1 to n = {n} [re, im] pairs")
     # A view, not re + 1j * im, which would lose the sign of a zero imaginary part.
-    return pairs.reshape(-1, 2).view(np.complex128)[:, 0]
+    return pairs.view(np.complex128)[:, 0]
 
 
 def _nullable(read, node, where: str, kind: str):

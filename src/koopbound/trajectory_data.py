@@ -45,7 +45,8 @@ def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
     Anything but numbers (bools, strings, objects), complex values for a
     real dtype, values an integer dtype cannot hold exactly, and NaN or
     infinite entries raise DataError naming the field instead of becoming a
-    plausible wrong number."""
+    plausible wrong number; an array with no entries raises
+    InsufficientDataError."""
     if not (isinstance(values, np.ndarray) and values.dtype == dtype and _read_only(values)):
         given = np.asarray(values)
         kind = given.dtype.kind
@@ -69,6 +70,8 @@ def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
                                 f"{given[index].item()!r} at index {index}")
         values = np.array(given, dtype=dtype)
         values.setflags(write=False)
+    if not values.size:
+        raise InsufficientDataError(f"{name} is empty, got shape {values.shape}")
     if not np.isfinite(values).all():
         index = _first_false(np.isfinite(values))
         raise DataError(f"{name} holds a non-finite value at index {index}")
@@ -107,8 +110,6 @@ class TrajectoryEnsemble:
                 "states/actions must be 3-d (runs x steps x dim) and rewards 2-d"
             )
         r_count = len(states)
-        if r_count == 0:
-            raise InsufficientDataError("ensemble needs at least one run")
         run_ids = np.arange(r_count) if self.run_ids is None else self.run_ids
         seeds = np.full(r_count, -1) if self.seeds is None else self.seeds
         run_ids = _frozen_array(run_ids, "run_ids", np.int64)
@@ -126,13 +127,6 @@ class TrajectoryEnsemble:
                 f"run_ids and seeds (R,); got {states.shape}, {actions.shape}, "
                 f"{rewards.shape}, {run_ids.shape}, {seeds.shape}"
             )
-        if k < 1:
-            raise InsufficientDataError("empty rollouts: horizon is 0")
-        # With R and K at least 1, an empty array has no components, and a
-        # file saved from it would have a header that load_trajectories refuses.
-        for name, arr in (("states", states), ("actions", actions)):
-            if not arr.size:
-                raise DimensionMismatchError(f"{name} is empty, got shape {arr.shape}")
         if len(np.unique(run_ids)) != r_count:
             raise DataError("duplicate run_id in ensemble")
         for name, arr in (("states", states), ("actions", actions), ("rewards", rewards),

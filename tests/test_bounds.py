@@ -88,7 +88,7 @@ class TestAdmissibility:
             assert abs(result.energy - freq_energy) <= 1e-8 * max(result.energy, 1e-30)
 
     def test_empty_sequence(self):
-        with pytest.raises(InsufficientDataError, match="^empty disturbance sequence$"):
+        with pytest.raises(InsufficientDataError, match=r"^w is empty, got shape \(0, 2\)$"):
             disturbance_admissible(np.zeros((0, 2)), 1.0)
 
     def test_one_dimensional_sequence_is_a_column(self):

@@ -976,9 +976,26 @@ class TestSettingTypes:
         assert capsys.readouterr().err.startswith(f"error: {key} must be an integer")
         assert not (tmp_path / "out").exists()
 
+    # sim.policy was checked by the UAV rollout only, after verify had drawn
+    # its disturbance, and the error named the policy kind, not the key.
+    @pytest.mark.parametrize("command, key, value, choices", [
+        ("verify", "sim.policy", "bogus", env_sim.POLICY_KINDS),
+        ("simulate", "env.fairness_mode", "jain", env_sim.FAIRNESS_MODES),
+    ])
+    def test_name_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, command, key,
+                                           value, choices):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "generate_disturbance", no_work)
+        monkeypatch.setattr(env_sim, "_plan", no_work)
+        assert self.run(tmp_path, monkeypatch, command, key, value) == 2
+        self.assert_rejected(tmp_path, capsys, key, f"must be one of {choices}, got '{value}'")
+
     def test_unknown_env_rejected(self, tmp_path, capsys, monkeypatch):
         assert self.run(tmp_path, monkeypatch, "simulate", "sim.env", "foo") == 2
-        self.assert_rejected(tmp_path, capsys, "sim.env", "must be 'linear' or 'uav', got 'foo'")
+        self.assert_rejected(tmp_path, capsys, "sim.env",
+                             "must be one of ('linear', 'uav'), got 'foo'")
 
     @pytest.mark.parametrize("command, key", [
         ("simulate", "sim.seed"), ("verify", "sim.seed"), ("verify", "disturbance.seed"),

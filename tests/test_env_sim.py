@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from typing import NamedTuple
@@ -659,6 +660,16 @@ class TestScriptedPolicy:
         with pytest.raises(ParameterError):
             ScriptedPolicy("pd_control", UavEnvConfig())
 
+    def test_unknown_kind_refused_before_the_rollout_plan(self, monkeypatch):
+        # The rollout checked the kind after _plan had made its generators.
+        def no_plan(*args, **kwargs):
+            raise AssertionError("rollout planned")
+
+        monkeypatch.setattr(env_sim, "_plan", no_plan)
+        rule = rf"^policy kind must be one of {re.escape(str(POLICY_KINDS))}, got 'pd_control'$"
+        with pytest.raises(ParameterError, match=rule):
+            uav_ensemble(UavEnvConfig(gu_count=2), "pd_control", 3, 1, 0)
+
 
 class TestUavRollout:
     def test_determinism(self):
@@ -794,9 +805,10 @@ class TestUavConfig:
         assert config.coverage_radius == 50.0
 
     def test_every_number_has_a_range_kind(self):
-        # The one table the constructor and the CLI's env.* keys check.
-        numbers = {f.name for f in fields(UavEnvConfig) if f.name != "fairness_mode"}
-        assert set(env_sim._UAV_KINDS) == numbers
+        # The one table the constructor and the CLI's env.* keys check; the
+        # kind of the one string field is its choices.
+        assert set(env_sim._UAV_KINDS) == {f.name for f in fields(UavEnvConfig)}
+        assert env_sim._UAV_KINDS["fairness_mode"] == FAIRNESS_MODES
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -336,11 +336,6 @@ class TestModelSerialization:
         assert pairs == [[0.5, 0.25], [0.1, 0.0]]
         assert math.copysign(1.0, pairs[1][1]) == -1.0
 
-    def test_empty_eigenvalue_list_loads(self, tmp_path):
-        self.with_eigenvalues(tmp_path / "model.json", [])
-        eigenvalues = load_model(tmp_path / "model.json").eigenvalues
-        assert eigenvalues.shape == (0,) and eigenvalues.dtype == np.complex128
-
     def test_rank_deficient_fit(self):
         model = fitted(rank_deficient=True)
         assert (model.n, model.rank, len(model.eigenvalues)) == (3, 2, 2)
@@ -930,21 +925,25 @@ def read_file(load, name, text):
     return read
 
 
-def model_file_with_n(tmp_path):
-    """load_model of a 2-state model's file whose n field says 3."""
-    path = tmp_path / "model.json"
-    save_model(KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))), path)
-    doc = json.loads(path.read_text())
-    doc["n"] = 3
-    path.write_text(json.dumps(doc))
-    return load_model(path)
+def model_file_with(key, value):
+    """A load_model of a 2-state model's file whose field key holds value,
+    given its directory."""
+    def read(tmp_path):
+        path = tmp_path / "model.json"
+        save_model(KoopmanModel(0.5 * np.eye(2), np.ones((1, 2))), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        return load_model(path)
+    return read
 
 
 TRAJECTORY_HEADER = "run,k,x0,u0,r\n"
 
 # Each shape and format check of a config file, a trajectory file or array,
-# a surrogate, a disturbance direction, verify's model and a model file: a
-# function of a scratch directory that trips it, the error and its message.
+# a surrogate, a disturbance direction, verify's model and a model file, and
+# an empty array at each entry point of _frozen_array: a function of a scratch
+# directory that trips it, the error and its message.
 INPUT_FAULTS = {
     "config line without =": (read_file(load_flat_config, "run.cfg", "sim.env linear\n"),
                               ParseError, "line 1: expected 'key = value', got 'sim.env linear'"),
@@ -960,19 +959,30 @@ INPUT_FAULTS = {
     # own loader refused.
     "ensemble without states": (lambda _: TrajectoryEnsemble(np.zeros((2, 4, 0)),
                                                              np.zeros((2, 3, 1)), np.zeros((2, 3))),
-                                DimensionMismatchError, "states is empty, got shape (2, 4, 0)"),
+                                InsufficientDataError, "states is empty, got shape (2, 4, 0)"),
     "ensemble without actions": (lambda _: TrajectoryEnsemble(np.zeros((2, 4, 1)),
                                                               np.zeros((2, 3, 0)),
                                                               np.zeros((2, 3))),
-                                 DimensionMismatchError, "actions is empty, got shape (2, 3, 0)"),
+                                 InsufficientDataError, "actions is empty, got shape (2, 3, 0)"),
     "ensemble without runs or components": (
         lambda _: TrajectoryEnsemble(np.zeros((0, 4, 0)), np.zeros((0, 3, 0)), np.zeros((0, 3))),
-        InsufficientDataError, "ensemble needs at least one run"),
+        InsufficientDataError, "states is empty, got shape (0, 4, 0)"),
+    "ensemble without steps": (
+        lambda _: TrajectoryEnsemble(np.zeros((2, 1, 1)), np.zeros((2, 0, 1)), np.zeros((2, 0))),
+        InsufficientDataError, "actions is empty, got shape (2, 0, 1)"),
+    "ensemble without rewards": (lambda _: TrajectoryEnsemble(np.zeros((2, 4, 1)),
+                                                              np.zeros((2, 3, 1)),
+                                                              np.zeros((2, 0))),
+                                 InsufficientDataError, "rewards is empty, got shape (2, 0)"),
+    "ensemble without run ids": (lambda _: two_runs(run_ids=[]), InsufficientDataError,
+                                 "run_ids is empty, got shape (0,)"),
+    "ensemble without seeds": (lambda _: two_runs(seeds=[]), InsufficientDataError,
+                               "seeds is empty, got shape (0,)"),
     "model 0 x 0 state operator": (lambda _: KoopmanModel(np.zeros((0, 0)), np.zeros((1, 0))),
-                                   DimensionMismatchError,
+                                   InsufficientDataError,
                                    "state_operator is empty, got shape (0, 0)"),
     "model without action rows": (lambda _: KoopmanModel(np.eye(2), np.zeros((0, 2))),
-                                  DimensionMismatchError,
+                                  InsufficientDataError,
                                   "action_operator is empty, got shape (0, 2)"),
     "trajectory header malformed": (read_file(load_trajectories, "traj.csv", "run,k,x0\n"),
                                     ParseError, "line 1: malformed header ['run', 'k', 'x0']"),
@@ -1002,10 +1012,28 @@ INPUT_FAULTS = {
                             DimensionMismatchError, "x0_mean has dimension 3, expected 2"),
     "surrogate A empty": (lambda _: LinearSurrogateConfig(np.zeros((0, 0)), np.zeros((1, 0)),
                                                           np.zeros(0)),
-                          DimensionMismatchError, "A is empty, got shape (0, 0)"),
+                          InsufficientDataError, "A is empty, got shape (0, 0)"),
     "surrogate F empty": (lambda _: LinearSurrogateConfig(np.eye(2), np.zeros((0, 2)),
                                                           np.ones(2)),
-                          DimensionMismatchError, "F is empty, got shape (0, 2)"),
+                          InsufficientDataError, "F is empty, got shape (0, 2)"),
+    "surrogate x0 empty": (lambda _: LinearSurrogateConfig(np.eye(2), np.ones((1, 2)),
+                                                           np.zeros(0)),
+                           InsufficientDataError, "x0_mean is empty, got shape (0,)"),
+    "rollout disturbance empty": (
+        lambda _: linear_ensemble(SURROGATE, 3, 2, 0, disturbance=np.zeros((0, 2))),
+        InsufficientDataError, "disturbance is empty, got shape (0, 2)"),
+    "rollout disturbance group empty": (
+        lambda _: uav_ensemble(UAV, "centroid_greedy", 3, 2, 0,
+                               disturbance=(None, np.zeros((3, 0)))),
+        InsufficientDataError, "disturbance[1] is empty, got shape (3, 0)"),
+    "admissibility of an empty sequence": (
+        lambda _: disturbance_admissible(np.zeros((0, 2)), 1.0),
+        InsufficientDataError, "w is empty, got shape (0, 2)"),
+    "direction empty": (lambda _: DisturbanceSpec("impulse", 1.0, 3, 0, 2, direction=[]),
+                        InsufficientDataError, "direction is empty, got shape (0,)"),
+    # hinf_norm of it raised numpy's bare ValueError.
+    "resolvent of a 0 x 0 matrix": (lambda _: TransferFunction.resolvent(np.zeros((0, 0))),
+                                    InsufficientDataError, "matrix is empty, got shape (0, 0)"),
     "direction length": (lambda _: DisturbanceSpec("impulse", 1.0, 3, 0, 2,
                                                    direction=[1.0, 0.0, 0.0]),
                          DimensionMismatchError, "direction has dimension 3, expected 2"),
@@ -1015,8 +1043,12 @@ INPUT_FAULTS = {
         lambda _: verify_bounds(*[linear_ensemble(SURROGATE, 3, 2, 0)] * 2,
                                 KoopmanModel(0.5 * np.eye(3), np.ones((1, 3))), 0.5, 0.9, 1.0),
         DimensionMismatchError, "model has (n, m)=(3, 1), data has (2, 1)"),
-    "model file n": (model_file_with_n, SchemaError,
+    "model file n": (model_file_with("n", 3), SchemaError,
                      "model field 'state_operator' has shape (2, 2), expected (3, 3)"),
+    # It loaded, though a fit always has at least one eigenvalue.
+    "model file without eigenvalues": (model_file_with("eigenvalues", []), SchemaError,
+                                       "model field 'eigenvalues' must be a list of 1 to n = 2 "
+                                       "[re, im] pairs"),
 }
 
 

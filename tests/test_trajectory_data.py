@@ -122,7 +122,8 @@ class TestTrajectoryValidation:
         ens = scalar_ensemble([1.0, 2.0], [3.0, 4.0])
         assert ens.run_ids.tolist() == [0, 1] and ens.seeds.tolist() == [-1, -1]
         assert (ens.r_count, ens.horizon, ens.n, ens.m) == (2, 1, 1, 1)
-        with pytest.raises(InsufficientDataError, match="^ensemble needs at least one run$"):
+        with pytest.raises(InsufficientDataError,
+                           match=r"^states is empty, got shape \(0, 2, 1\)$"):
             TrajectoryEnsemble(states=np.zeros((0, 2, 1)), actions=np.zeros((0, 1, 1)),
                                rewards=np.zeros((0, 1)))
         with pytest.raises(InsufficientDataError):
