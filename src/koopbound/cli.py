@@ -2,7 +2,8 @@
 
 Every command but report reads a flat dotted-key config.  Each writes
 machine-readable output (JSON or CSV) and one manifest with input/output
-digests, beside its first output file.  Analysis findings such as an unstable
+digests, beside its first output file; no output may be one of its inputs
+or another of its outputs.  Analysis findings such as an unstable
 fitted operator or bound violations are reported in the output with exit
 code 0; only I/O and validation problems exit nonzero.
 """
@@ -14,6 +15,7 @@ import csv
 import datetime
 import functools
 import hashlib
+import os
 import sys
 import textwrap
 import time
@@ -177,21 +179,52 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _manifest_path(out: Path) -> Path:
+    return out.with_name(out.name + ".manifest.json")
+
+
+def _inputs(args, *positional: tuple) -> list:
+    """The (option, path) pairs of the files a command reads: its positional
+    files, then its config when it has one."""
+    config = getattr(args, "config", None)
+    return [*positional, *([("--config", config)] if config else [])]
+
+
+def _check_outputs(command: str, inputs: list, out: Path, tables: tuple = ()) -> None:
+    """Refuse, before anything is read or written, an output that resolves to
+    one of the command's inputs or to another of its outputs.  The outputs
+    are ``out``, the (name, path) ``tables`` named after it, and the
+    manifest named after it, which no other path can be."""
+    for name, path in tables:
+        if path == out:
+            raise ParameterError(f"{command} --out {out} is also the path of its {name}; "
+                                 f"give it a suffix other than {out.suffix}")
+    # realpath, not Path.resolve: a symlink loop is left to the write's
+    # OSError rather than raising RuntimeError here.
+    read = {os.path.realpath(path): f"{option} {path}" for option, path in inputs}
+    for name, path in ((None, out), *tables, ("manifest", _manifest_path(out))):
+        clash = read.get(os.path.realpath(path))
+        if clash:
+            written = "" if name is None else f" with its {name} {path}"
+            raise ParameterError(f"{command} --out {out} would overwrite its input "
+                                 f"{clash}{written}")
+
+
 def _write_manifest(command: str, config_path, seed, inputs, outputs, **stats) -> None:
-    """Write the manifest of one command next to its first output; ``stats``
-    are the command's own timings and counts."""
+    """Write the manifest of one command next to its first output; ``inputs``
+    are its (option, path) pairs, and ``stats`` the command's own timings
+    and counts."""
     manifest = {
         "command": command,
         "config": str(config_path) if config_path else None,
         "master_seed": seed,
         "tool_version": __version__,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): _sha256(p) for _, p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         **stats,
     }
-    first_out = Path(outputs[0])
-    write_json(manifest, first_out.with_name(first_out.name + ".manifest.json"))
+    write_json(manifest, _manifest_path(Path(outputs[0])))
 
 
 def _load_config(args) -> dict:
@@ -244,14 +277,14 @@ def _simulation(cfg: dict, args, verify: bool = False) -> _Simulation:
 
 
 def cmd_simulate(args) -> int:
+    inputs, out = _inputs(args), Path(args.out or "trajectories.csv")
+    _check_outputs("simulate", inputs, out)
     cfg = _load_config(args)
     sim = _simulation(cfg, args)
     ensemble = sim.rollout()
-    out = Path(args.out or "trajectories.csv")
     start = time.perf_counter()
     fallback = save_trajectories(ensemble, out)
     save_s = time.perf_counter() - start
-    inputs = [args.config] if args.config else []
     values = ensemble.states.size + ensemble.actions.size + ensemble.rewards.size
     _write_manifest("simulate", args.config, sim.seed, inputs, [out],
                     trajectory_writer={"seconds": save_s, "values": values,
@@ -262,6 +295,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    inputs = _inputs(args, ("trajectories", args.trajectories))
+    out = Path(args.out or "model.json")
+    _check_outputs("fit", inputs, out)
     cfg = _load_config(args)
     rank_tol = _setting("analysis.rank_tol", cfg, args)
     ensemble = load_trajectories(args.trajectories)
@@ -271,9 +307,7 @@ def cmd_fit(args) -> int:
     start = time.perf_counter()
     hinf = certified_gain(model).hinf
     search_s = time.perf_counter() - start
-    out = Path(args.out or "model.json")
     save_model(model, out)
-    inputs = [args.trajectories] + ([args.config] if args.config else [])
     _write_manifest("fit", args.config, None, inputs, [out],
                     gain_search={"seconds": search_s, "iterations": hinf.iterations})
     print(
@@ -286,15 +320,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    inputs, out = _inputs(args, ("model", args.model)), Path(args.out or "analysis.json")
+    _check_outputs("analyze", inputs, out)
     cfg = _load_config(args)
     model = load_model(args.model)
     gamma = _setting("disturbance.gamma", cfg, args)
     hinf, kf_hinf = certified_gain(model)
     doc = {"gamma": gamma, "hinf": hinf.to_dict(), "Kf_hinf": kf_hinf,
            **deviation_bounds(gamma, hinf.value, kf_hinf)}
-    out = Path(args.out or "analysis.json")
     write_json(doc, out)
-    inputs = [args.model] + ([args.config] if args.config else [])
     _write_manifest("analyze", args.config, None, inputs, [out])
     if not hinf.converged:
         print(
@@ -307,6 +341,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    inputs, out = _inputs(args, ("model", args.model)), Path(args.out or "verify_report.json")
+    steps_path = out.with_suffix(".steps.csv")
+    _check_outputs("verify", inputs, out, (("steps table", steps_path),))
     cfg = _load_config(args)
     model = load_model(args.model)
     sim = _simulation(cfg, args, verify=True)
@@ -340,11 +377,8 @@ def cmd_verify(args) -> int:
     report, table = verify_bounds(nominal, disturbed, model, spec.gamma, gamma_d,
                                   sim.config.reward_lipschitz)
     label = args.label or (f"uav:{sim.policy}" if sim.env == "uav" else sim.env)
-    out = Path(args.out or "verify_report.json")
     save_report(report, out, label=label)
-    steps_path = out.with_suffix(".steps.csv")
     write_per_step_table(table, steps_path)
-    inputs = [args.model] + ([args.config] if args.config else [])
     _write_manifest("verify", args.config, sim.seed, inputs, [out, steps_path])
     if report.violations:
         print(
@@ -367,9 +401,8 @@ _REPORT_BOUNDS = ("M", "N", "state_energy_bound", "action_energy_bound", "reward
 def cmd_report(args) -> int:
     out = Path(args.out or "report.json")
     csv_path = out.with_suffix(".csv")
-    if csv_path == out:
-        raise ParameterError(f"report --out {out} is also the path of its CSV table; "
-                             "give it a suffix other than .csv")
+    inputs = [("reports", path) for path in args.reports]
+    _check_outputs("report", inputs, out, (("CSV table", csv_path),))
     rows = []
     for path in args.reports:
         report, label = load_report(path)
@@ -395,7 +428,7 @@ def cmd_report(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([row[c] for c in columns] for row in rows)
-    _write_manifest("report", None, None, list(args.reports), [out, csv_path])
+    _write_manifest("report", None, None, inputs, [out, csv_path])
     header = f"{'label':<24}{'T_hinf':>14}{'Kf_hinf':>12}{'impact_pct':>12}"
     print(header)
     for row in rows:

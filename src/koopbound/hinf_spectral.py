@@ -26,10 +26,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ._jsonio import as_integer, as_number, as_object, encodes
-from .errors import DivergenceError, ParameterError, SchemaError
+from .errors import DimensionMismatchError, DivergenceError, SchemaError
 from .trajectory_data import _frozen_array
-
-RESOLVENT = "resolvent"
 
 # Spectral radius this close to 1 still yields a finite norm, but the value
 # is dominated by fit noise in the operator, so the report is flagged.
@@ -49,20 +47,17 @@ _MAX_ITERATIONS = 100
 
 @dataclass(frozen=True, eq=False)
 class TransferFunction:
-    """The resolvent (zI - K)^-1 of a square real K, held read-only, with K's
-    eigenvalues as its poles; ``kind`` is always RESOLVENT."""
+    """The resolvent (zI - K)^-1 of a square real K, held read-only."""
 
-    kind: str
+    kind = "resolvent"  # a class attribute, not a field: perfbench's tracer reads it
     matrix: np.ndarray
-    poles: np.ndarray
 
     @classmethod
     def resolvent(cls, k: np.ndarray) -> "TransferFunction":
         k = _frozen_array(k, "matrix")
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ParameterError(f"resolvent needs a square matrix, got shape {k.shape}")
-        poles = np.linalg.eigvals(k)
-        return cls(kind=RESOLVENT, matrix=k, poles=_frozen_array(poles, "poles", poles.dtype))
+            raise DimensionMismatchError(f"resolvent needs a square matrix, got shape {k.shape}")
+        return cls(matrix=k)
 
 
 @dataclass(frozen=True)
@@ -196,9 +191,12 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
     does not exceed the slack.  The report is ill-conditioned too when a
     level's shift point clears it by no more than the slack.
     """
-    rho = float(np.max(np.abs(tf.poles)))
+    k = tf.matrix
+    poles = np.linalg.eigvals(k)
+    poles = _frozen_array(poles, "poles", poles.dtype)
+    rho = float(np.max(np.abs(poles)))
     if rho >= 1.0:
-        dominant = tf.poles[int(np.argmax(np.abs(tf.poles)))]
+        dominant = poles[int(np.argmax(np.abs(poles)))]
         return HinfReport(
             lower=float("inf"),
             upper=float("inf"),
@@ -209,12 +207,11 @@ def hinf_norm(tf: TransferFunction) -> HinfReport:
             ill_conditioned=True,
         )
 
-    k = tf.matrix
     # Backward error of one SVD of e^{jw} I - K, the round-off allowed when a
     # candidate crossing is checked against the level.
     slack = float(k.shape[0] * np.finfo(float).eps * (1.0 + np.linalg.norm(k)))
     ill_conditioned = rho >= 1.0 - _ILL_CONDITIONED_BAND
-    points = np.unique(np.concatenate(([0.0, math.pi], np.abs(np.angle(tf.poles)))))
+    points = np.unique(np.concatenate(([0.0, math.pi], np.abs(np.angle(poles)))))
     values = _singular_values(k, points)[:, -1]
     # sigma_min at z = +1 and -1, the first and last of the sorted points.
     real = (1.0, float(values[0])) if values[0] >= values[-1] else (-1.0, float(values[-1]))

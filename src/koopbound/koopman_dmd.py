@@ -251,11 +251,17 @@ def _matrix_field(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return matrix
 
 
-def _eigenvalues_field(node, n: int) -> np.ndarray:
-    """The [re, im] pairs as complex values; _with_diagnostics checks that
-    they are finite, as KoopmanModel checks the operators."""
+def _eigenvalues_field(node, n: int, rank: int | None) -> np.ndarray:
+    """The [re, im] pairs as complex values: exactly ``rank`` of them, one
+    per row of a fit's reduced operator, and 1 to n for a model saved without
+    a fit (null ``rank``).  _with_diagnostics checks that they are finite,
+    as KoopmanModel checks the operators."""
+    if rank is not None and rank > n:
+        raise SchemaError(f"model field 'rank' is {rank}, above n = {n}")
     where = "model field 'eigenvalues'"
     pairs = as_numbers(node, where)
+    if rank is not None and pairs.shape != (rank, 2):
+        raise SchemaError(f"{where} must be a list of rank = {rank} [re, im] pairs")
     if pairs.shape != (len(pairs), 2) or len(pairs) > n:
         raise SchemaError(f"{where} must be a list of 1 to n = {n} [re, im] pairs")
     # A view, not re + 1j * im, which would lose the sign of a zero imaginary part.
@@ -272,11 +278,12 @@ def _model_from_dict(doc) -> KoopmanModel:
         "residuals", "snapshot_columns", "r_count"))
     n, m = as_integer(doc["n"], "model field 'n'"), as_integer(doc["m"], "model field 'm'")
     residuals = as_object(doc["residuals"], "model field 'residuals'", ("state", "action"))
+    rank = _nullable(as_integer, doc["rank"], "rank", "count")
     model = _with_diagnostics(
         KoopmanModel(_matrix_field(doc, "state_operator", (n, n)),
                      _matrix_field(doc, "action_operator", (m, n))),
-        eigenvalues=_eigenvalues_field(doc["eigenvalues"], n),
-        rank=_nullable(as_integer, doc["rank"], "rank", "count"),
+        eigenvalues=_eigenvalues_field(doc["eigenvalues"], n, rank),
+        rank=rank,
         rank_tol=_nullable(as_number, doc["rank_tol"], "rank_tol", "rank tolerance"),
         snapshot_columns=_nullable(as_integer, doc["snapshot_columns"], "snapshot_columns",
                                    "count"),

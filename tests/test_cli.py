@@ -872,6 +872,46 @@ class TestVerifyAndReport:
                 == (tmp_path / "expected.steps.csv").read_bytes())
 
 
+class TestOutputsAreNotInputs:
+    """An output that resolves to one of the command's inputs exits 2 before
+    anything is read or written; each case exited 0 over its input."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--config", "c.cfg", "--out", "c.cfg"],
+         "simulate --out c.cfg would overwrite its input --config c.cfg"),
+        (["fit", "t.csv", "--out", "t.csv"],
+         "fit --out t.csv would overwrite its input trajectories t.csv"),
+        (["fit", "t.csv", "--out", "{tmp}/t.csv"],
+         "fit --out {tmp}/t.csv would overwrite its input trajectories t.csv"),
+        (["analyze", "m.json", "--out", "m.json"],
+         "analyze --out m.json would overwrite its input model m.json"),
+        (["analyze", "m.json", "--config", "a.json.manifest.json", "--out", "a.json"],
+         "analyze --out a.json would overwrite its input --config a.json.manifest.json with "
+         "its manifest a.json.manifest.json"),
+        (["verify", "--config", "c.cfg", "m.json", "--out", "m.json"],
+         "verify --out m.json would overwrite its input model m.json"),
+        (["verify", "--config", "v.steps.csv", "m.json", "--out", "v.json"],
+         "verify --out v.json would overwrite its input --config v.steps.csv with its steps "
+         "table v.steps.csv"),
+        (["report", "r.json", "--out", "r.json"],
+         "report --out r.json would overwrite its input reports r.json"),
+    ], ids=["simulate", "fit", "fit-absolute", "analyze", "analyze-manifest", "verify",
+            "verify-steps", "report"])
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        for name in ("c.cfg", "v.steps.csv", "a.json.manifest.json"):
+            Path(name).write_text(LINEAR_CONFIG)
+        for step in (["simulate", "--config", "c.cfg", "--out", "t.csv"],
+                     ["fit", "t.csv", "--out", "m.json"],
+                     ["verify", "--config", "c.cfg", "m.json", "--out", "r.json"]):
+            assert main(step) == 0
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 class TestConfigKeys:
     def test_unknown_keys_warned(self, tmp_path, capsys):
         # A removed key and a misspelt one are reported, and the run goes on
@@ -1142,6 +1182,8 @@ class TestMalformedDocuments:
         # Each diagnostic is read through its range kind; these loaded.
         ("rank", -4), ("snapshot_columns", 0), ("r_count", -1), ("rank_tol", 5.0),
         ("residuals.state", -1.0),
+        # A fit's rank is at most n; this loaded.
+        pytest.param("rank", 7, id="rank-above-n"),
         # An operator entry must be a JSON number within float range.
         pytest.param("state_operator", [["0.9", 0.1], [0.0, 0.5]], id="state_operator-string"),
         pytest.param("state_operator", [[True, 0.1], [0.0, 0.5]], id="state_operator-true"),
@@ -1395,3 +1437,8 @@ def test_names_perfbench_traces_exist(monkeypatch):
     missing = [f"{module.__name__}.{attr}" for module, attrs in traced.items()
                for attr in attrs if not callable(getattr(module, attr, None))]
     assert not missing
+    # Its hinf_norm tracer reads the argument's kind and matrix.
+    k = np.array([[0.5, 0.1], [0.0, -0.3]])
+    tf = TransferFunction.resolvent(k)
+    assert tf.kind == "resolvent"
+    assert np.array_equal(tf.matrix, k) and not tf.matrix.flags.writeable

@@ -9,9 +9,9 @@ from scipy.optimize import minimize_scalar
 
 from koopbound import (
     DataError,
+    DimensionMismatchError,
     DivergenceError,
     HinfReport,
-    ParameterError,
     SchemaError,
     TransferFunction,
     hinf_norm,
@@ -281,11 +281,11 @@ class TestHinfNorm:
     def test_parameter_validation(self):
         with pytest.raises(DataError):
             TransferFunction.resolvent(np.array([[0.5, np.nan], [0.0, 0.5]]))
-        with pytest.raises(ParameterError):
+        with pytest.raises(DimensionMismatchError):
             TransferFunction.resolvent(np.zeros((2, 2, 2)))
 
     def test_resolvent_requires_square(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DimensionMismatchError):
             TransferFunction.resolvent(np.ones((2, 3)))
 
 

@@ -336,6 +336,17 @@ class TestModelSerialization:
         assert pairs == [[0.5, 0.25], [0.1, 0.0]]
         assert math.copysign(1.0, pairs[1][1]) == -1.0
 
+    def test_eigenvalue_list_shorter_than_rank_refused(self, tmp_path):
+        # It loaded with rank 2 and one eigenvalue.
+        path = tmp_path / "model.json"
+        save_model(fitted(rank_deficient=True), path)
+        doc = json.loads(path.read_text())
+        doc["eigenvalues"] = doc["eigenvalues"][:1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"^model field 'eigenvalues' must be a list of "
+                                              r"rank = 2 \[re, im\] pairs$"):
+            load_model(path)
+
     def test_rank_deficient_fit(self):
         model = fitted(rank_deficient=True)
         assert (model.n, model.rank, len(model.eigenvalues)) == (3, 2, 2)
@@ -1049,6 +1060,12 @@ INPUT_FAULTS = {
     "model file without eigenvalues": (model_file_with("eigenvalues", []), SchemaError,
                                        "model field 'eigenvalues' must be a list of 1 to n = 2 "
                                        "[re, im] pairs"),
+    # Both loaded: a fit stores one eigenvalue per row of its reduced operator.
+    "model file rank above n": (model_file_with("rank", 7), SchemaError,
+                                "model field 'rank' is 7, above n = 2"),
+    "model file eigenvalues not rank long": (model_file_with("rank", 1), SchemaError,
+                                             "model field 'eigenvalues' must be a list of "
+                                             "rank = 1 [re, im] pairs"),
 }
 
 
